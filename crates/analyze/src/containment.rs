@@ -1723,19 +1723,8 @@ mod tests {
         let query = PlanBuilder::from_plan(sub.clone())
             .count_star(&["a.kind"], "cnt")
             .build();
-        let subtree_cols = vec!["a.uid".to_string(), "a.kind".to_string()];
-        let view_cols = cat
-            .table(&view.table_name)
-            .expect("stored")
-            .column_names
-            .clone();
-        let (rewritten, n) = av_engine::rewrite_subtree_with_view(
-            &query,
-            Fingerprint::of(&sub),
-            view,
-            &subtree_cols,
-            &view_cols,
-        );
+        let (rewritten, n) = av_engine::rewrite_subtree_with_view(&cat, &query, &sub, view)
+            .expect("view applies");
         assert_eq!(n, 1);
         let defs = |t: &str| {
             store
@@ -1787,19 +1776,8 @@ mod tests {
                 }],
             )
             .build();
-        let subtree_cols = vec!["a.kind".to_string(), "total".to_string()];
-        let view_cols = cat
-            .table(&view.table_name)
-            .expect("stored")
-            .column_names
-            .clone();
-        let (rewritten, n) = av_engine::rewrite_subtree_with_view(
-            &query,
-            Fingerprint::of(&query),
-            view,
-            &subtree_cols,
-            &view_cols,
-        );
+        let (rewritten, n) = av_engine::rewrite_subtree_with_view(&cat, &query, &query, view)
+            .expect("view applies");
         assert_eq!(n, 1);
         let defs = |t: &str| {
             store

@@ -2,7 +2,8 @@
 //!
 //! Three passes, each usable as a library and wired into a binary:
 //!
-//! - **Plan verifier** ([`verify_plan`] / [`verify_rewrite`]): structural
+//! - **Plan verifier** ([`verify_plan`] / [`verify_rewrite`], and the
+//!   prover-first [`gate_rewrite`] every rewrite site calls): structural
 //!   checks plus bottom-up typed schema inference over the logical plan IR,
 //!   mirroring `av-engine`'s runtime semantics. Rejects unbound columns,
 //!   type-mismatched predicates and join keys, aggregates over incompatible
@@ -35,4 +36,6 @@ pub use containment::{prove_rewrite, Verdict, ViewDef};
 pub use lockorder::{LockEdge, LockOrderReport, ALLOWED_EDGES, BOUNDARY_LOCKS, LOCK_CRATES};
 pub use nncheck::{widedeep_spec, GraphSpec, NnFinding};
 pub use schema::{infer_schema, type_of_expr, Schema};
-pub use verify::{install_engine_gate, verify_plan, verify_rewrite};
+pub use verify::{
+    gate_rewrite, install_engine_gate, verify_plan, verify_rewrite, RewriteAccepted, RewriteRefused,
+};

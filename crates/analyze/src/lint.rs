@@ -139,8 +139,7 @@ fn raw_spawn_patterns() -> &'static [String; 3] {
 /// `av-sched` pool, so adding a file here is a reviewed decision.
 ///
 /// `crates/sched/src/pool.rs`: the pool itself — its persistent workers
-/// are the threads everything else borrows, and `run_scoped` keeps the
-/// legacy scoped-spawn baseline alive for paired benchmarks.
+/// are the threads everything else borrows.
 ///
 /// `crates/serve/src/loadgen.rs`: closed-loop load-generator clients model
 /// independent *sessions*, not query-internal parallelism; running them on

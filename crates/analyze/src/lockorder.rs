@@ -59,13 +59,13 @@ pub const BOUNDARY_LOCKS: [&str; 2] = ["ViewServer.planner", "DeploymentCell.cur
 ///   write lock is only ever taken here and in `DeploymentCell::swap`'s
 ///   other callers under the same planner mutex; readers (`load`) never
 ///   hold the cell lock across anything.
-/// - `ViewServer.planner → ExecCache.state`: the planner's dry-run cache
+/// - `ViewServer.planner → CacheShard.state`: the planner's dry-run cache
 ///   prices candidates during re-optimization. The dry-run cache is owned
-///   by the planner (no other thread can reach it), so its internal mutex
+///   by the planner (no other thread can reach it), so its shard mutex
 ///   cannot participate in a cross-thread cycle with the planner lock.
 pub const ALLOWED_EDGES: [(&str, &str); 2] = [
     ("ViewServer.planner", "DeploymentCell.current"),
-    ("ViewServer.planner", "ExecCache.state"),
+    ("ViewServer.planner", "CacheShard.state"),
 ];
 
 /// One acquired-while-held edge (or, when `dashed`, a condvar wait).
@@ -293,6 +293,9 @@ fn parse_fields(segment: &str, info: &mut StructInfo) {
             }
             _ => {}
         }
+        // A `Vec<T>` field is typed by its elements, so an indexed call
+        // (`self.shards[i].lookup(..)`) resolves to `T::lookup`.
+        let head = if head == "Vec" { generic_inner(ty) } else { head };
         info.field_types.insert(field, head);
     }
 }
@@ -733,11 +736,16 @@ fn resolve_calls(
             i += 1;
             continue;
         };
-        let Some(seg1) = ident_before(line, dot1) else {
+        // Look through one index expression: `<seg1>[..].<m>(`.
+        let seg1_end = match bytes[..dot1].last() {
+            Some(b']') => line[..dot1].rfind('[').unwrap_or(dot1),
+            _ => dot1,
+        };
+        let Some(seg1) = ident_before(line, seg1_end) else {
             i += 1;
             continue;
         };
-        let seg1_start = dot1 - seg1.len();
+        let seg1_start = seg1_end - seg1.len();
         // Two-segment receiver? `<recv>.<seg1>.<m>(`
         let recv2 = seg1_start
             .checked_sub(1)
@@ -1085,7 +1093,7 @@ impl S {
 
     #[test]
     fn reacquire_after_drop_is_not_a_self_cycle() {
-        // The ExecCache::run_keyed shape: acquire, drop, execute, reacquire.
+        // Acquire, drop, compute, reacquire the same lock.
         let src = "\
 struct S { state: Mutex<u32> }
 impl S {
@@ -1152,6 +1160,31 @@ impl Server {
         assert_eq!(r.edges.len(), 1, "{:?}", r.edges);
         assert_eq!(r.edges[0].from, "Server.planner");
         assert_eq!(r.edges[0].to, "Dry.state");
+    }
+
+    #[test]
+    fn indexed_vec_field_resolves_element_type_calls() {
+        let r = analyze(
+            r#"
+struct Shard { state: Mutex<u32> }
+impl Shard {
+    fn poke(&self) {
+        *self.state.lock().unwrap() += 1;
+    }
+}
+struct Cache { gate: Mutex<()>, shards: Vec<Shard> }
+impl Cache {
+    fn f(&self, i: usize) {
+        let g = self.gate.lock().unwrap();
+        self.shards[i % 4].poke();
+        drop(g);
+    }
+}
+"#,
+        );
+        assert_eq!(r.edges.len(), 1, "{:?}", r.edges);
+        assert_eq!(r.edges[0].from, "Cache.gate");
+        assert_eq!(r.edges[0].to, "Shard.state");
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! graph as DOT), `av-analyze lint` (pass 1).
 
 use av_analyze::lint::{lint_repo, parse_baseline, ratchet_findings};
-use av_analyze::{prove_rewrite, verify_plan, verify_rewrite, widedeep_spec, Verdict, LOCK_CRATES};
+use av_analyze::{
+    gate_rewrite, verify_plan, widedeep_spec, RewriteAccepted, RewriteRefused, LOCK_CRATES,
+};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
-use av_plan::{Fingerprint, PlanRef};
+use av_plan::find_subtree;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -32,13 +34,6 @@ fn repo_root() -> &'static Path {
         .parent()
         .and_then(Path::parent)
         .expect("crate lives two levels below the repo root")
-}
-
-fn find_subtree(plan: &PlanRef, fp: Fingerprint) -> Option<PlanRef> {
-    if Fingerprint::of(plan) == fp {
-        return Some(plan.clone());
-    }
-    plan.children().iter().find_map(|c| find_subtree(c, fp))
 }
 
 fn run_lint_pass(failures: &mut usize) {
@@ -134,50 +129,32 @@ fn run_plan_pass(failures: &mut usize) {
             let Some(subtree) = find_subtree(&plans[i], m.subtree_fp) else {
                 continue;
             };
-            let cat_cols = |t: &str| catalog.table_columns(t);
-            let subtree_cols = subtree.output_columns(&cat_cols);
-            let Some(view_cols) = catalog.table(&view.table_name).map(|t| t.column_names.clone())
+            let Some((rewritten, _)) =
+                rewrite_subtree_with_view(&catalog, &plans[i], &subtree, view)
             else {
                 continue;
             };
-            if subtree_cols.len() != view_cols.len() {
-                continue;
-            }
-            let (rewritten, n) = rewrite_subtree_with_view(
-                &plans[i],
-                m.subtree_fp,
-                view,
-                &subtree_cols,
-                &view_cols,
-            );
-            if n == 0 {
-                continue;
-            }
             rewrites += 1;
-            match prove_rewrite(&catalog, &plans[i], &rewritten, &resolve) {
-                Verdict::Proved => proved += 1,
-                Verdict::Refuted { witness } => {
-                    eprintln!(
-                        "plans: rewrite of query {i} with candidate {} REFUTED: {witness}",
-                        m.candidate
-                    );
-                    refuted += 1;
-                    bad += 1;
-                }
-                Verdict::Unknown { reason } => {
+            match gate_rewrite(&catalog, &plans[i], &rewritten, &resolve) {
+                Ok(RewriteAccepted::Proved) => proved += 1,
+                Ok(RewriteAccepted::SchemaChecked { reason }) => {
                     unknown += 1;
                     eprintln!(
                         "plans: rewrite of query {i} with candidate {} unproved ({reason}); \
-                         falling back to schema check",
+                         passed the schema check",
                         m.candidate
                     );
-                    if let Err(e) = verify_rewrite(&catalog, &plans[i], &rewritten) {
-                        eprintln!(
-                            "plans: rewrite of query {i} with candidate {} rejected: {e}",
-                            m.candidate
-                        );
-                        bad += 1;
+                }
+                Err(refused) => {
+                    match refused {
+                        RewriteRefused::Refuted { .. } => refuted += 1,
+                        RewriteRefused::Schema(_) => unknown += 1,
                     }
+                    eprintln!(
+                        "plans: rewrite of query {i} with candidate {} {refused}",
+                        m.candidate
+                    );
+                    bad += 1;
                 }
             }
         }

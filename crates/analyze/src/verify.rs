@@ -1,9 +1,11 @@
 //! The plan verifier: structural checks plus full schema inference, and
 //! the rewrite-substitution check used on every view rewrite.
 
+use crate::containment::{prove_rewrite, Verdict, ViewDef};
 use crate::schema::{infer_schema, Schema};
 use av_engine::Catalog;
-use av_plan::{check_structure, PlanError, PlanNode};
+use av_plan::{check_structure, PlanError, PlanNode, PlanRef};
+use std::fmt;
 
 /// Verify a plan end to end: structural well-formedness, then bottom-up
 /// schema/type inference against the catalog. Returns the root schema.
@@ -48,6 +50,55 @@ pub fn verify_rewrite(
         }
     }
     Ok(new)
+}
+
+/// How [`gate_rewrite`] accepted a rewrite.
+#[derive(Debug)]
+pub enum RewriteAccepted {
+    /// The semantic prover discharged it: the rewritten plan computes the
+    /// original's result.
+    Proved,
+    /// The prover could not decide (`reason`); the rewrite passed the
+    /// schema-level [`verify_rewrite`] check instead.
+    SchemaChecked { reason: String },
+}
+
+/// Why [`gate_rewrite`] refused a rewrite.
+#[derive(Debug)]
+pub enum RewriteRefused {
+    /// The prover found a witness row on which the plans diverge.
+    Refuted { witness: String },
+    /// Undecided by the prover, and the output schemas differ.
+    Schema(PlanError),
+}
+
+impl fmt::Display for RewriteRefused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RewriteRefused::Refuted { witness } => {
+                write!(f, "refuted by the semantic prover: {witness}")
+            }
+            RewriteRefused::Schema(e) => write!(f, "fails verification: {e}"),
+        }
+    }
+}
+
+/// The rewrite gate every substitution site goes through: the semantic
+/// prover decides; only its `Unknown` falls back to the schema-level
+/// [`verify_rewrite`] check. A `Refuted` rewrite is never accepted.
+pub fn gate_rewrite(
+    catalog: &Catalog,
+    original: &PlanRef,
+    rewritten: &PlanRef,
+    view_def: ViewDef,
+) -> Result<RewriteAccepted, RewriteRefused> {
+    match prove_rewrite(catalog, original, rewritten, view_def) {
+        Verdict::Proved => Ok(RewriteAccepted::Proved),
+        Verdict::Refuted { witness } => Err(RewriteRefused::Refuted { witness }),
+        Verdict::Unknown { reason } => verify_rewrite(catalog, original, rewritten)
+            .map(|_| RewriteAccepted::SchemaChecked { reason })
+            .map_err(RewriteRefused::Schema),
+    }
 }
 
 /// Adapter with the engine's [`av_engine::PreflightFn`] signature.

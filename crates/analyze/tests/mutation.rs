@@ -14,15 +14,8 @@
 
 use av_analyze::{prove_rewrite, Verdict};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
-use av_plan::{AggExpr, CmpOp, Expr, Fingerprint, JoinType, PlanNode, PlanRef, Value};
+use av_plan::{find_subtree, AggExpr, CmpOp, Expr, JoinType, PlanNode, PlanRef, Value};
 use std::sync::Arc;
-
-fn find_subtree(plan: &PlanRef, fp: Fingerprint) -> Option<PlanRef> {
-    if Fingerprint::of(plan) == fp {
-        return Some(plan.clone());
-    }
-    plan.children().iter().find_map(|c| find_subtree(c, fp))
-}
 
 /// Every (original, rewritten) pair the analyzer induces on JOB, plus the
 /// view store needed to resolve `__view_N` scans.
@@ -49,25 +42,11 @@ fn job_rewrites() -> (Catalog, ViewStore, Vec<(PlanRef, PlanRef)>) {
             let Some(subtree) = find_subtree(&plans[i], m.subtree_fp) else {
                 continue;
             };
-            let cat_cols = |t: &str| catalog.table_columns(t);
-            let subtree_cols = subtree.output_columns(&cat_cols);
-            let Some(view_cols) = catalog.table(&view.table_name).map(|t| t.column_names.clone())
+            let Some((rewritten, _)) =
+                rewrite_subtree_with_view(&catalog, &plans[i], &subtree, view)
             else {
                 continue;
             };
-            if subtree_cols.len() != view_cols.len() {
-                continue;
-            }
-            let (rewritten, n) = rewrite_subtree_with_view(
-                &plans[i],
-                m.subtree_fp,
-                view,
-                &subtree_cols,
-                &view_cols,
-            );
-            if n == 0 {
-                continue;
-            }
             pairs.push((plans[i].clone(), rewritten));
         }
     }

@@ -12,7 +12,7 @@ use av_analyze::{verify_plan, verify_rewrite};
 use av_engine::{
     rewrite_subtree_with_view, Catalog, Column, ColumnType, Executor, Pricing, Table, ViewStore,
 };
-use av_plan::{AggExpr, AggFunc, CmpOp, Expr, Fingerprint, PlanBuilder, PlanRef};
+use av_plan::{find_subtree, AggExpr, AggFunc, CmpOp, Expr, PlanBuilder, PlanRef};
 use proptest::prelude::*;
 
 /// `ta(k Int, v Int, s Str)` and `tb(k Int, w Float)`, with enough rows to
@@ -178,13 +178,6 @@ proptest! {
     }
 }
 
-fn find_subtree(plan: &PlanRef, fp: Fingerprint) -> Option<PlanRef> {
-    if Fingerprint::of(plan) == fp {
-        return Some(plan.clone());
-    }
-    plan.children().iter().find_map(|c| find_subtree(c, fp))
-}
-
 /// (c) Full JOB workload: all queries, all candidates, and every rewrite
 /// verify clean. Mirrors the `av-analyze` binary at a smaller scale.
 #[test]
@@ -220,20 +213,11 @@ fn job_workload_and_rewrites_verify_clean() {
             let Some(subtree) = find_subtree(&plans[i], m.subtree_fp) else {
                 continue;
             };
-            let cat_cols = |t: &str| cat.table_columns(t);
-            let subtree_cols = subtree.output_columns(&cat_cols);
-            let view_cols = cat
-                .table(&view.table_name)
-                .map(|t| t.column_names.clone())
-                .expect("view table registered");
-            if subtree_cols.len() != view_cols.len() {
+            let Some((rewritten, _)) =
+                rewrite_subtree_with_view(&cat, &plans[i], &subtree, view)
+            else {
                 continue;
-            }
-            let (rewritten, n) =
-                rewrite_subtree_with_view(&plans[i], m.subtree_fp, view, &subtree_cols, &view_cols);
-            if n == 0 {
-                continue;
-            }
+            };
             verify_rewrite(&cat, &plans[i], &rewritten)
                 .unwrap_or_else(|e| panic!("rewrite of query {i} via candidate {}: {e}", m.candidate));
             rewrites += 1;

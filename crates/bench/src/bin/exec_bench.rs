@@ -11,12 +11,12 @@
 //! a <1.0x "optimization" can never ship silently.
 //!
 //! A spawn-overhead section sizes the parallel cutover: the same plan at
-//! 8k–64k rows through the serial path, the shared av-sched pool, and the
-//! legacy per-batch scoped-spawn backend (parallelism forced on via a zero
-//! `min_rows` so the sub-cutover sizes are measured too). On multi-core
-//! hosts the pooled path must be profitable (≥1.0x vs serial) from 16k rows
-//! up — that is the measurement that justifies lowering `PAR_MIN_ROWS` to
-//! 16_384 — and the whole bench fails if it regresses. Single-core hosts
+//! 8k–64k rows through the serial path and the shared av-sched pool
+//! (parallelism forced on via a zero `min_rows` so the sub-cutover sizes
+//! are measured too). On multi-core hosts the pooled path must be profitable
+//! (≥1.0x vs serial) from 16k rows up — that is the measurement
+//! `PAR_MIN_ROWS` = 16_384 rests on — and the whole bench fails if it
+//! regresses. Single-core hosts
 //! report the numbers but skip the gate (parallelism cannot win there).
 //! The tracing-overhead budget is also a gate: traced vs untraced over the
 //! benched workload must stay under 5%.
@@ -61,16 +61,10 @@ struct SpawnResult {
     /// Fact-table rows driven through the plan.
     rows: usize,
     serial_rows_per_sec: f64,
-    /// Shared av-sched pool backend.
+    /// Through the shared av-sched pool.
     pooled_rows_per_sec: f64,
-    /// Legacy per-batch scoped-spawn backend.
-    scoped_rows_per_sec: f64,
     /// serial time / pooled time (>1: parallelism profitable at this size).
     pooled_speedup: f64,
-    /// serial time / scoped time.
-    scoped_speedup: f64,
-    /// scoped time / pooled time (>1: persistent workers beat fresh spawns).
-    pool_vs_scoped: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -223,7 +217,7 @@ fn main() {
         ("filter_agg", cast_rows, filter_agg),
     ];
     assert!(
-        cast_rows < av_engine::par::par_min_rows_default(),
+        cast_rows < av_engine::par::PAR_MIN_ROWS,
         "micro tables must sit below the parallel cutover ({cast_rows} rows); \
          lower AV_EXEC_SCALE"
     );
@@ -251,10 +245,10 @@ fn main() {
     }
 
     // Spawn-overhead ladder: one filter+aggregate plan at 8k..64k fact rows,
-    // serial vs pooled vs scoped-spawn, parallelism forced on (min_rows 0)
-    // so the sub-cutover sizes are measured rather than short-circuited.
-    // All three backends must agree bitwise before speed means anything —
-    // this is the determinism contract the pool is built around.
+    // serial vs pooled, parallelism forced on (min_rows 0) so the
+    // sub-cutover sizes are measured rather than short-circuited. Both must
+    // agree bitwise before speed means anything — this is the determinism
+    // contract the pool is built around.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cast_base = 12_000.0; // job_workload's cast_info rows at scale 1.0
     let mut spawn = Vec::new();
@@ -268,29 +262,23 @@ fn main() {
         let serial = Executor::new(&w.catalog, pricing).with_threads(1);
         let pooled = Executor::new(&w.catalog, pricing)
             .with_threads(threads)
-            .with_par_min_rows(0)
-            .with_par_backend(av_engine::par::ParBackend::Pool);
-        let scoped = Executor::new(&w.catalog, pricing)
-            .with_threads(threads)
-            .with_par_min_rows(0)
-            .with_par_backend(av_engine::par::ParBackend::ScopedSpawn);
+            .with_par_min_rows(0);
         let s = serial.run(&plan).expect("benchmark plan executes");
-        for (name, exec) in [("pooled", &pooled), ("scoped", &scoped)] {
-            let p = exec.run(&plan).expect("benchmark plan executes");
-            assert!(s.batch == p.batch, "{name}@{rows}: batch diverged from serial");
-            assert!(s.report == p.report, "{name}@{rows}: report diverged from serial");
-        }
-        let (serial_a, pooled_t) = time_pair(&serial, &pooled, &plan, reps);
-        let (serial_b, scoped_t) = time_pair(&serial, &scoped, &plan, reps);
-        let serial_t = serial_a.min(serial_b);
+        let p = pooled.run(&plan).expect("benchmark plan executes");
+        assert!(
+            s.batch == p.batch,
+            "pooled@{rows}: batch diverged from serial"
+        );
+        assert!(
+            s.report == p.report,
+            "pooled@{rows}: report diverged from serial"
+        );
+        let (serial_t, pooled_t) = time_pair(&serial, &pooled, &plan, reps);
         spawn.push(SpawnResult {
             rows,
             serial_rows_per_sec: rows as f64 / serial_t,
             pooled_rows_per_sec: rows as f64 / pooled_t,
-            scoped_rows_per_sec: rows as f64 / scoped_t,
             pooled_speedup: serial_t / pooled_t,
-            scoped_speedup: serial_t / scoped_t,
-            pool_vs_scoped: scoped_t / pooled_t,
         });
     }
 
@@ -298,7 +286,7 @@ fn main() {
     // distinct, so the warm pass's hit-rate is exactly 1/2 overall.
     let replay_w = job_workload(cfg.job_scale, cfg.seed);
     let plans = replay_w.plans();
-    let cache = ExecCache::new(pricing);
+    let cache = ExecCache::new(pricing, 1);
     let start = Instant::now();
     for p in &plans {
         cache.run(&replay_w.catalog, p).expect("query executes");
@@ -346,7 +334,7 @@ fn main() {
             serial.run(plan).expect("benchmark plan executes");
             parallel.run(plan).expect("benchmark plan executes");
         }
-        let cache = ExecCache::new(pricing).with_tracer(tracer.clone());
+        let cache = ExecCache::new(pricing, 1).with_tracer(tracer.clone());
         let replay_start = Instant::now();
         for p in &trace_plans {
             cache.run(&trace_replay_w.catalog, p).expect("query executes");
@@ -406,7 +394,7 @@ fn main() {
         exec_scale,
         reps,
         threads,
-        par_min_rows: av_engine::par::par_min_rows_default(),
+        par_min_rows: av_engine::par::PAR_MIN_ROWS,
         cores,
         micro: micro.clone(),
         spawn: spawn.clone(),
@@ -442,26 +430,15 @@ fn main() {
                 s.rows.to_string(),
                 format!("{:.0}", s.serial_rows_per_sec),
                 format!("{:.0}", s.pooled_rows_per_sec),
-                format!("{:.0}", s.scoped_rows_per_sec),
                 format!("{:.2}x", s.pooled_speedup),
-                format!("{:.2}x", s.scoped_speedup),
-                format!("{:.2}x", s.pool_vs_scoped),
             ]
         })
         .collect();
     println!(
         "\nspawn overhead ({cores} core(s), {threads} threads, cutover {} rows):\n{}",
-        av_engine::par::par_min_rows_default(),
+        av_engine::par::PAR_MIN_ROWS,
         render_table(
-            &[
-                "rows",
-                "serial rows/s",
-                "pooled rows/s",
-                "scoped rows/s",
-                "pooled speedup",
-                "scoped speedup",
-                "pool vs scoped",
-            ],
+            &["rows", "serial rows/s", "pooled rows/s", "pooled speedup"],
             &spawn_rows,
         )
     );

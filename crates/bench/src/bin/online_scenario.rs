@@ -18,7 +18,7 @@
 use av_bench::{render_table, BenchConfig};
 use av_cost::OptimizerEstimator;
 use av_engine::Pricing;
-use av_online::{DriftConfig, LifecycleConfig, OnlineConfig, OnlineEngine, OnlineSelector};
+use av_online::{DriftConfig, LifecycleConfig, OnlineConfig, OnlineEngine, SelectorKind};
 use av_plan::PlanRef;
 use av_select::IterViewConfig;
 use av_workload::job::job_workload;
@@ -47,7 +47,7 @@ fn engine(workload_catalog: &av_engine::Catalog, window: usize, seed: u64, adapt
                 min_benefit_per_byte: 0.0,
                 tenant_byte_budget: usize::MAX,
             },
-            selector: OnlineSelector::IterView(IterViewConfig {
+            selector: SelectorKind::IterView(IterViewConfig {
                 iterations: 60,
                 seed,
                 freeze_after: None,

@@ -12,19 +12,13 @@
 //! 64-client throughput ≥ 4× the 1-client figure — comes from overlapping
 //! think times, not from parallel execution, and holds on one core.
 //!
-//! A pool-vs-scoped section re-runs the cold ladder with the executor's
-//! parallel cutover forced to zero, once on the shared morsel pool and
-//! once on per-query scoped spawning, interleaved: the pool must match or
-//! beat scoped spawning at every level (>= 1.0x with real cores, >= 0.95x
-//! single-core where both degenerate to near-serial and only noise
-//! separates them). With cores to win on, warm top-concurrency throughput
-//! must also clear 1.5x the pre-pool 9,491 qps seed figure.
+//! With cores to win on, warm top-concurrency throughput must also clear
+//! 1.5x the pre-pool 9,491 qps seed figure.
 //!
 //! Knobs: `AV_SERVE_REQUESTS` (default 64) requests per client,
 //! `AV_SERVE_THINK_US` (default 2000) think time in microseconds,
 //! `AV_SERVE_SEED` (default 70) workload seed, `AV_SERVE_TENANTS`
-//! (default 4), `AV_SERVE_OPEN_QPS` (default 400) open-loop arrival rate,
-//! `AV_SERVE_POOL_REPS` (default 3) pool-vs-scoped paired reps per level.
+//! (default 4), `AV_SERVE_OPEN_QPS` (default 400) open-loop arrival rate.
 
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;
@@ -130,22 +124,6 @@ struct ScalingRecord {
     ratio: f64,
 }
 
-/// Pool-vs-scoped spawn comparison at one ladder level: identical servers
-/// except for the executor backend, both forced to parallelize every chunk
-/// (`par_min_rows = 0`) so the spawn path runs on every operator rather
-/// than only on scans past the 16k cutover. Cold (execution-heavy) runs,
-/// interleaved in alternating order, best-of-reps per side.
-#[derive(Debug, Clone, Serialize)]
-struct PoolVsScoped {
-    clients: usize,
-    reps: usize,
-    pooled_qps: f64,
-    scoped_qps: f64,
-    /// `pooled_qps / scoped_qps` — the shared pool must not lose to
-    /// per-query scoped spawning at any concurrency.
-    speedup: f64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct ServeBenchReport {
     config: BenchConfig,
@@ -156,8 +134,6 @@ struct ServeBenchReport {
     cache: CacheRecord,
     /// Telemetry on-vs-off overhead on the warm top-concurrency ladder.
     obs: ObsRecord,
-    /// Shared-pool vs per-query scoped spawning at every ladder level.
-    pool_vs_scoped: Vec<PoolVsScoped>,
 }
 
 fn envu(key: &str, default: u64) -> u64 {
@@ -191,112 +167,6 @@ fn server_with_obs(w: &av_workload::Workload, obs: ObsConfig) -> ViewServer {
 
 fn server_for(w: &av_workload::Workload) -> ViewServer {
     server_with_obs(w, ObsConfig::default())
-}
-
-/// A workload whose scans actually span chunks: the `mini` ladder tables
-/// (100–600 rows) all fit in one 1024-row chunk, so on it `map_chunks`
-/// degenerates to the serial path and a backend comparison measures
-/// nothing. 3–8 chunks per scan gives the spawn machinery real work at
-/// every ladder level.
-fn pool_ladder_workload(seed: u64) -> av_workload::Workload {
-    av_workload::gen::generate(&av_workload::GeneratorConfig {
-        name: "pool-ladder".into(),
-        seed,
-        projects: 2,
-        tables: 4,
-        rows_range: (3 * 1024, 8 * 1024),
-        queries: 24,
-        pool_per_table: 2,
-        share_probability: 0.7,
-        aggregate_probability: 0.5,
-        join_template_probability: 0.5,
-        join_tables: (2, 2),
-        skew: 1.0,
-    })
-}
-
-/// A server whose executors use the given parallel backend and spawn a
-/// task for every chunk (`par_min_rows = 0`), telemetry off so the
-/// comparison isolates the spawn machinery.
-fn server_with_backend(
-    w: &av_workload::Workload,
-    backend: av_engine::par::ParBackend,
-) -> ViewServer {
-    ViewServer::new(
-        w.catalog.clone(),
-        Box::new(OptimizerEstimator::default()),
-        ServeConfig {
-            lifecycle: LifecycleConfig {
-                byte_budget: usize::MAX,
-                min_benefit_per_byte: 0.0,
-                tenant_byte_budget: usize::MAX,
-            },
-            admission: AdmissionConfig {
-                max_inflight_per_tenant: 32,
-                max_queued_per_tenant: 256,
-            },
-            obs: ObsConfig::disabled(),
-            par_min_rows: Some(0),
-            exec_backend: backend,
-            // Fixed 4-way DOP with the elastic policy off: on a one-core
-            // box elastic DOP collapses to 1 and map_chunks would run
-            // serially on both backends, making the comparison vacuous.
-            // Forcing threads exercises the actual spawn machinery the
-            // two backends differ in (same shape as exec_bench's ladder).
-            exec_threads: Some(4),
-            elastic_dop: false,
-            ..ServeConfig::default()
-        },
-    )
-}
-
-/// Paired pool-vs-scoped comparison at one concurrency: fresh servers per
-/// rep (cold runs — execution-heavy, so the executor's spawn path
-/// dominates), alternating which backend goes first, best throughput per
-/// side across reps.
-fn measure_pool_vs_scoped(
-    w: &av_workload::Workload,
-    plans: &[av_plan::PlanRef],
-    clients: usize,
-    requests_per_client: usize,
-    tenants: usize,
-    reps: usize,
-) -> PoolVsScoped {
-    use av_engine::par::ParBackend;
-    let cfg = ClosedLoopConfig {
-        clients,
-        requests_per_client,
-        think: Duration::ZERO,
-        tenants,
-    };
-    // [scoped, pooled] so `as usize` indexing matches the bool.
-    let mut best = [0.0f64; 2];
-    for rep in 0..reps {
-        let order = if rep % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for pooled in order {
-            let backend = if pooled {
-                ParBackend::Pool
-            } else {
-                ParBackend::ScopedSpawn
-            };
-            let server = server_with_backend(w, backend);
-            let report = run_closed_loop(&server, plans, &cfg);
-            expect_clean(&report, &format!("pool-vs-scoped@{clients}"));
-            let i = pooled as usize;
-            best[i] = best[i].max(report.qps);
-        }
-    }
-    PoolVsScoped {
-        clients,
-        reps,
-        pooled_qps: best[1],
-        scoped_qps: best[0],
-        speedup: best[1] / best[0].max(1e-12),
-    }
 }
 
 /// Interleave telemetry-off and telemetry-on warm runs at the top
@@ -543,27 +413,6 @@ fn main() {
     assert_eq!(open_loop.failed, 0, "open loop: failed queries");
     rows.push(row(&format!("open  @{open_qps:.0}qps"), &open_loop));
 
-    // Pool-vs-scoped executor comparison across the ladder: the shared
-    // morsel pool must not lose to per-query scoped spawning at any
-    // concurrency, measured where it matters (cold, execution-heavy runs
-    // with the spawn path forced on for every chunk).
-    let pvs_reps = envu("AV_SERVE_POOL_REPS", 3) as usize;
-    let pool_w = pool_ladder_workload(seed);
-    let pool_plans = pool_w.plans();
-    let pool_vs_scoped: Vec<PoolVsScoped> = levels_spec
-        .iter()
-        .map(|&clients| {
-            measure_pool_vs_scoped(
-                &pool_w,
-                &pool_plans,
-                clients,
-                requests_per_client,
-                tenants,
-                pvs_reps,
-            )
-        })
-        .collect();
-
     // Telemetry overhead at the top concurrency, then export the
     // telemetry-on server's scrape body and flight-recorder artifacts.
     let obs_reps = envu("AV_SERVE_OBS_REPS", 5) as usize;
@@ -624,7 +473,6 @@ fn main() {
         open_loop,
         cache: cache.expect("top level ran"),
         obs: obs.clone(),
-        pool_vs_scoped: pool_vs_scoped.clone(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_serve.json", &json).expect("BENCH_serve.json written");
@@ -648,21 +496,6 @@ fn main() {
         obs.qps_off, obs.qps_on, obs.overhead_ns, obs.overhead_pct,
         1e6 / obs.qps_off, ladder_budget_ns, warm_top_mean_us,
         obs.recorded, obs.residuals_recorded, obs.alerts, obs.dumps
-    );
-    println!(
-        "\npool vs scoped spawn (cold, think 0, par forced, best of {pvs_reps}):\n{}",
-        av_bench::render_table(
-            &["clients", "pooled qps", "scoped qps", "pool/scoped"],
-            &pool_vs_scoped
-                .iter()
-                .map(|p| vec![
-                    format!("{}", p.clients),
-                    format!("{:.0}", p.pooled_qps),
-                    format!("{:.0}", p.scoped_qps),
-                    format!("{:.2}x", p.speedup),
-                ])
-                .collect::<Vec<_>>()
-        )
     );
     println!("wrote BENCH_serve.json, METRICS_serve.prom, FLIGHT_serve.json");
 
@@ -695,24 +528,6 @@ fn main() {
         obs.qps_off,
         obs.qps_on
     );
-    // Pool gate: the shared pool must match or beat per-query scoped
-    // spawning at every ladder level. With real cores the bar is 1.0x; on
-    // a single core both backends degenerate to near-serial execution and
-    // the paired cold runs carry a few percent of scheduler noise, so the
-    // bar drops to 0.95x — still tight enough to catch a pool that
-    // actually costs throughput.
-    let pool_floor = if cores > 1 { 1.0 } else { 0.95 };
-    for p in &pool_vs_scoped {
-        assert!(
-            p.speedup >= pool_floor,
-            "shared pool lost to scoped spawning at {} clients: {:.2}x \
-             (pooled {:.0} qps vs scoped {:.0} qps, floor {pool_floor}x)",
-            p.clients,
-            p.speedup,
-            p.pooled_qps,
-            p.scoped_qps
-        );
-    }
     // Absolute throughput gate vs the pre-pool seed figure (9,491 qps warm
     // at 64 clients): the pooled, elastically parallel server must clear
     // 1.5x that. The win comes from real parallel execution, so the gate

@@ -27,7 +27,7 @@ fn main() {
     let plans = w.plans();
     // Warm the allocator and page cache before timing anything.
     for _ in 0..10 {
-        let c = ExecCache::new(Pricing::paper_defaults());
+        let c = ExecCache::new(Pricing::paper_defaults(), 1);
         for p in &plans {
             c.run(&w.catalog, p).expect("query executes");
         }
@@ -57,13 +57,13 @@ fn main() {
     let mut on = Vec::with_capacity(REPLAY_REPS);
     let tracer = Tracer::new();
     for _ in 0..REPLAY_REPS {
-        let c = ExecCache::new(Pricing::paper_defaults());
+        let c = ExecCache::new(Pricing::paper_defaults(), 1);
         let t0 = Instant::now();
         for p in &plans {
             c.run(&w.catalog, p).expect("query executes");
         }
         off.push(t0.elapsed().as_secs_f64());
-        let c = ExecCache::new(Pricing::paper_defaults()).with_tracer(tracer.clone());
+        let c = ExecCache::new(Pricing::paper_defaults(), 1).with_tracer(tracer.clone());
         let t0 = Instant::now();
         for p in &plans {
             c.run(&w.catalog, p).expect("query executes");

@@ -3,19 +3,17 @@
 use crate::metadata::MetadataDb;
 use crate::truth::{
     collect_pair_truth, preprocess_and_measure, preprocess_and_measure_traced, rewrite_pair,
-    tables_meta, Preprocessed,
+    Preprocessed,
 };
 use av_cost::{
     CostEstimator, FeatureInput, OptimizerEstimator, WideDeep, WideDeepConfig,
 };
 use av_engine::{Catalog, EngineError, Pricing};
 use av_ilp::MvsInstance;
-use av_online::CandidateView;
-use av_plan::{Fingerprint, PlanRef};
-use av_select::{
-    greedy_best, BigSub, BigSubConfig, GreedyRank, IterView, IterViewConfig, RlView,
-    RlViewConfig, SelectionResult,
-};
+use av_online::{benefit_matrix, selected_candidates, CandidateView, WindowSnapshot};
+use av_plan::PlanRef;
+pub use av_select::SelectorKind;
+use av_select::{RlViewConfig, SelectionResult};
 use av_serve::{ReoptSummary, ServeConfig, ServeError, ViewServer};
 use av_trace::Tracer;
 
@@ -34,47 +32,6 @@ impl EstimatorKind {
         match self {
             EstimatorKind::WideDeep(_) => "W",
             EstimatorKind::Optimizer => "O",
-        }
-    }
-}
-
-/// Which view selector consumes the benefit matrix.
-#[derive(Debug, Clone)]
-pub enum SelectorKind {
-    RlView(RlViewConfig),
-    BigSub(BigSubConfig),
-    IterView(IterViewConfig),
-    /// A greedy ranking with its best `k` found by sweeping.
-    Greedy(GreedyRank),
-}
-
-impl SelectorKind {
-    /// Short display name (`R` / `B` / `I` / rank name).
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            SelectorKind::RlView(_) => "R",
-            SelectorKind::BigSub(_) => "B",
-            SelectorKind::IterView(_) => "I",
-            SelectorKind::Greedy(r) => r.name(),
-        }
-    }
-
-    /// Run the selector on an instance.
-    pub fn run(&self, instance: &MvsInstance) -> SelectionResult {
-        self.run_traced(instance, &Tracer::disabled())
-    }
-
-    /// Run the selector with telemetry: RLView and IterView record episode
-    /// and iteration spans/metrics into `tracer`; the other selectors run
-    /// untraced (the caller's phase span still times them).
-    pub fn run_traced(&self, instance: &MvsInstance, tracer: &Tracer) -> SelectionResult {
-        match self {
-            SelectorKind::RlView(cfg) => RlView::run_traced(instance, cfg.clone(), tracer),
-            SelectorKind::BigSub(cfg) => BigSub::run(instance, cfg.clone()),
-            SelectorKind::IterView(cfg) => {
-                IterView::new(instance, cfg.clone()).run_traced(tracer)
-            }
-            SelectorKind::Greedy(rank) => greedy_best(instance, *rank).1,
         }
     }
 }
@@ -239,7 +196,7 @@ impl AutoViewSystem {
             let selection = self.config.selector.run_traced(&instance, &tracer);
             (instance, selection)
         });
-        self.selected = Self::selection_to_candidates(&pre, &instance, &selection);
+        self.selected = selected_candidates(&pre.analysis, &instance, &selection);
 
         // ---- deploy & execute ---------------------------------------------
         let report = tracer.time("pipeline.deploy", || self.execute_selection(&pre, &selection))?;
@@ -247,34 +204,19 @@ impl AutoViewSystem {
     }
 
     /// Estimate the benefit matrix with a trained estimator and assemble
-    /// the MVS instance.
+    /// the MVS instance. Benefits are kept signed: a view the estimator
+    /// predicts to slow a query down must count against selecting it.
     pub fn build_instance(
         &self,
         pre: &Preprocessed,
         estimator: &dyn CostEstimator,
     ) -> MvsInstance {
-        let nc = pre.analysis.candidates.len();
-        let mut benefits = vec![vec![0.0; nc]; self.queries.len()];
-        // Collect every (query, candidate) pair first and score them in one
-        // estimator_batch call: a batched estimator (Wide-Deep) then encodes
-        // each distinct plan once instead of once per pair.
-        let mut pairs_ix: Vec<(usize, usize)> = Vec::new();
-        let mut inputs: Vec<FeatureInput> = Vec::new();
-        for (i, ms) in pre.analysis.query_matches.iter().enumerate() {
-            for m in ms {
-                let cand = &pre.analysis.candidates[m.candidate];
-                pairs_ix.push((i, m.candidate));
-                inputs.push(FeatureInput {
-                    query: self.queries[i].clone(),
-                    view: cand.plan.clone(),
-                    tables: tables_meta(&self.catalog, &self.queries[i], &cand.plan),
-                });
-            }
-        }
-        let estimates = estimator.estimate_batch(&inputs);
-        for (&(i, cand), est_qv) in pairs_ix.iter().zip(estimates) {
-            benefits[i][cand] = pre.query_costs[i] - est_qv;
-        }
+        let benefits = benefit_matrix(
+            &self.catalog,
+            &pre.analysis,
+            WindowSnapshot::new(&self.queries, &pre.query_costs),
+            estimator,
+        );
         MvsInstance {
             benefits,
             overheads: pre.overheads.clone(),
@@ -347,36 +289,6 @@ impl AutoViewSystem {
             },
             estimated_utility: selection.utility,
         })
-    }
-
-    /// Convert a selection over the benefit matrix into the serving layer's
-    /// admission shape: one [`CandidateView`] per materialized candidate,
-    /// with `expected_benefit = Σᵢ benefits[i][j]·y[i][j]`.
-    fn selection_to_candidates(
-        pre: &Preprocessed,
-        instance: &MvsInstance,
-        selection: &SelectionResult,
-    ) -> Vec<CandidateView> {
-        let mut out = Vec::new();
-        for (j, &z) in selection.z.iter().enumerate() {
-            if !z {
-                continue;
-            }
-            let cand = &pre.analysis.candidates[j];
-            let expected_benefit: f64 = selection
-                .y
-                .iter()
-                .zip(&instance.benefits)
-                .map(|(yi, bi)| if yi[j] { bi[j] } else { 0.0 })
-                .sum();
-            out.push(CandidateView {
-                plan: cand.plan.clone(),
-                canonical_fp: Fingerprint::of(&cand.canonical),
-                expected_benefit,
-                overhead: instance.overheads[j],
-            });
-        }
-        out
     }
 
     /// Views chosen by the last [`AutoViewSystem::run`] (empty before a run).
@@ -522,6 +434,7 @@ impl OnlineSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use av_select::{BigSubConfig, GreedyRank};
     use av_workload::cloud::mini;
 
     fn quick_wd() -> WideDeepConfig {

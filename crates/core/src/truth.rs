@@ -1,12 +1,12 @@
 //! Ground-truth collection: measure raw costs, materialize candidates,
 //! execute rewritten queries (paper Fig. 3 offline-training data path).
 
-use av_cost::{FeatureInput, PairSample};
+use av_cost::{tables_meta, FeatureInput, PairSample};
 use av_engine::{
     rewrite_subtree_with_view, Catalog, EngineError, ExecCache, Pricing, ViewStore,
 };
 use av_equiv::{Analyzer, WorkloadAnalysis};
-use av_plan::PlanRef;
+use av_plan::{find_subtree, PlanRef};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -59,7 +59,7 @@ pub fn preprocess_and_measure_traced(
         analyzer.analyze(queries)
     });
 
-    let cache = ExecCache::new(pricing).with_tracer(tracer.clone());
+    let cache = ExecCache::new(pricing, 1).with_tracer(tracer.clone());
     let mut query_costs = Vec::with_capacity(queries.len());
     let mut query_latencies = Vec::with_capacity(queries.len());
     {
@@ -126,22 +126,10 @@ pub fn rewrite_pair(
         .iter()
         .find(|m| m.candidate == candidate)?;
     let view = pre.views.view(av_engine::ViewId(candidate))?;
-    // The matched subtree's output names (query-local aliases).
     let subtree = find_subtree(query_plan, m.subtree_fp)?;
-    let cat_cols = |t: &str| catalog.table_columns(t);
-    let subtree_cols = subtree.output_columns(&cat_cols);
-    let view_cols = catalog.table(&view.table_name)?.column_names.clone();
-    if subtree_cols.len() != view_cols.len() {
-        return None; // defensive: arity mismatch means the match is stale
-    }
-    let (rewritten, n) =
-        rewrite_subtree_with_view(query_plan, m.subtree_fp, view, &subtree_cols, &view_cols);
-    if n == 0 {
-        return None;
-    }
-    // Debug builds gate every rewrite: the semantic prover first (a
-    // `Refuted` rewrite is a hard bug — the view does not contain the
-    // query), falling back to the schema check only on `Unknown`.
+    let (rewritten, _) = rewrite_subtree_with_view(catalog, query_plan, &subtree, view)?;
+    // Debug builds gate every rewrite: a refused one means the view does
+    // not contain the query — a hard bug.
     #[cfg(debug_assertions)]
     {
         let resolve = |t: &str| {
@@ -151,41 +139,12 @@ pub fn rewrite_pair(
                 .find(|v| v.table_name == t)
                 .map(|v| v.plan.clone())
         };
-        match av_analyze::prove_rewrite(catalog, query_plan, &rewritten, &resolve) {
-            av_analyze::Verdict::Proved => {}
-            av_analyze::Verdict::Refuted { witness } => {
-                panic!(
-                    "rewrite of query {query} with candidate {candidate} refuted: {witness}"
-                );
-            }
-            av_analyze::Verdict::Unknown { .. } => {
-                if let Err(e) = av_analyze::verify_rewrite(catalog, query_plan, &rewritten) {
-                    panic!(
-                        "rewrite of query {query} with candidate {candidate} fails verification: {e}"
-                    );
-                }
-            }
+        if let Err(refused) = av_analyze::gate_rewrite(catalog, query_plan, &rewritten, &resolve) {
+            panic!("rewrite of query {query} with candidate {candidate} {refused}");
         }
     }
     Some(rewritten)
 }
-
-fn find_subtree(plan: &PlanRef, fp: av_plan::Fingerprint) -> Option<PlanRef> {
-    if av_plan::Fingerprint::of(plan) == fp {
-        return Some(plan.clone());
-    }
-    for c in plan.children() {
-        if let Some(found) = find_subtree(c, fp) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-// `tables_meta` lives in `av-cost::features` (it is feature extraction and
-// the online subsystem needs it without depending on this crate); re-exported
-// here for the original call sites.
-pub use av_cost::tables_meta;
 
 /// Execute rewritten queries for (up to `limit`) usable (query, candidate)
 /// pairs, producing labelled samples and actual benefits. Pairs are

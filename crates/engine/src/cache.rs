@@ -17,7 +17,7 @@ use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
 use crate::meter::Pricing;
 use av_plan::{Fingerprint, PlanNode};
-use av_trace::Tracer;
+use av_trace::{Metrics, Tracer};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -56,339 +56,91 @@ impl CacheStats {
     }
 }
 
-/// Metric names a cache bumps on lookups/evictions. The default instance
-/// reports under the global `engine.cache_*` counters; sharded caches give
-/// each shard its own prefix (`engine.cache.shard3.hit`, …) so per-shard
-/// balance is visible in any metrics snapshot.
-#[derive(Debug, Clone)]
-struct MetricNames {
-    hit: String,
-    miss: String,
-    evict: String,
-    evict_bytes: String,
-}
-
-impl Default for MetricNames {
-    fn default() -> MetricNames {
-        MetricNames {
-            hit: "engine.cache_hit".to_string(),
-            miss: "engine.cache_miss".to_string(),
-            evict: "engine.cache_evict".to_string(),
-            evict_bytes: "engine.cache_evict_bytes".to_string(),
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct CacheState {
     map: HashMap<(Fingerprint, u64), ExecResult>,
     stats: CacheStats,
 }
 
-/// A caching wrapper around [`Executor`]: same results, same reports, but a
-/// repeated `(plan, catalog epoch)` pair returns a clone of the first run.
+/// One independently locked slice of the cache, with the metric names it
+/// bumps on lookups/evictions.
 #[derive(Debug)]
-pub struct ExecCache {
-    pricing: Pricing,
-    threads: Option<usize>,
-    par_min_rows: Option<usize>,
-    backend: Option<crate::par::ParBackend>,
-    max_entries: usize,
-    tracer: Tracer,
-    metric_names: MetricNames,
+struct CacheShard {
+    hit: String,
+    miss: String,
+    evict: String,
+    evict_bytes: String,
     state: Mutex<CacheState>,
 }
 
+/// A caching wrapper around [`Executor`]: same results, same reports, but a
+/// repeated `(plan, catalog epoch)` pair returns a clone of the first run.
+///
+/// The cache is split into `N` fingerprint-selected shards, each behind its
+/// own lock, so concurrent serving sessions stop serializing on one mutex;
+/// one shard is the unsharded case. The shard of a plan is a pure function
+/// of its fingerprint, so repeat executions always land on the same shard
+/// and the hit/miss semantics are identical for every shard count. A
+/// single-shard cache reports under the global `engine.cache_*` counters; a
+/// sharded one gives each shard its own `engine.cache.shard<i>.*` names, so
+/// per-shard balance (a serving health signal) is visible in any metrics
+/// snapshot. Aggregated numbers come from [`ExecCache::stats`].
+#[derive(Debug)]
+pub struct ExecCache {
+    pricing: Pricing,
+    /// Entry cap of each shard.
+    shard_entries: usize,
+    tracer: Tracer,
+    shards: Vec<CacheShard>,
+}
+
+/// Older name of the multi-shard [`ExecCache`], kept for callers that spell
+/// it (`pathbench`'s pinned surface).
+pub type ShardedExecCache = ExecCache;
+
 impl ExecCache {
-    /// New cache with a default entry cap.
-    pub fn new(pricing: Pricing) -> ExecCache {
+    /// Default shard count for concurrent use: enough locks that 64 clients
+    /// rarely collide, small enough that per-shard capacity stays useful.
+    pub const DEFAULT_SHARDS: usize = 16;
+
+    /// Default total entry cap.
+    const DEFAULT_ENTRIES: usize = 4096;
+
+    /// New cache with `shards` independent locks (minimum 1) and a default
+    /// entry cap.
+    pub fn new(pricing: Pricing, shards: usize) -> ExecCache {
+        let n = shards.max(1);
         ExecCache {
             pricing,
-            threads: None,
-            par_min_rows: None,
-            backend: None,
-            max_entries: 4096,
+            shard_entries: (Self::DEFAULT_ENTRIES / n).max(1),
             tracer: Tracer::disabled(),
-            metric_names: MetricNames::default(),
-            state: Mutex::new(CacheState::default()),
+            shards: (0..n)
+                .map(|i| match n {
+                    1 => CacheShard::named("engine.cache_"),
+                    _ => CacheShard::named(&format!("engine.cache.shard{i}.")),
+                })
+                .collect(),
         }
     }
 
-    /// Attach an observability tracer: lookups bump `engine.cache_hit` /
-    /// `engine.cache_miss` counters, and the executors spawned for misses
-    /// record per-operator spans into the same tracer.
+    /// Attach an observability tracer: lookups bump the shards' hit/miss
+    /// counters, and the executors spawned for misses record per-operator
+    /// spans into the same tracer.
     pub fn with_tracer(mut self, tracer: Tracer) -> ExecCache {
         self.tracer = tracer;
         self
     }
 
-    /// Override the entry cap (minimum 1).
+    /// Cap the *total* entry count; each shard gets an equal slice
+    /// (minimum 1).
     pub fn with_capacity(mut self, max_entries: usize) -> ExecCache {
-        self.max_entries = max_entries.max(1);
-        self
-    }
-
-    /// Pin the executor thread count (results are identical either way; see
-    /// [`Executor::with_threads`]).
-    pub fn with_threads(mut self, threads: usize) -> ExecCache {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Pin the executors' serial→parallel row cutover (see
-    /// [`Executor::with_par_min_rows`]).
-    pub fn with_par_min_rows(mut self, min_rows: usize) -> ExecCache {
-        self.par_min_rows = Some(min_rows);
-        self
-    }
-
-    /// Pin the executors' parallel thread source (see
-    /// [`Executor::with_par_backend`]); results are identical either way.
-    pub fn with_par_backend(mut self, backend: crate::par::ParBackend) -> ExecCache {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Report lookups under `<prefix>.hit` / `<prefix>.miss` /
-    /// `<prefix>.evict` instead of the global `engine.cache_*` counters
-    /// (used by [`ShardedExecCache`] to name each shard).
-    pub fn with_metric_prefix(mut self, prefix: &str) -> ExecCache {
-        self.metric_names = MetricNames {
-            hit: format!("{prefix}.hit"),
-            miss: format!("{prefix}.miss"),
-            evict: format!("{prefix}.evict"),
-            evict_bytes: format!("{prefix}.evict_bytes"),
-        };
+        self.shard_entries = (max_entries / self.shards.len()).max(1);
         self
     }
 
     /// The pricing model every cached execution is metered under.
     pub fn pricing(&self) -> Pricing {
         self.pricing
-    }
-
-    /// Execute `plan` against `catalog`, reusing a cached result when this
-    /// exact plan already ran at the catalog's current epoch.
-    pub fn run(&self, catalog: &Catalog, plan: &PlanNode) -> Result<ExecResult, EngineError> {
-        self.run_keyed(Fingerprint::of(plan), catalog, plan)
-    }
-
-    /// [`ExecCache::run`] with the plan's fingerprint already computed —
-    /// callers that hash the plan anyway (shard selection, request routing)
-    /// avoid a second tree walk.
-    pub fn run_keyed(
-        &self,
-        fingerprint: Fingerprint,
-        catalog: &Catalog,
-        plan: &PlanNode,
-    ) -> Result<ExecResult, EngineError> {
-        self.run_keyed_hit(fingerprint, catalog, plan).map(|(r, _)| r)
-    }
-
-    /// [`ExecCache::run_keyed`] that also reports whether the result came
-    /// from the cache, so serving-layer telemetry can attribute hit/miss
-    /// per request without diffing counter snapshots.
-    pub fn run_keyed_hit(
-        &self,
-        fingerprint: Fingerprint,
-        catalog: &Catalog,
-        plan: &PlanNode,
-    ) -> Result<(ExecResult, bool), EngineError> {
-        self.run_keyed_hit_dop(fingerprint, catalog, plan, None)
-    }
-
-    /// [`ExecCache::run_keyed_hit`] with a per-call degree-of-parallelism
-    /// hint for the miss path. `Some(d)` caps the executor at `d`
-    /// participating threads for *this* execution only — the serving layer
-    /// derives it from admission-controller inflight counts, so a lone
-    /// query fans out while a saturated server runs each query near-serial.
-    /// Results and reports are identical for every hint (chunk boundaries
-    /// never move), so hits and misses stay interchangeable.
-    pub fn run_keyed_hit_dop(
-        &self,
-        fingerprint: Fingerprint,
-        catalog: &Catalog,
-        plan: &PlanNode,
-        dop: Option<usize>,
-    ) -> Result<(ExecResult, bool), EngineError> {
-        let key = (fingerprint, catalog.epoch());
-        {
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(hit) = state.map.get(&key) {
-                let hit = hit.clone();
-                state.stats.hits += 1;
-                drop(state);
-                self.tracer.metrics().inc(&self.metric_names.hit);
-                return Ok((hit, true));
-            }
-            state.stats.misses += 1;
-        }
-        self.tracer.metrics().inc(&self.metric_names.miss);
-
-        // Execute outside the lock; concurrent misses on the same key just
-        // compute the identical result twice.
-        let mut exec = Executor::new(catalog, self.pricing).with_tracer(self.tracer.clone());
-        if let Some(t) = self.threads {
-            exec = exec.with_threads(t);
-        }
-        // The elastic hint caps (never raises) the configured thread count:
-        // the cache's pinned setting stays the fan-out ceiling.
-        if let Some(d) = dop {
-            let ceiling = self.threads.unwrap_or_else(crate::par::default_threads);
-            exec = exec.with_threads(d.clamp(1, ceiling.max(1)));
-        }
-        if let Some(m) = self.par_min_rows {
-            exec = exec.with_par_min_rows(m);
-        }
-        if let Some(b) = self.backend {
-            exec = exec.with_par_backend(b);
-        }
-        let result = exec.run(plan)?;
-
-        let mut state = self.state.lock().expect("cache lock");
-        if state.map.len() >= self.max_entries && !state.map.contains_key(&key) {
-            // Entries from earlier epochs are unreachable — shed them first;
-            // if the current epoch alone fills the cap, start over.
-            let before = state.map.len();
-            let epoch = catalog.epoch();
-            let mut shed_bytes = 0u64;
-            state.map.retain(|(_, e), v| {
-                let keep = *e == epoch;
-                if !keep {
-                    shed_bytes += v.report.output_bytes as u64;
-                }
-                keep
-            });
-            if state.map.len() >= self.max_entries {
-                shed_bytes += state
-                    .map
-                    .values()
-                    .map(|v| v.report.output_bytes as u64)
-                    .sum::<u64>();
-                state.map.clear();
-            }
-            let shed = (before - state.map.len()) as u64;
-            if shed > 0 {
-                state.stats.evictions += shed;
-                state.stats.evicted_bytes += shed_bytes;
-                drop(state);
-                self.tracer.metrics().add(&self.metric_names.evict, shed);
-                self.tracer
-                    .metrics()
-                    .add(&self.metric_names.evict_bytes, shed_bytes);
-                state = self.state.lock().expect("cache lock");
-            }
-        }
-        state.map.insert(key, result.clone());
-        Ok((result, false))
-    }
-
-    /// Execute and return only the cost in dollars (`A_{β,γ}`), cached.
-    pub fn cost(&self, catalog: &Catalog, plan: &PlanNode) -> Result<f64, EngineError> {
-        Ok(self.run(catalog, plan)?.report.cost_dollars)
-    }
-
-    /// Snapshot of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.state.lock().expect("cache lock").stats
-    }
-
-    /// Number of cached results (across all epochs still held).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock").map.len()
-    }
-
-    /// True iff no results are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all cached results; counters are kept.
-    pub fn clear(&self) {
-        self.state.lock().expect("cache lock").map.clear();
-    }
-}
-
-/// A fingerprint-sharded [`ExecCache`]: `N` independent locks, so
-/// concurrent serving sessions stop serializing on one cache mutex.
-///
-/// The shard of a plan is a pure function of its fingerprint, so repeat
-/// executions always land on the same shard and the per-shard hit/miss
-/// semantics are identical to one big cache. Each shard reports its own
-/// `engine.cache.shard<i>.{hit,miss,evict}` counters into the attached
-/// tracer's metrics registry (per-shard balance is a serving health
-/// signal); aggregated numbers come from [`ShardedExecCache::stats`].
-#[derive(Debug)]
-pub struct ShardedExecCache {
-    shards: Vec<ExecCache>,
-}
-
-impl ShardedExecCache {
-    /// Default shard count: enough locks that 64 concurrent clients rarely
-    /// collide, small enough that per-shard capacity stays useful.
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// New sharded cache with `shards` independent locks (minimum 1).
-    pub fn new(pricing: Pricing, shards: usize) -> ShardedExecCache {
-        let n = shards.max(1);
-        ShardedExecCache {
-            shards: (0..n)
-                .map(|i| {
-                    ExecCache::new(pricing).with_metric_prefix(&format!("engine.cache.shard{i}"))
-                })
-                .collect(),
-        }
-    }
-
-    /// Attach an observability tracer to every shard.
-    pub fn with_tracer(mut self, tracer: Tracer) -> ShardedExecCache {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_tracer(tracer.clone()))
-            .collect();
-        self
-    }
-
-    /// Cap the *total* entry count; each shard gets an equal slice.
-    pub fn with_capacity(mut self, max_entries: usize) -> ShardedExecCache {
-        let per_shard = (max_entries / self.shards.len()).max(1);
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_capacity(per_shard))
-            .collect();
-        self
-    }
-
-    /// Pin the executor thread count used on misses.
-    pub fn with_threads(mut self, threads: usize) -> ShardedExecCache {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_threads(threads))
-            .collect();
-        self
-    }
-
-    /// Pin the executors' serial→parallel row cutover.
-    pub fn with_par_min_rows(mut self, min_rows: usize) -> ShardedExecCache {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_par_min_rows(min_rows))
-            .collect();
-        self
-    }
-
-    /// Pin the executors' parallel thread source on every shard.
-    pub fn with_par_backend(mut self, backend: crate::par::ParBackend) -> ShardedExecCache {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_par_backend(backend))
-            .collect();
-        self
     }
 
     /// Number of shards.
@@ -401,36 +153,26 @@ impl ShardedExecCache {
         (fingerprint.0 % self.shards.len() as u64) as usize
     }
 
-    /// Execute `plan` against `catalog` through the owning shard.
+    /// Execute `plan` against `catalog`, reusing a cached result when this
+    /// exact plan already ran at the catalog's current epoch.
     pub fn run(&self, catalog: &Catalog, plan: &PlanNode) -> Result<ExecResult, EngineError> {
-        let fp = Fingerprint::of(plan);
-        self.shards[self.shard_of(fp)].run_keyed(fp, catalog, plan)
+        self.run_keyed_hit_dop(Fingerprint::of(plan), catalog, plan, None)
+            .map(|(r, _)| r)
     }
 
-    /// [`ShardedExecCache::run`] with the fingerprint already computed.
-    pub fn run_keyed(
-        &self,
-        fingerprint: Fingerprint,
-        catalog: &Catalog,
-        plan: &PlanNode,
-    ) -> Result<ExecResult, EngineError> {
-        self.shards[self.shard_of(fingerprint)].run_keyed(fingerprint, catalog, plan)
-    }
-
-    /// [`ShardedExecCache::run_keyed`] that also reports whether the owning
-    /// shard served the result from cache.
-    pub fn run_keyed_hit(
-        &self,
-        fingerprint: Fingerprint,
-        catalog: &Catalog,
-        plan: &PlanNode,
-    ) -> Result<(ExecResult, bool), EngineError> {
-        self.shards[self.shard_of(fingerprint)].run_keyed_hit(fingerprint, catalog, plan)
-    }
-
-    /// [`ShardedExecCache::run_keyed_hit`] with a per-call
-    /// degree-of-parallelism hint for the miss path (see
-    /// [`ExecCache::run_keyed_hit_dop`]).
+    /// [`ExecCache::run`] with the plan's fingerprint already computed
+    /// (callers that hash the plan anyway for request routing avoid a
+    /// second tree walk). Also reports whether the result came from the
+    /// cache, so serving-layer telemetry can attribute hit/miss per request
+    /// without diffing counter snapshots, and takes a per-call
+    /// degree-of-parallelism hint for the miss path. `Some(d)` caps the
+    /// executor at `d` participating threads for *this* execution only —
+    /// the serving layer derives it from admission-controller inflight
+    /// counts, so a lone query fans out while a saturated server runs each
+    /// query near-serial. The hint never raises the fan-out past the
+    /// pool's worker census. Results and reports are identical for every
+    /// hint (chunk boundaries never move), so hits and misses stay
+    /// interchangeable.
     pub fn run_keyed_hit_dop(
         &self,
         fingerprint: Fingerprint,
@@ -438,41 +180,122 @@ impl ShardedExecCache {
         plan: &PlanNode,
         dop: Option<usize>,
     ) -> Result<(ExecResult, bool), EngineError> {
-        self.shards[self.shard_of(fingerprint)].run_keyed_hit_dop(fingerprint, catalog, plan, dop)
+        let shard = self.shard_of(fingerprint);
+        let metrics = self.tracer.metrics();
+        let key = (fingerprint, catalog.epoch());
+        if let Some(hit) = self.shards[shard].lookup(&key, metrics) {
+            return Ok((hit, true));
+        }
+
+        // Execute outside the lock; concurrent misses on the same key just
+        // compute the identical result twice.
+        let mut exec = Executor::new(catalog, self.pricing).with_tracer(self.tracer.clone());
+        if let Some(d) = dop {
+            exec = exec.with_threads(d.clamp(1, crate::par::default_threads().max(1)));
+        }
+        let result = exec.run(plan)?;
+        self.shards[shard].insert(key, result.clone(), self.shard_entries, metrics);
+        Ok((result, false))
     }
 
-    /// Execute and return only the cost in dollars, cached.
+    /// Execute and return only the cost in dollars (`A_{β,γ}`), cached.
     pub fn cost(&self, catalog: &Catalog, plan: &PlanNode) -> Result<f64, EngineError> {
         Ok(self.run(catalog, plan)?.report.cost_dollars)
     }
 
     /// Aggregated hit/miss/evict counters across all shards.
     pub fn stats(&self) -> CacheStats {
-        self.shards
-            .iter()
-            .map(|s| s.stats())
+        self.shard_stats()
+            .into_iter()
             .fold(CacheStats::default(), CacheStats::merged)
     }
 
     /// Per-shard counters, shard order.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.state.lock().expect("cache lock").stats)
+            .collect()
     }
 
-    /// Total cached results across shards.
+    /// Number of cached results (across all shards and epochs still held).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.state.lock().expect("cache lock").map.len())
+            .sum()
     }
 
     /// True iff no results are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Drop all cached results; counters are kept.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.clear();
+impl CacheShard {
+    /// A shard reporting under `<prefix>hit`, `<prefix>miss`, ….
+    fn named(prefix: &str) -> CacheShard {
+        CacheShard {
+            hit: format!("{prefix}hit"),
+            miss: format!("{prefix}miss"),
+            evict: format!("{prefix}evict"),
+            evict_bytes: format!("{prefix}evict_bytes"),
+            state: Mutex::new(CacheState::default()),
+        }
+    }
+
+    /// A clone of the cached result for `key`, counting the hit or miss.
+    fn lookup(&self, key: &(Fingerprint, u64), metrics: &Metrics) -> Option<ExecResult> {
+        let mut state = self.state.lock().expect("cache lock");
+        let hit = state.map.get(key).cloned();
+        match hit {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
+        drop(state);
+        metrics.inc(if hit.is_some() { &self.hit } else { &self.miss });
+        hit
+    }
+
+    /// Store `result` under `key`, first making room when the shard holds
+    /// `max_entries`: entries from earlier catalog epochs are unreachable
+    /// and go first; if the key's own epoch alone fills the cap, the shard
+    /// starts over.
+    fn insert(
+        &self,
+        key: (Fingerprint, u64),
+        result: ExecResult,
+        max_entries: usize,
+        metrics: &Metrics,
+    ) {
+        let mut state = self.state.lock().expect("cache lock");
+        let (mut shed, mut shed_bytes) = (0u64, 0u64);
+        if state.map.len() >= max_entries && !state.map.contains_key(&key) {
+            let before = state.map.len();
+            state.map.retain(|(_, e), v| {
+                let keep = *e == key.1;
+                if !keep {
+                    shed_bytes += v.report.output_bytes as u64;
+                }
+                keep
+            });
+            if state.map.len() >= max_entries {
+                shed_bytes += state
+                    .map
+                    .values()
+                    .map(|v| v.report.output_bytes as u64)
+                    .sum::<u64>();
+                state.map.clear();
+            }
+            shed = (before - state.map.len()) as u64;
+            state.stats.evictions += shed;
+            state.stats.evicted_bytes += shed_bytes;
+        }
+        state.map.insert(key, result);
+        drop(state);
+        if shed > 0 {
+            metrics.add(&self.evict, shed);
+            metrics.add(&self.evict_bytes, shed_bytes);
         }
     }
 }
@@ -483,6 +306,9 @@ mod tests {
     use crate::batch::Column;
     use crate::catalog::Table;
     use av_plan::{Expr, PlanBuilder};
+
+    /// Every behaviour below holds for the unsharded and the sharded cache.
+    const SHARD_COUNTS: [usize; 2] = [1, 16];
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -500,121 +326,9 @@ mod tests {
         c
     }
 
-    fn plan() -> av_plan::PlanRef {
-        PlanBuilder::scan("t", "a")
-            .filter(Expr::col("a.v").eq(Expr::int(3)))
-            .count_star(&[], "n")
-            .build()
-    }
-
-    #[test]
-    fn hit_returns_identical_batch_and_report() {
-        let c = catalog();
-        let cache = ExecCache::new(Pricing::paper_defaults());
-        let cold = cache.run(&c, &plan()).expect("cold run");
-        let warm = cache.run(&c, &plan()).expect("warm run");
-        assert_eq!(cold.batch, warm.batch);
-        assert_eq!(cold.report, warm.report);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                evictions: 0,
-                evicted_bytes: 0
-            }
-        );
-    }
-
-    #[test]
-    fn run_keyed_hit_reports_cache_attribution() {
-        let c = catalog();
-        let cache = ExecCache::new(Pricing::paper_defaults());
-        let p = plan();
-        let fp = Fingerprint::of(&p);
-        let (_, hit) = cache.run_keyed_hit(fp, &c, &p).expect("cold");
-        assert!(!hit, "first run is a miss");
-        let (_, hit) = cache.run_keyed_hit(fp, &c, &p).expect("warm");
-        assert!(hit, "second run is a hit");
-
-        let sharded = ShardedExecCache::new(Pricing::paper_defaults(), 4);
-        let (_, hit) = sharded.run_keyed_hit(fp, &c, &p).expect("cold");
-        assert!(!hit);
-        let (_, hit) = sharded.run_keyed_hit(fp, &c, &p).expect("warm");
-        assert!(hit);
-    }
-
-    #[test]
-    fn dop_hint_changes_no_results_and_respects_the_ceiling() {
-        let c = catalog();
-        let p = plan();
-        let fp = Fingerprint::of(&p);
-        let serial = ExecCache::new(Pricing::paper_defaults())
-            .with_threads(1)
-            .run_keyed_hit_dop(fp, &c, &p, Some(1))
-            .expect("serial")
-            .0;
-        // A hint far above the pinned ceiling is clamped, and every hint
-        // yields the identical batch and report.
-        for hint in [None, Some(1), Some(2), Some(64)] {
-            let cache = ExecCache::new(Pricing::paper_defaults())
-                .with_threads(2)
-                .with_par_min_rows(0);
-            let (r, hit) = cache.run_keyed_hit_dop(fp, &c, &p, hint).expect("runs");
-            assert!(!hit);
-            assert_eq!(r.batch, serial.batch);
-            assert_eq!(r.report, serial.report);
-        }
-    }
-
-    #[test]
-    fn epoch_bump_invalidates() {
-        let mut c = catalog();
-        let cache = ExecCache::new(Pricing::paper_defaults());
-        cache.run(&c, &plan()).expect("cold");
+    fn bump_epoch(c: &mut Catalog) {
         c.add_table(Table::new("u", vec![("x", Column::Int(vec![1]))]).expect("ok"))
             .expect("ok");
-        cache.run(&c, &plan()).expect("after mutation");
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 2,
-                evictions: 0,
-                evicted_bytes: 0
-            },
-            "catalog mutation must force a re-run"
-        );
-    }
-
-    #[test]
-    fn capacity_evicts_stale_epochs_first() {
-        let mut c = catalog();
-        let cache = ExecCache::new(Pricing::paper_defaults()).with_capacity(2);
-        let p1 = plan();
-        let p2 = PlanBuilder::scan("t", "a").count_star(&[], "n").build();
-        cache.run(&c, &p1).expect("ok");
-        cache.run(&c, &p2).expect("ok");
-        assert_eq!(cache.len(), 2);
-        // Bump the epoch, then insert at the new epoch: the two old-epoch
-        // entries are shed rather than current ones.
-        c.add_table(Table::new("u", vec![("x", Column::Int(vec![1]))]).expect("ok"))
-            .expect("ok");
-        cache.run(&c, &p1).expect("ok");
-        assert_eq!(cache.len(), 1);
-        cache.run(&c, &p1).expect("ok");
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn cost_matches_uncached_executor() {
-        let c = catalog();
-        let cache = ExecCache::new(Pricing::paper_defaults());
-        let direct = Executor::new(&c, Pricing::paper_defaults())
-            .cost(&plan())
-            .expect("direct");
-        let cached = cache.cost(&c, &plan()).expect("cached");
-        assert_eq!(direct, cached);
     }
 
     /// `n` structurally distinct plans (different filter literals).
@@ -629,73 +343,190 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn eviction_counter_tracks_capacity_sheds() {
-        let mut c = catalog();
-        let tracer = Tracer::new();
-        let cache = ExecCache::new(Pricing::paper_defaults())
-            .with_capacity(2)
-            .with_tracer(tracer.clone());
-        for p in distinct_plans(2) {
-            cache.run(&c, &p).expect("fills");
+    fn plan() -> av_plan::PlanRef {
+        distinct_plans(4).pop().expect("non-empty")
+    }
+
+    /// Metric-name prefix of shard `i` of a cache with `shards` shards.
+    fn metric_prefix(shards: usize, i: usize) -> String {
+        match shards {
+            1 => "engine.cache_".to_string(),
+            _ => format!("engine.cache.shard{i}."),
         }
-        // Epoch bump leaves two stale entries; the next insert sheds both.
-        c.add_table(Table::new("u", vec![("x", Column::Int(vec![1]))]).expect("ok"))
-            .expect("ok");
-        cache.run(&c, &distinct_plans(1)[0]).expect("sheds stale");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(tracer.metrics().counter("engine.cache_evict"), 2);
-        // Each shed count-star result holds one 8-byte value, so the byte
-        // counter reconciles exactly with the eviction count.
-        assert_eq!(stats.evicted_bytes, 16);
-        assert_eq!(tracer.metrics().counter("engine.cache_evict_bytes"), 16);
+    }
+
+    /// `n` distinct plans that all map to one shard of `cache`.
+    fn colliding_plans(cache: &ExecCache, n: usize) -> Vec<av_plan::PlanRef> {
+        let all = distinct_plans(64 * n as i64);
+        let shard = cache.shard_of(Fingerprint::of(&all[0]));
+        let same: Vec<_> = all
+            .into_iter()
+            .filter(|p| cache.shard_of(Fingerprint::of(p)) == shard)
+            .take(n)
+            .collect();
+        assert_eq!(same.len(), n, "enough plans collide on one shard");
+        same
     }
 
     #[test]
-    fn sharded_cache_matches_unsharded_and_reports_per_shard_metrics() {
+    fn hit_returns_identical_batch_and_report_with_attribution() {
         let c = catalog();
-        let tracer = Tracer::new();
-        let flat = ExecCache::new(Pricing::paper_defaults());
-        let sharded =
-            ShardedExecCache::new(Pricing::paper_defaults(), 4).with_tracer(tracer.clone());
-        let plans = distinct_plans(8);
-        for p in &plans {
-            let a = flat.run(&c, p).expect("flat");
-            let b = sharded.run(&c, p).expect("sharded");
-            assert_eq!(a.batch, b.batch);
-            assert_eq!(a.report, b.report);
+        let p = plan();
+        let fp = Fingerprint::of(&p);
+        let direct = Executor::new(&c, Pricing::paper_defaults())
+            .run(&p)
+            .expect("direct");
+        for shards in SHARD_COUNTS {
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards);
+            assert_eq!(cache.num_shards(), shards);
+            let (cold, hit) = cache.run_keyed_hit_dop(fp, &c, &p, None).expect("cold run");
+            assert!(!hit, "first run is a miss");
+            let (warm, hit) = cache.run_keyed_hit_dop(fp, &c, &p, None).expect("warm run");
+            assert!(hit, "second run is a hit");
+            assert_eq!(cold.batch, warm.batch);
+            assert_eq!(cold.report, warm.report);
+            assert_eq!(cold.batch, direct.batch, "cached == uncached executor");
+            assert_eq!(cold.report, direct.report);
+            assert_eq!(
+                cache.cost(&c, &p).expect("cached"),
+                direct.report.cost_dollars
+            );
+            assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    hits: 2,
+                    misses: 1,
+                    evictions: 0,
+                    evicted_bytes: 0
+                }
+            );
         }
-        for p in &plans {
-            sharded.run(&c, p).expect("warm");
-        }
-        let agg = sharded.stats();
-        assert_eq!(agg.hits, 8);
-        assert_eq!(agg.misses, 8);
+    }
 
-        // Per-shard counters land in the metrics registry under the shard's
-        // own prefix, and they reconcile with the aggregate exactly.
-        let per_shard = sharded.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        let m = tracer.metrics();
-        let mut metric_hits = 0;
-        let mut metric_misses = 0;
-        for (i, s) in per_shard.iter().enumerate() {
-            assert_eq!(m.counter(&format!("engine.cache.shard{i}.hit")), s.hits);
-            assert_eq!(m.counter(&format!("engine.cache.shard{i}.miss")), s.misses);
-            metric_hits += m.counter(&format!("engine.cache.shard{i}.hit"));
-            metric_misses += m.counter(&format!("engine.cache.shard{i}.miss"));
+    #[test]
+    fn dop_hint_changes_no_results() {
+        let c = catalog();
+        let p = plan();
+        let fp = Fingerprint::of(&p);
+        let serial = Executor::new(&c, Pricing::paper_defaults())
+            .with_threads(1)
+            .run(&p)
+            .expect("serial");
+        // A hint far above the pool's worker census is clamped, and every
+        // hint yields the identical batch and report.
+        for hint in [None, Some(1), Some(2), Some(64)] {
+            let cache = ExecCache::new(Pricing::paper_defaults(), 1);
+            let (r, hit) = cache.run_keyed_hit_dop(fp, &c, &p, hint).expect("runs");
+            assert!(!hit);
+            assert_eq!(r.batch, serial.batch);
+            assert_eq!(r.report, serial.report);
         }
-        assert_eq!(metric_hits, agg.hits);
-        assert_eq!(metric_misses, agg.misses);
-        // 8 distinct fingerprints over 4 shards: sharding actually spread
-        // the keys (at least two shards saw traffic).
-        assert!(per_shard.iter().filter(|s| s.misses > 0).count() >= 2);
+    }
+
+    #[test]
+    fn epoch_bump_invalidates() {
+        for shards in SHARD_COUNTS {
+            let mut c = catalog();
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards);
+            cache.run(&c, &plan()).expect("cold");
+            bump_epoch(&mut c);
+            cache.run(&c, &plan()).expect("after mutation");
+            assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    hits: 0,
+                    misses: 2,
+                    evictions: 0,
+                    evicted_bytes: 0
+                },
+                "catalog mutation must force a re-run"
+            );
+        }
+    }
+
+    #[test]
+    fn capacity_sheds_stale_epochs_first_and_accounts_for_them() {
+        for shards in SHARD_COUNTS {
+            let mut c = catalog();
+            let tracer = Tracer::new();
+            // Two entries per shard; the plans all land on one shard so the
+            // cap binds at every shard count.
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards)
+                .with_capacity(2 * shards)
+                .with_tracer(tracer.clone());
+            let plans = colliding_plans(&cache, 3);
+            cache.run(&c, &plans[0]).expect("fills");
+            cache.run(&c, &plans[1]).expect("fills");
+            assert_eq!(cache.len(), 2);
+            // Epoch bump leaves two stale entries; the next insert sheds
+            // both rather than anything current.
+            bump_epoch(&mut c);
+            cache.run(&c, &plans[0]).expect("sheds stale");
+            assert_eq!(cache.len(), 1);
+            cache.run(&c, &plans[0]).expect("hits");
+            let stats = cache.stats();
+            assert_eq!(stats.hits, 1);
+            assert_eq!(stats.evictions, 2);
+            // Each shed count-star result holds one 8-byte value, so the
+            // byte counter reconciles exactly with the eviction count.
+            assert_eq!(stats.evicted_bytes, 16);
+            let prefix = metric_prefix(shards, cache.shard_of(Fingerprint::of(&plans[0])));
+            let m = tracer.metrics();
+            assert_eq!(m.counter(&format!("{prefix}evict")), 2);
+            assert_eq!(m.counter(&format!("{prefix}evict_bytes")), 16);
+
+            // The current epoch alone filling the cap clears the shard.
+            cache.run(&c, &plans[1]).expect("fills");
+            cache.run(&c, &plans[2]).expect("clears the full shard");
+            assert_eq!(cache.len(), 1);
+            assert_eq!(cache.stats().evictions, 4);
+            assert_eq!(cache.stats().evicted_bytes, 32);
+        }
+    }
+
+    #[test]
+    fn per_shard_metrics_reconcile_with_the_aggregate() {
+        let c = catalog();
+        let plans = distinct_plans(8);
+        for shards in SHARD_COUNTS {
+            let tracer = Tracer::new();
+            let cache =
+                ExecCache::new(Pricing::paper_defaults(), shards).with_tracer(tracer.clone());
+            for _ in 0..2 {
+                for p in &plans {
+                    cache.run(&c, p).expect("runs");
+                }
+            }
+            let agg = cache.stats();
+            assert_eq!(agg.hits, 8);
+            assert_eq!(agg.misses, 8);
+
+            // Each shard's counters land in the metrics registry under its
+            // own prefix, and they reconcile with the aggregate exactly.
+            let per_shard = cache.shard_stats();
+            assert_eq!(per_shard.len(), shards);
+            let m = tracer.metrics();
+            let (mut metric_hits, mut metric_misses) = (0, 0);
+            for (i, s) in per_shard.iter().enumerate() {
+                let prefix = metric_prefix(shards, i);
+                assert_eq!(m.counter(&format!("{prefix}hit")), s.hits);
+                assert_eq!(m.counter(&format!("{prefix}miss")), s.misses);
+                metric_hits += s.hits;
+                metric_misses += s.misses;
+            }
+            assert_eq!(metric_hits, agg.hits);
+            assert_eq!(metric_misses, agg.misses);
+            if shards > 1 {
+                // 8 distinct fingerprints: sharding actually spread the
+                // keys (at least two shards saw traffic).
+                assert!(per_shard.iter().filter(|s| s.misses > 0).count() >= 2);
+            }
+        }
     }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
-        let sharded = ShardedExecCache::new(Pricing::paper_defaults(), 7);
+        let sharded = ExecCache::new(Pricing::paper_defaults(), 7);
         for p in distinct_plans(32) {
             let fp = Fingerprint::of(&p);
             let s = sharded.shard_of(fp);

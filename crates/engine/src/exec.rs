@@ -84,18 +84,8 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Select the thread source for parallel chunks: the shared morsel
-    /// pool (default) or a fresh scoped worker set per query (the pre-pool
-    /// behavior, kept as the benchmark baseline). Both backends claim the
-    /// same chunk indices and fold results in the same order, so batches
-    /// and reports are bitwise identical — only scheduling cost differs.
-    pub fn with_par_backend(mut self, backend: par::ParBackend) -> Executor<'a> {
-        self.par.backend = backend;
-        self
-    }
-
     /// Override the serial→parallel row cutover (default
-    /// [`par::PAR_MIN_ROWS`], or `AV_PAR_MIN_ROWS` from the environment).
+    /// [`par::PAR_MIN_ROWS`]).
     /// Batches below the cutover run on the calling thread even when
     /// workers are available. Results and reports are identical for every
     /// setting — only scheduling changes — so benchmarks can sweep it.

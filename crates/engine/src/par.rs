@@ -14,13 +14,10 @@
 //! `Par.threads` is the per-query degree of parallelism (the submitting
 //! thread plus up to `threads - 1` pool workers); the serving layer derives
 //! it from admission-controller inflight counts so concurrent queries
-//! don't oversubscribe the machine. The legacy per-query
-//! `std::thread::scope` fan-out survives only as
-//! [`ParBackend::ScopedSpawn`], the baseline half of the pool-vs-scoped
-//! benchmark comparison.
+//! don't oversubscribe the machine.
 
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Rows per chunk. Fixed so that chunk boundaries (and therefore f64
 /// accumulation order inside partial aggregates) are independent of the
@@ -28,51 +25,12 @@ use std::sync::{Mutex, OnceLock};
 pub const CHUNK_ROWS: usize = 1024;
 
 /// Below this many rows the parallel path runs serially even when threads
-/// are available. With per-query scoped spawning this sat at 32k rows —
-/// `BENCH_exec.json` showed every micro op at 12–16k rows losing to serial
-/// because spawn plus result collection cost more than the work saved. The
-/// shared pool replaces the spawn/join cycle with a ticket push onto
-/// already-running workers, which moves the break-even down to ~16k rows
-/// (re-measured by `exec_bench`'s spawn-overhead micro, which gates this
-/// constant). Chunk boundaries are unchanged, so the cutover cannot affect
-/// results — only who computes them.
+/// are available. Enlisting pool workers costs a ticket push and a condvar
+/// wake per helper; `exec_bench`'s spawn-overhead ladder puts the
+/// break-even at ~16k rows and gates this constant. Chunk boundaries do not
+/// depend on it, so the cutover cannot affect results — only who computes
+/// them.
 pub const PAR_MIN_ROWS: usize = 16_384;
-
-/// Parse an `AV_PAR_MIN_ROWS`-style override, falling back to
-/// [`PAR_MIN_ROWS`] when absent or malformed. Split out from
-/// [`par_min_rows_default`] so the policy is testable without touching the
-/// (process-global, unsound-to-mutate-in-tests) environment.
-fn parse_cutover(raw: Option<String>) -> usize {
-    raw.and_then(|v| v.parse().ok()).unwrap_or(PAR_MIN_ROWS)
-}
-
-/// The serial→parallel cutover used when none is configured explicitly:
-/// `AV_PAR_MIN_ROWS` from the environment, else [`PAR_MIN_ROWS`].
-///
-/// The environment is read once per process and cached in a `OnceLock`:
-/// every executor constructed afterwards sees the same cutover, so a
-/// mid-run env change can never flip the serial/parallel decision between
-/// chunks of one query (results would still be identical — chunk
-/// boundaries don't move — but the policy should not be mutable either).
-/// Benchmarks that sweep the cutover use
-/// [`crate::Executor::with_par_min_rows`] instead of mutating the
-/// environment.
-pub fn par_min_rows_default() -> usize {
-    static CUTOVER: OnceLock<usize> = OnceLock::new();
-    *CUTOVER.get_or_init(|| parse_cutover(std::env::var("AV_PAR_MIN_ROWS").ok()))
-}
-
-/// Which thread source runs chunks above the cutover. Both backends claim
-/// chunk indices from one atomic counter and fold results in ascending
-/// chunk order, so they are bitwise interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParBackend {
-    /// The shared persistent morsel pool (`av-sched`). Default.
-    Pool,
-    /// A fresh `std::thread::scope` worker set per call — the pre-pool
-    /// behavior, kept as the benchmark baseline for paired comparisons.
-    ScopedSpawn,
-}
 
 /// Parallelism policy for one executor: worker count plus the row cutover
 /// below which chunks run on the calling thread. Chunk boundaries depend
@@ -84,18 +42,14 @@ pub struct Par {
     pub threads: usize,
     /// Minimum rows before pool workers are enlisted.
     pub min_rows: usize,
-    /// Thread source for the parallel path.
-    pub backend: ParBackend,
 }
 
 impl Par {
-    /// One worker per core (capped), cutover from `AV_PAR_MIN_ROWS` /
-    /// [`PAR_MIN_ROWS`].
+    /// One worker per core (capped), cutover at [`PAR_MIN_ROWS`].
     pub fn auto() -> Par {
         Par {
             threads: default_threads(),
-            min_rows: par_min_rows_default(),
-            backend: ParBackend::Pool,
+            min_rows: PAR_MIN_ROWS,
         }
     }
 
@@ -104,7 +58,6 @@ impl Par {
         Par {
             threads: 1,
             min_rows: PAR_MIN_ROWS,
-            backend: ParBackend::Pool,
         }
     }
 }
@@ -137,9 +90,9 @@ fn chunk_range(idx: usize, rows: usize) -> Range<usize> {
 /// With `par.threads <= 1`, a single chunk, or fewer than `par.min_rows`
 /// rows the chunks run sequentially on the calling thread; otherwise chunk
 /// indices are claimed from an atomic counter by the caller plus pool
-/// workers (or scoped threads under [`ParBackend::ScopedSpawn`]). Results
-/// land in per-chunk slots and are folded by ascending index, so the
-/// returned `Vec` is ordered identically no matter who computed what.
+/// workers. Results land in per-chunk slots and are folded by ascending
+/// index, so the returned `Vec` is ordered identically no matter who
+/// computed what.
 pub fn map_chunks<T, F>(rows: usize, par: Par, f: F) -> Vec<T>
 where
     T: Send,
@@ -155,10 +108,7 @@ where
         let value = f(i, chunk_range(i, rows));
         *slots[i].lock().expect("chunk slot poisoned") = Some(value);
     };
-    match par.backend {
-        ParBackend::Pool => av_sched::global().run(chunks, par.threads, body),
-        ParBackend::ScopedSpawn => av_sched::Pool::run_scoped(chunks, par.threads, body),
-    }
+    av_sched::global().run(chunks, par.threads, body);
     slots
         .into_iter()
         .map(|slot| {
@@ -172,7 +122,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Policy with `threads` workers and no serial cutover, so small test
     /// row counts still exercise the pool.
@@ -180,7 +129,6 @@ mod tests {
         Par {
             threads,
             min_rows: 0,
-            backend: ParBackend::Pool,
         }
     }
 
@@ -218,22 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_backend_matches_pool_backend() {
-        let rows = 5 * CHUNK_ROWS + 3;
-        let pool: Vec<u64> = map_chunks(rows, eager(4), |_, r| r.map(|x| x as u64).sum());
-        let scoped: Vec<u64> = map_chunks(
-            rows,
-            Par {
-                threads: 4,
-                min_rows: 0,
-                backend: ParBackend::ScopedSpawn,
-            },
-            |_, r| r.map(|x| x as u64).sum(),
-        );
-        assert_eq!(pool, scoped);
-    }
-
-    #[test]
     fn small_batches_stay_on_the_calling_thread() {
         // Below the cutover no pool workers are enlisted, so every chunk
         // runs on the caller — observable via thread ids.
@@ -242,7 +174,6 @@ mod tests {
         let par = Par {
             threads: 8,
             min_rows: PAR_MIN_ROWS,
-            backend: ParBackend::Pool,
         };
         let ids: Vec<std::thread::ThreadId> =
             map_chunks(rows, par, |_, _| std::thread::current().id());
@@ -262,50 +193,11 @@ mod tests {
                     Par {
                         threads: 4,
                         min_rows,
-                        backend: ParBackend::Pool,
                     },
                     |_, r| r.map(|x| x as u64).sum(),
                 );
                 assert_eq!(serial, par);
             }
         }
-    }
-
-    #[test]
-    fn env_override_sets_the_default_cutover() {
-        // `Par::auto()` uses the process-wide cached cutover; the constant
-        // stays the fallback.
-        assert_eq!(Par::auto().min_rows, par_min_rows_default());
-        assert!(Par::serial().threads == 1);
-    }
-
-    #[test]
-    fn cutover_parsing_handles_absent_and_malformed_values() {
-        assert_eq!(parse_cutover(None), PAR_MIN_ROWS);
-        assert_eq!(parse_cutover(Some("1".into())), 1);
-        assert_eq!(parse_cutover(Some("65536".into())), 65_536);
-        assert_eq!(parse_cutover(Some("not-a-number".into())), PAR_MIN_ROWS);
-        assert_eq!(parse_cutover(Some("".into())), PAR_MIN_ROWS);
-    }
-
-    #[test]
-    fn cutover_env_is_read_once_and_cached() {
-        // Exercise the OnceLock caching shape with an *injected* source
-        // instead of `std::env::set_var` (mutating the process environment
-        // from a threaded test harness is unsound). The init closure must
-        // run exactly once: a later "env change" is never observed.
-        let cache: OnceLock<usize> = OnceLock::new();
-        let reads = AtomicUsize::new(0);
-        let read_source = |raw: Option<&str>| {
-            reads.fetch_add(1, Ordering::SeqCst);
-            parse_cutover(raw.map(String::from))
-        };
-        let first = *cache.get_or_init(|| read_source(None));
-        assert_eq!(first, PAR_MIN_ROWS);
-        let second = *cache.get_or_init(|| read_source(Some("1")));
-        assert_eq!(second, first, "cutover must be cached");
-        assert_eq!(reads.load(Ordering::SeqCst), 1, "source read exactly once");
-        // The real process-wide default is likewise stable across calls.
-        assert_eq!(par_min_rows_default(), par_min_rows_default());
     }
 }

@@ -7,85 +7,66 @@
 //! included) but skips re-executing the subquery — the source of the
 //! paper's benefit `B_{q,v} = A_{β,γ}(q) − A_{β,γ}(q|v)`.
 
+use crate::catalog::Catalog;
 use crate::view::MaterializedView;
 use av_plan::{Fingerprint, PlanNode, PlanRef};
+
+/// A scan of `view`'s stored table. Empty alias = view scan: the stored
+/// column names pass through as-is.
+fn view_scan(view: &MaterializedView) -> PlanRef {
+    PlanNode::TableScan {
+        table: view.table_name.clone(),
+        alias: String::new(),
+    }
+    .into_ref()
+}
 
 /// Rewrite `plan` using one view. Returns the rewritten plan and how many
 /// subtrees were replaced (0 means the view did not apply).
 pub fn rewrite_with_view(plan: &PlanRef, view: &MaterializedView) -> (PlanRef, usize) {
     let mut count = 0;
-    let out = rewrite_rec(plan, view.fingerprint, &view.table_name, &mut count);
+    let out = splice(plan, view.fingerprint, &view_scan(view), &mut count);
     (out, count)
 }
 
-/// Rewrite `plan` with a set of views, applying each at most once per
-/// occurrence, outermost-first (an outer replacement swallows inner
-/// candidates, matching the paper's non-overlapping usage constraint).
-/// Returns the rewritten plan and the ids (indices into `views`) actually
-/// applied at least once.
-pub fn rewrite_with_views(plan: &PlanRef, views: &[&MaterializedView]) -> (PlanRef, Vec<usize>) {
-    let mut applied = Vec::new();
-    let mut current = plan.clone();
-    // Outermost-first: a view matching a larger subtree is preferred, so
-    // sort candidates by descending node count of their defining plan.
-    let mut order: Vec<usize> = (0..views.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(views[i].plan.node_count()));
-    for i in order {
-        let (next, n) = rewrite_with_view(&current, views[i]);
-        if n > 0 {
-            applied.push(i);
-            current = next;
-        }
-    }
-    applied.sort_unstable();
-    (current, applied)
-}
-
-/// Rewrite the subtree of `plan` whose fingerprint is `target_fp` (the
-/// *query's own* matching subquery, which may use different aliases than the
-/// view's defining plan) with a scan of `view`'s stored table, renamed
-/// positionally to the subtree's output columns.
+/// Rewrite every occurrence of `subtree` in `plan` (the *query's own*
+/// matching subquery, which may use different aliases than the view's
+/// defining plan) with a scan of `view`'s stored table, renamed positionally
+/// to the subtree's output columns. Equivalent plans produce same-arity
+/// outputs in corresponding positions, so the positional rename preserves
+/// semantics.
 ///
-/// Equivalent plans produce same-arity outputs in corresponding positions,
-/// so the positional rename preserves semantics. `subtree_columns` must be
-/// the matched subtree's output column names (derivable via
-/// `PlanNode::output_columns` with the catalog).
-///
-/// Returns the rewritten plan and the number of subtrees replaced.
+/// Returns the rewritten plan and the number of subtrees replaced, or `None`
+/// when the match is stale: the view's table is gone from `catalog`, the
+/// arities differ, or `subtree` does not occur in `plan`.
 pub fn rewrite_subtree_with_view(
+    catalog: &Catalog,
     plan: &PlanRef,
-    target_fp: Fingerprint,
+    subtree: &PlanRef,
     view: &MaterializedView,
-    subtree_columns: &[String],
-    view_columns: &[String],
-) -> (PlanRef, usize) {
-    assert_eq!(
-        subtree_columns.len(),
-        view_columns.len(),
-        "equivalent plans must have same output arity"
-    );
-    let mut count = 0;
-    let scan = PlanNode::TableScan {
-        table: view.table_name.clone(),
-        alias: String::new(),
+) -> Option<(PlanRef, usize)> {
+    let subtree_columns = subtree.output_columns(&|t| catalog.table_columns(t));
+    let view_columns = &catalog.table(&view.table_name)?.column_names;
+    if subtree_columns.len() != view_columns.len() {
+        return None;
     }
-    .into_ref();
     // Rename only when the names differ; a bare scan keeps plans minimal.
-    let replacement = if subtree_columns == view_columns {
-        scan
+    let replacement = if &subtree_columns == view_columns {
+        view_scan(view)
     } else {
         PlanNode::Project {
-            input: scan,
+            input: view_scan(view),
             exprs: view_columns
                 .iter()
-                .zip(subtree_columns)
+                .zip(&subtree_columns)
                 .map(|(from, to)| av_plan::ProjExpr::column(from.clone(), to.clone()))
                 .collect(),
         }
         .into_ref()
     };
-    let out = splice(plan, target_fp, &replacement, &mut count);
-    (out, count)
+    let mut count = 0;
+    let out = splice(plan, Fingerprint::of(subtree), &replacement, &mut count);
+    (count > 0).then_some((out, count))
 }
 
 fn splice(
@@ -165,93 +146,11 @@ fn splice(
     }
 }
 
-fn rewrite_rec(
-    plan: &PlanRef,
-    target: Fingerprint,
-    table_name: &str,
-    count: &mut usize,
-) -> PlanRef {
-    if Fingerprint::of(plan) == target {
-        *count += 1;
-        // Empty alias = view scan: stored column names pass through as-is.
-        return PlanNode::TableScan {
-            table: table_name.to_string(),
-            alias: String::new(),
-        }
-        .into_ref();
-    }
-    match plan.as_ref() {
-        PlanNode::TableScan { .. } => plan.clone(),
-        PlanNode::Filter { input, predicate } => {
-            let new_input = rewrite_rec(input, target, table_name, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
-                plan.clone()
-            } else {
-                PlanNode::Filter {
-                    input: new_input,
-                    predicate: predicate.clone(),
-                }
-                .into_ref()
-            }
-        }
-        PlanNode::Project { input, exprs } => {
-            let new_input = rewrite_rec(input, target, table_name, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
-                plan.clone()
-            } else {
-                PlanNode::Project {
-                    input: new_input,
-                    exprs: exprs.clone(),
-                }
-                .into_ref()
-            }
-        }
-        PlanNode::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => {
-            let new_left = rewrite_rec(left, target, table_name, count);
-            let new_right = rewrite_rec(right, target, table_name, count);
-            if std::sync::Arc::ptr_eq(&new_left, left) && std::sync::Arc::ptr_eq(&new_right, right)
-            {
-                plan.clone()
-            } else {
-                PlanNode::Join {
-                    left: new_left,
-                    right: new_right,
-                    on: on.clone(),
-                    join_type: *join_type,
-                }
-                .into_ref()
-            }
-        }
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let new_input = rewrite_rec(input, target, table_name, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
-                plan.clone()
-            } else {
-                PlanNode::Aggregate {
-                    input: new_input,
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                }
-                .into_ref()
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Column;
-    use crate::catalog::{Catalog, Table};
+    use crate::catalog::Table;
     use crate::exec::Executor;
     use crate::meter::Pricing;
     use crate::view::ViewStore;
@@ -360,40 +259,13 @@ mod tests {
             .count_star(&["z.uid"], "n")
             .build();
 
-        let cat_cols = |t: &str| cat.table_columns(t);
-        let subtree_cols = sub_z.output_columns(&cat_cols);
-        let view_cols = cat
-            .table(&view.table_name)
-            .expect("stored")
-            .column_names
-            .clone();
-        let (rewritten, n) = rewrite_subtree_with_view(
-            &query_z,
-            av_plan::Fingerprint::of(&sub_z),
-            view,
-            &subtree_cols,
-            &view_cols,
-        );
+        let (rewritten, n) =
+            rewrite_subtree_with_view(&cat, &query_z, &sub_z, view).expect("view applies");
         assert_eq!(n, 1);
         let exec = Executor::new(&cat, Pricing::paper_defaults());
         let orig = exec.run(&query_z).expect("original runs");
         let rew = exec.run(&rewritten).expect("rewritten runs");
         assert_eq!(orig.batch, rew.batch);
         assert!(rew.report.cost_dollars < orig.report.cost_dollars);
-    }
-
-    #[test]
-    fn multi_view_rewrite_prefers_larger_subtree() {
-        let (mut cat, mut store, query, sub) = setup();
-        // Materialize the whole query as well; it covers the smaller view.
-        store
-            .materialize(&mut cat, query.clone(), Pricing::paper_defaults())
-            .expect("materializes");
-        let views: Vec<&MaterializedView> = store.views().iter().collect();
-        let (rewritten, applied) = rewrite_with_views(&query, &views);
-        // Only the outer (bigger) view applies; inner candidate swallowed.
-        assert_eq!(applied, vec![1]);
-        assert!(rewritten.display_indent().contains("__view_1"));
-        let _ = sub;
     }
 }

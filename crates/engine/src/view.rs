@@ -42,7 +42,7 @@ impl MaterializedView {
 /// Creates and tracks materialized views. Stored results are registered in
 /// the catalog as tables named `__view_<n>` with an empty scan alias
 /// convention (see `av-plan`), so rewritten plans can scan them directly.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ViewStore {
     views: Vec<MaterializedView>,
 }

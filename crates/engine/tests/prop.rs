@@ -274,7 +274,7 @@ proptest! {
             .filter(Expr::col("a.k").cmp(CmpOp::Le, Expr::int(t)))
             .count_star(&["a.k"], "n")
             .build();
-        let cache = av_engine::ExecCache::new(Pricing::paper_defaults());
+        let cache = av_engine::ExecCache::new(Pricing::paper_defaults(), 1);
         let cold = cache.run(&c, &plan).expect("cold");
         let warm = cache.run(&c, &plan).expect("warm");
         prop_assert_eq!(&cold.batch, &warm.batch);
@@ -343,7 +343,7 @@ fn job_workload_is_thread_count_invariant() {
     assert!(!plans.is_empty());
     let serial = Executor::new(&w.catalog, Pricing::paper_defaults()).with_threads(1);
     let par = Executor::new(&w.catalog, Pricing::paper_defaults()).with_threads(4);
-    let cache = av_engine::ExecCache::new(Pricing::paper_defaults()).with_threads(4);
+    let cache = av_engine::ExecCache::new(Pricing::paper_defaults(), 1);
     for (i, p) in plans.iter().enumerate() {
         let rs = serial.run(p).expect("serial run");
         let rp = par.run(p).expect("parallel run");

@@ -26,14 +26,17 @@ pub mod stream;
 
 pub use drift::{DriftConfig, DriftDetector, DriftReport};
 pub use lifecycle::{
-    route_through_views, AdmitOutcome, LifecycleConfig, LiveView, ViewLifecycleManager,
+    route_through_views, AdmitOutcome, Applied, LifecycleConfig, LiveView, ViewLifecycleManager,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use av_trace::Tracer as OnlineTracer;
-pub use reopt::{reoptimize, CandidateView, OnlineSelector, ReoptPlan, WindowSnapshot};
+pub use av_select::SelectorKind;
+pub use reopt::{
+    benefit_matrix, freeze_estimates, reoptimize, selected_candidates, CandidateView, ReoptPlan,
+    WindowSnapshot,
+};
 pub use stream::{ArrivedQuery, WorkloadStream};
 
-use av_cost::{tables_meta, CostEstimator, FeatureInput};
+use av_cost::CostEstimator;
 use av_engine::{Catalog, EngineError, ExecCache, Pricing};
 use av_obs::{Residual, ResidualStore, ResidualSummary};
 use av_plan::{Fingerprint, PlanRef};
@@ -52,7 +55,7 @@ pub struct OnlineConfig {
     pub drift: DriftConfig,
     pub lifecycle: LifecycleConfig,
     /// Selection algorithm used by (re-)optimization.
-    pub selector: OnlineSelector,
+    pub selector: SelectorKind,
 }
 
 impl Default for OnlineConfig {
@@ -63,7 +66,7 @@ impl Default for OnlineConfig {
             check_every: 8,
             drift: DriftConfig::default(),
             lifecycle: LifecycleConfig::default(),
-            selector: OnlineSelector::default(),
+            selector: SelectorKind::default(),
         }
     }
 }
@@ -144,7 +147,7 @@ impl OnlineEngine {
             drift: DriftDetector::new(config.drift),
             lifecycle: ViewLifecycleManager::new(config.lifecycle),
             estimator,
-            cache: ExecCache::new(config.pricing).with_tracer(tracer.clone()),
+            cache: ExecCache::new(config.pricing, 1).with_tracer(tracer.clone()),
             tracer,
             bootstrapped: false,
             config,
@@ -159,7 +162,7 @@ impl OnlineEngine {
     /// recording). Call before ingesting: earlier telemetry stays on the
     /// old tracer. The execution cache is re-pointed at the same tracer.
     pub fn with_tracer(mut self, tracer: Tracer) -> OnlineEngine {
-        self.cache = ExecCache::new(self.config.pricing).with_tracer(tracer.clone());
+        self.cache = ExecCache::new(self.config.pricing, 1).with_tracer(tracer.clone());
         self.tracer = tracer;
         self
     }
@@ -273,62 +276,32 @@ impl OnlineEngine {
             let metrics = tracer.metrics();
             metrics.inc("online.reopt_runs");
 
-            for fp in &plan.drop {
-                if self.lifecycle.evict(&mut self.catalog, *fp).is_some() {
-                    metrics.inc("online.views_evicted");
-                }
-            }
-            for cand in &plan.create {
-                let outcome = self.lifecycle.admit(
-                    &mut self.catalog,
-                    cand.plan.clone(),
-                    cand.canonical_fp,
-                    cand.expected_benefit,
-                    self.config.pricing,
-                )?;
-                match outcome {
-                    AdmitOutcome::Admitted { id, evicted } => {
-                        metrics.inc("online.views_admitted");
-                        metrics.add("online.views_evicted", evicted.len() as u64);
-                        if let Some(v) = self.lifecycle.view(id) {
-                            self.report.view_overhead += v.total_overhead();
-                            metrics.observe("online.view_bytes", v.byte_size as f64);
-                        }
-                    }
-                    AdmitOutcome::RejectedScore { .. }
-                    | AdmitOutcome::RejectedBudget { .. }
-                    | AdmitOutcome::RejectedTenantBudget { .. } => {
-                        metrics.inc("online.admissions_rejected");
-                    }
-                }
+            let applied = self.lifecycle.apply(
+                &mut self.catalog,
+                &plan.drop,
+                &plan.create,
+                self.config.pricing,
+                None,
+            )?;
+            metrics.add("online.views_evicted", applied.evicted as u64);
+            metrics.add("online.views_admitted", applied.admitted.len() as u64);
+            metrics.add("online.admissions_rejected", applied.rejected as u64);
+            for v in applied.admitted.iter().filter_map(|id| self.lifecycle.view(*id)) {
+                self.report.view_overhead += v.total_overhead();
+                metrics.observe("online.view_bytes", v.byte_size as f64);
             }
 
-            // Rebuild the frozen estimate table against the new live set:
-            // price every window query that routes through a view, keyed by
-            // the query's submitted fingerprint.
-            self.estimates.clear();
-            for plan in &self.stream.plans() {
-                let (routed, hits) = self.lifecycle.route(&self.catalog, plan);
-                if hits == 0 {
-                    continue;
-                }
-                let routed_tables = routed.base_tables();
-                let fired = self.lifecycle.live().iter().find_map(|l| {
-                    self.lifecycle
-                        .view(l.id)
-                        .filter(|v| routed_tables.contains(&v.table_name))
-                        .map(|v| (l.canonical_fp, v.plan.clone()))
-                });
-                if let Some((view_fp, view_plan)) = fired {
-                    let input = FeatureInput {
-                        query: plan.clone(),
-                        view: view_plan.clone(),
-                        tables: tables_meta(&self.catalog, plan, &view_plan),
-                    };
-                    let est = self.estimator.estimate(&input);
-                    self.estimates.insert(Fingerprint::of(plan).0, (est, view_fp));
-                }
-            }
+            // Rebuild the frozen estimate table against the new live set,
+            // keyed by each window query's submitted fingerprint.
+            self.estimates = freeze_estimates(
+                &self.catalog,
+                &self.lifecycle,
+                &self.stream.plans(),
+                self.estimator.as_ref(),
+            )
+            .into_iter()
+            .map(|(plan_fp, est, view_fp)| (plan_fp.0, (est, view_fp)))
+            .collect();
             metrics.set_gauge("online.frozen_estimates", self.estimates.len() as f64);
             Ok(())
         })
@@ -410,7 +383,7 @@ mod tests {
                     min_benefit_per_byte: 0.0,
                     tenant_byte_budget: usize::MAX,
                 },
-                selector: OnlineSelector::IterView(IterViewConfig {
+                selector: SelectorKind::IterView(IterViewConfig {
                     iterations: 30,
                     seed: 5,
                     freeze_after: None,

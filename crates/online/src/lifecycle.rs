@@ -10,6 +10,7 @@
 //! *canonical* fingerprints so a view admitted from one query's aliases
 //! still rewrites structurally equivalent subtrees of other queries.
 
+use crate::reopt::CandidateView;
 use av_engine::{
     rewrite_subtree_with_view, Catalog, EngineError, MaterializedView, Pricing, ViewId, ViewStore,
 };
@@ -87,13 +88,12 @@ pub fn route_through_views(
         return (plan.clone(), 0);
     }
     // Prefer larger views first so an outer replacement swallows inner
-    // candidates (mirrors `rewrite_with_views`).
+    // candidates.
     let mut order: Vec<&(Fingerprint, &MaterializedView)> = views.iter().collect();
     order.sort_by_key(|(_, v)| std::cmp::Reverse(v.plan.node_count()));
 
     let mut current = plan.clone();
     let mut hits = 0;
-    let cat_cols = |t: &str| catalog.table_columns(t);
     for (canonical_fp, view) in order {
         // Re-enumerate each round: a previous replacement changes the
         // remaining subtrees.
@@ -101,31 +101,16 @@ pub fn route_through_views(
             if Fingerprint::of(&canonicalize(&sub.plan)) != *canonical_fp {
                 continue;
             }
-            let subtree_cols = sub.plan.output_columns(&cat_cols);
-            let view_cols = match catalog.table(&view.table_name) {
-                Some(t) => t.column_names.clone(),
-                None => continue, // table dropped concurrently
-            };
-            if subtree_cols.len() != view_cols.len() {
-                continue; // stale match
-            }
-            let (next, n) = rewrite_subtree_with_view(
-                &current,
-                sub.fingerprint,
-                view,
-                &subtree_cols,
-                &view_cols,
-            );
-            if n > 0 {
+            // A view whose table was dropped or whose arity no longer
+            // matches is a stale match: skip it.
+            if let Some((next, n)) = rewrite_subtree_with_view(catalog, &current, &sub.plan, view) {
                 current = next;
                 hits += n;
             }
         }
     }
-    // Debug builds gate every routed plan: the semantic prover first —
-    // `Proved` needs nothing more, `Refuted` means routing substituted a
-    // view that does not contain the query (hard bug, panic with the
-    // witness), and only `Unknown` drops to the schema-level check.
+    // Debug builds gate every routed plan: a refused rewrite means routing
+    // substituted a view that does not contain the query — a hard bug.
     #[cfg(debug_assertions)]
     if hits > 0 {
         let resolve = |t: &str| {
@@ -134,23 +119,30 @@ pub fn route_through_views(
                 .find(|(_, v)| v.table_name == t)
                 .map(|(_, v)| v.plan.clone())
         };
-        match av_analyze::prove_rewrite(catalog, plan, &current, &resolve) {
-            av_analyze::Verdict::Proved => {}
-            av_analyze::Verdict::Refuted { witness } => {
-                panic!("view routing produced a refuted rewrite: {witness}");
-            }
-            av_analyze::Verdict::Unknown { .. } => {
-                if let Err(e) = av_analyze::verify_rewrite(catalog, plan, &current) {
-                    panic!("view routing produced an invalid rewrite: {e}");
-                }
-            }
+        if let Err(refused) = av_analyze::gate_rewrite(catalog, plan, &current, &resolve) {
+            panic!("view routing produced a rewrite that {refused}");
         }
     }
     (current, hits)
 }
 
-/// Manages the set of materialized views over time.
+/// What [`ViewLifecycleManager::apply`] did to the live set.
 #[derive(Debug, Default)]
+pub struct Applied {
+    /// Newly live views, admission order.
+    pub admitted: Vec<ViewId>,
+    /// Views that left the live set: dropped by the plan or displaced by a
+    /// stronger admission.
+    pub evicted: usize,
+    /// Candidates the budget/score screen turned away.
+    pub rejected: usize,
+}
+
+/// Manages the set of materialized views over time. Cloning is cheap
+/// (view records share their plans; table data lives in the catalog), so a
+/// caller that must be able to back out applies changes to a clone of the
+/// manager and of the catalog and commits both or neither.
+#[derive(Debug, Clone, Default)]
 pub struct ViewLifecycleManager {
     config: LifecycleConfig,
     store: ViewStore,
@@ -328,6 +320,44 @@ impl ViewLifecycleManager {
         Ok(AdmitOutcome::Admitted { id, evicted })
     }
 
+    /// Apply one re-optimization's outcome: evict every `drop` fingerprint
+    /// that is live, then admit each of `create` in order, charged to
+    /// `owner`. The one place a selection turns into catalog changes — the
+    /// online engine and the serving layer both call it.
+    pub fn apply(
+        &mut self,
+        catalog: &mut Catalog,
+        drop: &[Fingerprint],
+        create: &[CandidateView],
+        pricing: Pricing,
+        owner: Option<&str>,
+    ) -> Result<Applied, EngineError> {
+        let mut applied = Applied::default();
+        for fp in drop {
+            applied.evicted += usize::from(self.evict(catalog, *fp).is_some());
+        }
+        for cand in create {
+            let outcome = self.admit_owned(
+                catalog,
+                cand.plan.clone(),
+                cand.canonical_fp,
+                cand.expected_benefit,
+                pricing,
+                owner,
+            )?;
+            match outcome {
+                AdmitOutcome::Admitted { id, evicted } => {
+                    applied.admitted.push(id);
+                    applied.evicted += evicted.len();
+                }
+                AdmitOutcome::RejectedScore { .. }
+                | AdmitOutcome::RejectedBudget { .. }
+                | AdmitOutcome::RejectedTenantBudget { .. } => applied.rejected += 1,
+            }
+        }
+        Ok(applied)
+    }
+
     /// Evict the live view with the given canonical fingerprint (no-op if
     /// not live). Returns the evicted id.
     pub fn evict(&mut self, catalog: &mut Catalog, canonical_fp: Fingerprint) -> Option<ViewId> {
@@ -349,12 +379,16 @@ impl ViewLifecycleManager {
     /// rewriter (which renames the view's stored columns back to the
     /// query's local aliases).
     pub fn route(&self, catalog: &Catalog, plan: &PlanRef) -> (PlanRef, usize) {
-        let views: Vec<(Fingerprint, &MaterializedView)> = self
-            .live
+        route_through_views(catalog, &self.live_views(), plan)
+    }
+
+    /// The live views' materialized records paired with their canonical
+    /// fingerprints, admission order — the shape routing matches against.
+    pub fn live_views(&self) -> Vec<(Fingerprint, &MaterializedView)> {
+        self.live
             .iter()
             .filter_map(|l| self.store.view(l.id).map(|v| (l.canonical_fp, v)))
-            .collect();
-        route_through_views(catalog, &views, plan)
+            .collect()
     }
 
     /// The backing store (for inspection; all mutation goes through the

@@ -3,45 +3,22 @@
 //!
 //! [`reoptimize`] builds a fresh [`MvsInstance`] from the current window
 //! (benefits predicted by the active [`CostEstimator`], overheads measured
-//! by dry-running each candidate's defining subquery), solves it with
-//! IterView or RLView, and returns an incremental [`ReoptPlan`]: which views
-//! to create, which live ones to drop, and which to keep.
+//! by dry-running each candidate's defining subquery), solves it with the
+//! configured [`SelectorKind`], and returns an incremental [`ReoptPlan`]:
+//! which views to create, which live ones to drop, and which to keep.
+//!
+//! The pair-scoring ([`benefit_matrix`]), the selection → view conversion
+//! ([`selected_candidates`]) and the post-apply estimate table
+//! ([`freeze_estimates`]) are shared with the batch pipeline (`av-core`)
+//! and the serving layer (`av-serve`).
 
+use crate::lifecycle::{route_through_views, ViewLifecycleManager};
 use av_cost::{tables_meta, CostEstimator, FeatureInput};
 use av_engine::{Catalog, EngineError, ExecCache};
 use av_equiv::WorkloadAnalysis;
 use av_ilp::MvsInstance;
 use av_plan::{Fingerprint, PlanRef};
-use av_select::{IterView, IterViewConfig, RlView, RlViewConfig, SelectionResult};
-
-/// Which selection algorithm the re-optimizer runs.
-#[derive(Debug, Clone)]
-pub enum OnlineSelector {
-    IterView(IterViewConfig),
-    RlView(RlViewConfig),
-}
-
-impl Default for OnlineSelector {
-    fn default() -> Self {
-        OnlineSelector::IterView(IterViewConfig::default())
-    }
-}
-
-impl OnlineSelector {
-    pub fn run(&self, instance: &MvsInstance) -> SelectionResult {
-        match self {
-            OnlineSelector::IterView(cfg) => IterView::new(instance, cfg.clone()).run(),
-            OnlineSelector::RlView(cfg) => RlView::run(instance, cfg.clone()),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            OnlineSelector::IterView(_) => "IterView",
-            OnlineSelector::RlView(_) => "RLView",
-        }
-    }
-}
+use av_select::{SelectionResult, SelectorKind};
 
 /// A view the re-optimizer wants materialized.
 #[derive(Debug, Clone)]
@@ -90,35 +67,21 @@ impl<'a> WindowSnapshot<'a> {
     }
 }
 
-/// Build the window's MVS instance: predicted benefits per (query,
-/// candidate) pair and dry-run overheads per candidate. No catalog mutation
-/// — candidate subqueries are *executed* to price their materialization,
-/// but nothing is stored. Dry-runs go through `cache`, so candidates that
-/// survive across re-optimization rounds (the common case under mild drift)
-/// are priced once per catalog epoch.
-pub fn build_window_instance(
+/// Predicted benefit `costs[i] − estimate(qᵢ | vⱼ)` of every (query,
+/// candidate) match in `analysis`; unmatched cells are 0. Benefits may be
+/// negative — callers that need them clamped do so themselves.
+///
+/// All pairs are scored in one `estimate_batch` call, so a batched
+/// estimator (Wide-Deep) encodes each distinct plan once instead of once
+/// per pair.
+pub fn benefit_matrix(
     catalog: &Catalog,
     analysis: &WorkloadAnalysis,
     window: WindowSnapshot<'_>,
     estimator: &dyn CostEstimator,
-    cache: &ExecCache,
-) -> Result<MvsInstance, EngineError> {
+) -> Vec<Vec<f64>> {
     let WindowSnapshot { plans, costs } = window;
-    let pricing = cache.pricing();
-
-    let mut overheads = Vec::with_capacity(analysis.candidates.len());
-    for cand in &analysis.candidates {
-        let result = cache.run(catalog, &cand.plan)?;
-        overheads.push(
-            result.report.cost_dollars + pricing.storage_dollars(result.report.output_bytes),
-        );
-    }
-
-    let nq = plans.len();
-    let nc = analysis.candidates.len();
-    let mut benefits = vec![vec![0.0; nc]; nq];
-    // Score all (query, candidate) pairs in one estimate_batch call so a
-    // batched estimator encodes each distinct plan once per dry-run round.
+    let mut benefits = vec![vec![0.0; analysis.candidates.len()]; plans.len()];
     let mut pairs_ix: Vec<(usize, usize)> = Vec::new();
     let mut inputs: Vec<FeatureInput> = Vec::new();
     for (i, matches) in analysis.query_matches.iter().enumerate() {
@@ -134,7 +97,62 @@ pub fn build_window_instance(
     }
     let estimates = estimator.estimate_batch(&inputs);
     for (&(i, cand), predicted_rewritten) in pairs_ix.iter().zip(estimates) {
-        benefits[i][cand] = (costs[i] - predicted_rewritten).max(0.0);
+        benefits[i][cand] = costs[i] - predicted_rewritten;
+    }
+    benefits
+}
+
+/// The views a selection materializes, in candidate order, each with
+/// `expected_benefit = Σᵢ benefits[i][j]·y[i][j]`.
+pub fn selected_candidates(
+    analysis: &WorkloadAnalysis,
+    instance: &MvsInstance,
+    selection: &SelectionResult,
+) -> Vec<CandidateView> {
+    analysis
+        .candidates
+        .iter()
+        .enumerate()
+        .filter(|(j, _)| selection.z[*j])
+        .map(|(j, cand)| CandidateView {
+            plan: cand.plan.clone(),
+            canonical_fp: Fingerprint::of(&cand.canonical),
+            expected_benefit: selection
+                .y
+                .iter()
+                .zip(&instance.benefits)
+                .map(|(yi, bi)| if yi[j] { bi[j] } else { 0.0 })
+                .sum(),
+            overhead: instance.overheads[j],
+        })
+        .collect()
+}
+
+/// Build the window's MVS instance: predicted benefits (clamped at 0) per
+/// (query, candidate) pair and dry-run overheads per candidate. No catalog
+/// mutation — candidate subqueries are *executed* to price their
+/// materialization, but nothing is stored. Dry-runs go through `cache`, so
+/// candidates that survive across re-optimization rounds (the common case
+/// under mild drift) are priced once per catalog epoch.
+pub fn build_window_instance(
+    catalog: &Catalog,
+    analysis: &WorkloadAnalysis,
+    window: WindowSnapshot<'_>,
+    estimator: &dyn CostEstimator,
+    cache: &ExecCache,
+) -> Result<MvsInstance, EngineError> {
+    let pricing = cache.pricing();
+    let mut overheads = Vec::with_capacity(analysis.candidates.len());
+    for cand in &analysis.candidates {
+        let result = cache.run(catalog, &cand.plan)?;
+        overheads.push(
+            result.report.cost_dollars + pricing.storage_dollars(result.report.output_bytes),
+        );
+    }
+
+    let mut benefits = benefit_matrix(catalog, analysis, window, estimator);
+    for b in benefits.iter_mut().flatten() {
+        *b = b.max(0.0);
     }
 
     Ok(MvsInstance {
@@ -150,55 +168,64 @@ pub fn reoptimize(
     analysis: &WorkloadAnalysis,
     window: WindowSnapshot<'_>,
     estimator: &dyn CostEstimator,
-    selector: &OnlineSelector,
+    selector: &SelectorKind,
     live_fps: &[Fingerprint],
     cache: &ExecCache,
 ) -> Result<ReoptPlan, EngineError> {
     let instance = build_window_instance(catalog, analysis, window, estimator, cache)?;
     let selection = selector.run(&instance);
+    let selected = selected_candidates(analysis, &instance, &selection);
 
-    let mut plan = ReoptPlan {
-        estimated_utility: selection.utility,
-        ..ReoptPlan::default()
-    };
-    let mut selected_fps = Vec::with_capacity(analysis.candidates.len());
-    for (j, cand) in analysis.candidates.iter().enumerate() {
-        let fp = Fingerprint::of(&cand.canonical);
-        selected_fps.push(fp);
-        if !selection.z.get(j).copied().unwrap_or(false) {
-            continue;
-        }
-        let expected_benefit: f64 = selection
-            .y
-            .iter()
-            .enumerate()
-            .filter(|(i, yi)| yi.get(j).copied().unwrap_or(false) && *i < instance.benefits.len())
-            .map(|(i, _)| instance.benefits[i][j])
-            .sum();
-        if live_fps.contains(&fp) {
-            plan.keep.push(fp);
-        } else {
-            plan.create.push(CandidateView {
-                plan: cand.plan.clone(),
-                canonical_fp: fp,
-                expected_benefit,
-                overhead: instance.overheads[j],
-            });
-        }
-    }
     // Live views the new selection does not want (including views whose
     // candidate no longer even appears in the window).
-    for &fp in live_fps {
-        let still_selected = analysis
-            .candidates
+    let drop = live_fps
+        .iter()
+        .copied()
+        .filter(|fp| !selected.iter().any(|c| c.canonical_fp == *fp))
+        .collect();
+    let (keep, create): (Vec<_>, Vec<_>) = selected
+        .into_iter()
+        .partition(|c| live_fps.contains(&c.canonical_fp));
+    Ok(ReoptPlan {
+        create,
+        drop,
+        keep: keep.into_iter().map(|c| c.canonical_fp).collect(),
+        estimated_utility: selection.utility,
+    })
+}
+
+/// Price every plan of `plans` that routes through a live view with
+/// `estimator`: `(plan fingerprint, estimated cost, view canonical
+/// fingerprint)` per routed plan, in plan order. Built once after a plan is
+/// applied, so the read path can attribute estimator residuals without
+/// touching the estimator.
+pub fn freeze_estimates(
+    catalog: &Catalog,
+    lifecycle: &ViewLifecycleManager,
+    plans: &[PlanRef],
+    estimator: &dyn CostEstimator,
+) -> Vec<(Fingerprint, f64, Fingerprint)> {
+    let views = lifecycle.live_views();
+    let mut estimates = Vec::new();
+    for plan in plans {
+        let (routed, hits) = route_through_views(catalog, &views, plan);
+        if hits == 0 {
+            continue;
+        }
+        let routed_tables = routed.base_tables();
+        let fired = views
             .iter()
-            .enumerate()
-            .any(|(j, _)| selected_fps[j] == fp && selection.z.get(j).copied().unwrap_or(false));
-        if !still_selected {
-            plan.drop.push(fp);
+            .find(|(_, v)| routed_tables.contains(&v.table_name));
+        if let Some((view_fp, view)) = fired {
+            let input = FeatureInput {
+                query: plan.clone(),
+                view: view.plan.clone(),
+                tables: tables_meta(catalog, plan, &view.plan),
+            };
+            estimates.push((Fingerprint::of(plan), estimator.estimate(&input), *view_fp));
         }
     }
-    Ok(plan)
+    estimates
 }
 
 #[cfg(test)]
@@ -207,10 +234,11 @@ mod tests {
     use av_cost::OptimizerEstimator;
     use av_engine::Pricing;
     use av_equiv::Analyzer;
+    use av_select::IterViewConfig;
     use av_workload::cloud::mini;
 
     fn cache() -> ExecCache {
-        ExecCache::new(Pricing::paper_defaults())
+        ExecCache::new(Pricing::paper_defaults(), 1)
     }
 
     fn analyzed(seed: u64) -> (av_workload::Workload, WorkloadAnalysis, Vec<PlanRef>, Vec<f64>) {
@@ -262,7 +290,7 @@ mod tests {
             &analysis,
             WindowSnapshot::new(&plans, &costs),
             &est,
-            &OnlineSelector::IterView(IterViewConfig {
+            &SelectorKind::IterView(IterViewConfig {
                 iterations: 40,
                 seed: 7,
                 freeze_after: None,
@@ -288,7 +316,7 @@ mod tests {
     fn reopt_is_incremental_against_live_set() {
         let (w, analysis, plans, costs) = analyzed(33);
         let est = OptimizerEstimator::default();
-        let selector = OnlineSelector::IterView(IterViewConfig {
+        let selector = SelectorKind::IterView(IterViewConfig {
             iterations: 40,
             seed: 7,
             freeze_after: None,
@@ -337,7 +365,7 @@ mod tests {
             &analysis,
             WindowSnapshot::new(&plans, &costs),
             &est,
-            &OnlineSelector::IterView(IterViewConfig {
+            &SelectorKind::IterView(IterViewConfig {
                 iterations: 20,
                 seed: 7,
                 freeze_after: None,

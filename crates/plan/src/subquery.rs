@@ -108,6 +108,16 @@ pub fn contains_subtree(plan: &PlanNode, sub_fp: Fingerprint) -> bool {
         .any(|c| contains_subtree(c, sub_fp))
 }
 
+/// The first subtree of `plan` (pre-order) whose fingerprint is `sub_fp`.
+pub fn find_subtree(plan: &PlanRef, sub_fp: Fingerprint) -> Option<PlanRef> {
+    if Fingerprint::of(plan) == sub_fp {
+        return Some(plan.clone());
+    }
+    plan.children()
+        .into_iter()
+        .find_map(|c| find_subtree(c, sub_fp))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,7 @@
 //! indices `0..total`; indices are claimed from a single atomic counter, so
 //! which thread runs which index is racy, but **what** each index computes
 //! and **how results are folded** (by index, on the caller) is not — that is
-//! the entire determinism contract, inherited unchanged from the scoped
-//! implementation.
+//! the entire determinism contract.
 //!
 //! Scheduling shape: each worker owns a deque; submission pushes one
 //! *ticket* per helper round-robin across the deques and wakes parked
@@ -346,38 +345,6 @@ impl Pool {
         }
     }
 
-    /// Legacy per-job scoped fan-out, kept as the benchmark baseline for
-    /// pool-vs-scoped comparisons. Spawns `workers` fresh scoped threads
-    /// that claim indices from one counter; the caller does not participate
-    /// (matching the pre-pool `map_chunks` shape).
-    pub fn run_scoped<F>(total: usize, workers: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if total == 0 {
-            return;
-        }
-        let workers = workers.max(1).min(total);
-        if workers == 1 {
-            for i in 0..total {
-                f(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= total {
-                        break;
-                    }
-                    f(i);
-                });
-            }
-        });
-    }
-
     /// Snapshot the scheduler counters.
     pub fn stats(&self) -> PoolStats {
         let inner = &self.inner;
@@ -471,17 +438,6 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must reach the submitter");
         assert_eq!(done.load(Ordering::SeqCst), 16, "all tasks still ran");
-    }
-
-    #[test]
-    fn run_scoped_matches_pool_coverage() {
-        for total in [1usize, 5, 33] {
-            let hits: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
-            Pool::run_scoped(total, 3, |i| {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-        }
     }
 
     #[test]

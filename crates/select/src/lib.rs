@@ -29,6 +29,54 @@ pub use iterview::{IterView, IterViewConfig};
 pub use rlview::{RlView, RlViewConfig};
 
 use av_ilp::MvsInstance;
+use av_trace::Tracer;
+
+/// Which view selector consumes a benefit matrix — the one dispatch point
+/// for the batch pipeline, the online engine and the serving layer's
+/// re-optimizer.
+#[derive(Debug, Clone)]
+pub enum SelectorKind {
+    RlView(RlViewConfig),
+    BigSub(BigSubConfig),
+    IterView(IterViewConfig),
+    /// A greedy ranking with its best `k` found by sweeping.
+    Greedy(GreedyRank),
+}
+
+impl Default for SelectorKind {
+    fn default() -> Self {
+        SelectorKind::IterView(IterViewConfig::default())
+    }
+}
+
+impl SelectorKind {
+    /// Short display name (`R` / `B` / `I` / rank name).
+    pub fn short_name(&self) -> &'static str {
+        match self {
+            SelectorKind::RlView(_) => "R",
+            SelectorKind::BigSub(_) => "B",
+            SelectorKind::IterView(_) => "I",
+            SelectorKind::Greedy(r) => r.name(),
+        }
+    }
+
+    /// Run the selector on an instance.
+    pub fn run(&self, instance: &MvsInstance) -> SelectionResult {
+        self.run_traced(instance, &Tracer::disabled())
+    }
+
+    /// Run the selector with telemetry: RLView and IterView record episode
+    /// and iteration spans/metrics into `tracer`; the other selectors run
+    /// untraced (the caller's phase span still times them).
+    pub fn run_traced(&self, instance: &MvsInstance, tracer: &Tracer) -> SelectionResult {
+        match self {
+            SelectorKind::RlView(cfg) => RlView::run_traced(instance, cfg.clone(), tracer),
+            SelectorKind::BigSub(cfg) => BigSub::run(instance, cfg.clone()),
+            SelectorKind::IterView(cfg) => IterView::new(instance, cfg.clone()).run_traced(tracer),
+            SelectorKind::Greedy(rank) => greedy_best(instance, *rank).1,
+        }
+    }
+}
 
 /// Outcome of a selection run.
 #[derive(Debug, Clone)]

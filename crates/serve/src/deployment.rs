@@ -9,7 +9,7 @@
 //! swap only replaces the pointer — every in-flight request keeps the epoch
 //! it started on until it finishes.
 
-use av_analyze::Verdict;
+use av_analyze::RewriteAccepted;
 use av_engine::{Catalog, MaterializedView};
 use av_online::route_through_views;
 use av_plan::{Fingerprint, PlanRef};
@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Independent locks for the route-memo table. Routing is read-mostly and
 /// fingerprint-keyed, so a handful of shards removes lock contention the
-/// same way `ShardedExecCache` does for results.
+/// same way the result cache's shards do.
 const ROUTE_MEMO_SHARDS: usize = 8;
 
 /// Memoized routes per shard; a deployment serves a bounded working set of
@@ -27,18 +27,22 @@ const ROUTE_MEMO_SHARDS: usize = 8;
 /// unaffected — `route` recomputes).
 const ROUTE_MEMO_CAP_PER_SHARD: usize = 4096;
 
+/// One route-memo shard: original-plan fingerprint → (routed plan, subtree
+/// hits, routed-plan fingerprint).
+type RouteMemo = HashMap<u64, (PlanRef, usize, Fingerprint)>;
+
 /// What the preflight gate actually did, per verdict: how many sample
 /// queries routed through a view, how many rewrites the static prover
-/// discharged outright, and how many fell back to the sampled
-/// `verify_rewrite` execution check. Surfaced as `serve.preflight.*`
-/// metrics by the server's swap path.
+/// discharged outright, and how many fell back to the schema-level
+/// `verify_rewrite` check. Surfaced as `serve.preflight.*` metrics by the
+/// server's swap path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PreflightStats {
     /// Sample queries inspected.
     pub sampled: usize,
     /// Sample queries where at least one view fired.
     pub routed: usize,
-    /// Rewrites statically proved contained — no execution needed.
+    /// Rewrites statically proved contained.
     pub proved: usize,
     /// Rewrites the prover could not decide; checked by `verify_rewrite`.
     pub unknown: usize,
@@ -66,7 +70,7 @@ pub struct Deployment {
     /// swap publishes a fresh deployment with an empty memo. Turns the
     /// per-request tree rewrite + rehash into a hash lookup on the warm
     /// path.
-    route_memo: Vec<Mutex<HashMap<u64, (PlanRef, usize, Fingerprint)>>>,
+    route_memo: Vec<Mutex<RouteMemo>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
 }
@@ -217,12 +221,13 @@ impl Deployment {
 
     /// [`Deployment::validate`], plus an end-to-end routing check over a
     /// sample of queries. Each sample is routed through this snapshot and,
-    /// when any view fired, the rewrite goes through the semantic prover
-    /// first: `Proved` needs no further checking, `Refuted` fails the whole
-    /// preflight (the witness row names the divergence — a refuted rewrite
-    /// must never reach the swap), and only `Unknown` falls back to the
-    /// schema-level `verify_rewrite` check. This is the full preflight gate
-    /// a re-optimizer runs before swapping the snapshot in.
+    /// when any view fired, the rewrite goes through
+    /// [`av_analyze::gate_rewrite`]: `Proved` needs no further checking,
+    /// `Refuted` fails the whole preflight (the witness row names the
+    /// divergence — a refuted rewrite must never reach the swap), and only
+    /// `Unknown` falls back to the schema-level `verify_rewrite` check.
+    /// This is the full preflight gate a re-optimizer runs before swapping
+    /// the snapshot in.
     pub fn validate_with(&self, sample: &[PlanRef]) -> Result<PreflightStats, String> {
         self.validate()?;
         let resolve = |t: &str| {
@@ -241,19 +246,10 @@ impl Deployment {
                 continue;
             }
             stats.routed += 1;
-            match av_analyze::prove_rewrite(&self.catalog, plan, &routed, &resolve) {
-                Verdict::Proved => stats.proved += 1,
-                Verdict::Refuted { witness } => {
-                    return Err(format!(
-                        "sample query {i}: routed plan refuted by the semantic prover: {witness}"
-                    ));
-                }
-                Verdict::Unknown { .. } => {
-                    stats.unknown += 1;
-                    av_analyze::verify_rewrite(&self.catalog, plan, &routed).map_err(|e| {
-                        format!("sample query {i}: routed plan fails verification: {e}")
-                    })?;
-                }
+            match av_analyze::gate_rewrite(&self.catalog, plan, &routed, &resolve) {
+                Ok(RewriteAccepted::Proved) => stats.proved += 1,
+                Ok(RewriteAccepted::SchemaChecked { .. }) => stats.unknown += 1,
+                Err(refused) => return Err(format!("sample query {i}: routed plan {refused}")),
             }
         }
         Ok(stats)

@@ -16,13 +16,11 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
 use crate::deployment::{Deployment, DeploymentCell};
-use av_cost::{tables_meta, CostEstimator, FeatureInput};
-use av_engine::{
-    Catalog, EngineError, ExecCache, MaterializedView, Pricing, RecordBatch, ShardedExecCache,
-};
+use av_cost::CostEstimator;
+use av_engine::{Catalog, EngineError, ExecCache, MaterializedView, Pricing, RecordBatch};
 use av_obs::{Obs, ObsConfig, ObsOutcome, QueryRecord, RecordStatus, TenantTag};
 use av_online::{
-    reoptimize, AdmitOutcome, CandidateView, LifecycleConfig, OnlineSelector,
+    freeze_estimates, reoptimize, CandidateView, LifecycleConfig, SelectorKind,
     ViewLifecycleManager, WindowSnapshot,
 };
 use av_plan::{Fingerprint, PlanRef};
@@ -34,28 +32,12 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     pub pricing: Pricing,
-    /// Shards of the execution-result cache (locks that can be held
-    /// concurrently). 0 means [`ShardedExecCache`]'s default.
-    pub cache_shards: usize,
-    /// Total cached results across all shards (split evenly).
+    /// Total cached results across the result cache's shards (split
+    /// evenly).
     pub cache_capacity: usize,
-    /// Executor thread count for cache misses (None = engine default).
-    pub exec_threads: Option<usize>,
-    /// Parallel-cutover row floor override (None = engine default).
-    pub par_min_rows: Option<usize>,
-    /// Derive each query's degree of parallelism from the admission
-    /// controller's global inflight count: a lone query fans out across
-    /// the shared pool, 64 concurrent clients each run near-serial instead
-    /// of oversubscribing every core 64×. Results are identical either
-    /// way; only scheduling changes.
-    pub elastic_dop: bool,
-    /// Thread source for parallel execution on cache misses: the shared
-    /// morsel pool (default) or legacy per-query scoped spawning, kept so
-    /// `serve_bench` can run paired pool-vs-scoped comparisons.
-    pub exec_backend: av_engine::par::ParBackend,
     pub admission: AdmissionConfig,
     pub lifecycle: LifecycleConfig,
-    pub selector: OnlineSelector,
+    pub selector: SelectorKind,
     /// Minimum times a subquery must repeat in the reopt window before it
     /// becomes a view candidate.
     pub min_query_frequency: usize,
@@ -69,15 +51,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             pricing: Pricing::paper_defaults(),
-            cache_shards: 0,
             cache_capacity: 4096,
-            exec_threads: None,
-            par_min_rows: None,
-            elastic_dop: true,
-            exec_backend: av_engine::par::ParBackend::Pool,
             admission: AdmissionConfig::default(),
             lifecycle: LifecycleConfig::default(),
-            selector: OnlineSelector::default(),
+            selector: SelectorKind::default(),
             min_query_frequency: 2,
             obs: ObsConfig::default(),
         }
@@ -88,8 +65,8 @@ impl Default for ServeConfig {
 /// across `inflight` concurrent queries, never below 1. One inflight query
 /// gets the whole pool; at or past `cores` concurrent queries everyone runs
 /// serial — inter-query parallelism replaces intra-query parallelism, so
-/// the machine is never oversubscribed `inflight ×` like per-query scoped
-/// spawning was.
+/// the machine is never oversubscribed `inflight ×`. Results are identical
+/// at every degree; only scheduling changes.
 pub fn elastic_dop(cores: usize, inflight: usize) -> usize {
     (cores.max(1) / inflight.max(1)).max(1)
 }
@@ -167,7 +144,7 @@ struct Planner {
 pub struct ViewServer {
     config: ServeConfig,
     cell: DeploymentCell,
-    cache: ShardedExecCache,
+    cache: ExecCache,
     admission: AdmissionController,
     tracer: Tracer,
     obs: Obs,
@@ -192,21 +169,9 @@ impl ViewServer {
         config: ServeConfig,
         tracer: Tracer,
     ) -> ViewServer {
-        let shards = if config.cache_shards > 0 {
-            config.cache_shards
-        } else {
-            ShardedExecCache::DEFAULT_SHARDS
-        };
-        let mut cache = ShardedExecCache::new(config.pricing, shards)
+        let cache = ExecCache::new(config.pricing, ExecCache::DEFAULT_SHARDS)
             .with_tracer(tracer.clone())
             .with_capacity(config.cache_capacity);
-        if let Some(t) = config.exec_threads {
-            cache = cache.with_threads(t);
-        }
-        if let Some(m) = config.par_min_rows {
-            cache = cache.with_par_min_rows(m);
-        }
-        cache = cache.with_par_backend(config.exec_backend);
         // Request latencies are microseconds; the default 2^-20..2^30 bounds
         // waste half their buckets below 1, so pin a µs-suited log2 range
         // (1µs .. ~67s) for the serving latency series.
@@ -223,7 +188,7 @@ impl ViewServer {
                 catalog,
                 lifecycle: ViewLifecycleManager::new(config.lifecycle),
                 estimator,
-                dryrun: ExecCache::new(config.pricing).with_metric_prefix("serve.dryrun"),
+                dryrun: ExecCache::new(config.pricing, 1),
             }),
             obs: Obs::new(config.obs.clone()),
             tracer,
@@ -240,31 +205,30 @@ impl ViewServer {
         let metrics = self.tracer.metrics();
         let t0 = self.tracer.now_nanos();
         let plan_fp = Fingerprint::of(plan);
+        let mut record = QueryRecord {
+            tenant: TenantTag::new(tenant),
+            plan_fp: plan_fp.0,
+            view_fp: 0,
+            epoch: 0,
+            status: RecordStatus::Shed,
+            route_hits: 0,
+            cache_shard: 0,
+            cache_hit: false,
+            admit_wait_nanos: 0,
+            exec_nanos: 0,
+            rows: 0,
+            bytes: 0,
+            est_cost: f64::NAN,
+            meas_cost: 0.0,
+        };
         let _permit = match self.admission.acquire(tenant) {
             Ok(p) => p,
             Err(r) => {
                 metrics.inc("serve.rejected");
                 let now = self.tracer.now_nanos();
-                self.observe(
-                    now,
-                    plan,
-                    QueryRecord {
-                        tenant: TenantTag::new(tenant),
-                        plan_fp: plan_fp.0,
-                        view_fp: 0,
-                        epoch: self.cell.epoch(),
-                        status: RecordStatus::Shed,
-                        route_hits: 0,
-                        cache_shard: 0,
-                        cache_hit: false,
-                        admit_wait_nanos: now.saturating_sub(t0),
-                        exec_nanos: 0,
-                        rows: 0,
-                        bytes: 0,
-                        est_cost: f64::NAN,
-                        meas_cost: 0.0,
-                    },
-                );
+                record.epoch = self.cell.epoch();
+                record.admit_wait_nanos = now.saturating_sub(t0);
+                self.observe(now, plan, record);
                 return Err(ServeError::Rejected(r));
             }
         };
@@ -273,44 +237,26 @@ impl ViewServer {
         // Elastic degree of parallelism: split the pool's workers across
         // the queries currently inflight. Read *after* admission so this
         // request counts itself (the hint is always >= 1).
-        let dop = if self.config.elastic_dop {
-            let cores = self
-                .config
-                .exec_threads
-                .unwrap_or_else(av_engine::par::default_threads);
-            let hint = elastic_dop(cores, self.admission.total_inflight());
-            metrics.observe("serve.dop", hint as f64);
-            Some(hint)
-        } else {
-            None
-        };
+        let dop = elastic_dop(
+            av_engine::par::default_threads(),
+            self.admission.total_inflight(),
+        );
+        metrics.observe("serve.dop", dop as f64);
         let tracer = self.tracer.clone();
         let outcome = tracer.time("serve.request", || {
             let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
             self.cache
-                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, dop)
+                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, Some(dop))
                 .map(|(result, cache_hit)| (result, cache_hit, hits, routed_fp))
         });
         let t1 = self.tracer.now_nanos();
         let admit_wait_nanos = t_adm.saturating_sub(t0);
         let exec_nanos = t1.saturating_sub(t_adm);
 
-        let mut record = QueryRecord {
-            tenant: TenantTag::new(tenant),
-            plan_fp: plan_fp.0,
-            view_fp: 0,
-            epoch: deployment.epoch(),
-            status: RecordStatus::Error,
-            route_hits: 0,
-            cache_shard: 0,
-            cache_hit: false,
-            admit_wait_nanos,
-            exec_nanos,
-            rows: 0,
-            bytes: 0,
-            est_cost: f64::NAN,
-            meas_cost: 0.0,
-        };
+        record.epoch = deployment.epoch();
+        record.status = RecordStatus::Error;
+        record.admit_wait_nanos = admit_wait_nanos;
+        record.exec_nanos = exec_nanos;
         let (result, cache_hit, hits, routed_fp) = match outcome {
             Ok(parts) => parts,
             Err(e) => {
@@ -411,17 +357,9 @@ impl ViewServer {
             )?;
             metrics.inc("serve.reopt_runs");
 
-            let mut summary = ReoptSummary {
-                estimated_utility: plan.estimated_utility,
-                ..ReoptSummary::default()
-            };
-            for fp in &plan.drop {
-                if planner.lifecycle.evict(&mut planner.catalog, *fp).is_some() {
-                    summary.dropped += 1;
-                }
-            }
-            self.admit_all(planner, &plan.create, owner, &mut summary)?;
-            self.swap_in_current(planner, window, &mut summary)?;
+            let mut summary =
+                self.apply_and_publish(planner, &plan.drop, &plan.create, owner, window)?;
+            summary.estimated_utility = plan.estimated_utility;
             Ok(summary)
         })
     }
@@ -437,104 +375,47 @@ impl ViewServer {
         owner: Option<&str>,
         sample: &[PlanRef],
     ) -> Result<ReoptSummary, ServeError> {
-        let mut guard = self.planner.lock().expect("planner poisoned");
-        let planner = &mut *guard;
-        let mut summary = ReoptSummary::default();
-        self.admit_all(planner, candidates, owner, &mut summary)?;
-        self.swap_in_current(planner, sample, &mut summary)?;
-        Ok(summary)
+        let mut planner = self.planner.lock().expect("planner poisoned");
+        self.apply_and_publish(&mut planner, &[], candidates, owner, sample)
     }
 
-    /// Admit a batch of candidates through the tenant-aware lifecycle.
-    fn admit_all(
+    /// The one reoptimize → preflight → publish core. Evictions and
+    /// tenant-accounted admissions are applied to a copy-on-write scratch
+    /// of the planner's catalog and lifecycle (table data is shared behind
+    /// `Arc`); the scratch is frozen into a candidate deployment and
+    /// preflighted, and only a snapshot that proves itself is committed to
+    /// the planner and swapped in. On any failure the planner still
+    /// mirrors the published epoch, so a refused plan cannot poison the
+    /// re-optimizations that follow it.
+    fn apply_and_publish(
         &self,
         planner: &mut Planner,
-        candidates: &[CandidateView],
+        drop: &[Fingerprint],
+        create: &[CandidateView],
         owner: Option<&str>,
-        summary: &mut ReoptSummary,
-    ) -> Result<(), ServeError> {
-        for cand in candidates {
-            let outcome = planner.lifecycle.admit_owned(
-                &mut planner.catalog,
-                cand.plan.clone(),
-                cand.canonical_fp,
-                cand.expected_benefit,
-                self.config.pricing,
-                owner,
-            )?;
-            match outcome {
-                AdmitOutcome::Admitted { evicted, .. } => {
-                    summary.admitted += 1;
-                    summary.dropped += evicted.len();
-                }
-                AdmitOutcome::RejectedScore { .. }
-                | AdmitOutcome::RejectedBudget { .. }
-                | AdmitOutcome::RejectedTenantBudget { .. } => summary.rejected += 1,
-            }
-        }
-        Ok(())
-    }
-
-    /// Freeze the planner's current state into a candidate deployment,
-    /// preflight it, and publish it as the next epoch. The catalog clone is
-    /// copy-on-write (table data is shared behind `Arc`); a preflight
-    /// failure leaves the previous epoch published.
-    fn swap_in_current(
-        &self,
-        planner: &mut Planner,
         sample: &[PlanRef],
-        summary: &mut ReoptSummary,
-    ) -> Result<(), ServeError> {
+    ) -> Result<ReoptSummary, ServeError> {
         let metrics = self.tracer.metrics();
-        let views: Vec<(Fingerprint, MaterializedView)> = planner
-            .lifecycle
-            .live()
-            .iter()
-            .filter_map(|l| {
-                planner
-                    .lifecycle
-                    .view(l.id)
-                    .map(|v| (l.canonical_fp, v.clone()))
-            })
-            .collect();
-        let next = Deployment::new(
-            self.cell.epoch() + 1,
-            Arc::new(planner.catalog.clone()),
-            views,
-        );
+        let mut catalog = planner.catalog.clone();
+        let mut lifecycle = planner.lifecycle.clone();
+        let applied = lifecycle.apply(&mut catalog, drop, create, self.config.pricing, owner)?;
 
         // Freeze per-query cost estimates for the residual-telemetry
-        // stream: route each window query through the candidate snapshot
-        // and, where a view fires, price the pair with the planner's cost
-        // model. The table is immutable once published, so the read path
+        // stream. The table is immutable once published, so the read path
         // looks estimates up without touching the estimator (which lives
-        // behind this planner lock).
-        let mut estimates: Vec<(Fingerprint, f64, Fingerprint)> = Vec::new();
-        for plan in sample {
-            let (routed, hits) = next.route(plan);
-            if hits == 0 {
-                continue;
-            }
-            let routed_tables = routed.base_tables();
-            let fired = next
-                .views()
-                .iter()
-                .find(|(_, v)| routed_tables.contains(&v.table_name));
-            if let Some((view_fp, view)) = fired {
-                let input = FeatureInput {
-                    query: plan.clone(),
-                    view: view.plan.clone(),
-                    tables: tables_meta(&planner.catalog, plan, &view.plan),
-                };
-                let est = planner.estimator.estimate(&input);
-                estimates.push((Fingerprint::of(plan), est, *view_fp));
-            }
-        }
+        // behind the planner lock).
+        let estimates = freeze_estimates(&catalog, &lifecycle, sample, planner.estimator.as_ref());
         metrics.set_gauge("serve.frozen_estimates", estimates.len() as f64);
-        let next = next.with_estimates(estimates);
+        let views: Vec<(Fingerprint, MaterializedView)> = lifecycle
+            .live_views()
+            .into_iter()
+            .map(|(fp, v)| (fp, v.clone()))
+            .collect();
+        let next = Deployment::new(self.cell.epoch() + 1, Arc::new(catalog.clone()), views)
+            .with_estimates(estimates);
 
         // Preflight gate: a snapshot that cannot prove itself never
-        // reaches the swap.
+        // reaches the swap, and its scratch state is dropped here.
         match next.validate_with(sample) {
             Ok(stats) => {
                 metrics.add("serve.preflight.proved", stats.proved as u64);
@@ -546,13 +427,21 @@ impl ViewServer {
             }
         }
 
-        summary.epoch = next.epoch();
-        summary.live_views = next.views().len();
+        let summary = ReoptSummary {
+            epoch: next.epoch(),
+            admitted: applied.admitted.len(),
+            dropped: applied.evicted,
+            rejected: applied.rejected,
+            live_views: next.views().len(),
+            estimated_utility: 0.0,
+        };
+        planner.catalog = catalog;
+        planner.lifecycle = lifecycle;
         self.cell.swap(Arc::new(next));
         metrics.inc("serve.swaps");
         metrics.set_gauge("serve.live_views", summary.live_views as f64);
         metrics.set_gauge("serve.epoch", summary.epoch as f64);
-        Ok(())
+        Ok(summary)
     }
 
     /// The currently published snapshot.
@@ -563,6 +452,14 @@ impl ViewServer {
     /// Epoch of the published snapshot.
     pub fn epoch(&self) -> u64 {
         self.cell.epoch()
+    }
+
+    /// Canonical fingerprints of the planner's live views. Outside a
+    /// running re-optimization these are exactly the published snapshot's
+    /// views: the planner only ever commits what it publishes.
+    pub fn planner_live_fingerprints(&self) -> Vec<Fingerprint> {
+        let planner = self.planner.lock().expect("planner poisoned");
+        planner.lifecycle.live_fingerprints()
     }
 
     pub fn config(&self) -> &ServeConfig {
@@ -724,8 +621,7 @@ mod tests {
         ] {
             assert!(text.contains(gauge), "missing {gauge} in:\n{text}");
         }
-        // Elastic DOP is on by default and the route memo absorbed the
-        // repeat routing work.
+        // The route memo saw every request.
         let (hits, misses) = server.current().route_memo_stats();
         assert_eq!(hits + misses, plans.len() as u64);
     }

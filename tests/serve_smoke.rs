@@ -1,0 +1,80 @@
+//! Tier-1 smoke over the served path: one tiny workload goes through
+//! `AutoViewSystem::run → publish → execute → reoptimize → execute`, and
+//! every response must equal a direct `Executor::run` of the submitted plan
+//! on the view-free base catalog.
+
+use autoview::core::{AutoViewConfig, AutoViewSystem, EstimatorKind, SelectorKind};
+use autoview::engine::{Executor, Pricing, RecordBatch};
+use autoview::select::IterViewConfig;
+use autoview::workload::cloud::mini;
+use av_online::LifecycleConfig;
+use av_serve::{ServeConfig, ViewServer};
+
+fn assert_serves_oracle(
+    server: &ViewServer,
+    plans: &[autoview::plan::PlanRef],
+    oracle: &[RecordBatch],
+) {
+    let mut hits = 0;
+    for (plan, expected) in plans.iter().zip(oracle) {
+        let resp = server.execute("tenant0", plan).expect("serves");
+        assert_eq!(resp.epoch, server.epoch());
+        assert_eq!(&resp.batch, expected, "served == direct execution");
+        hits += resp.rewrite_hits;
+    }
+    assert!(
+        hits > 0,
+        "epoch {}: live views route the workload",
+        server.epoch()
+    );
+}
+
+#[test]
+fn run_publish_execute_reoptimize_execute_matches_direct_execution() {
+    let w = mini(102);
+    let plans = w.plans();
+    let exec = Executor::new(&w.catalog, Pricing::paper_defaults());
+    let oracle: Vec<RecordBatch> = plans
+        .iter()
+        .map(|p| exec.run(p).expect("direct run").batch)
+        .collect();
+
+    let mut sys = AutoViewSystem::new(
+        w.catalog.clone(),
+        plans.clone(),
+        AutoViewConfig {
+            estimator: EstimatorKind::Optimizer,
+            selector: SelectorKind::IterView(IterViewConfig::default()),
+            max_training_pairs: 30,
+            ..AutoViewConfig::default()
+        },
+    );
+    let report = sys.run().expect("pipeline runs");
+    assert!(report.num_views > 0, "mini workload has profitable views");
+
+    let (server, published) = sys
+        .publish(
+            ServeConfig {
+                lifecycle: LifecycleConfig {
+                    byte_budget: usize::MAX,
+                    min_benefit_per_byte: 0.0,
+                    tenant_byte_budget: usize::MAX,
+                },
+                ..ServeConfig::default()
+            },
+            Some("tenant0"),
+        )
+        .expect("publishes");
+    assert_eq!(published.epoch, 1);
+    assert_eq!(published.admitted + published.rejected, report.num_views);
+    assert_serves_oracle(&server, &plans, &oracle);
+
+    // Re-optimize on half the workload: views the window no longer wants
+    // are dropped, and the next epoch still answers every query exactly.
+    let reopt = server
+        .reoptimize(&plans[..plans.len() / 2], Some("tenant0"))
+        .expect("reoptimizes");
+    assert_eq!(reopt.epoch, 2);
+    assert_eq!(server.current().views().len(), reopt.live_views);
+    assert_serves_oracle(&server, &plans, &oracle);
+}
