@@ -150,11 +150,6 @@ fn main() {
         stats.residuals.recorded, stats.residuals.retained
     );
     let agg_row = |label: String, a: &av_serve::ErrorAggregate| {
-        let mean_q = if a.samples > 0 {
-            a.q_sum / a.samples as f64
-        } else {
-            0.0
-        };
         let over_pct = if a.samples > 0 {
             a.overestimates as f64 / a.samples as f64 * 100.0
         } else {
@@ -163,7 +158,9 @@ fn main() {
         vec![
             label,
             format!("{}", a.samples),
-            format!("{mean_q:.2}"),
+            format!("{:.2}", a.q_mean()),
+            format!("{:.2}", a.q_p50),
+            format!("{:.2}", a.q_p95),
             format!("{:.2}", a.q_max),
             format!("{over_pct:.0}%"),
             format!("{}", a.degenerate),
@@ -182,7 +179,10 @@ fn main() {
             .iter()
             .map(|(view, a)| agg_row(format!("view:{view:08x}"), a)),
     );
-    table(&["series", "samples", "mean-q", "max-q", "over", "degen"], &rows);
+    table(
+        &["series", "samples", "mean-q", "p50-q", "p95-q", "max-q", "over", "degen"],
+        &rows,
+    );
 
     if !stats.alerts.is_empty() {
         println!("\n-- SLO alerts --");

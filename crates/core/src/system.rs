@@ -107,9 +107,10 @@ impl AutoViewSystem {
     /// preflight gate: every plan the pipeline executes is schema-checked
     /// before touching data. Release builds skip the gate.
     ///
-    /// Tracing is off by default; attach a live tracer with
+    /// Span recording is off by default; attach a live tracer with
     /// [`AutoViewSystem::with_tracer`] to record the pipeline's span tree
-    /// (phases `pipeline.*`, operators `exec.*`) and metrics.
+    /// (phases `pipeline.*`, operators `exec.*`). The `pipeline.*` phase
+    /// timings and the metrics registry are live either way.
     pub fn new(catalog: Catalog, queries: Vec<PlanRef>, config: AutoViewConfig) -> AutoViewSystem {
         if cfg!(debug_assertions) {
             av_analyze::install_engine_gate();
@@ -132,7 +133,7 @@ impl AutoViewSystem {
         self
     }
 
-    /// The system's tracer (disabled unless one was attached).
+    /// The system's tracer (span-less unless one was attached).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -664,7 +665,6 @@ mod tests {
         // Training and RL telemetry landed in the registry.
         assert!(snap.metrics.histograms.contains_key("cost.epoch_loss"));
         assert!(snap.metrics.gauges.contains_key("select.epsilon"));
-        assert!(snap.metrics.counters.contains_key("engine.cache_miss"));
 
         // The chrome-trace export is valid JSON with one event per span.
         let text = av_trace::chrome_trace(&snap);

@@ -44,9 +44,8 @@ pub fn preprocess_and_measure(
 
 /// [`preprocess_and_measure`] with observability: `core.analyze`,
 /// `core.measure_queries` and `core.materialize` sub-spans, and an
-/// execution cache that records per-operator spans and `engine.cache_*`
-/// counters into the same tracer (as does every later stage that reuses
-/// the returned cache).
+/// execution cache that records per-operator spans into the same tracer
+/// (as does every later stage that reuses the returned cache).
 pub fn preprocess_and_measure_traced(
     catalog: &mut Catalog,
     queries: &[PlanRef],

@@ -17,7 +17,7 @@ use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
 use crate::meter::Pricing;
 use av_plan::{Fingerprint, PlanNode};
-use av_trace::{Metrics, Tracer};
+use av_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -62,14 +62,12 @@ struct CacheState {
     stats: CacheStats,
 }
 
-/// One independently locked slice of the cache, with the metric names it
-/// bumps on lookups/evictions.
-#[derive(Debug)]
+/// One independently locked slice of the cache. Its [`CacheStats`] are the
+/// only lookup/eviction counters: telemetry pulls them through
+/// [`ExecCache::shard_stats`] at snapshot time instead of being pushed a
+/// copy per lookup.
+#[derive(Debug, Default)]
 struct CacheShard {
-    hit: String,
-    miss: String,
-    evict: String,
-    evict_bytes: String,
     state: Mutex<CacheState>,
 }
 
@@ -80,11 +78,9 @@ struct CacheShard {
 /// own lock, so concurrent serving sessions stop serializing on one mutex;
 /// one shard is the unsharded case. The shard of a plan is a pure function
 /// of its fingerprint, so repeat executions always land on the same shard
-/// and the hit/miss semantics are identical for every shard count. A
-/// single-shard cache reports under the global `engine.cache_*` counters; a
-/// sharded one gives each shard its own `engine.cache.shard<i>.*` names, so
-/// per-shard balance (a serving health signal) is visible in any metrics
-/// snapshot. Aggregated numbers come from [`ExecCache::stats`].
+/// and the hit/miss semantics are identical for every shard count.
+/// Per-shard balance (a serving health signal) comes from
+/// [`ExecCache::shard_stats`], aggregated numbers from [`ExecCache::stats`].
 #[derive(Debug)]
 pub struct ExecCache {
     pricing: Pricing,
@@ -114,18 +110,12 @@ impl ExecCache {
             pricing,
             shard_entries: (Self::DEFAULT_ENTRIES / n).max(1),
             tracer: Tracer::disabled(),
-            shards: (0..n)
-                .map(|i| match n {
-                    1 => CacheShard::named("engine.cache_"),
-                    _ => CacheShard::named(&format!("engine.cache.shard{i}.")),
-                })
-                .collect(),
+            shards: (0..n).map(|_| CacheShard::default()).collect(),
         }
     }
 
-    /// Attach an observability tracer: lookups bump the shards' hit/miss
-    /// counters, and the executors spawned for misses record per-operator
-    /// spans into the same tracer.
+    /// Attach an observability tracer: the executors spawned for misses
+    /// record per-operator spans into it.
     pub fn with_tracer(mut self, tracer: Tracer) -> ExecCache {
         self.tracer = tracer;
         self
@@ -181,9 +171,8 @@ impl ExecCache {
         dop: Option<usize>,
     ) -> Result<(ExecResult, bool), EngineError> {
         let shard = self.shard_of(fingerprint);
-        let metrics = self.tracer.metrics();
         let key = (fingerprint, catalog.epoch());
-        if let Some(hit) = self.shards[shard].lookup(&key, metrics) {
+        if let Some(hit) = self.shards[shard].lookup(&key) {
             return Ok((hit, true));
         }
 
@@ -194,7 +183,7 @@ impl ExecCache {
             exec = exec.with_threads(d.clamp(1, crate::par::default_threads().max(1)));
         }
         let result = exec.run(plan)?;
-        self.shards[shard].insert(key, result.clone(), self.shard_entries, metrics);
+        self.shards[shard].insert(key, result.clone(), self.shard_entries);
         Ok((result, false))
     }
 
@@ -233,27 +222,14 @@ impl ExecCache {
 }
 
 impl CacheShard {
-    /// A shard reporting under `<prefix>hit`, `<prefix>miss`, ….
-    fn named(prefix: &str) -> CacheShard {
-        CacheShard {
-            hit: format!("{prefix}hit"),
-            miss: format!("{prefix}miss"),
-            evict: format!("{prefix}evict"),
-            evict_bytes: format!("{prefix}evict_bytes"),
-            state: Mutex::new(CacheState::default()),
-        }
-    }
-
     /// A clone of the cached result for `key`, counting the hit or miss.
-    fn lookup(&self, key: &(Fingerprint, u64), metrics: &Metrics) -> Option<ExecResult> {
+    fn lookup(&self, key: &(Fingerprint, u64)) -> Option<ExecResult> {
         let mut state = self.state.lock().expect("cache lock");
         let hit = state.map.get(key).cloned();
         match hit {
             Some(_) => state.stats.hits += 1,
             None => state.stats.misses += 1,
         }
-        drop(state);
-        metrics.inc(if hit.is_some() { &self.hit } else { &self.miss });
         hit
     }
 
@@ -261,15 +237,9 @@ impl CacheShard {
     /// `max_entries`: entries from earlier catalog epochs are unreachable
     /// and go first; if the key's own epoch alone fills the cap, the shard
     /// starts over.
-    fn insert(
-        &self,
-        key: (Fingerprint, u64),
-        result: ExecResult,
-        max_entries: usize,
-        metrics: &Metrics,
-    ) {
+    fn insert(&self, key: (Fingerprint, u64), result: ExecResult, max_entries: usize) {
         let mut state = self.state.lock().expect("cache lock");
-        let (mut shed, mut shed_bytes) = (0u64, 0u64);
+        let mut shed_bytes = 0u64;
         if state.map.len() >= max_entries && !state.map.contains_key(&key) {
             let before = state.map.len();
             state.map.retain(|(_, e), v| {
@@ -287,16 +257,10 @@ impl CacheShard {
                     .sum::<u64>();
                 state.map.clear();
             }
-            shed = (before - state.map.len()) as u64;
-            state.stats.evictions += shed;
+            state.stats.evictions += (before - state.map.len()) as u64;
             state.stats.evicted_bytes += shed_bytes;
         }
         state.map.insert(key, result);
-        drop(state);
-        if shed > 0 {
-            metrics.add(&self.evict, shed);
-            metrics.add(&self.evict_bytes, shed_bytes);
-        }
     }
 }
 
@@ -345,14 +309,6 @@ mod tests {
 
     fn plan() -> av_plan::PlanRef {
         distinct_plans(4).pop().expect("non-empty")
-    }
-
-    /// Metric-name prefix of shard `i` of a cache with `shards` shards.
-    fn metric_prefix(shards: usize, i: usize) -> String {
-        match shards {
-            1 => "engine.cache_".to_string(),
-            _ => format!("engine.cache.shard{i}."),
-        }
     }
 
     /// `n` distinct plans that all map to one shard of `cache`.
@@ -448,12 +404,9 @@ mod tests {
     fn capacity_sheds_stale_epochs_first_and_accounts_for_them() {
         for shards in SHARD_COUNTS {
             let mut c = catalog();
-            let tracer = Tracer::new();
             // Two entries per shard; the plans all land on one shard so the
             // cap binds at every shard count.
-            let cache = ExecCache::new(Pricing::paper_defaults(), shards)
-                .with_capacity(2 * shards)
-                .with_tracer(tracer.clone());
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards).with_capacity(2 * shards);
             let plans = colliding_plans(&cache, 3);
             cache.run(&c, &plans[0]).expect("fills");
             cache.run(&c, &plans[1]).expect("fills");
@@ -470,10 +423,10 @@ mod tests {
             // Each shed count-star result holds one 8-byte value, so the
             // byte counter reconciles exactly with the eviction count.
             assert_eq!(stats.evicted_bytes, 16);
-            let prefix = metric_prefix(shards, cache.shard_of(Fingerprint::of(&plans[0])));
-            let m = tracer.metrics();
-            assert_eq!(m.counter(&format!("{prefix}evict")), 2);
-            assert_eq!(m.counter(&format!("{prefix}evict_bytes")), 16);
+            // The shedding shard, and only it, carries the evictions.
+            let owner = cache.shard_of(Fingerprint::of(&plans[0]));
+            assert_eq!(cache.shard_stats()[owner].evictions, 2);
+            assert_eq!(cache.shard_stats()[owner].evicted_bytes, 16);
 
             // The current epoch alone filling the cap clears the shard.
             cache.run(&c, &plans[1]).expect("fills");
@@ -485,13 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_metrics_reconcile_with_the_aggregate() {
+    fn per_shard_stats_reconcile_with_the_aggregate() {
         let c = catalog();
         let plans = distinct_plans(8);
         for shards in SHARD_COUNTS {
-            let tracer = Tracer::new();
-            let cache =
-                ExecCache::new(Pricing::paper_defaults(), shards).with_tracer(tracer.clone());
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards);
             for _ in 0..2 {
                 for p in &plans {
                     cache.run(&c, p).expect("runs");
@@ -501,21 +452,19 @@ mod tests {
             assert_eq!(agg.hits, 8);
             assert_eq!(agg.misses, 8);
 
-            // Each shard's counters land in the metrics registry under its
-            // own prefix, and they reconcile with the aggregate exactly.
+            // Each shard keeps its own counters, each plan lands on its
+            // fingerprint's shard, and the shards sum to the aggregate.
             let per_shard = cache.shard_stats();
             assert_eq!(per_shard.len(), shards);
-            let m = tracer.metrics();
-            let (mut metric_hits, mut metric_misses) = (0, 0);
-            for (i, s) in per_shard.iter().enumerate() {
-                let prefix = metric_prefix(shards, i);
-                assert_eq!(m.counter(&format!("{prefix}hit")), s.hits);
-                assert_eq!(m.counter(&format!("{prefix}miss")), s.misses);
-                metric_hits += s.hits;
-                metric_misses += s.misses;
+            let mut expected = vec![0u64; shards];
+            for p in &plans {
+                expected[cache.shard_of(Fingerprint::of(p))] += 1;
             }
-            assert_eq!(metric_hits, agg.hits);
-            assert_eq!(metric_misses, agg.misses);
+            for (s, want) in per_shard.iter().zip(&expected) {
+                assert_eq!((s.hits, s.misses), (*want, *want));
+            }
+            assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), agg.hits);
+            assert_eq!(per_shard.iter().map(|s| s.misses).sum::<u64>(), agg.misses);
             if shards > 1 {
                 // 8 distinct fingerprints: sharding actually spread the
                 // keys (at least two shards saw traffic).

@@ -5,7 +5,8 @@
 //! Internal metric names are dotted (`engine.cache_hit`); Prometheus names
 //! must match `[a-zA-Z_:][a-zA-Z0-9_:]*`, so dots and any other stray
 //! characters become underscores. Histograms render as the standard
-//! cumulative-`le` bucket series with `_sum`/`_count`, timings as
+//! cumulative-`le` bucket series (power-of-two edges, straight from the
+//! sketch snapshot) with `_sum`/`_count`, timings as
 //! `_seconds_total`/`_count` counter pairs, and SLO state as labeled
 //! per-tenant gauges.
 
@@ -222,7 +223,7 @@ mod tests {
 
     #[test]
     fn residual_series_render_per_view_and_per_op() {
-        let store = ResidualStore::new(8);
+        let mut store = ResidualStore::new(8);
         store.record(Residual {
             plan_fp: 1,
             view_fp: 0xabc,

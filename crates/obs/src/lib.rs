@@ -8,18 +8,21 @@
 //!   decision, cache shard and hit/miss, admission wait, exec time,
 //!   rows/bytes, cost estimate vs. measurement). Dump-on-demand and
 //!   dump-on-anomaly.
-//! - [`SloMonitor`]: per-tenant mergeable quantile sketches over sliding
+//! - [`SloState`]: per-tenant mergeable quantile sketches over sliding
 //!   windows plus multi-window error-budget burn-rate alerting.
 //! - [`ResidualStore`]: the estimator-residual stream — every routed query
 //!   appends (estimated, measured, plan fingerprint, view id), with
 //!   per-view and per-operator q-error aggregates.
-//! - [`export`]: Prometheus text exposition for all of the above plus the
-//!   shared `av_trace::Metrics` registry.
+//! - [`export`]: Prometheus text exposition for all of the above plus an
+//!   `av_trace::MetricsSnapshot`.
 //!
-//! The [`Obs`] façade ties them together: `av-serve` calls
-//! [`Obs::observe_query`] once per request, and deterministic anomaly
-//! detectors ([`AnomalyDetector`]) turn latency regressions, cache-hit
-//! collapses and admission saturation into stored flight-recorder dumps.
+//! The [`Obs`] façade ties them together: `av-serve` hands
+//! [`Obs::observe_query`] one [`QueryRecord`] per request — the request's
+//! only telemetry write: a lock-free ring store plus one mutex covering
+//! the SLO windows, anomaly detectors, residual store and the cumulative
+//! [`RequestTotals`] — and deterministic anomaly detectors
+//! ([`AnomalyDetector`]) turn latency regressions, cache-hit collapses and
+//! admission saturation into stored flight-recorder dumps.
 //!
 //! Everything here is fed time exclusively through values the caller read
 //! from its injected [`av_trace::Clock`] — this crate never touches the
@@ -38,11 +41,9 @@ pub use recorder::{
     FlightDump, FlightRecord, FlightRecorder, QueryRecord, RecordStatus, TenantTag,
 };
 pub use residual::{ErrorAggregate, Residual, ResidualStore, ResidualSummary};
-pub use slo::{
-    Objective, QuantileSketch, RequestOutcome, SloAlert, SloConfig, SloMonitor, SloState,
-    TenantSloStats,
-};
+pub use slo::{Objective, RequestOutcome, SloAlert, SloConfig, SloState, TenantSloStats};
 
+use av_trace::QuantileSketch;
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -134,12 +135,65 @@ pub struct DumpInfo {
     pub records: usize,
 }
 
-/// SLO windows and anomaly detector behind one shared lock: the request
-/// path pays a single mutex acquisition for both.
+/// Cumulative per-request aggregates since startup — what the serving
+/// layer's `serve.*` exposition series are folded from at snapshot time,
+/// so the request path never touches the metrics registry.
+#[derive(Debug, Clone, Default)]
+pub struct RequestTotals {
+    pub served: u64,
+    pub shed: u64,
+    pub errors: u64,
+    /// Served requests that view routing rewrote.
+    pub rewritten: u64,
+    /// Σ subtree replacements over served requests.
+    pub rewrite_hits: u64,
+    /// Σ route + execute time over admitted (served or failed) requests.
+    pub exec_nanos: u64,
+    /// Total latency (admission wait + exec) of served requests, µs.
+    pub latency_us: QuantileSketch,
+    /// Measured dollar cost of served requests.
+    pub query_cost: QuantileSketch,
+    /// Degree of parallelism granted to admitted requests.
+    pub dop: QuantileSketch,
+    /// NaN costs the sketches refused.
+    pub nan_rejected: u64,
+    pub alerts_fired: u64,
+    pub anomalies_fired: u64,
+}
+
+impl RequestTotals {
+    fn fold(&mut self, rec: &QueryRecord) {
+        if rec.status == RecordStatus::Shed {
+            self.shed += 1;
+            return;
+        }
+        self.exec_nanos += rec.exec_nanos;
+        self.dop.observe(rec.dop as f64);
+        if rec.status == RecordStatus::Error {
+            self.errors += 1;
+            return;
+        }
+        self.served += 1;
+        if rec.route_hits > 0 {
+            self.rewritten += 1;
+            self.rewrite_hits += rec.route_hits as u64;
+        }
+        self.latency_us
+            .observe((rec.admit_wait_nanos + rec.exec_nanos) as f64 / 1e3);
+        if !self.query_cost.observe(rec.meas_cost) {
+            self.nan_rejected += 1;
+        }
+    }
+}
+
+/// Everything one request updates beyond the lock-free ring, behind one
+/// shared lock: the request path pays a single mutex acquisition.
 #[derive(Debug)]
 struct HotState {
     slo: SloState,
     anomaly: AnomalyDetector,
+    residuals: ResidualStore,
+    totals: RequestTotals,
 }
 
 /// The telemetry façade owned by a server.
@@ -148,7 +202,6 @@ pub struct Obs {
     config: ObsConfig,
     recorder: FlightRecorder,
     hot: Mutex<HotState>,
-    residuals: ResidualStore,
     dumps: Mutex<VecDeque<FlightDump>>,
     dumps_suppressed: std::sync::atomic::AtomicU64,
     alerts: Mutex<VecDeque<SloAlert>>,
@@ -161,8 +214,9 @@ impl Obs {
             hot: Mutex::new(HotState {
                 slo: SloState::new(config.slo.clone()),
                 anomaly: AnomalyDetector::new(config.anomaly.clone()),
+                residuals: ResidualStore::new(config.residual_capacity),
+                totals: RequestTotals::default(),
             }),
-            residuals: ResidualStore::new(config.residual_capacity),
             dumps: Mutex::new(VecDeque::new()),
             dumps_suppressed: std::sync::atomic::AtomicU64::new(0),
             alerts: Mutex::new(VecDeque::new()),
@@ -170,25 +224,14 @@ impl Obs {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    pub fn config(&self) -> &ObsConfig {
-        &self.config
-    }
-
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Snapshot of every tenant's SLO window.
     pub fn slo_stats(&self) -> Vec<TenantSloStats> {
         self.hot.lock().expect("obs hot state poisoned").slo.stats()
     }
 
-    pub fn residuals(&self) -> &ResidualStore {
-        &self.residuals
+    /// Copy of the cumulative per-request aggregates.
+    pub fn totals(&self) -> RequestTotals {
+        self.hot.lock().expect("obs hot state poisoned").totals.clone()
     }
 
     /// Feed one finished (or shed/failed) request through every component:
@@ -209,6 +252,7 @@ impl Obs {
         let latency_us = (rec.admit_wait_nanos + rec.exec_nanos) / 1_000;
         let (alerts, anomalies) = {
             let mut hot = self.hot.lock().expect("obs hot state poisoned");
+            hot.totals.fold(rec);
             let alerts = hot.slo.observe(rec.tenant, now_nanos, latency_us, outcome);
             let anomalies = if outcome == RequestOutcome::Served {
                 hot.anomaly
@@ -216,6 +260,17 @@ impl Obs {
             } else {
                 Vec::new()
             };
+            if outcome == RequestOutcome::Served && rec.has_estimate() {
+                hot.residuals.record(Residual {
+                    plan_fp: rec.plan_fp,
+                    view_fp: rec.view_fp,
+                    root_op,
+                    estimated: rec.est_cost,
+                    measured: rec.meas_cost,
+                });
+            }
+            hot.totals.alerts_fired += alerts.len() as u64;
+            hot.totals.anomalies_fired += anomalies.len() as u64;
             (alerts, anomalies)
         };
         if !alerts.is_empty() {
@@ -226,16 +281,6 @@ impl Obs {
                 }
                 history.push_back(a.clone());
             }
-        }
-
-        if rec.status == RecordStatus::Ok && rec.has_estimate() {
-            self.residuals.record(Residual {
-                plan_fp: rec.plan_fp,
-                view_fp: rec.view_fp,
-                root_op,
-                estimated: rec.est_cost,
-                measured: rec.meas_cost,
-            });
         }
 
         // Every trigger — burn-rate alert or anomaly — freezes the ring as
@@ -330,12 +375,13 @@ impl Obs {
     }
 
     pub fn stats(&self) -> ObsStats {
+        let (slo, residuals) = self.slo_and_residuals();
         let dumps = self.dumps.lock().expect("obs dumps poisoned");
         ObsStats {
             enabled: self.config.enabled,
             recorded: self.recorder.sequence(),
-            slo: self.slo_stats(),
-            residuals: self.residuals.summary(),
+            slo,
+            residuals,
             alerts: self.alerts(),
             dumps: dumps
                 .iter()
@@ -349,12 +395,18 @@ impl Obs {
         }
     }
 
-    /// Full Prometheus exposition: the shared metrics registry plus SLO
-    /// and residual series.
+    fn slo_and_residuals(&self) -> (Vec<TenantSloStats>, ResidualSummary) {
+        let hot = self.hot.lock().expect("obs hot state poisoned");
+        (hot.slo.stats(), hot.residuals.summary())
+    }
+
+    /// Full Prometheus exposition: the given metrics snapshot plus SLO and
+    /// residual series.
     pub fn prometheus(&self, snapshot: &av_trace::MetricsSnapshot) -> String {
+        let (slo, residuals) = self.slo_and_residuals();
         let mut out = export::prometheus_text(snapshot);
-        out.push_str(&export::slo_text(&self.slo_stats()));
-        out.push_str(&export::residual_text(&self.residuals.summary()));
+        out.push_str(&export::slo_text(&slo));
+        out.push_str(&export::residual_text(&residuals));
         out
     }
 }
@@ -373,6 +425,7 @@ mod tests {
             route_hits: 1,
             cache_shard: 0,
             cache_hit: true,
+            dop: 1,
             admit_wait_nanos: 0,
             exec_nanos,
             rows: 10,
@@ -407,6 +460,13 @@ mod tests {
         assert_eq!(stats.slo.len(), 1);
         assert_eq!(stats.slo[0].tenant, "acme");
         assert_eq!(stats.slo[0].requests, 10);
+        let totals = obs.totals();
+        assert_eq!((totals.served, totals.shed, totals.errors), (10, 0, 0));
+        assert_eq!((totals.rewritten, totals.rewrite_hits), (10, 10));
+        assert_eq!(totals.exec_nanos, 50_000);
+        assert_eq!(totals.latency_us.quantile(0.5), Some(5.0));
+        assert_eq!(totals.query_cost.sum(), 10.0);
+        assert_eq!(totals.dop.count(), 10);
         let dump = obs.dump_now("manual");
         assert_eq!(dump.records.len(), 10);
         assert!(obs.dumps().is_empty(), "on-demand dumps are not stored");
@@ -481,6 +541,9 @@ mod tests {
         assert_eq!(stats.residuals.recorded, 0, "shed queries have no residual");
         assert_eq!(stats.slo[0].shed_or_failed, 20);
         assert_eq!(stats.recorded, 20, "but they are flight-recorded");
+        let totals = obs.totals();
+        assert_eq!((totals.served, totals.shed), (0, 20));
+        assert_eq!(totals.latency_us.count() + totals.dop.count(), 0);
     }
 
     #[test]

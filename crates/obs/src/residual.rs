@@ -1,6 +1,6 @@
 //! Estimator-residual telemetry: every routed query appends
 //! `(estimated cost, measured cost, plan fingerprint, view id)` to a
-//! bounded store, and per-view / per-operator error histograms accumulate
+//! bounded store, and per-view / per-operator quantile sketches accumulate
 //! the estimator's **q-error** — `max(est/meas, meas/est)`, the standard
 //! multiplicative accuracy measure for cost and cardinality models
 //! (q = 1 is a perfect estimate; q = 2 means off by 2× in either
@@ -12,9 +12,9 @@
 //! eviction, so long-run drift is visible even when the raw samples have
 //! rotated out.
 
+use av_trace::QuantileSketch;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
 
 /// One (estimate, measurement) pair from a routed query.
 ///
@@ -49,8 +49,9 @@ impl Residual {
     }
 }
 
-/// Streaming q-error aggregate for one key (a view or an operator).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// q-error aggregate for one key (a view or an operator), as exported in a
+/// [`ResidualSummary`].
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ErrorAggregate {
     pub samples: u64,
     /// Pairs whose q-error was undefined (zero/negative/non-finite cost).
@@ -59,49 +60,54 @@ pub struct ErrorAggregate {
     pub q_max: f64,
     /// Estimates that exceeded the measurement (the rest undershot).
     pub overestimates: u64,
-    /// Log2 histogram of q-error: bucket `i` counts `q ∈ [2^i, 2^(i+1))`,
-    /// the last bucket is open-ended. Bucket 0 is `[1, 2)` — near-perfect.
-    pub q_log2: Vec<u64>,
-}
-
-/// Number of log2 q-error buckets: `[1,2) [2,4) ... [2^7, ∞)`.
-pub const Q_LOG2_BUCKETS: usize = 8;
-
-impl Default for ErrorAggregate {
-    fn default() -> Self {
-        ErrorAggregate {
-            samples: 0,
-            degenerate: 0,
-            q_sum: 0.0,
-            q_max: 0.0,
-            overestimates: 0,
-            q_log2: vec![0; Q_LOG2_BUCKETS],
-        }
-    }
+    /// Median q-error (1 = perfect), from the key's quantile sketch.
+    pub q_p50: f64,
+    /// 95th-percentile q-error.
+    pub q_p95: f64,
 }
 
 impl ErrorAggregate {
-    fn fold(&mut self, r: &Residual) {
-        match r.q_error() {
-            Some(q) => {
-                self.samples += 1;
-                self.q_sum += q;
-                self.q_max = self.q_max.max(q);
-                if r.estimated > r.measured {
-                    self.overestimates += 1;
-                }
-                let bucket = (q.log2().floor() as usize).min(Q_LOG2_BUCKETS - 1);
-                self.q_log2[bucket] += 1;
-            }
-            None => self.degenerate += 1,
-        }
-    }
-
     pub fn q_mean(&self) -> f64 {
         if self.samples == 0 {
             0.0
         } else {
             self.q_sum / self.samples as f64
+        }
+    }
+}
+
+/// Streaming state behind one [`ErrorAggregate`]: the q-error distribution
+/// lives in the workspace's one quantile sketch.
+#[derive(Debug, Default)]
+struct KeyState {
+    q: QuantileSketch,
+    degenerate: u64,
+    overestimates: u64,
+}
+
+impl KeyState {
+    fn fold(&mut self, r: &Residual) {
+        match r.q_error() {
+            Some(q) => {
+                self.q.observe(q);
+                if r.estimated > r.measured {
+                    self.overestimates += 1;
+                }
+            }
+            None => self.degenerate += 1,
+        }
+    }
+
+    fn aggregate(&self) -> ErrorAggregate {
+        let at = |q| self.q.quantile(q).unwrap_or(0.0);
+        ErrorAggregate {
+            samples: self.q.count(),
+            degenerate: self.degenerate,
+            q_sum: self.q.sum(),
+            q_max: at(1.0),
+            overestimates: self.overestimates,
+            q_p50: at(0.50),
+            q_p95: at(0.95),
         }
     }
 }
@@ -117,64 +123,57 @@ pub struct ResidualSummary {
     pub per_op: Vec<(String, ErrorAggregate)>,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    ring: VecDeque<Residual>,
-    recorded: u64,
-    per_view: BTreeMap<u64, ErrorAggregate>,
-    per_op: BTreeMap<&'static str, ErrorAggregate>,
-}
-
-/// Bounded residual store. One mutex; record is O(1) amortized.
+/// Bounded residual store; record is O(1) amortized. Not internally
+/// synchronized: owners serialize access themselves (`av-obs` keeps it
+/// under its one hot-path lock, `OnlineEngine` ingests through `&mut`).
 #[derive(Debug)]
 pub struct ResidualStore {
     capacity: usize,
-    inner: Mutex<Inner>,
+    ring: VecDeque<Residual>,
+    recorded: u64,
+    per_view: BTreeMap<u64, KeyState>,
+    per_op: BTreeMap<&'static str, KeyState>,
 }
 
 impl ResidualStore {
     pub fn new(capacity: usize) -> ResidualStore {
         ResidualStore {
             capacity: capacity.max(1),
-            inner: Mutex::new(Inner::default()),
+            ring: VecDeque::new(),
+            recorded: 0,
+            per_view: BTreeMap::new(),
+            per_op: BTreeMap::new(),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn record(&self, r: Residual) {
-        let mut inner = self.inner.lock().expect("residual store poisoned");
-        inner.recorded += 1;
-        inner.per_view.entry(r.view_fp).or_default().fold(&r);
-        inner.per_op.entry(r.root_op).or_default().fold(&r);
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
+    pub fn record(&mut self, r: Residual) {
+        self.recorded += 1;
+        self.per_view.entry(r.view_fp).or_default().fold(&r);
+        self.per_op.entry(r.root_op).or_default().fold(&r);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
-        inner.ring.push_back(r);
+        self.ring.push_back(r);
     }
 
     /// Newest-first copy of the raw ring (for retraining dumps).
     pub fn recent(&self, n: usize) -> Vec<Residual> {
-        let inner = self.inner.lock().expect("residual store poisoned");
-        inner.ring.iter().rev().take(n).copied().collect()
+        self.ring.iter().rev().take(n).copied().collect()
     }
 
     pub fn summary(&self) -> ResidualSummary {
-        let inner = self.inner.lock().expect("residual store poisoned");
         ResidualSummary {
-            recorded: inner.recorded,
-            retained: inner.ring.len(),
-            per_view: inner
+            recorded: self.recorded,
+            retained: self.ring.len(),
+            per_view: self
                 .per_view
                 .iter()
-                .map(|(k, v)| (*k, v.clone()))
+                .map(|(k, v)| (*k, v.aggregate()))
                 .collect(),
-            per_op: inner
+            per_op: self
                 .per_op
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.aggregate()))
                 .collect(),
         }
     }
@@ -206,7 +205,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_but_aggregates_survive_eviction() {
-        let store = ResidualStore::new(4);
+        let mut store = ResidualStore::new(4);
         for i in 0..10u64 {
             store.record(res(i, 42, "Aggregate", 2.0, 1.0));
         }
@@ -220,12 +219,12 @@ mod tests {
         assert_eq!(agg.samples, 10, "aggregate counts evicted samples too");
         assert_eq!(agg.q_mean(), 2.0);
         assert_eq!(agg.overestimates, 10);
-        assert_eq!(agg.q_log2[1], 10, "q=2 lands in the [2,4) bucket");
+        assert_eq!((agg.q_p50, agg.q_p95), (2.0, 2.0), "every pair is off by 2x");
     }
 
     #[test]
     fn per_view_and_per_op_keys_partition_the_stream() {
-        let store = ResidualStore::new(16);
+        let mut store = ResidualStore::new(16);
         store.record(res(1, 100, "Join", 3.0, 1.0));
         store.record(res(2, 100, "Aggregate", 1.0, 1.0));
         store.record(res(3, 200, "Join", 1.0, 8.0));
@@ -238,13 +237,12 @@ mod tests {
         assert_eq!(join.samples, 2);
         assert_eq!(join.q_max, 8.0);
         assert_eq!(join.overestimates, 1);
-        assert_eq!(join.q_log2[1], 1);
-        assert_eq!(join.q_log2[3], 1, "q=8 lands in [8,16)");
+        assert_eq!((join.q_p50, join.q_p95), (3.0, 8.0), "q=3 and q=8");
     }
 
     #[test]
     fn summary_round_trips_through_json() {
-        let store = ResidualStore::new(8);
+        let mut store = ResidualStore::new(8);
         store.record(res(7, 9, "Scan", 1.5, 1.0));
         let s = store.summary();
         let text = serde_json::to_string(&s).expect("serialize");

@@ -17,140 +17,16 @@
 //! thresholds — the standard multi-window guard against both slow leaks
 //! and one-interval spikes.
 //!
-//! Latency distributions are kept as [`QuantileSketch`]es: log2 buckets
-//! with [`SUB_BUCKET_BITS`] linear sub-buckets each (HDR-histogram style),
-//! so any quantile is deterministic, mergeable by counter addition, and
-//! within ~3% relative error. Each window interval owns one sketch;
-//! whole-window quantiles merge the interval sketches.
+//! Latency distributions are kept as [`av_trace::QuantileSketch`]es, so any
+//! quantile is deterministic, mergeable by counter addition, and within
+//! ~3% relative error. Each window interval owns one sketch; whole-window
+//! quantiles merge the interval sketches.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::recorder::TenantTag;
-use std::sync::Mutex;
-
-/// Linear sub-buckets per log2 bucket: 2^5 = 32, bounding the relative
-/// error of any reported quantile by 1/32 ≈ 3.1%.
-pub const SUB_BUCKET_BITS: u32 = 5;
-const SUB: usize = 1 << SUB_BUCKET_BITS;
-/// Values clamp at 2^30 µs (~18 minutes) — far beyond any latency this
-/// system can produce, and it keeps the sketch at a fixed 832 counters.
-const MAX_VALUE: u64 = (1 << 30) - 1;
-const BUCKETS: usize = (30 - SUB_BUCKET_BITS as usize + 1) * SUB;
-
-fn index_of(value: u64) -> usize {
-    let v = value.min(MAX_VALUE);
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let shift = msb - SUB_BUCKET_BITS;
-    let top = ((v >> shift) as usize) & (SUB - 1);
-    ((msb - SUB_BUCKET_BITS) as usize + 1) * SUB + top
-}
-
-/// Lower edge of bucket `index` — the deterministic representative value.
-fn value_of(index: usize) -> u64 {
-    let bucket = index / SUB;
-    let sub = (index % SUB) as u64;
-    if bucket == 0 {
-        sub
-    } else {
-        (sub + SUB as u64) << (bucket - 1)
-    }
-}
-
-/// A deterministic, mergeable quantile sketch over `u64` values
-/// (microseconds, by convention, but any unit works).
-#[derive(Debug, Clone)]
-pub struct QuantileSketch {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        QuantileSketch::new()
-    }
-}
-
-impl QuantileSketch {
-    pub fn new() -> QuantileSketch {
-        QuantileSketch {
-            counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    pub fn observe(&mut self, value: u64) {
-        self.counts[index_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`): the bucket representative at rank
-    /// `ceil(q·count)`, clamped to the observed `[min, max]`. Deterministic
-    /// — the same counters always yield the same value — so merged sketches
-    /// agree with a sketch built from the concatenated stream. Returns
-    /// `None` on an empty sketch or out-of-range/NaN `q`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 || q.is_nan() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if rank == self.count {
-            return Some(self.max);
-        }
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Some(value_of(i).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Fold `other` in: counter addition, so merge order is irrelevant and
-    /// the result equals a sketch of the concatenated observations.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    fn clear(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-}
+use av_trace::QuantileSketch;
 
 /// SLO objectives and alerting thresholds.
 #[derive(Debug, Clone)]
@@ -341,10 +217,9 @@ pub struct TenantSloStats {
 /// alert decision (a budget-burning event, or a window already in breach
 /// that may recover).
 ///
-/// [`SloMonitor`] wraps this in its own mutex for standalone use; the
-/// [`crate::Obs`] façade instead embeds it in a single hot-path lock
-/// shared with the anomaly detector, so the request path pays one lock
-/// acquisition, not two.
+/// Not internally synchronized: the [`crate::Obs`] façade embeds it in its
+/// single hot-path lock, shared with the anomaly detector, the residual
+/// store and the cumulative request aggregates.
 #[derive(Debug, Default)]
 pub struct SloState {
     config: SloConfig,
@@ -388,7 +263,7 @@ impl SloState {
         let mut bad = false;
         match outcome {
             RequestOutcome::Served => {
-                iv.sketch.observe(latency_us);
+                iv.sketch.observe(latency_us as f64);
                 if latency_us > cfg.latency_threshold_us {
                     iv.lat_bad += 1;
                     bad = true;
@@ -458,9 +333,9 @@ impl SloState {
                     tenant: tag.decode(),
                     requests: lt,
                     shed_or_failed: ab,
-                    p50_us: merged.quantile(0.50).unwrap_or(0),
-                    p95_us: merged.quantile(0.95).unwrap_or(0),
-                    p99_us: merged.quantile(0.99).unwrap_or(0),
+                    p50_us: merged.quantile(0.50).unwrap_or(0.0) as u64,
+                    p95_us: merged.quantile(0.95).unwrap_or(0.0) as u64,
+                    p99_us: merged.quantile(0.99).unwrap_or(0.0) as u64,
                     latency_fast_burn: burn_rate(ltf, lbf, cfg.latency_target),
                     latency_slow_burn: burn_rate(lt, lb, cfg.latency_target),
                     availability_fast_burn: burn_rate(atf, abf, cfg.availability_target),
@@ -472,100 +347,9 @@ impl SloState {
     }
 }
 
-/// The standalone monitor: [`SloState`] behind one mutex. Library users
-/// who want burn-rate alerting without the rest of the telemetry stack
-/// use this; `Obs` embeds the state in its own hot-path lock instead.
-#[derive(Debug, Default)]
-pub struct SloMonitor {
-    config: SloConfig,
-    inner: Mutex<SloState>,
-}
-
-impl SloMonitor {
-    pub fn new(config: SloConfig) -> SloMonitor {
-        SloMonitor {
-            config: config.clone(),
-            inner: Mutex::new(SloState::new(config)),
-        }
-    }
-
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
-    /// See [`SloState::observe`].
-    pub fn observe(
-        &self,
-        tenant: TenantTag,
-        now_nanos: u64,
-        latency_us: u64,
-        outcome: RequestOutcome,
-    ) -> Vec<SloAlert> {
-        self.inner
-            .lock()
-            .expect("slo monitor poisoned")
-            .observe(tenant, now_nanos, latency_us, outcome)
-    }
-
-    /// Snapshot of every tenant's window.
-    pub fn stats(&self) -> Vec<TenantSloStats> {
-        self.inner.lock().expect("slo monitor poisoned").stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sketch_quantiles_are_tight_and_deterministic() {
-        let mut s = QuantileSketch::new();
-        for v in 1..=1000u64 {
-            s.observe(v);
-        }
-        assert_eq!(s.count(), 1000);
-        assert_eq!(s.quantile(0.0), Some(1), "q=0 clamps to min");
-        assert_eq!(s.quantile(1.0), Some(s.max), "q=1 clamps to max");
-        for (q, exact) in [(0.5, 500.0), (0.95, 950.0), (0.99, 990.0)] {
-            let got = s.quantile(q).expect("some") as f64;
-            let rel = (got - exact).abs() / exact;
-            assert!(rel <= 1.0 / SUB as f64 + 1e-9, "q={q}: {got} vs {exact}");
-        }
-        assert_eq!(s.quantile(0.5), s.quantile(0.5), "deterministic");
-        assert_eq!(s.quantile(f64::NAN), None);
-        assert_eq!(s.quantile(1.5), None);
-        assert_eq!(QuantileSketch::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn sketch_merge_equals_concatenated_stream() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut both = QuantileSketch::new();
-        for v in 0..500u64 {
-            a.observe(v * 3 + 1);
-            both.observe(v * 3 + 1);
-        }
-        for v in 0..500u64 {
-            b.observe(v * 7 + 2);
-            both.observe(v * 7 + 2);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), both.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn sketch_clamps_outliers_at_the_top_bucket() {
-        let mut s = QuantileSketch::new();
-        s.observe(u64::MAX);
-        s.observe(5);
-        assert_eq!(s.count(), 2);
-        let p99 = s.quantile(0.99).expect("some");
-        assert!(p99 >= MAX_VALUE.next_power_of_two() / 2, "outlier lands at the top: {p99}");
-    }
 
     fn cfg() -> SloConfig {
         SloConfig {
@@ -583,7 +367,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_never_alerts() {
-        let m = SloMonitor::new(cfg());
+        let mut m = SloState::new(cfg());
         for i in 0..1000u64 {
             let alerts = m.observe(TenantTag::new("t0"), i * 10, 50, RequestOutcome::Served);
             assert!(alerts.is_empty(), "healthy request {i} alerted");
@@ -597,7 +381,7 @@ mod tests {
 
     #[test]
     fn sustained_breach_fires_once_until_recovery() {
-        let m = SloMonitor::new(cfg());
+        let mut m = SloState::new(cfg());
         // Healthy base load in interval 0.
         for i in 0..50u64 {
             m.observe(TenantTag::new("t0"), i, 10, RequestOutcome::Served);
@@ -626,7 +410,7 @@ mod tests {
 
     #[test]
     fn shed_requests_burn_the_availability_budget() {
-        let m = SloMonitor::new(cfg());
+        let mut m = SloState::new(cfg());
         let mut objectives = Vec::new();
         for i in 0..100u64 {
             for a in m.observe(TenantTag::new("t0"), i, 10, RequestOutcome::Shed) {
@@ -641,7 +425,7 @@ mod tests {
 
     #[test]
     fn tenants_are_isolated() {
-        let m = SloMonitor::new(cfg());
+        let mut m = SloState::new(cfg());
         for i in 0..200u64 {
             m.observe(TenantTag::new("bad"), i, 5_000, RequestOutcome::Served);
             let alerts = m.observe(TenantTag::new("good"), i, 10, RequestOutcome::Served);
@@ -656,7 +440,7 @@ mod tests {
 
     #[test]
     fn window_rotation_forgets_old_intervals() {
-        let m = SloMonitor::new(cfg());
+        let mut m = SloState::new(cfg());
         for i in 0..100u64 {
             m.observe(TenantTag::new("t0"), i, 5_000, RequestOutcome::Served);
         }

@@ -18,14 +18,11 @@
 //! being busy can delay a job but never deadlock it.
 
 use crate::task::ErasedTask;
-use av_trace::{Clock, MonotonicClock};
+use av_trace::sketch::{bucket_index, BUCKETS};
+use av_trace::{Clock, MonotonicClock, QuantileSketch};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Log2-bucketed latency histogram size: bucket `i` holds drain latencies in
-/// `[2^i, 2^(i+1))` nanoseconds; 40 buckets cover ~18 minutes.
-const LAT_BUCKETS: usize = 40;
 
 /// One submitted job: an erased closure plus the claim/completion counters.
 struct Job {
@@ -90,7 +87,7 @@ pub struct PoolStats {
     pub tasks: u64,
     /// Nanoseconds spent draining jobs, across workers and submitters.
     pub busy_nanos: u64,
-    /// Median per-drain latency estimate (log2 histogram midpoint), nanos.
+    /// Median per-drain latency (quantile-sketch estimate), nanos.
     pub drain_nanos_p50: u64,
     /// p95 per-drain latency estimate, nanos.
     pub drain_nanos_p95: u64,
@@ -115,7 +112,9 @@ struct Inner {
     tasks: AtomicU64,
     active: AtomicUsize,
     busy_nanos: AtomicU64,
-    lat: [AtomicU64; LAT_BUCKETS],
+    /// Drain latencies (nanos) as bare sketch counters: bumped lock-free
+    /// at [`bucket_index`], read back as a [`QuantileSketch`] in `stats`.
+    lat: Box<[AtomicU64]>,
     clock: MonotonicClock,
 }
 
@@ -154,8 +153,7 @@ impl Inner {
             let dt = self.clock.now_nanos().saturating_sub(t0);
             self.tasks.fetch_add(ran as u64, Ordering::SeqCst);
             self.busy_nanos.fetch_add(dt, Ordering::SeqCst);
-            let bucket = (64 - dt.max(1).leading_zeros() as usize - 1).min(LAT_BUCKETS - 1);
-            self.lat[bucket].fetch_add(1, Ordering::SeqCst);
+            self.lat[bucket_index(dt as f64)].fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -178,29 +176,6 @@ impl Inner {
                 drop(self.wake.wait(guard).expect("park poisoned"));
             }
         }
-    }
-
-    /// Estimate the `q`-quantile of the drain-latency histogram as the
-    /// midpoint of the bucket containing that rank.
-    fn lat_quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .lat
-            .iter()
-            .map(|b| b.load(Ordering::SeqCst))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (1u64 << i) + (1u64 << i) / 2;
-            }
-        }
-        (1u64 << (LAT_BUCKETS - 1)) * 3 / 2
     }
 }
 
@@ -252,7 +227,7 @@ impl Pool {
             tasks: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             busy_nanos: AtomicU64::new(0),
-            lat: std::array::from_fn(|_| AtomicU64::new(0)),
+            lat: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             clock: MonotonicClock::new(),
         });
         Pool { inner, workers }
@@ -348,6 +323,13 @@ impl Pool {
     /// Snapshot the scheduler counters.
     pub fn stats(&self) -> PoolStats {
         let inner = &self.inner;
+        let counts: Vec<u64> = inner
+            .lat
+            .iter()
+            .map(|b| b.load(Ordering::SeqCst))
+            .collect();
+        let lat = QuantileSketch::from_counts(counts);
+        let lat_nanos = |q| lat.quantile(q).unwrap_or(0.0) as u64;
         PoolStats {
             workers: self.workers,
             queue_depth: inner.queued.load(Ordering::SeqCst),
@@ -356,8 +338,8 @@ impl Pool {
             jobs: inner.jobs.load(Ordering::SeqCst),
             tasks: inner.tasks.load(Ordering::SeqCst),
             busy_nanos: inner.busy_nanos.load(Ordering::SeqCst),
-            drain_nanos_p50: inner.lat_quantile(0.50),
-            drain_nanos_p95: inner.lat_quantile(0.95),
+            drain_nanos_p50: lat_nanos(0.50),
+            drain_nanos_p95: lat_nanos(0.95),
         }
     }
 }

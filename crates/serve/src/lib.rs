@@ -17,7 +17,7 @@
 //!   (admission → snapshot → route → sharded cache); `reoptimize` is the
 //!   serialized write path (selection → tenant-accounted admission → a
 //!   candidate deployment preflighted through `av-analyze` → atomic swap).
-//! - [`loadgen`]: closed- and open-loop workload replay with exact
+//! - [`loadgen`]: closed- and open-loop workload replay with sketch-based
 //!   latency percentiles, feeding `BENCH_serve.json`.
 //!
 //! ```

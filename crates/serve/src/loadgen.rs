@@ -21,6 +21,7 @@
 
 use crate::server::{ServeError, ViewServer};
 use av_plan::PlanRef;
+use av_trace::QuantileSketch;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -77,7 +78,9 @@ impl Default for OpenLoopConfig {
     }
 }
 
-/// Aggregated result of one load run. Latencies are microseconds.
+/// Aggregated result of one load run. Latencies are microseconds; mean and
+/// max are exact, percentiles come from the clients' merged
+/// [`QuantileSketch`]es (within 1/32 of the exact nearest-rank value).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LoadReport {
     pub requests: u64,
@@ -98,36 +101,27 @@ pub struct LoadReport {
     pub rewrite_hits: u64,
 }
 
-/// Exact percentile from raw samples (nearest-rank on the sorted data).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[derive(Default)]
 struct ClientTally {
-    latencies_us: Vec<f64>,
+    latencies_us: QuantileSketch,
     failed: u64,
     rejected: u64,
     rewrite_hits: u64,
 }
 
 fn merge_report(tallies: Vec<ClientTally>, wall_seconds: f64, backpressure: u64) -> LoadReport {
-    let mut all: Vec<f64> = Vec::new();
+    let mut all = QuantileSketch::new();
     let mut failed = 0;
     let mut rejected = 0;
     let mut rewrite_hits = 0;
     for t in tallies {
-        all.extend(t.latencies_us);
+        all.merge(&t.latencies_us);
         failed += t.failed;
         rejected += t.rejected;
         rewrite_hits += t.rewrite_hits;
     }
-    all.sort_by(|a, b| a.total_cmp(b));
-    let requests = all.len() as u64;
+    let requests = all.count();
+    let at = |q| all.quantile(q).unwrap_or(0.0);
     LoadReport {
         requests,
         failed,
@@ -139,15 +133,11 @@ fn merge_report(tallies: Vec<ClientTally>, wall_seconds: f64, backpressure: u64)
         } else {
             0.0
         },
-        mean_us: if requests == 0 {
-            0.0
-        } else {
-            all.iter().sum::<f64>() / requests as f64
-        },
-        p50_us: percentile(&all, 0.50),
-        p95_us: percentile(&all, 0.95),
-        p99_us: percentile(&all, 0.99),
-        max_us: all.last().copied().unwrap_or(0.0),
+        mean_us: all.mean(),
+        p50_us: at(0.50),
+        p95_us: at(0.95),
+        p99_us: at(0.99),
+        max_us: at(1.0),
         rewrite_hits,
     }
 }
@@ -177,7 +167,7 @@ pub fn run_closed_loop(
                             Ok(resp) => {
                                 tally
                                     .latencies_us
-                                    .push(t0.elapsed().as_secs_f64() * 1e6);
+                                    .observe(t0.elapsed().as_secs_f64() * 1e6);
                                 tally.rewrite_hits += resp.rewrite_hits as u64;
                             }
                             Err(ServeError::Rejected(_)) => tally.rejected += 1,
@@ -282,7 +272,7 @@ pub fn run_open_loop(server: &ViewServer, plans: &[PlanRef], cfg: &OpenLoopConfi
                             Ok(resp) => {
                                 tally
                                     .latencies_us
-                                    .push(scheduled.elapsed().as_secs_f64() * 1e6);
+                                    .observe(scheduled.elapsed().as_secs_f64() * 1e6);
                                 tally.rewrite_hits += resp.rewrite_hits as u64;
                             }
                             Err(ServeError::Rejected(_)) => tally.rejected += 1,
@@ -338,16 +328,6 @@ mod tests {
                 ..ServeConfig::default()
             },
         )
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&s, 0.5), 5.0);
-        assert_eq!(percentile(&s, 0.95), 10.0);
-        assert_eq!(percentile(&s, 1.0), 10.0);
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

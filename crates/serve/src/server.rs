@@ -18,13 +18,13 @@ use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
 use crate::deployment::{Deployment, DeploymentCell};
 use av_cost::CostEstimator;
 use av_engine::{Catalog, EngineError, ExecCache, MaterializedView, Pricing, RecordBatch};
-use av_obs::{Obs, ObsConfig, ObsOutcome, QueryRecord, RecordStatus, TenantTag};
+use av_obs::{Obs, ObsConfig, QueryRecord, RecordStatus, TenantTag};
 use av_online::{
     freeze_estimates, reoptimize, CandidateView, LifecycleConfig, SelectorKind,
     ViewLifecycleManager, WindowSnapshot,
 };
 use av_plan::{Fingerprint, PlanRef};
-use av_trace::Tracer;
+use av_trace::{MetricsSnapshot, Timing, Tracer};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -152,17 +152,20 @@ pub struct ViewServer {
 }
 
 impl ViewServer {
-    /// Publish epoch 0: the given catalog with no views.
+    /// Publish epoch 0: the given catalog with no views. Timestamps come
+    /// from a span-less tracer on the real monotonic clock.
     pub fn new(
         catalog: Catalog,
         estimator: Box<dyn CostEstimator + Send>,
         config: ServeConfig,
     ) -> ViewServer {
-        let tracer = Tracer::new();
-        ViewServer::with_tracer(catalog, estimator, config, tracer)
+        ViewServer::with_tracer(catalog, estimator, config, Tracer::disabled())
     }
 
-    /// [`ViewServer::new`] recording into a caller-supplied tracer.
+    /// [`ViewServer::new`] on a caller-supplied tracer: its clock stamps
+    /// every request, its registry takes the planner-rate events, and the
+    /// `serve.reopt` phase opens a span on it. The request path records no
+    /// spans — the flight record is the request's span.
     pub fn with_tracer(
         catalog: Catalog,
         estimator: Box<dyn CostEstimator + Send>,
@@ -170,15 +173,7 @@ impl ViewServer {
         tracer: Tracer,
     ) -> ViewServer {
         let cache = ExecCache::new(config.pricing, ExecCache::DEFAULT_SHARDS)
-            .with_tracer(tracer.clone())
             .with_capacity(config.cache_capacity);
-        // Request latencies are microseconds; the default 2^-20..2^30 bounds
-        // waste half their buckets below 1, so pin a µs-suited log2 range
-        // (1µs .. ~67s) for the serving latency series.
-        tracer.metrics().register_histogram(
-            "serve.latency_us",
-            av_trace::Histogram::with_bounds(av_trace::log2_bounds(0, 26)),
-        );
         let initial = Deployment::new(0, Arc::new(catalog.clone()), Vec::new());
         ViewServer {
             cell: DeploymentCell::new(initial),
@@ -198,11 +193,12 @@ impl ViewServer {
 
     /// Execute one query for `tenant`: admission → snapshot load → view
     /// routing → (cached) execution. Never blocks on the re-optimizer.
-    /// Every outcome — served, shed, failed — flows through the telemetry
-    /// layer ([`Obs::observe_query`]): flight recorder, per-tenant SLO
-    /// windows, estimator residuals and anomaly detectors.
+    /// Every outcome — served, shed, failed — leaves exactly one
+    /// [`QueryRecord`] with the telemetry layer ([`Obs::observe_query`]):
+    /// flight recorder, per-tenant SLO windows, estimator residuals,
+    /// anomaly detectors and the cumulative totals the `serve.*` series are
+    /// folded from. Nothing here touches the metrics registry.
     pub fn execute(&self, tenant: &str, plan: &PlanRef) -> Result<ServeResponse, ServeError> {
-        let metrics = self.tracer.metrics();
         let t0 = self.tracer.now_nanos();
         let plan_fp = Fingerprint::of(plan);
         let mut record = QueryRecord {
@@ -214,6 +210,7 @@ impl ViewServer {
             route_hits: 0,
             cache_shard: 0,
             cache_hit: false,
+            dop: 0,
             admit_wait_nanos: 0,
             exec_nanos: 0,
             rows: 0,
@@ -224,11 +221,10 @@ impl ViewServer {
         let _permit = match self.admission.acquire(tenant) {
             Ok(p) => p,
             Err(r) => {
-                metrics.inc("serve.rejected");
                 let now = self.tracer.now_nanos();
                 record.epoch = self.cell.epoch();
                 record.admit_wait_nanos = now.saturating_sub(t0);
-                self.observe(now, plan, record);
+                self.obs.observe_query(now, &record, plan.op_keyword());
                 return Err(ServeError::Rejected(r));
             }
         };
@@ -241,27 +237,21 @@ impl ViewServer {
             av_engine::par::default_threads(),
             self.admission.total_inflight(),
         );
-        metrics.observe("serve.dop", dop as f64);
-        let tracer = self.tracer.clone();
-        let outcome = tracer.time("serve.request", || {
-            let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
+        let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
+        let outcome =
             self.cache
-                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, Some(dop))
-                .map(|(result, cache_hit)| (result, cache_hit, hits, routed_fp))
-        });
+                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, Some(dop));
         let t1 = self.tracer.now_nanos();
-        let admit_wait_nanos = t_adm.saturating_sub(t0);
-        let exec_nanos = t1.saturating_sub(t_adm);
 
         record.epoch = deployment.epoch();
         record.status = RecordStatus::Error;
-        record.admit_wait_nanos = admit_wait_nanos;
-        record.exec_nanos = exec_nanos;
-        let (result, cache_hit, hits, routed_fp) = match outcome {
+        record.dop = dop as u32;
+        record.admit_wait_nanos = t_adm.saturating_sub(t0);
+        record.exec_nanos = t1.saturating_sub(t_adm);
+        let (result, cache_hit) = match outcome {
             Ok(parts) => parts,
             Err(e) => {
-                metrics.inc("serve.errors");
-                self.observe(t1, plan, record);
+                self.obs.observe_query(t1, &record, plan.op_keyword());
                 return Err(ServeError::Engine(e));
             }
         };
@@ -278,43 +268,14 @@ impl ViewServer {
                 record.view_fp = view_fp.0;
             }
         }
-        self.observe(t1, plan, record);
+        self.obs.observe_query(t1, &record, plan.op_keyword());
 
-        let response = ServeResponse {
+        Ok(ServeResponse {
             batch: result.batch,
             cost_dollars: result.report.cost_dollars,
             rewrite_hits: hits,
             epoch: deployment.epoch(),
-        };
-        metrics.inc("serve.requests");
-        if response.rewrite_hits > 0 {
-            metrics.inc("serve.requests_rewritten");
-            metrics.add("serve.rewrite_hits", response.rewrite_hits as u64);
-        }
-        metrics.observe("serve.query_cost", response.cost_dollars);
-        metrics.observe(
-            "serve.latency_us",
-            ((admit_wait_nanos + exec_nanos) / 1_000) as f64,
-        );
-        Ok(response)
-    }
-
-    /// Route one finished request through the telemetry layer and bump the
-    /// trigger counters for anything it fired.
-    fn observe(&self, now_nanos: u64, plan: &PlanRef, record: QueryRecord) {
-        let ObsOutcome {
-            alerts, anomalies, ..
-        } = self.obs.observe_query(now_nanos, &record, plan.op_keyword());
-        if !alerts.is_empty() {
-            self.tracer
-                .metrics()
-                .add("serve.slo_alerts", alerts.len() as u64);
-        }
-        if !anomalies.is_empty() {
-            self.tracer
-                .metrics()
-                .add("serve.anomaly_dumps", anomalies.len() as u64);
-        }
+        })
     }
 
     /// Re-optimize against a workload window and publish the next epoch.
@@ -470,8 +431,66 @@ impl ViewServer {
         &self.tracer
     }
 
-    pub fn metrics(&self) -> &av_trace::Metrics {
-        self.tracer.metrics()
+    /// Everything the server measures, as one registry-shaped snapshot.
+    ///
+    /// The registry itself only holds planner-rate events (`serve.swaps`,
+    /// `serve.preflight.*`, `serve.reopt*`, the epoch gauges). Every
+    /// per-request series is pulled here from its owner — the cache's
+    /// shard counters, the telemetry layer's request totals, the scheduler
+    /// pool, the published deployment's route memo — so serving a request
+    /// never writes to a shared registry.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = self.tracer.metrics().snapshot();
+        let mut counter = |name: String, v: u64| {
+            snap.counters.insert(name, v);
+        };
+        for (i, s) in self.cache.shard_stats().iter().enumerate() {
+            counter(format!("engine.cache.shard{i}.hit"), s.hits);
+            counter(format!("engine.cache.shard{i}.miss"), s.misses);
+            counter(format!("engine.cache.shard{i}.evict"), s.evictions);
+            counter(format!("engine.cache.shard{i}.evict_bytes"), s.evicted_bytes);
+        }
+        let t = self.obs.totals();
+        counter("serve.requests".into(), t.served);
+        counter("serve.requests_rewritten".into(), t.rewritten);
+        counter("serve.rewrite_hits".into(), t.rewrite_hits);
+        counter("serve.rejected".into(), t.shed);
+        counter("serve.errors".into(), t.errors);
+        counter("serve.slo_alerts".into(), t.alerts_fired);
+        counter("serve.anomaly_dumps".into(), t.anomalies_fired);
+        if t.nan_rejected > 0 {
+            *snap.counters.entry(av_trace::NAN_REJECTED.into()).or_default() += t.nan_rejected;
+        }
+        for (name, sketch) in [
+            ("serve.dop", &t.dop),
+            ("serve.latency_us", &t.latency_us),
+            ("serve.query_cost", &t.query_cost),
+        ] {
+            snap.histograms.insert(name.into(), sketch.snapshot());
+        }
+        let request = Timing {
+            count: t.served + t.errors,
+            total_seconds: t.exec_nanos as f64 / 1e9,
+        };
+        snap.timings.insert("serve.request".into(), request.snapshot());
+        let p = self.pool_stats();
+        let (memo_hits, memo_misses) = self.cell.load().route_memo_stats();
+        for (name, v) in [
+            ("sched.workers", p.workers as f64),
+            ("sched.queue_depth", p.queue_depth as f64),
+            ("sched.active_workers", p.active_workers as f64),
+            ("sched.steals", p.steals as f64),
+            ("sched.jobs", p.jobs as f64),
+            ("sched.tasks", p.tasks as f64),
+            ("sched.busy_nanos", p.busy_nanos as f64),
+            ("sched.drain_nanos_p50", p.drain_nanos_p50 as f64),
+            ("sched.drain_nanos_p95", p.drain_nanos_p95 as f64),
+            ("serve.route_memo_hits", memo_hits as f64),
+            ("serve.route_memo_misses", memo_misses as f64),
+        ] {
+            snap.gauges.insert(name.into(), v);
+        }
+        snap
     }
 
     /// Aggregate hit/miss/evict counters of the sharded result cache.
@@ -496,7 +515,6 @@ impl ViewServer {
 
     /// Snapshot of the whole telemetry layer (the `serve stats` payload).
     pub fn stats_snapshot(&self) -> av_obs::ObsStats {
-        self.publish_pool_metrics();
         self.obs.stats()
     }
 
@@ -505,32 +523,10 @@ impl ViewServer {
         av_sched::global().stats()
     }
 
-    /// Fold the scheduler's counters (queue depth, steals, active workers,
-    /// drain latency) and the current deployment's route-memo counters into
-    /// the metrics registry as `sched.*` / `serve.route_memo_*` gauges, so
-    /// they ride every Prometheus scrape and stats snapshot.
-    pub fn publish_pool_metrics(&self) {
-        let metrics = self.tracer.metrics();
-        let s = self.pool_stats();
-        metrics.set_gauge("sched.workers", s.workers as f64);
-        metrics.set_gauge("sched.queue_depth", s.queue_depth as f64);
-        metrics.set_gauge("sched.active_workers", s.active_workers as f64);
-        metrics.set_gauge("sched.steals", s.steals as f64);
-        metrics.set_gauge("sched.jobs", s.jobs as f64);
-        metrics.set_gauge("sched.tasks", s.tasks as f64);
-        metrics.set_gauge("sched.busy_nanos", s.busy_nanos as f64);
-        metrics.set_gauge("sched.drain_nanos_p50", s.drain_nanos_p50 as f64);
-        metrics.set_gauge("sched.drain_nanos_p95", s.drain_nanos_p95 as f64);
-        let (memo_hits, memo_misses) = self.cell.load().route_memo_stats();
-        metrics.set_gauge("serve.route_memo_hits", memo_hits as f64);
-        metrics.set_gauge("serve.route_memo_misses", memo_misses as f64);
-    }
-
-    /// Prometheus text exposition: metrics registry + SLO + residual series,
-    /// including the scheduler's `sched.*` gauges.
+    /// Prometheus text exposition: [`ViewServer::metrics`] plus the SLO and
+    /// residual series.
     pub fn prometheus_text(&self) -> String {
-        self.publish_pool_metrics();
-        self.obs.prometheus(&self.tracer.metrics().snapshot())
+        self.obs.prometheus(&self.metrics())
     }
 }
 
@@ -583,11 +579,37 @@ mod tests {
             hits += resp.rewrite_hits;
         }
         assert!(hits > 0, "views must route repeat queries");
+        let m = server.metrics();
+        assert_eq!(m.counters["serve.requests"], 2 * plans.len() as u64);
+        assert_eq!(m.counters["serve.swaps"], 1);
+    }
+
+    #[test]
+    fn requests_are_timed_on_the_real_clock_and_leave_no_spans() {
+        let w = mini(76);
+        let plans = w.plans();
+        let server = server_for(&w);
+        let pass = || {
+            for p in &plans {
+                server.execute("t", p).expect("serves");
+                server.execute("t", p).expect("repeat hits cache");
+            }
+        };
+        pass();
+        let after_n = server.tracer().span_count();
+        pass();
         assert_eq!(
-            server.metrics().counter("serve.requests"),
-            2 * plans.len() as u64
+            server.tracer().span_count(),
+            after_n,
+            "neither hits nor misses may grow the span log"
         );
-        assert_eq!(server.metrics().counter("serve.swaps"), 1);
+        let dump = server.obs().dump_now("unit-test");
+        assert_eq!(dump.records.len(), 4 * plans.len());
+        assert!(
+            dump.records.iter().any(|r| r.exec_nanos > 0),
+            "the server's clock must move"
+        );
+        assert!(dump.records.iter().all(|r| r.dop >= 1));
     }
 
     #[test]
@@ -656,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_metrics_flow_through_registry() {
+    fn per_shard_counters_are_folded_into_the_snapshot() {
         let w = mini(74);
         let plans = w.plans();
         let server = server_for(&w);
@@ -669,7 +691,7 @@ mod tests {
         let m = server.metrics();
         let (mut hit_sum, mut miss_sum) = (0, 0);
         for (i, s) in server.shard_stats().iter().enumerate() {
-            assert_eq!(m.counter(&format!("engine.cache.shard{i}.hit")), s.hits);
+            assert_eq!(m.counters[&format!("engine.cache.shard{i}.hit")], s.hits);
             hit_sum += s.hits;
             miss_sum += s.misses;
         }

@@ -13,7 +13,7 @@ use av_cost::OptimizerEstimator;
 use av_obs::{Objective, RecordStatus};
 use av_online::LifecycleConfig;
 use av_plan::Fingerprint;
-use av_serve::{ServeConfig, ViewServer};
+use av_serve::{ObsConfig, ServeConfig, ViewServer};
 use av_trace::{Clock, Tracer};
 use av_workload::cloud::mini;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +49,10 @@ impl Clock for SteppingClock {
 }
 
 fn server_on(clock: &SteppingClock, w: &av_workload::Workload) -> ViewServer {
+    server_with(clock, w, ObsConfig::default())
+}
+
+fn server_with(clock: &SteppingClock, w: &av_workload::Workload, obs: ObsConfig) -> ViewServer {
     let tracer = Tracer::with_clock(Box::new(clock.clone()));
     ViewServer::with_tracer(
         w.catalog.clone(),
@@ -59,10 +63,18 @@ fn server_on(clock: &SteppingClock, w: &av_workload::Workload) -> ViewServer {
                 min_benefit_per_byte: 0.0,
                 tenant_byte_budget: usize::MAX,
             },
+            obs,
             ..ServeConfig::default()
         },
         tracer,
     )
+}
+
+/// Value of the un-labeled sample `name` in a Prometheus scrape body.
+fn sample(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
 }
 
 #[test]
@@ -87,9 +99,9 @@ fn phase_shift_fires_burn_alert_and_dumps_offending_queries() {
     );
     let healthy_dumps = server.obs().dumps().len();
 
-    // Phase B: 5ms per clock read — every request now measures well over
-    // the 10ms latency threshold (at least three reads span a request).
-    clock.set_step(5_000_000);
+    // Phase B: 10ms per clock read — every request now measures well over
+    // the 10ms latency threshold (three reads, so two steps, span a request).
+    clock.set_step(10_000_000);
     let phase_b_fps: Vec<u64> = plans.iter().map(|p| Fingerprint::of(p).0).collect();
     for _ in 0..12 {
         for p in &plans {
@@ -203,9 +215,84 @@ fn routed_queries_record_residuals_and_export_exposition() {
     assert!(text.contains("residuals_recorded_total"));
     assert!(text.contains("residual_q_error_mean{view="));
 
+    // Every serve/cache/scheduler family of the committed scrape body
+    // (METRICS_serve.prom at PR 12) is still exposed, under the same type,
+    // although none of them is pushed per request any more.
+    let mut families: Vec<String> = (0..16)
+        .flat_map(|i| ["hit", "miss"].map(|k| format!("engine_cache_shard{i}_{k} counter")))
+        .collect();
+    families.extend(
+        [
+            "serve_anomaly_dumps counter",
+            "serve_preflight_proved counter",
+            "serve_preflight_unknown counter",
+            "serve_reopt_runs counter",
+            "serve_requests counter",
+            "serve_requests_rewritten counter",
+            "serve_rewrite_hits counter",
+            "serve_swaps counter",
+            "sched_active_workers gauge",
+            "sched_busy_nanos gauge",
+            "sched_drain_nanos_p50 gauge",
+            "sched_drain_nanos_p95 gauge",
+            "sched_jobs gauge",
+            "sched_queue_depth gauge",
+            "sched_steals gauge",
+            "sched_tasks gauge",
+            "sched_workers gauge",
+            "serve_epoch gauge",
+            "serve_frozen_estimates gauge",
+            "serve_live_views gauge",
+            "serve_route_memo_hits gauge",
+            "serve_route_memo_misses gauge",
+            "serve_dop histogram",
+            "serve_latency_us histogram",
+            "serve_query_cost histogram",
+            "serve_reopt_seconds_total counter",
+            "serve_reopt_count counter",
+            "serve_request_seconds_total counter",
+            "serve_request_count counter",
+        ]
+        .map(String::from),
+    );
+    for family in &families {
+        assert!(
+            text.contains(&format!("# TYPE {family}\n")),
+            "family {family} dropped from the exposition"
+        );
+    }
+
+    // The folded series agree with their owners.
+    let totals = server.obs().totals();
+    let served = 1 + 2 * plans.len() as u64;
+    assert_eq!(totals.served, served);
+    assert_eq!(
+        sample(&text, "serve_requests"),
+        (stats.recorded - totals.shed - totals.errors) as f64
+    );
+    assert_eq!(sample(&text, "serve_latency_us_count"), served as f64);
+    assert_eq!(sample(&text, "serve_request_count"), served as f64);
+    let shard_hits: f64 = (0..16)
+        .map(|i| sample(&text, &format!("engine_cache_shard{i}_hit")))
+        .sum();
+    assert_eq!(shard_hits, server.cache_stats().hits as f64);
+
     // On-demand dump sees the most recent traffic without storing itself.
     let dump = server.obs().dump_now("on-demand");
     assert!(!dump.records.is_empty());
     assert!(server.obs().dumps().is_empty());
     assert!(dump.records.iter().all(|r| r.status == RecordStatus::Ok));
+
+    // Telemetry off changes no answer and records nothing.
+    let quiet = server_with(&SteppingClock::new(1_000), &w, ObsConfig::disabled());
+    quiet.reoptimize(&plans, None).expect("reoptimizes");
+    for p in &plans {
+        let loud = server.execute("t0", p).expect("serves");
+        let silent = quiet.execute("t0", p).expect("serves");
+        assert_eq!(loud.batch, silent.batch);
+        assert_eq!(loud.cost_dollars, silent.cost_dollars);
+        assert_eq!(loud.rewrite_hits, silent.rewrite_hits);
+    }
+    assert_eq!(quiet.stats_snapshot().recorded, 0);
+    assert_eq!(quiet.obs().totals().served, 0);
 }

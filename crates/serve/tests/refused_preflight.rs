@@ -82,7 +82,7 @@ fn refused_preflight_leaves_the_planner_on_the_published_epoch() {
         other => panic!("expected InvalidDeployment, got {other}"),
     }
     assert_eq!(server.epoch(), 0, "the old epoch stays published");
-    assert_eq!(server.metrics().counter("serve.preflight_failures"), 1);
+    assert_eq!(server.metrics().counters["serve.preflight_failures"], 1);
     let published: Vec<Fingerprint> = server.current().views().iter().map(|(fp, _)| *fp).collect();
     assert_eq!(
         server.planner_live_fingerprints(),

@@ -8,8 +8,10 @@
 //!   never reads the wall clock directly and `av-analyze`'s determinism
 //!   lint stays clean.
 //! - **Metrics** ([`Metrics`]): a thread-safe, name-addressed registry of
-//!   counters, gauges, fixed-bucket histograms and phase timings — the
-//!   generalization of what used to be `av_online::metrics`.
+//!   counters, gauges, histograms and phase timings.
+//! - **Quantiles** ([`QuantileSketch`]): the one mergeable log-bucket
+//!   sketch behind every histogram, SLO window, scheduler drain latency
+//!   and load-generator percentile in the workspace.
 //! - **Exporters**: [`TraceSnapshot::to_json`] (raw snapshot),
 //!   [`chrome_trace`] (chrome://tracing `traceEvents`), and
 //!   [`profile_tree`] (plain-text per-phase profile).
@@ -25,12 +27,11 @@
 pub mod clock;
 pub mod export;
 pub mod metrics;
+pub mod sketch;
 pub mod span;
 
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use export::{chrome_trace, profile_tree};
-pub use metrics::{
-    default_bucket_bounds, log2_bounds, BucketSnapshot, Histogram, HistogramSnapshot, Metrics,
-    MetricsSnapshot, Timing, TimingSnapshot, NAN_REJECTED,
-};
+pub use metrics::{Metrics, MetricsSnapshot, Timing, TimingSnapshot, NAN_REJECTED};
+pub use sketch::{BucketSnapshot, QuantileSketch, SketchSnapshot};
 pub use span::{BufGuard, SpanBuffer, SpanGuard, SpanRecord, TraceSnapshot, Tracer};

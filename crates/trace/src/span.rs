@@ -10,8 +10,10 @@
 //! The tracer is cheap to clone (`Arc` inside) and thread-safe, but the
 //! span *stack* is one logical stack: open spans from the orchestrating
 //! thread; worker threads should record into [`Tracer::metrics`] instead.
-//! A disabled tracer ([`Tracer::disabled`]) makes every call a near-no-op
-//! so instrumented hot paths stay within the <5% overhead budget.
+//! A disabled tracer ([`Tracer::disabled`]) records no spans, so
+//! instrumented hot paths stay within the <5% overhead budget; its clock
+//! and its metrics registry stay live — whether spans are recorded never
+//! decides whether time moves.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -222,11 +224,14 @@ impl Tracer {
         Tracer::build(true, ClockSource::Injected(clock))
     }
 
-    /// A tracer whose every operation is a near-no-op: spans are never
-    /// recorded and metrics calls return immediately. Instrumented code can
-    /// hold one unconditionally and stay off the hot path.
+    /// A span-less tracer: [`Tracer::span`], [`Tracer::instant`] and
+    /// [`Tracer::buffer`] record nothing, so instrumented code can hold one
+    /// unconditionally and stay off the hot path. The clock is the real
+    /// monotonic clock and the metrics registry is live, so
+    /// [`Tracer::now_nanos`] and [`Tracer::time`] measure real durations in
+    /// un-traced runs too.
     pub fn disabled() -> Tracer {
-        Tracer::build(false, ClockSource::Injected(Box::new(crate::clock::TestClock::new())))
+        Tracer::build(false, ClockSource::Monotonic(MonotonicClock::new()))
     }
 
     fn build(enabled: bool, clock: ClockSource) -> Tracer {
@@ -266,15 +271,9 @@ impl Tracer {
         &self.inner.metrics
     }
 
-    /// Seconds since the tracer's clock origin (for callers that need a raw
-    /// duration without opening a span).
-    pub fn now_seconds(&self) -> f64 {
-        self.inner.clock.now_nanos() as f64 / 1e9
-    }
-
-    /// Nanoseconds since the tracer's clock origin — the raw form of
-    /// [`Tracer::now_seconds`], used by telemetry that stores integer
-    /// timestamps (flight-recorder records, SLO window rotation).
+    /// Nanoseconds since the tracer's clock origin, for telemetry that
+    /// stores integer timestamps (flight-recorder records, SLO window
+    /// rotation) without opening a span.
     pub fn now_nanos(&self) -> u64 {
         self.inner.clock.now_nanos()
     }
@@ -329,10 +328,12 @@ impl Tracer {
         });
     }
 
-    /// Run `f` inside a span named `name`, and accumulate its duration into
-    /// the metrics registry's timing of the same name. The timing is
-    /// recorded even when span recording is disabled, so phase totals stay
-    /// available in un-traced runs.
+    /// Run `f` inside a span named `name`, and accumulate its duration —
+    /// two reads of the tracer's clock, real monotonic time unless a clock
+    /// was injected with [`Tracer::with_clock`] — into the metrics
+    /// registry's timing of the same name. The timing is recorded even when
+    /// span recording is disabled, so phase totals stay available in
+    /// un-traced runs.
     pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let start = self.inner.clock.now_nanos();
         let guard = self.span(name);

@@ -69,6 +69,21 @@ fn run_publish_execute_reoptimize_execute_matches_direct_execution() {
     assert_eq!(published.admitted + published.rejected, report.num_views);
     assert_serves_oracle(&server, &plans, &oracle);
 
+    // An un-traced system still runs on a real clock: the requests above
+    // carry non-zero times, the tenant's SLO window saw them, and the
+    // pipeline's phase timings are readable.
+    let dump = server.obs().dump_now("smoke");
+    assert!(dump.records.iter().any(|r| r.exec_nanos > 0));
+    let slo = server.obs().slo_stats();
+    let tenant = slo.iter().find(|t| t.tenant == "tenant0").expect("tenant0");
+    assert!(tenant.requests > 0 && tenant.p99_us >= tenant.p50_us);
+    let preprocess = sys
+        .tracer()
+        .metrics()
+        .timing("pipeline.preprocess")
+        .expect("phase timing recorded");
+    assert!(preprocess.total_seconds > 0.0);
+
     // Re-optimize on half the workload: views the window no longer wants
     // are dropped, and the next epoch still answers every query exactly.
     let reopt = server
