@@ -36,8 +36,8 @@
 //! (e.g. differing disjunctions) stay `Unknown`.
 
 use av_engine::{Catalog, ColumnType};
-use av_equiv::canonicalize;
-use av_plan::{AggFunc, CmpOp, Expr, Fingerprint, JoinType, PlanNode, PlanRef, Value};
+use av_equiv::canonical_fingerprint;
+use av_plan::{AggFunc, CmpOp, Expr, JoinType, PlanNode, PlanRef, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -106,7 +106,7 @@ pub fn prove_rewrite(
     };
     // Fast path: after inlining, canonical structural equality is already a
     // proof (alias renames, predicate permutations, flipped comparisons).
-    if Fingerprint::of(&canonicalize(&orig)) == Fingerprint::of(&canonicalize(&rewr)) {
+    if canonical_fingerprint(&orig) == canonical_fingerprint(&rewr) {
         return Verdict::Proved;
     }
     let a = match normalize_plan(catalog, &orig) {

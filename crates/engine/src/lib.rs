@@ -56,5 +56,7 @@ pub use error::EngineError;
 pub use exec::{ExecResult, Executor};
 pub use meter::{CostMeter, ExecutionReport, Pricing, ResourceUsage};
 pub use preflight::{install_preflight, preflight_installed, PreflightFn};
-pub use rewrite::{rewrite_subtree_with_view, rewrite_with_view};
+pub use rewrite::{
+    rewrite_subtree_with_view, rewrite_top_down, rewrite_with_view, view_replacement,
+};
 pub use view::{MaterializedView, ViewId, ViewStore};

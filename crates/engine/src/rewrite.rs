@@ -10,6 +10,7 @@
 use crate::catalog::Catalog;
 use crate::view::MaterializedView;
 use av_plan::{Fingerprint, PlanNode, PlanRef};
+use std::sync::Arc;
 
 /// A scan of `view`'s stored table. Empty alias = view scan: the stored
 /// column names pass through as-is.
@@ -29,29 +30,26 @@ pub fn rewrite_with_view(plan: &PlanRef, view: &MaterializedView) -> (PlanRef, u
     (out, count)
 }
 
-/// Rewrite every occurrence of `subtree` in `plan` (the *query's own*
-/// matching subquery, which may use different aliases than the view's
-/// defining plan) with a scan of `view`'s stored table, renamed positionally
-/// to the subtree's output columns. Equivalent plans produce same-arity
-/// outputs in corresponding positions, so the positional rename preserves
-/// semantics.
+/// The plan that stands in for `subtree` (the *query's own* matching
+/// subquery, which may use different aliases than the view's defining
+/// plan): a scan of `view`'s stored table, renamed positionally to the
+/// subtree's output columns. Equivalent plans produce same-arity outputs in
+/// corresponding positions, so the positional rename preserves semantics.
 ///
-/// Returns the rewritten plan and the number of subtrees replaced, or `None`
-/// when the match is stale: the view's table is gone from `catalog`, the
-/// arities differ, or `subtree` does not occur in `plan`.
-pub fn rewrite_subtree_with_view(
+/// `None` when the match is stale: the view's table is gone from `catalog`
+/// or the arities differ.
+pub fn view_replacement(
     catalog: &Catalog,
-    plan: &PlanRef,
     subtree: &PlanRef,
     view: &MaterializedView,
-) -> Option<(PlanRef, usize)> {
+) -> Option<PlanRef> {
     let subtree_columns = subtree.output_columns(&|t| catalog.table_columns(t));
     let view_columns = &catalog.table(&view.table_name)?.column_names;
     if subtree_columns.len() != view_columns.len() {
         return None;
     }
     // Rename only when the names differ; a bare scan keeps plans minimal.
-    let replacement = if &subtree_columns == view_columns {
+    Some(if &subtree_columns == view_columns {
         view_scan(view)
     } else {
         PlanNode::Project {
@@ -63,7 +61,21 @@ pub fn rewrite_subtree_with_view(
                 .collect(),
         }
         .into_ref()
-    };
+    })
+}
+
+/// Rewrite every occurrence of `subtree` in `plan` with
+/// [`view_replacement`]'s stand-in for it.
+///
+/// Returns the rewritten plan and the number of subtrees replaced, or `None`
+/// when the match is stale or `subtree` does not occur in `plan`.
+pub fn rewrite_subtree_with_view(
+    catalog: &Catalog,
+    plan: &PlanRef,
+    subtree: &PlanRef,
+    view: &MaterializedView,
+) -> Option<(PlanRef, usize)> {
+    let replacement = view_replacement(catalog, subtree, view)?;
     let mut count = 0;
     let out = splice(plan, Fingerprint::of(subtree), &replacement, &mut count);
     (count > 0).then_some((out, count))
@@ -75,15 +87,30 @@ fn splice(
     replacement: &PlanRef,
     count: &mut usize,
 ) -> PlanRef {
-    if Fingerprint::of(plan) == target {
-        *count += 1;
-        return replacement.clone();
+    rewrite_top_down(plan, &mut |node| {
+        (Fingerprint::of(node) == target).then(|| {
+            *count += 1;
+            replacement.clone()
+        })
+    })
+}
+
+/// Rebuild `plan` from the root down. Where `replace` returns a plan, that
+/// plan stands in for the whole subtree and the walk does not descend into
+/// it; elsewhere the children are rebuilt. Untouched subtrees stay shared
+/// with `plan`.
+pub fn rewrite_top_down(
+    plan: &PlanRef,
+    replace: &mut dyn FnMut(&PlanRef) -> Option<PlanRef>,
+) -> PlanRef {
+    if let Some(replacement) = replace(plan) {
+        return replacement;
     }
     match plan.as_ref() {
         PlanNode::TableScan { .. } => plan.clone(),
         PlanNode::Filter { input, predicate } => {
-            let new_input = splice(input, target, replacement, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
+            let new_input = rewrite_top_down(input, replace);
+            if Arc::ptr_eq(&new_input, input) {
                 plan.clone()
             } else {
                 PlanNode::Filter {
@@ -94,8 +121,8 @@ fn splice(
             }
         }
         PlanNode::Project { input, exprs } => {
-            let new_input = splice(input, target, replacement, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
+            let new_input = rewrite_top_down(input, replace);
+            if Arc::ptr_eq(&new_input, input) {
                 plan.clone()
             } else {
                 PlanNode::Project {
@@ -111,10 +138,9 @@ fn splice(
             on,
             join_type,
         } => {
-            let new_left = splice(left, target, replacement, count);
-            let new_right = splice(right, target, replacement, count);
-            if std::sync::Arc::ptr_eq(&new_left, left) && std::sync::Arc::ptr_eq(&new_right, right)
-            {
+            let new_left = rewrite_top_down(left, replace);
+            let new_right = rewrite_top_down(right, replace);
+            if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
                 plan.clone()
             } else {
                 PlanNode::Join {
@@ -131,8 +157,8 @@ fn splice(
             group_by,
             aggs,
         } => {
-            let new_input = splice(input, target, replacement, count);
-            if std::sync::Arc::ptr_eq(&new_input, input) {
+            let new_input = rewrite_top_down(input, replace);
+            if Arc::ptr_eq(&new_input, input) {
                 plan.clone()
             } else {
                 PlanNode::Aggregate {

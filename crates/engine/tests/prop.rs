@@ -289,7 +289,8 @@ proptest! {
 
     /// Routing a query through a view admitted by the online lifecycle
     /// manager returns exactly the same rows as running it unrewritten —
-    /// even when the view was defined under different table aliases.
+    /// even when the view was defined under different table aliases and
+    /// sits among twenty near-miss views admitted before and after it.
     #[test]
     fn lifecycle_routed_query_matches_unrewritten(
         keys in proptest::collection::vec(-5i64..5, 1..40),
@@ -302,31 +303,36 @@ proptest! {
         let mut c = catalog_from(keys, vals[..n].to_vec(), vec![0]);
 
         // Shared subtree: filter + project. The query aggregates on top of
-        // it; the view is the same subtree under a different alias.
-        let subtree = |alias: &str| {
+        // it; the view is the same subtree under a different alias, the
+        // decoys the same shape with another threshold.
+        let subtree = |alias: &str, threshold: i64| {
             let k = format!("{alias}.k");
             let v = format!("{alias}.v");
             PlanBuilder::scan("ta", alias)
-                .filter(Expr::col(&k).cmp(CmpOp::Gt, Expr::int(t)))
+                .filter(Expr::col(&k).cmp(CmpOp::Gt, Expr::int(threshold)))
                 .project(&[(k.as_str(), k.as_str()), (v.as_str(), v.as_str())])
                 .build()
         };
-        let query = PlanBuilder::from_plan(subtree("a")).count_star(&["a.k"], "n").build();
-        let view_plan = subtree("x");
-        let view_fp = av_plan::Fingerprint::of(&av_equiv::canonicalize(&view_plan));
+        let query = PlanBuilder::from_plan(subtree("a", t)).count_star(&["a.k"], "n").build();
 
         let mut mgr = ViewLifecycleManager::new(LifecycleConfig {
             byte_budget: usize::MAX,
             min_benefit_per_byte: 0.0,
             tenant_byte_budget: usize::MAX,
         });
-        let outcome = mgr
-            .admit(&mut c, view_plan, view_fp, 1.0, Pricing::paper_defaults())
-            .expect("view materializes");
-        prop_assert!(matches!(outcome, AdmitOutcome::Admitted { .. }));
+        // Offset 0 is the matching view: ten decoys before it, ten after.
+        for offset in -10i64..=10 {
+            let view_plan = subtree("x", t + offset);
+            let view_fp = av_equiv::canonical_fingerprint(&view_plan);
+            let outcome = mgr
+                .admit(&mut c, view_plan, view_fp, 1.0, Pricing::paper_defaults())
+                .expect("view materializes");
+            prop_assert!(matches!(outcome, AdmitOutcome::Admitted { .. }));
+        }
+        prop_assert_eq!(mgr.live().len(), 21);
 
         let (routed, hits) = mgr.route(&c, &query);
-        prop_assert!(hits > 0, "equivalent subtree must be routed");
+        prop_assert_eq!(hits, 1, "the one equivalent view fires, no decoy does");
         prop_assert_eq!(exec(&c, &query).batch, exec(&c, &routed).batch);
     }
 }

@@ -23,6 +23,12 @@ pub fn canonicalize(plan: &PlanRef) -> PlanRef {
     rewrite(plan, &aliases)
 }
 
+/// The key candidate clustering, view admission and view routing all match
+/// on: the structural fingerprint of `plan`'s canonical form.
+pub fn canonical_fingerprint(plan: &PlanRef) -> Fingerprint {
+    Fingerprint::of(&canonicalize(plan))
+}
+
 fn collect_aliases(plan: &PlanNode, map: &mut HashMap<String, String>) {
     plan.visit_preorder(&mut |n| {
         if let PlanNode::TableScan { alias, .. } = n {
@@ -294,7 +300,7 @@ mod tests {
     use av_plan::parse_query;
 
     fn canon_fp(sql: &str) -> Fingerprint {
-        Fingerprint::of(&canonicalize(&parse_query(sql).expect("parses")))
+        canonical_fingerprint(&parse_query(sql).expect("parses"))
     }
 
     #[test]

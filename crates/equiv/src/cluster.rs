@@ -1,7 +1,7 @@
 //! Workload analysis: subquery clustering, candidate selection and the
 //! overlap relation.
 
-use crate::canon::{canonicalize, shape_fingerprint};
+use crate::canon::{canonical_fingerprint, canonicalize, shape_fingerprint};
 use crate::predtest::plans_agree_on_predicates;
 use av_plan::{enumerate_subqueries, Fingerprint, PlanNode, PlanRef};
 use std::collections::{HashMap, HashSet};
@@ -281,7 +281,7 @@ fn nontrivial_subtree_fps(plan: &PlanRef) -> HashSet<Fingerprint> {
     collect(plan, &mut set);
     fn collect(plan: &PlanRef, set: &mut HashSet<Fingerprint>) {
         if plan.node_count() >= 2 {
-            set.insert(Fingerprint::of(&canonicalize(plan)));
+            set.insert(canonical_fingerprint(plan));
         }
         match plan.as_ref() {
             PlanNode::TableScan { .. } => {}

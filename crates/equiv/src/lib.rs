@@ -35,7 +35,7 @@ pub mod canon;
 pub mod cluster;
 pub mod predtest;
 
-pub use canon::{canonicalize, shape_fingerprint};
+pub use canon::{canonical_fingerprint, canonicalize, shape_fingerprint};
 pub use cluster::{analyze_workload, Analyzer, Candidate, QueryMatch, WorkloadAnalysis};
 pub use predtest::predicates_equivalent;
 

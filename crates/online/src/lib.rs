@@ -25,7 +25,8 @@ pub mod stream;
 
 pub use drift::{DriftConfig, DriftDetector, DriftReport};
 pub use lifecycle::{
-    route_through_views, AdmitOutcome, Applied, LifecycleConfig, LiveView, ViewLifecycleManager,
+    route_through_views, AdmitOutcome, Applied, LifecycleConfig, LiveView, ViewIndex,
+    ViewLifecycleManager,
 };
 pub use av_select::SelectorKind;
 pub use reopt::{

@@ -12,10 +12,12 @@
 
 use crate::reopt::CandidateView;
 use av_engine::{
-    rewrite_subtree_with_view, Catalog, EngineError, MaterializedView, Pricing, ViewId, ViewStore,
+    rewrite_top_down, view_replacement, Catalog, EngineError, MaterializedView, Pricing, ViewId,
+    ViewStore,
 };
-use av_equiv::canonicalize;
-use av_plan::{enumerate_subqueries, Fingerprint, PlanRef};
+use av_equiv::canonical_fingerprint;
+use av_plan::{is_subquery_root, Fingerprint, PlanRef};
+use std::collections::HashMap;
 
 /// Budget and admission knobs.
 #[derive(Debug, Clone, Copy)]
@@ -70,60 +72,102 @@ pub enum AdmitOutcome {
     RejectedTenantBudget { tenant: String, bytes: usize },
 }
 
-/// Rewrite `plan` through a set of materialized views, outermost-first.
+/// The routing index of one view set: canonical defining fingerprint →
+/// materialized record, and stored table name → the same record. Built once
+/// per view set (the lifecycle manager keeps its own in step with admission
+/// and eviction; `av-serve` collects one per frozen deployment), so routing
+/// a plan never walks the views.
+#[derive(Debug, Clone, Default)]
+pub struct ViewIndex {
+    by_fp: HashMap<Fingerprint, MaterializedView>,
+    by_table: HashMap<String, Fingerprint>,
+}
+
+impl ViewIndex {
+    /// Index `view` under the fingerprint of its canonicalized defining plan.
+    fn insert(&mut self, canonical_fp: Fingerprint, view: MaterializedView) {
+        self.by_table.insert(view.table_name.clone(), canonical_fp);
+        self.by_fp.insert(canonical_fp, view);
+    }
+
+    /// Forget the view indexed under `canonical_fp`.
+    fn remove(&mut self, canonical_fp: Fingerprint) {
+        if let Some(view) = self.by_fp.remove(&canonical_fp) {
+            self.by_table.remove(&view.table_name);
+        }
+    }
+
+    /// The view stored as catalog table `table`, with its canonical
+    /// fingerprint.
+    pub fn by_table(&self, table: &str) -> Option<(Fingerprint, &MaterializedView)> {
+        let fp = *self.by_table.get(table)?;
+        self.by_fp.get(&fp).map(|view| (fp, view))
+    }
+}
+
+impl FromIterator<(Fingerprint, MaterializedView)> for ViewIndex {
+    fn from_iter<I: IntoIterator<Item = (Fingerprint, MaterializedView)>>(views: I) -> ViewIndex {
+        let mut index = ViewIndex::default();
+        for (canonical_fp, view) in views {
+            index.insert(canonical_fp, view);
+        }
+        index
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Subtrees canonicalized by [`route_through_views`] on this thread.
+    static CANONICALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Rewrite `plan` through the views of `index` in one top-down pass.
 /// Returns the (possibly unchanged) plan and the number of subtree
 /// replacements.
 ///
-/// Each entry pairs a view's *canonical* defining fingerprint with its
-/// materialized record; `catalog` must contain the views' stored tables.
+/// At each subquery root (Aggregate, Join or Project) the subtree is
+/// canonicalized and fingerprinted once and looked up in the index. A match
+/// is replaced by a scan of the view's stored table, renamed positionally
+/// to the subtree's own output columns, and the walk does not descend into
+/// it: the outermost match wins, so a view always swallows the views it
+/// contains. Without a match — or with a stale one, whose table is gone
+/// from `catalog` or whose arity differs — the walk descends. The cost is
+/// one canonicalization per subquery root visited, whatever the number of
+/// views.
+///
 /// This is the routing core shared by [`ViewLifecycleManager::route`]
 /// (mutable online engine) and `av-serve`'s frozen deployment snapshots,
 /// where it runs against an immutable `Arc<Catalog>`.
 pub fn route_through_views(
     catalog: &Catalog,
-    views: &[(Fingerprint, &MaterializedView)],
+    index: &ViewIndex,
     plan: &PlanRef,
 ) -> (PlanRef, usize) {
-    if views.is_empty() {
+    if index.by_fp.is_empty() {
         return (plan.clone(), 0);
     }
-    // Prefer larger views first so an outer replacement swallows inner
-    // candidates.
-    let mut order: Vec<&(Fingerprint, &MaterializedView)> = views.iter().collect();
-    order.sort_by_key(|(_, v)| std::cmp::Reverse(v.plan.node_count()));
-
-    let mut current = plan.clone();
     let mut hits = 0;
-    for (canonical_fp, view) in order {
-        // Re-enumerate each round: a previous replacement changes the
-        // remaining subtrees.
-        for sub in enumerate_subqueries(&current) {
-            if Fingerprint::of(&canonicalize(&sub.plan)) != *canonical_fp {
-                continue;
-            }
-            // A view whose table was dropped or whose arity no longer
-            // matches is a stale match: skip it.
-            if let Some((next, n)) = rewrite_subtree_with_view(catalog, &current, &sub.plan, view) {
-                current = next;
-                hits += n;
-            }
+    let routed = rewrite_top_down(plan, &mut |subtree| {
+        if !is_subquery_root(subtree) {
+            return None;
         }
-    }
+        #[cfg(test)]
+        CANONICALIZED.with(|n| n.set(n.get() + 1));
+        let view = index.by_fp.get(&canonical_fingerprint(subtree))?;
+        let replacement = view_replacement(catalog, subtree, view)?;
+        hits += 1;
+        Some(replacement)
+    });
     // Debug builds gate every routed plan: a refused rewrite means routing
     // substituted a view that does not contain the query — a hard bug.
     #[cfg(debug_assertions)]
     if hits > 0 {
-        let resolve = |t: &str| {
-            views
-                .iter()
-                .find(|(_, v)| v.table_name == t)
-                .map(|(_, v)| v.plan.clone())
-        };
-        if let Err(refused) = av_analyze::gate_rewrite(catalog, plan, &current, &resolve) {
+        let resolve = |t: &str| index.by_table(t).map(|(_, v)| v.plan.clone());
+        if let Err(refused) = av_analyze::gate_rewrite(catalog, plan, &routed, &resolve) {
             panic!("view routing produced a rewrite that {refused}");
         }
     }
-    (current, hits)
+    (routed, hits)
 }
 
 /// What [`ViewLifecycleManager::apply`] did to the live set.
@@ -147,6 +191,9 @@ pub struct ViewLifecycleManager {
     config: LifecycleConfig,
     store: ViewStore,
     live: Vec<LiveView>,
+    /// Routing index of `live`, kept in step by `admit_owned` and
+    /// `remove_live`.
+    index: ViewIndex,
 }
 
 impl ViewLifecycleManager {
@@ -155,6 +202,7 @@ impl ViewLifecycleManager {
             config,
             store: ViewStore::new(),
             live: Vec::new(),
+            index: ViewIndex::default(),
         }
     }
 
@@ -183,7 +231,7 @@ impl ViewLifecycleManager {
 
     /// Is a structurally equivalent view already live?
     pub fn has_live(&self, canonical_fp: Fingerprint) -> bool {
-        self.live.iter().any(|v| v.canonical_fp == canonical_fp)
+        self.index.by_fp.contains_key(&canonical_fp)
     }
 
     /// Bytes currently occupied by a tenant's views (`None` = unowned).
@@ -269,11 +317,7 @@ impl ViewLifecycleManager {
                     .min_by(|(_, a), (_, b)| a.score.total_cmp(&b.score))
                     .map(|(i, v)| (i, v.score));
                 match weakest {
-                    Some((i, s)) if s < score => {
-                        let victim = self.live.remove(i);
-                        self.store.drop_view(catalog, victim.id);
-                        evicted.push(victim.id);
-                    }
+                    Some((i, s)) if s < score => evicted.push(self.remove_live(catalog, i)),
                     _ => {
                         self.store.drop_view(catalog, id);
                         return Ok(AdmitOutcome::RejectedTenantBudget {
@@ -295,11 +339,7 @@ impl ViewLifecycleManager {
                 .min_by(|(_, a), (_, b)| a.score.total_cmp(&b.score))
                 .map(|(i, v)| (i, v.score));
             match weakest {
-                Some((i, s)) if s < score => {
-                    let victim = self.live.remove(i);
-                    self.store.drop_view(catalog, victim.id);
-                    evicted.push(victim.id);
-                }
+                Some((i, s)) if s < score => evicted.push(self.remove_live(catalog, i)),
                 _ => {
                     // Undo: remaining residents all outscore the newcomer.
                     // Any tenant-share evictions above stand — they were
@@ -310,6 +350,8 @@ impl ViewLifecycleManager {
             }
         }
 
+        let view = self.store.view(id).expect("just materialized").clone();
+        self.index.insert(canonical_fp, view);
         self.live.push(LiveView {
             id,
             canonical_fp,
@@ -365,29 +407,36 @@ impl ViewLifecycleManager {
             .live
             .iter()
             .position(|v| v.canonical_fp == canonical_fp)?;
-        let victim = self.live.remove(i);
-        self.store.drop_view(catalog, victim.id);
-        Some(victim.id)
+        Some(self.remove_live(catalog, i))
     }
 
-    /// Rewrite `plan` through the live views, outermost-first. Returns the
-    /// (possibly unchanged) plan and the number of subtree replacements.
-    ///
-    /// Matching is canonical: each of the plan's candidate subtrees is
-    /// canonicalized and compared against live views' canonical
-    /// fingerprints, then replaced positionally via the engine's subtree
-    /// rewriter (which renames the view's stored columns back to the
-    /// query's local aliases).
+    /// Take `live[i]` out of the live set, the index and the catalog.
+    fn remove_live(&mut self, catalog: &mut Catalog, i: usize) -> ViewId {
+        let victim = self.live.remove(i);
+        self.index.remove(victim.canonical_fp);
+        self.store.drop_view(catalog, victim.id);
+        victim.id
+    }
+
+    /// Rewrite `plan` through the live views with [`route_through_views`]:
+    /// one top-down pass against the manager's index, outermost match
+    /// first. Returns the (possibly unchanged) plan and the number of
+    /// subtree replacements.
     pub fn route(&self, catalog: &Catalog, plan: &PlanRef) -> (PlanRef, usize) {
-        route_through_views(catalog, &self.live_views(), plan)
+        route_through_views(catalog, &self.index, plan)
+    }
+
+    /// The routing index of the live set.
+    pub fn index(&self) -> &ViewIndex {
+        &self.index
     }
 
     /// The live views' materialized records paired with their canonical
-    /// fingerprints, admission order — the shape routing matches against.
-    pub fn live_views(&self) -> Vec<(Fingerprint, &MaterializedView)> {
+    /// fingerprints, admission order — what a deployment freezes.
+    pub fn live_views(&self) -> Vec<(Fingerprint, MaterializedView)> {
         self.live
             .iter()
-            .filter_map(|l| self.store.view(l.id).map(|v| (l.canonical_fp, v)))
+            .filter_map(|l| self.store.view(l.id).map(|v| (l.canonical_fp, v.clone())))
             .collect()
     }
 
@@ -406,9 +455,214 @@ impl ViewLifecycleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use av_engine::{Executor, Pricing};
-    use av_plan::PlanBuilder;
-    use av_workload::cloud::mini;
+    use av_engine::{rewrite_subtree_with_view, Executor, Pricing};
+    use av_plan::{enumerate_subqueries, PlanBuilder};
+    use av_workload::cloud::{mini, wk2};
+    use av_workload::job::job_workload;
+    use av_workload::Workload;
+
+    /// The router this module had before [`ViewIndex`]: every view, largest
+    /// first, against every subquery of the plan — O(views × subqueries)
+    /// canonicalizations. Kept as the oracle [`route_through_views`] is
+    /// tested against.
+    fn route_per_view(
+        catalog: &Catalog,
+        views: &[(Fingerprint, MaterializedView)],
+        plan: &PlanRef,
+    ) -> (PlanRef, usize) {
+        // Prefer larger views first so an outer replacement swallows inner
+        // candidates.
+        let mut order: Vec<&(Fingerprint, MaterializedView)> = views.iter().collect();
+        order.sort_by_key(|(_, v)| std::cmp::Reverse(v.plan.node_count()));
+
+        let mut current = plan.clone();
+        let mut hits = 0;
+        for (canonical_fp, view) in order {
+            // Re-enumerate each round: a previous replacement changes the
+            // remaining subtrees.
+            for sub in enumerate_subqueries(&current) {
+                if canonical_fingerprint(&sub.plan) != *canonical_fp {
+                    continue;
+                }
+                if let Some((next, n)) =
+                    rewrite_subtree_with_view(catalog, &current, &sub.plan, view)
+                {
+                    current = next;
+                    hits += n;
+                }
+            }
+        }
+        (current, hits)
+    }
+
+    /// Subtrees [`route_through_views`] canonicalizes for one call.
+    fn canonicalized_by(route: impl FnOnce() -> (PlanRef, usize)) -> ((PlanRef, usize), usize) {
+        let before = CANONICALIZED.with(|n| n.get());
+        let out = route();
+        (out, CANONICALIZED.with(|n| n.get()) - before)
+    }
+
+    /// Subquery roots a top-down pass reaches when it stops at every root
+    /// whose canonical fingerprint is in `matched`.
+    fn roots_reached(plan: &PlanRef, matched: &[Fingerprint]) -> usize {
+        let root = is_subquery_root(plan);
+        if root && matched.contains(&canonical_fingerprint(plan)) {
+            return 1;
+        }
+        let below: usize = plan
+            .children()
+            .into_iter()
+            .map(|c| roots_reached(c, matched))
+            .sum();
+        usize::from(root) + below
+    }
+
+    /// The catalog and view set `AutoViewSystem::run` + `publish` admit for
+    /// a workload.
+    fn published(w: &Workload) -> (Catalog, Vec<(Fingerprint, MaterializedView)>) {
+        let mut sys = av_core::AutoViewSystem::new(
+            w.catalog.clone(),
+            w.plans(),
+            av_core::AutoViewConfig {
+                estimator: av_core::EstimatorKind::Optimizer,
+                selector: av_select::SelectorKind::IterView(av_select::IterViewConfig::default()),
+                max_training_pairs: 30,
+                ..av_core::AutoViewConfig::default()
+            },
+        );
+        sys.run().expect("pipeline runs");
+        let mut config = av_serve::ServeConfig::default();
+        config.lifecycle.byte_budget = usize::MAX;
+        let (server, _) = sys.publish(config, None).expect("publishes");
+        let deployment = server.current();
+        (deployment.catalog().clone(), deployment.views().to_vec())
+    }
+
+    #[test]
+    fn index_router_agrees_with_the_per_view_oracle() {
+        for (name, w) in [
+            ("mini", mini(21)),
+            ("job", job_workload(0.05, 7)),
+            ("wk2", wk2(0.002, 7)),
+        ] {
+            let (catalog, views) = published(&w);
+            assert!(!views.is_empty(), "{name}: publish admits views");
+            let index: ViewIndex = views.iter().cloned().collect();
+            let mut total_hits = 0;
+            for (i, plan) in w.plans().iter().enumerate() {
+                let (routed, hits) = route_through_views(&catalog, &index, plan);
+                let (expected, expected_hits) = route_per_view(&catalog, &views, plan);
+                assert_eq!(hits, expected_hits, "{name} plan {i}: hit count");
+                assert_eq!(
+                    Fingerprint::of(&routed),
+                    Fingerprint::of(&expected),
+                    "{name} plan {i}: routed plan"
+                );
+                total_hits += hits;
+            }
+            assert!(total_hits > 0, "{name}: the admitted views route the workload");
+        }
+    }
+
+    /// A manager with every candidate of `mini(seed)`'s analysis live.
+    fn all_candidates_live(seed: u64) -> (Workload, Catalog, ViewLifecycleManager) {
+        let w = mini(seed);
+        let mut analyzer = av_equiv::Analyzer::new();
+        analyzer.min_query_frequency = 2;
+        let analysis = analyzer.analyze(&w.plans());
+        let mut catalog = w.catalog.clone();
+        let mut mgr = ViewLifecycleManager::new(LifecycleConfig {
+            byte_budget: usize::MAX,
+            ..LifecycleConfig::default()
+        });
+        for cand in &analysis.candidates {
+            let fp = Fingerprint::of(&cand.canonical);
+            mgr.admit(&mut catalog, cand.plan.clone(), fp, 1.0, Pricing::paper_defaults())
+                .expect("materializes");
+        }
+        assert!(!mgr.live().is_empty(), "mini has candidates");
+        (w, catalog, mgr)
+    }
+
+    #[test]
+    fn routing_work_is_the_plans_roots_whatever_the_view_count() {
+        let (w, catalog, mgr) = all_candidates_live(23);
+        // Ten decoys per live view: single-column projections under filters
+        // no workload query carries.
+        let mut crowded_catalog = catalog.clone();
+        let mut crowded = mgr.clone();
+        let table = w.catalog.table_names().min().expect("has tables").to_string();
+        let col = format!("d.{}", w.catalog.table(&table).expect("exists").column_names[0]);
+        let decoys = 10 * mgr.live().len();
+        for k in 0..decoys {
+            let plan = PlanBuilder::scan(&table, "d")
+                .filter(av_plan::Expr::col(&col).eq(av_plan::Expr::int(-1_000_000 - k as i64)))
+                .project(&[(col.as_str(), col.as_str())])
+                .build();
+            let fp = canonical_fingerprint(&plan);
+            crowded
+                .admit(&mut crowded_catalog, plan, fp, 1.0, Pricing::paper_defaults())
+                .expect("materializes");
+        }
+        assert_eq!(crowded.live().len(), mgr.live().len() + decoys);
+
+        let live = mgr.live_fingerprints();
+        let mut total_hits = 0;
+        for plan in &w.plans() {
+            let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, plan));
+            assert_eq!(n, roots_reached(plan, &live));
+            assert!(n <= enumerate_subqueries(plan).len());
+            let ((crowded_routed, crowded_hits), crowded_n) =
+                canonicalized_by(|| crowded.route(&crowded_catalog, plan));
+            assert_eq!(crowded_n, n, "decoys add no routing work");
+            assert_eq!(crowded_hits, hits);
+            assert_eq!(Fingerprint::of(&crowded_routed), Fingerprint::of(&routed));
+            total_hits += hits;
+        }
+        assert!(total_hits > 0);
+    }
+
+    #[test]
+    fn stale_outer_match_descends_to_an_inner_view() {
+        let w = mini(22);
+        let mut catalog = w.catalog.clone();
+        let table = w.catalog.table_names().min().expect("has tables").to_string();
+        let col = format!("x.{}", w.catalog.table(&table).expect("exists").column_names[0]);
+        let inner = PlanBuilder::scan(&table, "x")
+            .project(&[(col.as_str(), col.as_str())])
+            .build();
+        let outer = PlanBuilder::from_plan(inner.clone())
+            .count_star(&[], "n")
+            .build();
+        let mut mgr = ViewLifecycleManager::new(LifecycleConfig {
+            byte_budget: usize::MAX,
+            ..LifecycleConfig::default()
+        });
+        for plan in [&inner, &outer] {
+            let fp = canonical_fingerprint(plan);
+            mgr.admit(&mut catalog, plan.clone(), fp, 1.0, Pricing::paper_defaults())
+                .expect("materializes");
+        }
+        let [inner_view, outer_view] = [0, 1].map(|i| mgr.view(mgr.live()[i].id).expect("live"));
+
+        // Outermost match wins: one canonicalization, no descent.
+        let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, &outer));
+        assert_eq!((hits, n), (1, 1));
+        assert_eq!(routed.base_tables(), vec![outer_view.table_name.clone()]);
+
+        // The outer view's table leaves the catalog behind the manager's
+        // back: its index entry is stale, so routing descends and the
+        // inner view fires.
+        catalog.drop_table(&outer_view.table_name).expect("was stored");
+        let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, &outer));
+        assert_eq!((hits, n), (1, 2));
+        assert_eq!(routed.base_tables(), vec![inner_view.table_name.clone()]);
+        let exec = Executor::new(&catalog, Pricing::paper_defaults());
+        assert_eq!(
+            exec.run(&routed).expect("routed runs").batch,
+            exec.run(&outer).expect("direct runs").batch
+        );
+    }
 
     /// A (query, shared-subtree) pair from the mini workload's analysis.
     fn shared_candidate() -> (av_workload::Workload, PlanRef, Fingerprint) {
@@ -511,8 +765,8 @@ mod tests {
         };
         let plan_a = mk(&catalog, &table_names[0]);
         let plan_b = mk(&catalog, &table_names[1]);
-        let fp_a = Fingerprint::of(&canonicalize(&plan_a));
-        let fp_b = Fingerprint::of(&canonicalize(&plan_b));
+        let fp_a = canonical_fingerprint(&plan_a);
+        let fp_b = canonical_fingerprint(&plan_b);
         assert_ne!(fp_a, fp_b);
 
         // Budget of one view's bytes (empty results share a size floor).
@@ -590,8 +844,8 @@ mod tests {
         };
         let plan_a = mk(&catalog, &table_names[0]);
         let plan_b = mk(&catalog, &table_names[1]);
-        let fp_a = Fingerprint::of(&canonicalize(&plan_a));
-        let fp_b = Fingerprint::of(&canonicalize(&plan_b));
+        let fp_a = canonical_fingerprint(&plan_a);
+        let fp_b = canonical_fingerprint(&plan_b);
 
         // Measure one view's bytes to size the tenant share.
         let mut probe = ViewLifecycleManager::new(LifecycleConfig {

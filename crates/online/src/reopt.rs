@@ -205,24 +205,27 @@ pub fn freeze_estimates(
     plans: &[PlanRef],
     estimator: &dyn CostEstimator,
 ) -> Vec<(Fingerprint, f64, Fingerprint)> {
-    let views = lifecycle.live_views();
+    let index = lifecycle.index();
     let mut estimates = Vec::new();
     for plan in plans {
-        let (routed, hits) = route_through_views(catalog, &views, plan);
+        let (routed, hits) = route_through_views(catalog, index, plan);
         if hits == 0 {
             continue;
         }
-        let routed_tables = routed.base_tables();
-        let fired = views
+        // Several views may fire in one plan; the estimate is attributed to
+        // the earliest admitted (ids grow in admission order).
+        let fired = routed
+            .base_tables()
             .iter()
-            .find(|(_, v)| routed_tables.contains(&v.table_name));
+            .filter_map(|t| index.by_table(t))
+            .min_by_key(|(_, v)| v.id);
         if let Some((view_fp, view)) = fired {
             let input = FeatureInput {
                 query: plan.clone(),
                 view: view.plan.clone(),
                 tables: tables_meta(catalog, plan, &view.plan),
             };
-            estimates.push((Fingerprint::of(plan), estimator.estimate(&input), *view_fp));
+            estimates.push((Fingerprint::of(plan), estimator.estimate(&input), view_fp));
         }
     }
     estimates

@@ -40,5 +40,7 @@ pub use expr::{AggExpr, AggFunc, CmpOp, Expr};
 pub use features::{plan_feature_rows, FeatureRow, Token};
 pub use node::{JoinType, PlanNode, PlanRef, ProjExpr};
 pub use parser::{parse_query, ParseError};
-pub use subquery::{common_subtree_exists, enumerate_subqueries, find_subtree, Fingerprint};
+pub use subquery::{
+    common_subtree_exists, enumerate_subqueries, find_subtree, is_subquery_root, Fingerprint,
+};
 pub use value::Value;

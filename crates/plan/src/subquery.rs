@@ -51,11 +51,18 @@ pub fn enumerate_subqueries(plan: &PlanRef) -> Vec<ExtractedSubquery> {
     out
 }
 
-fn walk(plan: &PlanRef, depth: usize, out: &mut Vec<ExtractedSubquery>) {
-    if matches!(
-        plan.as_ref(),
+/// Is `plan` rooted at an operator the paper counts as a subquery
+/// (Aggregate, Join or Project)? The one statement of the rule: candidate
+/// enumeration and view routing both ask it.
+pub fn is_subquery_root(plan: &PlanNode) -> bool {
+    matches!(
+        plan,
         PlanNode::Aggregate { .. } | PlanNode::Join { .. } | PlanNode::Project { .. }
-    ) {
+    )
+}
+
+fn walk(plan: &PlanRef, depth: usize, out: &mut Vec<ExtractedSubquery>) {
+    if is_subquery_root(plan) {
         out.push(ExtractedSubquery {
             plan: plan.clone(),
             fingerprint: Fingerprint::of(plan),

@@ -11,11 +11,11 @@
 
 use av_analyze::RewriteAccepted;
 use av_engine::{Catalog, MaterializedView};
-use av_online::route_through_views;
+use av_online::{route_through_views, ViewIndex};
 use av_plan::{Fingerprint, PlanRef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Independent locks for the route-memo table. Routing is read-mostly and
 /// fingerprint-keyed, so a handful of shards removes lock contention the
@@ -54,10 +54,12 @@ pub struct Deployment {
     /// Monotonic publication counter (0 = the initial, view-free snapshot).
     epoch: u64,
     catalog: Arc<Catalog>,
-    /// Live views with their canonical defining fingerprints, frozen at
-    /// publication. Routing matches against these, never a shared mutable
-    /// lifecycle manager.
+    /// Live views with their canonical defining fingerprints, admission
+    /// order, frozen at publication.
     views: Vec<(Fingerprint, MaterializedView)>,
+    /// Routing index of `views`, built once here: routing matches against
+    /// it, never a shared mutable lifecycle manager.
+    index: ViewIndex,
     /// Cost estimates for known routed queries, frozen at publication:
     /// `(original-plan fingerprint, estimated cost, view fingerprint)`,
     /// sorted by the first element for lock-free binary-search lookup on
@@ -87,6 +89,7 @@ impl Deployment {
         Deployment {
             epoch,
             catalog,
+            index: views.iter().cloned().collect(),
             views,
             estimates: Vec::new(),
             route_memo: (0..ROUTE_MEMO_SHARDS)
@@ -147,13 +150,12 @@ impl Deployment {
         &self.views
     }
 
-    /// Rewrite `plan` through the frozen views (larger views first, matched
-    /// on canonical fingerprints). Returns the routed plan and the number
-    /// of subtree replacements.
+    /// Rewrite `plan` through the frozen views: one top-down pass that
+    /// looks each subquery root's canonical fingerprint up in the index
+    /// built at publication, outermost match first. Returns the routed plan
+    /// and the number of subtree replacements.
     pub fn route(&self, plan: &PlanRef) -> (PlanRef, usize) {
-        let refs: Vec<(Fingerprint, &MaterializedView)> =
-            self.views.iter().map(|(fp, v)| (*fp, v)).collect();
-        route_through_views(&self.catalog, &refs, plan)
+        route_through_views(&self.catalog, &self.index, plan)
     }
 
     /// [`Deployment::route`] memoized on the submitted plan's fingerprint,
@@ -164,8 +166,13 @@ impl Deployment {
     /// the same query.
     pub fn route_memo(&self, plan_fp: Fingerprint, plan: &PlanRef) -> (PlanRef, usize, Fingerprint) {
         let shard = &self.route_memo[(plan_fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
-        if let Some((routed, hits, routed_fp)) =
-            shard.lock().expect("route memo poisoned").get(&plan_fp.0)
+        // The memo is a pure cache of `route`, one whole entry per insert:
+        // a shard poisoned by a panicking holder is still valid, so recover
+        // it instead of failing every later request.
+        if let Some((routed, hits, routed_fp)) = shard
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&plan_fp.0)
         {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return (routed.clone(), *hits, *routed_fp);
@@ -177,7 +184,7 @@ impl Deployment {
         } else {
             Fingerprint::of(&routed)
         };
-        let mut memo = shard.lock().expect("route memo poisoned");
+        let mut memo = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if memo.len() < ROUTE_MEMO_CAP_PER_SHARD {
             memo.insert(plan_fp.0, (routed.clone(), hits, routed_fp));
         }
@@ -230,12 +237,7 @@ impl Deployment {
     /// the snapshot in.
     pub fn validate_with(&self, sample: &[PlanRef]) -> Result<PreflightStats, String> {
         self.validate()?;
-        let resolve = |t: &str| {
-            self.views
-                .iter()
-                .find(|(_, v)| v.table_name == t)
-                .map(|(_, v)| v.plan.clone())
-        };
+        let resolve = |t: &str| self.index.by_table(t).map(|(_, v)| v.plan.clone());
         let mut stats = PreflightStats {
             sampled: sample.len(),
             ..PreflightStats::default()
@@ -260,7 +262,9 @@ impl Deployment {
 /// [`Deployment`]. Readers [`DeploymentCell::load`] an `Arc` and keep using
 /// it for as long as they like; [`DeploymentCell::swap`] replaces the slot
 /// without ever blocking on readers (the write lock is held only for the
-/// pointer exchange — loads that raced ahead hold their own `Arc`).
+/// pointer exchange — loads that raced ahead hold their own `Arc`). The slot
+/// always holds one whole `Arc`, so a lock poisoned by a panicking holder is
+/// recovered, not propagated.
 #[derive(Debug)]
 pub struct DeploymentCell {
     current: RwLock<Arc<Deployment>>,
@@ -276,12 +280,15 @@ impl DeploymentCell {
     /// The current snapshot. The returned handle stays valid (and its epoch
     /// fixed) across any number of concurrent swaps.
     pub fn load(&self) -> Arc<Deployment> {
-        self.current.read().expect("deployment cell poisoned").clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Publish a new snapshot, returning the one it replaced.
     pub fn swap(&self, next: Arc<Deployment>) -> Arc<Deployment> {
-        let mut slot = self.current.write().expect("deployment cell poisoned");
+        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         std::mem::replace(&mut *slot, next)
     }
 
@@ -295,7 +302,7 @@ impl DeploymentCell {
 mod tests {
     use super::*;
     use av_engine::{Column, Pricing, Table, ViewStore};
-    use av_equiv::canonicalize;
+    use av_equiv::canonical_fingerprint;
     use av_plan::{Expr, PlanBuilder};
 
     fn catalog() -> Catalog {
@@ -325,7 +332,7 @@ mod tests {
             .materialize(&mut cat, sub.clone(), Pricing::paper_defaults())
             .expect("materializes");
         let view = store.view(id).expect("exists").clone();
-        let fp = Fingerprint::of(&canonicalize(&sub));
+        let fp = canonical_fingerprint(&sub);
         (Deployment::new(1, Arc::new(cat), vec![(fp, view)]), sub)
     }
 
@@ -358,6 +365,46 @@ mod tests {
         let (_, none_hits, none_fp) = dep.route_memo(cold_fp, &cold);
         assert_eq!(none_hits, 0);
         assert_eq!(none_fp, cold_fp);
+    }
+
+    #[test]
+    fn poisoned_memo_and_cell_keep_serving() {
+        let (dep, sub) = deployment_with_view();
+        let query = PlanBuilder::from_plan(sub).count_star(&[], "c").build();
+        let fp = Fingerprint::of(&query);
+        let (direct, direct_hits) = dep.route(&query);
+        let views = dep.views().to_vec();
+        let cat = dep.catalog_arc();
+        let cell = DeploymentCell::new(dep);
+        let dep = cell.load();
+        let shard = &dep.route_memo[(fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
+
+        // One thread dies holding the query's memo shard, another holding
+        // the cell's write lock.
+        std::thread::scope(|s| {
+            let memo = s.spawn(|| {
+                let _held = shard.lock();
+                panic!("holder dies with the memo shard");
+            });
+            let slot = s.spawn(|| {
+                let _held = cell.current.write();
+                panic!("holder dies with the cell");
+            });
+            assert!(memo.join().is_err() && slot.join().is_err());
+        });
+        assert!(shard.is_poisoned() && cell.current.is_poisoned());
+
+        for _ in 0..2 {
+            let (routed, hits, routed_fp) = dep.route_memo(fp, &query);
+            assert_eq!(hits, direct_hits);
+            assert_eq!(routed_fp, Fingerprint::of(&direct));
+            assert_eq!(Fingerprint::of(&routed), routed_fp);
+        }
+        assert_eq!(dep.route_memo_stats(), (1, 1), "the poisoned shard still memoizes");
+        assert_eq!(cell.load().epoch(), 1);
+        let old = cell.swap(Arc::new(Deployment::new(2, cat, views)));
+        assert_eq!(old.epoch(), 1);
+        assert_eq!(cell.epoch(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
 use crate::deployment::{Deployment, DeploymentCell};
 use av_cost::CostEstimator;
-use av_engine::{Catalog, EngineError, ExecCache, MaterializedView, Pricing, RecordBatch};
+use av_engine::{Catalog, EngineError, ExecCache, Pricing, RecordBatch};
 use av_obs::{Obs, ObsConfig, QueryRecord, RecordStatus, TenantTag};
 use av_online::{
     freeze_estimates, reoptimize, CandidateView, LifecycleConfig, SelectorKind,
@@ -367,13 +367,12 @@ impl ViewServer {
         // behind the planner lock).
         let estimates = freeze_estimates(&catalog, &lifecycle, sample, planner.estimator.as_ref());
         metrics.set_gauge("serve.frozen_estimates", estimates.len() as f64);
-        let views: Vec<(Fingerprint, MaterializedView)> = lifecycle
-            .live_views()
-            .into_iter()
-            .map(|(fp, v)| (fp, v.clone()))
-            .collect();
-        let next = Deployment::new(self.cell.epoch() + 1, Arc::new(catalog.clone()), views)
-            .with_estimates(estimates);
+        let next = Deployment::new(
+            self.cell.epoch() + 1,
+            Arc::new(catalog.clone()),
+            lifecycle.live_views(),
+        )
+        .with_estimates(estimates);
 
         // Preflight gate: a snapshot that cannot prove itself never
         // reaches the swap, and its scratch state is dropped here.

@@ -8,7 +8,7 @@
 
 use av_cost::OptimizerEstimator;
 use av_engine::{Column, Executor, Pricing, Table};
-use av_equiv::canonicalize;
+use av_equiv::canonical_fingerprint;
 use av_online::{CandidateView, LifecycleConfig};
 use av_plan::{Expr, Fingerprint, PlanBuilder, PlanRef};
 use av_serve::{ServeConfig, ServeError, ViewServer};
@@ -68,7 +68,7 @@ fn refused_preflight_leaves_the_planner_on_the_published_epoch() {
     // routing substitutes it for a subquery it does not contain.
     let mislabeled = CandidateView {
         plan: slice_of_t(2),
-        canonical_fp: Fingerprint::of(&canonicalize(&slice_of_t(3))),
+        canonical_fp: canonical_fingerprint(&slice_of_t(3)),
         expected_benefit: 1.0,
         overhead: 0.0,
     };

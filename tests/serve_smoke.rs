@@ -69,6 +69,17 @@ fn run_publish_execute_reoptimize_execute_matches_direct_execution() {
     assert_eq!(published.admitted + published.rejected, report.num_views);
     assert_serves_oracle(&server, &plans, &oracle);
 
+    // Routing is idempotent: a routed plan holds no subtree a view of the
+    // same deployment still matches.
+    let deployment = server.current();
+    let mut routed_plans = 0;
+    for plan in &plans {
+        let (routed, hits) = deployment.route(plan);
+        routed_plans += usize::from(hits > 0);
+        assert_eq!(deployment.route(&routed).1, 0, "routing a routed plan");
+    }
+    assert!(routed_plans > 0, "at least one plan has rewrite hits");
+
     // An un-traced system still runs on a real clock: the requests above
     // carry non-zero times, the tenant's SLO window saw them, and the
     // pipeline's phase timings are readable.
