@@ -1,26 +1,27 @@
 //! Online scenario: the 226-query JOB workload replayed in two shifting
-//! phases, streamed through two engines:
+//! phases, streamed through two `OnlineSystem`s:
 //!
 //! - **adaptive** — drift detection on, re-selecting views when the window's
 //!   candidate cost-mass distribution shifts;
-//! - **static** — the same engine with drift detection disabled, so it keeps
+//! - **static** — the same system with drift detection disabled, so it keeps
 //!   the one-shot selection bootstrapped on the first phase.
 //!
 //! Both pay for their own view materializations; the table reports the
 //! cumulative cost each actually spent and the net saving vs. running every
-//! query unrewritten. The adaptive engine's metrics snapshot is printed at
+//! query unrewritten. The adaptive server's metrics snapshot is printed at
 //! the end.
 //!
 //! Deterministic for a fixed seed (`AV_SEED`); scale with `AV_JOB_SCALE`.
-//! `--trace-out <path>` dumps the adaptive engine's span tree as
-//! chrome://tracing JSON.
+//! `--trace-out <path>` dumps the adaptive server's span tree (`serve.reopt`
+//! phases) as chrome://tracing JSON.
 
 use av_bench::{render_table, BenchConfig};
-use av_cost::OptimizerEstimator;
-use av_engine::Pricing;
-use av_online::{DriftConfig, LifecycleConfig, OnlineConfig, OnlineEngine, SelectorKind};
+use av_core::{OnlineSystem, OnlineSystemConfig, SelectorKind};
+use av_online::DriftConfig;
 use av_plan::PlanRef;
 use av_select::IterViewConfig;
+use av_serve::ServeConfig;
+use av_trace::Tracer;
 use av_workload::job::job_workload;
 
 /// Passes over each phase's query list. Phase A streams long enough to
@@ -28,48 +29,45 @@ use av_workload::job::job_workload;
 /// re-selection to amortize its new materializations.
 const PASSES_PER_PHASE: usize = 2;
 
-fn engine(workload_catalog: &av_engine::Catalog, window: usize, seed: u64, adaptive: bool) -> OnlineEngine {
-    OnlineEngine::new(
-        workload_catalog.clone(),
-        Box::new(OptimizerEstimator::default()),
-        OnlineConfig {
-            pricing: Pricing::paper_defaults(),
+fn system(catalog: &av_engine::Catalog, window: usize, seed: u64, adaptive: bool) -> OnlineSystem {
+    let mut serve = ServeConfig::default();
+    serve.lifecycle.byte_budget = usize::MAX;
+    serve.selector = SelectorKind::IterView(IterViewConfig {
+        iterations: 60,
+        seed,
+        freeze_after: None,
+    });
+    OnlineSystem::with_tracer(
+        catalog.clone(),
+        &[],
+        OnlineSystemConfig {
+            serve,
             window_size: window,
             check_every: 16,
             drift: DriftConfig {
-                // An infinite threshold never triggers: the static engine
+                // An infinite threshold never triggers: the static system
                 // keeps whatever the bootstrap selected.
                 threshold: if adaptive { 0.3 } else { f64::INFINITY },
                 min_queries_between: window as u64 / 2,
             },
-            lifecycle: LifecycleConfig {
-                byte_budget: usize::MAX,
-                min_benefit_per_byte: 0.0,
-                tenant_byte_budget: usize::MAX,
-            },
-            selector: SelectorKind::IterView(IterViewConfig {
-                iterations: 60,
-                seed,
-                freeze_after: None,
-            }),
+            ..OnlineSystemConfig::default()
         },
+        Tracer::new(),
     )
+    .expect("constructs")
 }
 
-fn stream(eng: &mut OnlineEngine, phases: &[&[PlanRef]]) {
+fn stream(sys: &mut OnlineSystem, phases: &[&[PlanRef]]) {
     for phase in phases {
         for _ in 0..PASSES_PER_PHASE {
             for q in *phase {
-                eng.ingest(q).expect("query executes");
+                sys.ingest(q).expect("query executes");
             }
         }
     }
 }
 
 fn main() {
-    if cfg!(debug_assertions) {
-        av_analyze::install_engine_gate();
-    }
     let mut trace_out: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
@@ -103,27 +101,26 @@ fn main() {
     );
 
     let window = phase_a.len().min(phase_b.len());
-    let mut adaptive = engine(&w.catalog, window, cfg.seed, true);
-    let mut static_ = engine(&w.catalog, window, cfg.seed, false);
+    let mut adaptive = system(&w.catalog, window, cfg.seed, true);
+    let mut static_ = system(&w.catalog, window, cfg.seed, false);
     stream(&mut adaptive, &[&phase_a, &phase_b]);
     stream(&mut static_, &[&phase_a, &phase_b]);
 
     let rows: Vec<Vec<String>> = [("adaptive", &adaptive), ("static", &static_)]
         .into_iter()
-        .map(|(name, eng)| {
-            let r = eng.report();
-            let m = eng.metrics();
+        .map(|(name, sys)| {
+            let r = sys.report();
             vec![
                 name.to_string(),
                 format!("{:.4}", r.baseline_cost),
                 format!("{:.4}", r.actual_cost),
                 format!("{:.4}", r.view_overhead),
                 format!("{:.4}", r.net_saving()),
-                m.counter("online.views_admitted").to_string(),
-                m.counter("online.views_evicted").to_string(),
-                m.counter("online.rewrite_hits").to_string(),
-                m.counter("online.drift_triggers").to_string(),
-                m.counter("online.reopt_runs").to_string(),
+                r.views_admitted.to_string(),
+                r.views_evicted.to_string(),
+                sys.server().metrics().counters["serve.rewrite_hits"].to_string(),
+                r.drift_triggers.to_string(),
+                r.reopts.to_string(),
             ]
         })
         .collect();
@@ -145,8 +142,16 @@ fn main() {
         "adaptive must beat static on a phase-shifted workload"
     );
 
+    let report = adaptive.report();
+    println!(
+        "adaptive: {} estimator residuals recorded, {} admissions rejected, {} preflights refused",
+        adaptive.server().stats_snapshot().residuals.recorded,
+        report.admissions_rejected,
+        report.preflight_refused
+    );
+
     if let Some(path) = &trace_out {
-        let snap = adaptive.tracer().snapshot();
+        let snap = adaptive.server().tracer().snapshot();
         std::fs::write(path, av_trace::chrome_trace(&snap)).expect("trace written");
         println!(
             "\nwrote {path} ({} spans, {} phases) — open in chrome://tracing",
@@ -156,5 +161,6 @@ fn main() {
         println!("\nper-phase profile:\n{}", av_trace::profile_tree(&snap));
     }
 
-    println!("\nadaptive metrics snapshot:\n{}", adaptive.metrics_json());
+    let metrics = serde_json::to_string_pretty(&adaptive.server().metrics()).expect("serializes");
+    println!("\nadaptive metrics snapshot:\n{metrics}");
 }

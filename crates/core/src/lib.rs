@@ -24,7 +24,7 @@ pub mod truth;
 pub use config::{table2_defaults, Table2Defaults, WorkloadKind};
 pub use metadata::MetadataDb;
 pub use system::{
-    AutoViewConfig, AutoViewSystem, EndToEndReport, EstimatorKind, OnlineSystem,
-    OnlineSystemConfig, SelectorKind,
+    AutoViewConfig, AutoViewSystem, EndToEndReport, EstimatorKind, OnlineReport, OnlineSystem,
+    OnlineSystemConfig, QueryOutcome, SelectorKind,
 };
 pub use truth::{collect_pair_truth, preprocess_and_measure, PairTruth, Preprocessed};

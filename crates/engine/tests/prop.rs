@@ -331,7 +331,7 @@ proptest! {
         }
         prop_assert_eq!(mgr.live().len(), 21);
 
-        let (routed, hits) = mgr.route(&c, &query);
+        let (routed, hits) = av_online::route_through_views(&c, mgr.index(), &query);
         prop_assert_eq!(hits, 1, "the one equivalent view fires, no decoy does");
         prop_assert_eq!(exec(&c, &query).batch, exec(&c, &routed).batch);
     }

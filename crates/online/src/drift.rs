@@ -60,10 +60,6 @@ impl DriftDetector {
         }
     }
 
-    pub fn config(&self) -> DriftConfig {
-        self.config
-    }
-
     /// Observe the current window's candidate mass at arrival `seq`.
     ///
     /// The first observation pins the reference and never triggers. Later
@@ -103,14 +99,6 @@ impl DriftDetector {
     /// distribution the new selection was made for.
     pub fn rebase(&mut self, mass: &BTreeMap<Fingerprint, f64>) {
         self.reference = Some(mass.clone());
-    }
-
-    /// Distance of `mass` from the current reference (0 if unpinned).
-    pub fn distance_from_reference(&self, mass: &BTreeMap<Fingerprint, f64>) -> f64 {
-        match &self.reference {
-            Some(r) => total_variation(r, mass),
-            None => 0.0,
-        }
     }
 }
 

@@ -135,9 +135,9 @@ thread_local! {
 /// one canonicalization per subquery root visited, whatever the number of
 /// views.
 ///
-/// This is the routing core shared by [`ViewLifecycleManager::route`]
-/// (mutable online engine) and `av-serve`'s frozen deployment snapshots,
-/// where it runs against an immutable `Arc<Catalog>`.
+/// `av-serve`'s frozen deployment snapshots route through this against an
+/// immutable `Arc<Catalog>`; [`crate::reopt::freeze_estimates`] routes the
+/// planner's scratch set through it before publication.
 pub fn route_through_views(
     catalog: &Catalog,
     index: &ViewIndex,
@@ -206,10 +206,6 @@ impl ViewLifecycleManager {
         }
     }
 
-    pub fn config(&self) -> LifecycleConfig {
-        self.config
-    }
-
     /// Live views, admission order.
     pub fn live(&self) -> &[LiveView] {
         &self.live
@@ -221,7 +217,7 @@ impl ViewLifecycleManager {
     }
 
     /// Total bytes currently occupied by live views.
-    pub fn live_bytes(&self) -> usize {
+    fn live_bytes(&self) -> usize {
         self.live
             .iter()
             .filter_map(|l| self.store.view(l.id))
@@ -230,7 +226,7 @@ impl ViewLifecycleManager {
     }
 
     /// Is a structurally equivalent view already live?
-    pub fn has_live(&self, canonical_fp: Fingerprint) -> bool {
+    fn has_live(&self, canonical_fp: Fingerprint) -> bool {
         self.index.by_fp.contains_key(&canonical_fp)
     }
 
@@ -364,8 +360,7 @@ impl ViewLifecycleManager {
 
     /// Apply one re-optimization's outcome: evict every `drop` fingerprint
     /// that is live, then admit each of `create` in order, charged to
-    /// `owner`. The one place a selection turns into catalog changes — the
-    /// online engine and the serving layer both call it.
+    /// `owner`. The one place a selection turns into catalog changes.
     pub fn apply(
         &mut self,
         catalog: &mut Catalog,
@@ -402,7 +397,7 @@ impl ViewLifecycleManager {
 
     /// Evict the live view with the given canonical fingerprint (no-op if
     /// not live). Returns the evicted id.
-    pub fn evict(&mut self, catalog: &mut Catalog, canonical_fp: Fingerprint) -> Option<ViewId> {
+    fn evict(&mut self, catalog: &mut Catalog, canonical_fp: Fingerprint) -> Option<ViewId> {
         let i = self
             .live
             .iter()
@@ -418,14 +413,6 @@ impl ViewLifecycleManager {
         victim.id
     }
 
-    /// Rewrite `plan` through the live views with [`route_through_views`]:
-    /// one top-down pass against the manager's index, outermost match
-    /// first. Returns the (possibly unchanged) plan and the number of
-    /// subtree replacements.
-    pub fn route(&self, catalog: &Catalog, plan: &PlanRef) -> (PlanRef, usize) {
-        route_through_views(catalog, &self.index, plan)
-    }
-
     /// The routing index of the live set.
     pub fn index(&self) -> &ViewIndex {
         &self.index
@@ -438,17 +425,6 @@ impl ViewLifecycleManager {
             .iter()
             .filter_map(|l| self.store.view(l.id).map(|v| (l.canonical_fp, v.clone())))
             .collect()
-    }
-
-    /// The backing store (for inspection; all mutation goes through the
-    /// manager).
-    pub fn store(&self) -> &ViewStore {
-        &self.store
-    }
-
-    /// Look up a live view's materialized record.
-    pub fn view(&self, id: ViewId) -> Option<&MaterializedView> {
-        self.store.view(id)
     }
 }
 
@@ -609,11 +585,11 @@ mod tests {
         let live = mgr.live_fingerprints();
         let mut total_hits = 0;
         for plan in &w.plans() {
-            let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, plan));
+            let ((routed, hits), n) = canonicalized_by(|| route_through_views(&catalog, mgr.index(), plan));
             assert_eq!(n, roots_reached(plan, &live));
             assert!(n <= enumerate_subqueries(plan).len());
             let ((crowded_routed, crowded_hits), crowded_n) =
-                canonicalized_by(|| crowded.route(&crowded_catalog, plan));
+                canonicalized_by(|| route_through_views(&crowded_catalog, crowded.index(), plan));
             assert_eq!(crowded_n, n, "decoys add no routing work");
             assert_eq!(crowded_hits, hits);
             assert_eq!(Fingerprint::of(&crowded_routed), Fingerprint::of(&routed));
@@ -643,10 +619,11 @@ mod tests {
             mgr.admit(&mut catalog, plan.clone(), fp, 1.0, Pricing::paper_defaults())
                 .expect("materializes");
         }
-        let [inner_view, outer_view] = [0, 1].map(|i| mgr.view(mgr.live()[i].id).expect("live"));
+        let views = mgr.live_views();
+        let (inner_view, outer_view) = (&views[0].1, &views[1].1);
 
         // Outermost match wins: one canonicalization, no descent.
-        let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, &outer));
+        let ((routed, hits), n) = canonicalized_by(|| route_through_views(&catalog, mgr.index(), &outer));
         assert_eq!((hits, n), (1, 1));
         assert_eq!(routed.base_tables(), vec![outer_view.table_name.clone()]);
 
@@ -654,7 +631,7 @@ mod tests {
         // back: its index entry is stale, so routing descends and the
         // inner view fires.
         catalog.drop_table(&outer_view.table_name).expect("was stored");
-        let ((routed, hits), n) = canonicalized_by(|| mgr.route(&catalog, &outer));
+        let ((routed, hits), n) = canonicalized_by(|| route_through_views(&catalog, mgr.index(), &outer));
         assert_eq!((hits, n), (1, 2));
         assert_eq!(routed.base_tables(), vec![inner_view.table_name.clone()]);
         let exec = Executor::new(&catalog, Pricing::paper_defaults());
@@ -694,7 +671,7 @@ mod tests {
         let exec = Executor::new(&catalog, Pricing::paper_defaults());
         let mut total_hits = 0;
         for q in &w.plans() {
-            let (rewritten, hits) = mgr.route(&catalog, q);
+            let (rewritten, hits) = route_through_views(&catalog, mgr.index(), q);
             if hits > 0 {
                 total_hits += hits;
                 // Routed queries must return identical rows.

@@ -46,13 +46,6 @@ pub struct ReoptPlan {
     pub estimated_utility: f64,
 }
 
-impl ReoptPlan {
-    /// True when the plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        self.create.is_empty() && self.drop.is_empty()
-    }
-}
-
 /// A window of queries paired with their (unrewritten) execution costs.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowSnapshot<'a> {
@@ -347,7 +340,10 @@ mod tests {
             &shared,
         )
         .expect("second");
-        assert!(second.is_noop(), "unchanged window => no-op plan");
+        assert!(
+            second.create.is_empty() && second.drop.is_empty(),
+            "unchanged window => no-op plan"
+        );
         assert_eq!(second.keep.len(), live.len());
         // Round two dry-runs the identical candidate set at the same catalog
         // epoch, so every execution is a cache hit.

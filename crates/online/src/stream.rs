@@ -1,14 +1,12 @@
 //! Streaming workload ingestion with a sliding window.
 //!
 //! [`WorkloadStream`] keeps the most recent `window_size` arrivals together
-//! with their measured execution cost, and exposes window-level statistics
-//! (via `av-workload::stats`-shaped [`WorkloadStats`]) and the per-candidate
-//! *cost mass* distribution that [`crate::drift::DriftDetector`] compares
-//! window over window.
+//! with their measured execution cost, and exposes the per-candidate *cost
+//! mass* distribution that [`crate::drift::DriftDetector`] compares window
+//! over window.
 
 use av_equiv::{Analyzer, WorkloadAnalysis};
 use av_plan::{Fingerprint, PlanRef};
-use av_workload::stats::WorkloadStats;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One query that arrived on the stream.
@@ -29,18 +27,19 @@ pub struct WorkloadStream {
     window_size: usize,
     total_seen: u64,
     /// Clusters must span at least this many distinct queries to count as
-    /// candidates (mirrors the batch pipeline's setting of 2).
-    pub min_query_frequency: usize,
+    /// candidates. Fixed at construction from the setting selection uses,
+    /// so the drift analysis and the selection analysis cannot disagree.
+    min_query_frequency: usize,
 }
 
 impl WorkloadStream {
-    pub fn new(window_size: usize) -> WorkloadStream {
+    pub fn new(window_size: usize, min_query_frequency: usize) -> WorkloadStream {
         assert!(window_size > 0, "window_size must be positive");
         WorkloadStream {
             window: VecDeque::with_capacity(window_size),
             window_size,
             total_seen: 0,
-            min_query_frequency: 2,
+            min_query_frequency,
         }
     }
 
@@ -56,20 +55,6 @@ impl WorkloadStream {
         seq
     }
 
-    /// Number of arrivals ever ingested (not just the window).
-    pub fn total_seen(&self) -> u64 {
-        self.total_seen
-    }
-
-    /// Current window occupancy.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
     /// True once the window holds `window_size` queries.
     pub fn is_full(&self) -> bool {
         self.window.len() == self.window_size
@@ -83,35 +68,25 @@ impl WorkloadStream {
     /// Measured costs currently in the window, aligned with [`plans`].
     ///
     /// [`plans`]: WorkloadStream::plans
-    pub fn costs(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn costs(&self) -> Vec<f64> {
         self.window.iter().map(|a| a.cost).collect()
     }
 
-    /// Total unrewritten cost of the window.
-    pub fn window_cost(&self) -> f64 {
-        self.window.iter().map(|a| a.cost).sum()
-    }
-
     /// Run the equivalence analysis over the current window.
-    pub fn analyze(&self) -> WorkloadAnalysis {
+    fn analyze(&self) -> WorkloadAnalysis {
         let mut analyzer = Analyzer::new();
         analyzer.min_query_frequency = self.min_query_frequency;
         analyzer.analyze(&self.plans())
     }
 
-    /// The drift signal: for each candidate subquery (keyed by its canonical
-    /// fingerprint), the total unrewritten cost of the window queries that
-    /// could use it. Shifts in this distribution mean the *reusable* part of
-    /// the workload changed — exactly when re-selection can pay off.
+    /// The drift signal: for each candidate subquery of the window's analysis
+    /// (keyed by its canonical fingerprint), the total unrewritten cost of
+    /// the window queries that could use it. Shifts in this distribution
+    /// mean the *reusable* part of the workload changed — exactly when
+    /// re-selection can pay off.
     pub fn candidate_mass(&self) -> BTreeMap<Fingerprint, f64> {
         let analysis = self.analyze();
-        self.candidate_mass_from(&analysis)
-    }
-
-    /// Same as [`candidate_mass`], reusing an analysis already computed.
-    ///
-    /// [`candidate_mass`]: WorkloadStream::candidate_mass
-    pub fn candidate_mass_from(&self, analysis: &WorkloadAnalysis) -> BTreeMap<Fingerprint, f64> {
         let mut mass: BTreeMap<Fingerprint, f64> = BTreeMap::new();
         for (i, matches) in analysis.query_matches.iter().enumerate() {
             let cost = self.window[i].cost;
@@ -121,23 +96,6 @@ impl WorkloadStream {
             }
         }
         mass
-    }
-
-    /// Table-I-style statistics for the current window (`projects`/`tables`
-    /// are workload-level facts the stream does not know; pass them in).
-    pub fn stats(&self, name: &str, projects: usize, tables: usize) -> WorkloadStats {
-        let analysis = self.analyze();
-        WorkloadStats {
-            name: name.to_string(),
-            projects,
-            tables,
-            queries: self.window.len(),
-            subqueries: analysis.total_subqueries,
-            equivalent_pairs: analysis.equivalent_pairs,
-            candidate_subqueries: analysis.candidates.len(),
-            associated_queries: analysis.associated_queries(),
-            overlapping_pairs: analysis.overlap_pairs.len(),
-        }
     }
 }
 
@@ -150,24 +108,21 @@ mod tests {
     fn window_slides_and_counts() {
         let w = mini(7);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(4);
+        let mut s = WorkloadStream::new(4, 2);
         for (i, p) in plans.iter().take(6).enumerate() {
             let seq = s.ingest(p.clone(), 1.0 + i as f64);
             assert_eq!(seq, i as u64);
         }
-        assert_eq!(s.total_seen(), 6);
-        assert_eq!(s.len(), 4);
         assert!(s.is_full());
         // Oldest two evicted: window holds arrivals 2..6.
         assert_eq!(s.costs(), vec![3.0, 4.0, 5.0, 6.0]);
-        assert!((s.window_cost() - 18.0).abs() < 1e-12);
     }
 
     #[test]
     fn analysis_matches_batch_pipeline_on_same_queries() {
         let w = mini(8);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(plans.len());
+        let mut s = WorkloadStream::new(plans.len(), 2);
         for p in &plans {
             s.ingest(p.clone(), 1.0);
         }
@@ -189,7 +144,7 @@ mod tests {
     fn candidate_mass_weights_by_cost() {
         let w = mini(9);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(plans.len());
+        let mut s = WorkloadStream::new(plans.len(), 2);
         for p in &plans {
             s.ingest(p.clone(), 2.0);
         }
@@ -200,20 +155,5 @@ mod tests {
             assert!(m >= 2.0, "mass of {fp:?} must cover >= 1 query");
             assert!((m / 2.0).fract().abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn stats_report_window_shape() {
-        let w = mini(10);
-        let plans = w.plans();
-        let mut s = WorkloadStream::new(plans.len());
-        for p in &plans {
-            s.ingest(p.clone(), 1.0);
-        }
-        let stats = s.stats("mini-window", w.num_projects, w.catalog.len());
-        assert_eq!(stats.queries, plans.len());
-        assert!(stats.candidate_subqueries > 0);
-        assert!(stats.associated_queries > 0);
-        assert!(!stats.render().is_empty());
     }
 }

@@ -26,7 +26,7 @@ use av_online::{
 use av_plan::{Fingerprint, PlanRef};
 use av_trace::{MetricsSnapshot, Timing, Tracer};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -132,7 +132,10 @@ pub struct ReoptSummary {
 
 /// Mutable planning state, serialized behind one mutex: the authoritative
 /// catalog (views materialize into it), the lifecycle manager, the cost
-/// model, and a dry-run cache for candidate pricing.
+/// model, and a dry-run cache for candidate pricing. Catalog and lifecycle
+/// are only ever assigned after a successful preflight, so a planner whose
+/// lock a panicking re-optimization poisoned still mirrors the published
+/// epoch and is recovered, not propagated.
 struct Planner {
     catalog: Catalog,
     lifecycle: ViewLifecycleManager,
@@ -296,7 +299,7 @@ impl ViewServer {
     ) -> Result<ReoptSummary, ServeError> {
         let tracer = self.tracer.clone();
         let metrics = tracer.metrics();
-        let mut guard = self.planner.lock().expect("planner poisoned");
+        let mut guard = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
         let planner = &mut *guard;
         tracer.time("serve.reopt", || -> Result<ReoptSummary, ServeError> {
             let mut analyzer = av_equiv::Analyzer::new();
@@ -336,7 +339,7 @@ impl ViewServer {
         owner: Option<&str>,
         sample: &[PlanRef],
     ) -> Result<ReoptSummary, ServeError> {
-        let mut planner = self.planner.lock().expect("planner poisoned");
+        let mut planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
         self.apply_and_publish(&mut planner, &[], candidates, owner, sample)
     }
 
@@ -418,7 +421,7 @@ impl ViewServer {
     /// running re-optimization these are exactly the published snapshot's
     /// views: the planner only ever commits what it publishes.
     pub fn planner_live_fingerprints(&self) -> Vec<Fingerprint> {
-        let planner = self.planner.lock().expect("planner poisoned");
+        let planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
         planner.lifecycle.live_fingerprints()
     }
 
@@ -674,6 +677,53 @@ mod tests {
             "admitted views are charged to the owner"
         );
         assert_eq!(planner.lifecycle.live_bytes_of(None), 0);
+    }
+
+    /// Panics on its first estimate, then answers as the optimizer does.
+    struct PanicsOnce {
+        panicked: std::sync::atomic::AtomicBool,
+        inner: OptimizerEstimator,
+    }
+
+    impl CostEstimator for PanicsOnce {
+        fn estimate(&self, input: &av_cost::FeatureInput) -> f64 {
+            if !self.panicked.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                panic!("injected estimator fault");
+            }
+            self.inner.estimate(input)
+        }
+
+        fn name(&self) -> &'static str {
+            "panics-once"
+        }
+    }
+
+    #[test]
+    fn a_reopt_that_panics_does_not_wedge_the_planner() {
+        let w = mini(77);
+        let plans = w.plans();
+        let server = ViewServer::new(
+            w.catalog.clone(),
+            Box::new(PanicsOnce {
+                panicked: Default::default(),
+                inner: OptimizerEstimator::default(),
+            }),
+            server_for(&w).config().clone(),
+        );
+        let died = std::thread::scope(|s| s.spawn(|| server.reoptimize(&plans, None)).join());
+        assert!(died.is_err(), "the first reoptimize dies holding the planner");
+        assert_eq!(server.epoch(), 0, "nothing was published");
+
+        let summary = server.reoptimize(&plans, None).expect("the planner is recovered");
+        assert!(summary.admitted > 0);
+        let published: Vec<Fingerprint> =
+            server.current().views().iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(server.planner_live_fingerprints(), published);
+        let exec = av_engine::Executor::new(&w.catalog, Pricing::paper_defaults());
+        for p in &plans {
+            let resp = server.execute("t", p).expect("serves");
+            assert_eq!(resp.batch, exec.run(p).expect("direct run").batch);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   [`profile_tree`] (plain-text per-phase profile).
 //!
 //! Metric names follow `subsystem.noun_verb` (e.g. `engine.cache_hit`,
-//! `online.views_admitted`); span names follow `subsystem.phase`
+//! `serve.swaps`); span names follow `subsystem.phase`
 //! (`pipeline.train`, `exec.join`). See DESIGN.md §Observability.
 
 // `deny` rather than `forbid`: `clock.rs` opts one audited module back in

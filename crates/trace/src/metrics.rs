@@ -3,10 +3,10 @@
 //! exportable as a JSON snapshot.
 //!
 //! Everything is name-addressed and lazily created so call sites stay
-//! one-liners (`metrics.inc("online.views_admitted")`); the state sits
+//! one-liners (`metrics.inc("serve.swaps")`); the state sits
 //! behind one `Mutex`, so parallel executor chunks and multi-threaded
 //! harnesses can record into one registry through `&self`. That lock is
-//! why the registry is for planner-rate events and pipeline/online series
+//! why the registry is for planner-rate events and pipeline series
 //! only: per-request serving numbers stay with their owners (cache shards,
 //! admission, pool, `av-obs`) and are folded in at snapshot time.
 //!
@@ -268,9 +268,9 @@ mod tests {
     #[test]
     fn json_snapshot_parses_and_has_fields() {
         let m = Metrics::new();
-        m.inc("online.views_admitted");
-        m.observe("online.query_cost", 0.002);
-        m.record_seconds("online.route", 0.001);
+        m.inc("serve.swaps");
+        m.observe("select.utility", 0.002);
+        m.record_seconds("serve.reopt", 0.001);
         let text = m.to_json();
         let doc: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         let obj = doc.as_obj().expect("object");

@@ -309,7 +309,7 @@ impl Tracer {
         }
     }
 
-    /// Record a zero-duration marker event (e.g. `online.drift_trigger`)
+    /// Record a zero-duration marker event (e.g. `serve.swap`)
     /// under the innermost open span.
     pub fn instant(&self, name: &'static str) {
         if !self.inner.enabled {
@@ -780,14 +780,14 @@ mod tests {
     fn instants_are_zero_duration_children() {
         let (t, clock) = traced();
         {
-            let _root = t.span("online.ingest");
+            let _root = t.span("serve.reopt");
             clock.advance(7);
-            t.instant("online.drift_trigger");
+            t.instant("serve.swap");
         }
         let snap = t.snapshot();
         assert_eq!(snap.spans.len(), 2);
         let ev = &snap.spans[1];
-        assert_eq!(ev.name, "online.drift_trigger");
+        assert_eq!(ev.name, "serve.swap");
         assert_eq!(ev.parent, Some(0));
         assert_eq!(ev.start_nanos, 7);
         assert_eq!(ev.duration_nanos(), 0);
