@@ -1,44 +1,34 @@
-//! Executor micro-benchmark: rows/sec for filter / aggregate micro-ops over
-//! JOB-scale tables, comparing the interpreted reference kernels against the
-//! default selection-vector + typed-kernel path, plus the plan-result
-//! cache's hit-rate and speedup on a full workload replay.
+//! Executor micro-benchmark, three gated sections:
 //!
-//! The micro tables sit *below* the 16k-row parallel cutover on purpose:
-//! that regime gets no help from threading, so whatever the typed kernels
-//! buy is exactly what a small-batch query feels. Each micro asserts the
-//! two paths produce bitwise-identical batches and execution reports, and
-//! the build fails if any optimized micro is slower than its reference —
-//! a <1.0x "optimization" can never ship silently.
+//! - **micro** — rows/sec for filter / aggregate micro-ops over JOB-scale
+//!   tables, interpreted reference kernels vs the default selection-vector +
+//!   typed-kernel path. The micro tables sit *below* the 16k-row parallel
+//!   cutover on purpose: that regime gets no help from threading, so
+//!   whatever the typed kernels buy is exactly what a small-batch query
+//!   feels. Each micro asserts the two paths produce bitwise-identical
+//!   batches and execution reports, and the bench fails if any optimized
+//!   micro is slower than its reference.
+//! - **spawn** — the same plan at 8k–64k rows through the serial path and
+//!   the shared av-sched pool (parallelism forced on via a zero `min_rows`
+//!   so the sub-cutover sizes are measured too), bitwise-equal. On
+//!   multi-core hosts the pooled path must be profitable (≥1.0x vs serial)
+//!   from 16k rows up — the measurement `PAR_MIN_ROWS` = 16_384 rests on.
+//!   Single-core hosts report the numbers but skip the gate.
+//! - **cache** — the plan-result cache's hit-rate and speedup on a cold then
+//!   warm replay of the full JOB workload.
 //!
-//! A spawn-overhead section sizes the parallel cutover: the same plan at
-//! 8k–64k rows through the serial path and the shared av-sched pool
-//! (parallelism forced on via a zero `min_rows` so the sub-cutover sizes
-//! are measured too). On multi-core hosts the pooled path must be profitable
-//! (≥1.0x vs serial) from 16k rows up — that is the measurement
-//! `PAR_MIN_ROWS` = 16_384 rests on — and the whole bench fails if it
-//! regresses. Single-core hosts
-//! report the numbers but skip the gate (parallelism cannot win there).
-//! The tracing-overhead budget is also a gate: traced vs untraced over the
-//! benched workload must stay under 5%.
-//!
-//! Writes `BENCH_exec.json` (machine-readable, consumed by CI) next to the
-//! working directory and prints the same numbers as a table.
+//! Writes `BENCH_exec.json` (machine-readable, consumed by CI) to the
+//! working directory and prints the same numbers as tables.
 //!
 //! Knobs: `AV_JOB_SCALE` (table scale, default 0.05), `AV_EXEC_SCALE`
 //! (extra multiplier for the micro tables, default 20 — at the defaults the
 //! fact table lands at 12k rows, under the cutover), `AV_EXEC_REPS`
-//! (default 20), `AV_EXEC_THREADS` (thread count for the trace/replay
-//! sections, default 4), `AV_SEED`.
-//!
-//! `--trace-out <path>` dumps one traced pass over the benched workload
-//! (micro plans + cold replay) as chrome://tracing-compatible JSON. With or
-//! without the flag, the report carries the span count and the traced vs.
-//! untraced overhead of that workload, plus the replay-only slice.
+//! (default 20), `AV_EXEC_THREADS` (pooled thread count on the spawn ladder,
+//! default 4), `AV_SEED`.
 
 use av_bench::{render_table, BenchConfig};
 use av_engine::{ExecCache, Executor, Pricing};
 use av_plan::{AggExpr, AggFunc, CmpOp, Expr, PlanBuilder, PlanRef};
-use av_trace::Tracer;
 use av_workload::job::job_workload;
 use serde::Serialize;
 use std::time::Instant;
@@ -77,26 +67,11 @@ struct CacheResult {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct TraceResult {
-    /// Spans recorded by one traced pass over the benched workload.
-    spans: usize,
-    /// Best-of-reps wall time of one traced pass (micro plans + cold
-    /// replay).
-    traced_seconds: f64,
-    /// Traced vs. untraced over the full benched workload — the < 5%
-    /// acceptance budget applies to this number.
-    overhead_pct: f64,
-    /// Same comparison restricted to the cold cache replay, the densest
-    /// span-per-microsecond slice (tiny queries, ~7 spans each). Expect
-    /// this to sit above `overhead_pct`; it is report-only.
-    replay_overhead_pct: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct ExecBenchReport {
     job_scale: f64,
     exec_scale: f64,
     reps: usize,
+    /// Pooled thread count on the spawn ladder (`AV_EXEC_THREADS`).
     threads: usize,
     /// Serial-fallback cutover: batches under this many rows never go
     /// parallel (see `av_engine::par::PAR_MIN_ROWS`).
@@ -107,7 +82,6 @@ struct ExecBenchReport {
     micro: Vec<MicroResult>,
     spawn: Vec<SpawnResult>,
     cache: CacheResult,
-    trace: TraceResult,
 }
 
 fn envf(key: &str, default: f64) -> f64 {
@@ -143,14 +117,6 @@ fn main() {
     // measured throughput is unaffected where it matters).
     if cfg!(debug_assertions) {
         av_analyze::install_engine_gate();
-    }
-    let mut trace_out: Option<String> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--trace-out" => trace_out = Some(argv.next().expect("--trace-out needs a path")),
-            other => panic!("unknown argument {other:?} (expected --trace-out <path>)"),
-        }
     }
     let cfg = BenchConfig::from_env();
     let exec_scale = envf("AV_EXEC_SCALE", 20.0);
@@ -306,89 +272,6 @@ fn main() {
         speedup: cold_seconds / warm_seconds.max(1e-12),
     };
 
-    // Tracing overhead: one pass over the default benched workload — each
-    // micro plan through the serial and parallel executors, then a cold
-    // cache replay (fresh cache each pass so every query executes) — with
-    // span recording off vs. on, interleaved pass-by-pass so
-    // clock-frequency and allocator drift hits both sides equally. The
-    // pass runs at *fixed* default scale, independent of the env knobs:
-    // the <5% budget is defined over that workload's span density, and a
-    // smoke run with shrunken tables would otherwise measure (and gate) a
-    // span-heavier mix the budget was never set against. The replay slice
-    // is also timed on its own: its queries are microseconds long, so it
-    // is the worst case for per-span cost and is reported separately.
-    const TRACE_JOB_SCALE: f64 = 0.05;
-    const TRACE_EXEC_SCALE: f64 = 20.0;
-    let trace_micro_w = job_workload(TRACE_JOB_SCALE * TRACE_EXEC_SCALE, cfg.seed);
-    let trace_replay_w = job_workload(TRACE_JOB_SCALE, cfg.seed);
-    let trace_plans = trace_replay_w.plans();
-    let workload_pass = |tracer: &Tracer| -> (f64, f64) {
-        let start = Instant::now();
-        let serial = Executor::new(&trace_micro_w.catalog, pricing)
-            .with_threads(1)
-            .with_tracer(tracer.clone());
-        let parallel = Executor::new(&trace_micro_w.catalog, pricing)
-            .with_threads(threads)
-            .with_tracer(tracer.clone());
-        for (_, _, plan) in &micros {
-            serial.run(plan).expect("benchmark plan executes");
-            parallel.run(plan).expect("benchmark plan executes");
-        }
-        let cache = ExecCache::new(pricing, 1).with_tracer(tracer.clone());
-        let replay_start = Instant::now();
-        for p in &trace_plans {
-            cache.run(&trace_replay_w.catalog, p).expect("query executes");
-        }
-        let replay = replay_start.elapsed().as_secs_f64();
-        (start.elapsed().as_secs_f64(), replay)
-    };
-    // Each side is summarized by the mean of its fastest half. Like
-    // `time_pair`'s best-of-reps, this rejects the scheduling-stall tail
-    // (stalls only ever make a pass slower); unlike a bare minimum it
-    // averages several clean passes, so the estimate doesn't ride on which
-    // side got the single luckiest draw. Interleaving gives drift (CPU
-    // frequency, thermal) equal weight on both sides.
-    let best = |samples: &[f64]| -> f64 {
-        let mut s = samples.to_vec();
-        s.sort_by(|a, b| a.total_cmp(b));
-        let keep = (s.len() / 2).max(1);
-        s[..keep].iter().sum::<f64>() / keep as f64
-    };
-    let off = Tracer::disabled();
-    let on = Tracer::new();
-    // Run-length floor: the overhead gate needs enough chances at a clean
-    // minimum even when a smoke run dials AV_EXEC_REPS down. 25 interleaved
-    // pairs ≈ half a second; on a noisy shared box the fastest-half
-    // estimator needs that many draws to shake off scheduler spikes.
-    let trace_reps = reps.max(25);
-    let (mut off_total, mut on_total) = (Vec::new(), Vec::new());
-    let (mut off_replay, mut on_replay) = (Vec::new(), Vec::new());
-    for _ in 0..trace_reps {
-        let (t, r) = workload_pass(&off);
-        off_total.push(t);
-        off_replay.push(r);
-        let (t, r) = workload_pass(&on);
-        on_total.push(t);
-        on_replay.push(r);
-    }
-    let traced_seconds = best(&on_total);
-    let untraced_seconds = best(&off_total);
-    let trace_result = TraceResult {
-        spans: on.span_count() / trace_reps,
-        traced_seconds,
-        overhead_pct: (traced_seconds / untraced_seconds.max(1e-12) - 1.0) * 100.0,
-        replay_overhead_pct: (best(&on_replay) / best(&off_replay).max(1e-12) - 1.0) * 100.0,
-    };
-    if let Some(path) = &trace_out {
-        // Dump one clean pass (fresh tracer) rather than the accumulated
-        // measurement spans, so the trace opens as a single workload run.
-        let dump = Tracer::new();
-        workload_pass(&dump);
-        let snap = dump.snapshot();
-        std::fs::write(path, av_trace::chrome_trace(&snap)).expect("trace written");
-        println!("wrote {path} ({} spans) — open in chrome://tracing", snap.spans.len());
-    }
-
     let report = ExecBenchReport {
         job_scale: cfg.job_scale,
         exec_scale,
@@ -399,7 +282,6 @@ fn main() {
         micro: micro.clone(),
         spawn: spawn.clone(),
         cache: cache_result.clone(),
-        trace: trace_result.clone(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_exec.json", &json).expect("BENCH_exec.json written");
@@ -450,13 +332,6 @@ fn main() {
         cache_result.speedup,
         cache_result.hit_rate,
     );
-    println!(
-        "traced workload: {} spans, {:.3}s ({:+.1}% vs untraced; replay slice {:+.1}%)",
-        trace_result.spans,
-        trace_result.traced_seconds,
-        trace_result.overhead_pct,
-        trace_result.replay_overhead_pct,
-    );
     println!("\nwrote BENCH_exec.json");
 
     // Regression gates: an "optimized" path slower than the reference it
@@ -493,11 +368,4 @@ fn main() {
     } else {
         println!("single core: spawn-overhead cutover gate skipped (report-only)");
     }
-    // Tracing budget gate: the < 5% acceptance budget is asserted, not
-    // just reported.
-    assert!(
-        trace_result.overhead_pct < 5.0,
-        "tracing overhead {:.2}% breaches the 5% budget",
-        trace_result.overhead_pct
-    );
 }

@@ -112,7 +112,8 @@ impl AutoViewSystem {
     ///
     /// Span recording is off by default; attach a live tracer with
     /// [`AutoViewSystem::with_tracer`] to record the pipeline's span tree
-    /// (phases `pipeline.*`, operators `exec.*`). The `pipeline.*` phase
+    /// (phases `pipeline.*`, steps `core.*` / `cost.*` / `select.*`;
+    /// executions record no spans). The `pipeline.*` phase
     /// timings and the metrics registry are live either way.
     pub fn new(catalog: Catalog, queries: Vec<PlanRef>, config: AutoViewConfig) -> AutoViewSystem {
         if cfg!(debug_assertions) {
@@ -968,10 +969,15 @@ mod tests {
         ] {
             assert!(phases.iter().any(|p| p == expect), "missing {expect}");
         }
-        // Per-operator executor spans from the truth-collection executions.
+        // Phase steps are recorded; executor operators are metered, not
+        // traced.
         assert!(
-            snap.spans.iter().any(|s| s.name == "exec.scan"),
-            "executor operator spans recorded"
+            snap.spans.iter().any(|s| s.name == "core.measure_queries"),
+            "core.* phase steps recorded"
+        );
+        assert!(
+            snap.spans.iter().all(|s| !s.name.starts_with("exec.")),
+            "no per-operator spans"
         );
         // Training and RL telemetry landed in the registry.
         assert!(snap.metrics.histograms.contains_key("cost.epoch_loss"));

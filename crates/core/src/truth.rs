@@ -43,9 +43,9 @@ pub fn preprocess_and_measure(
 }
 
 /// [`preprocess_and_measure`] with observability: `core.analyze`,
-/// `core.measure_queries` and `core.materialize` sub-spans, and an
-/// execution cache that records per-operator spans into the same tracer
-/// (as does every later stage that reuses the returned cache).
+/// `core.measure_queries` and `core.materialize` phase spans. Executions
+/// record no spans; their per-operator output is the metered
+/// [`av_engine::ExecutionReport`].
 pub fn preprocess_and_measure_traced(
     catalog: &mut Catalog,
     queries: &[PlanRef],
@@ -58,7 +58,7 @@ pub fn preprocess_and_measure_traced(
         analyzer.analyze(queries)
     });
 
-    let cache = ExecCache::new(pricing, 1).with_tracer(tracer.clone());
+    let cache = ExecCache::new(pricing, 1);
     let mut query_costs = Vec::with_capacity(queries.len());
     let mut query_latencies = Vec::with_capacity(queries.len());
     {

@@ -17,7 +17,6 @@ use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
 use crate::meter::Pricing;
 use av_plan::{Fingerprint, PlanNode};
-use av_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -86,7 +85,6 @@ pub struct ExecCache {
     pricing: Pricing,
     /// Entry cap of each shard.
     shard_entries: usize,
-    tracer: Tracer,
     shards: Vec<CacheShard>,
 }
 
@@ -109,16 +107,8 @@ impl ExecCache {
         ExecCache {
             pricing,
             shard_entries: (Self::DEFAULT_ENTRIES / n).max(1),
-            tracer: Tracer::disabled(),
             shards: (0..n).map(|_| CacheShard::default()).collect(),
         }
-    }
-
-    /// Attach an observability tracer: the executors spawned for misses
-    /// record per-operator spans into it.
-    pub fn with_tracer(mut self, tracer: Tracer) -> ExecCache {
-        self.tracer = tracer;
-        self
     }
 
     /// Cap the *total* entry count; each shard gets an equal slice
@@ -178,7 +168,7 @@ impl ExecCache {
 
         // Execute outside the lock; concurrent misses on the same key just
         // compute the identical result twice.
-        let mut exec = Executor::new(catalog, self.pricing).with_tracer(self.tracer.clone());
+        let mut exec = Executor::new(catalog, self.pricing);
         if let Some(d) = dop {
             exec = exec.with_threads(d.clamp(1, crate::par::default_threads().max(1)));
         }

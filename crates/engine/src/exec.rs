@@ -31,7 +31,6 @@ use crate::meter::{CostMeter, ExecutionReport, Pricing};
 use crate::par;
 use crate::sel::{apply_ord, CompiledPred, SelBatch};
 use av_plan::expr::ArithOp;
-use av_trace::{SpanBuffer, Tracer};
 use av_plan::{AggFunc, CmpOp, Expr, JoinType, PlanNode, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -48,20 +47,17 @@ pub struct Executor<'a> {
     catalog: &'a Catalog,
     pricing: Pricing,
     par: par::Par,
-    tracer: Tracer,
     reference_kernels: bool,
 }
 
 impl<'a> Executor<'a> {
     /// New executor over a catalog with a pricing model, using one worker
-    /// per available core. Tracing is off by default (near-zero overhead);
-    /// attach a live tracer with [`Executor::with_tracer`].
+    /// per available core.
     pub fn new(catalog: &'a Catalog, pricing: Pricing) -> Executor<'a> {
         Executor {
             catalog,
             pricing,
             par: par::Par::auto(),
-            tracer: Tracer::disabled(),
             reference_kernels: false,
         }
     }
@@ -69,7 +65,7 @@ impl<'a> Executor<'a> {
     /// Run filters through the materializing boolean-mask path and
     /// aggregates through the per-row dispatch loop — the
     /// pre-selection-vector implementation, kept as the correctness and
-    /// performance baseline. Batches, reports and spans are bitwise
+    /// performance baseline. Batches and reports are bitwise
     /// identical in both modes (the property tests and `exec_bench`'s
     /// regression gate both pin this down); only wall-clock differs.
     pub fn with_reference_kernels(mut self, on: bool) -> Executor<'a> {
@@ -94,15 +90,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attach an observability tracer: every operator records a span
-    /// (`exec.scan` / `exec.filter` / `exec.project` / `exec.join` /
-    /// `exec.aggregate`) carrying output rows, output bytes and the metered
-    /// ops the subtree charged. Results are unaffected.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Executor<'a> {
-        self.tracer = tracer;
-        self
-    }
-
     /// Execute a plan, returning the result batch and its execution report.
     ///
     /// If a preflight verifier is installed (see [`crate::preflight`]),
@@ -110,12 +97,7 @@ impl<'a> Executor<'a> {
     pub fn run(&self, plan: &PlanNode) -> Result<ExecResult, EngineError> {
         crate::preflight::check(self.catalog, plan)?;
         let mut meter = CostMeter::new();
-        // One span buffer per run: operator spans record into unsynchronized
-        // buffer-local storage and are committed to the tracer's shared log
-        // in a single batch when the buffer drops.
-        let buf = self.tracer.buffer();
-        let sb = self.exec(plan, &mut meter, &buf)?;
-        drop(buf);
+        let sb = self.exec(plan, &mut meter)?;
         // The root is the last materialization point: a plan ending in a
         // filter gathers its surviving rows exactly once, here.
         let batch = sb.materialize();
@@ -128,48 +110,13 @@ impl<'a> Executor<'a> {
         Ok(self.run(plan)?.report.cost_dollars)
     }
 
-    fn exec(
-        &self,
-        plan: &PlanNode,
-        meter: &mut CostMeter,
-        buf: &SpanBuffer<'_>,
-    ) -> Result<SelBatch, EngineError> {
-        if !buf.is_enabled() {
-            return self.exec_node(plan, meter, buf);
-        }
-        let span = buf.span(operator_span_name(plan));
-        if let PlanNode::TableScan { table, .. } = plan {
-            span.record_str("table", table);
-        }
-        let ops_before = meter.ops();
-        let bytes_before = meter.allocated_bytes();
-        let sb = self.exec_node(plan, meter, buf)?;
-        // `ops` and `bytes` are the subtree's total charge: children execute
-        // inside this span, so an operator's own cost is its value minus its
-        // children's. Bytes come from the meter's allocation counter (which
-        // every operator feeds with its *logical* output size, whether or
-        // not the rows are materialized yet) rather than re-walking the
-        // batch — `byte_size` on string columns is O(rows).
-        span.record_nums([
-            ("rows", sb.num_rows() as f64),
-            ("bytes", (meter.allocated_bytes() - bytes_before) as f64),
-            ("ops", meter.ops() - ops_before),
-        ]);
-        Ok(sb)
-    }
-
-    fn exec_node(
-        &self,
-        plan: &PlanNode,
-        meter: &mut CostMeter,
-        buf: &SpanBuffer<'_>,
-    ) -> Result<SelBatch, EngineError> {
+    fn exec(&self, plan: &PlanNode, meter: &mut CostMeter) -> Result<SelBatch, EngineError> {
         match plan {
             PlanNode::TableScan { table, alias } => {
                 self.exec_scan(table, alias, meter).map(SelBatch::dense)
             }
             PlanNode::Filter { input, predicate } => {
-                let sb = self.exec(input, meter, buf)?;
+                let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
                     exec_filter_reference(sb.materialize(), predicate, meter, self.par)
                         .map(SelBatch::dense)
@@ -178,7 +125,7 @@ impl<'a> Executor<'a> {
                 }
             }
             PlanNode::Project { input, exprs } => {
-                let sb = self.exec(input, meter, buf)?;
+                let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
                     exec_project_reference(sb.materialize(), exprs, meter, self.par)
                         .map(SelBatch::dense)
@@ -194,8 +141,8 @@ impl<'a> Executor<'a> {
             } => {
                 // Joins gather both inputs: probe/build internals index
                 // dense batches.
-                let lb = self.exec(left, meter, buf)?.materialize();
-                let rb = self.exec(right, meter, buf)?.materialize();
+                let lb = self.exec(left, meter)?.materialize();
+                let rb = self.exec(right, meter)?.materialize();
                 exec_join(lb, rb, on, *join_type, meter, self.par).map(SelBatch::dense)
             }
             PlanNode::Aggregate {
@@ -203,7 +150,7 @@ impl<'a> Executor<'a> {
                 group_by,
                 aggs,
             } => {
-                let sb = self.exec(input, meter, buf)?;
+                let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
                     exec_aggregate_reference(sb.materialize(), group_by, aggs, meter, self.par)
                         .map(SelBatch::dense)
@@ -240,18 +187,6 @@ impl<'a> Executor<'a> {
             names,
             columns: t.data.columns.clone(),
         })
-    }
-}
-
-/// Span name for one operator, following the `subsystem.noun` convention
-/// (DESIGN.md §Observability).
-fn operator_span_name(plan: &PlanNode) -> &'static str {
-    match plan {
-        PlanNode::TableScan { .. } => "exec.scan",
-        PlanNode::Filter { .. } => "exec.filter",
-        PlanNode::Project { .. } => "exec.project",
-        PlanNode::Join { .. } => "exec.join",
-        PlanNode::Aggregate { .. } => "exec.aggregate",
     }
 }
 
@@ -1233,84 +1168,6 @@ mod tests {
         Executor::new(c, Pricing::paper_defaults())
             .run(plan)
             .expect("plan executes")
-    }
-
-    #[test]
-    fn traced_run_records_one_span_per_operator() {
-        let c = catalog();
-        let plan = PlanBuilder::scan("orders", "o")
-            .filter(Expr::col("o.cust").eq(Expr::int(3)))
-            .join(PlanBuilder::scan("customers", "cu"), &[("o.cust", "cu.id")])
-            .count_star(&["cu.tier"], "n")
-            .build();
-        let tracer = Tracer::new();
-        let traced = Executor::new(&c, Pricing::paper_defaults())
-            .with_tracer(tracer.clone())
-            .run(&plan)
-            .expect("plan executes");
-        let plain = run(&c, &plan);
-        assert_eq!(traced.batch, plain.batch, "tracing must not change results");
-        assert_eq!(traced.report, plain.report, "tracing must not change costs");
-
-        let snap = tracer.snapshot();
-        let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
-        // Aggregate(Join(Filter(Scan orders), Scan customers)): the root
-        // span opens first, children nest inside in execution order.
-        assert_eq!(
-            names,
-            vec![
-                "exec.aggregate",
-                "exec.join",
-                "exec.filter",
-                "exec.scan",
-                "exec.scan"
-            ]
-        );
-        let agg = &snap.spans[0];
-        assert_eq!(agg.parent, None);
-        assert_eq!(agg.num_attr("rows"), Some(traced.batch.num_rows() as f64));
-        let root_ops = agg.num_attr("ops").expect("ops attribute");
-        assert!(root_ops > 0.0, "root span carries the subtree's op charge");
-        let join = &snap.spans[1];
-        assert_eq!(join.parent, Some(agg.id));
-        let scans: Vec<_> = snap.spans.iter().filter(|s| s.name == "exec.scan").collect();
-        assert_eq!(scans[0].str_attrs[0].1, "orders");
-        assert_eq!(scans[1].str_attrs[0].1, "customers");
-    }
-
-    #[test]
-    fn parallel_executors_share_one_tracer_registry() {
-        // Registry concurrency: several concurrent executions run traced
-        // (chunked, multi-threaded) into one shared tracer; the metrics
-        // registry must absorb all of them without losing updates. The
-        // concurrency itself comes from the shared morsel pool — engine
-        // code (tests included) no longer spawns raw threads.
-        let c = catalog();
-        let tracer = Tracer::new();
-        let plan = PlanBuilder::scan("orders", "o")
-            .filter(Expr::col("o.cust").eq(Expr::int(3)))
-            .build();
-        let workers = 4;
-        let runs_per_worker = 8;
-        let pool = av_sched::Pool::new(workers);
-        pool.run(workers, workers, |_| {
-            for _ in 0..runs_per_worker {
-                let rows = Executor::new(&c, Pricing::paper_defaults())
-                    .with_threads(2)
-                    .with_tracer(tracer.clone())
-                    .run(&plan)
-                    .expect("plan executes")
-                    .batch
-                    .num_rows();
-                tracer.metrics().add("engine.rows_out", rows as u64);
-            }
-        });
-        let total_runs = (workers * runs_per_worker) as u64;
-        assert_eq!(tracer.metrics().counter("engine.rows_out"), 10 * total_runs);
-        // Every run records a filter span and a scan span.
-        let snap = tracer.snapshot();
-        let filters = snap.spans.iter().filter(|s| s.name == "exec.filter").count();
-        assert_eq!(filters as u64, total_runs);
     }
 
     #[test]

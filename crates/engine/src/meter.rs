@@ -78,11 +78,6 @@ pub struct CostMeter {
     live_bytes: usize,
     /// High-water mark of `live_bytes`.
     peak_bytes: usize,
-    /// Running total of all allocations (never decremented). Operator spans
-    /// report byte throughput as deltas of this counter, reusing the sizes
-    /// operators already computed for metering instead of re-walking their
-    /// output batches.
-    allocated_bytes: usize,
 }
 
 impl CostMeter {
@@ -105,7 +100,6 @@ impl CostMeter {
     pub fn alloc_bytes(&mut self, bytes: usize) {
         self.live_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
-        self.allocated_bytes += bytes;
     }
 
     /// Record release of intermediate state.
@@ -116,13 +110,6 @@ impl CostMeter {
     /// Abstract operations charged so far.
     pub fn ops(&self) -> f64 {
         self.ops
-    }
-
-    /// Total bytes allocated so far (cumulative, unlike [`peak_bytes`]).
-    ///
-    /// [`peak_bytes`]: CostMeter::peak_bytes
-    pub fn allocated_bytes(&self) -> usize {
-        self.allocated_bytes
     }
 
     /// Peak intermediate bytes observed.

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotone, non-decreasing nanosecond counter with an arbitrary
-/// per-clock origin. Implementations must be cheap: the tracer reads the
-/// clock twice per span.
+/// per-clock origin. Implementations must be cheap: the serving path reads
+/// the clock on every request.
 pub trait Clock: Send + Sync {
     /// Nanoseconds elapsed since this clock's origin.
     fn now_nanos(&self) -> u64;
@@ -24,10 +24,10 @@ pub trait Clock: Send + Sync {
 /// this file).
 ///
 /// On x86_64 hosts with an invariant TSC the clock reads the timestamp
-/// counter directly (~8ns) instead of `clock_gettime` (~25ns). The tracer
-/// reads the clock twice per span, and on the traced replay path those two
-/// reads are the single largest per-span cost — the TSC path is what keeps
-/// the traced executor inside its <5% overhead budget. Hosts without an
+/// counter directly (~8ns) instead of `clock_gettime` (~25ns). The reads
+/// that matter are per request, not per span: `ViewServer::execute` reads
+/// the clock at four sites — start, then either shed or admitted and
+/// executed — and the scheduler pool twice per task. Hosts without an
 /// invariant TSC (or non-x86_64) fall back to `Instant` transparently.
 #[derive(Debug)]
 pub struct MonotonicClock {

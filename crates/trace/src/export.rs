@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 /// Render the snapshot as a chrome://tracing / Perfetto-compatible
 /// `traceEvents` document: one complete (`"ph": "X"`) event per span, with
 /// timestamps and durations in microseconds and span attributes under
-/// `args`. Open spans (never closed before the snapshot) export with zero
-/// duration. Load the output via chrome://tracing → "Load" or
-/// <https://ui.perfetto.dev>.
+/// `args`. Spans still open at snapshot time are absent (see
+/// [`crate::Tracer::snapshot`]). Load the output via chrome://tracing →
+/// "Load" or <https://ui.perfetto.dev>.
 pub fn chrome_trace(snapshot: &TraceSnapshot) -> String {
     let events: Vec<Json> = snapshot.spans.iter().map(span_event).collect();
     let doc = Json::Obj(vec![
@@ -29,9 +29,6 @@ fn span_event(span: &SpanRecord) -> Json {
     }
     for (k, v) in &span.num_attrs {
         args.push((k.clone(), Json::Num(*v)));
-    }
-    for (k, v) in &span.str_attrs {
-        args.push((k.clone(), Json::Str(v.clone())));
     }
     Json::Obj(vec![
         ("name".to_string(), Json::Str(span.name.clone())),
@@ -86,11 +83,14 @@ pub fn profile_tree(snapshot: &TraceSnapshot) -> String {
 
 fn name_path(snapshot: &TraceSnapshot, span: &SpanRecord) -> Vec<String> {
     let mut path = vec![span.name.clone()];
-    let mut cur = span.parent;
-    while let Some(pid) = cur {
-        let parent = &snapshot.spans[pid as usize];
+    // Snapshots omit open spans, so ids are not indices: resolve parents
+    // by id (the snapshot is id-sorted) and stop at an absent one.
+    let by_id = |id| snapshot.spans.binary_search_by_key(&id, |s| s.id).ok();
+    let mut cur = span.parent.and_then(by_id);
+    while let Some(i) = cur {
+        let parent = &snapshot.spans[i];
         path.push(parent.name.clone());
-        cur = parent.parent;
+        cur = parent.parent.and_then(by_id);
     }
     path.reverse();
     path
@@ -154,8 +154,8 @@ mod tests {
             let phase = t.span("pipeline.truth");
             phase.record_num("queries", 2.0);
             for _ in 0..2 {
-                let op = t.span("exec.scan");
-                op.record_num("rows", 100.0);
+                let step = t.span("core.measure_queries");
+                step.record_num("queries", 100.0);
                 clock.advance(1_000);
             }
             clock.advance(500);
@@ -195,8 +195,24 @@ mod tests {
         let snap = sample();
         let text = profile_tree(&snap);
         assert!(text.contains("pipeline.truth  1x"), "root line: {text}");
-        assert!(text.contains("  exec.scan  2x"), "aggregated child: {text}");
-        // Two 1µs scans inside a 2.5µs phase = 80% of the parent.
+        assert!(text.contains("  core.measure_queries  2x"), "child: {text}");
+        // Two 1µs steps inside a 2.5µs phase = 80% of the parent.
         assert!(text.contains("80.0%"), "child share of parent: {text}");
+    }
+
+    #[test]
+    fn profile_tree_roots_a_span_whose_parent_is_still_open() {
+        let clock = TestClock::new();
+        let t = Tracer::with_clock(Box::new(clock.clone()));
+        let _outer = t.span("outer");
+        {
+            let _inner = t.span("inner");
+            clock.advance(1_000);
+        }
+        // The snapshot holds only `inner` (id 1, parent 0): id 1 is not
+        // index 1, and its parent is absent.
+        let text = profile_tree(&t.snapshot());
+        assert!(text.contains("\ninner  1x"), "inner at the root: {text}");
+        assert!(!text.contains("outer"), "open parent absent: {text}");
     }
 }

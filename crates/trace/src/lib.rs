@@ -18,7 +18,7 @@
 //!
 //! Metric names follow `subsystem.noun_verb` (e.g. `engine.cache_hit`,
 //! `serve.swaps`); span names follow `subsystem.phase`
-//! (`pipeline.train`, `exec.join`). See DESIGN.md §Observability.
+//! (`pipeline.train`, `core.measure_queries`). See DESIGN.md §Observability.
 
 // `deny` rather than `forbid`: `clock.rs` opts one audited module back in
 // for the invariant-TSC fast path (`_rdtsc`/`__cpuid` intrinsics only).
@@ -34,4 +34,4 @@ pub use clock::{Clock, MonotonicClock, TestClock};
 pub use export::{chrome_trace, profile_tree};
 pub use metrics::{Metrics, MetricsSnapshot, Timing, TimingSnapshot, NAN_REJECTED};
 pub use sketch::{BucketSnapshot, QuantileSketch, SketchSnapshot};
-pub use span::{BufGuard, SpanBuffer, SpanGuard, SpanRecord, TraceSnapshot, Tracer};
+pub use span::{SpanGuard, SpanRecord, TraceSnapshot, Tracer};
