@@ -1,6 +1,6 @@
 //! `av-analyze` — static verification for the AutoView reproduction.
 //!
-//! Three passes, each usable as a library and wired into a binary:
+//! Three passes, each usable as a library and wired into one binary:
 //!
 //! - **Plan verifier** ([`verify_plan`] / [`verify_rewrite`], and the
 //!   prover-first [`gate_rewrite`] every rewrite site calls): structural
@@ -10,31 +10,29 @@
 //!   inputs, and view-rewrite substitutions whose output schema does not
 //!   cover the consumers' required columns. [`install_engine_gate`] hooks
 //!   it in front of every `Executor::run` in the process.
-//! - **NN graph checker** ([`nncheck::GraphSpec`]): symbolic shape/dtype
-//!   inference over the `av-nn` operator vocabulary, catching dimension
-//!   mismatches before any flop runs, dead (gradient-unreachable)
-//!   parameters, and `log`/`sqrt` domain hazards.
 //! - **Determinism lint** ([`lint`]): a hand-rolled scanner over
 //!   `crates/*/src` flagging unordered hash-container iteration that feeds
 //!   order-sensitive consumers, wall-clock reads in library code, and a
 //!   per-file panic-site ratchet.
+//! - **Lock-order analysis** ([`lockorder`]): the acquired-while-held graph
+//!   over [`LOCK_CRATES`], which must be cycle-free with every boundary edge
+//!   on the audited allowlist.
 //!
-//! Binaries: `cargo run -p av-analyze` runs all passes plus full JOB
-//! workload verification; `cargo run -p av-analyze --bin lint` runs the
-//! determinism lint alone.
+//! Binary: `cargo run -p av-analyze` runs all passes plus full JOB
+//! workload verification; `cargo run -p av-analyze -- lint` runs the
+//! determinism lint alone (`-- lint --write-baseline` regenerates the
+//! panic-site ratchet).
 
 #![forbid(unsafe_code)]
 
 pub mod containment;
 pub mod lint;
 pub mod lockorder;
-pub mod nncheck;
 pub mod schema;
 pub mod verify;
 
 pub use containment::{prove_rewrite, Verdict, ViewDef};
 pub use lockorder::{LockEdge, LockOrderReport, ALLOWED_EDGES, BOUNDARY_LOCKS, LOCK_CRATES};
-pub use nncheck::{widedeep_spec, GraphSpec, NnFinding};
 pub use schema::{infer_schema, type_of_expr, Schema};
 pub use verify::{
     gate_rewrite, install_engine_gate, verify_plan, verify_rewrite, RewriteAccepted, RewriteRefused,

@@ -666,7 +666,7 @@ pub fn format_baseline(counts: &BTreeMap<String, usize>) -> String {
     let mut s = String::from(
         "# Panic-site ratchet: `<count> <path>` of unwrap calls allowed in\n\
          # non-test code. Counts may only decrease; regenerate with\n\
-         # `cargo run -p av-analyze --bin lint -- --write-baseline`.\n",
+         # `cargo run -p av-analyze -- lint --write-baseline`.\n",
     );
     for (path, n) in counts {
         s.push_str(&format!("{n} {path}\n"));

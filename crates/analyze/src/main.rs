@@ -5,24 +5,24 @@
 //!
 //! 1. the determinism lint over `crates/*/src` (plus the panic-site
 //!    ratchet against `crates/analyze/unwrap-baseline.txt`),
-//! 2. the NN graph checker over the Wide-Deep cost-model spec,
-//! 3. the plan verifier + semantic rewrite prover over the full JOB
+//! 2. the plan verifier + semantic rewrite prover over the full JOB
 //!    workload (all 226 queries at `AV_JOB_SCALE`, default 0.05), every
 //!    candidate the equivalence analyzer emits, and every view rewrite
 //!    those candidates produce — the CI gate requires ≥95% of rewrites
 //!    statically `Proved` and none `Refuted`,
-//! 4. the lock-order analysis over `crates/{serve,engine,online}` —
+//! 3. the lock-order analysis over `crates/{serve,engine,online}` —
 //!    the acquired-while-held graph must be cycle-free with every
 //!    planner/deployment boundary edge on the audited allowlist.
 //!
-//! Subcommands run a single pass: `av-analyze prove` (pass 3),
-//! `av-analyze lockorder [--dot PATH]` (pass 4, optionally writing the
-//! graph as DOT), `av-analyze lint` (pass 1).
+//! Subcommands run a single pass: `av-analyze lint [--write-baseline]`
+//! (pass 1; `--write-baseline` regenerates the ratchet file from the
+//! current counts instead of checking it — use after converting panic
+//! sites to typed errors, so the ratchet tightens), `av-analyze prove`
+//! (pass 2), `av-analyze lockorder [--dot PATH]` (pass 3, optionally
+//! writing the graph as DOT).
 
-use av_analyze::lint::{lint_repo, parse_baseline, ratchet_findings};
-use av_analyze::{
-    gate_rewrite, verify_plan, widedeep_spec, RewriteAccepted, RewriteRefused, LOCK_CRATES,
-};
+use av_analyze::lint::{format_baseline, lint_repo, parse_baseline, ratchet_findings};
+use av_analyze::{gate_rewrite, verify_plan, RewriteAccepted, RewriteRefused, LOCK_CRATES};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
 use av_plan::find_subtree;
 use std::path::Path;
@@ -36,11 +36,24 @@ fn repo_root() -> &'static Path {
         .expect("crate lives two levels below the repo root")
 }
 
-fn run_lint_pass(failures: &mut usize) {
+fn run_lint_pass(failures: &mut usize, write_baseline: bool) {
     let root = repo_root();
     match lint_repo(root) {
         Ok(report) => {
             let baseline_path = root.join("crates/analyze/unwrap-baseline.txt");
+            if write_baseline {
+                match std::fs::write(&baseline_path, format_baseline(&report.unwrap_counts)) {
+                    Ok(()) => println!(
+                        "lint: baseline rewritten with {} file(s)",
+                        report.unwrap_counts.len()
+                    ),
+                    Err(e) => {
+                        eprintln!("lint: cannot write baseline: {e}");
+                        *failures += 1;
+                    }
+                }
+                return;
+            }
             let baseline = std::fs::read_to_string(&baseline_path)
                 .map(|t| parse_baseline(&t))
                 .unwrap_or_default();
@@ -60,18 +73,6 @@ fn run_lint_pass(failures: &mut usize) {
             *failures += 1;
         }
     }
-}
-
-fn run_nn_pass(failures: &mut usize) {
-    // Representative Wide-Deep shapes: 10 plan features, 40-keyword vocab,
-    // 6 operators of 4 tokens, 8-char strings, 12 schema keywords.
-    let spec = widedeep_spec(10, 40, 6, 4, 8, 12);
-    let findings = spec.check();
-    for f in &findings {
-        eprintln!("nncheck: {f}");
-    }
-    *failures += findings.len();
-    println!("nncheck: {} finding(s) in the Wide-Deep spec", findings.len());
 }
 
 fn run_plan_pass(failures: &mut usize) {
@@ -212,8 +213,7 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     match args.first().map(String::as_str) {
         None => {
-            run_lint_pass(&mut failures);
-            run_nn_pass(&mut failures);
+            run_lint_pass(&mut failures, false);
             run_plan_pass(&mut failures);
             run_lockorder_pass(&mut failures, None);
         }
@@ -235,11 +235,18 @@ fn main() -> ExitCode {
             };
             run_lockorder_pass(&mut failures, dot);
         }
-        Some("lint") => run_lint_pass(&mut failures),
+        Some("lint") => match args.get(1).map(String::as_str) {
+            None => run_lint_pass(&mut failures, false),
+            Some("--write-baseline") => run_lint_pass(&mut failures, true),
+            Some(other) => {
+                eprintln!("av-analyze lint: unknown flag `{other}`");
+                return ExitCode::FAILURE;
+            }
+        },
         Some(other) => {
             eprintln!(
                 "av-analyze: unknown subcommand `{other}` \
-                 (expected `prove`, `lockorder [--dot PATH]`, or `lint`)"
+                 (expected `lint [--write-baseline]`, `prove`, or `lockorder [--dot PATH]`)"
             );
             return ExitCode::FAILURE;
         }

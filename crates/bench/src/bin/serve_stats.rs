@@ -13,10 +13,12 @@
 //! `AV_SERVE_STATS_CLIENTS` (default 8), `AV_SERVE_STATS_REQUESTS`
 //! (default 64 per client).
 
+use av_bench::render_table;
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;
 use av_serve::{
-    run_closed_loop, AdmissionConfig, ClosedLoopConfig, ObsConfig, ServeConfig, ViewServer,
+    run_closed_loop, AdmissionConfig, ClosedLoopConfig, LoadReport, ObsConfig, ServeConfig,
+    ViewServer,
 };
 use av_workload::cloud::mini;
 use std::time::Duration;
@@ -28,25 +30,9 @@ fn envu(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let joined: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect();
-        println!("  {}", joined.join("  "));
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    for row in rows {
-        line(row.clone());
-    }
+fn expect_clean(report: &LoadReport, label: &str) {
+    assert_eq!(report.failed, 0, "{label} pass: failed queries");
+    assert_eq!(report.rejected, 0, "{label} pass: shed load");
 }
 
 fn main() {
@@ -86,8 +72,15 @@ fn main() {
         tenants,
     };
     let cold = run_closed_loop(&server, &plans, &cfg);
+    expect_clean(&cold, "cold");
     let reopt = server.reoptimize(&plans, Some("tenant0")).expect("reoptimize");
+    assert!(reopt.admitted > 0, "re-optimization admits views");
     let warm = run_closed_loop(&server, &plans, &cfg);
+    expect_clean(&warm, "warm");
+    assert!(
+        warm.rewrite_hits > 0,
+        "published views must route the workload"
+    );
     let stats = server.stats_snapshot();
 
     match mode.as_str() {
@@ -137,12 +130,15 @@ fn main() {
             ]
         })
         .collect();
-    table(
-        &[
-            "tenant", "reqs", "shed", "p50us", "p95us", "p99us", "lat-fast", "lat-slow",
-            "avail-fast", "avail-slow", "alerts",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            &[
+                "tenant", "reqs", "shed", "p50us", "p95us", "p99us", "lat-fast", "lat-slow",
+                "avail-fast", "avail-slow", "alerts",
+            ],
+            &rows,
+        )
     );
 
     println!(
@@ -179,9 +175,12 @@ fn main() {
             .iter()
             .map(|(view, a)| agg_row(format!("view:{view:08x}"), a)),
     );
-    table(
-        &["series", "samples", "mean-q", "p50-q", "p95-q", "max-q", "over", "degen"],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            &["series", "samples", "mean-q", "p50-q", "p95-q", "max-q", "over", "degen"],
+            &rows,
+        )
     );
 
     if !stats.alerts.is_empty() {
@@ -223,21 +222,24 @@ fn main() {
     let (memo_hits, memo_misses) = server.current().route_memo_stats();
     let memo_total = memo_hits + memo_misses;
     println!("\n-- scheduler pool --");
-    table(
-        &[
-            "workers", "active", "queue", "jobs", "tasks", "steals", "busy ms", "p50 us", "p95 us",
-        ],
-        &[vec![
-            pool.workers.to_string(),
-            pool.active_workers.to_string(),
-            pool.queue_depth.to_string(),
-            pool.jobs.to_string(),
-            pool.tasks.to_string(),
-            pool.steals.to_string(),
-            format!("{:.1}", pool.busy_nanos as f64 / 1e6),
-            format!("{:.0}", pool.drain_nanos_p50 as f64 / 1e3),
-            format!("{:.0}", pool.drain_nanos_p95 as f64 / 1e3),
-        ]],
+    print!(
+        "{}",
+        render_table(
+            &[
+                "workers", "active", "queue", "jobs", "tasks", "steals", "busy ms", "p50 us", "p95 us",
+            ],
+            &[vec![
+                pool.workers.to_string(),
+                pool.active_workers.to_string(),
+                pool.queue_depth.to_string(),
+                pool.jobs.to_string(),
+                pool.tasks.to_string(),
+                pool.steals.to_string(),
+                format!("{:.1}", pool.busy_nanos as f64 / 1e6),
+                format!("{:.0}", pool.drain_nanos_p50 as f64 / 1e3),
+                format!("{:.0}", pool.drain_nanos_p95 as f64 / 1e3),
+            ]],
+        )
     );
     println!(
         "  route memo: {} hits / {} misses ({:.0}% hit rate)",

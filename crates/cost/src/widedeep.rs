@@ -906,6 +906,7 @@ impl CostEstimator for WideDeep {
 mod tests {
     use super::*;
     use crate::features::TableMeta;
+    use av_nn::ParamId;
     use av_plan::{Expr, PlanBuilder};
 
     fn synth_samples(n: usize) -> Vec<(FeatureInput, f64)> {
@@ -913,8 +914,11 @@ mod tests {
             .map(|i| {
                 let rows = 100.0 * (1 + i % 10) as f64;
                 let sel = 1 + (i % 4) as i64;
+                // A multi-char string literal, so the char-CNN sees more
+                // than one row: BatchNorm over a single row normalizes it
+                // to zero and passes no gradient back to the encoder.
                 let view = PlanBuilder::scan("ev", "t")
-                    .filter(Expr::col("t.kind").eq(Expr::int(sel)))
+                    .filter(Expr::col("t.kind").eq(Expr::str(format!("k{sel}"))))
                     .project(&[("t.uid", "t.uid")])
                     .build();
                 let query = PlanBuilder::from_plan(view.clone())
@@ -930,7 +934,7 @@ mod tests {
                         bytes: rows * 24.0,
                         avg_distinct_ratio: 0.4,
                         column_names: vec!["uid".into(), "kind".into(), "v".into()],
-                        column_types: vec!["Int".into(), "Int".into(), "Int".into()],
+                        column_types: vec!["Int".into(), "Str".into(), "Int".into()],
                     }],
                 };
                 // Cost grows with data size and varies with the literal.
@@ -980,15 +984,69 @@ mod tests {
         );
     }
 
+    /// Every parameter of the model, grouped by the layer that owns it.
+    fn layers(m: &WideDeep) -> Vec<(&'static str, Vec<ParamId>)> {
+        vec![
+            ("kw_embed", vec![m.kw_embed.table]),
+            ("char_embed", vec![m.char_embed.table]),
+            ("conv1", vec![m.conv1.w, m.conv1.b]),
+            ("bn1", vec![m.bn1.gamma, m.bn1.beta]),
+            ("conv2", vec![m.conv2.w, m.conv2.b]),
+            ("bn2", vec![m.bn2.gamma, m.bn2.beta]),
+            ("lstm1", vec![m.lstm1.wx, m.lstm1.wh, m.lstm1.b]),
+            ("lstm2", vec![m.lstm2.wx, m.lstm2.wh, m.lstm2.b]),
+            ("wide", vec![m.wide.w, m.wide.b]),
+            ("fc1", vec![m.fc1.w, m.fc1.b]),
+            ("fc2", vec![m.fc2.w, m.fc2.b]),
+            ("fc3", vec![m.fc3.w, m.fc3.b]),
+            ("fc4", vec![m.fc4.w, m.fc4.b]),
+            ("fc5", vec![m.fc5.w, m.fc5.b]),
+            ("fc6", vec![m.fc6.w, m.fc6.b]),
+        ]
+    }
+
+    /// Each ablation runs forward and backward on the real graph (a shape
+    /// mismatch panics), and after one epoch the layers that never received
+    /// a gradient — every element of Adam's second moment still zero — are
+    /// exactly the ones the variant bypasses.
     #[test]
     fn all_ablations_run_forward_and_backward() {
         let samples = synth_samples(10);
-        for ab in [Ablation::None, Ablation::NKw, Ablation::NStr, Ablation::NExp] {
+        let bypassed: [(Ablation, &[&str]); 4] = [
+            (Ablation::None, &[]),
+            (Ablation::NKw, &["kw_embed"]),
+            (Ablation::NStr, &["char_embed", "conv1", "bn1", "conv2", "bn2"]),
+            (Ablation::NExp, &["lstm1", "lstm2"]),
+        ];
+        for (ab, expected) in bypassed {
             let mut cfg = quick_config(ab);
-            cfg.epochs = 2;
-            let model = WideDeep::fit(&samples, cfg);
+            cfg.epochs = 1;
+            let mut model = WideDeep::fit(&samples, cfg);
             let pred = model.estimate(&samples[0].0);
             assert!(pred.is_finite(), "{} produced {pred}", ab.name());
+
+            let layers = layers(&model);
+            assert_eq!(
+                layers.iter().map(|(_, ids)| ids.len()).sum::<usize>(),
+                model.store.len(),
+                "every parameter belongs to a listed layer"
+            );
+            let no_grad: Vec<&str> = layers
+                .into_iter()
+                .filter(|(_, ids)| {
+                    ids.iter().any(|&id| {
+                        let p = model.store.param_mut(id);
+                        p.adam_v.as_slice().iter().all(|&v| v == 0.0)
+                    })
+                })
+                .map(|(name, _)| name)
+                .collect();
+            assert_eq!(
+                no_grad,
+                expected,
+                "{}: layers with no gradient after one epoch",
+                ab.name()
+            );
         }
     }
 

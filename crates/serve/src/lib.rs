@@ -18,7 +18,7 @@
 //!   serialized write path (selection → tenant-accounted admission → a
 //!   candidate deployment preflighted through `av-analyze` → atomic swap).
 //! - [`loadgen`]: closed- and open-loop workload replay with sketch-based
-//!   latency percentiles, feeding `BENCH_serve.json`.
+//!   latency percentiles, driving `serve_bench` and `serve_stats`.
 //!
 //! ```
 //! use av_serve::{ServeConfig, ViewServer};

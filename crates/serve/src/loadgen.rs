@@ -3,15 +3,15 @@
 //! This module is the one sanctioned wall-clock site in library code (see
 //! `av-analyze`'s determinism lint): its entire purpose is measuring real
 //! request latency under concurrency, so an injected test clock would
-//! measure the mock instead of the system. Latency samples feed
-//! `BENCH_serve.json`; nothing here is replayed.
+//! measure the mock instead of the system. Closed-loop throughput feeds
+//! `serve_bench`'s telemetry-overhead measurement; nothing here is
+//! replayed.
 //!
 //! - **Closed loop** ([`run_closed_loop`]): each simulated client issues a
 //!   request, waits for the response, *thinks* for a fixed interval, and
 //!   repeats — the classic interactive-session model. Throughput scales
 //!   with client count (think times overlap) until service time saturates
-//!   the machine, which is exactly the scaling curve the serve benchmark
-//!   reports.
+//!   the machine; at zero think time, saturated qps is `1 / service`.
 //! - **Open loop** ([`run_open_loop`]): a dispatcher emits arrivals at a
 //!   fixed rate into a bounded queue drained by a worker pool. When the
 //!   queue is full the dispatcher blocks (backpressure, counted) instead
