@@ -23,8 +23,8 @@
 //!    (`crates/analyze/unwrap-baseline.txt`).
 //! 4. **unsafe-scope** — the `unsafe` keyword (and `allow(unsafe_code)`
 //!    opt-ins) anywhere except the audited allowlist
-//!    (`UNSAFE_ALLOWED_FILES`): `av-nn`'s SIMD kernels, `av-sched`'s
-//!    task pointer, and `av-trace`'s TSC clock fast path.
+//!    (`UNSAFE_ALLOWED_FILES`): `av-nn`'s SIMD kernels and `av-sched`'s
+//!    task pointer.
 //!    `forbid`/`deny(unsafe_code)` attributes are of course fine —
 //!    the rule exists precisely so those stay the default everywhere else.
 //! 5. **hot-path-alloc** — files on the `HOT_PATH_FILES` list (currently
@@ -40,8 +40,8 @@
 //! 6. **raw-spawn** — `thread::spawn`, `thread::scope`, or
 //!    `thread::Builder` in library code. Query-time parallelism goes
 //!    through `av-sched`'s shared morsel pool; ad-hoc OS threads bypass its
-//!    admission-coupled elastic DOP and its telemetry, and re-introduce the
-//!    per-query spawn overhead the pool exists to amortize. Binaries and
+//!    per-job DOP cap and its telemetry, and re-introduce the per-query
+//!    spawn overhead the pool exists to amortize. Binaries and
 //!    test code are exempt (same carve-outs as `wall-clock`), plus a short
 //!    allowlist (`RAW_SPAWN_ALLOWED_FILES`): the scheduler's own worker
 //!    threads and the load generator's closed-loop clients.
@@ -192,16 +192,7 @@ fn unsafe_rule_name() -> &'static str {
 /// (one transmute to `'static`, sound because `Pool::run` blocks on the
 /// completion latch before the borrow ends). The module doc states the
 /// invariant; everything else in `av-sched` stays `deny`-clean.
-///
-/// `crates/trace/src/clock.rs`: the invariant-TSC fast path
-/// (`_rdtsc`/`__cpuid` intrinsics — no memory effects, `unsafe` only
-/// because they are target-specific). Confined to the `tsc` submodule;
-/// the rest of `av-trace` stays `deny`-clean.
-const UNSAFE_ALLOWED_FILES: [&str; 3] = [
-    "crates/nn/src/simd.rs",
-    "crates/sched/src/task.rs",
-    "crates/trace/src/clock.rs",
-];
+const UNSAFE_ALLOWED_FILES: [&str; 2] = ["crates/nn/src/simd.rs", "crates/sched/src/task.rs"];
 
 fn is_unsafe_allowed_file(file: &str) -> bool {
     UNSAFE_ALLOWED_FILES
@@ -522,7 +513,7 @@ pub fn lint_source(file: &str, src: &str) -> Vec<LintFinding> {
                     rule: "raw-spawn",
                     message: format!(
                         "{pat} in library code bypasses the shared av-sched pool \
-                         (elastic DOP, steal/queue telemetry, amortized spawn cost); \
+                         (per-job DOP cap, steal/queue telemetry, amortized spawn cost); \
                          submit morsels via av_sched::global().run or extend \
                          RAW_SPAWN_ALLOWED_FILES in review"
                     ),
@@ -852,11 +843,7 @@ fn f(m: HashMap<String, u32>) -> HashMap<String, u32> {
     fn unsafe_scope_allowlist_is_exactly_the_audited_modules() {
         let kw = unsafe_keyword();
         let src = format!("{kw} fn kernel() {{}}\n");
-        for allowed in [
-            "crates/nn/src/simd.rs",
-            "crates/sched/src/task.rs",
-            "crates/trace/src/clock.rs",
-        ] {
+        for allowed in ["crates/nn/src/simd.rs", "crates/sched/src/task.rs"] {
             assert!(lint_source(allowed, &src).is_empty(), "{allowed}");
             assert!(lint_source(&format!("/abs/repo/{allowed}"), &src).is_empty());
         }
@@ -867,6 +854,7 @@ fn f(m: HashMap<String, u32>) -> HashMap<String, u32> {
             "crates/engine/src/simd.rs",
             "crates/sched/src/pool.rs",
             "crates/trace/src/span.rs",
+            "crates/trace/src/clock.rs",
         ] {
             let f = lint_source(file, &src);
             assert_eq!(f.len(), 1, "{file} must still be flagged: {f:?}");

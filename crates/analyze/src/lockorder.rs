@@ -554,7 +554,7 @@ fn scan_method_line(
 
     // drop(guard) ends liveness. The guard moves to the graveyard so a
     // later `g = self.cv.wait(g)` (drop on an early-return path, wait on
-    // the fallthrough — the ArrivalQueue::pop shape) still resolves.
+    // the fallthrough — a blocking queue's `pop` shape) still resolves.
     if let Some(rest) = t.strip_prefix("drop(") {
         let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
         if let Some(g) = guards.remove(&name) {

@@ -1,6 +1,6 @@
 //! NN compute-path benchmark: SIMD lane kernels vs the naive baseline,
-//! Wide-Deep epoch time on the arena/parallel trainer vs the seed-style
-//! reference trainer, and benefit-matrix construction cold vs memoized.
+//! Wide-Deep epoch time on the arena trainer vs the seed-style reference
+//! trainer, and benefit-matrix construction cold vs memoized.
 //!
 //! Writes `BENCH_nn.json` (machine-readable, consumed by CI) into the
 //! working directory and prints the same numbers as tables.
@@ -9,8 +9,7 @@
 //! size the benefit matrix like the paper's IMDb workload; `AV_NN_EPOCHS`
 //! (default 8) and `AV_NN_TRAIN` (default 96) size the training run;
 //! `AV_NN_REPS` (default 5) sets kernel timing repetitions;
-//! `AV_NN_EPOCH_REPS` (default 3) sets trainer repetitions (best-of);
-//! `AV_NN_THREADS` (default 0 = auto) sets trainer workers.
+//! `AV_NN_EPOCH_REPS` (default 3) sets trainer repetitions (best-of).
 //!
 //! `--trace-out <path>` dumps one traced training + batched-inference pass
 //! (`cost.epoch`, `cost.grad_reduce`, `cost.forward_batch`,
@@ -44,16 +43,12 @@ struct KernelResult {
 struct EpochResult {
     train_samples: usize,
     epochs: usize,
-    /// Worker threads the parallel run resolved to.
-    threads: usize,
     /// Seed-style path: fresh graph per sample, features re-derived per use.
     reference_epoch_seconds: f64,
-    /// Arena graphs + one-time sample preparation, single worker.
-    arena_serial_epoch_seconds: f64,
-    /// Same, fanned across `threads` workers (bitwise-identical result).
-    arena_parallel_epoch_seconds: f64,
-    speedup_serial: f64,
-    speedup_parallel: f64,
+    /// One pinned arena graph + one-time sample preparation.
+    arena_epoch_seconds: f64,
+    /// reference / arena.
+    speedup: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -75,6 +70,9 @@ struct MatrixResult {
 
 #[derive(Debug, Clone, Serialize)]
 struct NnBenchReport {
+    /// Host cores (`available_parallelism`). Every timing here is
+    /// single-threaded; recorded so runs on different hosts compare.
+    cores: usize,
     kernel: Vec<KernelResult>,
     epoch: EpochResult,
     matrix: MatrixResult,
@@ -184,7 +182,6 @@ fn main() {
     let train_n = envu("AV_NN_TRAIN", 96);
     let epochs = envu("AV_NN_EPOCHS", 8);
     let reps = envu("AV_NN_REPS", 5).max(1);
-    let threads = envu("AV_NN_THREADS", 0);
 
     // ---- kernels -----------------------------------------------------------
     let kernel = bench_kernels(reps);
@@ -209,20 +206,17 @@ fn main() {
 
     let config = WideDeepConfig {
         epochs,
-        threads,
         ..WideDeepConfig::default()
     };
 
-    // ---- epoch time: seed-style reference vs arena serial vs parallel ------
-    // The three variants are interleaved and each keeps its best-of-reps
+    // ---- epoch time: seed-style reference vs arena -------------------------
+    // The two trainers are interleaved and each keeps its best-of-reps
     // (minimum) time: machine-load noise only ever slows a run down, so the
     // minimum is the most faithful estimate of each path's true cost, and
-    // interleaving keeps slow phases from biasing one variant.
+    // interleaving keeps slow phases from biasing one trainer.
     let epoch_reps = envu("AV_NN_EPOCH_REPS", 3).max(1);
-    let serial_cfg = WideDeepConfig { threads: 1, ..config.clone() };
     let mut reference = f64::INFINITY;
-    let mut arena_serial = f64::INFINITY;
-    let mut arena_parallel = f64::INFINITY;
+    let mut arena = f64::INFINITY;
     let mut model = None;
     for _ in 0..epoch_reps {
         let start = Instant::now();
@@ -230,29 +224,17 @@ fn main() {
         reference = reference.min(start.elapsed().as_secs_f64() / epochs as f64);
 
         let start = Instant::now();
-        let _ = WideDeep::fit(&train, serial_cfg.clone());
-        arena_serial = arena_serial.min(start.elapsed().as_secs_f64() / epochs as f64);
-
-        let start = Instant::now();
         model = Some(WideDeep::fit(&train, config.clone()));
-        arena_parallel = arena_parallel.min(start.elapsed().as_secs_f64() / epochs as f64);
+        arena = arena.min(start.elapsed().as_secs_f64() / epochs as f64);
     }
     let model = model.expect("at least one rep");
-
-    let resolved_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
 
     let epoch = EpochResult {
         train_samples: train.len(),
         epochs,
-        threads: if threads > 0 { threads } else { resolved_threads },
         reference_epoch_seconds: reference,
-        arena_serial_epoch_seconds: arena_serial,
-        arena_parallel_epoch_seconds: arena_parallel,
-        speedup_serial: reference / arena_serial,
-        speedup_parallel: reference / arena_parallel,
+        arena_epoch_seconds: arena,
+        speedup: reference / arena,
     };
 
     // ---- benefit matrix: per-pair whole graphs vs memoized batch -----------
@@ -310,6 +292,7 @@ fn main() {
     }
 
     let report = NnBenchReport {
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernel: kernel.clone(),
         epoch: epoch.clone(),
         matrix: matrix.clone(),
@@ -333,15 +316,12 @@ fn main() {
         av_bench::render_table(&["matmul", "naive GFLOP/s", "SIMD GFLOP/s", "speedup"], &rows)
     );
     println!(
-        "\nepoch ({} samples, {} epochs): reference {:.3}s, arena serial {:.3}s ({:.2}x), parallel x{} {:.3}s ({:.2}x)",
+        "\nepoch ({} samples, {} epochs): reference {:.3}s, arena {:.3}s ({:.2}x)",
         epoch.train_samples,
         epoch.epochs,
         epoch.reference_epoch_seconds,
-        epoch.arena_serial_epoch_seconds,
-        epoch.speedup_serial,
-        epoch.threads,
-        epoch.arena_parallel_epoch_seconds,
-        epoch.speedup_parallel,
+        epoch.arena_epoch_seconds,
+        epoch.speedup,
     );
     println!(
         "benefit matrix ({}x{} = {} pairs): cold {:.3}s, memoized {:.3}s ({:.2}x), warm {:.3}s; cache {} hits / {} misses",
@@ -370,7 +350,7 @@ fn main() {
         );
     }
     assert!(
-        epoch.speedup_serial > 1.0 || epoch.speedup_parallel > 1.0,
+        epoch.speedup > 1.0,
         "arena trainer must beat the reference path"
     );
     assert!(

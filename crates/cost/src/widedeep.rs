@@ -27,12 +27,11 @@
 //! - every sample is **prepared once** (tokenized, vocab-indexed,
 //!   normalized) before the first epoch, instead of re-deriving features
 //!   at every use;
-//! - each worker owns an **arena-reused [`Graph`]** (`reset` between
-//!   samples), so a steady-state epoch performs no heap allocation;
-//! - minibatches fan out across `threads` workers on the shared
-//!   `av-sched` morsel pool, each writing per-sample gradient blocks that
-//!   are reduced **in ascending sample order** — `threads = N` is
-//!   bitwise-identical to serial;
+//! - training runs on one **arena-reused [`Graph`]** (`reset` between
+//!   samples) with every parameter leaf pinned, so a steady-state epoch
+//!   performs no heap allocation and re-copies no weights;
+//! - each sample's gradients accumulate straight into the store, and the
+//!   minibatch sum is scaled to its mean before the Adam step;
 //! - inference goes through [`WideDeep::predict_batch`], which memoizes
 //!   `De(plan)` LSTM encodings by plan fingerprint and pushes all samples
 //!   through one batched head graph. The cache lives inside the model, so
@@ -43,8 +42,7 @@ use crate::features::{numerical_features, plan_tokens, schema_keywords, FeatureI
 use crate::vocab::Vocab;
 use crate::CostEstimator;
 use av_nn::{
-    Adam, BatchNorm, Conv3x1, Embedding, GradBlock, Graph, Linear, Lstm, NodeId, ParamStore,
-    Tensor,
+    Adam, BatchNorm, Conv3x1, Embedding, Graph, Linear, Lstm, NodeId, ParamStore, Tensor,
 };
 use av_plan::{plan_feature_rows, Fingerprint, Token};
 use rand::seq::SliceRandom;
@@ -96,10 +94,6 @@ pub struct WideDeepConfig {
     pub lr: f32,
     /// Batch size `b_s` (gradient-accumulation granularity).
     pub batch_size: usize,
-    /// Worker threads for minibatch training; `0` = one per available
-    /// core (capped at 8). Any value produces bitwise-identical results —
-    /// per-sample gradient blocks are reduced in fixed sample order.
-    pub threads: usize,
     /// Truncation cap on operator rows per plan (speed guard).
     pub max_operators: usize,
     /// Truncation cap on chars per string literal.
@@ -118,23 +112,11 @@ impl Default for WideDeepConfig {
             epochs: 25,
             lr: 5e-3,
             batch_size: 16,
-            threads: 0,
             max_operators: 16,
             max_string_len: 16,
             seed: 17,
             ablation: Ablation::None,
         }
-    }
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
     }
 }
 
@@ -272,28 +254,9 @@ impl WideDeep {
         model
     }
 
-    /// Run one prepared sample through an arena graph and collect its
-    /// gradient block. Returns the sample's loss.
-    fn train_sample(&self, g: &mut Graph, sample: &PreparedSample, block: &mut GradBlock) -> f32 {
-        g.reset();
-        let pred = self.forward_prepared(g, &sample.input);
-        let mut tv = g.scratch(1, 1);
-        tv.set(0, 0, sample.target);
-        let t = g.input(tv);
-        let loss = g.mse(pred, t);
-        let loss_value = g.value(loss).get(0, 0);
-        g.backward(loss);
-        g.take_param_grads(block);
-        loss_value
-    }
-
-    /// Serial fast path: like [`WideDeep::train_sample`] but accumulates
-    /// the sample's gradients straight into the store, skipping the
-    /// detached block. Replaying blocks in ascending sample order performs
-    /// the identical `f32` additions (see [`GradBlock`]), so a single
-    /// worker using this path stays bitwise-equal to the multi-worker
-    /// reduction.
-    fn train_sample_direct(&mut self, g: &mut Graph, sample: &PreparedSample) -> f32 {
+    /// Run one prepared sample through the arena graph and accumulate its
+    /// gradients into the store. Returns the sample's loss.
+    fn train_sample(&mut self, g: &mut Graph, sample: &PreparedSample) -> f32 {
         g.reset();
         let pred = self.forward_prepared(g, &sample.input);
         let mut tv = g.scratch(1, 1);
@@ -311,12 +274,6 @@ impl WideDeep {
     /// `cost.grad_reduce` / `cost.adam_step` timings, and
     /// `cost.epoch_loss` / `cost.grad_norm` histograms in the tracer's
     /// metrics registry.
-    ///
-    /// Minibatches are data-parallel: each of up to `config.threads`
-    /// workers owns an arena-reused graph and computes per-sample gradient
-    /// blocks for a contiguous slice of the batch; blocks are then reduced
-    /// in ascending sample order and scaled by `1/batch`, so the result is
-    /// bitwise-identical for any thread count.
     pub fn fit_with_tracer(
         samples: &[(FeatureInput, f64)],
         config: WideDeepConfig,
@@ -334,28 +291,15 @@ impl WideDeep {
             .collect();
 
         let batch = model.config.batch_size.max(1);
-        let workers_max = resolve_threads(model.config.threads);
-        let mut graphs: Vec<Graph> = (0..workers_max).map(|_| Graph::new()).collect();
-        // Pin every parameter leaf into each worker's arena once: resets
-        // keep the leaves, so per-sample passes stop re-copying all the
-        // weights from the store. `refresh_params` below pushes each
-        // optimizer step's new values back into the pinned leaves.
-        for g in &mut graphs {
-            for pid in model.store.param_ids() {
-                g.param(&model.store, pid);
-            }
-            g.pin_params();
+        // Pin every parameter leaf into the arena once: resets keep the
+        // leaves, so per-sample passes stop re-copying all the weights from
+        // the store. `refresh_params` below pushes each optimizer step's new
+        // values back into the pinned leaves.
+        let mut g = Graph::new();
+        for pid in model.store.param_ids() {
+            g.param(&model.store, pid);
         }
-        // Per-sample gradient blocks, allocated once and zeroed per batch.
-        // A single worker accumulates straight into the store instead
-        // (bitwise-identical, see `train_sample_direct`), so the blocks are
-        // only materialized when they can actually be filled in parallel.
-        let mut blocks: Vec<GradBlock> = if workers_max > 1 {
-            (0..batch).map(|_| GradBlock::for_store(&model.store)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut losses = vec![0f32; batch];
+        g.pin_params();
 
         let mut adam = Adam::new(model.config.lr);
         let mut rng = ChaCha8Rng::seed_from_u64(model.config.seed);
@@ -369,67 +313,20 @@ impl WideDeep {
             let mut epoch_loss = 0.0;
             let mut last_grad_norm = 0.0;
             for chunk in order.chunks(batch) {
-                let n = chunk.len();
-                let workers = workers_max.min(n).max(1);
-                if workers == 1 {
-                    model.store.zero_grads();
-                    let g = &mut graphs[0];
-                    for (j, &i) in chunk.iter().enumerate() {
-                        losses[j] = model.train_sample_direct(g, &prepared[i]);
-                    }
-                } else {
-                    for block in &mut blocks[..n] {
-                        block.zero();
-                    }
-                    // Contiguous batch slices per worker; each sample's
-                    // gradient lands in its own block, so the reduction
-                    // below never depends on the partition. The fan-out
-                    // rides the shared morsel pool: each work unit owns its
-                    // disjoint slices behind a Mutex (claimed exactly once,
-                    // so the lock is always uncontended).
-                    let per = n.div_ceil(workers);
-                    let model_ref = &model;
-                    let prepared_ref = &prepared;
-                    let units: Vec<std::sync::Mutex<_>> = chunk
-                        .chunks(per)
-                        .zip(blocks[..n].chunks_mut(per))
-                        .zip(losses[..n].chunks_mut(per))
-                        .zip(graphs.iter_mut())
-                        .map(std::sync::Mutex::new)
-                        .collect();
-                    av_sched::global().run(units.len(), workers, |u| {
-                        let mut unit = units[u].lock().expect("unit claimed once");
-                        let (((idxs, bl), ls), g) = &mut *unit;
-                        for (j, &i) in idxs.iter().enumerate() {
-                            ls[j] = model_ref.train_sample(g, &prepared_ref[i], &mut bl[j]);
-                        }
-                    });
+                model.store.zero_grads();
+                for &i in chunk {
+                    epoch_loss += f64::from(model.train_sample(&mut g, &prepared[i]));
                 }
-                for &l in &losses[..n] {
-                    epoch_loss += f64::from(l);
-                }
-                // Fixed-order reduction: block j is sample j's gradient
-                // regardless of which worker produced it, so replaying
-                // j = 0..n is the serial association exactly (sparse embed
-                // rows included — see `GradBlock`). The 1/n scale makes the
-                // step a true minibatch mean — the effective learning rate
-                // no longer grows with batch_size.
+                // The 1/n scale makes the step a true minibatch mean — the
+                // effective learning rate does not grow with batch_size.
                 tracer.time("cost.grad_reduce", || {
-                    if workers > 1 {
-                        model.store.zero_grads();
-                        for block in &blocks[..n] {
-                            block.add_into(&mut model.store);
-                        }
-                    }
-                    model.store.scale_grads(1.0 / n as f32);
+                    model.store.scale_grads(1.0 / chunk.len() as f32);
                 });
                 if tracer.is_enabled() {
                     last_grad_norm = model.store.grad_norm();
                 }
                 tracer.time("cost.adam_step", || adam.step(&mut model.store));
-                for g in &mut graphs {
-                    g.refresh_params(&model.store);
-                }
+                g.refresh_params(&model.store);
             }
             let mean_loss = epoch_loss / samples.len().max(1) as f64;
             trace.push(mean_loss);

@@ -145,14 +145,14 @@ impl ExecCache {
     /// second tree walk). Also reports whether the result came from the
     /// cache, so serving-layer telemetry can attribute hit/miss per request
     /// without diffing counter snapshots, and takes a per-call
-    /// degree-of-parallelism hint for the miss path. `Some(d)` caps the
-    /// executor at `d` participating threads for *this* execution only —
-    /// the serving layer derives it from admission-controller inflight
-    /// counts, so a lone query fans out while a saturated server runs each
-    /// query near-serial. The hint never raises the fan-out past the
-    /// pool's worker census. Results and reports are identical for every
-    /// hint (chunk boundaries never move), so hits and misses stay
-    /// interchangeable.
+    /// degree-of-parallelism hint for the miss path. `None` is the
+    /// executor default, which the serving layer uses; `Some(d)` caps the
+    /// executor at `d` participating threads for *this* execution only,
+    /// never past the pool's worker census. The parameter stays for callers
+    /// that spell `Some(1)` (`pathbench`'s pinned cache-hit probe), as the
+    /// [`ShardedExecCache`] alias does. Results and reports are identical
+    /// for every hint (chunk boundaries never move), so hits and misses
+    /// stay interchangeable.
     pub fn run_keyed_hit_dop(
         &self,
         fingerprint: Fingerprint,

@@ -12,9 +12,9 @@
 //! workers with per-worker deques and an injector, so a parallel query
 //! costs a ticket push and a condvar wake instead of a spawn/join cycle.
 //! `Par.threads` is the per-query degree of parallelism (the submitting
-//! thread plus up to `threads - 1` pool workers); the serving layer derives
-//! it from admission-controller inflight counts so concurrent queries
-//! don't oversubscribe the machine.
+//! thread plus up to `threads - 1` pool workers). Concurrent queries share
+//! the pool's workers rather than oversubscribing the machine: a query
+//! whose helpers are busy elsewhere runs on its submitting thread.
 
 use std::ops::Range;
 use std::sync::Mutex;

@@ -211,8 +211,8 @@ impl Graph {
     /// with [`Graph::refresh_params`].
     ///
     /// Pinned leaves still get their gradients collected per pass by
-    /// [`Graph::accumulate_param_grads`] / [`Graph::take_param_grads`];
-    /// a reset without collection discards them.
+    /// [`Graph::accumulate_param_grads`]; a reset without collection
+    /// discards them.
     pub fn pin_params(&mut self) {
         assert!(
             self.nodes.iter().all(|n| matches!(n.op, Op::Param)),
@@ -696,7 +696,7 @@ impl Graph {
     /// Run the chain rule in reverse from `output`, which must be `1×1`
     /// (a loss). Gradients land on every node; parameter and embedding
     /// gradients can then be handed to the store via
-    /// [`Graph::accumulate_param_grads`] or [`Graph::take_param_grads`].
+    /// [`Graph::accumulate_param_grads`].
     ///
     /// Every intermediate gradient buffer comes from the graph's free-list;
     /// with a warm pool the whole reverse sweep is allocation-free.
@@ -1387,89 +1387,6 @@ impl Graph {
         }
         self.embed_grads.clear();
     }
-
-    /// Like [`Graph::accumulate_param_grads`], but moves the gradients into
-    /// a detached per-sample [`GradBlock`] instead of the store. This is
-    /// what lets the data-parallel trainer compute sample gradients on
-    /// worker threads and reduce them later in a fixed sample order.
-    ///
-    /// Dense parameter gradients add into the block's per-[`ParamId`]
-    /// tensors; sparse embedding-row gradients are *logged* (table, row,
-    /// values) in recording order rather than scattered into a dense table,
-    /// so replaying the block with [`GradBlock::add_into`] performs exactly
-    /// the additions direct accumulation would — see [`GradBlock`].
-    pub fn take_param_grads(&mut self, block: &mut GradBlock) {
-        for k in 0..self.param_nodes.len() {
-            let (pid, nid) = self.param_nodes[k];
-            if let Some(g) = self.nodes[nid.0].grad.take() {
-                block.dense[pid.0].add_assign(&g);
-                self.pool.push(g.into_data());
-            }
-        }
-        self.param_nodes.retain(|&(_, nid)| nid.0 < self.pinned);
-        for k in 0..self.embed_grads.len() {
-            let (table, row) = (self.embed_grads[k].0, self.embed_grads[k].1);
-            let grow = std::mem::take(&mut self.embed_grads[k].2);
-            block.sparse_index.push((table, row, grow.len()));
-            block.sparse_data.extend_from_slice(&grow);
-            self.pool.push(grow);
-        }
-        self.embed_grads.clear();
-    }
-}
-
-/// A detached per-sample gradient bundle: one dense tensor per parameter
-/// plus a flat log of sparse embedding-row gradients in recording order.
-///
-/// Replaying blocks into a [`ParamStore`] in ascending sample order (dense
-/// tensors, then the sparse log) performs exactly the same `f32` additions,
-/// in the same order, as [`Graph::accumulate_param_grads`] would have done
-/// sample by sample — including when one sample touches the same embedding
-/// row more than once, where a dense-scattered block would change the
-/// summation association. That equivalence is what makes the trainer's
-/// serial direct-accumulation fast path bitwise identical to the
-/// multi-worker block reduction.
-#[derive(Debug)]
-pub struct GradBlock {
-    dense: Vec<Tensor>,
-    /// `(table, row, len)` triples indexing into `sparse_data`.
-    sparse_index: Vec<(ParamId, usize, usize)>,
-    sparse_data: Vec<f32>,
-}
-
-impl GradBlock {
-    /// Zeroed block shaped like `store`'s parameters.
-    pub fn for_store(store: &ParamStore) -> GradBlock {
-        GradBlock {
-            dense: store.grad_template(),
-            sparse_index: Vec::new(),
-            sparse_data: Vec::new(),
-        }
-    }
-
-    /// Clear for reuse, keeping every buffer's capacity.
-    pub fn zero(&mut self) {
-        for t in &mut self.dense {
-            t.zero();
-        }
-        self.sparse_index.clear();
-        self.sparse_data.clear();
-    }
-
-    /// Add this block into the store's accumulated gradients: dense tensors
-    /// parameter by parameter, then the sparse embedding rows in recording
-    /// order.
-    pub fn add_into(&self, store: &mut ParamStore) {
-        store.add_grad_block(&self.dense);
-        let mut at = 0;
-        for &(table, row, len) in &self.sparse_index {
-            let dst = store.param_mut(table).grad.row_mut(row);
-            for (d, g) in dst.iter_mut().zip(&self.sparse_data[at..at + len]) {
-                *d += g;
-            }
-            at += len;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1609,39 +1526,6 @@ mod tests {
             pass(&mut g, &mut store);
             assert_eq!(g.pool_len(), warm, "steady state must not allocate");
         }
-    }
-
-    #[test]
-    fn take_param_grads_matches_store_accumulation() {
-        let mut store = ParamStore::with_seed(13);
-        let w = store.add_xavier(3, 3);
-        let emb = store.add_xavier(4, 3);
-        let build = |g: &mut Graph, store: &ParamStore| {
-            let x = g.embed(store, emb, &[0, 2, 0]);
-            let wp = g.param(store, w);
-            let h = g.matmul(x, wp);
-            let t = g.tanh(h);
-            g.mean_all(t)
-        };
-
-        let mut g1 = Graph::new();
-        let l = build(&mut g1, &store);
-        g1.backward(l);
-        store.zero_grads();
-        g1.accumulate_param_grads(&mut store);
-        let direct_w = store.param_mut(w).grad.clone();
-        let direct_e = store.param_mut(emb).grad.clone();
-
-        let mut g2 = Graph::new();
-        let l = build(&mut g2, &store);
-        g2.backward(l);
-        let mut block = GradBlock::for_store(&store);
-        g2.take_param_grads(&mut block);
-        store.zero_grads();
-        block.add_into(&mut store);
-
-        assert_eq!(store.param_mut(w).grad, direct_w);
-        assert_eq!(store.param_mut(emb).grad, direct_e);
     }
 
     #[test]

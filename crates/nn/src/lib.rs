@@ -48,6 +48,6 @@ pub mod simd;
 pub mod tensor;
 
 pub use adam::Adam;
-pub use graph::{GradBlock, Graph, NodeId};
+pub use graph::{Graph, NodeId};
 pub use layers::{BatchNorm, Conv3x1, Embedding, Linear, Lstm};
 pub use tensor::{ParamId, ParamStore, Tensor};

@@ -6,8 +6,8 @@
 //! exact-zero terms skipped), or — for the dot-product kernel
 //! [`Tensor::matmul_bt_into`] — 8 fixed lane accumulators folded in a
 //! deterministic order. Results are bitwise identical across SIMD
-//! backends, blocking factors, and thread counts, which is what keeps
-//! `fit(threads=N) == serial` and the executor's determinism properties
+//! backends and blocking factors, which is what keeps Wide-Deep training
+//! reproducible bit for bit and the executor's determinism properties
 //! intact.
 
 use rand::Rng;
@@ -494,26 +494,6 @@ impl ParamStore {
             .iter()
             .map(|p| p.value.rows() * p.value.cols())
             .sum()
-    }
-
-    /// Zero-filled tensors shaped like every parameter, in [`ParamId`]
-    /// order — one per-sample gradient block for the data-parallel trainer.
-    pub fn grad_template(&self) -> Vec<Tensor> {
-        self.params
-            .iter()
-            .map(|p| Tensor::zeros(p.value.rows(), p.value.cols()))
-            .collect()
-    }
-
-    /// Add a per-sample gradient block (laid out like [`grad_template`])
-    /// into the accumulated gradients, parameter by parameter.
-    ///
-    /// [`grad_template`]: ParamStore::grad_template
-    pub fn add_grad_block(&mut self, block: &[Tensor]) {
-        assert_eq!(block.len(), self.params.len(), "grad block layout mismatch");
-        for (p, g) in self.params.iter_mut().zip(block) {
-            p.grad.add_assign(g);
-        }
     }
 
     /// Scale every accumulated gradient by `s` (minibatch averaging).

@@ -153,8 +153,6 @@ pub struct RequestTotals {
     pub latency_us: QuantileSketch,
     /// Measured dollar cost of served requests.
     pub query_cost: QuantileSketch,
-    /// Degree of parallelism granted to admitted requests.
-    pub dop: QuantileSketch,
     /// NaN costs the sketches refused.
     pub nan_rejected: u64,
     pub alerts_fired: u64,
@@ -168,7 +166,6 @@ impl RequestTotals {
             return;
         }
         self.exec_nanos += rec.exec_nanos;
-        self.dop.observe(rec.dop as f64);
         if rec.status == RecordStatus::Error {
             self.errors += 1;
             return;
@@ -425,7 +422,6 @@ mod tests {
             route_hits: 1,
             cache_shard: 0,
             cache_hit: true,
-            dop: 1,
             admit_wait_nanos: 0,
             exec_nanos,
             rows: 10,
@@ -466,7 +462,6 @@ mod tests {
         assert_eq!(totals.exec_nanos, 50_000);
         assert_eq!(totals.latency_us.quantile(0.5), Some(5.0));
         assert_eq!(totals.query_cost.sum(), 10.0);
-        assert_eq!(totals.dop.count(), 10);
         let dump = obs.dump_now("manual");
         assert_eq!(dump.records.len(), 10);
         assert!(obs.dumps().is_empty(), "on-demand dumps are not stored");
@@ -543,7 +538,7 @@ mod tests {
         assert_eq!(stats.recorded, 20, "but they are flight-recorded");
         let totals = obs.totals();
         assert_eq!((totals.served, totals.shed), (0, 20));
-        assert_eq!(totals.latency_us.count() + totals.dop.count(), 0);
+        assert_eq!(totals.latency_us.count(), 0);
     }
 
     #[test]

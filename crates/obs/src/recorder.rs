@@ -121,9 +121,6 @@ pub struct QueryRecord {
     /// Result-cache shard that served the lookup.
     pub cache_shard: u32,
     pub cache_hit: bool,
-    /// Degree of parallelism granted to this request's execution (the
-    /// elastic split of the pool across inflight queries; 0 when shed).
-    pub dop: u32,
     /// Time spent waiting in admission control.
     pub admit_wait_nanos: u64,
     /// Route + execute time (excludes admission wait).
@@ -154,7 +151,6 @@ fn pack(seq: u64, r: &QueryRecord) -> [u64; WORDS] {
     let tenant = r.tenant.to_words();
     let flags = r.status.to_code()
         | ((r.cache_hit as u64) << 4)
-        | ((r.dop.min(0xFF) as u64) << 8)
         | ((r.route_hits as u64) << 16)
         | ((r.cache_shard as u64) << 40);
     [
@@ -187,7 +183,6 @@ fn unpack(w: &[u64; WORDS]) -> (u64, QueryRecord) {
             epoch: w[5],
             status: RecordStatus::from_code(flags & 0xF),
             cache_hit: (flags >> 4) & 1 == 1,
-            dop: ((flags >> 8) & 0xFF) as u32,
             route_hits: ((flags >> 16) & 0xFF_FFFF) as u32,
             cache_shard: (flags >> 40) as u32,
             admit_wait_nanos: w[7],
@@ -237,7 +232,6 @@ pub struct FlightRecord {
     pub route_hits: u32,
     pub cache_shard: u32,
     pub cache_hit: bool,
-    pub dop: u32,
     pub admit_wait_nanos: u64,
     pub exec_nanos: u64,
     pub rows: u64,
@@ -386,7 +380,6 @@ impl FlightRecorder {
                         route_hits: rec.route_hits,
                         cache_shard: rec.cache_shard,
                         cache_hit: rec.cache_hit,
-                        dop: rec.dop,
                         admit_wait_nanos: rec.admit_wait_nanos,
                         exec_nanos: rec.exec_nanos,
                         rows: rec.rows,
@@ -434,7 +427,6 @@ mod tests {
             route_hits: 1,
             cache_shard: (i % 16) as u32,
             cache_hit: i.is_multiple_of(2),
-            dop: 1 + (i % 8) as u32,
             admit_wait_nanos: 10 * i,
             exec_nanos: 1000 + i,
             rows: 7 * i,
@@ -472,7 +464,6 @@ mod tests {
             assert_eq!(fr.route_hits, want.route_hits);
             assert_eq!(fr.cache_shard, want.cache_shard);
             assert_eq!(fr.cache_hit, want.cache_hit);
-            assert_eq!(fr.dop, want.dop);
             assert_eq!(fr.admit_wait_nanos, want.admit_wait_nanos);
             assert_eq!(fr.exec_nanos, want.exec_nanos);
             assert_eq!(fr.rows, want.rows);

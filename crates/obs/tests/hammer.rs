@@ -29,7 +29,6 @@ fn make_record(tid: u64, i: u64) -> QueryRecord {
         route_hits: (i % 7) as u32,
         cache_shard: (tid % 4) as u32,
         cache_hit: i.is_multiple_of(3),
-        dop: 1 + (i % 16) as u32,
         admit_wait_nanos: fp.wrapping_mul(3),
         exec_nanos: fp.wrapping_mul(31),
         rows: fp.wrapping_add(17),
@@ -58,7 +57,6 @@ fn check_consistency(rec: &FlightRecord) {
     assert_eq!(rec.route_hits, want.route_hits, "torn route_hits: {rec:?}");
     assert_eq!(rec.cache_shard, want.cache_shard, "torn cache_shard: {rec:?}");
     assert_eq!(rec.cache_hit, want.cache_hit, "torn cache_hit: {rec:?}");
-    assert_eq!(rec.dop, want.dop, "torn dop: {rec:?}");
     assert_eq!(
         rec.admit_wait_nanos, want.admit_wait_nanos,
         "torn admit_wait: {rec:?}"

@@ -14,10 +14,12 @@
 //!   and blocks on a completion latch, so a saturated pool degrades to
 //!   caller-runs-everything instead of deadlocking, and `dop = 1` is
 //!   exactly the serial path.
-//! - **Elastic degree-of-parallelism.** `dop` is per-job: the serving layer
-//!   passes a hint derived from admission-controller inflight counts, so a
-//!   lone query fans out while 64 concurrent clients run near-serial
-//!   instead of oversubscribing every core 64×.
+//! - **Elastic degree-of-parallelism.** `Pool::run` caps each job at its
+//!   own `dop` (caller plus at most `dop - 1` helper tickets), never more
+//!   helpers than the pool has workers. Concurrent jobs therefore share the
+//!   workers instead of oversubscribing them: a helper ticket that finds
+//!   its job already drained is a no-op, and a job whose helpers are busy
+//!   elsewhere is run by its submitter alone.
 //!
 //! The crate denies unsafe code except for the single lifetime-erasure
 //! module ([`task`]) that lets borrowed closures ride on `'static` workers;

@@ -190,8 +190,8 @@ pub struct Pool {
 /// to bound stealing fan-out on very wide machines.
 pub fn default_workers() -> usize {
     // Cached: `available_parallelism` is a syscall (`sched_getaffinity`),
-    // and the serving layer reads this census on every request to split
-    // workers across inflight queries.
+    // and every default-policy executor reads this census when it is
+    // built.
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| {
         std::thread::available_parallelism()

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Per-tenant concurrency policy.
@@ -70,10 +69,6 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     state: Mutex<BTreeMap<String, TenantState>>,
     freed: Condvar,
-    /// Permits currently held across *all* tenants. Kept in an atomic
-    /// (redundant with summing the map) so the elastic-DOP policy can read
-    /// it on every request without taking the admission lock.
-    total_inflight: AtomicUsize,
 }
 
 impl AdmissionController {
@@ -82,19 +77,11 @@ impl AdmissionController {
             config,
             state: Mutex::new(BTreeMap::new()),
             freed: Condvar::new(),
-            total_inflight: AtomicUsize::new(0),
         }
     }
 
     pub fn config(&self) -> AdmissionConfig {
         self.config
-    }
-
-    /// Permits currently held across all tenants — the server's instantaneous
-    /// query concurrency. Lock-free; feeds the elastic degree-of-parallelism
-    /// policy (`ViewServer::execute`).
-    pub fn total_inflight(&self) -> usize {
-        self.total_inflight.load(Ordering::SeqCst)
     }
 
     /// Admit one request for `tenant`, blocking while the tenant is at its
@@ -148,10 +135,9 @@ impl AdmissionController {
         }
     }
 
-    /// Called at every grant site (fast path, wait loop, try_acquire), so
-    /// the global counter moves in lockstep with per-tenant `inflight`.
+    /// Called at every grant site (fast path, wait loop, try_acquire), after
+    /// the tenant's `inflight` count was bumped under the state lock.
     fn permit(&self, tenant: &str) -> Permit<'_> {
-        self.total_inflight.fetch_add(1, Ordering::SeqCst);
         Permit {
             controller: self,
             tenant: tenant.to_string(),
@@ -159,7 +145,6 @@ impl AdmissionController {
     }
 
     fn release(&self, tenant: &str) {
-        self.total_inflight.fetch_sub(1, Ordering::SeqCst);
         let mut state = self.state.lock().expect("admission state poisoned");
         if let Some(entry) = state.get_mut(tenant) {
             entry.inflight = entry.inflight.saturating_sub(1);
@@ -216,19 +201,6 @@ mod tests {
         drop(a);
         assert_eq!(ctl.load_of("t").inflight, 1);
         let _c = ctl.acquire("t").expect("slot freed");
-    }
-
-    #[test]
-    fn total_inflight_tracks_grants_across_tenants() {
-        let ctl = AdmissionController::new(AdmissionConfig::default());
-        assert_eq!(ctl.total_inflight(), 0);
-        let a = ctl.acquire("a").expect("a admitted");
-        let b = ctl.try_acquire("b").expect("b admitted");
-        assert_eq!(ctl.total_inflight(), 2);
-        drop(a);
-        assert_eq!(ctl.total_inflight(), 1);
-        drop(b);
-        assert_eq!(ctl.total_inflight(), 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (admission → snapshot → route → sharded cache); `reoptimize` is the
 //!   serialized write path (selection → tenant-accounted admission → a
 //!   candidate deployment preflighted through `av-analyze` → atomic swap).
-//! - [`loadgen`]: closed- and open-loop workload replay with sketch-based
-//!   latency percentiles, driving `serve_bench` and `serve_stats`.
+//! - [`loadgen`]: closed-loop workload replay with sketch-based latency
+//!   percentiles, driving `serve_bench` and `serve_stats`.
 //!
 //! ```
 //! use av_serve::{ServeConfig, ViewServer};
@@ -47,9 +47,7 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, Permit, Rejection, TenantLoad};
 pub use deployment::{Deployment, DeploymentCell, PreflightStats};
-pub use loadgen::{
-    run_closed_loop, run_open_loop, ClosedLoopConfig, LoadReport, OpenLoopConfig,
-};
+pub use loadgen::{run_closed_loop, ClosedLoopConfig, LoadReport};
 pub use server::{ReoptSummary, ServeConfig, ServeError, ServeResponse, ViewServer};
 
 // Telemetry types consumers need to configure the server or consume its

@@ -61,16 +61,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// The elastic degree-of-parallelism policy: split `cores` workers evenly
-/// across `inflight` concurrent queries, never below 1. One inflight query
-/// gets the whole pool; at or past `cores` concurrent queries everyone runs
-/// serial — inter-query parallelism replaces intra-query parallelism, so
-/// the machine is never oversubscribed `inflight ×`. Results are identical
-/// at every degree; only scheduling changes.
-pub fn elastic_dop(cores: usize, inflight: usize) -> usize {
-    (cores.max(1) / inflight.max(1)).max(1)
-}
-
 /// Everything that can go wrong serving one request.
 #[derive(Debug)]
 pub enum ServeError {
@@ -213,7 +203,6 @@ impl ViewServer {
             route_hits: 0,
             cache_shard: 0,
             cache_hit: false,
-            dop: 0,
             admit_wait_nanos: 0,
             exec_nanos: 0,
             rows: 0,
@@ -233,22 +222,17 @@ impl ViewServer {
         };
         let t_adm = self.tracer.now_nanos();
         let deployment = self.cell.load();
-        // Elastic degree of parallelism: split the pool's workers across
-        // the queries currently inflight. Read *after* admission so this
-        // request counts itself (the hint is always >= 1).
-        let dop = elastic_dop(
-            av_engine::par::default_threads(),
-            self.admission.total_inflight(),
-        );
         let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
-        let outcome =
-            self.cache
-                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, Some(dop));
+        // A miss runs at the executor's default parallelism: pool workers
+        // join only past `PAR_MIN_ROWS`, and a busy pool runs the job on
+        // this thread alone.
+        let outcome = self
+            .cache
+            .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, None);
         let t1 = self.tracer.now_nanos();
 
         record.epoch = deployment.epoch();
         record.status = RecordStatus::Error;
-        record.dop = dop as u32;
         record.admit_wait_nanos = t_adm.saturating_sub(t0);
         record.exec_nanos = t1.saturating_sub(t_adm);
         let (result, cache_hit) = match outcome {
@@ -464,7 +448,6 @@ impl ViewServer {
             *snap.counters.entry(av_trace::NAN_REJECTED.into()).or_default() += t.nan_rejected;
         }
         for (name, sketch) in [
-            ("serve.dop", &t.dop),
             ("serve.latency_us", &t.latency_us),
             ("serve.query_cost", &t.query_cost),
         ] {
@@ -611,20 +594,6 @@ mod tests {
             dump.records.iter().any(|r| r.exec_nanos > 0),
             "the server's clock must move"
         );
-        assert!(dump.records.iter().all(|r| r.dop >= 1));
-    }
-
-    #[test]
-    fn elastic_dop_policy_shares_the_pool() {
-        // One query owns the machine; at saturation everyone runs serial.
-        assert_eq!(elastic_dop(8, 1), 8);
-        assert_eq!(elastic_dop(8, 2), 4);
-        assert_eq!(elastic_dop(8, 3), 2);
-        assert_eq!(elastic_dop(8, 8), 1);
-        assert_eq!(elastic_dop(8, 64), 1);
-        // Degenerate inputs never return 0.
-        assert_eq!(elastic_dop(1, 64), 1);
-        assert_eq!(elastic_dop(0, 0), 1);
     }
 
     #[test]

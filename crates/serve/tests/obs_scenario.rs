@@ -245,7 +245,6 @@ fn routed_queries_record_residuals_and_export_exposition() {
             "serve_live_views gauge",
             "serve_route_memo_hits gauge",
             "serve_route_memo_misses gauge",
-            "serve_dop histogram",
             "serve_latency_us histogram",
             "serve_query_cost histogram",
             "serve_reopt_seconds_total counter",

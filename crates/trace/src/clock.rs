@@ -23,37 +23,20 @@ pub trait Clock: Send + Sync {
 /// allowed to call `Instant::now` (the determinism lint exempts exactly
 /// this file).
 ///
-/// On x86_64 hosts with an invariant TSC the clock reads the timestamp
-/// counter directly (~8ns) instead of `clock_gettime` (~25ns). The reads
-/// that matter are per request, not per span: `ViewServer::execute` reads
-/// the clock at four sites — start, then either shed or admitted and
-/// executed — and the scheduler pool twice per task. Hosts without an
-/// invariant TSC (or non-x86_64) fall back to `Instant` transparently.
+/// Readings go through `Instant` (vDSO `clock_gettime` on Linux, itself a
+/// timestamp-counter read where the kernel's clocksource is `tsc`). The
+/// reads that matter are per request, not per span: `ViewServer::execute`
+/// reads the clock at most three times — start, then either shed or
+/// admitted and executed — and the scheduler pool twice per task.
 #[derive(Debug)]
 pub struct MonotonicClock {
     origin: std::time::Instant,
-    #[cfg(target_arch = "x86_64")]
-    tsc: Option<TscOrigin>,
-}
-
-/// Per-clock TSC anchor: the tick count at construction plus the process
-/// calibration (ticks → nanoseconds).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-struct TscOrigin {
-    origin_ticks: u64,
-    ns_per_tick: f64,
 }
 
 impl MonotonicClock {
     pub fn new() -> MonotonicClock {
         MonotonicClock {
             origin: std::time::Instant::now(), // det-lint: allow — the Clock trait's sanctioned wall-clock read
-            #[cfg(target_arch = "x86_64")]
-            tsc: tsc::ns_per_tick().map(|ns_per_tick| TscOrigin {
-                origin_ticks: tsc::read(),
-                ns_per_tick,
-            }),
         }
     }
 }
@@ -66,90 +49,8 @@ impl Default for MonotonicClock {
 
 impl Clock for MonotonicClock {
     fn now_nanos(&self) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(t) = &self.tsc {
-            // `saturating_sub` clamps the (hardware-rare) case of a reading
-            // from a core whose TSC sits a few ticks behind the origin
-            // read; consumers' duration math saturates as well, so a tiny
-            // backward wiggle costs one zero-length measurement, never a
-            // wrap to ~584 years.
-            let ticks = tsc::read().saturating_sub(t.origin_ticks);
-            return (ticks as f64 * t.ns_per_tick) as u64;
-        }
         // u64 nanoseconds covers ~584 years of process uptime.
         self.origin.elapsed().as_nanos() as u64
-    }
-}
-
-/// The TSC fast path. The one `allow(unsafe_code)` scope in `av-trace`:
-/// `_rdtsc`/`__cpuid` are intrinsics with no memory effects, exposed by
-/// `core::arch` as `unsafe fn` only because they are target-specific.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod tsc {
-    use std::sync::OnceLock;
-
-    /// Current timestamp-counter reading.
-    pub(super) fn read() -> u64 {
-        // SAFETY: `_rdtsc` is available on every x86_64 CPU and has no
-        // preconditions or memory effects.
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-
-    /// Does the CPU advertise an invariant TSC (constant rate, never stops
-    /// in deep sleep states)? CPUID.80000007H:EDX[8]. Querying an
-    /// unsupported leaf returns the highest basic leaf's values, which the
-    /// max-leaf check rules out.
-    fn invariant_tsc() -> bool {
-        if core::arch::x86_64::__cpuid(0x8000_0000).eax < 0x8000_0007 {
-            return false;
-        }
-        core::arch::x86_64::__cpuid(0x8000_0007).edx & (1 << 8) != 0
-    }
-
-    /// Once-per-process calibration: nanoseconds per TSC tick, or `None`
-    /// when the TSC is not invariant (fall back to `Instant`). The first
-    /// caller pays a ~200µs timed spin against the OS clock; every later
-    /// clock construction reuses the cached rate.
-    pub(super) fn ns_per_tick() -> Option<f64> {
-        static SCALE: OnceLock<Option<f64>> = OnceLock::new();
-        *SCALE.get_or_init(|| {
-            if !invariant_tsc() {
-                return None;
-            }
-            let spin = std::time::Duration::from_micros(200);
-            let t0 = std::time::Instant::now(); // det-lint: allow — TSC calibration against the sanctioned clock
-            let c0 = read();
-            while t0.elapsed() < spin {
-                std::hint::spin_loop();
-            }
-            let c1 = read();
-            let nanos = t0.elapsed().as_nanos() as f64;
-            let ticks = c1.saturating_sub(c0);
-            if ticks == 0 {
-                return None; // paused VM or non-monotone counter: fall back
-            }
-            Some(nanos / ticks as f64)
-        })
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn calibration_yields_a_plausible_rate() {
-            // On hosts with an invariant TSC the rate must correspond to a
-            // clock between 100 MHz and 10 GHz; on others, None is correct.
-            if let Some(ns) = super::ns_per_tick() {
-                assert!((0.1..=10.0).contains(&ns), "ns/tick {ns}");
-            }
-        }
-
-        #[test]
-        fn tsc_readings_are_non_decreasing_enough_to_time_with() {
-            let a = super::read();
-            let b = super::read();
-            assert!(b >= a, "invariant TSC readings went backwards on one core");
-        }
     }
 }
 

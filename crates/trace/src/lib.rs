@@ -20,9 +20,7 @@
 //! `serve.swaps`); span names follow `subsystem.phase`
 //! (`pipeline.train`, `core.measure_queries`). See DESIGN.md §Observability.
 
-// `deny` rather than `forbid`: `clock.rs` opts one audited module back in
-// for the invariant-TSC fast path (`_rdtsc`/`__cpuid` intrinsics only).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod export;
