@@ -1,6 +1,6 @@
 //! `av-analyze` — static verification for the AutoView reproduction.
 //!
-//! Three passes, each usable as a library and wired into one binary:
+//! Two passes, each usable as a library and wired into one binary:
 //!
 //! - **Plan verifier** ([`verify_plan`] / [`verify_rewrite`], and the
 //!   prover-first [`gate_rewrite`] every rewrite site calls): structural
@@ -14,9 +14,6 @@
 //!   `crates/*/src` flagging unordered hash-container iteration that feeds
 //!   order-sensitive consumers, wall-clock reads in library code, and a
 //!   per-file panic-site ratchet.
-//! - **Lock-order analysis** ([`lockorder`]): the acquired-while-held graph
-//!   over [`LOCK_CRATES`], which must be cycle-free with every boundary edge
-//!   on the audited allowlist.
 //!
 //! Binary: `cargo run -p av-analyze` runs all passes plus full JOB
 //! workload verification; `cargo run -p av-analyze -- lint` runs the
@@ -27,12 +24,10 @@
 
 pub mod containment;
 pub mod lint;
-pub mod lockorder;
 pub mod schema;
 pub mod verify;
 
 pub use containment::{prove_rewrite, Verdict, ViewDef};
-pub use lockorder::{LockEdge, LockOrderReport, ALLOWED_EDGES, BOUNDARY_LOCKS, LOCK_CRATES};
 pub use schema::{infer_schema, type_of_expr, Schema};
 pub use verify::{
     gate_rewrite, install_engine_gate, verify_plan, verify_rewrite, RewriteAccepted, RewriteRefused,

@@ -9,20 +9,16 @@
 //!    workload (all 226 queries at `AV_JOB_SCALE`, default 0.05), every
 //!    candidate the equivalence analyzer emits, and every view rewrite
 //!    those candidates produce — the CI gate requires ≥95% of rewrites
-//!    statically `Proved` and none `Refuted`,
-//! 3. the lock-order analysis over `crates/{serve,engine,online}` —
-//!    the acquired-while-held graph must be cycle-free with every
-//!    planner/deployment boundary edge on the audited allowlist.
+//!    statically `Proved` and none `Refuted`.
 //!
 //! Subcommands run a single pass: `av-analyze lint [--write-baseline]`
 //! (pass 1; `--write-baseline` regenerates the ratchet file from the
 //! current counts instead of checking it — use after converting panic
-//! sites to typed errors, so the ratchet tightens), `av-analyze prove`
-//! (pass 2), `av-analyze lockorder [--dot PATH]` (pass 3, optionally
-//! writing the graph as DOT).
+//! sites to typed errors, so the ratchet tightens) and `av-analyze prove`
+//! (pass 2).
 
 use av_analyze::lint::{format_baseline, lint_repo, parse_baseline, ratchet_findings};
-use av_analyze::{gate_rewrite, verify_plan, RewriteAccepted, RewriteRefused, LOCK_CRATES};
+use av_analyze::{gate_rewrite, verify_plan, RewriteAccepted, RewriteRefused};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
 use av_plan::find_subtree;
 use std::path::Path;
@@ -177,37 +173,6 @@ fn run_plan_pass(failures: &mut usize) {
     *failures += bad;
 }
 
-fn run_lockorder_pass(failures: &mut usize, dot_path: Option<&str>) {
-    let root = repo_root();
-    match av_analyze::lockorder::analyze_repo(root, &LOCK_CRATES) {
-        Ok(report) => {
-            for f in &report.findings {
-                eprintln!("lockorder: {f}");
-            }
-            *failures += report.findings.len();
-            println!(
-                "lockorder: {} lock(s), {} edge(s), {} finding(s) over crates/{{{}}}",
-                report.locks.len(),
-                report.edges.len(),
-                report.findings.len(),
-                LOCK_CRATES.join(",")
-            );
-            if let Some(path) = dot_path {
-                if let Err(e) = std::fs::write(path, report.to_dot()) {
-                    eprintln!("lockorder: cannot write {path}: {e}");
-                    *failures += 1;
-                } else {
-                    println!("lockorder: graph written to {path}");
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("lockorder: cannot scan repo: {e}");
-            *failures += 1;
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut failures = 0usize;
@@ -215,26 +180,8 @@ fn main() -> ExitCode {
         None => {
             run_lint_pass(&mut failures, false);
             run_plan_pass(&mut failures);
-            run_lockorder_pass(&mut failures, None);
         }
         Some("prove") => run_plan_pass(&mut failures),
-        Some("lockorder") => {
-            let dot = match args.get(1).map(String::as_str) {
-                Some("--dot") => match args.get(2) {
-                    Some(p) => Some(p.as_str()),
-                    None => {
-                        eprintln!("av-analyze lockorder --dot requires a path");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                Some(other) => {
-                    eprintln!("av-analyze lockorder: unknown flag `{other}`");
-                    return ExitCode::FAILURE;
-                }
-                None => None,
-            };
-            run_lockorder_pass(&mut failures, dot);
-        }
         Some("lint") => match args.get(1).map(String::as_str) {
             None => run_lint_pass(&mut failures, false),
             Some("--write-baseline") => run_lint_pass(&mut failures, true),
@@ -246,7 +193,7 @@ fn main() -> ExitCode {
         Some(other) => {
             eprintln!(
                 "av-analyze: unknown subcommand `{other}` \
-                 (expected `lint [--write-baseline]`, `prove`, or `lockorder [--dot PATH]`)"
+                 (expected `lint [--write-baseline]` or `prove`)"
             );
             return ExitCode::FAILURE;
         }

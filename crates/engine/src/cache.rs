@@ -17,8 +17,8 @@ use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
 use crate::meter::Pricing;
 use av_plan::{Fingerprint, PlanNode};
+use av_sched::{Mutex, Rank};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Hit/miss/evict counters, readable at any time via [`ExecCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,7 +65,7 @@ struct CacheState {
 /// only lookup/eviction counters: telemetry pulls them through
 /// [`ExecCache::shard_stats`] at snapshot time instead of being pushed a
 /// copy per lookup.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheShard {
     state: Mutex<CacheState>,
 }
@@ -107,7 +107,11 @@ impl ExecCache {
         ExecCache {
             pricing,
             shard_entries: (Self::DEFAULT_ENTRIES / n).max(1),
-            shards: (0..n).map(|_| CacheShard::default()).collect(),
+            shards: (0..n)
+                .map(|_| CacheShard {
+                    state: Mutex::new(Rank::CacheShard, CacheState::default()),
+                })
+                .collect(),
         }
     }
 
@@ -191,18 +195,12 @@ impl ExecCache {
 
     /// Per-shard counters, shard order.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("cache lock").stats)
-            .collect()
+        self.shards.iter().map(|s| s.state.lock().stats).collect()
     }
 
     /// Number of cached results (across all shards and epochs still held).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("cache lock").map.len())
-            .sum()
+        self.shards.iter().map(|s| s.state.lock().map.len()).sum()
     }
 
     /// True iff no results are cached.
@@ -214,7 +212,7 @@ impl ExecCache {
 impl CacheShard {
     /// A clone of the cached result for `key`, counting the hit or miss.
     fn lookup(&self, key: &(Fingerprint, u64)) -> Option<ExecResult> {
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = self.state.lock();
         let hit = state.map.get(key).cloned();
         match hit {
             Some(_) => state.stats.hits += 1,
@@ -228,7 +226,7 @@ impl CacheShard {
     /// and go first; if the key's own epoch alone fills the cap, the shard
     /// starts over.
     fn insert(&self, key: (Fingerprint, u64), result: ExecResult, max_entries: usize) {
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = self.state.lock();
         let mut shed_bytes = 0u64;
         if state.map.len() >= max_entries && !state.map.contains_key(&key) {
             let before = state.map.len();
@@ -461,6 +459,40 @@ mod tests {
                 assert!(per_shard.iter().filter(|s| s.misses > 0).count() >= 2);
             }
         }
+    }
+
+    #[test]
+    fn a_shard_poisoned_by_a_panicking_holder_keeps_serving() {
+        let c = catalog();
+        let plans = distinct_plans(8);
+        let cache = ExecCache::new(Pricing::paper_defaults(), 4);
+        let victim = cache.shard_of(Fingerprint::of(&plans[0]));
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.shards[victim].state.lock();
+                panic!("holder dies with the shard");
+            })
+            .join()
+        });
+        assert!(died.is_err() && cache.shards[victim].state.is_poisoned());
+
+        // Every plan misses once, then hits once, on its own shard.
+        for _ in 0..2 {
+            for p in &plans {
+                cache.run(&c, p).expect("runs");
+            }
+        }
+        let mut expected = vec![0u64; cache.num_shards()];
+        for p in &plans {
+            expected[cache.shard_of(Fingerprint::of(p))] += 1;
+        }
+        let per_shard = cache.shard_stats();
+        for (s, want) in per_shard.iter().zip(&expected) {
+            assert_eq!((s.hits, s.misses), (*want, *want));
+        }
+        assert!(per_shard[victim].hits > 0, "the poisoned shard still hits");
+        assert_eq!(cache.stats().hits, 8);
+        assert_eq!(cache.len(), 8);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the pool's workers rather than oversubscribing the machine: a query
 //! whose helpers are busy elsewhere runs on its submitting thread.
 
+use av_sched::{Mutex, Rank};
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Rows per chunk. Fixed so that chunk boundaries (and therefore f64
 /// accumulation order inside partial aggregates) are independent of the
@@ -103,17 +103,18 @@ where
         return (0..chunks).map(|i| f(i, chunk_range(i, rows))).collect();
     }
 
-    let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..chunks)
+        .map(|_| Mutex::new(Rank::ChunkSlot, None))
+        .collect();
     let body = |i: usize| {
         let value = f(i, chunk_range(i, rows));
-        *slots[i].lock().expect("chunk slot poisoned") = Some(value);
+        *slots[i].lock() = Some(value);
     };
     av_sched::global().run(chunks, par.threads, body);
     slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("chunk slot poisoned")
                 .expect("every chunk index is claimed exactly once")
         })
         .collect()

@@ -27,10 +27,17 @@
 //! `thread::scope` elsewhere in the workspace libraries is rejected by
 //! av-analyze's `raw-spawn` lint — this crate is the allowlisted home for
 //! thread creation.
+//!
+//! Modules: `pool` (the workers and their queues), `task` (the lifetime
+//! erasure) and `rank` (ranked locks: every lock in `av-sched`, `av-engine`
+//! and `av-serve` is a [`Mutex`] or [`RwLock`] built with its [`Rank`] in
+//! one acquisition order, checked in debug builds).
 
 #![deny(unsafe_code)]
 
 mod pool;
+mod rank;
 mod task;
 
 pub use pool::{default_workers, global, Pool, PoolStats};
+pub use rank::{Guard, Mutex, Rank, RwLock};

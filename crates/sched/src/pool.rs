@@ -17,12 +17,13 @@
 //! participates in its own job and blocks on a completion latch — workers
 //! being busy can delay a job but never deadlock it.
 
+use crate::rank::{Mutex, Rank};
 use crate::task::ErasedTask;
 use av_trace::sketch::{bucket_index, BUCKETS};
 use av_trace::{Clock, MonotonicClock, QuantileSketch};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 
 /// One submitted job: an erased closure plus the claim/completion counters.
 struct Job {
@@ -60,7 +61,7 @@ impl Job {
             }
             ran += 1;
             if self.done.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
-                let mut fin = self.finished.lock().expect("latch poisoned");
+                let mut fin = self.finished.lock();
                 *fin = true;
                 self.latch.notify_all();
             }
@@ -121,22 +122,18 @@ struct Inner {
 impl Inner {
     /// Pop local (LIFO), else injector, else steal (FIFO) from siblings.
     fn find_work(&self, me: usize) -> Option<Arc<Job>> {
-        if let Some(job) = self.deques[me].lock().expect("deque poisoned").pop_back() {
+        if let Some(job) = self.deques[me].lock().pop_back() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
             return Some(job);
         }
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
+        if let Some(job) = self.injector.lock().pop_front() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
             return Some(job);
         }
         let n = self.deques.len();
         for off in 1..n {
             let victim = (me + off) % n;
-            if let Some(job) = self.deques[victim]
-                .lock()
-                .expect("deque poisoned")
-                .pop_front()
-            {
+            if let Some(job) = self.deques[victim].lock().pop_front() {
                 self.queued.fetch_sub(1, Ordering::SeqCst);
                 self.steals.fetch_add(1, Ordering::SeqCst);
                 return Some(job);
@@ -171,9 +168,9 @@ impl Inner {
             // Park until a submitter posts tickets. `queued` is re-checked
             // under the park lock and submitters bump it *before* taking
             // the lock to notify, so a wakeup can never be lost.
-            let guard = self.park.lock().expect("park poisoned");
+            let guard = self.park.lock();
             if self.queued.load(Ordering::SeqCst) == 0 && !self.shutdown.load(Ordering::SeqCst) {
-                drop(self.wake.wait(guard).expect("park poisoned"));
+                drop(guard.wait(&self.wake));
             }
         }
     }
@@ -214,14 +211,16 @@ impl Pool {
     pub fn new(workers: usize) -> Pool {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            park: Mutex::new(()),
+            deques: (0..workers)
+                .map(|_| Mutex::new(Rank::PoolDeque, VecDeque::new()))
+                .collect(),
+            injector: Mutex::new(Rank::PoolInjector, VecDeque::new()),
+            park: Mutex::new(Rank::PoolPark, ()),
             wake: Condvar::new(),
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             rr: AtomicUsize::new(0),
-            started: Mutex::new(Vec::new()),
+            started: Mutex::new(Rank::PoolStarted, Vec::new()),
             steals: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
@@ -239,7 +238,7 @@ impl Pool {
     }
 
     fn ensure_started(&self) {
-        let mut handles = self.inner.started.lock().expect("start lock poisoned");
+        let mut handles = self.inner.started.lock();
         if !handles.is_empty() {
             return;
         }
@@ -289,7 +288,7 @@ impl Pool {
             done: AtomicUsize::new(0),
             total,
             panicked: AtomicBool::new(false),
-            finished: Mutex::new(false),
+            finished: Mutex::new(Rank::JobLatch, false),
             latch: Condvar::new(),
         });
         // One ticket per helper, spread round-robin so idle workers pick
@@ -297,22 +296,19 @@ impl Pool {
         let base = inner.rr.fetch_add(helpers, Ordering::SeqCst);
         for k in 0..helpers {
             let target = (base + k) % self.workers;
-            inner.deques[target]
-                .lock()
-                .expect("deque poisoned")
-                .push_back(Arc::clone(&job));
+            inner.deques[target].lock().push_back(Arc::clone(&job));
         }
         inner.queued.fetch_add(helpers, Ordering::SeqCst);
         // Empty critical section pairs with the re-check in `worker_loop`:
         // `queued` is visible before any parked worker can decide to sleep.
-        drop(inner.park.lock().expect("park poisoned"));
+        drop(inner.park.lock());
         inner.wake.notify_all();
 
         // The submitter works on its own job too, then blocks on the latch.
         inner.timed_drain(&job);
-        let mut fin = job.finished.lock().expect("latch poisoned");
+        let mut fin = job.finished.lock();
         while !*fin {
-            fin = job.latch.wait(fin).expect("latch poisoned");
+            fin = fin.wait(&job.latch);
         }
         drop(fin);
         if job.panicked.load(Ordering::SeqCst) {
@@ -347,9 +343,9 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        drop(self.inner.park.lock().expect("park poisoned"));
+        drop(self.inner.park.lock());
         self.inner.wake.notify_all();
-        let handles = std::mem::take(&mut *self.inner.started.lock().expect("start lock"));
+        let handles = std::mem::take(&mut *self.inner.started.lock());
         for h in handles {
             let _ = h.join();
         }
@@ -389,7 +385,7 @@ mod tests {
     #[test]
     fn dop_one_runs_inline_in_order() {
         let pool = Pool::new(4);
-        let order = Mutex::new(Vec::new());
+        let order = std::sync::Mutex::new(Vec::new());
         let caller = std::thread::current().id();
         pool.run(8, 1, |i| {
             assert_eq!(std::thread::current().id(), caller);

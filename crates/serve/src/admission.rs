@@ -10,9 +10,10 @@
 //! [`AdmissionController::acquire`] returns an RAII [`Permit`]; dropping it
 //! releases the slot and wakes one queued waiter.
 
+use av_sched::{Mutex, Rank};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 
 /// Per-tenant concurrency policy.
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +76,7 @@ impl AdmissionController {
     pub fn new(config: AdmissionConfig) -> AdmissionController {
         AdmissionController {
             config,
-            state: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(Rank::AdmissionState, BTreeMap::new()),
             freed: Condvar::new(),
         }
     }
@@ -89,7 +90,7 @@ impl AdmissionController {
     /// [`Rejection::QueueFull`] when both the cap and the queue are
     /// exhausted.
     pub fn acquire(&self, tenant: &str) -> Result<Permit<'_>, Rejection> {
-        let mut state = self.state.lock().expect("admission state poisoned");
+        let mut state = self.state.lock();
         let entry = state.entry(tenant.to_string()).or_default();
         if entry.inflight < self.config.max_inflight_per_tenant {
             entry.inflight += 1;
@@ -102,7 +103,7 @@ impl AdmissionController {
         }
         entry.queued += 1;
         loop {
-            state = self.freed.wait(state).expect("admission state poisoned");
+            state = state.wait(&self.freed);
             let entry = state.entry(tenant.to_string()).or_default();
             if entry.inflight < self.config.max_inflight_per_tenant {
                 entry.queued -= 1;
@@ -112,30 +113,16 @@ impl AdmissionController {
         }
     }
 
-    /// Admit without blocking: `None` when the tenant is at its cap (the
-    /// caller decides whether to queue elsewhere or shed).
-    pub fn try_acquire(&self, tenant: &str) -> Option<Permit<'_>> {
-        let mut state = self.state.lock().expect("admission state poisoned");
-        let entry = state.entry(tenant.to_string()).or_default();
-        if entry.inflight < self.config.max_inflight_per_tenant {
-            entry.inflight += 1;
-            Some(self.permit(tenant))
-        } else {
-            None
-        }
-    }
-
     /// Current counters for a tenant.
     pub fn load_of(&self, tenant: &str) -> TenantLoad {
-        let state = self.state.lock().expect("admission state poisoned");
-        let s = state.get(tenant).copied().unwrap_or_default();
+        let s = self.state.lock().get(tenant).copied().unwrap_or_default();
         TenantLoad {
             inflight: s.inflight,
             queued: s.queued,
         }
     }
 
-    /// Called at every grant site (fast path, wait loop, try_acquire), after
+    /// Called at both grant sites (fast path, wait loop), after
     /// the tenant's `inflight` count was bumped under the state lock.
     fn permit(&self, tenant: &str) -> Permit<'_> {
         Permit {
@@ -145,7 +132,7 @@ impl AdmissionController {
     }
 
     fn release(&self, tenant: &str) {
-        let mut state = self.state.lock().expect("admission state poisoned");
+        let mut state = self.state.lock();
         if let Some(entry) = state.get_mut(tenant) {
             entry.inflight = entry.inflight.saturating_sub(1);
             if entry.inflight == 0 && entry.queued == 0 {
@@ -162,12 +149,6 @@ impl AdmissionController {
 pub struct Permit<'a> {
     controller: &'a AdmissionController,
     tenant: String,
-}
-
-impl Permit<'_> {
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
 }
 
 impl Drop for Permit<'_> {
@@ -197,7 +178,6 @@ mod tests {
                 tenant: "t".into()
             }
         );
-        assert!(ctl.try_acquire("t").is_none());
         drop(a);
         assert_eq!(ctl.load_of("t").inflight, 1);
         let _c = ctl.acquire("t").expect("slot freed");
@@ -217,42 +197,77 @@ mod tests {
     }
 
     /// Hammer the condvar path: many threads, several acquisitions each,
-    /// against tight caps. Tracks the high-water mark of concurrently held
+    /// against a tight cap. Tracks the high-water mark of concurrently held
     /// permits with a CAS loop; if the wait loop ever admitted past the cap
     /// (e.g. a woken waiter skipping the re-check), the mark would exceed
-    /// it. Run for both cap 1 (mutual exclusion) and cap 2 (the smallest
-    /// cap where two waiters can race for the same freed slot).
+    /// it.
+    fn hammer(ctl: &AdmissionController) {
+        let cap = ctl.config().max_inflight_per_tenant;
+        let current = AtomicUsize::new(0);
+        let high_water = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..12 {
+                s.spawn(|| {
+                    for _ in 0..25 {
+                        let _p = ctl.acquire("t").expect("queue has room");
+                        let now = current.fetch_add(1, Ordering::SeqCst) + 1;
+                        high_water.fetch_max(now, Ordering::SeqCst);
+                        std::hint::black_box(now);
+                        current.fetch_sub(1, Ordering::SeqCst);
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 12 * 25, "cap {cap}");
+        let peak = high_water.load(Ordering::SeqCst);
+        assert!(
+            peak <= cap,
+            "cap {cap} exceeded: saw {peak} concurrent permits"
+        );
+        assert!(peak >= 1, "hammer never ran");
+        assert_eq!(ctl.load_of("t").inflight, 0, "all permits released");
+        assert_eq!(ctl.load_of("t").queued, 0, "no waiter stranded");
+    }
+
+    fn queued_controller(cap: usize) -> AdmissionController {
+        AdmissionController::new(AdmissionConfig {
+            max_inflight_per_tenant: cap,
+            max_queued_per_tenant: 64,
+        })
+    }
+
+    /// Cap 1 is mutual exclusion; cap 2 is the smallest cap where two
+    /// waiters can race for the same freed slot.
     #[test]
     fn hammer_never_exceeds_inflight_cap() {
         for cap in [1usize, 2] {
-            let ctl = AdmissionController::new(AdmissionConfig {
-                max_inflight_per_tenant: cap,
-                max_queued_per_tenant: 64,
-            });
-            let current = AtomicUsize::new(0);
-            let high_water = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..12 {
-                    s.spawn(|| {
-                        for _ in 0..25 {
-                            let _p = ctl.acquire("t").expect("queue has room");
-                            let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-                            high_water.fetch_max(now, Ordering::SeqCst);
-                            std::hint::black_box(now);
-                            current.fetch_sub(1, Ordering::SeqCst);
-                            done.fetch_add(1, Ordering::SeqCst);
-                        }
-                    });
-                }
-            });
-            assert_eq!(done.load(Ordering::SeqCst), 12 * 25, "cap {cap}");
-            let peak = high_water.load(Ordering::SeqCst);
-            assert!(peak <= cap, "cap {cap} exceeded: saw {peak} concurrent permits");
-            assert!(peak >= 1, "hammer never ran");
-            assert_eq!(ctl.load_of("t").inflight, 0, "all permits released");
-            assert_eq!(ctl.load_of("t").queued, 0, "no waiter stranded");
+            hammer(&queued_controller(cap));
         }
+    }
+
+    #[test]
+    fn a_panicking_state_holder_does_not_wedge_admission() {
+        let ctl = queued_controller(2);
+        let held = ctl.acquire("t").expect("admitted before the panic");
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _state = ctl.state.lock();
+                panic!("holder dies with the admission state");
+            })
+            .join()
+        });
+        assert!(died.is_err() && ctl.state.is_poisoned());
+        drop(held);
+        assert_eq!(
+            ctl.load_of("t"),
+            TenantLoad {
+                inflight: 0,
+                queued: 0
+            }
+        );
+        hammer(&ctl);
     }
 
     #[test]

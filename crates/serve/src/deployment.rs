@@ -13,9 +13,10 @@ use av_analyze::RewriteAccepted;
 use av_engine::{Catalog, MaterializedView};
 use av_online::{route_through_views, ViewIndex};
 use av_plan::{Fingerprint, PlanRef};
+use av_sched::{Mutex, Rank, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// Independent locks for the route-memo table. Routing is read-mostly and
 /// fingerprint-keyed, so a handful of shards removes lock contention the
@@ -93,7 +94,7 @@ impl Deployment {
             views,
             estimates: Vec::new(),
             route_memo: (0..ROUTE_MEMO_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Rank::RouteMemoShard, HashMap::new()))
                 .collect(),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
@@ -166,14 +167,7 @@ impl Deployment {
     /// the same query.
     pub fn route_memo(&self, plan_fp: Fingerprint, plan: &PlanRef) -> (PlanRef, usize, Fingerprint) {
         let shard = &self.route_memo[(plan_fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
-        // The memo is a pure cache of `route`, one whole entry per insert:
-        // a shard poisoned by a panicking holder is still valid, so recover
-        // it instead of failing every later request.
-        if let Some((routed, hits, routed_fp)) = shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&plan_fp.0)
-        {
+        if let Some((routed, hits, routed_fp)) = shard.lock().get(&plan_fp.0) {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return (routed.clone(), *hits, *routed_fp);
         }
@@ -184,7 +178,7 @@ impl Deployment {
         } else {
             Fingerprint::of(&routed)
         };
-        let mut memo = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut memo = shard.lock();
         if memo.len() < ROUTE_MEMO_CAP_PER_SHARD {
             memo.insert(plan_fp.0, (routed.clone(), hits, routed_fp));
         }
@@ -262,9 +256,7 @@ impl Deployment {
 /// [`Deployment`]. Readers [`DeploymentCell::load`] an `Arc` and keep using
 /// it for as long as they like; [`DeploymentCell::swap`] replaces the slot
 /// without ever blocking on readers (the write lock is held only for the
-/// pointer exchange — loads that raced ahead hold their own `Arc`). The slot
-/// always holds one whole `Arc`, so a lock poisoned by a panicking holder is
-/// recovered, not propagated.
+/// pointer exchange — loads that raced ahead hold their own `Arc`).
 #[derive(Debug)]
 pub struct DeploymentCell {
     current: RwLock<Arc<Deployment>>,
@@ -273,22 +265,19 @@ pub struct DeploymentCell {
 impl DeploymentCell {
     pub fn new(initial: Deployment) -> DeploymentCell {
         DeploymentCell {
-            current: RwLock::new(Arc::new(initial)),
+            current: RwLock::new(Rank::DeploymentCell, Arc::new(initial)),
         }
     }
 
     /// The current snapshot. The returned handle stays valid (and its epoch
     /// fixed) across any number of concurrent swaps.
     pub fn load(&self) -> Arc<Deployment> {
-        self.current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.current.read().clone()
     }
 
     /// Publish a new snapshot, returning the one it replaced.
     pub fn swap(&self, next: Arc<Deployment>) -> Arc<Deployment> {
-        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.current.write();
         std::mem::replace(&mut *slot, next)
     }
 

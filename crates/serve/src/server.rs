@@ -24,9 +24,10 @@ use av_online::{
     ViewLifecycleManager, WindowSnapshot,
 };
 use av_plan::{Fingerprint, PlanRef};
+use av_sched::{Mutex, Rank};
 use av_trace::{MetricsSnapshot, Timing, Tracer};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -172,12 +173,15 @@ impl ViewServer {
             cell: DeploymentCell::new(initial),
             cache,
             admission: AdmissionController::new(config.admission),
-            planner: Mutex::new(Planner {
-                catalog,
-                lifecycle: ViewLifecycleManager::new(config.lifecycle),
-                estimator,
-                dryrun: ExecCache::new(config.pricing, 1),
-            }),
+            planner: Mutex::new(
+                Rank::Planner,
+                Planner {
+                    catalog,
+                    lifecycle: ViewLifecycleManager::new(config.lifecycle),
+                    estimator,
+                    dryrun: ExecCache::new(config.pricing, 1),
+                },
+            ),
             obs: Obs::new(config.obs.clone()),
             tracer,
             config,
@@ -283,7 +287,7 @@ impl ViewServer {
     ) -> Result<ReoptSummary, ServeError> {
         let tracer = self.tracer.clone();
         let metrics = tracer.metrics();
-        let mut guard = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.planner.lock();
         let planner = &mut *guard;
         tracer.time("serve.reopt", || -> Result<ReoptSummary, ServeError> {
             let mut analyzer = av_equiv::Analyzer::new();
@@ -323,7 +327,7 @@ impl ViewServer {
         owner: Option<&str>,
         sample: &[PlanRef],
     ) -> Result<ReoptSummary, ServeError> {
-        let mut planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut planner = self.planner.lock();
         self.apply_and_publish(&mut planner, &[], candidates, owner, sample)
     }
 
@@ -405,8 +409,7 @@ impl ViewServer {
     /// running re-optimization these are exactly the published snapshot's
     /// views: the planner only ever commits what it publishes.
     pub fn planner_live_fingerprints(&self) -> Vec<Fingerprint> {
-        let planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
-        planner.lifecycle.live_fingerprints()
+        self.planner.lock().lifecycle.live_fingerprints()
     }
 
     pub fn config(&self) -> &ServeConfig {
@@ -486,11 +489,6 @@ impl ViewServer {
     /// Per-shard counters (index = shard).
     pub fn shard_stats(&self) -> Vec<av_engine::CacheStats> {
         self.cache.shard_stats()
-    }
-
-    /// Admission counters for one tenant.
-    pub fn tenant_load(&self, tenant: &str) -> crate::admission::TenantLoad {
-        self.admission.load_of(tenant)
     }
 
     /// The telemetry layer: flight recorder, SLO monitor, residual store.
@@ -640,7 +638,7 @@ mod tests {
         let server = server_for(&w);
         let summary = server.reoptimize(&plans, Some("acme")).expect("reoptimizes");
         assert!(summary.admitted > 0);
-        let planner = server.planner.lock().expect("planner");
+        let planner = server.planner.lock();
         assert!(
             planner.lifecycle.live_bytes_of(Some("acme")) > 0,
             "admitted views are charged to the owner"
