@@ -27,17 +27,7 @@
 //!    task pointer.
 //!    `forbid`/`deny(unsafe_code)` attributes are of course fine —
 //!    the rule exists precisely so those stay the default everywhere else.
-//! 5. **hot-path-alloc** — files on the `HOT_PATH_FILES` list (currently
-//!    `av-obs`'s flight-recorder module) bracket their per-query record
-//!    paths with `// hot-path: begin` / `// hot-path: end` comment
-//!    markers. Inside a region, allocation (`format!`, `String::`,
-//!    `vec![`, `Box::new`, `.collect(`, container inserts, …), lock
-//!    acquisition (`.lock(`) and raw wall-clock types are findings: the
-//!    record path is called once per served query under concurrency, and
-//!    its wait-freedom claim is only as good as this invariant. A listed
-//!    file with no region at all is itself a finding — the markers are
-//!    the contract, not decoration.
-//! 6. **raw-spawn** — `thread::spawn`, `thread::scope`, or
+//! 5. **raw-spawn** — `thread::spawn`, `thread::scope`, or
 //!    `thread::Builder` in library code. Query-time parallelism goes
 //!    through `av-sched`'s shared morsel pool; ad-hoc OS threads bypass its
 //!    per-job DOP cap and its telemetry, and re-introduce the per-query
@@ -225,63 +215,6 @@ fn uses_unsafe_keyword(line: &str) -> bool {
 
 const ALLOW_MARKER: &str = "det-lint: allow";
 
-/// Library files whose hot regions the `hot-path-alloc` rule audits. As
-/// with the other allowlists, this list is the whole scope — region
-/// markers in unlisted files are inert comments.
-///
-/// `crates/obs/src/recorder.rs`: the flight recorder's `record` path runs
-/// once per served query and claims wait-freedom; an allocation, lock, or
-/// wall-clock read inside it would silently void that claim.
-const HOT_PATH_FILES: [&str; 1] = ["crates/obs/src/recorder.rs"];
-
-fn is_hot_path_file(file: &str) -> bool {
-    HOT_PATH_FILES
-        .iter()
-        .any(|audited| file == *audited || file.ends_with(&format!("/{audited}")))
-}
-
-/// Region brackets, matched anywhere in a comment line.
-const HOT_PATH_BEGIN: &str = "hot-path: begin";
-const HOT_PATH_END: &str = "hot-path: end";
-
-/// Constructs forbidden inside a hot region: heap allocation, growable
-/// containers, locks. Dotted method patterns are self-bounding (the `.`
-/// keeps `.lock(` from firing on `unlock(`); identifier-led patterns go
-/// through [`contains_bounded`] so `Vec::` does not fire on `MyVec::`.
-const HOT_PATH_FORBIDDEN: [&str; 13] = [
-    "format!",
-    "String::",
-    ".to_string(",
-    ".to_owned(",
-    "vec![",
-    "Vec::",
-    "Box::new",
-    "HashMap::",
-    "BTreeMap::",
-    ".collect(",
-    ".push(",
-    ".insert(",
-    ".lock(",
-];
-
-/// Raw wall-clock types are forbidden in hot regions even without a
-/// `::now` call — constructing or holding one there is already a design
-/// smell the region contract rejects. Assembled from pieces so the
-/// wall-clock rule's own patterns stay the only literal spellings.
-fn hot_path_clock_tokens() -> &'static [String; 2] {
-    static TOKENS: std::sync::OnceLock<[String; 2]> = std::sync::OnceLock::new();
-    TOKENS.get_or_init(|| [format!("Inst{}", "ant"), format!("System{}", "Time")])
-}
-
-/// Match a hot-path pattern with the right boundary rule for its shape.
-fn hot_path_hit(line: &str, pat: &str) -> bool {
-    if pat.starts_with(|c: char| is_ident_char(c)) {
-        contains_bounded(line, pat)
-    } else {
-        line.contains(pat)
-    }
-}
-
 /// Consumers that make hash-order irrelevant (order-insensitive folds) or
 /// that restore an order (sorts, ordered re-collection).
 const ORDER_SAFE: [&str; 14] = [
@@ -431,52 +364,16 @@ fn non_test_lines(src: &str) -> Vec<&str> {
 /// `file` is used verbatim in the findings.
 pub fn lint_source(file: &str, src: &str) -> Vec<LintFinding> {
     let lines = non_test_lines(src);
-    // Region markers live in comment lines, which `non_test_lines` blanks;
-    // keep the unblanked text for marker detection only.
-    let raw: Vec<&str> = src
-        .lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
-        .collect();
     let wall_clock = wall_clock_patterns();
     let clock_exempt = is_binary_path(file) || is_wall_clock_allowed_file(file);
     let raw_spawn = raw_spawn_patterns();
     let spawn_exempt = is_binary_path(file) || is_raw_spawn_allowed_file(file);
     let unsafe_exempt = is_unsafe_allowed_file(file);
     let unsafe_optin = unsafe_optin_pattern();
-    let hot_file = is_hot_path_file(file);
-    let clock_tokens = hot_path_clock_tokens();
-    let mut in_hot_region = false;
-    let mut hot_regions = 0usize;
     let mut findings = Vec::new();
     let mut tracked: Vec<String> = Vec::new();
 
     for (i, line) in lines.iter().enumerate() {
-        if hot_file {
-            if raw[i].contains(HOT_PATH_END) {
-                in_hot_region = false;
-            } else if raw[i].contains(HOT_PATH_BEGIN) {
-                in_hot_region = true;
-                hot_regions += 1;
-            } else if in_hot_region && !raw[i].contains(ALLOW_MARKER) {
-                let hit = HOT_PATH_FORBIDDEN
-                    .iter()
-                    .copied()
-                    .chain(clock_tokens.iter().map(|s| s.as_str()))
-                    .find(|p| hot_path_hit(line, p));
-                if let Some(pat) = hit {
-                    findings.push(LintFinding {
-                        file: file.to_string(),
-                        line: i + 1,
-                        rule: "hot-path-alloc",
-                        message: format!(
-                            "`{pat}` inside a hot-path region; the record path must stay \
-                             allocation-, lock- and wall-clock-free — move the work to \
-                             the dump path or mark `// {ALLOW_MARKER}: <reason>`"
-                        ),
-                    });
-                }
-            }
-        }
         // No inline allow-marker for this rule: the file allowlist is the
         // only exemption, so every new unsafe site is a reviewed decision.
         if !unsafe_exempt && (uses_unsafe_keyword(line) || line.contains(unsafe_optin)) {
@@ -540,28 +437,6 @@ pub fn lint_source(file: &str, src: &str) -> Vec<LintFinding> {
                 });
             }
         }
-    }
-    if hot_file && hot_regions == 0 {
-        findings.push(LintFinding {
-            file: file.to_string(),
-            line: 0,
-            rule: "hot-path-alloc",
-            message: format!(
-                "file is on the hot-path audit list but declares no \
-                 `// {HOT_PATH_BEGIN}` region; bracket the record path so the \
-                 invariant is machine-checked"
-            ),
-        });
-    }
-    if hot_file && in_hot_region {
-        findings.push(LintFinding {
-            file: file.to_string(),
-            line: 0,
-            rule: "hot-path-alloc",
-            message: format!(
-                "unterminated hot-path region (missing `// {HOT_PATH_END}`)"
-            ),
-        });
     }
     findings
 }
@@ -921,120 +796,6 @@ fn f(m: HashMap<String, u32>) -> HashMap<String, u32> {
         assert!(lint_source("crates/engine/src/exec.rs", &src).is_empty());
     }
 
-    const HOT_FILE: &str = "crates/obs/src/recorder.rs";
-
-    fn hot_wrapped(body: &str) -> String {
-        format!("// hot-path: begin\nfn record() {{\n{body}}}\n// hot-path: end\n")
-    }
-
-    #[test]
-    fn hot_region_flags_allocations_and_locks() {
-        for bad in [
-            "    let s = format!(\"q{}\", seq);\n",
-            "    let mut v = Vec::with_capacity(4);\n",
-            "    let s = String::new();\n",
-            "    let b = Box::new(rec);\n",
-            "    out.push(seq);\n",
-            "    self.slots.lock().expect(\"poisoned\");\n",
-            "    map.insert(seq, rec);\n",
-            "    let all = iter.collect();\n",
-            "    let t: Instant = deadline;\n",
-        ] {
-            let src = hot_wrapped(bad);
-            let f: Vec<_> = lint_source(HOT_FILE, &src)
-                .into_iter()
-                .filter(|f| f.rule == "hot-path-alloc")
-                .collect();
-            assert_eq!(f.len(), 1, "{bad:?} -> {f:?}");
-            assert_eq!(f[0].line, 3, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn hot_rule_ignores_code_outside_regions() {
-        // The dump path may allocate freely; only bracketed regions are
-        // audited. One empty region keeps the file's region floor satisfied.
-        let src = format!(
-            "{}fn dump() {{ let v: Vec<u64> = names.iter().map(decode).collect(); }}\n",
-            hot_wrapped("    let seq = next.fetch_add(1, SeqCst);\n")
-        );
-        assert!(lint_source(HOT_FILE, &src).is_empty());
-    }
-
-    #[test]
-    fn hot_file_without_any_region_is_flagged() {
-        let src = "fn record() { let x = 1; }\n";
-        let f = lint_source(HOT_FILE, src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "hot-path-alloc");
-        assert_eq!(f[0].line, 0);
-        assert!(f[0].message.contains("no"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn unterminated_hot_region_is_flagged() {
-        let src = "// hot-path: begin\nfn record() { let x = 1; }\n";
-        let f = lint_source(HOT_FILE, src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "hot-path-alloc");
-        assert!(f[0].message.contains("unterminated"));
-    }
-
-    #[test]
-    fn hot_rule_is_scoped_to_the_audit_list() {
-        // Identical markers + allocation elsewhere are inert comments.
-        let src = hot_wrapped("    let s = format!(\"x\");\n");
-        for file in [
-            "crates/engine/src/cache.rs",
-            "crates/obs/src/lib.rs",
-            "crates/serve/src/server.rs",
-        ] {
-            assert!(lint_source(file, &src).is_empty(), "{file}");
-        }
-        // ...while the audited path is flagged whether relative or absolute.
-        assert_eq!(lint_source(HOT_FILE, &src).len(), 1);
-        assert_eq!(
-            lint_source(&format!("/abs/repo/{HOT_FILE}"), &src).len(),
-            1
-        );
-    }
-
-    #[test]
-    fn hot_region_allow_marker_exempts_a_line() {
-        let src = hot_wrapped(
-            "    scratch.push(seq); // det-lint: allow — fixed-capacity, pre-reserved\n",
-        );
-        assert!(lint_source(HOT_FILE, &src).is_empty());
-    }
-
-    #[test]
-    fn dotted_hot_patterns_fire_after_identifiers() {
-        // Regression: `.push(` follows an identifier (`items`), which a
-        // leading-boundary check would wrongly treat as part of a longer
-        // name and skip.
-        let src = hot_wrapped("    self.items.push(rec);\n");
-        assert_eq!(lint_source(HOT_FILE, &src).len(), 1);
-        // Identifier-led patterns still respect the leading boundary.
-        let src = hot_wrapped("    let v = SmallVec::of(rec);\n");
-        assert!(lint_source(HOT_FILE, &src).is_empty());
-        // `unlock(` is not `.lock(`.
-        let src = hot_wrapped("    guard.unlock();\n");
-        assert!(lint_source(HOT_FILE, &src).is_empty());
-    }
-
-    #[test]
-    fn the_real_recorder_passes_its_own_audit() {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../obs/src/recorder.rs");
-        let src = std::fs::read_to_string(&path).expect("recorder source");
-        assert!(
-            src.contains(HOT_PATH_BEGIN),
-            "recorder must declare its hot regions"
-        );
-        let f = lint_source(HOT_FILE, &src);
-        assert!(f.is_empty(), "recorder hot path must stay clean: {f:?}");
-    }
-
     #[test]
     fn test_module_is_skipped() {
         let src = "\
@@ -1056,7 +817,6 @@ mod tests {
         assert!(std::ptr::eq(unsafe_keyword(), unsafe_keyword()));
         assert!(std::ptr::eq(unsafe_optin_pattern(), unsafe_optin_pattern()));
         assert!(std::ptr::eq(wall_clock_patterns(), wall_clock_patterns()));
-        assert!(std::ptr::eq(hot_path_clock_tokens(), hot_path_clock_tokens()));
         assert!(std::ptr::eq(raw_spawn_patterns(), raw_spawn_patterns()));
     }
 

@@ -83,7 +83,9 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Render per-tenant SLO state as labeled gauges.
+/// Render per-tenant SLO state as labeled series. Window sums fall when
+/// intervals rotate out, so they are gauges; only the alert count, which
+/// never falls, is a `_total` counter.
 pub fn slo_text(stats: &[TenantSloStats]) -> String {
     let mut out = String::new();
     if stats.is_empty() {
@@ -91,8 +93,8 @@ pub fn slo_text(stats: &[TenantSloStats]) -> String {
     }
     type Series = (&'static str, fn(&TenantSloStats) -> String);
     let series: [Series; 8] = [
-        ("slo_requests_total", |s| s.requests.to_string()),
-        ("slo_shed_or_failed_total", |s| s.shed_or_failed.to_string()),
+        ("slo_requests", |s| s.requests.to_string()),
+        ("slo_shed_or_failed", |s| s.shed_or_failed.to_string()),
         ("slo_latency_p50_us", |s| s.p50_us.to_string()),
         ("slo_latency_p99_us", |s| s.p99_us.to_string()),
         ("slo_latency_fast_burn", |s| fmt_f64(s.latency_fast_burn)),
@@ -153,7 +155,9 @@ pub fn residual_text(summary: &ResidualSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::TenantTag;
     use crate::residual::{Residual, ResidualStore};
+    use crate::slo::{RequestOutcome, SloConfig, SloState};
     use av_trace::Metrics;
 
     #[test]
@@ -216,9 +220,62 @@ mod tests {
             alerts_fired: 0,
         }];
         let text = slo_text(&stats);
-        assert!(text.contains("slo_requests_total{tenant=\"acme\\\"corp\"} 10"));
+        assert!(text.contains("slo_requests{tenant=\"acme\\\"corp\"} 10"));
         assert!(text.contains("slo_latency_p99_us{tenant=\"acme\\\"corp\"} 300"));
         assert_eq!(slo_text(&[]), "");
+    }
+
+    /// `series{labels}` → value for every sample of a `counter` family.
+    fn counter_samples(text: &str) -> Vec<(String, f64)> {
+        let counters: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+            .collect();
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| {
+                let (series, value) = l.rsplit_once(' ')?;
+                let family = series.split('{').next()?;
+                counters
+                    .contains(&family)
+                    .then(|| (series.to_string(), value.parse().expect("numeric sample")))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slo_counters_never_fall_when_the_window_rotates() {
+        let mut slo = SloState::new(SloConfig {
+            interval_nanos: 1_000,
+            intervals: 4,
+            min_events: 10,
+            latency_threshold_us: 100,
+            ..SloConfig::default()
+        });
+        let tenant = TenantTag::new("t0");
+        for i in 0..100u64 {
+            slo.observe(tenant, i, 5_000, RequestOutcome::Served);
+        }
+        let before = slo_text(&slo.stats());
+        // Jump far ahead: every interval rotates out of the window.
+        slo.observe(tenant, 1_000_000, 10, RequestOutcome::Served);
+        let after = slo_text(&slo.stats());
+        assert!(
+            before.contains("slo_requests{tenant=\"t0\"} 100\n"),
+            "{before}"
+        );
+        assert!(after.contains("slo_requests{tenant=\"t0\"} 1\n"), "{after}");
+        let old = counter_samples(&before);
+        let new = counter_samples(&after);
+        assert!(!old.is_empty(), "{before}");
+        for (series, was) in &old {
+            let now = new
+                .iter()
+                .find(|(s, _)| s == series)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("counter {series} vanished:\n{after}"));
+            assert!(now >= *was, "counter {series} fell {was} -> {now}");
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub struct ResidualSummary {
 
 /// Bounded residual store; record is O(1) amortized. Not internally
 /// synchronized: owners serialize access themselves (`av-obs` keeps it
-/// under its one hot-path lock).
+/// under its one lock).
 #[derive(Debug)]
 pub struct ResidualStore {
     capacity: usize,

@@ -218,8 +218,8 @@ pub struct TenantSloStats {
 /// that may recover).
 ///
 /// Not internally synchronized: the [`crate::Obs`] façade embeds it in its
-/// single hot-path lock, shared with the anomaly detector, the residual
-/// store and the cumulative request aggregates.
+/// one lock, shared with the flight ring, the anomaly detector, the
+/// residual store and the cumulative request aggregates.
 #[derive(Debug, Default)]
 pub struct SloState {
     config: SloConfig,

@@ -1,23 +1,23 @@
-//! Concurrency hammer for the flight recorder (ISSUE 9 satellite 3):
-//! N writer threads push records through ≥4 ring wraps while a dumper
-//! thread snapshots continuously. Every record a dump returns must be
-//! internally consistent (no torn records — all fields derive from one
-//! `(thread, iteration)` pair by fixed formulas), and per-thread sequence
-//! numbers must be strictly increasing in record-iteration order.
+//! Concurrency hammers for the telemetry layer's one lock. Writer threads
+//! push records through `Obs::observe_query` across many ring wraps while a
+//! reader snapshots continuously: every dump must be a dense run of
+//! sequence numbers ending at its capture point, and every record must be
+//! internally consistent (all fields derive from one `(thread, iteration)`
+//! pair by fixed formulas, so a torn mix of two writes is detectable).
 
-use av_obs::{FlightRecord, FlightRecorder, QueryRecord, RecordStatus, TenantTag};
+use av_obs::{
+    FlightDump, FlightRecord, Obs, ObsConfig, QueryRecord, RecordStatus, SloConfig, TenantTag,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::thread;
 
 const THREADS: u64 = 8;
 const PER_THREAD: u64 = 1_000;
 const CAPACITY: usize = 128;
-// 8 * 1000 / 128 = 62.5 ring wraps — far past the required 4.
+// 8 * 1000 / 128 = 62.5 ring wraps.
 
-/// Every field is a fixed function of the `(tid, i)` pair, so a dumper can
-/// recompute the whole record from `plan_fp` alone and detect any torn
-/// mix of two writes.
+/// Every field is a fixed function of the `(tid, i)` pair, so a reader can
+/// recompute the whole record from `plan_fp` alone.
 fn make_record(tid: u64, i: u64) -> QueryRecord {
     let fp = (tid << 32) | i;
     QueryRecord {
@@ -55,7 +55,10 @@ fn check_consistency(rec: &FlightRecord) {
     assert_eq!(rec.epoch, want.epoch, "torn epoch: {rec:?}");
     assert_eq!(rec.status, want.status, "torn status: {rec:?}");
     assert_eq!(rec.route_hits, want.route_hits, "torn route_hits: {rec:?}");
-    assert_eq!(rec.cache_shard, want.cache_shard, "torn cache_shard: {rec:?}");
+    assert_eq!(
+        rec.cache_shard, want.cache_shard,
+        "torn cache_shard: {rec:?}"
+    );
     assert_eq!(rec.cache_hit, want.cache_hit, "torn cache_hit: {rec:?}");
     assert_eq!(
         rec.admit_wait_nanos, want.admit_wait_nanos,
@@ -68,125 +71,122 @@ fn check_consistency(rec: &FlightRecord) {
     assert_eq!(rec.meas_cost, want.meas_cost, "torn meas_cost: {rec:?}");
 }
 
-#[test]
-fn hammer_no_torn_records_across_ring_wraps() {
-    let recorder = Arc::new(FlightRecorder::new(CAPACITY));
-    let done = Arc::new(AtomicBool::new(false));
-    // (tid, i) -> global seq, reported by each writer for the monotonicity
-    // check after the fact.
-    let seqs: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let dumper = {
-        let recorder = Arc::clone(&recorder);
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let mut dumps = 0u64;
-            let mut records_seen = 0u64;
-            let mut take = |recorder: &FlightRecorder| {
-                let dump = recorder.dump("hammer");
-                assert!(dump.records.len() <= CAPACITY);
-                let mut last_seq = None;
-                for rec in &dump.records {
-                    check_consistency(rec);
-                    if let Some(prev) = last_seq {
-                        assert!(rec.seq > prev, "dump not in sequence order");
-                    }
-                    last_seq = Some(rec.seq);
-                    records_seen += 1;
-                }
-                dumps += 1;
-            };
-            while !done.load(Ordering::SeqCst) {
-                take(&recorder);
-            }
-            // One more capture after the writers finish: on a single core
-            // the loop above can spend its whole timeslice dumping an
-            // empty ring before any writer runs, so only this dump is
-            // guaranteed to overlap committed records.
-            take(&recorder);
-            (dumps, records_seen)
-        })
-    };
-
-    let writers: Vec<_> = (0..THREADS)
-        .map(|tid| {
-            let recorder = Arc::clone(&recorder);
-            let seqs = Arc::clone(&seqs);
-            thread::spawn(move || {
-                let mut mine = Vec::with_capacity(PER_THREAD as usize);
-                for i in 0..PER_THREAD {
-                    mine.push(recorder.record(&make_record(tid, i)));
-                }
-                seqs.lock().unwrap().push(mine);
-            })
-        })
-        .collect();
-
-    for w in writers {
-        w.join().expect("writer panicked");
-    }
-    done.store(true, Ordering::SeqCst);
-    let (dumps, records_seen) = dumper.join().expect("dumper panicked");
-    assert!(dumps > 0, "dumper never ran");
-    assert!(records_seen > 0, "dumper never saw a committed record");
-
-    // Global counter saw every claim exactly once.
-    assert_eq!(recorder.sequence(), THREADS * PER_THREAD);
-
-    // Per-thread sequence numbers are strictly increasing in issue order,
-    // and no two records anywhere share a sequence number.
-    let seqs = seqs.lock().unwrap();
-    assert_eq!(seqs.len(), THREADS as usize);
-    let mut all: Vec<u64> = Vec::with_capacity((THREADS * PER_THREAD) as usize);
-    for mine in seqs.iter() {
-        assert_eq!(mine.len(), PER_THREAD as usize);
-        for pair in mine.windows(2) {
-            assert!(pair[0] < pair[1], "per-thread seqs must be monotone");
-        }
-        all.extend_from_slice(mine);
-    }
-    all.sort_unstable();
-    for (expect, got) in all.iter().enumerate() {
-        assert_eq!(*got, expect as u64, "sequence numbers must be dense");
-    }
-
-    // The final quiescent dump holds exactly the newest CAPACITY records.
-    let final_dump = recorder.dump("final");
-    assert_eq!(final_dump.records.len(), CAPACITY);
-    assert_eq!(final_dump.seq_at, THREADS * PER_THREAD);
-    for rec in &final_dump.records {
-        assert!(
-            rec.seq >= THREADS * PER_THREAD - CAPACITY as u64,
-            "stale record survived: seq {}",
-            rec.seq
-        );
+/// A dump is at most one ring of records with dense, increasing sequence
+/// numbers whose newest is the last record before the capture point.
+fn check_dump(dump: &FlightDump) {
+    assert!(dump.records.len() <= CAPACITY);
+    let first = dump.seq_at - dump.records.len() as u64;
+    for (seq, rec) in (first..).zip(&dump.records) {
+        assert_eq!(rec.seq, seq, "dump sequence not dense and increasing");
         check_consistency(rec);
     }
 }
 
 #[test]
-fn hammer_concurrent_writers_on_a_tiny_ring() {
-    // Capacity 2 maximizes same-slot contention: every record contends for
-    // one of two slots, stressing the lap-handoff CAS.
-    let recorder = Arc::new(FlightRecorder::new(2));
-    let writers: Vec<_> = (0..4u64)
-        .map(|tid| {
-            let recorder = Arc::clone(&recorder);
-            thread::spawn(move || {
-                for i in 0..500 {
-                    recorder.record(&make_record(tid, i));
-                }
+fn hammer_dumps_are_dense_and_untorn_across_ring_wraps() {
+    let obs = Obs::new(ObsConfig {
+        recorder_capacity: CAPACITY,
+        ..ObsConfig::default()
+    });
+    let done = AtomicBool::new(false);
+    let (dumps, records_seen) = thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (mut dumps, mut records_seen) = (0u64, 0usize);
+            let mut take = || {
+                let dump = obs.dump_now("hammer");
+                check_dump(&dump);
+                dumps += 1;
+                records_seen += dump.records.len();
+            };
+            while !done.load(Ordering::SeqCst) {
+                take();
+            }
+            // One more capture after the writers finish: on a single core
+            // the loop above can spend its whole timeslice dumping an
+            // empty ring before any writer runs.
+            take();
+            (dumps, records_seen)
+        });
+        let writers: Vec<_> = (0..THREADS)
+            .map(|tid| {
+                let obs = &obs;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        obs.observe_query(i, &make_record(tid, i), "Scan");
+                    }
+                })
             })
-        })
-        .collect();
-    for w in writers {
-        w.join().expect("writer panicked");
-    }
-    assert_eq!(recorder.sequence(), 2_000);
-    let dump = recorder.dump("tiny");
-    assert_eq!(dump.records.len(), 2);
-    for rec in &dump.records {
-        check_consistency(rec);
-        assert!(rec.seq >= 1_998);
+            .collect();
+        for w in writers {
+            w.join().expect("writer panicked");
+        }
+        done.store(true, Ordering::SeqCst);
+        reader.join().expect("reader panicked")
+    });
+    assert!(dumps > 0 && records_seen > 0, "reader never saw a record");
+
+    let total = THREADS * PER_THREAD;
+    assert_eq!(obs.stats().recorded, total);
+    assert_eq!(obs.totals().served, total);
+    let last = obs.dump_now("final");
+    check_dump(&last);
+    assert_eq!(last.seq_at, total);
+    assert_eq!(last.records.len(), CAPACITY, "exactly the newest ring");
+}
+
+#[test]
+fn a_triggered_dump_ends_with_the_request_that_triggered_it() {
+    // One SLO interval spans the whole run, so the window never rotates and
+    // `now_nanos` is free to name the request: a good observation cannot
+    // fire an alert, so only the shedding writer's records can trigger.
+    let config = ObsConfig {
+        slo: SloConfig {
+            interval_nanos: u64::MAX,
+            min_events: 8,
+            ..SloConfig::default()
+        },
+        ..ObsConfig::default()
+    };
+    let shed_fp = |i: u64| (1 << 40) | i;
+    for _ in 0..50 {
+        let obs = Obs::new(config.clone());
+        let done = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0;
+                while !done.load(Ordering::SeqCst) {
+                    let mut rec = make_record(0, 0);
+                    rec.plan_fp = i;
+                    obs.observe_query(i, &rec, "Scan");
+                    i += 1;
+                }
+            });
+            s.spawn(|| {
+                for i in 0..16 {
+                    let mut rec = make_record(1, i);
+                    rec.plan_fp = shed_fp(i);
+                    rec.status = RecordStatus::Shed;
+                    obs.observe_query(shed_fp(i), &rec, "Scan");
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+        });
+        let alerts = obs.alerts();
+        let dumps = obs.dumps();
+        assert_eq!(
+            alerts.len(),
+            2,
+            "both objectives fire on the shedding tenant"
+        );
+        assert_eq!(dumps.len(), 2, "one dump per alert");
+        for (alert, dump) in alerts.iter().zip(&dumps) {
+            let last = dump.records.last().expect("non-empty dump");
+            assert_eq!(last.seq, dump.seq_at - 1);
+            assert_eq!(last.status, RecordStatus::Shed);
+            assert_eq!(
+                last.plan_fp, alert.at_nanos,
+                "the trigger is the newest record"
+            );
+        }
     }
 }

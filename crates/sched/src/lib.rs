@@ -29,9 +29,9 @@
 //! thread creation.
 //!
 //! Modules: `pool` (the workers and their queues), `task` (the lifetime
-//! erasure) and `rank` (ranked locks: every lock in `av-sched`, `av-engine`
-//! and `av-serve` is a [`Mutex`] or [`RwLock`] built with its [`Rank`] in
-//! one acquisition order, checked in debug builds).
+//! erasure) and `rank` (ranked locks: every lock in `av-sched`, `av-engine`,
+//! `av-serve` and `av-obs` is a [`Mutex`] or [`RwLock`] built with its
+//! [`Rank`] in one acquisition order, checked in debug builds).
 
 #![deny(unsafe_code)]
 

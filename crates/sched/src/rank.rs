@@ -1,6 +1,6 @@
 //! Ranked locks: lock order by construction.
 //!
-//! Every lock in `av-sched`, `av-engine` and `av-serve` is one of these thin
+//! Every lock in `av-sched`, `av-engine`, `av-serve` and `av-obs` is one of these thin
 //! wrappers over `std::sync::{Mutex, RwLock}`, built with its [`Rank`]. A
 //! thread may acquire a lock only while every lock it already holds ranks
 //! strictly lower, so two threads can never wait on each other in a cycle,
@@ -45,12 +45,14 @@ use std::sync::{Condvar, PoisonError};
 /// are pure caches written one whole entry at a time, admission's
 /// per-tenant counters change by single steps with nothing between them
 /// that can unwind, pool queues hold whole tickets, and a chunk slot or job
-/// latch is written once.
+/// latch is written once. The telemetry state is counters, sketches and
+/// rings that each step leaves readable: a panic mid-fold loses at most
+/// one request's counts, which must not cost the server its telemetry.
 ///
 /// Known limit: only executed paths are checked, so an inversion on a path
-/// no test runs goes unseen. The locks of `av-trace` (below `av-sched`),
-/// `av-obs` and `av-cost`'s `EncoderCache` (neither crate depends on
-/// `av-sched`) stay plain `std` and unchecked.
+/// no test runs goes unseen. The locks of `av-trace` (below `av-sched`) and
+/// `av-cost`'s `EncoderCache` (`av-cost` does not depend on `av-sched`)
+/// stay plain `std` and unchecked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
     /// `ViewServer.planner`: serializes re-optimization and publication.
@@ -75,12 +77,15 @@ pub enum Rank {
     PoolStarted,
     /// One job's completion latch.
     JobLatch,
+    /// `Obs.state`: the serving telemetry (flight ring, SLO windows,
+    /// detectors, residuals, request totals, alerts, dumps).
+    Obs,
 }
 
 #[cfg(debug_assertions)]
 impl Rank {
     /// Every rank, indexed by its position in the order.
-    const ALL: [Rank; 11] = [
+    const ALL: [Rank; 12] = [
         Rank::Planner,
         Rank::DeploymentCell,
         Rank::AdmissionState,
@@ -92,6 +97,7 @@ impl Rank {
         Rank::PoolPark,
         Rank::PoolStarted,
         Rank::JobLatch,
+        Rank::Obs,
     ];
 
     fn bit(self) -> u32 {

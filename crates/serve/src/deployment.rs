@@ -15,7 +15,6 @@ use av_online::{route_through_views, ViewIndex};
 use av_plan::{Fingerprint, PlanRef};
 use av_sched::{Mutex, Rank, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Independent locks for the route-memo table. Routing is read-mostly and
@@ -29,8 +28,14 @@ const ROUTE_MEMO_SHARDS: usize = 8;
 const ROUTE_MEMO_CAP_PER_SHARD: usize = 4096;
 
 /// One route-memo shard: original-plan fingerprint → (routed plan, subtree
-/// hits, routed-plan fingerprint).
-type RouteMemo = HashMap<u64, (PlanRef, usize, Fingerprint)>;
+/// hits, routed-plan fingerprint), plus the shard's own hit and miss counts,
+/// kept under the shard lock every lookup already takes.
+#[derive(Debug, Default)]
+struct RouteMemo {
+    routes: HashMap<u64, (PlanRef, usize, Fingerprint)>,
+    hits: u64,
+    misses: u64,
+}
 
 /// What the preflight gate actually did, per verdict: how many sample
 /// queries routed through a view, how many rewrites the static prover
@@ -74,8 +79,6 @@ pub struct Deployment {
     /// per-request tree rewrite + rehash into a hash lookup on the warm
     /// path.
     route_memo: Vec<Mutex<RouteMemo>>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
 }
 
 impl Deployment {
@@ -94,10 +97,8 @@ impl Deployment {
             views,
             estimates: Vec::new(),
             route_memo: (0..ROUTE_MEMO_SHARDS)
-                .map(|_| Mutex::new(Rank::RouteMemoShard, HashMap::new()))
+                .map(|_| Mutex::new(Rank::RouteMemoShard, RouteMemo::default()))
                 .collect(),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
         }
     }
 
@@ -167,11 +168,14 @@ impl Deployment {
     /// the same query.
     pub fn route_memo(&self, plan_fp: Fingerprint, plan: &PlanRef) -> (PlanRef, usize, Fingerprint) {
         let shard = &self.route_memo[(plan_fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
-        if let Some((routed, hits, routed_fp)) = shard.lock().get(&plan_fp.0) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (routed.clone(), *hits, *routed_fp);
+        {
+            let mut memo = shard.lock();
+            if let Some(hit) = memo.routes.get(&plan_fp.0).cloned() {
+                memo.hits += 1;
+                return hit;
+            }
+            memo.misses += 1;
         }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let (routed, hits) = self.route(plan);
         let routed_fp = if hits == 0 {
             plan_fp
@@ -179,8 +183,9 @@ impl Deployment {
             Fingerprint::of(&routed)
         };
         let mut memo = shard.lock();
-        if memo.len() < ROUTE_MEMO_CAP_PER_SHARD {
-            memo.insert(plan_fp.0, (routed.clone(), hits, routed_fp));
+        if memo.routes.len() < ROUTE_MEMO_CAP_PER_SHARD {
+            memo.routes
+                .insert(plan_fp.0, (routed.clone(), hits, routed_fp));
         }
         (routed, hits, routed_fp)
     }
@@ -188,10 +193,12 @@ impl Deployment {
     /// `(hits, misses)` of the route memo since this deployment was
     /// published — serving telemetry for the warm-path rewrite saving.
     pub fn route_memo_stats(&self) -> (u64, u64) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-        )
+        self.route_memo
+            .iter()
+            .fold((0, 0), |(hits, misses), shard| {
+                let memo = shard.lock();
+                (hits + memo.hits, misses + memo.misses)
+            })
     }
 
     /// Preflight the snapshot before it may be published: every view's

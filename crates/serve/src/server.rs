@@ -693,6 +693,52 @@ mod tests {
         }
     }
 
+    /// Overflow checks are how a telemetry fold can panic mid-update; release
+    /// builds compile them out.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_telemetry_fold_that_panics_does_not_wedge_serving() {
+        let w = mini(78);
+        let plans = w.plans();
+        let server = server_for(&w);
+        let record = |exec_nanos| QueryRecord {
+            tenant: TenantTag::new("t"),
+            plan_fp: 0,
+            view_fp: 0,
+            epoch: 0,
+            status: RecordStatus::Ok,
+            route_hits: 0,
+            cache_shard: 0,
+            cache_hit: false,
+            admit_wait_nanos: 0,
+            exec_nanos,
+            rows: 0,
+            bytes: 0,
+            est_cost: f64::NAN,
+            meas_cost: 0.0,
+        };
+        server.obs().observe_query(0, &record(1), "Scan");
+        let died = std::thread::scope(|s| {
+            s.spawn(|| server.obs().observe_query(1, &record(u64::MAX), "Scan"))
+                .join()
+        });
+        assert!(
+            died.is_err(),
+            "Σ exec overflows mid-fold, holding the obs state"
+        );
+
+        for p in &plans {
+            server
+                .execute("t", p)
+                .expect("serving survives the dead holder");
+        }
+        let m = server.metrics();
+        assert_eq!(m.counters["serve.requests"], 1 + plans.len() as u64);
+        let stats = server.stats_snapshot();
+        assert!(stats.recorded > plans.len() as u64);
+        assert_eq!(stats.slo[0].requests, 1 + plans.len() as u64);
+    }
+
     #[test]
     fn per_shard_counters_are_folded_into_the_snapshot() {
         let w = mini(74);

@@ -211,7 +211,7 @@ fn routed_queries_record_residuals_and_export_exposition() {
     let text = server.prometheus_text();
     assert!(text.contains("serve_latency_us_bucket"));
     assert!(text.contains("le=\"+Inf\""));
-    assert!(text.contains("slo_requests_total{tenant=\"t0\"}"));
+    assert!(text.contains("slo_requests{tenant=\"t0\"}"));
     assert!(text.contains("residuals_recorded_total"));
     assert!(text.contains("residual_q_error_mean{view="));
 
