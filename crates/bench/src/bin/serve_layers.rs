@@ -1,0 +1,263 @@
+//! Per-layer cost of a warm served request with two threads calling at once.
+//!
+//! Stands up the `serve_hot` server — JOB at data scale 4, Optimizer +
+//! IterView, a 512-entry result cache, every plan already answered once —
+//! and times each layer `ViewServer::execute` walks on a cache hit, each in
+//! isolation, with two threads calling it together:
+//!
+//! - `admission`: `AdmissionController::acquire` + permit drop;
+//! - `cell_load`: `DeploymentCell::load` (the server's own cell);
+//! - `route_memo`: `Fingerprint::of` + `Deployment::route_memo` on the
+//!   published deployment;
+//! - `cache_hit`: `ExecCache::run_keyed_hit_dop` on a warm entry, including
+//!   the clone of the cached batch a hit returns;
+//! - `observe_query`: `Obs::observe_query` (the server's own telemetry);
+//!
+//! then the whole `execute`. pathbench's traced `serve_hot` run already
+//! times these layers on one thread; this table is the shared-state cost
+//! that run cannot see. Admission and the cache are private to the server,
+//! so those two rows time instances built from the server's own
+//! configuration: the same types, locks and shard counts. Alone in a loop,
+//! the two threads contend on a layer's lock on every call, which they do
+//! only part of the time inside `execute`, so the rows rank the shared
+//! layers rather than add up to `execute`.
+//!
+//! Writes `BENCH_layers.json` (`{config, layers, failed}`) into the working
+//! directory. Gate: zero failed requests — every response matches direct
+//! execution on the base catalog, and no timed `execute` returns an error.
+//! No knobs: the run is fixed by the constants below.
+
+use av_core::{AutoViewConfig, AutoViewSystem, EstimatorKind, SelectorKind};
+use av_engine::{ExecCache, Executor, Pricing};
+use av_obs::{QueryRecord, RecordStatus, TenantTag};
+use av_online::LifecycleConfig;
+use av_plan::{Fingerprint, PlanRef};
+use av_serve::{AdmissionController, ObsConfig, ServeConfig};
+use av_workload::job;
+use serde::Serialize;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+use std::time::Instant;
+
+/// Data, template and selector seed.
+const SEED: u64 = 42;
+/// JOB data scale of `serve_hot`: 226 plans over ~48k-row `cast_info`.
+const JOB_SCALE: f64 = 4.0;
+/// Result-cache entries, as in `serve_hot`: the 226-plan hot set fits.
+const CACHE_CAPACITY: usize = 512;
+const TENANT: &str = "bench";
+/// Threads calling each layer at once: `serve_hot`'s two clients.
+const THREADS: usize = 2;
+/// Timed passes per layer; the median pass is reported.
+const PASSES: usize = 31;
+/// Calls each thread makes in one pass.
+const CALLS_PER_PASS: usize = 8192;
+
+#[derive(Serialize)]
+struct Config {
+    seed: u64,
+    job_scale: f64,
+    plans: usize,
+    live_views: usize,
+    threads: usize,
+    passes: usize,
+    calls_per_pass: usize,
+    cores: usize,
+}
+
+/// One row: median nanoseconds per call on each of the two threads.
+#[derive(Serialize)]
+struct Layer {
+    layer: &'static str,
+    ns: f64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    config: Config,
+    layers: Vec<Layer>,
+    failed: u64,
+}
+
+/// Median over [`PASSES`] of the mean per-call nanoseconds of [`THREADS`]
+/// threads running `step` together, each over its own interleaved share of
+/// `items`, released by one barrier. Prints and returns the row.
+fn row<T: Sync>(layer: &'static str, items: &[T], step: impl Fn(&T) + Sync) -> Layer {
+    let mut passes: Vec<f64> = (0..PASSES)
+        .map(|_| {
+            let barrier = Barrier::new(THREADS);
+            let per_thread: Vec<f64> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|lane| {
+                        let (barrier, step) = (&barrier, &step);
+                        s.spawn(move || {
+                            let mine: Vec<&T> = items.iter().skip(lane).step_by(THREADS).collect();
+                            barrier.wait();
+                            let t0 = Instant::now();
+                            for item in mine.iter().cycle().take(CALLS_PER_PASS) {
+                                step(item);
+                            }
+                            t0.elapsed().as_nanos() as f64 / CALLS_PER_PASS as f64
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("layer thread panicked"))
+                    .collect()
+            });
+            per_thread.iter().sum::<f64>() / THREADS as f64
+        })
+        .collect();
+    passes.sort_by(f64::total_cmp);
+    let ns = passes[PASSES / 2];
+    println!("{layer:>14}  {ns:>8.1} ns");
+    Layer { layer, ns }
+}
+
+/// What a warm request for one plan touches past the memo.
+struct Warm {
+    plan: PlanRef,
+    routed: PlanRef,
+    routed_fp: Fingerprint,
+    record: QueryRecord,
+    root_op: &'static str,
+}
+
+fn main() {
+    let workload = job::job_workload(JOB_SCALE, SEED);
+    let plans = workload.plans();
+    let config = AutoViewConfig {
+        pricing: Pricing::paper_defaults(),
+        estimator: EstimatorKind::Optimizer,
+        selector: SelectorKind::IterView(av_select::IterViewConfig {
+            seed: SEED,
+            ..Default::default()
+        }),
+        max_training_pairs: 300,
+        seed: SEED,
+    };
+    let mut sys = AutoViewSystem::new(workload.catalog.clone(), plans.clone(), config);
+    sys.run().expect("pipeline runs");
+    let serve_config = ServeConfig {
+        cache_capacity: CACHE_CAPACITY,
+        lifecycle: LifecycleConfig {
+            byte_budget: usize::MAX,
+            min_benefit_per_byte: 0.0,
+            tenant_byte_budget: usize::MAX,
+        },
+        obs: ObsConfig::default(),
+        ..ServeConfig::default()
+    };
+    let (server, summary) = sys
+        .publish(serve_config, Some(TENANT))
+        .expect("selection publishes");
+
+    // Warm every layer, and check each answer against direct execution.
+    let oracle = Executor::new(&workload.catalog, Pricing::paper_defaults());
+    let mut failed = 0u64;
+    for plan in &plans {
+        let expected = oracle.run(plan).expect("direct execution").batch;
+        for _ in 0..2 {
+            match server.execute(TENANT, plan) {
+                Ok(resp) if resp.batch == expected => {}
+                _ => failed += 1,
+            }
+        }
+    }
+
+    let deployment = server.current();
+    let admission = AdmissionController::new(server.config().admission);
+    let cache = ExecCache::new(server.config().pricing, ExecCache::DEFAULT_SHARDS)
+        .with_capacity(server.config().cache_capacity);
+    let warm: Vec<Warm> = plans
+        .iter()
+        .map(|plan| {
+            let plan_fp = Fingerprint::of(plan);
+            let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
+            let (result, _) = cache
+                .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, None)
+                .expect("cache fill executes");
+            let estimate = deployment.estimate_of(plan_fp);
+            let record = QueryRecord {
+                tenant: TenantTag::new(TENANT),
+                plan_fp: plan_fp.0,
+                view_fp: estimate.map_or(0, |(_, view_fp)| view_fp.0),
+                epoch: deployment.epoch(),
+                status: RecordStatus::Ok,
+                route_hits: hits as u32,
+                cache_shard: cache.shard_of(routed_fp) as u32,
+                cache_hit: true,
+                admit_wait_nanos: 100,
+                exec_nanos: 1_000,
+                rows: result.report.output_rows as u64,
+                bytes: result.report.output_bytes as u64,
+                est_cost: estimate.map_or(f64::NAN, |(est, _)| est),
+                meas_cost: result.report.cost_dollars,
+            };
+            Warm {
+                plan: plan.clone(),
+                routed,
+                routed_fp,
+                record,
+                root_op: plan.op_keyword(),
+            }
+        })
+        .collect();
+
+    let errors = AtomicU64::new(0);
+    let clock = server.tracer();
+    let obs = server.obs();
+    println!("{:>14}  {:>11}", "layer", "2 threads");
+    let layers = vec![
+        row("admission", &warm, |_| {
+            drop(black_box(admission.acquire(TENANT)))
+        }),
+        row("cell_load", &warm, |_| drop(black_box(server.current()))),
+        row("route_memo", &warm, |w| {
+            let plan_fp = Fingerprint::of(&w.plan);
+            drop(black_box(deployment.route_memo(plan_fp, &w.plan)))
+        }),
+        row("cache_hit", &warm, |w| {
+            let hit = cache.run_keyed_hit_dop(w.routed_fp, deployment.catalog(), &w.routed, None);
+            drop(black_box(hit));
+        }),
+        row("observe_query", &warm, |w| {
+            obs.observe_query(clock.now_nanos(), &w.record, w.root_op)
+        }),
+        row("execute", &warm, |w| {
+            match server.execute(TENANT, &w.plan) {
+                Ok(resp) => drop(black_box(resp)),
+                Err(_) => {
+                    errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }),
+    ];
+    failed += errors.load(Ordering::Relaxed);
+
+    let report = Report {
+        config: Config {
+            seed: SEED,
+            job_scale: JOB_SCALE,
+            plans: plans.len(),
+            live_views: summary.live_views,
+            threads: THREADS,
+            passes: PASSES,
+            calls_per_pass: CALLS_PER_PASS,
+            cores: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        },
+        layers,
+        failed,
+    };
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write("BENCH_layers.json", &json).expect("BENCH_layers.json written");
+    println!(
+        "{} plans, {} live views, {} core(s); wrote BENCH_layers.json",
+        report.config.plans, report.config.live_views, report.config.cores
+    );
+    assert_eq!(report.failed, 0, "failed requests");
+}

@@ -7,8 +7,11 @@
 //! once the queue is full too, further arrivals are rejected outright so
 //! the server sheds load instead of accumulating unbounded latency.
 //!
-//! [`AdmissionController::acquire`] returns an RAII [`Permit`]; dropping it
-//! releases the slot and wakes one queued waiter.
+//! [`AdmissionController::acquire`] returns an RAII [`Permit`] that borrows
+//! the caller's tenant name; dropping it releases the slot and, when that
+//! tenant has queued waiters, wakes them. A tenant keeps its entry once
+//! seen, so an already-seen tenant's acquire + release allocates nothing,
+//! and a release with no one queued makes no wake syscall.
 
 use av_sched::{Mutex, Rank};
 use std::collections::BTreeMap;
@@ -68,7 +71,11 @@ pub struct TenantLoad {
 #[derive(Debug)]
 pub struct AdmissionController {
     config: AdmissionConfig,
+    /// One entry per tenant ever seen, idle ones included: only a tenant's
+    /// first request allocates its key. Bounded by the number of distinct
+    /// tenants, as `av-obs` keeps one SLO window per tenant.
     state: Mutex<BTreeMap<String, TenantState>>,
+    /// Shared by every tenant's waiters; each re-checks its own cap.
     freed: Condvar,
 }
 
@@ -88,24 +95,30 @@ impl AdmissionController {
     /// Admit one request for `tenant`, blocking while the tenant is at its
     /// inflight cap but has queue room. Returns an RAII permit, or
     /// [`Rejection::QueueFull`] when both the cap and the queue are
-    /// exhausted.
-    pub fn acquire(&self, tenant: &str) -> Result<Permit<'_>, Rejection> {
+    /// exhausted. A zero cap grants nothing, so every arrival is shed
+    /// rather than queued behind a release that can never come.
+    pub fn acquire<'a>(&'a self, tenant: &'a str) -> Result<Permit<'a>, Rejection> {
+        let shed = || Rejection::QueueFull {
+            tenant: tenant.to_string(),
+        };
+        let cap = self.config.max_inflight_per_tenant;
+        if cap == 0 {
+            return Err(shed());
+        }
         let mut state = self.state.lock();
-        let entry = state.entry(tenant.to_string()).or_default();
-        if entry.inflight < self.config.max_inflight_per_tenant {
+        let entry = tenant_entry(&mut state, tenant);
+        if entry.inflight < cap {
             entry.inflight += 1;
             return Ok(self.permit(tenant));
         }
         if entry.queued >= self.config.max_queued_per_tenant {
-            return Err(Rejection::QueueFull {
-                tenant: tenant.to_string(),
-            });
+            return Err(shed());
         }
         entry.queued += 1;
         loop {
             state = state.wait(&self.freed);
-            let entry = state.entry(tenant.to_string()).or_default();
-            if entry.inflight < self.config.max_inflight_per_tenant {
+            let entry = tenant_entry(&mut state, tenant);
+            if entry.inflight < cap {
                 entry.queued -= 1;
                 entry.inflight += 1;
                 return Ok(self.permit(tenant));
@@ -124,36 +137,54 @@ impl AdmissionController {
 
     /// Called at both grant sites (fast path, wait loop), after
     /// the tenant's `inflight` count was bumped under the state lock.
-    fn permit(&self, tenant: &str) -> Permit<'_> {
+    fn permit<'a>(&'a self, tenant: &'a str) -> Permit<'a> {
         Permit {
             controller: self,
-            tenant: tenant.to_string(),
+            tenant,
         }
     }
 
     fn release(&self, tenant: &str) {
         let mut state = self.state.lock();
-        if let Some(entry) = state.get_mut(tenant) {
-            entry.inflight = entry.inflight.saturating_sub(1);
-            if entry.inflight == 0 && entry.queued == 0 {
-                state.remove(tenant);
-            }
-        }
+        let Some(entry) = state.get_mut(tenant) else {
+            return;
+        };
+        entry.inflight = entry.inflight.saturating_sub(1);
+        let waiters = entry.queued > 0;
         drop(state);
-        self.freed.notify_all();
+        // Only this tenant's waiters can use the freed slot, and each
+        // incremented `queued` under the lock before waiting, so a release
+        // that sees none has no one to wake. Skipping the notify skips the
+        // FUTEX_WAKE std's condvar would issue even with no waiter.
+        if waiters {
+            self.freed.notify_all();
+        }
     }
+}
+
+/// `tenant`'s entry, inserted (the one allocation) on its first request.
+fn tenant_entry<'m>(
+    state: &'m mut BTreeMap<String, TenantState>,
+    tenant: &str,
+) -> &'m mut TenantState {
+    if !state.contains_key(tenant) {
+        state.insert(tenant.to_string(), TenantState::default());
+    }
+    state
+        .get_mut(tenant)
+        .expect("the tenant's entry was just ensured")
 }
 
 /// An admitted request's slot; releases on drop.
 #[derive(Debug)]
 pub struct Permit<'a> {
     controller: &'a AdmissionController,
-    tenant: String,
+    tenant: &'a str,
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.controller.release(&self.tenant);
+        self.controller.release(self.tenant);
     }
 }
 
@@ -181,6 +212,34 @@ mod tests {
         drop(a);
         assert_eq!(ctl.load_of("t").inflight, 1);
         let _c = ctl.acquire("t").expect("slot freed");
+    }
+
+    /// A zero cap can never grant a slot, so a queued arrival would wait
+    /// for a release that never comes. The request runs on its own thread
+    /// so that a wedge fails the test instead of hanging it.
+    #[test]
+    fn a_zero_inflight_cap_sheds_instead_of_wedging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ctl = AdmissionController::new(AdmissionConfig {
+                max_inflight_per_tenant: 0,
+                max_queued_per_tenant: 4,
+            });
+            let outcome = ctl.acquire("t").map(drop);
+            tx.send((outcome, ctl.load_of("t")))
+                .expect("test thread listens");
+        });
+        let (outcome, load) = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("acquire returned instead of waiting forever");
+        assert_eq!(outcome, Err(Rejection::QueueFull { tenant: "t".into() }));
+        assert_eq!(
+            load,
+            TenantLoad {
+                inflight: 0,
+                queued: 0
+            }
+        );
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! - **Read path** ([`ViewServer::execute`]): admission → load the current
 //!   [`Deployment`] `Arc` → route through its frozen views → execute via
 //!   the sharded result cache. No lock is held across execution that the
-//!   re-optimizer contends on; many sessions proceed in parallel.
+//!   re-optimizer contends on; many sessions proceed in parallel. For a
+//!   tenant seen before, admission allocates nothing (the [`Permit`](crate::Permit)
+//!   borrows the tenant name) and a release with no one queued makes no
+//!   wake syscall, so a warm cache hit allocates only the clone of its
+//!   result batch. The plan is still hashed once per request to find its
+//!   memoized route.
 //! - **Reopt path** ([`ViewServer::reoptimize`]): serialized behind a
 //!   planner mutex. Selection re-runs on a workload window, the live view
 //!   set is patched (with per-tenant byte accounting), a *candidate*

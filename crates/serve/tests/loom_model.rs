@@ -1,4 +1,5 @@
-//! Model checks for the serve layer's two lock-free-for-readers protocols.
+//! Model checks for the serve layer's concurrency protocols: the epoch
+//! swap under concurrent readers, and admission's queued waiters.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -61,43 +62,74 @@ fn deployment_swap_vs_concurrent_readers() {
     });
 }
 
+/// Run one request per entry of `tenants`, each on its own thread, against
+/// a controller with an inflight cap of 1. Checks that every request ran,
+/// that no tenant ever held two permits at once, and that every tenant's
+/// counters drained to zero.
+fn cap_one_requests(tenants: &'static [&'static str]) {
+    let ctl = Arc::new(AdmissionController::new(AdmissionConfig {
+        max_inflight_per_tenant: 1,
+        max_queued_per_tenant: 4,
+    }));
+    let ran = Arc::new(AtomicUsize::new(0));
+    // Per tenant: permits held right now, and the most ever held at once.
+    let held: Arc<Vec<(AtomicUsize, AtomicUsize)>> = Arc::new(
+        tenants
+            .iter()
+            .map(|_| (AtomicUsize::new(0), AtomicUsize::new(0)))
+            .collect(),
+    );
+
+    let workers: Vec<_> = tenants
+        .iter()
+        .map(|&tenant| {
+            let (ctl, ran, held) = (ctl.clone(), ran.clone(), held.clone());
+            let slot = tenants.iter().position(|t| *t == tenant).expect("listed");
+            thread::spawn(move || {
+                let permit = ctl.acquire(tenant).expect("queue has room");
+                let (now, peak) = &held[slot];
+                peak.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                thread::yield_now();
+                now.fetch_sub(1, Ordering::SeqCst);
+                ran.fetch_add(1, Ordering::SeqCst);
+                drop(permit);
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("worker");
+    }
+
+    assert_eq!(
+        ran.load(Ordering::SeqCst),
+        tenants.len(),
+        "every request must run"
+    );
+    for (i, tenant) in tenants.iter().enumerate() {
+        assert!(
+            held[i].1.load(Ordering::SeqCst) <= 1,
+            "cap of 1 must serialize tenant {tenant}"
+        );
+        let load = ctl.load_of(tenant);
+        assert_eq!(
+            (load.inflight, load.queued),
+            (0, 0),
+            "{tenant}'s counters must drain"
+        );
+    }
+}
+
 /// With an inflight cap of 1, a release must wake the queued waiter: both
 /// requests eventually run, one at a time, and the counters drain to zero.
 #[test]
 fn admission_release_wakes_queued_waiter() {
-    loom::model(|| {
-        let ctl = Arc::new(AdmissionController::new(AdmissionConfig {
-            max_inflight_per_tenant: 1,
-            max_queued_per_tenant: 4,
-        }));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let inflight = Arc::new(AtomicUsize::new(0));
+    loom::model(|| cap_one_requests(&["tenant", "tenant"]));
+}
 
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let ctl = ctl.clone();
-                let ran = ran.clone();
-                let peak = peak.clone();
-                let inflight = inflight.clone();
-                thread::spawn(move || {
-                    let permit = ctl.acquire("tenant").expect("queue has room");
-                    let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    thread::yield_now();
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    drop(permit);
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("worker");
-        }
-
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "both requests must run");
-        assert_eq!(peak.load(Ordering::SeqCst), 1, "cap of 1 must serialize");
-        let load = ctl.load_of("tenant");
-        assert_eq!((load.inflight, load.queued), (0, 0), "counters must drain");
-    });
+/// A release wakes waiters only when its own tenant has some queued. Tenant
+/// B's request never queues and its release wakes no one, so A's queued
+/// waiters must each be woken by an A release.
+#[test]
+fn admission_wakes_only_the_releasing_tenants_waiters() {
+    loom::model(|| cap_one_requests(&["a", "a", "a", "b"]));
 }
