@@ -26,14 +26,15 @@
 //! - `Refuted { witness }` — a concrete separating fact was found (a value
 //!   one predicate admits and the other rejects, a dropped join edge, a
 //!   different aggregate); the rewrite is wrong on some instance.
-//! - `Unknown { reason }` — neither; callers fall back to the existing
-//!   `verify_rewrite` schema check / sampled execution.
+//! - `Unknown { reason }` — neither. `gate_rewrite` accepts only `Proved`,
+//!   so an undecided rewrite is refused, never served.
 //!
 //! `Refuted` is only ever returned with evidence (a separating value found
 //! by probing both domains, or a structural difference that changes results
-//! on some instance); soundness of that direction is what lets debug gates
-//! panic on it. Syntactic differences that *might* still be equivalent
-//! (e.g. differing disjunctions) stay `Unknown`.
+//! on some instance). Syntactic differences that *might* still be
+//! equivalent (e.g. differing disjunctions) stay `Unknown`: the verdict
+//! names what the prover could not decide, and the gate refuses the
+//! rewrite either way.
 
 use av_engine::{Catalog, ColumnType};
 use av_equiv::canonical_fingerprint;
@@ -49,7 +50,7 @@ pub enum Verdict {
     /// The rewrite is provably wrong; `witness` describes a separating
     /// instance (a value or structural difference that changes results).
     Refuted { witness: String },
-    /// The prover cannot decide; fall back to the execution-based check.
+    /// The prover cannot decide; the rewrite gate refuses it.
     Unknown { reason: String },
 }
 

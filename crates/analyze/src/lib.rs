@@ -1,15 +1,16 @@
 //! `av-analyze` — static verification for the AutoView reproduction.
 //!
-//! Two passes, each usable as a library and wired into one binary:
+//! Three parts, each usable as a library and wired into one binary:
 //!
-//! - **Plan verifier** ([`verify_plan`] / [`verify_rewrite`], and the
-//!   prover-first [`gate_rewrite`] every rewrite site calls): structural
-//!   checks plus bottom-up typed schema inference over the logical plan IR,
-//!   mirroring `av-engine`'s runtime semantics. Rejects unbound columns,
-//!   type-mismatched predicates and join keys, aggregates over incompatible
-//!   inputs, and view-rewrite substitutions whose output schema does not
-//!   cover the consumers' required columns. [`install_engine_gate`] hooks
-//!   it in front of every `Executor::run` in the process.
+//! - **Plan verifier** ([`verify_plan`]): structural checks plus bottom-up
+//!   typed schema inference over the logical plan IR, mirroring
+//!   `av-engine`'s runtime semantics. Rejects unbound columns,
+//!   type-mismatched predicates and join keys, and aggregates over
+//!   incompatible inputs. [`install_engine_gate`] hooks it in front of
+//!   every `Executor::run` in the process.
+//! - **Rewrite gate** ([`gate_rewrite`], which every rewrite site calls):
+//!   the semantic prover ([`prove_rewrite`]) decides, and only a `Proved`
+//!   rewrite is accepted — `Refuted` and `Unknown` are both refused.
 //! - **Determinism lint** ([`lint`]): a hand-rolled scanner over
 //!   `crates/*/src` flagging unordered hash-container iteration that feeds
 //!   order-sensitive consumers, wall-clock reads in library code, and a
@@ -29,6 +30,4 @@ pub mod verify;
 
 pub use containment::{prove_rewrite, Verdict, ViewDef};
 pub use schema::{infer_schema, type_of_expr, Schema};
-pub use verify::{
-    gate_rewrite, install_engine_gate, verify_plan, verify_rewrite, RewriteAccepted, RewriteRefused,
-};
+pub use verify::{gate_rewrite, install_engine_gate, verify_plan, RewriteRefused};

@@ -1,5 +1,5 @@
 //! The plan verifier: structural checks plus full schema inference, and
-//! the rewrite-substitution check used on every view rewrite.
+//! the prover-backed gate every view rewrite passes through.
 
 use crate::containment::{prove_rewrite, Verdict, ViewDef};
 use crate::schema::{infer_schema, Schema};
@@ -14,62 +14,14 @@ pub fn verify_plan(catalog: &Catalog, plan: &PlanNode) -> Result<Schema, PlanErr
     infer_schema(catalog, plan)
 }
 
-/// Verify a view rewrite: the rewritten plan must itself verify, and its
-/// output schema (names *and* types, positionally) must equal the original
-/// plan's — i.e. the substituted view covers every column its consumers
-/// require, with the right types.
-pub fn verify_rewrite(
-    catalog: &Catalog,
-    original: &PlanNode,
-    rewritten: &PlanNode,
-) -> Result<Schema, PlanError> {
-    let orig = verify_plan(catalog, original)?;
-    let new = verify_plan(catalog, rewritten)?;
-    if orig.len() != new.len() {
-        // Name the first position where the schemas diverge so a failure
-        // in a 226-query workload points at the offending column, not just
-        // the counts.
-        let first_diff = orig
-            .iter()
-            .zip(&new)
-            .position(|((on, ot), (nn, nt))| on != nn || ot != nt)
-            .unwrap_or_else(|| orig.len().min(new.len()));
-        return Err(PlanError::ArityMismatch {
-            context: format!("rewrite output schema (first divergence at column {first_diff})"),
-            expected: orig.len(),
-            actual: new.len(),
-        });
-    }
-    for (i, ((on, ot), (nn, nt))) in orig.iter().zip(&new).enumerate() {
-        if on != nn || ot != nt {
-            return Err(PlanError::TypeMismatch {
-                context: format!("rewrite output column {i} ({on})"),
-                left: format!("{on}: {}", ot.keyword()),
-                right: format!("{nn}: {}", nt.keyword()),
-            });
-        }
-    }
-    Ok(new)
-}
-
-/// How [`gate_rewrite`] accepted a rewrite.
-#[derive(Debug)]
-pub enum RewriteAccepted {
-    /// The semantic prover discharged it: the rewritten plan computes the
-    /// original's result.
-    Proved,
-    /// The prover could not decide (`reason`); the rewrite passed the
-    /// schema-level [`verify_rewrite`] check instead.
-    SchemaChecked { reason: String },
-}
-
 /// Why [`gate_rewrite`] refused a rewrite.
 #[derive(Debug)]
 pub enum RewriteRefused {
     /// The prover found a witness row on which the plans diverge.
     Refuted { witness: String },
-    /// Undecided by the prover, and the output schemas differ.
-    Schema(PlanError),
+    /// The prover could not decide (`reason`). A rewrite is served only if
+    /// proved, so this refuses it as firmly as a witness does.
+    Unproved { reason: String },
 }
 
 impl fmt::Display for RewriteRefused {
@@ -78,26 +30,25 @@ impl fmt::Display for RewriteRefused {
             RewriteRefused::Refuted { witness } => {
                 write!(f, "refuted by the semantic prover: {witness}")
             }
-            RewriteRefused::Schema(e) => write!(f, "fails verification: {e}"),
+            RewriteRefused::Unproved { reason } => {
+                write!(f, "unproved by the semantic prover: {reason}")
+            }
         }
     }
 }
 
 /// The rewrite gate every substitution site goes through: the semantic
-/// prover decides; only its `Unknown` falls back to the schema-level
-/// [`verify_rewrite`] check. A `Refuted` rewrite is never accepted.
+/// prover decides, and only a `Proved` rewrite is accepted.
 pub fn gate_rewrite(
     catalog: &Catalog,
     original: &PlanRef,
     rewritten: &PlanRef,
     view_def: ViewDef,
-) -> Result<RewriteAccepted, RewriteRefused> {
+) -> Result<(), RewriteRefused> {
     match prove_rewrite(catalog, original, rewritten, view_def) {
-        Verdict::Proved => Ok(RewriteAccepted::Proved),
+        Verdict::Proved => Ok(()),
         Verdict::Refuted { witness } => Err(RewriteRefused::Refuted { witness }),
-        Verdict::Unknown { reason } => verify_rewrite(catalog, original, rewritten)
-            .map(|_| RewriteAccepted::SchemaChecked { reason })
-            .map_err(RewriteRefused::Schema),
+        Verdict::Unknown { reason } => Err(RewriteRefused::Unproved { reason }),
     }
 }
 
@@ -260,6 +211,18 @@ mod tests {
         }
     }
 
+    /// The stored-table → defining-plan resolver the prover inlines views
+    /// through.
+    fn defs(store: &ViewStore) -> impl Fn(&str) -> Option<PlanRef> + '_ {
+        |t| {
+            store
+                .views()
+                .iter()
+                .find(|v| v.table_name == t)
+                .map(|v| v.plan.clone())
+        }
+    }
+
     #[test]
     fn rewrite_with_materialized_view_verifies() {
         let mut cat = catalog();
@@ -277,28 +240,8 @@ mod tests {
         let view = &store.views()[0];
         let (rewritten, n) = av_engine::rewrite_with_view(&query, view);
         assert_eq!(n, 1);
-        verify_rewrite(&cat, &query, &rewritten).expect("rewrite verifies");
-    }
-
-    #[test]
-    fn mismatch_errors_name_the_column_position() {
-        let cat = catalog();
-        let orig = PlanBuilder::scan("users", "u")
-            .project(&[("u.id", "u.id"), ("u.name", "u.name")])
-            .build();
-        let renamed = PlanBuilder::scan("users", "u")
-            .project(&[("u.id", "u.id"), ("u.name", "nm")])
-            .build();
-        let err = verify_rewrite(&cat, &orig, &renamed).expect_err("rejects");
-        assert_eq!(err.code(), "type-mismatch");
-        assert!(err.to_string().contains("column 1"), "{err}");
-
-        let narrow = PlanBuilder::scan("users", "u")
-            .project(&[("u.id", "u.id")])
-            .build();
-        let err = verify_rewrite(&cat, &orig, &narrow).expect_err("rejects");
-        assert_eq!(err.code(), "arity-mismatch");
-        assert!(err.to_string().contains("column 1"), "{err}");
+        verify_plan(&cat, &rewritten).expect("rewritten plan verifies");
+        gate_rewrite(&cat, &query, &rewritten, &defs(&store)).expect("rewrite is proved");
     }
 
     #[test]
@@ -337,8 +280,46 @@ mod tests {
                 input: None,
                 output: "cnt".into(),
             }],
-        };
-        let err = verify_rewrite(&cat, &query, &bad).expect_err("rejects");
+        }
+        .into_ref();
+        let err = verify_plan(&cat, &bad).expect_err("rewritten plan fails verification");
         assert_eq!(err.code(), "unbound-column");
+        gate_rewrite(&cat, &query, &bad, &defs(&store)).expect_err("gate refuses the splice");
+    }
+
+    #[test]
+    fn undecided_rewrite_is_refused_as_unproved() {
+        // A view over `kind = 'k2' OR uid = 1` spliced in for the query's
+        // `kind = 'k1' OR uid = 1`: same schema, and the prover compares
+        // disjunctions only syntactically, so it can neither prove nor
+        // refute the splice. Only a proved rewrite passes.
+        let mut cat = catalog();
+        let mut store = ViewStore::new();
+        let slice = |kind: &str| {
+            PlanBuilder::scan("acts", "a")
+                .filter(Expr::Or(vec![
+                    Expr::col("a.kind").eq(Expr::str(kind)),
+                    Expr::col("a.uid").eq(Expr::int(1)),
+                ]))
+                .project(&[("a.uid", "a.uid"), ("a.kind", "a.kind")])
+                .build()
+        };
+        store
+            .materialize(&mut cat, slice("k2"), Pricing::paper_defaults())
+            .expect("materializes");
+        let view = &store.views()[0];
+        let sub = slice("k1");
+        let query = PlanBuilder::from_plan(sub.clone())
+            .count_star(&["a.kind"], "cnt")
+            .build();
+        let (rewritten, n) =
+            av_engine::rewrite_subtree_with_view(&cat, &query, &sub, view).expect("view applies");
+        assert_eq!(n, 1);
+        verify_plan(&cat, &rewritten).expect("the schemas agree");
+        let verdict = gate_rewrite(&cat, &query, &rewritten, &defs(&store));
+        assert!(
+            matches!(verdict, Err(RewriteRefused::Unproved { .. })),
+            "expected Unproved, got {verdict:?}"
+        );
     }
 }

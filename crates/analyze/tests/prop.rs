@@ -5,10 +5,10 @@
 //!     the executor actually returns;
 //! (b) mutation-corrupted plans — renamed column, swapped literal type,
 //!     dropped join key — are rejected with the right diagnostic;
-//! (c) the full JOB workload, its candidates, and every rewrite they
-//!     produce verify clean.
+//! (c) the full JOB workload and its candidates verify clean, and every
+//!     rewrite they produce verifies and is proved.
 
-use av_analyze::{verify_plan, verify_rewrite};
+use av_analyze::{gate_rewrite, verify_plan};
 use av_engine::{
     rewrite_subtree_with_view, Catalog, Column, ColumnType, Executor, Pricing, Table, ViewStore,
 };
@@ -178,8 +178,9 @@ proptest! {
     }
 }
 
-/// (c) Full JOB workload: all queries, all candidates, and every rewrite
-/// verify clean. Mirrors the `av-analyze` binary at a smaller scale.
+/// (c) Full JOB workload: all queries and all candidates verify clean, and
+/// every rewrite verifies and passes the Proved-only gate. Mirrors the
+/// `av-analyze` binary at a smaller scale.
 #[test]
 fn job_workload_and_rewrites_verify_clean() {
     let w = av_workload::job::job_workload(0.02, 7);
@@ -204,6 +205,13 @@ fn job_workload_and_rewrites_verify_clean() {
             .materialize(&mut cat, cand.plan.clone(), Pricing::paper_defaults())
             .unwrap_or_else(|e| panic!("candidate {} materializes: {e}", cand.id));
     }
+    let resolve = |t: &str| {
+        views
+            .views()
+            .iter()
+            .find(|v| v.table_name == t)
+            .map(|v| v.plan.clone())
+    };
     let mut rewrites = 0usize;
     for (i, matches) in analysis.query_matches.iter().enumerate() {
         for m in matches {
@@ -218,8 +226,12 @@ fn job_workload_and_rewrites_verify_clean() {
             else {
                 continue;
             };
-            verify_rewrite(&cat, &plans[i], &rewritten)
-                .unwrap_or_else(|e| panic!("rewrite of query {i} via candidate {}: {e}", m.candidate));
+            verify_plan(&cat, &rewritten).unwrap_or_else(|e| {
+                panic!("rewrite of query {i} via candidate {}: {e}", m.candidate)
+            });
+            gate_rewrite(&cat, &plans[i], &rewritten, &resolve).unwrap_or_else(|e| {
+                panic!("rewrite of query {i} via candidate {}: {e}", m.candidate)
+            });
             rewrites += 1;
         }
     }

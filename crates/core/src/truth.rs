@@ -127,8 +127,9 @@ pub fn rewrite_pair(
     let view = pre.views.view(av_engine::ViewId(candidate))?;
     let subtree = find_subtree(query_plan, m.subtree_fp)?;
     let (rewritten, _) = rewrite_subtree_with_view(catalog, query_plan, &subtree, view)?;
-    // Debug builds gate every rewrite: a refused one means the view does
-    // not contain the query — a hard bug.
+    // Debug builds gate every rewrite: a candidate is a canonical-
+    // fingerprint group, so its rewrite must be proved, and a refuted or
+    // unproved one is a hard bug.
     #[cfg(debug_assertions)]
     {
         let resolve = |t: &str| {

@@ -3,8 +3,6 @@
 use av_plan::expr::ArithOp;
 use av_plan::{AggExpr, CmpOp, Expr, Fingerprint, PlanNode, PlanRef, ProjExpr};
 use std::collections::HashMap;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Canonicalize a plan:
 /// - table aliases renamed positionally (`a0`, `a1`, …) in scan pre-order,
@@ -23,8 +21,9 @@ pub fn canonicalize(plan: &PlanRef) -> PlanRef {
     rewrite(plan, &aliases)
 }
 
-/// The key candidate clustering, view admission and view routing all match
-/// on: the structural fingerprint of `plan`'s canonical form.
+/// The key candidate clustering, view admission, view routing and the
+/// rewrite prover's fast path all match on: the structural fingerprint of
+/// `plan`'s canonical form.
 pub fn canonical_fingerprint(plan: &PlanRef) -> Fingerprint {
     Fingerprint::of(&canonicalize(plan))
 }
@@ -232,68 +231,6 @@ fn expr_key(e: &Expr) -> String {
     e.to_string()
 }
 
-/// Shape fingerprint: the structural hash with all filter predicates erased.
-/// Two plans with equal shape fingerprints differ at most in predicates, the
-/// precondition for the randomized predicate comparison.
-pub fn shape_fingerprint(plan: &PlanNode) -> Fingerprint {
-    let mut h = DefaultHasher::new();
-    hash_shape(plan, &mut h);
-    Fingerprint(h.finish())
-}
-
-fn hash_shape(plan: &PlanNode, h: &mut DefaultHasher) {
-    match plan {
-        PlanNode::TableScan { table, alias } => {
-            0u8.hash(h);
-            table.hash(h);
-            alias.hash(h);
-        }
-        PlanNode::Filter { input, .. } => {
-            1u8.hash(h);
-            hash_shape(input, h);
-        }
-        PlanNode::Project { input, exprs } => {
-            2u8.hash(h);
-            exprs.hash(h);
-            hash_shape(input, h);
-        }
-        PlanNode::Join {
-            left,
-            right,
-            on,
-            join_type,
-        } => {
-            3u8.hash(h);
-            on.hash(h);
-            join_type.hash(h);
-            hash_shape(left, h);
-            hash_shape(right, h);
-        }
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            4u8.hash(h);
-            group_by.hash(h);
-            aggs.hash(h);
-            hash_shape(input, h);
-        }
-    }
-}
-
-/// Collect, in pre-order, the filter predicates of a plan (used to pair up
-/// predicates of two shape-equal plans).
-pub fn collect_predicates(plan: &PlanNode) -> Vec<Expr> {
-    let mut out = Vec::new();
-    plan.visit_preorder(&mut |n| {
-        if let PlanNode::Filter { predicate, .. } = n {
-            out.push(predicate.clone());
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,26 +301,6 @@ mod tests {
         let a = normalize_expr(&Expr::col("a.y").eq(Expr::col("a.x")));
         let b = normalize_expr(&Expr::col("a.x").eq(Expr::col("a.y")));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shape_fp_ignores_predicates_only() {
-        let p1 = canonicalize(&parse_query("select a.x from t a where a.k = 1").expect("ok"));
-        let p2 = canonicalize(&parse_query("select a.x from t a where a.k = 2").expect("ok"));
-        let p3 = canonicalize(&parse_query("select a.y from t a where a.k = 1").expect("ok"));
-        assert_eq!(shape_fingerprint(&p1), shape_fingerprint(&p2));
-        assert_ne!(shape_fingerprint(&p1), shape_fingerprint(&p3));
-    }
-
-    #[test]
-    fn collect_predicates_in_preorder() {
-        let p = parse_query(
-            "select a.x, b.y from t a join u b on a.id = b.id \
-             where a.k = 1 and b.j = 2",
-        )
-        .expect("ok");
-        let preds = collect_predicates(&p);
-        assert_eq!(preds.len(), 2);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Workload analysis: subquery clustering, candidate selection and the
 //! overlap relation.
 
-use crate::canon::{canonical_fingerprint, canonicalize, shape_fingerprint};
-use crate::predtest::plans_agree_on_predicates;
+use crate::canon::{canonical_fingerprint, canonicalize};
 use av_plan::{enumerate_subqueries, Fingerprint, PlanNode, PlanRef};
 use std::collections::{HashMap, HashSet};
 
@@ -103,92 +102,37 @@ impl<'a> Analyzer<'a> {
             plan: PlanRef,
             fp: Fingerprint,
             canonical: PlanRef,
-            canon_fp: Fingerprint,
-            shape_fp: Fingerprint,
         }
         let mut instances = Vec::new();
         for (qi, q) in queries.iter().enumerate() {
             for sub in enumerate_subqueries(q) {
                 let canonical = canonicalize(&sub.plan);
-                let canon_fp = Fingerprint::of(&canonical);
-                let shape_fp = shape_fingerprint(&canonical);
                 instances.push(Instance {
                     query: qi,
                     plan: sub.plan,
                     fp: sub.fingerprint,
                     canonical,
-                    canon_fp,
-                    shape_fp,
                 });
             }
         }
         let total_subqueries = instances.len();
 
-        // 2. Fast clustering by canonical fingerprint.
-        let mut canon_groups: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
+        // 2. Cluster by canonical fingerprint — the key routing matches on.
+        //    Instances are visited in order, so each cluster's members come
+        //    out sorted and clusters are ordered by their smallest member.
+        let mut cluster_of: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut cluster_list: Vec<Vec<usize>> = Vec::new();
         for (i, inst) in instances.iter().enumerate() {
-            canon_groups.entry(inst.canon_fp).or_default().push(i);
+            let c = *cluster_of
+                .entry(Fingerprint::of(&inst.canonical))
+                .or_insert_with(|| {
+                    cluster_list.push(Vec::new());
+                    cluster_list.len() - 1
+                });
+            cluster_list[c].push(i);
         }
 
-        // 3. Merge canonical groups that are shape-equal and predicate-
-        //    equivalent (randomized semantic check), via union-find over
-        //    group representatives.
-        // Sorted so the union-find merge order (and with it the clustering
-        // of not-fully-transitive predicate equivalences) is deterministic
-        // rather than following HashMap iteration order.
-        let mut group_keys: Vec<Fingerprint> = canon_groups.keys().copied().collect();
-        group_keys.sort_unstable();
-        let mut parent: Vec<usize> = (0..group_keys.len()).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        let mut by_shape: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
-        for (gi, key) in group_keys.iter().enumerate() {
-            let rep = canon_groups[key][0];
-            by_shape
-                .entry(instances[rep].shape_fp)
-                .or_default()
-                .push(gi);
-        }
-        let mut shape_keys: Vec<Fingerprint> = by_shape.keys().copied().collect();
-        shape_keys.sort_unstable();
-        for group in shape_keys.iter().map(|k| &by_shape[k]) {
-            for w in 1..group.len() {
-                let (g0, gw) = (group[0], group[w]);
-                let r0 = canon_groups[&group_keys[g0]][0];
-                let rw = canon_groups[&group_keys[gw]][0];
-                if plans_agree_on_predicates(&instances[r0].canonical, &instances[rw].canonical)
-                {
-                    let (a, b) = (find(&mut parent, g0), find(&mut parent, gw));
-                    if a != b {
-                        parent[a] = b;
-                    }
-                }
-            }
-        }
-
-        // 4. Final clusters.
-        let mut clusters: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (gi, key) in group_keys.iter().enumerate() {
-            let root = find(&mut parent, gi);
-            clusters
-                .entry(root)
-                .or_default()
-                .extend(canon_groups[key].iter().copied());
-        }
-
-        // Deterministic cluster order: by smallest member fingerprint.
-        let mut cluster_list: Vec<Vec<usize>> = clusters.into_values().collect();
-        for c in &mut cluster_list {
-            c.sort_unstable();
-        }
-        cluster_list.sort_by_key(|c| c[0]);
-
-        // 5. Representatives, counting, filtering.
+        // 3. Representatives, counting, filtering.
         let mut equivalent_pairs = 0;
         let mut candidates = Vec::new();
         let mut instance_cluster: HashMap<usize, usize> = HashMap::new();
@@ -221,7 +165,7 @@ impl<'a> Analyzer<'a> {
             });
         }
 
-        // 6. Per-query usable candidates (first matching subtree per
+        // 4. Per-query usable candidates (first matching subtree per
         //    candidate, outermost wins — instances were enumerated pre-order).
         let mut query_matches: Vec<Vec<QueryMatch>> = vec![Vec::new(); queries.len()];
         for (i, inst) in instances.iter().enumerate() {
@@ -236,7 +180,7 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // 7. Overlap pairs between candidates (Def. 5): their plans share a
+        // 5. Overlap pairs between candidates (Def. 5): their plans share a
         //    common subtree of ≥ 2 operators. Each subtree is canonicalized
         //    *independently* so that containment is detected across alias
         //    numbering (a nested Project inside one candidate's Join matches
@@ -425,6 +369,31 @@ mod tests {
             av_plan::Fingerprint::of(&shared.plan),
             av_plan::Fingerprint::of(&plans[1])
         );
+    }
+
+    #[test]
+    fn clusters_are_exactly_canonical_fingerprint_groups() {
+        // Equal on every row, but canonicalization does not unify them, so
+        // routing would never match one to a view of the other: they must
+        // stay two candidates.
+        let queries = vec![
+            q("select a.x from t a where a.k >= 5"),
+            q("select a.x from t a where not (a.k < 5)"),
+        ];
+        let a = analyze_workload(&queries);
+        assert_eq!(a.candidates.len(), 2);
+        assert_eq!(a.equivalent_pairs, 0);
+        assert_ne!(a.query_matches[0], a.query_matches[1]);
+        for (qi, query) in queries.iter().enumerate() {
+            for m in &a.query_matches[qi] {
+                let subtree = av_plan::find_subtree(query, m.subtree_fp).expect("own subtree");
+                assert_eq!(
+                    canonical_fingerprint(&subtree),
+                    Fingerprint::of(&a.candidates[m.candidate].canonical),
+                    "query {qi}: the clustering key is the routing key"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property tests for the equivalence machinery: canonicalization is
-//! idempotent and semantics-preserving, equivalence is reflexive and
-//! alias-invariant, and the randomized predicate check never falsely
-//! separates identical predicates.
+//! Property tests for the one equivalence key: canonicalization is
+//! idempotent and semantics-preserving, and the canonical fingerprint is
+//! reflexive, alias-invariant and separates different tables.
 
-use av_equiv::{are_equivalent, canonicalize, predicates_equivalent};
-use av_plan::{CmpOp, Expr, Fingerprint, PlanBuilder, Value};
+use av_equiv::canon::normalize_expr;
+use av_equiv::{canonical_fingerprint, canonicalize};
+use av_plan::{CmpOp, Expr, Fingerprint, PlanBuilder, PlanNode, Value};
 use proptest::prelude::*;
 
 fn arb_pred() -> impl Strategy<Value = Expr> {
@@ -51,9 +51,9 @@ proptest! {
     fn canonicalization_preserves_predicate_semantics(pred in arb_pred(), probe in -10i64..10) {
         let plan = PlanBuilder::scan("t", "x").filter(pred.clone()).build();
         let canon = canonicalize(&plan);
-        let canon_pred = av_equiv::canon::collect_predicates(&canon)
-            .pop()
-            .expect("filter survives");
+        let PlanNode::Filter { predicate: canon_pred, .. } = canon.as_ref() else {
+            panic!("the filter survives canonicalization");
+        };
         // Same truth value under an arbitrary binding, modulo the alias
         // rename x→a0.
         let bind_orig = |name: &str| {
@@ -69,7 +69,7 @@ proptest! {
     }
 
     #[test]
-    fn equivalence_is_reflexive_and_alias_invariant(pred in arb_pred()) {
+    fn canonical_fingerprint_is_reflexive_and_alias_invariant(pred in arb_pred()) {
         let mk = |alias: &str| {
             let renamed = rename_prefix(&pred, alias);
             PlanBuilder::scan("t", alias)
@@ -81,23 +81,25 @@ proptest! {
         };
         let a = mk("x");
         let b = mk("zz");
-        prop_assert!(are_equivalent(&a, &a.clone()));
-        prop_assert!(are_equivalent(&a, &b), "alias rename must not matter");
+        prop_assert_eq!(canonical_fingerprint(&a), canonical_fingerprint(&a.clone()));
+        prop_assert_eq!(
+            canonical_fingerprint(&a),
+            canonical_fingerprint(&b),
+            "alias rename must not matter"
+        );
     }
 
     #[test]
-    fn predicate_check_is_reflexive_and_commutation_safe(pred in arb_pred()) {
-        prop_assert!(predicates_equivalent(&pred, &pred));
-        // A shuffled conjunction of the predicate with itself is equivalent.
+    fn self_conjunction_normalizes_to_the_predicate(pred in arb_pred()) {
         let doubled = Expr::And(vec![pred.clone(), pred.clone()]);
-        prop_assert!(predicates_equivalent(&pred, &doubled));
+        prop_assert_eq!(normalize_expr(&doubled), normalize_expr(&pred));
     }
 
     #[test]
-    fn different_tables_never_equivalent(pred in arb_pred()) {
+    fn different_tables_never_share_a_canonical_fingerprint(pred in arb_pred()) {
         let a = PlanBuilder::scan("t1", "x").filter(pred.clone()).project(&[("x.c0", "x.c0")]).build();
         let b = PlanBuilder::scan("t2", "x").filter(pred).project(&[("x.c0", "x.c0")]).build();
-        prop_assert!(!are_equivalent(&a, &b));
+        prop_assert_ne!(canonical_fingerprint(&a), canonical_fingerprint(&b));
     }
 }
 

@@ -158,8 +158,9 @@ pub fn route_through_views(
         hits += 1;
         Some(replacement)
     });
-    // Debug builds gate every routed plan: a refused rewrite means routing
-    // substituted a view that does not contain the query — a hard bug.
+    // Debug builds gate every routed plan: routing matches canonical
+    // fingerprints, so its rewrite must be proved, and a refuted or unproved
+    // one is a hard bug.
     #[cfg(debug_assertions)]
     if hits > 0 {
         let resolve = |t: &str| index.by_table(t).map(|(_, v)| v.plan.clone());
@@ -524,8 +525,23 @@ mod tests {
             let (catalog, views) = published(&w);
             assert!(!views.is_empty(), "{name}: publish admits views");
             let index: ViewIndex = views.iter().cloned().collect();
+            let plans = w.plans();
+            // One key: every subtree the analyzer matches to a candidate has
+            // the candidate's canonical fingerprint, the key routing uses.
+            let analysis = av_equiv::analyze_workload(&plans);
+            for (i, matches) in analysis.query_matches.iter().enumerate() {
+                for m in matches {
+                    let subtree =
+                        av_plan::find_subtree(&plans[i], m.subtree_fp).expect("own subtree");
+                    assert_eq!(
+                        canonical_fingerprint(&subtree),
+                        Fingerprint::of(&analysis.candidates[m.candidate].canonical),
+                        "{name} plan {i}: clustering key == routing key"
+                    );
+                }
+            }
             let mut total_hits = 0;
-            for (i, plan) in w.plans().iter().enumerate() {
+            for (i, plan) in plans.iter().enumerate() {
                 let (routed, hits) = route_through_views(&catalog, &index, plan);
                 let (expected, expected_hits) = route_per_view(&catalog, &views, plan);
                 assert_eq!(hits, expected_hits, "{name} plan {i}: hit count");

@@ -44,12 +44,6 @@ pub enum PlanError {
         column: String,
         operator: &'static str,
     },
-    /// A rewrite substitution changed the plan's output arity or schema.
-    ArityMismatch {
-        context: String,
-        expected: usize,
-        actual: usize,
-    },
 }
 
 impl PlanError {
@@ -64,7 +58,6 @@ impl PlanError {
             PlanError::BadAggregate { .. } => "bad-aggregate",
             PlanError::Malformed { .. } => "malformed",
             PlanError::DuplicateColumn { .. } => "duplicate-column",
-            PlanError::ArityMismatch { .. } => "arity-mismatch",
         }
     }
 }
@@ -99,14 +92,6 @@ impl fmt::Display for PlanError {
             PlanError::DuplicateColumn { column, operator } => {
                 write!(f, "duplicate output column {column} in {operator}")
             }
-            PlanError::ArityMismatch {
-                context,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "arity mismatch in {context}: expected {expected}, got {actual}"
-            ),
         }
     }
 }
@@ -143,11 +128,6 @@ mod tests {
             PlanError::DuplicateColumn {
                 column: "c".into(),
                 operator: "Project",
-            },
-            PlanError::ArityMismatch {
-                context: "x".into(),
-                expected: 1,
-                actual: 2,
             },
         ];
         let mut codes: Vec<&str> = errs.iter().map(|e| e.code()).collect();

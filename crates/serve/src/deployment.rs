@@ -9,7 +9,6 @@
 //! swap only replaces the pointer — every in-flight request keeps the epoch
 //! it started on until it finishes.
 
-use av_analyze::RewriteAccepted;
 use av_engine::{Catalog, MaterializedView};
 use av_online::{route_through_views, ViewIndex};
 use av_plan::{Fingerprint, PlanRef};
@@ -37,11 +36,9 @@ struct RouteMemo {
     misses: u64,
 }
 
-/// What the preflight gate actually did, per verdict: how many sample
-/// queries routed through a view, how many rewrites the static prover
-/// discharged outright, and how many fell back to the schema-level
-/// `verify_rewrite` check. Surfaced as `serve.preflight.*` metrics by the
-/// server's swap path.
+/// What the preflight gate did: how many sample queries routed through a
+/// view, and how many of those rewrites the static prover proved. Surfaced
+/// as `serve.preflight.*` metrics by the server's swap path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PreflightStats {
     /// Sample queries inspected.
@@ -50,7 +47,9 @@ pub struct PreflightStats {
     pub routed: usize,
     /// Rewrites statically proved contained.
     pub proved: usize,
-    /// Rewrites the prover could not decide; checked by `verify_rewrite`.
+    /// Rewrites the prover could not decide. An undecided rewrite fails
+    /// the preflight, so a published epoch reports 0 by construction; the
+    /// field stays so the `serve.preflight.unknown` family keeps its series.
     pub unknown: usize,
 }
 
@@ -230,12 +229,11 @@ impl Deployment {
     /// [`Deployment::validate`], plus an end-to-end routing check over a
     /// sample of queries. Each sample is routed through this snapshot and,
     /// when any view fired, the rewrite goes through
-    /// [`av_analyze::gate_rewrite`]: `Proved` needs no further checking,
-    /// `Refuted` fails the whole preflight (the witness row names the
-    /// divergence — a refuted rewrite must never reach the swap), and only
-    /// `Unknown` falls back to the schema-level `verify_rewrite` check.
-    /// This is the full preflight gate a re-optimizer runs before swapping
-    /// the snapshot in.
+    /// [`av_analyze::gate_rewrite`]: only a `Proved` rewrite passes. A
+    /// `Refuted` one (the witness row names the divergence) or an `Unknown`
+    /// one fails the whole preflight, so a rewrite the prover cannot prove
+    /// never reaches the swap. This is the full preflight gate a
+    /// re-optimizer runs before swapping the snapshot in.
     pub fn validate_with(&self, sample: &[PlanRef]) -> Result<PreflightStats, String> {
         self.validate()?;
         let resolve = |t: &str| self.index.by_table(t).map(|(_, v)| v.plan.clone());
@@ -249,11 +247,9 @@ impl Deployment {
                 continue;
             }
             stats.routed += 1;
-            match av_analyze::gate_rewrite(&self.catalog, plan, &routed, &resolve) {
-                Ok(RewriteAccepted::Proved) => stats.proved += 1,
-                Ok(RewriteAccepted::SchemaChecked { .. }) => stats.unknown += 1,
-                Err(refused) => return Err(format!("sample query {i}: routed plan {refused}")),
-            }
+            av_analyze::gate_rewrite(&self.catalog, plan, &routed, &resolve)
+                .map_err(|refused| format!("sample query {i}: routed plan {refused}"))?;
+            stats.proved += 1;
         }
         Ok(stats)
     }
