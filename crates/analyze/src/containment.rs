@@ -129,7 +129,7 @@ fn inline_views(plan: &PlanRef, view_def: ViewDef, depth: usize) -> Result<PlanR
     if depth > 8 {
         return Err("view inlining exceeded depth 8 (self-referential view?)".into());
     }
-    Ok(match plan.as_ref() {
+    Ok(match plan.node() {
         PlanNode::TableScan { table, alias } => {
             if alias.is_empty() {
                 // Empty alias is the materialized-view scan convention.
@@ -246,7 +246,7 @@ impl BlockBuilder {
     /// Walk the SPJ region of `plan`, accumulating sources and constraints;
     /// returns the visible-name environment at this node.
     fn walk(&mut self, catalog: &Catalog, plan: &PlanRef) -> Result<Env, String> {
-        match plan.as_ref() {
+        match plan.node() {
             PlanNode::TableScan { table, alias } => {
                 if alias.is_empty() {
                     return Err(format!("unresolved view scan `{table}`"));
@@ -383,7 +383,7 @@ fn resolve_expr(e: &Expr, env: &Env) -> Result<Expr, String> {
 }
 
 fn normalize_plan(catalog: &Catalog, plan: &PlanRef) -> Result<Block, String> {
-    match plan.as_ref() {
+    match plan.node() {
         PlanNode::Aggregate {
             input,
             group_by,

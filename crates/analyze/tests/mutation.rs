@@ -15,7 +15,6 @@
 use av_analyze::{prove_rewrite, Verdict};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
 use av_plan::{find_subtree, AggExpr, CmpOp, Expr, JoinType, PlanNode, PlanRef, Value};
-use std::sync::Arc;
 
 /// Every (original, rewritten) pair the analyzer induces on JOB, plus the
 /// view store needed to resolve `__view_N` scans.
@@ -71,7 +70,7 @@ fn resolver(views: &ViewStore) -> impl Fn(&str) -> Option<PlanRef> + '_ {
 /// Apply `f` to every node (bottom-up rebuild); `hit` records whether any
 /// node was actually changed.
 fn map_plan(plan: &PlanRef, f: &dyn Fn(PlanNode) -> PlanNode) -> PlanRef {
-    let node = match plan.as_ref() {
+    let node = match plan.node() {
         PlanNode::TableScan { table, alias } => PlanNode::TableScan {
             table: table.clone(),
             alias: alias.clone(),
@@ -105,7 +104,7 @@ fn map_plan(plan: &PlanRef, f: &dyn Fn(PlanNode) -> PlanNode) -> PlanRef {
             aggs: aggs.clone(),
         },
     };
-    Arc::new(f(node))
+    f(node).into_ref()
 }
 
 fn map_expr(e: &Expr, f: &dyn Fn(&Expr) -> Option<Expr>) -> Expr {

@@ -142,8 +142,8 @@ fn main() {
     );
 
     println!(
-        "\n-- estimator residuals ({} recorded, {} retained) --",
-        stats.residuals.recorded, stats.residuals.retained
+        "\n-- estimator residuals ({} recorded) --",
+        stats.residuals.recorded
     );
     let agg_row = |label: String, a: &av_serve::ErrorAggregate| {
         let over_pct = if a.samples > 0 {

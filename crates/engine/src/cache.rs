@@ -5,9 +5,12 @@
 //! re-optimization dry-runs each candidate selection against the window.
 //! Execution is deterministic, so a plan's result only changes when the
 //! catalog changes — and every catalog mutation (table added, view
-//! materialized or dropped) bumps [`Catalog::epoch`]. Caching on
-//! `(plan fingerprint, catalog epoch)` is therefore sound: a stale entry can
-//! never be returned, it simply stops being reachable after the epoch bump.
+//! materialized or dropped) bumps [`Catalog::epoch`]. Results are keyed on
+//! `(plan fingerprint, catalog epoch)`: a stale entry can never be returned,
+//! it simply stops being reachable after the epoch bump. The fingerprint is
+//! a 64-bit hash, so each entry also keeps the plan it was computed for, and
+//! a hit counts only for that plan (the same `Arc`, else a structurally
+//! equal tree); a colliding plan misses and runs itself.
 //!
 //! The cache is interior-mutable (`&self` everywhere) and thread-safe, so
 //! one instance can serve a whole preprocessing pipeline.
@@ -16,7 +19,7 @@ use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
 use crate::meter::Pricing;
-use av_plan::{Fingerprint, PlanNode};
+use av_plan::{Fingerprint, Plan, PlanRef};
 use av_sched::{Mutex, Rank};
 use std::collections::HashMap;
 
@@ -57,8 +60,11 @@ impl CacheStats {
 
 #[derive(Debug, Default)]
 struct CacheState {
-    map: HashMap<(Fingerprint, u64), ExecResult>,
+    /// Each result beside the plan it was computed for.
+    map: HashMap<(Fingerprint, u64), (PlanRef, ExecResult)>,
     stats: CacheStats,
+    /// Lookups whose key held another plan's result (each also a miss).
+    mismatches: u64,
 }
 
 /// One independently locked slice of the cache. Its [`CacheStats`] are the
@@ -139,14 +145,15 @@ impl ExecCache {
 
     /// Execute `plan` against `catalog`, reusing a cached result when this
     /// exact plan already ran at the catalog's current epoch.
-    pub fn run(&self, catalog: &Catalog, plan: &PlanNode) -> Result<ExecResult, EngineError> {
-        self.run_keyed_hit_dop(Fingerprint::of(plan), catalog, plan, None)
+    pub fn run(&self, catalog: &Catalog, plan: &PlanRef) -> Result<ExecResult, EngineError> {
+        self.run_keyed_hit_dop(plan.fingerprint(), catalog, plan, None)
             .map(|(r, _)| r)
     }
 
-    /// [`ExecCache::run`] with the plan's fingerprint already computed
-    /// (callers that hash the plan anyway for request routing avoid a
-    /// second tree walk). Also reports whether the result came from the
+    /// [`ExecCache::run`] under a caller-supplied key: `fingerprint` should
+    /// be `plan`'s (the server passes the routed fingerprint its route memo
+    /// holds), and an entry under it serves `plan` only if it was computed
+    /// for that plan. Also reports whether the result came from the
     /// cache, so serving-layer telemetry can attribute hit/miss per request
     /// without diffing counter snapshots, and takes a per-call
     /// degree-of-parallelism hint for the miss path. `None` is the
@@ -161,12 +168,12 @@ impl ExecCache {
         &self,
         fingerprint: Fingerprint,
         catalog: &Catalog,
-        plan: &PlanNode,
+        plan: &PlanRef,
         dop: Option<usize>,
     ) -> Result<(ExecResult, bool), EngineError> {
         let shard = self.shard_of(fingerprint);
         let key = (fingerprint, catalog.epoch());
-        if let Some(hit) = self.shards[shard].lookup(&key) {
+        if let Some(hit) = self.shards[shard].lookup(&key, plan) {
             return Ok((hit, true));
         }
 
@@ -177,13 +184,20 @@ impl ExecCache {
             exec = exec.with_threads(d.clamp(1, crate::par::default_threads().max(1)));
         }
         let result = exec.run(plan)?;
-        self.shards[shard].insert(key, result.clone(), self.shard_entries);
+        self.shards[shard].insert(key, plan, result.clone(), self.shard_entries);
         Ok((result, false))
     }
 
     /// Execute and return only the cost in dollars (`A_{β,γ}`), cached.
-    pub fn cost(&self, catalog: &Catalog, plan: &PlanNode) -> Result<f64, EngineError> {
+    pub fn cost(&self, catalog: &Catalog, plan: &PlanRef) -> Result<f64, EngineError> {
         Ok(self.run(catalog, plan)?.report.cost_dollars)
+    }
+
+    /// Lookups whose key held a result computed for another plan: a 64-bit
+    /// fingerprint collision, or a caller keying a plan with a fingerprint
+    /// that is not its own. Each ran its own plan as a miss.
+    pub fn mismatches(&self) -> u64 {
+        self.shards.iter().map(|s| s.state.lock().mismatches).sum()
     }
 
     /// Aggregated hit/miss/evict counters across all shards.
@@ -210,10 +224,20 @@ impl ExecCache {
 }
 
 impl CacheShard {
-    /// A clone of the cached result for `key`, counting the hit or miss.
-    fn lookup(&self, key: &(Fingerprint, u64)) -> Option<ExecResult> {
-        let mut state = self.state.lock();
-        let hit = state.map.get(key).cloned();
+    /// A clone of the result cached under `key` for `plan`, counting the
+    /// hit or miss. An entry under `key` computed for another plan is a
+    /// miss, and counted as a mismatch.
+    fn lookup(&self, key: &(Fingerprint, u64), plan: &PlanRef) -> Option<ExecResult> {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let hit = match state.map.get(key) {
+            Some((stored, result)) if Plan::same(stored, plan) => Some(result.clone()),
+            Some(_) => {
+                state.mismatches += 1;
+                None
+            }
+            None => None,
+        };
         match hit {
             Some(_) => state.stats.hits += 1,
             None => state.stats.misses += 1,
@@ -221,16 +245,27 @@ impl CacheShard {
         hit
     }
 
-    /// Store `result` under `key`, first making room when the shard holds
+    /// Store `result` for `plan` under `key` unless the key already holds
+    /// an entry (a concurrent miss's identical result, or another plan's,
+    /// which keeps its slot). Room is made first when the shard holds
     /// `max_entries`: entries from earlier catalog epochs are unreachable
     /// and go first; if the key's own epoch alone fills the cap, the shard
     /// starts over.
-    fn insert(&self, key: (Fingerprint, u64), result: ExecResult, max_entries: usize) {
+    fn insert(
+        &self,
+        key: (Fingerprint, u64),
+        plan: &PlanRef,
+        result: ExecResult,
+        max_entries: usize,
+    ) {
         let mut state = self.state.lock();
+        if state.map.contains_key(&key) {
+            return;
+        }
         let mut shed_bytes = 0u64;
-        if state.map.len() >= max_entries && !state.map.contains_key(&key) {
+        if state.map.len() >= max_entries {
             let before = state.map.len();
-            state.map.retain(|(_, e), v| {
+            state.map.retain(|(_, e), (_, v)| {
                 let keep = *e == key.1;
                 if !keep {
                     shed_bytes += v.report.output_bytes as u64;
@@ -241,14 +276,14 @@ impl CacheShard {
                 shed_bytes += state
                     .map
                     .values()
-                    .map(|v| v.report.output_bytes as u64)
+                    .map(|(_, v)| v.report.output_bytes as u64)
                     .sum::<u64>();
                 state.map.clear();
             }
             state.stats.evictions += (before - state.map.len()) as u64;
             state.stats.evicted_bytes += shed_bytes;
         }
-        state.map.insert(key, result);
+        state.map.insert(key, (plan.clone(), result));
     }
 }
 
@@ -344,6 +379,32 @@ mod tests {
                     evicted_bytes: 0
                 }
             );
+        }
+    }
+
+    #[test]
+    fn a_hit_under_another_plans_fingerprint_runs_the_plan_it_was_given() {
+        let c = catalog();
+        let a = plan();
+        let b = PlanBuilder::scan("t", "a").count_star(&[], "n").build();
+        let direct_b = Executor::new(&c, Pricing::paper_defaults())
+            .run(&b)
+            .expect("direct");
+        for shards in SHARD_COUNTS {
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards);
+            let fp_a = a.fingerprint();
+            let run = |p| cache.run_keyed_hit_dop(fp_a, &c, p, None).expect("runs");
+            run(&a);
+            let (got, hit) = run(&b);
+            assert!(!hit, "a's entry must not answer b");
+            assert_eq!(got.batch, direct_b.batch);
+            assert_eq!(got.report, direct_b.report);
+            assert_eq!(cache.mismatches(), 1);
+            // The first entry keeps its key: a hits, and so does a fresh
+            // `Arc` of the same tree.
+            assert!(run(&a).1);
+            assert!(run(&a.node().clone().into_ref()).1);
+            assert_eq!((cache.stats().hits, cache.stats().misses), (2, 2));
         }
     }
 

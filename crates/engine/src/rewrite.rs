@@ -106,7 +106,7 @@ pub fn rewrite_top_down(
     if let Some(replacement) = replace(plan) {
         return replacement;
     }
-    match plan.as_ref() {
+    match plan.node() {
         PlanNode::TableScan { .. } => plan.clone(),
         PlanNode::Filter { input, predicate } => {
             let new_input = rewrite_top_down(input, replace);

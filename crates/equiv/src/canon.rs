@@ -49,7 +49,7 @@ fn remap_name(name: &str, aliases: &HashMap<String, String>) -> String {
 }
 
 fn rewrite(plan: &PlanRef, aliases: &HashMap<String, String>) -> PlanRef {
-    match plan.as_ref() {
+    match plan.node() {
         PlanNode::TableScan { table, alias } => PlanNode::TableScan {
             table: table.clone(),
             alias: if alias.is_empty() {

@@ -227,7 +227,7 @@ fn nontrivial_subtree_fps(plan: &PlanRef) -> HashSet<Fingerprint> {
         if plan.node_count() >= 2 {
             set.insert(canonical_fingerprint(plan));
         }
-        match plan.as_ref() {
+        match plan.node() {
             PlanNode::TableScan { .. } => {}
             PlanNode::Filter { input, .. }
             | PlanNode::Project { input, .. }

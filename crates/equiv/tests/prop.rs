@@ -51,7 +51,7 @@ proptest! {
     fn canonicalization_preserves_predicate_semantics(pred in arb_pred(), probe in -10i64..10) {
         let plan = PlanBuilder::scan("t", "x").filter(pred.clone()).build();
         let canon = canonicalize(&plan);
-        let PlanNode::Filter { predicate: canon_pred, .. } = canon.as_ref() else {
+        let PlanNode::Filter { predicate: canon_pred, .. } = canon.node() else {
             panic!("the filter survives canonicalization");
         };
         // Same truth value under an arbitrary binding, modulo the alias

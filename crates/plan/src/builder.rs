@@ -39,7 +39,7 @@ impl PlanBuilder {
     /// Add a filter. Consecutive filters are merged into one conjunction so
     /// structurally-equal predicates produce structurally-equal plans.
     pub fn filter(self, predicate: Expr) -> PlanBuilder {
-        let plan = match self.plan.as_ref() {
+        let plan = match self.plan.node() {
             PlanNode::Filter {
                 input,
                 predicate: existing,
@@ -167,7 +167,7 @@ mod tests {
             .filter(Expr::col("a.y").cmp(CmpOp::Gt, Expr::int(2)))
             .build();
         assert_eq!(p.node_count(), 2, "merged filter keeps plan at scan+filter");
-        match p.as_ref() {
+        match p.node() {
             PlanNode::Filter { predicate, .. } => match predicate {
                 Expr::And(v) => assert_eq!(v.len(), 2),
                 other => panic!("expected conjunction, got {other}"),
@@ -181,7 +181,7 @@ mod tests {
         let p = PlanBuilder::scan("t1", "a")
             .join(PlanBuilder::scan("t2", "b"), &[("a.id", "b.id")])
             .build();
-        match p.as_ref() {
+        match p.node() {
             PlanNode::Join { on, join_type, .. } => {
                 assert_eq!(on, &[("a.id".to_string(), "b.id".to_string())]);
                 assert_eq!(*join_type, JoinType::Inner);
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn count_star_emits_count_aggregate() {
         let p = PlanBuilder::scan("t", "a").count_star(&["a.k"], "cnt").build();
-        match p.as_ref() {
+        match p.node() {
             PlanNode::Aggregate { group_by, aggs, .. } => {
                 assert_eq!(group_by, &["a.k".to_string()]);
                 assert_eq!(aggs[0].output, "cnt");

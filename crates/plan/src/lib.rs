@@ -38,7 +38,7 @@ pub use check::check_structure;
 pub use error::PlanError;
 pub use expr::{AggExpr, AggFunc, CmpOp, Expr};
 pub use features::{plan_feature_rows, FeatureRow, Token};
-pub use node::{JoinType, PlanNode, PlanRef, ProjExpr};
+pub use node::{JoinType, Plan, PlanNode, PlanRef, ProjExpr};
 pub use parser::{parse_query, ParseError};
 pub use subquery::{
     common_subtree_exists, enumerate_subqueries, find_subtree, is_subquery_root, Fingerprint,

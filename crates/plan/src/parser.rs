@@ -701,10 +701,10 @@ mod tests {
         )
         .expect("parses");
         // Expected shape: Project → Join → (Filter→Scan, Filter→Scan)
-        if let PlanNode::Project { input, .. } = plan.as_ref() {
-            if let PlanNode::Join { left, right, .. } = input.as_ref() {
-                assert!(matches!(left.as_ref(), PlanNode::Filter { .. }));
-                assert!(matches!(right.as_ref(), PlanNode::Filter { .. }));
+        if let PlanNode::Project { input, .. } = plan.node() {
+            if let PlanNode::Join { left, right, .. } = input.node() {
+                assert!(matches!(left.node(), PlanNode::Filter { .. }));
+                assert!(matches!(right.node(), PlanNode::Filter { .. }));
                 return;
             }
         }
@@ -717,8 +717,8 @@ mod tests {
             "select a.x from t1 a join t2 b on a.id = b.id where a.x > b.y",
         )
         .expect("parses");
-        if let PlanNode::Project { input, .. } = plan.as_ref() {
-            assert!(matches!(input.as_ref(), PlanNode::Filter { .. }));
+        if let PlanNode::Project { input, .. } = plan.node() {
+            assert!(matches!(input.node(), PlanNode::Filter { .. }));
         } else {
             panic!("expected project root");
         }
@@ -727,13 +727,13 @@ mod tests {
     #[test]
     fn select_star_produces_no_project() {
         let plan = parse_query("select * from t1 a where a.x = 1").expect("parses");
-        assert!(matches!(plan.as_ref(), PlanNode::Filter { .. }));
+        assert!(matches!(plan.node(), PlanNode::Filter { .. }));
     }
 
     #[test]
     fn aggregate_without_group_by() {
         let plan = parse_query("select count(*) as n from t a").expect("parses");
-        match plan.as_ref() {
+        match plan.node() {
             PlanNode::Aggregate { group_by, aggs, .. } => {
                 assert!(group_by.is_empty());
                 assert_eq!(aggs[0].output, "n");

@@ -69,7 +69,7 @@ fn walk(plan: &PlanRef, depth: usize, out: &mut Vec<ExtractedSubquery>) {
             depth,
         });
     }
-    match plan.as_ref() {
+    match plan.node() {
         PlanNode::TableScan { .. } => {}
         PlanNode::Filter { input, .. }
         | PlanNode::Project { input, .. }

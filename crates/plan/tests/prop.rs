@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn fingerprint_is_stable_and_clone_invariant(plan in arb_plan()) {
         let fp1 = Fingerprint::of(&plan);
-        let fp2 = Fingerprint::of(&plan.as_ref().clone().into_ref());
+        let fp2 = Fingerprint::of(&plan.node().clone().into_ref());
         prop_assert_eq!(fp1, fp2);
     }
 

@@ -11,7 +11,7 @@
 
 use av_engine::{Catalog, MaterializedView};
 use av_online::{route_through_views, ViewIndex};
-use av_plan::{Fingerprint, PlanRef};
+use av_plan::{Fingerprint, Plan, PlanRef};
 use av_sched::{Mutex, Rank, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,14 +26,27 @@ const ROUTE_MEMO_SHARDS: usize = 8;
 /// unaffected — `route` recomputes).
 const ROUTE_MEMO_CAP_PER_SHARD: usize = 4096;
 
-/// One route-memo shard: original-plan fingerprint → (routed plan, subtree
-/// hits, routed-plan fingerprint), plus the shard's own hit and miss counts,
-/// kept under the shard lock every lookup already takes.
+/// One memoized route: the plan as submitted, kept so a lookup can check
+/// that the entry under its fingerprint is its own, and what routing it
+/// gave.
+#[derive(Debug)]
+struct Route {
+    submitted: PlanRef,
+    routed: PlanRef,
+    hits: usize,
+    routed_fp: Fingerprint,
+}
+
+/// One route-memo shard: submitted-plan fingerprint → [`Route`], plus the
+/// shard's own counts, kept under the shard lock every lookup already
+/// takes.
 #[derive(Debug, Default)]
 struct RouteMemo {
-    routes: HashMap<u64, (PlanRef, usize, Fingerprint)>,
+    routes: HashMap<u64, Route>,
     hits: u64,
     misses: u64,
+    /// Lookups whose key held another plan's route (each also a miss).
+    mismatches: u64,
 }
 
 /// What the preflight gate did: how many sample queries routed through a
@@ -71,12 +84,12 @@ pub struct Deployment {
     /// the read path. Feeds the estimator-residual telemetry stream.
     estimates: Vec<(Fingerprint, f64, Fingerprint)>,
     /// Memoized `route` results (routed plan, subtree hits, routed
-    /// fingerprint) keyed by the *original* plan's fingerprint. Sound
-    /// because the deployment is immutable: the catalog and view set are
-    /// frozen, so a plan's rewrite can never change within one epoch — a
-    /// swap publishes a fresh deployment with an empty memo. Turns the
-    /// per-request tree rewrite + rehash into a hash lookup on the warm
-    /// path.
+    /// fingerprint) keyed by the *original* plan's fingerprint, each beside
+    /// the plan it was stored for. Sound because the deployment is
+    /// immutable: the catalog and view set are frozen, so a plan's rewrite
+    /// can never change within one epoch — a swap publishes a fresh
+    /// deployment with an empty memo. Turns the per-request tree rewrite
+    /// into a hash lookup on the warm path.
     route_memo: Vec<Mutex<RouteMemo>>,
 }
 
@@ -159,32 +172,38 @@ impl Deployment {
         route_through_views(&self.catalog, &self.index, plan)
     }
 
-    /// [`Deployment::route`] memoized on the submitted plan's fingerprint,
-    /// also caching the routed plan's own fingerprint (the result-cache
-    /// key). The snapshot is frozen, so a memoized rewrite is exact for
-    /// the life of this deployment; the serving hot path uses this to
-    /// avoid re-walking and re-hashing the plan tree on every request for
-    /// the same query.
+    /// [`Deployment::route`] memoized under the submitted plan's
+    /// fingerprint `plan_fp`, also caching the routed plan's own
+    /// fingerprint (the result-cache key). The snapshot is frozen, so a
+    /// memoized rewrite is exact for the life of this deployment. A hit
+    /// counts only if the entry was stored for `plan` (the same `Arc`,
+    /// else a structurally equal tree): under a colliding fingerprint,
+    /// `plan` is routed afresh, and the entry already there keeps its key.
     pub fn route_memo(&self, plan_fp: Fingerprint, plan: &PlanRef) -> (PlanRef, usize, Fingerprint) {
         let shard = &self.route_memo[(plan_fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
         {
-            let mut memo = shard.lock();
-            if let Some(hit) = memo.routes.get(&plan_fp.0).cloned() {
-                memo.hits += 1;
-                return hit;
+            let mut guard = shard.lock();
+            let memo = &mut *guard;
+            match memo.routes.get(&plan_fp.0) {
+                Some(r) if Plan::same(&r.submitted, plan) => {
+                    memo.hits += 1;
+                    return (r.routed.clone(), r.hits, r.routed_fp);
+                }
+                Some(_) => memo.mismatches += 1,
+                None => {}
             }
             memo.misses += 1;
         }
         let (routed, hits) = self.route(plan);
-        let routed_fp = if hits == 0 {
-            plan_fp
-        } else {
-            Fingerprint::of(&routed)
-        };
+        let routed_fp = routed.fingerprint();
         let mut memo = shard.lock();
         if memo.routes.len() < ROUTE_MEMO_CAP_PER_SHARD {
-            memo.routes
-                .insert(plan_fp.0, (routed.clone(), hits, routed_fp));
+            memo.routes.entry(plan_fp.0).or_insert_with(|| Route {
+                submitted: plan.clone(),
+                routed: routed.clone(),
+                hits,
+                routed_fp,
+            });
         }
         (routed, hits, routed_fp)
     }
@@ -198,6 +217,16 @@ impl Deployment {
                 let memo = shard.lock();
                 (hits + memo.hits, misses + memo.misses)
             })
+    }
+
+    /// Route-memo lookups whose key held another plan's route: a 64-bit
+    /// fingerprint collision, or a caller keying a plan with a fingerprint
+    /// that is not its own. Each was routed afresh and counted as a miss.
+    pub fn route_memo_mismatches(&self) -> u64 {
+        self.route_memo
+            .iter()
+            .map(|shard| shard.lock().mismatches)
+            .sum()
     }
 
     /// Preflight the snapshot before it may be published: every view's
@@ -357,6 +386,25 @@ mod tests {
         let (_, none_hits, none_fp) = dep.route_memo(cold_fp, &cold);
         assert_eq!(none_hits, 0);
         assert_eq!(none_fp, cold_fp);
+    }
+
+    #[test]
+    fn a_memo_hit_under_another_plans_fingerprint_routes_the_plan_it_was_given() {
+        let (dep, sub) = deployment_with_view();
+        let a = PlanBuilder::from_plan(sub).count_star(&[], "c").build();
+        let b = PlanBuilder::scan("t", "b").count_star(&[], "n").build();
+        let fp_a = a.fingerprint();
+        let (_, a_hits, a_routed_fp) = dep.route_memo(fp_a, &a);
+        assert_eq!(a_hits, 1, "a goes through the view");
+        let (b_direct, b_hits) = dep.route(&b);
+        let (routed, hits, routed_fp) = dep.route_memo(fp_a, &b);
+        assert_eq!((hits, &routed), (b_hits, &b_direct), "b's own route");
+        assert_eq!(routed_fp, Fingerprint::of(&b_direct));
+        assert_eq!(dep.route_memo_mismatches(), 1);
+        // a's entry keeps its key: a fresh `Arc` of the same tree hits it.
+        let fresh = a.node().clone().into_ref();
+        assert_eq!(dep.route_memo(fp_a, &fresh).2, a_routed_fp);
+        assert_eq!(dep.route_memo_stats(), (1, 2));
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub fn perturb_literal(plan: &PlanRef, rng: &mut ChaCha8Rng) -> PlanRef {
 
 /// Structural map over a plan's filter predicates.
 fn rewrite(plan: &PlanRef, subst: &mut dyn FnMut(&Expr) -> Option<Expr>) -> PlanRef {
-    match plan.as_ref() {
+    match plan.node() {
         PlanNode::TableScan { .. } => plan.clone(),
         PlanNode::Filter { input, predicate } => PlanNode::Filter {
             input: rewrite(input, subst),
