@@ -23,18 +23,17 @@
 //!    (`crates/analyze/unwrap-baseline.txt`).
 //! 4. **unsafe-scope** — the `unsafe` keyword (and `allow(unsafe_code)`
 //!    opt-ins) anywhere except the audited allowlist
-//!    (`UNSAFE_ALLOWED_FILES`): `av-nn`'s SIMD kernels and `av-sched`'s
-//!    task pointer.
+//!    (`UNSAFE_ALLOWED_FILES`): `av-nn`'s SIMD kernels.
 //!    `forbid`/`deny(unsafe_code)` attributes are of course fine —
 //!    the rule exists precisely so those stay the default everywhere else.
 //! 5. **raw-spawn** — `thread::spawn`, `thread::scope`, or
-//!    `thread::Builder` in library code. Query-time parallelism goes
-//!    through `av-sched`'s shared morsel pool; ad-hoc OS threads bypass its
-//!    per-job DOP cap and its telemetry, and re-introduce the per-query
-//!    spawn overhead the pool exists to amortize. Binaries and
-//!    test code are exempt (same carve-outs as `wall-clock`), plus a short
-//!    allowlist (`RAW_SPAWN_ALLOWED_FILES`): the scheduler's own worker
-//!    threads and the load generator's closed-loop clients.
+//!    `thread::Builder` in library code. A query runs on the thread that
+//!    submits it; intra-query parallelism won no end-to-end number at 2
+//!    cores, and a library that starts its own threads competes with its
+//!    callers' for the same cores. Binaries and test code are exempt (same
+//!    carve-outs as `wall-clock`), plus a one-file allowlist
+//!    (`RAW_SPAWN_ALLOWED_FILES`): the load generator's closed-loop
+//!    clients.
 //!
 //! Test code is skipped: everything below a `#[cfg(test)]` attribute, and
 //! any path containing a `tests` or `benches` directory.
@@ -111,8 +110,7 @@ fn is_wall_clock_allowed_file(file: &str) -> bool {
 
 /// Raw OS-thread entry points, assembled from pieces like the patterns
 /// above so the scanner does not trip on its own source. `thread::Builder`
-/// is included: it is the same capability with a name attached, and the
-/// pool's workers (the one sanctioned user) live on the allowlist anyway.
+/// is included: it is the same capability with a name attached.
 fn raw_spawn_patterns() -> &'static [String; 3] {
     static PATTERNS: std::sync::OnceLock<[String; 3]> = std::sync::OnceLock::new();
     PATTERNS.get_or_init(|| {
@@ -125,18 +123,12 @@ fn raw_spawn_patterns() -> &'static [String; 3] {
 }
 
 /// Library files allowed to start OS threads directly. The whole scope of
-/// the exemption — everywhere else, parallel work goes through the shared
-/// `av-sched` pool, so adding a file here is a reviewed decision.
-///
-/// `crates/sched/src/pool.rs`: the pool itself — its persistent workers
-/// are the threads everything else borrows.
+/// the exemption — everywhere else, library code runs on its caller's
+/// thread, so adding a file here is a reviewed decision.
 ///
 /// `crates/serve/src/loadgen.rs`: closed-loop load-generator clients model
-/// independent *sessions*, not query-internal parallelism; running them on
-/// the pool would have the system under test share threads with the load
-/// that is measuring it.
-const RAW_SPAWN_ALLOWED_FILES: [&str; 2] =
-    ["crates/sched/src/pool.rs", "crates/serve/src/loadgen.rs"];
+/// independent *sessions*, each a thread of its own, as real clients are.
+const RAW_SPAWN_ALLOWED_FILES: [&str; 1] = ["crates/serve/src/loadgen.rs"];
 
 fn is_raw_spawn_allowed_file(file: &str) -> bool {
     RAW_SPAWN_ALLOWED_FILES
@@ -177,12 +169,7 @@ fn unsafe_rule_name() -> &'static str {
 /// are inherently `unsafe fn`; the module confines them behind safe
 /// dispatchers whose slice-length `debug_assert`s state the contract, and
 /// the property suite pins them bitwise to safe scalar references.
-///
-/// `crates/sched/src/task.rs`: the pool's lifetime-erased task pointer
-/// (one transmute to `'static`, sound because `Pool::run` blocks on the
-/// completion latch before the borrow ends). The module doc states the
-/// invariant; everything else in `av-sched` stays `deny`-clean.
-const UNSAFE_ALLOWED_FILES: [&str; 2] = ["crates/nn/src/simd.rs", "crates/sched/src/task.rs"];
+const UNSAFE_ALLOWED_FILES: [&str; 1] = ["crates/nn/src/simd.rs"];
 
 fn is_unsafe_allowed_file(file: &str) -> bool {
     UNSAFE_ALLOWED_FILES
@@ -383,7 +370,7 @@ pub fn lint_source(file: &str, src: &str) -> Vec<LintFinding> {
                 rule: unsafe_rule_name(),
                 message: format!(
                     "{} code outside the audited allowlist; keep it confined to \
-                     the listed kernel/scheduler modules or extend \
+                     the listed kernel modules or extend \
                      UNSAFE_ALLOWED_FILES in review",
                     unsafe_keyword()
                 ),
@@ -409,10 +396,9 @@ pub fn lint_source(file: &str, src: &str) -> Vec<LintFinding> {
                     line: i + 1,
                     rule: "raw-spawn",
                     message: format!(
-                        "{pat} in library code bypasses the shared av-sched pool \
-                         (per-job DOP cap, steal/queue telemetry, amortized spawn cost); \
-                         submit morsels via av_sched::global().run or extend \
-                         RAW_SPAWN_ALLOWED_FILES in review"
+                        "{pat} in library code starts threads behind its caller's back; \
+                         run the work on the calling thread, move the spawn into a \
+                         binary, or extend RAW_SPAWN_ALLOWED_FILES in review"
                     ),
                 });
             }
@@ -718,16 +704,16 @@ fn f(m: HashMap<String, u32>) -> HashMap<String, u32> {
     fn unsafe_scope_allowlist_is_exactly_the_audited_modules() {
         let kw = unsafe_keyword();
         let src = format!("{kw} fn kernel() {{}}\n");
-        for allowed in ["crates/nn/src/simd.rs", "crates/sched/src/task.rs"] {
-            assert!(lint_source(allowed, &src).is_empty(), "{allowed}");
-            assert!(lint_source(&format!("/abs/repo/{allowed}"), &src).is_empty());
-        }
+        let allowed = "crates/nn/src/simd.rs";
+        assert!(lint_source(allowed, &src).is_empty(), "{allowed}");
+        assert!(lint_source(&format!("/abs/repo/{allowed}"), &src).is_empty());
         // No leaking to sibling files, binaries, or similarly named paths.
         for file in [
             "crates/nn/src/tensor.rs",
             "crates/bench/src/bin/nn_bench.rs",
             "crates/engine/src/simd.rs",
-            "crates/sched/src/pool.rs",
+            "crates/sched/src/task.rs",
+            "crates/sched/src/rank.rs",
             "crates/trace/src/span.rs",
             "crates/trace/src/clock.rs",
         ] {
@@ -756,15 +742,14 @@ fn f(m: HashMap<String, u32>) -> HashMap<String, u32> {
     }
 
     #[test]
-    fn raw_spawn_allowlist_is_the_pool_and_the_load_generator() {
+    fn raw_spawn_allowlist_is_the_load_generator() {
         let src = format!("fn f() {{ std::thread{}(work); }}\n", "::spawn");
-        for allowed in ["crates/sched/src/pool.rs", "crates/serve/src/loadgen.rs"] {
-            assert!(lint_source(allowed, &src).is_empty(), "{allowed}");
-            assert!(lint_source(&format!("/abs/repo/{allowed}"), &src).is_empty());
-        }
+        let allowed = "crates/serve/src/loadgen.rs";
+        assert!(lint_source(allowed, &src).is_empty(), "{allowed}");
+        assert!(lint_source(&format!("/abs/repo/{allowed}"), &src).is_empty());
         // The exemption does not leak to sibling files or lookalike paths.
         for file in [
-            "crates/sched/src/task.rs",
+            "crates/sched/src/pool.rs",
             "crates/serve/src/server.rs",
             "crates/engine/src/par.rs",
             "crates/online/src/loadgen.rs",

@@ -1,19 +1,10 @@
-//! Executor micro-benchmark, three gated sections:
+//! Executor micro-benchmark, two gated sections:
 //!
 //! - **micro** — rows/sec for filter / aggregate micro-ops over JOB-scale
 //!   tables, interpreted reference kernels vs the default selection-vector +
-//!   typed-kernel path. The micro tables sit *below* the 16k-row parallel
-//!   cutover on purpose: that regime gets no help from threading, so
-//!   whatever the typed kernels buy is exactly what a small-batch query
-//!   feels. Each micro asserts the two paths produce bitwise-identical
-//!   batches and execution reports, and the bench fails if any optimized
-//!   micro is slower than its reference.
-//! - **spawn** — the same plan at 8k–64k rows through the serial path and
-//!   the shared av-sched pool (parallelism forced on via a zero `min_rows`
-//!   so the sub-cutover sizes are measured too), bitwise-equal. On
-//!   multi-core hosts the pooled path must be profitable (≥1.0x vs serial)
-//!   from 16k rows up — the measurement `PAR_MIN_ROWS` = 16_384 rests on.
-//!   Single-core hosts report the numbers but skip the gate.
+//!   typed-kernel path. Each micro asserts the two paths produce
+//!   bitwise-identical batches and execution reports, and the bench fails if
+//!   any optimized micro is slower than its reference.
 //! - **cache** — the plan-result cache's hit-rate and speedup on a cold then
 //!   warm replay of the full JOB workload.
 //!
@@ -22,11 +13,9 @@
 //!
 //! Knobs: `AV_JOB_SCALE` (table scale, default 0.05), `AV_EXEC_SCALE`
 //! (extra multiplier for the micro tables, default 20 — at the defaults the
-//! fact table lands at 12k rows, under the cutover), `AV_EXEC_REPS`
-//! (default 20), `AV_EXEC_THREADS` (pooled thread count on the spawn ladder,
-//! default 4), `AV_SEED`.
+//! fact table lands at 12k rows), `AV_EXEC_REPS` (default 20), `AV_SEED`.
 
-use av_bench::{render_table, BenchConfig};
+use av_bench::{knob, render_table, BenchConfig};
 use av_engine::{ExecCache, Executor, Pricing};
 use av_plan::{AggExpr, AggFunc, CmpOp, Expr, PlanBuilder, PlanRef};
 use av_workload::job::job_workload;
@@ -47,17 +36,6 @@ struct MicroResult {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct SpawnResult {
-    /// Fact-table rows driven through the plan.
-    rows: usize,
-    serial_rows_per_sec: f64,
-    /// Through the shared av-sched pool.
-    pooled_rows_per_sec: f64,
-    /// serial time / pooled time (>1: parallelism profitable at this size).
-    pooled_speedup: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct CacheResult {
     queries: usize,
     cold_seconds: f64,
@@ -71,24 +49,10 @@ struct ExecBenchReport {
     job_scale: f64,
     exec_scale: f64,
     reps: usize,
-    /// Pooled thread count on the spawn ladder (`AV_EXEC_THREADS`).
-    threads: usize,
-    /// Serial-fallback cutover: batches under this many rows never go
-    /// parallel (see `av_engine::par::PAR_MIN_ROWS`).
-    par_min_rows: usize,
-    /// Host cores (`available_parallelism`); the spawn gate only applies
-    /// when this is > 1.
+    /// Host cores (`available_parallelism`); each run uses one.
     cores: usize,
     micro: Vec<MicroResult>,
-    spawn: Vec<SpawnResult>,
     cache: CacheResult,
-}
-
-fn envf(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Interleaved best-of-reps wall times for `plan` under two executors.
@@ -119,9 +83,8 @@ fn main() {
         av_analyze::install_engine_gate();
     }
     let cfg = BenchConfig::from_env();
-    let exec_scale = envf("AV_EXEC_SCALE", 20.0);
-    let reps = envf("AV_EXEC_REPS", 20.0) as usize;
-    let threads = envf("AV_EXEC_THREADS", 4.0) as usize;
+    let exec_scale = knob("AV_EXEC_SCALE", 20.0);
+    let reps = knob("AV_EXEC_REPS", 20usize);
     let pricing = Pricing::paper_defaults();
 
     // Micro tables: the JOB schema scaled up so every batch dwarfs the
@@ -182,16 +145,9 @@ fn main() {
         ("aggregate", cast_rows, aggregate),
         ("filter_agg", cast_rows, filter_agg),
     ];
-    assert!(
-        cast_rows < av_engine::par::PAR_MIN_ROWS,
-        "micro tables must sit below the parallel cutover ({cast_rows} rows); \
-         lower AV_EXEC_SCALE"
-    );
 
-    let reference = Executor::new(&micro_w.catalog, pricing)
-        .with_threads(1)
-        .with_reference_kernels(true);
-    let optimized = Executor::new(&micro_w.catalog, pricing).with_threads(1);
+    let reference = Executor::new(&micro_w.catalog, pricing).with_reference_kernels(true);
+    let optimized = Executor::new(&micro_w.catalog, pricing);
     let mut micro = Vec::with_capacity(micros.len());
     for (op, rows, plan) in &micros {
         // Both paths must agree bitwise — batch *and* cost report — before
@@ -207,44 +163,6 @@ fn main() {
             reference_rows_per_sec: *rows as f64 / tr,
             optimized_rows_per_sec: *rows as f64 / to,
             speedup: tr / to,
-        });
-    }
-
-    // Spawn-overhead ladder: one filter+aggregate plan at 8k..64k fact rows,
-    // serial vs pooled, parallelism forced on (min_rows 0) so the
-    // sub-cutover sizes are measured rather than short-circuited. Both must
-    // agree bitwise before speed means anything — this is the determinism
-    // contract the pool is built around.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cast_base = 12_000.0; // job_workload's cast_info rows at scale 1.0
-    let mut spawn = Vec::new();
-    for target in [8_192usize, 16_384, 32_768, 65_536] {
-        let w = job_workload(target as f64 / cast_base, cfg.seed);
-        let rows = w.catalog.table("cast_info").expect("JOB schema").row_count();
-        let plan = PlanBuilder::scan("cast_info", "c")
-            .filter(Expr::col("c.production_year").cmp(CmpOp::Gt, Expr::int(1990)))
-            .aggregate(&["c.kind_id"], aggs())
-            .build();
-        let serial = Executor::new(&w.catalog, pricing).with_threads(1);
-        let pooled = Executor::new(&w.catalog, pricing)
-            .with_threads(threads)
-            .with_par_min_rows(0);
-        let s = serial.run(&plan).expect("benchmark plan executes");
-        let p = pooled.run(&plan).expect("benchmark plan executes");
-        assert!(
-            s.batch == p.batch,
-            "pooled@{rows}: batch diverged from serial"
-        );
-        assert!(
-            s.report == p.report,
-            "pooled@{rows}: report diverged from serial"
-        );
-        let (serial_t, pooled_t) = time_pair(&serial, &pooled, &plan, reps);
-        spawn.push(SpawnResult {
-            rows,
-            serial_rows_per_sec: rows as f64 / serial_t,
-            pooled_rows_per_sec: rows as f64 / pooled_t,
-            pooled_speedup: serial_t / pooled_t,
         });
     }
 
@@ -276,11 +194,8 @@ fn main() {
         job_scale: cfg.job_scale,
         exec_scale,
         reps,
-        threads,
-        par_min_rows: av_engine::par::PAR_MIN_ROWS,
-        cores,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         micro: micro.clone(),
-        spawn: spawn.clone(),
         cache: cache_result.clone(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -303,25 +218,6 @@ fn main() {
         render_table(
             &["op", "rows", "reference rows/s", "optimized rows/s", "speedup"],
             &rows,
-        )
-    );
-    let spawn_rows: Vec<Vec<String>> = spawn
-        .iter()
-        .map(|s| {
-            vec![
-                s.rows.to_string(),
-                format!("{:.0}", s.serial_rows_per_sec),
-                format!("{:.0}", s.pooled_rows_per_sec),
-                format!("{:.2}x", s.pooled_speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "\nspawn overhead ({cores} core(s), {threads} threads, cutover {} rows):\n{}",
-        av_engine::par::PAR_MIN_ROWS,
-        render_table(
-            &["rows", "serial rows/s", "pooled rows/s", "pooled speedup"],
-            &spawn_rows,
         )
     );
     println!(
@@ -352,20 +248,4 @@ fn main() {
         cache_result.speedup > 1.0,
         "cache hits must be cheaper than execution"
     );
-    // Cutover gate: the shared pool must make parallelism profitable from
-    // the 16k-row cutover up — the measurement `PAR_MIN_ROWS = 16_384`
-    // rests on. Only meaningful with real cores to win on.
-    if cores > 1 {
-        for s in spawn.iter().filter(|s| s.rows >= 16_000) {
-            assert!(
-                s.pooled_speedup >= 1.0,
-                "pooled parallelism unprofitable at {} rows ({:.2}x vs serial); \
-                 the 16_384-row cutover is no longer justified",
-                s.rows,
-                s.pooled_speedup
-            );
-        }
-    } else {
-        println!("single core: spawn-overhead cutover gate skipped (report-only)");
-    }
 }

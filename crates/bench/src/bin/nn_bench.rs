@@ -15,6 +15,7 @@
 //! (`cost.epoch`, `cost.grad_reduce`, `cost.forward_batch`,
 //! `cost.encode_cache` spans) as chrome://tracing JSON.
 
+use av_bench::knob;
 use av_cost::widedeep::{WideDeep, WideDeepConfig};
 use av_cost::{FeatureInput, TableMeta};
 use av_nn::Tensor;
@@ -76,13 +77,6 @@ struct NnBenchReport {
     kernel: Vec<KernelResult>,
     epoch: EpochResult,
     matrix: MatrixResult,
-}
-
-fn envu(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// One distinct view plan per `k`.
@@ -177,11 +171,11 @@ fn main() {
             other => panic!("unknown argument {other:?} (expected --trace-out <path>)"),
         }
     }
-    let queries = envu("AV_NN_QUERIES", 226);
-    let views = envu("AV_NN_VIEWS", 28);
-    let train_n = envu("AV_NN_TRAIN", 96);
-    let epochs = envu("AV_NN_EPOCHS", 8);
-    let reps = envu("AV_NN_REPS", 5).max(1);
+    let queries = knob("AV_NN_QUERIES", 226usize);
+    let views = knob("AV_NN_VIEWS", 28usize);
+    let train_n = knob("AV_NN_TRAIN", 96usize);
+    let epochs = knob("AV_NN_EPOCHS", 8usize);
+    let reps = knob("AV_NN_REPS", 5usize).max(1);
 
     // ---- kernels -----------------------------------------------------------
     let kernel = bench_kernels(reps);
@@ -214,7 +208,7 @@ fn main() {
     // (minimum) time: machine-load noise only ever slows a run down, so the
     // minimum is the most faithful estimate of each path's true cost, and
     // interleaving keeps slow phases from biasing one trainer.
-    let epoch_reps = envu("AV_NN_EPOCH_REPS", 3).max(1);
+    let epoch_reps = knob("AV_NN_EPOCH_REPS", 3usize).max(1);
     let mut reference = f64::INFINITY;
     let mut arena = f64::INFINITY;
     let mut model = None;

@@ -13,7 +13,7 @@
 //! `AV_SERVE_STATS_CLIENTS` (default 8), `AV_SERVE_STATS_REQUESTS`
 //! (default 64 per client).
 
-use av_bench::render_table;
+use av_bench::{knob, render_table};
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;
 use av_serve::{
@@ -23,13 +23,6 @@ use av_serve::{
 use av_workload::cloud::mini;
 use std::time::Duration;
 
-fn envu(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn expect_clean(report: &LoadReport, label: &str) {
     assert_eq!(report.failed, 0, "{label} pass: failed queries");
     assert_eq!(report.rejected, 0, "{label} pass: shed load");
@@ -37,10 +30,10 @@ fn expect_clean(report: &LoadReport, label: &str) {
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
-    let seed = envu("AV_SERVE_SEED", 70);
-    let tenants = envu("AV_SERVE_TENANTS", 4) as usize;
-    let clients = envu("AV_SERVE_STATS_CLIENTS", 8) as usize;
-    let requests = envu("AV_SERVE_STATS_REQUESTS", 64) as usize;
+    let seed = knob("AV_SERVE_SEED", 70u64);
+    let tenants = knob("AV_SERVE_TENANTS", 4usize);
+    let clients = knob("AV_SERVE_STATS_CLIENTS", 8usize);
+    let requests = knob("AV_SERVE_STATS_REQUESTS", 64usize);
 
     let w = mini(seed);
     let plans = w.plans();
@@ -218,31 +211,10 @@ fn main() {
         cache.evicted_bytes
     );
 
-    let pool = server.pool_stats();
     let (memo_hits, memo_misses) = server.current().route_memo_stats();
     let memo_total = memo_hits + memo_misses;
-    println!("\n-- scheduler pool --");
-    print!(
-        "{}",
-        render_table(
-            &[
-                "workers", "active", "queue", "jobs", "tasks", "steals", "busy ms", "p50 us", "p95 us",
-            ],
-            &[vec![
-                pool.workers.to_string(),
-                pool.active_workers.to_string(),
-                pool.queue_depth.to_string(),
-                pool.jobs.to_string(),
-                pool.tasks.to_string(),
-                pool.steals.to_string(),
-                format!("{:.1}", pool.busy_nanos as f64 / 1e6),
-                format!("{:.0}", pool.drain_nanos_p50 as f64 / 1e3),
-                format!("{:.0}", pool.drain_nanos_p95 as f64 / 1e3),
-            ]],
-        )
-    );
     println!(
-        "  route memo: {} hits / {} misses ({:.0}% hit rate)",
+        "\n-- route memo --\n  {} hits / {} misses ({:.0}% hit rate)",
         memo_hits,
         memo_misses,
         if memo_total > 0 {

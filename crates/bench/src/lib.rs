@@ -22,6 +22,9 @@
 //! - `AV_TRAIN_PAIRS` — cap on executed ground-truth pairs (default `400`);
 //! - `AV_SEED` — master seed (default `42`).
 //!
+//! A knob that is set but does not parse as its type (a float scale, an
+//! unsigned count or seed) stops the run with the key and value ([`knob`]).
+//!
 //! Experiments never match the paper's absolute numbers (the substrate is a
 //! simulator); the *shapes* — who wins, where curves peak, which method
 //! converges — are the reproduction target (see EXPERIMENTS.md).
@@ -33,6 +36,7 @@ use av_engine::{Catalog, Pricing};
 use av_ilp::MvsInstance;
 use av_plan::PlanRef;
 use av_workload::{cloud, job::job_workload, Workload};
+use std::str::FromStr;
 
 /// Parsed scale knobs.
 #[derive(Debug, Clone)]
@@ -46,23 +50,41 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// Read configuration from the environment.
+    /// Read configuration from the environment (see [`knob`]).
     pub fn from_env() -> BenchConfig {
-        let f = |k: &str, d: f64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         BenchConfig {
-            job_scale: f("AV_JOB_SCALE", 0.05),
-            wk1_scale: f("AV_WK1_SCALE", 0.01),
-            wk2_scale: f("AV_WK2_SCALE", 0.005),
-            epoch_scale: f("AV_EPOCH_SCALE", 0.2),
-            train_pairs: f("AV_TRAIN_PAIRS", 400.0) as usize,
-            seed: f("AV_SEED", 42.0) as u64,
+            job_scale: knob("AV_JOB_SCALE", 0.05),
+            wk1_scale: knob("AV_WK1_SCALE", 0.01),
+            wk2_scale: knob("AV_WK2_SCALE", 0.005),
+            epoch_scale: knob("AV_EPOCH_SCALE", 0.2),
+            train_pairs: knob("AV_TRAIN_PAIRS", 400),
+            seed: knob("AV_SEED", 42),
         }
     }
+}
+
+/// The bench knob `key` parsed as `T`, or `default` when it is unset.
+///
+/// # Panics
+///
+/// If the variable is set but does not parse as `T`: a typo must not run
+/// the default scale silently.
+pub fn knob<T: FromStr>(key: &str, default: T) -> T {
+    match std::env::var(key) {
+        Ok(raw) => parse_knob(key, &raw),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(std::env::VarError::NotUnicode(raw)) => panic!("{key}={raw:?} is not valid UTF-8"),
+    }
+}
+
+/// [`knob`]'s parse of a value that is set.
+fn parse_knob<T: FromStr>(key: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        panic!(
+            "{key}={raw:?} does not parse as {}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// A fully-measured experiment context: workload, preprocessing, measured
@@ -168,6 +190,30 @@ mod tests {
         let c = BenchConfig::from_env();
         assert!(c.job_scale > 0.0);
         assert!(c.train_pairs > 0);
+    }
+
+    #[test]
+    fn knobs_parse_their_own_type() {
+        assert_eq!(parse_knob::<u64>("AV_SEED", "7"), 7);
+        // Integers do not round-trip through f64: 2^53 + 1 survives.
+        assert_eq!(
+            parse_knob::<u64>("AV_SEED", "9007199254740993"),
+            9_007_199_254_740_993
+        );
+        assert_eq!(parse_knob::<f64>("AV_JOB_SCALE", "0.02"), 0.02);
+        assert_eq!(parse_knob::<usize>("AV_TRAIN_PAIRS", "300"), 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "AV_TRAIN_PAIRS=\"-1\" does not parse as usize")]
+    fn a_negative_count_is_refused() {
+        parse_knob::<usize>("AV_TRAIN_PAIRS", "-1");
+    }
+
+    #[test]
+    #[should_panic(expected = "AV_JOB_SCALE=\"0,05\" does not parse as f64")]
+    fn an_unparseable_scale_is_refused() {
+        parse_knob::<f64>("AV_JOB_SCALE", "0,05");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! equal tree); a colliding plan misses and runs itself.
 //!
 //! The cache is interior-mutable (`&self` everywhere) and thread-safe, so
-//! one instance can serve a whole preprocessing pipeline.
+//! one instance can serve a whole preprocessing pipeline. A miss executes on
+//! the thread that asked; concurrent misses on one key compute the identical
+//! result twice rather than wait on each other.
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
@@ -155,21 +157,16 @@ impl ExecCache {
     /// holds), and an entry under it serves `plan` only if it was computed
     /// for that plan. Also reports whether the result came from the
     /// cache, so serving-layer telemetry can attribute hit/miss per request
-    /// without diffing counter snapshots, and takes a per-call
-    /// degree-of-parallelism hint for the miss path. `None` is the
-    /// executor default, which the serving layer uses; `Some(d)` caps the
-    /// executor at `d` participating threads for *this* execution only,
-    /// never past the pool's worker census. The parameter stays for callers
-    /// that spell `Some(1)` (`pathbench`'s pinned cache-hit probe), as the
-    /// [`ShardedExecCache`] alias does. Results and reports are identical
-    /// for every hint (chunk boundaries never move), so hits and misses
-    /// stay interchangeable.
+    /// without diffing counter snapshots. A miss runs on the calling
+    /// thread. The `_dop` hint is ignored: it stays for callers that spell
+    /// `Some(1)` (`pathbench`'s pinned cache-hit probe), as the
+    /// [`ShardedExecCache`] alias does.
     pub fn run_keyed_hit_dop(
         &self,
         fingerprint: Fingerprint,
         catalog: &Catalog,
         plan: &PlanRef,
-        dop: Option<usize>,
+        _dop: Option<usize>,
     ) -> Result<(ExecResult, bool), EngineError> {
         let shard = self.shard_of(fingerprint);
         let key = (fingerprint, catalog.epoch());
@@ -179,11 +176,7 @@ impl ExecCache {
 
         // Execute outside the lock; concurrent misses on the same key just
         // compute the identical result twice.
-        let mut exec = Executor::new(catalog, self.pricing);
-        if let Some(d) = dop {
-            exec = exec.with_threads(d.clamp(1, crate::par::default_threads().max(1)));
-        }
-        let result = exec.run(plan)?;
+        let result = Executor::new(catalog, self.pricing).run(plan)?;
         self.shards[shard].insert(key, plan, result.clone(), self.shard_entries);
         Ok((result, false))
     }
@@ -414,11 +407,10 @@ mod tests {
         let p = plan();
         let fp = Fingerprint::of(&p);
         let serial = Executor::new(&c, Pricing::paper_defaults())
-            .with_threads(1)
             .run(&p)
             .expect("serial");
-        // A hint far above the pool's worker census is clamped, and every
-        // hint yields the identical batch and report.
+        // The hint is ignored: every hint yields the identical batch and
+        // report.
         for hint in [None, Some(1), Some(2), Some(64)] {
             let cache = ExecCache::new(Pricing::paper_defaults(), 1);
             let (r, hit) = cache.run_keyed_hit_dop(fp, &c, &p, hint).expect("runs");

@@ -14,14 +14,14 @@
 //!   at the next join, computed projection, or the plan root. The old
 //!   materializing mask path survives behind
 //!   [`Executor::with_reference_kernels`] as the bitwise-equal baseline;
-//! - **Deterministic chunked parallelism** — filter evaluation, join probe
-//!   and partial aggregation run over fixed 1024-row chunks
-//!   ([`crate::par`]), with per-chunk results (including any metered
-//!   counts) merged in chunk order so batches *and* [`ExecutionReport`]s
-//!   are bit-identical for every thread count.
+//! - **Deterministic chunking** — filter evaluation, join probe and
+//!   partial aggregation run over fixed 1024-row chunks ([`crate::par`])
+//!   in ascending order on the calling thread, with per-chunk results
+//!   (including any metered counts) merged in chunk order, so batches
+//!   *and* [`ExecutionReport`]s depend on the row count alone.
 //!
-//! All cost charges are analytic functions of row counts applied on the
-//! driving thread, so the meter never observes scheduling order.
+//! All cost charges are analytic functions of row counts, so the meter
+//! never observes timing.
 
 use crate::batch::{Column, RecordBatch};
 use crate::catalog::Catalog;
@@ -46,18 +46,16 @@ pub struct ExecResult {
 pub struct Executor<'a> {
     catalog: &'a Catalog,
     pricing: Pricing,
-    par: par::Par,
     reference_kernels: bool,
 }
 
 impl<'a> Executor<'a> {
-    /// New executor over a catalog with a pricing model, using one worker
-    /// per available core.
+    /// New executor over a catalog with a pricing model. Queries run on
+    /// the calling thread.
     pub fn new(catalog: &'a Catalog, pricing: Pricing) -> Executor<'a> {
         Executor {
             catalog,
             pricing,
-            par: par::Par::auto(),
             reference_kernels: false,
         }
     }
@@ -70,23 +68,6 @@ impl<'a> Executor<'a> {
     /// regression gate both pin this down); only wall-clock differs.
     pub fn with_reference_kernels(mut self, on: bool) -> Executor<'a> {
         self.reference_kernels = on;
-        self
-    }
-
-    /// Override the worker-thread count (1 = fully serial). Results and
-    /// reports are identical for every setting; only wall-clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Executor<'a> {
-        self.par.threads = threads.max(1);
-        self
-    }
-
-    /// Override the serial→parallel row cutover (default
-    /// [`par::PAR_MIN_ROWS`]).
-    /// Batches below the cutover run on the calling thread even when
-    /// workers are available. Results and reports are identical for every
-    /// setting — only scheduling changes — so benchmarks can sweep it.
-    pub fn with_par_min_rows(mut self, min_rows: usize) -> Executor<'a> {
-        self.par.min_rows = min_rows;
         self
     }
 
@@ -118,19 +99,17 @@ impl<'a> Executor<'a> {
             PlanNode::Filter { input, predicate } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_filter_reference(sb.materialize(), predicate, meter, self.par)
-                        .map(SelBatch::dense)
+                    exec_filter_reference(sb.materialize(), predicate, meter).map(SelBatch::dense)
                 } else {
-                    exec_filter_sel(sb, predicate, meter, self.par)
+                    exec_filter_sel(sb, predicate, meter)
                 }
             }
             PlanNode::Project { input, exprs } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_project_reference(sb.materialize(), exprs, meter, self.par)
-                        .map(SelBatch::dense)
+                    exec_project_reference(sb.materialize(), exprs, meter).map(SelBatch::dense)
                 } else {
-                    exec_project_sel(sb, exprs, meter, self.par)
+                    exec_project_sel(sb, exprs, meter)
                 }
             }
             PlanNode::Join {
@@ -143,7 +122,7 @@ impl<'a> Executor<'a> {
                 // dense batches.
                 let lb = self.exec(left, meter)?.materialize();
                 let rb = self.exec(right, meter)?.materialize();
-                exec_join(lb, rb, on, *join_type, meter, self.par).map(SelBatch::dense)
+                exec_join(lb, rb, on, *join_type, meter).map(SelBatch::dense)
             }
             PlanNode::Aggregate {
                 input,
@@ -152,10 +131,10 @@ impl<'a> Executor<'a> {
             } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_aggregate_reference(sb.materialize(), group_by, aggs, meter, self.par)
+                    exec_aggregate_reference(sb.materialize(), group_by, aggs, meter)
                         .map(SelBatch::dense)
                 } else {
-                    exec_aggregate_sel(sb, group_by, aggs, meter, self.par).map(SelBatch::dense)
+                    exec_aggregate_sel(sb, group_by, aggs, meter).map(SelBatch::dense)
                 }
             }
         }
@@ -353,14 +332,13 @@ fn exec_filter_reference(
     batch: RecordBatch,
     predicate: &Expr,
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<RecordBatch, EngineError> {
     let bound = BoundExpr::bind(predicate, &batch)?;
     let rows = batch.num_rows();
     let pred_weight = predicate.referenced_columns().len().max(1) * 2;
     meter.charge_rows(rows, pred_weight);
 
-    let chunk_masks = par::map_chunks(rows, par, |_, range| {
+    let chunk_masks = par::map_chunks(rows, |_, range| {
         range
             .map(|i| bound.eval_bool(&batch, i))
             .collect::<Vec<bool>>()
@@ -389,7 +367,6 @@ fn exec_filter_sel(
     sb: SelBatch,
     predicate: &Expr,
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<SelBatch, EngineError> {
     let bound = BoundExpr::bind(predicate, &sb.batch)?;
     let rows = sb.num_rows();
@@ -406,8 +383,8 @@ fn exec_filter_sel(
     // path chunking the materialized batch, so anything order-sensitive
     // downstream (f64 partial sums) sees the same grouping.
     let chunk_sels: Vec<Vec<u32>> = match &sb.sel {
-        None => par::map_chunks(rows, par, |_, range| pred.eval_dense(&sb.batch, range)),
-        Some(s) => par::map_chunks(rows, par, |_, range| pred.eval_sel(&sb.batch, &s[range])),
+        None => par::map_chunks(rows, |_, range| pred.eval_dense(&sb.batch, range)),
+        Some(s) => par::map_chunks(rows, |_, range| pred.eval_sel(&sb.batch, &s[range])),
     };
     let mut sel = Vec::with_capacity(chunk_sels.iter().map(Vec::len).sum());
     for c in chunk_sels {
@@ -429,7 +406,6 @@ fn exec_project_reference(
     batch: RecordBatch,
     exprs: &[av_plan::ProjExpr],
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<RecordBatch, EngineError> {
     let rows = batch.num_rows();
     meter.charge_rows(rows, exprs.len().max(1));
@@ -448,10 +424,8 @@ fn exec_project_reference(
                 let bound = BoundExpr::bind(expr, &batch)?;
                 // Computed column: evaluate per row; infer output type from
                 // the first row (empty input defaults to Float).
-                let chunk_vals = par::map_chunks(rows, par, |_, range| {
-                    range
-                        .map(|i| bound.eval(&batch, i))
-                        .collect::<Vec<Value>>()
+                let chunk_vals = par::map_chunks(rows, |_, range| {
+                    range.map(|i| bound.eval(&batch, i)).collect::<Vec<Value>>()
                 });
                 let mut vals = Vec::with_capacity(rows);
                 for v in chunk_vals {
@@ -476,7 +450,6 @@ fn exec_project_sel(
     sb: SelBatch,
     exprs: &[av_plan::ProjExpr],
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<SelBatch, EngineError> {
     let forwarding = exprs.iter().all(|p| matches!(&p.expr, Expr::Column(_)));
     if let (Some(sel), true) = (&sb.sel, forwarding) {
@@ -496,7 +469,7 @@ fn exec_project_sel(
         meter.free_bytes(in_bytes);
         return Ok(SelBatch::dense(out));
     }
-    exec_project_reference(sb.materialize(), exprs, meter, par).map(SelBatch::dense)
+    exec_project_reference(sb.materialize(), exprs, meter).map(SelBatch::dense)
 }
 
 fn values_to_column(vals: &[Value]) -> Column {
@@ -550,7 +523,6 @@ fn exec_join(
     on: &[(String, String)],
     join_type: JoinType,
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<RecordBatch, EngineError> {
     let lkeys: Vec<usize> = on
         .iter()
@@ -609,7 +581,7 @@ fn exec_join(
             let table_bytes =
                 table.len() * 48 + build_rows * 8 + codes.len() * 8 + interner.approx_bytes();
 
-            let chunk_pairs = par::map_chunks(probe_rows, par, |_, range| {
+            let chunk_pairs = par::map_chunks(probe_rows, |_, range| {
                 let mut pi: Vec<usize> = Vec::new();
                 let mut bi: Vec<usize> = Vec::new();
                 for i in range {
@@ -755,7 +727,6 @@ fn exec_aggregate_reference(
     group_by: &[String],
     aggs: &[av_plan::AggExpr],
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<RecordBatch, EngineError> {
     let gidx: Vec<usize> = group_by
         .iter()
@@ -783,9 +754,8 @@ fn exec_aggregate_reference(
     let codes = keys::encode_rows(&kcols, rows, &mut interner);
 
     // Chunked partial aggregation, merged in chunk order: group order is
-    // global first-seen order and float sums accumulate identically for
-    // every thread count.
-    let partials = par::map_chunks(rows, par, |_, range| {
+    // global first-seen order and float sums accumulate in a fixed order.
+    let partials = par::map_chunks(rows, |_, range| {
         let mut slot_of: keys::CodeMap<u64, usize> = keys::CodeMap::default();
         let mut agg = ChunkAgg {
             order: Vec::new(),
@@ -872,7 +842,6 @@ fn exec_aggregate_sel(
     group_by: &[String],
     aggs: &[av_plan::AggExpr],
     meter: &mut CostMeter,
-    par: par::Par,
 ) -> Result<RecordBatch, EngineError> {
     let batch = &sb.batch;
     let gidx: Vec<usize> = group_by
@@ -916,7 +885,7 @@ fn exec_aggregate_sel(
         keys::encode_rows(&kcols, rows, &mut interner)
     };
 
-    let partials = par::map_chunks(rows, par, |_, range| {
+    let partials = par::map_chunks(rows, |_, range| {
         let mut slot_of: keys::CodeMap<u64, usize> = keys::CodeMap::default();
         let mut agg = ChunkAgg {
             order: Vec::new(),
@@ -1560,81 +1529,5 @@ mod tests {
         let b = run(&c, &plan);
         assert_eq!(a.batch, b.batch);
         assert_eq!(a.report.cost_dollars, b.report.cost_dollars);
-    }
-
-    #[test]
-    fn thread_count_never_changes_results_or_reports() {
-        // Large enough to span several 1024-row chunks.
-        let mut c = Catalog::new();
-        let n = 5000i64;
-        c.add_table(
-            Table::new(
-                "t",
-                vec![
-                    ("id", Column::Int((0..n).collect())),
-                    ("grp", Column::Int((0..n).map(|i| i % 37).collect())),
-                    (
-                        "x",
-                        Column::Float((0..n).map(|i| (i as f64) * 0.25 + 0.1).collect()),
-                    ),
-                    (
-                        "s",
-                        Column::str((0..n).map(|i| format!("s{}", i % 11)).collect()),
-                    ),
-                ],
-            )
-            .expect("valid"),
-        )
-        .expect("ok");
-        c.add_table(
-            Table::new(
-                "d",
-                vec![
-                    ("grp", Column::Int((0..37).collect())),
-                    ("name", Column::str((0..37).map(|i| format!("g{i}")).collect())),
-                ],
-            )
-            .expect("valid"),
-        )
-        .expect("ok");
-        let plan = PlanBuilder::scan("t", "t")
-            .filter(Expr::col("t.x").cmp(CmpOp::Gt, Expr::int(100)))
-            .join(PlanBuilder::scan("d", "d"), &[("t.grp", "d.grp")])
-            .aggregate(
-                &["d.name"],
-                vec![
-                    AggExpr {
-                        func: AggFunc::Sum,
-                        input: Some("t.x".into()),
-                        output: "sx".into(),
-                    },
-                    AggExpr {
-                        func: AggFunc::Min,
-                        input: Some("t.s".into()),
-                        output: "lo".into(),
-                    },
-                    AggExpr {
-                        func: AggFunc::Max,
-                        input: Some("t.x".into()),
-                        output: "hi".into(),
-                    },
-                ],
-            )
-            .build();
-        let serial = Executor::new(&c, Pricing::paper_defaults())
-            .with_threads(1)
-            .run(&plan)
-            .expect("serial");
-        for threads in [2, 4, 7] {
-            let par = Executor::new(&c, Pricing::paper_defaults())
-                .with_threads(threads)
-                .run(&plan)
-                .expect("parallel");
-            assert_eq!(serial.batch, par.batch, "{threads} threads: batch differs");
-            assert_eq!(
-                serial.report, par.report,
-                "{threads} threads: report differs"
-            );
-        }
     }
 }

@@ -1,98 +1,42 @@
-//! Pooled execution must be bitwise identical to `Par::serial()` — batches
-//! *and* ExecutionReports — at every degree of parallelism, including while
-//! other queries are in flight on the same shared pool. This is the
-//! scheduler's determinism contract: chunk boundaries depend only on row
-//! counts, per-chunk results fold in ascending chunk order, and the pool
-//! only changes *who* computes a chunk, never *what* or *in which order
-//! results combine*.
+//! Queries that run at once must each produce the batch and
+//! `ExecutionReport` a lone run produces, bit for bit. Every query runs on
+//! the thread that submits it, over fixed 1024-row chunks folded in
+//! ascending order, so nothing another query does can reach its result.
 
 use av_engine::exec::Executor;
 use av_engine::meter::Pricing;
-use av_engine::{batch::Column, catalog::Catalog, catalog::Table};
-use av_plan::{CmpOp, Expr, PlanBuilder};
-use proptest::prelude::*;
 
-const DOPS: [usize; 4] = [1, 2, 4, 16];
-
-fn catalog_from(keys: Vec<i64>, vals: Vec<i64>) -> Catalog {
-    let mut c = Catalog::new();
-    c.add_table(
-        Table::new(
-            "ta",
-            vec![("k", Column::Int(keys)), ("v", Column::Int(vals))],
-        )
-        .expect("valid table"),
-    )
-    .expect("catalog accepts");
-    c
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Filter + grouped aggregate over generated data: every DOP produces
-    /// the serial batch and the serial report, bit for bit. `min_rows` is
-    /// forced to 0 so the pool engages even at property-test row counts.
-    #[test]
-    fn pooled_execution_matches_serial_at_every_dop(
-        keys in proptest::collection::vec(-6i64..6, 1..80),
-        t in -6i64..6,
-    ) {
-        let vals: Vec<i64> = keys.iter().map(|k| k * 3 + 1).collect();
-        let c = catalog_from(keys, vals);
-        let plan = PlanBuilder::scan("ta", "a")
-            .filter(Expr::col("a.k").cmp(CmpOp::Gt, Expr::int(t)))
-            .count_star(&["a.v"], "n")
-            .build();
-        let serial = Executor::new(&c, Pricing::paper_defaults())
-            .with_threads(1)
-            .run(&plan)
-            .expect("serial run");
-        for dop in DOPS {
-            let pooled = Executor::new(&c, Pricing::paper_defaults())
-                .with_threads(dop)
-                .with_par_min_rows(0)
-                .run(&plan)
-                .expect("pooled run");
-            prop_assert_eq!(&serial.batch, &pooled.batch, "dop {} batch", dop);
-            prop_assert_eq!(&serial.report, &pooled.report, "dop {} report", dop);
-        }
-    }
-}
-
-/// Eight concurrent query streams hammer the shared pool, each running the
-/// JOB-like workload at a different DOP; every result must equal the
-/// precomputed serial baseline even though chunk claims from all streams
-/// interleave on the same workers. Tables here exceed `CHUNK_ROWS`, so the
-/// parallel filter/join/aggregate paths genuinely engage.
+/// Eight concurrent query streams each run the JOB-like workload; every
+/// result must equal the precomputed baseline. Tables here exceed
+/// `CHUNK_ROWS`, so the chunked filter/join/aggregate paths engage.
 #[test]
 fn concurrent_queries_stay_bitwise_serial() {
     let w = av_workload::job::job_workload(0.02, 11);
     let plans = w.plans();
     assert!(!plans.is_empty());
-    let serial = Executor::new(&w.catalog, Pricing::paper_defaults()).with_threads(1);
+    let exec = Executor::new(&w.catalog, Pricing::paper_defaults());
     let baseline: Vec<_> = plans
         .iter()
-        .map(|p| serial.run(p).expect("serial baseline"))
+        .map(|p| exec.run(p).expect("serial baseline"))
         .collect();
 
     let streams = 8;
-    let drivers = av_sched::Pool::new(streams);
-    drivers.run(streams, streams, |stream| {
-        let dop = DOPS[stream % DOPS.len()];
-        let exec = Executor::new(&w.catalog, Pricing::paper_defaults())
-            .with_threads(dop)
-            .with_par_min_rows(0);
-        for (i, p) in plans.iter().enumerate() {
-            let r = exec.run(p).expect("pooled run");
-            assert_eq!(
-                baseline[i].batch, r.batch,
-                "stream {stream} dop {dop} query {i}: batches diverge"
-            );
-            assert_eq!(
-                baseline[i].report, r.report,
-                "stream {stream} dop {dop} query {i}: reports diverge"
-            );
+    std::thread::scope(|s| {
+        for stream in 0..streams {
+            let (exec, plans, baseline) = (&exec, &plans, &baseline);
+            s.spawn(move || {
+                for (i, p) in plans.iter().enumerate() {
+                    let r = exec.run(p).expect("concurrent run");
+                    assert_eq!(
+                        baseline[i].batch, r.batch,
+                        "stream {stream} query {i}: batches diverge"
+                    );
+                    assert_eq!(
+                        baseline[i].report, r.report,
+                        "stream {stream} query {i}: reports diverge"
+                    );
+                }
+            });
         }
     });
 }

@@ -153,45 +153,6 @@ proptest! {
         prop_assert!(rp.report.cost_dollars <= rl.report.cost_dollars + 1e-12);
     }
 
-    /// The chunked-parallel executor is bit-identical to the serial one:
-    /// same batches AND same cost reports, for any thread count. Chunk
-    /// boundaries are fixed (1024 rows) and merges happen in chunk order,
-    /// so thread scheduling can never leak into results or meters.
-    #[test]
-    fn parallel_execution_matches_serial(
-        a in proptest::collection::vec(-6i64..6, 1..60),
-        b in proptest::collection::vec(-6i64..6, 1..60),
-        t in -5i64..5,
-        threads in 2usize..8,
-    ) {
-        let n = a.len();
-        let vals: Vec<i64> = a.iter().map(|&k| k.wrapping_mul(3) - 1).collect();
-        let c = catalog_from(a, vals[..n].to_vec(), b);
-        let plan = PlanBuilder::scan("ta", "a")
-            .filter(Expr::col("a.k").cmp(CmpOp::Gt, Expr::int(t)))
-            .join_typed(PlanBuilder::scan("tb", "b"), &[("a.k", "b.k")], JoinType::Left)
-            .aggregate(
-                &["b.k"],
-                vec![
-                    agg(av_plan::AggFunc::Count, None, "n"),
-                    agg(av_plan::AggFunc::Sum, Some("a.v"), "s"),
-                    agg(av_plan::AggFunc::Min, Some("a.v"), "lo"),
-                    agg(av_plan::AggFunc::Max, Some("a.v"), "hi"),
-                ],
-            )
-            .build();
-        let serial = Executor::new(&c, Pricing::paper_defaults())
-            .with_threads(1)
-            .run(&plan)
-            .expect("serial");
-        let par = Executor::new(&c, Pricing::paper_defaults())
-            .with_threads(threads)
-            .run(&plan)
-            .expect("parallel");
-        prop_assert_eq!(serial.batch, par.batch);
-        prop_assert_eq!(serial.report, par.report);
-    }
-
     /// Selection-vector execution is bit-identical to the materializing
     /// reference path: same batches, same cost reports, over plans mixing
     /// typed filter kernels (int/float/string, stacked and conjoined),
@@ -337,25 +298,21 @@ proptest! {
     }
 }
 
-/// End-to-end determinism on the JOB-like workload: every query produces the
-/// same batch and the same cost report under serial (1 thread) and parallel
-/// (4 threads) execution, and the cache echoes the cold report exactly.
-/// Tables at this scale exceed the 1024-row chunk size, so the parallel
-/// paths (filter mask, join probe, partial aggregates) really engage.
+/// End-to-end determinism on the JOB-like workload: the cache echoes every
+/// query's cold batch and cost report exactly. Tables at this scale exceed
+/// the 1024-row chunk size, so the chunked paths (filter mask, join probe,
+/// partial aggregates) really engage.
 #[test]
 fn job_workload_is_thread_count_invariant() {
     let w = av_workload::job::job_workload(0.02, 7);
     let plans = w.plans();
     assert!(!plans.is_empty());
-    let serial = Executor::new(&w.catalog, Pricing::paper_defaults()).with_threads(1);
-    let par = Executor::new(&w.catalog, Pricing::paper_defaults()).with_threads(4);
+    let serial = Executor::new(&w.catalog, Pricing::paper_defaults());
     let cache = av_engine::ExecCache::new(Pricing::paper_defaults(), 1);
     for (i, p) in plans.iter().enumerate() {
         let rs = serial.run(p).expect("serial run");
-        let rp = par.run(p).expect("parallel run");
-        assert_eq!(rs.batch, rp.batch, "query {i}: batches diverge");
-        assert_eq!(rs.report, rp.report, "query {i}: reports diverge");
         let rc = cache.run(&w.catalog, p).expect("cached run");
+        assert_eq!(rs.batch, rc.batch, "query {i}: cache batch diverges");
         assert_eq!(rs.report, rc.report, "query {i}: cache diverges");
     }
     // A second pass over the workload is served entirely from the cache.

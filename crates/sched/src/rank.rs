@@ -1,6 +1,6 @@
 //! Ranked locks: lock order by construction.
 //!
-//! Every lock in `av-sched`, `av-engine`, `av-serve` and `av-obs` is one of these thin
+//! Every lock in `av-engine`, `av-serve` and `av-obs` is one of these thin
 //! wrappers over `std::sync::{Mutex, RwLock}`, built with its [`Rank`]. A
 //! thread may acquire a lock only while every lock it already holds ranks
 //! strictly lower, so two threads can never wait on each other in a cycle,
@@ -28,9 +28,8 @@ use std::sync::{Condvar, PoisonError};
 ///   while the planner is held. The cell's write lock is taken nowhere else,
 ///   and readers hold the cell only to clone its `Arc`, taking nothing
 ///   inside it.
-/// - `Planner → CacheShard` (and the pool ranks after it): the planner's
-///   dry-run cache prices candidates during re-optimization, and a miss
-///   executes on the shared pool. That cache is owned by the planner, so no
+/// - `Planner → CacheShard`: the planner's dry-run cache prices candidates
+///   during re-optimization. That cache is owned by the planner, so no
 ///   other thread reaches its shards, and execution runs outside the shard
 ///   lock.
 ///
@@ -44,13 +43,12 @@ use std::sync::{Condvar, PoisonError};
 /// passes, the cell holds one whole `Arc`, the route memo and result cache
 /// are pure caches written one whole entry at a time, admission's
 /// per-tenant counters change by single steps with nothing between them
-/// that can unwind, pool queues hold whole tickets, and a chunk slot or job
-/// latch is written once. The telemetry state is counters, sketches and
+/// that can unwind. The telemetry state is counters, sketches and
 /// rings that each step leaves readable: a panic mid-fold loses at most
 /// one request's counts, which must not cost the server its telemetry.
 ///
 /// Known limit: only executed paths are checked, so an inversion on a path
-/// no test runs goes unseen. The locks of `av-trace` (below `av-sched`) and
+/// no test runs goes unseen. The locks of `av-trace` and
 /// `av-cost`'s `EncoderCache` (`av-cost` does not depend on `av-sched`)
 /// stay plain `std` and unchecked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,18 +63,6 @@ pub enum Rank {
     RouteMemoShard,
     /// One shard of the result cache (`CacheShard.state`).
     CacheShard,
-    /// One chunk's result slot in the executor's `map_chunks`.
-    ChunkSlot,
-    /// The pool's shared injector queue.
-    PoolInjector,
-    /// One worker's deque.
-    PoolDeque,
-    /// The pool's park lock, paired with its wake condvar.
-    PoolPark,
-    /// The pool's started-worker handles.
-    PoolStarted,
-    /// One job's completion latch.
-    JobLatch,
     /// `Obs.state`: the serving telemetry (flight ring, SLO windows,
     /// detectors, residuals, request totals, alerts, dumps).
     Obs,
@@ -85,18 +71,12 @@ pub enum Rank {
 #[cfg(debug_assertions)]
 impl Rank {
     /// Every rank, indexed by its position in the order.
-    const ALL: [Rank; 12] = [
+    const ALL: [Rank; 6] = [
         Rank::Planner,
         Rank::DeploymentCell,
         Rank::AdmissionState,
         Rank::RouteMemoShard,
         Rank::CacheShard,
-        Rank::ChunkSlot,
-        Rank::PoolInjector,
-        Rank::PoolDeque,
-        Rank::PoolPark,
-        Rank::PoolStarted,
-        Rank::JobLatch,
         Rank::Obs,
     ];
 
@@ -301,11 +281,11 @@ mod tests {
         let planner = Mutex::new(Rank::Planner, 0);
         let cell = RwLock::new(Rank::DeploymentCell, 1);
         let shard = Mutex::new(Rank::CacheShard, 2);
-        let latch = Mutex::new(Rank::JobLatch, 3);
+        let obs = Mutex::new(Rank::Obs, 3);
         let p = planner.lock();
         let c = cell.write();
         let s = shard.lock();
-        let l = latch.lock();
+        let l = obs.lock();
         assert_eq!(*p + *c + *s + *l, 6);
         drop((l, s, c));
         assert_eq!(*cell.read(), 1, "a released rank may be taken again");

@@ -1,7 +1,7 @@
 //! Per-tenant admission control: inflight caps with a bounded wait queue.
 //!
 //! Serving "millions of users" from one shared snapshot means one hot
-//! tenant must not monopolize the worker pool. Each tenant gets a cap on
+//! tenant must not monopolize the server. Each tenant gets a cap on
 //! concurrently executing requests; excess arrivals wait in a bounded
 //! per-tenant queue (blocking the submitting session — backpressure), and
 //! once the queue is full too, further arrivals are rejected outright so

@@ -12,7 +12,7 @@
 //!   requests finish on the epoch they started with.
 //! - [`AdmissionController`]: per-tenant inflight caps with a bounded wait
 //!   queue — backpressure first, load shedding second, so one hot tenant
-//!   cannot monopolize the worker pool.
+//!   cannot monopolize the server.
 //! - [`ViewServer`]: the façade. `execute` is the lock-light read path
 //!   (admission → snapshot → route → sharded cache); `reoptimize` is the
 //!   serialized write path (selection → tenant-accounted admission → a
@@ -48,7 +48,9 @@ pub mod server;
 pub use admission::{AdmissionConfig, AdmissionController, Permit, Rejection, TenantLoad};
 pub use deployment::{Deployment, DeploymentCell, PreflightStats};
 pub use loadgen::{run_closed_loop, ClosedLoopConfig, LoadReport};
-pub use server::{ReoptSummary, ServeConfig, ServeError, ServeResponse, ViewServer};
+pub use server::{
+    PoolStats, ReoptSummary, ServeConfig, ServeError, ServeResponse, ViewServer,
+};
 
 // Telemetry types consumers need to configure the server or consume its
 // snapshots without depending on `av-obs` directly.

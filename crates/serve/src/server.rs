@@ -129,6 +129,19 @@ pub struct ReoptSummary {
     pub estimated_utility: f64,
 }
 
+/// Scheduler counters as [`ViewServer::pool_stats`] reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Threads that execute queries: the submitting one.
+    pub workers: usize,
+    /// Pooled tasks run (always 0).
+    pub tasks: u64,
+    /// Tasks stolen between workers (always 0).
+    pub steals: u64,
+    /// Nanoseconds pooled workers spent busy (always 0).
+    pub busy_nanos: u64,
+}
+
 /// Mutable planning state, serialized behind one mutex: the authoritative
 /// catalog (views materialize into it), the lifecycle manager, the cost
 /// model, and a dry-run cache for candidate pricing. Catalog and lifecycle
@@ -235,9 +248,7 @@ impl ViewServer {
         let t_adm = self.tracer.now_nanos();
         let deployment = self.cell.load();
         let (routed, hits, routed_fp) = deployment.route_memo(plan_fp, plan);
-        // A miss runs at the executor's default parallelism: pool workers
-        // join only past `PAR_MIN_ROWS`, and a busy pool runs the job on
-        // this thread alone.
+        // A miss executes on this thread.
         let outcome = self
             .cache
             .run_keyed_hit_dop(routed_fp, deployment.catalog(), &routed, None);
@@ -433,8 +444,8 @@ impl ViewServer {
     /// The registry itself only holds planner-rate events (`serve.swaps`,
     /// `serve.preflight.*`, `serve.reopt*`, the epoch gauges). Every
     /// per-request series is pulled here from its owner — the cache's
-    /// shard counters, the telemetry layer's request totals, the scheduler
-    /// pool, the published deployment's route memo — so serving a request
+    /// shard counters, the telemetry layer's request totals, the published
+    /// deployment's route memo — so serving a request
     /// never writes to a shared registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.tracer.metrics().snapshot();
@@ -469,18 +480,8 @@ impl ViewServer {
             total_seconds: t.exec_nanos as f64 / 1e9,
         };
         snap.timings.insert("serve.request".into(), request.snapshot());
-        let p = self.pool_stats();
         let (memo_hits, memo_misses) = self.cell.load().route_memo_stats();
         for (name, v) in [
-            ("sched.workers", p.workers as f64),
-            ("sched.queue_depth", p.queue_depth as f64),
-            ("sched.active_workers", p.active_workers as f64),
-            ("sched.steals", p.steals as f64),
-            ("sched.jobs", p.jobs as f64),
-            ("sched.tasks", p.tasks as f64),
-            ("sched.busy_nanos", p.busy_nanos as f64),
-            ("sched.drain_nanos_p50", p.drain_nanos_p50 as f64),
-            ("sched.drain_nanos_p95", p.drain_nanos_p95 as f64),
             ("serve.route_memo_hits", memo_hits as f64),
             ("serve.route_memo_misses", memo_misses as f64),
         ] {
@@ -509,9 +510,16 @@ impl ViewServer {
         self.obs.stats()
     }
 
-    /// The shared morsel pool's scheduler counters.
-    pub fn pool_stats(&self) -> av_sched::PoolStats {
-        av_sched::global().stats()
+    /// Scheduler counters, kept for callers that read them: queries run on
+    /// the thread that submits them, so there is one worker and no pooled
+    /// task, steal or busy time.
+    pub fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            workers: 1,
+            tasks: 0,
+            steals: 0,
+            busy_nanos: 0,
+        }
     }
 
     /// Prometheus text exposition: [`ViewServer::metrics`] plus the SLO and
@@ -603,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_metrics_ride_the_prometheus_export() {
+    fn route_memo_metrics_ride_the_prometheus_export() {
         let w = mini(75);
         let plans = w.plans();
         let server = server_for(&w);
@@ -611,15 +619,10 @@ mod tests {
             server.execute("t", p).expect("serves");
         }
         let text = server.prometheus_text();
-        for gauge in [
-            "sched_workers",
-            "sched_queue_depth",
-            "sched_active_workers",
-            "sched_steals",
-            "serve_route_memo_hits",
-        ] {
+        for gauge in ["serve_route_memo_hits", "serve_route_memo_misses"] {
             assert!(text.contains(gauge), "missing {gauge} in:\n{text}");
         }
+        assert!(!text.contains("sched_"), "no sched_ family");
         // The route memo saw every request.
         let (hits, misses) = server.current().route_memo_stats();
         assert_eq!(hits + misses, plans.len() as u64);

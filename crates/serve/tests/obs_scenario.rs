@@ -215,9 +215,9 @@ fn routed_queries_record_residuals_and_export_exposition() {
     assert!(text.contains("residuals_recorded_total"));
     assert!(text.contains("residual_q_error_mean{view="));
 
-    // Every serve/cache/scheduler family of the committed scrape body
-    // (METRICS_serve.prom at PR 12) is still exposed, under the same type,
-    // although none of them is pushed per request any more.
+    // Every serve/cache family of the committed scrape body
+    // (METRICS_serve.prom) is still exposed, under the same type, although
+    // none of them is pushed per request any more.
     let mut families: Vec<String> = (0..16)
         .flat_map(|i| ["hit", "miss"].map(|k| format!("engine_cache_shard{i}_{k} counter")))
         .collect();
@@ -231,15 +231,6 @@ fn routed_queries_record_residuals_and_export_exposition() {
             "serve_requests_rewritten counter",
             "serve_rewrite_hits counter",
             "serve_swaps counter",
-            "sched_active_workers gauge",
-            "sched_busy_nanos gauge",
-            "sched_drain_nanos_p50 gauge",
-            "sched_drain_nanos_p95 gauge",
-            "sched_jobs gauge",
-            "sched_queue_depth gauge",
-            "sched_steals gauge",
-            "sched_tasks gauge",
-            "sched_workers gauge",
             "serve_epoch gauge",
             "serve_frozen_estimates gauge",
             "serve_live_views gauge",
@@ -260,6 +251,7 @@ fn routed_queries_record_residuals_and_export_exposition() {
             "family {family} dropped from the exposition"
         );
     }
+    assert!(!text.contains("# TYPE sched_"), "no sched_ family");
 
     // The folded series agree with their owners.
     let totals = server.obs().totals();

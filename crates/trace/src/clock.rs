@@ -27,7 +27,7 @@ pub trait Clock: Send + Sync {
 /// timestamp-counter read where the kernel's clocksource is `tsc`). The
 /// reads that matter are per request, not per span: `ViewServer::execute`
 /// reads the clock at most three times — start, then either shed or
-/// admitted and executed — and the scheduler pool twice per task.
+/// admitted and executed.
 #[derive(Debug)]
 pub struct MonotonicClock {
     origin: std::time::Instant,

@@ -4,11 +4,11 @@
 //!
 //! Everything is name-addressed and lazily created so call sites stay
 //! one-liners (`metrics.inc("serve.swaps")`); the state sits
-//! behind one `Mutex`, so parallel executor chunks and multi-threaded
-//! harnesses can record into one registry through `&self`. That lock is
+//! behind one `Mutex`, so multi-threaded harnesses can record into one
+//! registry through `&self`. That lock is
 //! why the registry is for planner-rate events and pipeline series
 //! only: per-request serving numbers stay with their owners (cache shards,
-//! admission, pool, `av-obs`) and are folded in at snapshot time.
+//! admission, `av-obs`) and are folded in at snapshot time.
 //!
 //! Naming convention: `subsystem.noun_verb` (e.g. `engine.cache_hit`,
 //! `cost.epoch_loss`, `select.episode_reward`). See DESIGN.md §Observability.

@@ -26,16 +26,14 @@ const MAX_EXP: i32 = 40;
 const OCTAVES: usize = (MAX_EXP - MIN_EXP) as usize;
 /// Counter slots of a sketch: the underflow bucket, every sub-bucket of
 /// every octave, and the open-ended top bucket.
-pub const BUCKETS: usize = OCTAVES * SUB_BUCKETS + 2;
+const BUCKETS: usize = OCTAVES * SUB_BUCKETS + 2;
 
 fn pow2(exp: i32) -> f64 {
     f64::from_bits(((exp + 1023) as u64) << 52)
 }
 
-/// The bucket a (non-NaN) value counts into. Lock-free users — the
-/// scheduler pool's atomic drain-latency counters — index with this and
-/// read back through [`QuantileSketch::from_counts`].
-pub fn bucket_index(value: f64) -> usize {
+/// The bucket a (non-NaN) value counts into.
+fn bucket_index(value: f64) -> usize {
     if value.is_nan() || value <= pow2(MIN_EXP) {
         return 0;
     }
@@ -52,7 +50,7 @@ pub fn bucket_index(value: f64) -> usize {
 
 /// Inclusive upper edge of bucket `index` — its deterministic
 /// representative value. `+∞` for the top bucket.
-pub fn bucket_upper(index: usize) -> f64 {
+fn bucket_upper(index: usize) -> f64 {
     if index >= BUCKETS - 1 {
         return f64::INFINITY;
     }
@@ -86,30 +84,6 @@ impl QuantileSketch {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Rebuild a sketch from raw bucket counters (indexed by
-    /// [`bucket_index`]). Min, max and sum are reconstructed at bucket
-    /// resolution: every observation is taken at its bucket's upper edge
-    /// (`2^40` for the top bucket).
-    pub fn from_counts(counts: Vec<u64>) -> QuantileSketch {
-        assert_eq!(counts.len(), BUCKETS, "one counter per sketch bucket");
-        let (mut count, mut sum) = (0u64, 0.0f64);
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (i, &c) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
-            let at = bucket_upper(i).min(pow2(MAX_EXP));
-            count += c;
-            sum += c as f64 * at;
-            min = min.min(at);
-            max = max.max(at);
-        }
-        QuantileSketch {
-            counts,
-            count,
-            sum,
-            min,
-            max,
         }
     }
 
@@ -420,28 +394,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bare_counters_round_trip_through_the_shared_functions() {
-        // The pool's representation: bare counters indexed by
-        // `bucket_index`, read back as a sketch.
-        let mut counts = vec![0u64; BUCKETS];
-        let mut direct = QuantileSketch::new();
-        let mut next = stream(7);
-        for _ in 0..2000 {
-            let nanos = (next() % 3_000_000) as f64;
-            counts[bucket_index(nanos)] += 1;
-            direct.observe(nanos);
-        }
-        let rebuilt = QuantileSketch::from_counts(counts);
-        assert_eq!(rebuilt.count(), direct.count());
-        // Same buckets, so the same answers — up to the clamp: the rebuilt
-        // sketch knows min and max only at bucket resolution.
-        for q in [0.1, 0.5, 0.95, 0.99] {
-            let (r, d) = (rebuilt.quantile(q).expect("some"), direct.quantile(q).expect("some"));
-            assert!(r >= d && r - d <= d / SUB_BUCKETS as f64, "q={q}: {r} vs {d}");
-        }
-        assert!(rebuilt.quantile(0.5) <= rebuilt.quantile(0.95));
     }
 }

@@ -1,7 +1,7 @@
 //! Tier-1 smoke over the executor: on two workloads, every plan gives the
 //! same batch and `ExecutionReport`, bit for bit, through each way the
-//! system runs it — serial, pooled, reference kernels, a cold cache miss
-//! and a warm cache hit.
+//! system runs it — the default kernels, the reference kernels, a cold cache
+//! miss and a warm cache hit.
 
 use autoview::engine::{ExecCache, ExecResult, Executor, Pricing};
 use autoview::plan::Fingerprint;
@@ -15,10 +15,7 @@ fn bits(r: &ExecResult) -> String {
 
 fn assert_every_path_agrees(w: &Workload) {
     let pricing = Pricing::paper_defaults();
-    let serial = Executor::new(&w.catalog, pricing).with_threads(1);
-    let pooled = Executor::new(&w.catalog, pricing)
-        .with_threads(4)
-        .with_par_min_rows(0);
+    let serial = Executor::new(&w.catalog, pricing);
     let reference = Executor::new(&w.catalog, pricing).with_reference_kernels(true);
     let cache = ExecCache::new(pricing, 1);
     let plans = w.plans();
@@ -29,12 +26,6 @@ fn assert_every_path_agrees(w: &Workload) {
         .collect();
     for (i, (plan, cold)) in plans.iter().zip(&cold).enumerate() {
         let want = bits(&serial.run(plan).expect("serial run"));
-        assert_eq!(
-            bits(&pooled.run(plan).expect("pooled run")),
-            want,
-            "{}: plan {i} pooled",
-            w.name
-        );
         assert_eq!(
             bits(&reference.run(plan).expect("reference run")),
             want,
@@ -51,7 +42,7 @@ fn assert_every_path_agrees(w: &Workload) {
 }
 
 #[test]
-fn serial_pooled_reference_and_cached_execution_agree_bitwise() {
+fn serial_reference_and_cached_execution_agree_bitwise() {
     assert_every_path_agrees(&mini(7));
     assert_every_path_agrees(&job_workload(0.02, 42));
 }
