@@ -32,6 +32,9 @@ struct KernelResult {
     m: usize,
     k: usize,
     n: usize,
+    /// Share of `A`'s entries that are exactly zero (the kernels skip
+    /// those terms, so sparse activations cost less than dense ones).
+    a_zero_share: f64,
     naive_gflops: f64,
     simd_gflops: f64,
     /// naive / SIMD wall-time ratio (>1 means the SIMD kernel wins). CI
@@ -112,20 +115,39 @@ fn rand_tensor(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
+/// A ReLU'd random tensor: about half its entries are exactly zero, at
+/// random positions, like the activations feeding a hidden layer.
+fn relu_tensor(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Tensor {
+    let mut t = rand_tensor(rng, rows, cols);
+    t.relu_assign();
+    t
+}
+
 fn bench_kernels(reps: usize) -> Vec<KernelResult> {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    // 64..256 are L1/L2-resident; 512 and 1024 spill to L2/L3 so the
-    // GFLOP/s claims survive contact with real working sets.
+    // Dense squares: 64..256 are L1/L2-resident; 512 and 1024 spill to
+    // L2/L3 so the GFLOP/s claims survive contact with real working sets.
+    // Then RLView's Q-network layers (16→16→64→16→1) at the row count of
+    // one target-Q pass (32 transitions × ~100 next-state actions), on
+    // half-zero activations.
     let shapes = [
-        (64, 64, 64),
-        (128, 128, 128),
-        (256, 128, 256),
-        (512, 512, 512),
-        (1024, 1024, 1024),
+        (64, 64, 64, false),
+        (128, 128, 128, false),
+        (256, 128, 256, false),
+        (512, 512, 512, false),
+        (1024, 1024, 1024, false),
+        (3200, 16, 16, true),
+        (3200, 16, 64, true),
+        (3200, 64, 16, true),
+        (3200, 16, 1, true),
     ];
     let mut out = Vec::with_capacity(shapes.len());
-    for &(m, k, n) in &shapes {
-        let a = rand_tensor(&mut rng, m, k);
+    for &(m, k, n, relu) in &shapes {
+        let a = if relu {
+            relu_tensor(&mut rng, m, k)
+        } else {
+            rand_tensor(&mut rng, m, k)
+        };
         let b = rand_tensor(&mut rng, k, n);
         let mut simd = Tensor::zeros(m, n);
         // Correctness first: the SIMD kernel must match the scalar fma
@@ -137,6 +159,9 @@ fn bench_kernels(reps: usize) -> Vec<KernelResult> {
             "SIMD kernel must match the scalar fma reference bitwise"
         );
         let flops = 2.0 * (m * k * n) as f64;
+        // Narrow shapes finish in microseconds: repeat each timed sample
+        // until it covers ~32 MFLOP so timer resolution stays negligible.
+        let calls = ((3.2e7 / flops).ceil() as usize).max(1);
         // Interleaved best-of-reps: load noise on a shared core only ever
         // slows a run down, so the minimum is the most faithful estimate,
         // and interleaving keeps slow phases from biasing one kernel.
@@ -144,16 +169,23 @@ fn bench_kernels(reps: usize) -> Vec<KernelResult> {
         let mut tb = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
-            let _ = a.matmul_naive(&b);
-            tn = tn.min(start.elapsed().as_secs_f64());
+            for _ in 0..calls {
+                std::hint::black_box(a.matmul_naive(&b));
+            }
+            tn = tn.min(start.elapsed().as_secs_f64() / calls as f64);
             let start = Instant::now();
-            a.matmul_into(&b, &mut simd);
-            tb = tb.min(start.elapsed().as_secs_f64());
+            for _ in 0..calls {
+                a.matmul_into(&b, &mut simd);
+                std::hint::black_box(&simd);
+            }
+            tb = tb.min(start.elapsed().as_secs_f64() / calls as f64);
         }
         out.push(KernelResult {
             m,
             k,
             n,
+            a_zero_share: a.as_slice().iter().filter(|&&v| v == 0.0).count() as f64
+                / (m * k) as f64,
             naive_gflops: flops / tn / 1e9,
             simd_gflops: flops / tb / 1e9,
             speedup: tn / tb,

@@ -21,7 +21,9 @@
 //!   is not a no-op under FMA semantics — `fma(0, ±inf, x)` is NaN — so
 //!   all paths must skip identically). Vectorizing over the *output*
 //!   index never reorders a per-element chain, which is what makes the
-//!   register-tiled AVX2 strips bitwise-equal to the scalar loop.
+//!   register-tiled AVX2 strips bitwise-equal to the scalar loop; nor do
+//!   one-lane-per-row vectors, or issuing only a row's nonzero terms in
+//!   ascending order.
 //! - **dot family** ([`dot_bt`]): each output element is reduced through
 //!   8 fixed lane accumulators — lane `l` sums the terms with index
 //!   `t ≡ l (mod 8)` in ascending order via fma — and the lanes are then
@@ -300,20 +302,21 @@ mod portable {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA backend. Register-tiled: the row kernel holds 8 ymm
-// accumulators (a 64-float output strip) across the whole k loop, so each
-// k step is one broadcast + 8 loads + 8 fmadds with no output traffic.
+// AVX2 + FMA backend. Register-tiled: each row kernel holds its output tile
+// in ymm accumulators across the whole k panel, so a k step is broadcasts,
+// shared B loads and fmadds with no output traffic.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_i32gather_ps,
+        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _CMP_EQ_OQ,
     };
 
-    /// Shared-dimension panel height: a 32-column strip of a `KC`-row B
-    /// panel is 16 KiB, which stays L1-resident while every row pair of A
+    /// Shared-dimension panel height: a 64-column strip of a `KC`-row B
+    /// panel is 64 KiB, which stays L2-resident while every row group of A
     /// sweeps it. Panelling never reorders a per-element fma chain (each
     /// panel resumes the chain from the stored partial, and an f32
     /// store/reload round-trip is exact), so the contract holds for any
@@ -329,81 +332,149 @@ mod avx2 {
     /// bytes; it cannot change any fma chain.
     const PACK_MIN_M: usize = 8;
 
+    /// Lane mask of `v == 0.0` (`-0.0` included, NaN excluded — exactly the
+    /// scalar `av == 0.0` test of the reference).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn is_zero(v: __m256) -> __m256 {
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(v, _mm256_setzero_ps())
+    }
+
+    /// The zero-skip as a select: `fma(a, b, c)` in the lanes where `zero`
+    /// is clear, `c` unchanged where it is set (`zero` is the `a == 0.0`
+    /// mask). Bitwise the same as not issuing the term — `fma(0, ±inf, c)`
+    /// is computed and then discarded — without a data-dependent branch.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn fma_unless_zero(a: __m256, b: __m256, c: __m256, zero: __m256) -> __m256 {
+        _mm256_blendv_ps(_mm256_fmadd_ps(a, b, c), c, zero)
+    }
+
+    /// Bit `t` set iff `ar[t]` is a term the contract issues (`!= 0.0`; NaN
+    /// counts), for `ar.len() <= 64`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn term_bits(ar: &[f32]) -> u64 {
+        debug_assert!(ar.len() <= 64);
+        let chunks = ar.len() / 8 * 8;
+        let mut bits = 0u64;
+        let mut t = 0;
+        while t < chunks {
+            let zero = _mm256_movemask_ps(is_zero(_mm256_loadu_ps(ar.as_ptr().add(t))));
+            bits |= u64::from(!zero as u8) << t;
+            t += 8;
+        }
+        for (u, &v) in ar[chunks..].iter().enumerate() {
+            bits |= u64::from(v != 0.0) << (chunks + u);
+        }
+        bits
+    }
+
+    /// Clear the lowest set bit of `bits` and return its index.
+    #[inline]
+    fn pop_lowest(bits: &mut u64) -> usize {
+        let t = bits.trailing_zeros() as usize;
+        *bits &= *bits - 1;
+        t
+    }
+
+    /// Whether every term of `ar` is issued (no `a` is zero).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn all_terms(ar: &[f32]) -> bool {
+        ar.chunks(64)
+            .all(|part| term_bits(part) == u64::MAX >> (64 - part.len()))
+    }
+
+    /// A column strip of one k panel, swept by all `m` rows of A: its B
+    /// tile starts at `bt` with k rows `bstride` floats apart, its output
+    /// at `out` with rows `n` floats apart, and A's panel at `a` with rows
+    /// `lda` floats apart.
+    struct Strip {
+        a: *const f32,
+        lda: usize,
+        m: usize,
+        kc: usize,
+        bt: *const f32,
+        bstride: usize,
+        out: *mut f32,
+        n: usize,
+    }
+
     /// # Safety
     /// Caller must have verified `avx2` and `fma` CPU support, and slice
     /// lengths must satisfy the shapes documented on [`super::matmul_rows`].
     ///
-    /// Loop nest: k-panel → 32-column B tile (packed) → A row pair → k.
-    /// The packed tile (≤16 KiB, sequential) is the innermost reuse unit,
-    /// hot in L1 across all row pairs; per k step a pair costs 4 shared B
-    /// loads + 2 broadcasts feeding 8 independent fma chains. Zero-skip is
-    /// applied per (row, k) term, exactly like the scalar reference.
+    /// Loop nest: k-panel → column strip of 64, 32, 16 or 8 columns (a
+    /// packed B tile) → row group → k; the last `n mod 8` columns run with
+    /// one lane per row (the Q-network's 16→1 output layer is this case).
+    /// See [`strip`] for the row groups.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
         let mut pack: Vec<f32> = if m >= PACK_MIN_M && n >= 8 {
-            vec![0.0; KC.min(k) * 32]
+            vec![0.0; KC.min(k) * n.min(64)]
         } else {
             Vec::new()
         };
         let mut k0 = 0;
         while k0 < k {
             let kc = (k - k0).min(KC);
-            let arow = |i: usize| &a[i * k + k0..i * k + k0 + kc];
             let mut j = 0;
-            while j + 32 <= n {
-                let (bt, bstride) = if pack.is_empty() {
-                    (b.as_ptr().add(k0 * n + j), n)
-                } else {
-                    for kk in 0..kc {
-                        pack[kk * 32..kk * 32 + 32]
-                            .copy_from_slice(&b[(k0 + kk) * n + j..(k0 + kk) * n + j + 32]);
-                    }
-                    (pack.as_ptr(), 32)
-                };
-                let mut i = 0;
-                while i + 2 <= m {
-                    tile32_pair(arow(i), arow(i + 1), bt, bstride, out.as_mut_ptr().add(i * n + j), n);
-                    i += 2;
-                }
-                if i < m {
-                    tile32_one(arow(i), bt, bstride, out.as_mut_ptr().add(i * n + j));
-                }
-                j += 32;
-            }
             while j + 8 <= n {
+                let w = [64, 32, 16, 8].into_iter().find(|&w| j + w <= n).unwrap_or(8);
+                // The B tile for columns `j..j + w` of this panel, packed
+                // when `pack` is allocated.
                 let (bt, bstride) = if pack.is_empty() {
                     (b.as_ptr().add(k0 * n + j), n)
                 } else {
                     for kk in 0..kc {
-                        pack[kk * 8..kk * 8 + 8]
-                            .copy_from_slice(&b[(k0 + kk) * n + j..(k0 + kk) * n + j + 8]);
+                        let src = (k0 + kk) * n + j;
+                        pack[kk * w..kk * w + w].copy_from_slice(&b[src..src + w]);
                     }
-                    (pack.as_ptr(), 8)
+                    (pack.as_ptr(), w)
                 };
-                let mut i = 0;
-                while i + 2 <= m {
-                    tile8_pair(arow(i), arow(i + 1), bt, bstride, out.as_mut_ptr().add(i * n + j), n);
-                    i += 2;
+                let s = Strip {
+                    a: a.as_ptr().add(k0),
+                    lda: k,
+                    m,
+                    kc,
+                    bt,
+                    bstride,
+                    out: out.as_mut_ptr().add(j),
+                    n,
+                };
+                match w {
+                    64 => strip::<1, 8>(&s),
+                    32 => strip::<2, 4>(&s),
+                    16 => strip::<4, 2>(&s),
+                    _ => strip::<8, 1>(&s),
                 }
-                if i < m {
-                    tile8_one(arow(i), bt, bstride, out.as_mut_ptr().add(i * n + j));
-                }
-                j += 8;
+                j += w;
             }
-            // Scalar tail columns (n mod 8), plain mul_add chains.
+            // Tail columns (n mod 8): one lane per row, 8 or 16 rows at a
+            // time, then plain mul_add chains for the last m mod 8 rows.
             while j < n {
-                for i in 0..m {
+                let bcol = b.as_ptr().add(k0 * n + j);
+                let mut i = 0;
+                while i + 16 <= m {
+                    col_rows::<2>(a.as_ptr().add(i * k + k0), k, kc, bcol, n, out.as_mut_ptr().add(i * n + j), n);
+                    i += 16;
+                }
+                if i + 8 <= m {
+                    col_rows::<1>(a.as_ptr().add(i * k + k0), k, kc, bcol, n, out.as_mut_ptr().add(i * n + j), n);
+                    i += 8;
+                }
+                while i < m {
                     let mut s = out[i * n + j];
-                    for (kk, &av) in arow(i).iter().enumerate() {
+                    for (kk, &av) in a[i * k + k0..i * k + k0 + kc].iter().enumerate() {
                         if av == 0.0 {
                             continue;
                         }
                         s = av.mul_add(b[(k0 + kk) * n + j], s);
                     }
                     out[i * n + j] = s;
+                    i += 1;
                 }
                 j += 1;
             }
@@ -411,128 +482,169 @@ mod avx2 {
         }
     }
 
-    /// One 2-row × 32-column register tile: 8 accumulators held across the
-    /// whole k panel. `bt` points at the tile's B data (packed or in
-    /// place) advancing by `bstride` per k; `p0` at the first of the two
-    /// output strips, the second `n` floats later.
+    /// All rows of one `8 * V`-column strip, `R = 8 / V` rows per group so
+    /// about 8 fma chains are in flight whatever the strip width. Four
+    /// rows with no zero term run [`tile16_quad`]s, which issue every term
+    /// with no compare at all. Any other group runs [`rows_terms`], which
+    /// issues only each row's nonzero terms, so a ReLU-sparse or one-hot
+    /// row costs its nonzeros rather than a branch per term.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile32_pair(
-        ar0: &[f32],
-        ar1: &[f32],
-        bt: *const f32,
-        bstride: usize,
-        p0: *mut f32,
-        n: usize,
-    ) {
-        let bp = bt;
-        let p1 = p0.add(n);
+    unsafe fn strip<const R: usize, const V: usize>(s: &Strip) {
+        let arow = |i: usize| core::slice::from_raw_parts(s.a.add(i * s.lda), s.kc);
+        let mut i = 0;
+        while i < s.m {
+            let p = s.out.add(i * s.n);
+            if V >= 2 && i + 4 <= s.m && (i..i + 4).all(|r| all_terms(arow(r))) {
+                let rows = [arow(i), arow(i + 1), arow(i + 2), arow(i + 3)];
+                for h in 0..V / 2 {
+                    tile16_quad(rows, s.bt.add(16 * h), s.bstride, p.add(16 * h), s.n);
+                }
+                i += 4;
+            } else if i + R <= s.m {
+                rows_terms::<R, V>(s.a.add(i * s.lda), s, p);
+                i += R;
+            } else {
+                rows_terms::<1, V>(s.a.add(i * s.lda), s, p);
+                i += 1;
+            }
+        }
+    }
+
+    /// One 4-row × 16-column register tile over rows with no zero term: 8
+    /// accumulators, so a k step issues 8 independent fma chains over 2
+    /// shared B loads. `bt` points at the tile's B data advancing by
+    /// `bstride` per k; output row `r` of the tile starts `r * n` floats
+    /// after `p0`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile16_quad(ar: [&[f32]; 4], bt: *const f32, bstride: usize, p0: *mut f32, n: usize) {
+        let [ar0, ar1, ar2, ar3] = ar;
+        let (p1, p2, p3) = (p0.add(n), p0.add(2 * n), p0.add(3 * n));
         let mut c00 = _mm256_loadu_ps(p0);
         let mut c01 = _mm256_loadu_ps(p0.add(8));
-        let mut c02 = _mm256_loadu_ps(p0.add(16));
-        let mut c03 = _mm256_loadu_ps(p0.add(24));
         let mut c10 = _mm256_loadu_ps(p1);
         let mut c11 = _mm256_loadu_ps(p1.add(8));
-        let mut c12 = _mm256_loadu_ps(p1.add(16));
-        let mut c13 = _mm256_loadu_ps(p1.add(24));
+        let mut c20 = _mm256_loadu_ps(p2);
+        let mut c21 = _mm256_loadu_ps(p2.add(8));
+        let mut c30 = _mm256_loadu_ps(p3);
+        let mut c31 = _mm256_loadu_ps(p3.add(8));
         for kk in 0..ar0.len() {
-            let a0 = *ar0.get_unchecked(kk);
-            let a1 = *ar1.get_unchecked(kk);
-            if a0 == 0.0 && a1 == 0.0 {
-                continue;
-            }
-            let r = bp.add(kk * bstride);
+            let r = bt.add(kk * bstride);
             let b0 = _mm256_loadu_ps(r);
             let b1 = _mm256_loadu_ps(r.add(8));
-            let b2 = _mm256_loadu_ps(r.add(16));
-            let b3 = _mm256_loadu_ps(r.add(24));
-            if a0 != 0.0 {
-                let v = _mm256_set1_ps(a0);
-                c00 = _mm256_fmadd_ps(v, b0, c00);
-                c01 = _mm256_fmadd_ps(v, b1, c01);
-                c02 = _mm256_fmadd_ps(v, b2, c02);
-                c03 = _mm256_fmadd_ps(v, b3, c03);
-            }
-            if a1 != 0.0 {
-                let v = _mm256_set1_ps(a1);
-                c10 = _mm256_fmadd_ps(v, b0, c10);
-                c11 = _mm256_fmadd_ps(v, b1, c11);
-                c12 = _mm256_fmadd_ps(v, b2, c12);
-                c13 = _mm256_fmadd_ps(v, b3, c13);
-            }
+            let v = _mm256_set1_ps(*ar0.get_unchecked(kk));
+            c00 = _mm256_fmadd_ps(v, b0, c00);
+            c01 = _mm256_fmadd_ps(v, b1, c01);
+            let v = _mm256_set1_ps(*ar1.get_unchecked(kk));
+            c10 = _mm256_fmadd_ps(v, b0, c10);
+            c11 = _mm256_fmadd_ps(v, b1, c11);
+            let v = _mm256_set1_ps(*ar2.get_unchecked(kk));
+            c20 = _mm256_fmadd_ps(v, b0, c20);
+            c21 = _mm256_fmadd_ps(v, b1, c21);
+            let v = _mm256_set1_ps(*ar3.get_unchecked(kk));
+            c30 = _mm256_fmadd_ps(v, b0, c30);
+            c31 = _mm256_fmadd_ps(v, b1, c31);
         }
         _mm256_storeu_ps(p0, c00);
         _mm256_storeu_ps(p0.add(8), c01);
-        _mm256_storeu_ps(p0.add(16), c02);
-        _mm256_storeu_ps(p0.add(24), c03);
         _mm256_storeu_ps(p1, c10);
         _mm256_storeu_ps(p1.add(8), c11);
-        _mm256_storeu_ps(p1.add(16), c12);
-        _mm256_storeu_ps(p1.add(24), c13);
+        _mm256_storeu_ps(p2, c20);
+        _mm256_storeu_ps(p2.add(8), c21);
+        _mm256_storeu_ps(p3, c30);
+        _mm256_storeu_ps(p3.add(8), c31);
     }
 
+    /// `R` rows × `8 * V` columns of strip `s`: `R * V` accumulators held
+    /// across the panel, each row's advanced only at its nonzero terms,
+    /// found by walking [`term_bits`] lowest bit first (ascending k, as
+    /// the contract requires). While every row has a term left the rows
+    /// step together, so `R * V` fma chains are in flight; then each row
+    /// drains its remaining terms alone. The group's first row starts at
+    /// `a0` in A and at `p0` in the output.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile32_one(ar: &[f32], bt: *const f32, bstride: usize, p: *mut f32) {
-        let mut c0 = _mm256_loadu_ps(p);
-        let mut c1 = _mm256_loadu_ps(p.add(8));
-        let mut c2 = _mm256_loadu_ps(p.add(16));
-        let mut c3 = _mm256_loadu_ps(p.add(24));
-        for (kk, &av) in ar.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+    unsafe fn rows_terms<const R: usize, const V: usize>(a0: *const f32, s: &Strip, p0: *mut f32) {
+        let mut c = [[_mm256_setzero_ps(); V]; R];
+        for (r, cr) in c.iter_mut().enumerate() {
+            for (v, cv) in cr.iter_mut().enumerate() {
+                *cv = _mm256_loadu_ps(p0.add(r * s.n + 8 * v));
             }
-            let v = _mm256_set1_ps(av);
-            let r = bt.add(kk * bstride);
-            c0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(r), c0);
-            c1 = _mm256_fmadd_ps(v, _mm256_loadu_ps(r.add(8)), c1);
-            c2 = _mm256_fmadd_ps(v, _mm256_loadu_ps(r.add(16)), c2);
-            c3 = _mm256_fmadd_ps(v, _mm256_loadu_ps(r.add(24)), c3);
         }
-        _mm256_storeu_ps(p, c0);
-        _mm256_storeu_ps(p.add(8), c1);
-        _mm256_storeu_ps(p.add(16), c2);
-        _mm256_storeu_ps(p.add(24), c3);
+        // Issue the term at `kk` of the row starting at `ar` into `c`.
+        let step = |c: &mut [__m256; V], ar: *const f32, kk: usize| {
+            let av = _mm256_set1_ps(*ar.add(kk));
+            let bp = s.bt.add(kk * s.bstride);
+            for (v, cv) in c.iter_mut().enumerate() {
+                *cv = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(8 * v)), *cv);
+            }
+        };
+        let mut k0 = 0;
+        while k0 < s.kc {
+            let len = (s.kc - k0).min(64);
+            let mut bits = [0u64; R];
+            for (r, br) in bits.iter_mut().enumerate() {
+                *br = term_bits(core::slice::from_raw_parts(a0.add(r * s.lda + k0), len));
+            }
+            while bits.iter().all(|&br| br != 0) {
+                for r in 0..R {
+                    step(&mut c[r], a0.add(r * s.lda), k0 + pop_lowest(&mut bits[r]));
+                }
+            }
+            for r in 0..R {
+                while bits[r] != 0 {
+                    step(&mut c[r], a0.add(r * s.lda), k0 + pop_lowest(&mut bits[r]));
+                }
+            }
+            k0 += len;
+        }
+        for (r, cr) in c.iter().enumerate() {
+            for (v, cv) in cr.iter().enumerate() {
+                _mm256_storeu_ps(p0.add(r * s.n + 8 * v), *cv);
+            }
+        }
     }
 
+    /// One output column over `8 * B` rows, one lane per row: lane `r` of
+    /// block `q` runs row `8q + r`'s ascending-k chain
+    /// `fma(a[row][kk], b[kk], acc)`, and the `B` blocks are independent
+    /// chains that hide each other's fma latency. `a0` points at row 0's
+    /// first panel element (rows `lda` floats apart), `bcol` at the
+    /// column's first panel element (k steps `bstride` floats apart), `p0`
+    /// at row 0's output cell (rows `n` floats apart).
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile8_pair(
-        ar0: &[f32],
-        ar1: &[f32],
-        bt: *const f32,
+    unsafe fn col_rows<const B: usize>(
+        a0: *const f32,
+        lda: usize,
+        kc: usize,
+        bcol: *const f32,
         bstride: usize,
         p0: *mut f32,
         n: usize,
     ) {
-        let p1 = p0.add(n);
-        let mut c0 = _mm256_loadu_ps(p0);
-        let mut c1 = _mm256_loadu_ps(p1);
-        for kk in 0..ar0.len() {
-            let a0 = *ar0.get_unchecked(kk);
-            let a1 = *ar1.get_unchecked(kk);
-            if a0 == 0.0 && a1 == 0.0 {
-                continue;
-            }
-            let bv = _mm256_loadu_ps(bt.add(kk * bstride));
-            if a0 != 0.0 {
-                c0 = _mm256_fmadd_ps(_mm256_set1_ps(a0), bv, c0);
-            }
-            if a1 != 0.0 {
-                c1 = _mm256_fmadd_ps(_mm256_set1_ps(a1), bv, c1);
+        assert!(8 * B * lda.max(n) <= i32::MAX as usize, "offsets fit a gather index");
+        let strided = |step: usize| {
+            let s = step as i32;
+            _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s)
+        };
+        let (arows, orows) = (strided(lda), strided(n));
+        let mut acc: [__m256; B] =
+            core::array::from_fn(|q| _mm256_i32gather_ps::<4>(p0.add(8 * q * n), orows));
+        for kk in 0..kc {
+            let bv = _mm256_set1_ps(*bcol.add(kk * bstride));
+            for (q, cq) in acc.iter_mut().enumerate() {
+                let av = _mm256_i32gather_ps::<4>(a0.add(8 * q * lda + kk), arows);
+                let z = is_zero(av);
+                if _mm256_movemask_ps(z) != 0xff {
+                    *cq = fma_unless_zero(av, bv, *cq, z);
+                }
             }
         }
-        _mm256_storeu_ps(p0, c0);
-        _mm256_storeu_ps(p1, c1);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn tile8_one(ar: &[f32], bt: *const f32, bstride: usize, p: *mut f32) {
-        let mut c0 = _mm256_loadu_ps(p);
-        for (kk, &av) in ar.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+        for (q, cq) in acc.iter().enumerate() {
+            let mut cell = [0.0f32; 8];
+            _mm256_storeu_ps(cell.as_mut_ptr(), *cq);
+            for (r, &c) in cell.iter().enumerate() {
+                *p0.add((8 * q + r) * n) = c;
             }
-            c0 = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bt.add(kk * bstride)), c0);
         }
-        _mm256_storeu_ps(p, c0);
     }
 
     /// # Safety
@@ -672,16 +784,46 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_rows_matches_reference_on_awkward_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (2, 3, 5), (3, 17, 9), (4, 8, 64), (5, 33, 71), (1, 19, 130)] {
-            let a = pattern(m * k, 0.1);
-            let b = pattern(k * n, 0.9);
-            let mut fast = vec![0.0; m * n];
-            let mut slow = vec![0.0; m * n];
-            matmul_rows(&a, m, k, &b, n, &mut fast);
-            matmul_rows_ref(&a, m, k, &b, n, &mut slow);
-            assert_eq!(fast, slow, "matmul_rows diverged at {m}x{k}x{n}");
+        // Beyond the small shapes: m ≥ 9 and n ∈ {1, 8, 16, 17, 24, 48, 64,
+        // 71} reach the 4-row dense tiles, the 8/4/2-row sparse groups and
+        // their single-row remainders, every strip width, and the 8- and
+        // 16-row one-lane-per-row tail; k = 70 and 300 cross a 64-term mask
+        // chunk and a k panel.
+        let shapes = [
+            (1, 1, 1),
+            (2, 3, 5),
+            (3, 17, 9),
+            (4, 8, 64),
+            (5, 33, 71),
+            (1, 19, 130),
+            (9, 16, 16),
+            (13, 64, 16),
+            (17, 16, 1),
+            (8, 16, 64),
+            (11, 24, 24),
+            (33, 16, 48),
+            (19, 70, 17),
+            (10, 8, 8),
+            (6, 300, 40),
+        ];
+        for &(m, k, n) in &shapes {
+            // Rows of `pattern` hold zeros (sparse path); rows of `dense`
+            // hold none (4-row tiles).
+            let dense: Vec<f32> = pattern(m * k, 0.1).iter().map(|x| x + 2.0).collect();
+            for a in [pattern(m * k, 0.1), dense] {
+                let b = pattern(k * n, 0.9);
+                let mut fast = pattern(m * n, 0.5);
+                let mut slow = fast.clone();
+                matmul_rows(&a, m, k, &b, n, &mut fast);
+                matmul_rows_ref(&a, m, k, &b, n, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "matmul_rows diverged at {m}x{k}x{n}");
+            }
         }
     }
 
@@ -722,5 +864,42 @@ mod tests {
         matmul_rows_ref(&a, 1, 2, &b, 2, &mut slow);
         assert_eq!(fast, slow);
         assert_eq!(fast, vec![f32::NEG_INFINITY, 3.0]);
+
+        // Eight rows × 12 terms; B rows 0, 2 and 9 hold ±inf. A's column 2
+        // is ±0.0 in every row; columns 0 and 9 are ±0.0 in rows 0..6 and
+        // nonzero in row 6 (column 0) or row 7 (column 9). Rows 0..6 must
+        // skip every inf term and stay finite; rows 6 and 7 must take theirs.
+        // This reaches the 8-row groups (n = 16) and the one-lane-per-row
+        // tail (n = 1), both through a whole 8-term chunk and a short tail.
+        let (m, k) = (8, 12);
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| {
+                let (r, c) = (i / k, i % k);
+                let signed_zero = if r % 2 == 0 { 0.0 } else { -0.0 };
+                match c {
+                    0 if r == 6 => 1.0,
+                    9 if r == 7 => 1.0,
+                    0 | 2 | 9 => signed_zero,
+                    _ => 0.5 + c as f32 * 0.25 + r as f32 * 0.125,
+                }
+            })
+            .collect();
+        for n in [16, 1] {
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| match i / n {
+                    0 | 9 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    r => 1.0 + (r * n + i % n) as f32 * 0.25,
+                })
+                .collect();
+            let mut fast = vec![0.0; m * n];
+            let mut slow = vec![0.0; m * n];
+            matmul_rows(&a, m, k, &b, n, &mut fast);
+            matmul_rows_ref(&a, m, k, &b, n, &mut slow);
+            let (finite, taken) = fast.split_at(6 * n);
+            assert!(finite.iter().all(|v| v.is_finite()), "n = {n}: a zero term was issued");
+            assert!(taken.iter().all(|&v| v == f32::INFINITY), "n = {n}: an inf term was skipped");
+            assert_eq!(bits(&fast), bits(&slow), "n = {n}");
+        }
     }
 }

@@ -49,6 +49,27 @@ proptest! {
         assert_bits_eq(&simd, &scalar, "matmul_rows");
     }
 
+    /// The axpy family on ReLU-sparse activations, the shape of a hidden
+    /// layer's input: about half of each sparse row is `0.0` or `-0.0`, and
+    /// some rows are dense, so row groups mix both kinds. `m` runs past 32
+    /// to reach every row grouping and its remainder.
+    #[test]
+    fn matmul_rows_matches_scalar_bitwise_on_relu_sparse_rows(
+        m in 1usize..48,
+        k in 1usize..80,
+        n in 1usize..72,
+        seed in 0u32..4,
+    ) {
+        let a = relu_rows(m, k, seed);
+        let b = grid_vec(k * n, seed.wrapping_add(1));
+        let init = grid_vec(m * n, seed.wrapping_add(2));
+        let mut simd = init.clone();
+        let mut scalar = init;
+        av_nn::simd::matmul_rows(&a, m, k, &b, n, &mut simd);
+        av_nn::simd::matmul_rows_ref(&a, m, k, &b, n, &mut scalar);
+        assert_bits_eq(&simd, &scalar, "matmul_rows (ReLU-sparse)");
+    }
+
     /// `out = A × Bᵀ` (dot family): the 8-lane fixed accumulator order of
     /// `dot_lanes_ref` must survive the intrinsics path exactly.
     #[test]
@@ -114,6 +135,33 @@ fn grid_vec(len: usize, seed: u32) -> Vec<f32> {
             ((s % 17) as i32 - 8) as f32 * 0.37
         })
         .collect()
+}
+
+/// `m × k` ReLU-like activations. Each row is, by a coin flip, dense
+/// (every entry nonzero) or sparse: about half its entries are zeros, a
+/// third of those `-0.0`, which the zero-skip must treat exactly like `0.0`.
+fn relu_rows(m: usize, k: usize, seed: u32) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(2_654_435_761).wrapping_add(1_013_904_223) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 17;
+        s ^= s << 5;
+        s
+    };
+    let mut out = Vec::with_capacity(m * k);
+    for _ in 0..m {
+        let dense = next() % 2 == 0;
+        for _ in 0..k {
+            let r = next();
+            let v = ((r % 16) as f32 + 1.0) * 0.37;
+            out.push(match (dense, r / 16 % 6) {
+                (true, _) | (false, 3..) => v,
+                (false, 0) => -0.0,
+                (false, _) => 0.0,
+            });
+        }
+    }
+    out
 }
 
 /// The tensor-level contract in one shot: `Tensor::matmul` (whatever

@@ -138,25 +138,49 @@ impl QNet {
     /// for the taken actions regress toward `r + γ·max Q(next)`. Returns
     /// the minibatch MSE, for telemetry.
     fn train_batch(&mut self, batch: &[&Transition], gamma: f64) -> f64 {
-        // Target-Q pass: every transition's next-state rows go through ONE
-        // batched forward (rows are independent, so each Q-value is
-        // identical to a per-transition forward), then the per-transition
-        // max is taken over its own slice of the output.
-        let all_next: Vec<[f32; FEATURE_DIM]> = batch
+        // Target-Q pass. The minibatch is sampled with replacement from a
+        // small memory, so it often holds a transition more than once:
+        // only the distinct transitions (first-seen order) are forwarded,
+        // and each duplicate reuses its transition's max. All their
+        // next-state rows go through ONE batched forward; rows are
+        // independent in every kernel, so each Q-value, and so each
+        // target, is bit-identical to a per-transition forward.
+        let mut distinct: Vec<&Transition> = Vec::with_capacity(batch.len());
+        let slot: Vec<usize> = batch
+            .iter()
+            .map(|&t| {
+                distinct
+                    .iter()
+                    .position(|&d| std::ptr::eq(d, t))
+                    .unwrap_or_else(|| {
+                        distinct.push(t);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let all_next: Vec<[f32; FEATURE_DIM]> = distinct
             .iter()
             .flat_map(|t| t.next_phis.iter().copied())
             .collect();
         let all_q = self.q_values(&all_next);
         let mut at = 0usize;
-        let targets: Vec<f32> = batch
+        let next_best: Vec<f64> = distinct
             .iter()
             .map(|t| {
                 let qs = &all_q[at..at + t.next_phis.len()];
                 at += t.next_phis.len();
-                let next_best = qs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let next_best = if next_best.is_finite() { next_best } else { 0.0 };
-                (t.reward + gamma * next_best) as f32
+                let best = qs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                if best.is_finite() {
+                    best
+                } else {
+                    0.0
+                }
             })
+            .collect();
+        let targets: Vec<f32> = batch
+            .iter()
+            .zip(&slot)
+            .map(|(t, &s)| (t.reward + gamma * next_best[s]) as f32)
             .collect();
         let rows: Vec<&[f32]> = batch.iter().map(|t| t.phi.as_slice()).collect();
         let mut g = Graph::new();
@@ -247,11 +271,20 @@ impl RlView {
             let mut t = 0usize;
             loop {
                 let r_prev = iv.utility();
-                let phis = featurize_all(instance, &iv, &freq, &degree, t);
+                // Within an epoch, the previous step already featurized this
+                // state at this `t` as its transition's next state.
+                let fresh;
+                let phis = match memory.back() {
+                    Some(prev) if t > 0 => &prev.next_phis,
+                    _ => {
+                        fresh = featurize_all(instance, &iv, &freq, &degree, t);
+                        &fresh
+                    }
+                };
                 let action = if rng.gen_bool(eps.clamp(0.0, 1.0)) {
                     rng.gen_range(0..nc)
                 } else {
-                    argmax(&qnet.q_values(&phis))
+                    argmax(&qnet.q_values(phis))
                 };
                 let phi_taken = phis[action];
                 iv.apply_flip(action);

@@ -32,10 +32,29 @@ fn wide_deep_fits_and_predicts_bitwise_reproducibly() {
     let a = WideDeep::fit(&train, config.clone());
     let b = WideDeep::fit(&train, config);
     assert_eq!(a.param_bits(), b.param_bits(), "refit changes a weight");
+    // Recorded before the register-tiled narrow-matrix kernels landed
+    // (same value on the AVX2 and portable backends): every forward and
+    // backward matmul of the fit feeds these weights, so a reassociated
+    // kernel chain moves the hash.
+    assert_eq!(
+        fnv1a(&a.param_bits()),
+        0xf59a_ed66_1aac_acc5,
+        "pinned Wide-Deep weights"
+    );
 
     let inputs: Vec<FeatureInput> = train.into_iter().map(|(input, _)| input).collect();
     let (pa, pb) = (a.predict_batch(&inputs), b.predict_batch(&inputs));
     assert!(pa.iter().all(|v| v.is_finite()), "predictions are finite");
     let bits = |p: &[f64]| -> Vec<u64> { p.iter().map(|v| v.to_bits()).collect() };
     assert_eq!(bits(&pa), bits(&pb), "refit changes a prediction");
+}
+
+/// FNV-1a over the little-endian bytes of each weight's bit pattern.
+fn fnv1a(words: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
