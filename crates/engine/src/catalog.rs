@@ -110,9 +110,11 @@ impl Table {
         self.data.num_rows()
     }
 
-    /// Approximate byte size of the stored data.
+    /// Approximate byte size of the stored data: `stats.total_bytes`,
+    /// measured once at construction. Tables are immutable once built, so
+    /// every scan charges this number without re-walking the strings.
     pub fn byte_size(&self) -> usize {
-        self.data.byte_size()
+        self.stats.total_bytes
     }
 }
 

@@ -1,27 +1,31 @@
 //! Plan interpreter with cost metering.
 //!
-//! The hot path is organised around three ideas (see DESIGN.md, "executor
+//! The hot path is organised around these ideas (see DESIGN.md, "executor
 //! internals"):
 //!
 //! - **Bound expressions** — column references are resolved to column
 //!   indices once per operator ([`BoundExpr`]), never per row;
 //! - **Interned keys** — join and group-by keys are encoded to fixed-width
 //!   `u64` codes ([`crate::keys`]) instead of hashing `Vec<Value>` per row;
-//! - **Selection vectors** — filters compile their predicates to typed
-//!   kernels ([`crate::sel`]) and emit a vector of surviving row indices
-//!   instead of materializing a filtered batch; stacked filters refine the
-//!   selection, aggregates consume it in place, and rows are gathered once
-//!   at the next join, computed projection, or the plan root. The old
-//!   materializing mask path survives behind
-//!   [`Executor::with_reference_kernels`] as the bitwise-equal baseline;
-//! - **Deterministic chunking** — filter evaluation, join probe and
-//!   partial aggregation run over fixed 1024-row chunks ([`crate::par`])
-//!   in ascending order on the calling thread, with per-chunk results
-//!   (including any metered counts) merged in chunk order, so batches
-//!   *and* [`ExecutionReport`]s depend on the row count alone.
+//! - **Borrowed scans and selection vectors** — a scan borrows its table's
+//!   columns from the catalog instead of copying them, and filters compile
+//!   their predicates to typed kernels ([`crate::sel`]) that emit, in one
+//!   branch-free pass, a vector of surviving row indices instead of a
+//!   filtered batch; stacked filters refine the selection, aggregates
+//!   consume it in place, and rows are gathered once at the next join,
+//!   projection, or the plan root. The old materializing mask path survives
+//!   behind [`Executor::with_reference_kernels`] as the bitwise-equal
+//!   baseline;
+//! - **One probe pass** — a join probes every row straight into its two
+//!   output index vectors, with the key-column type resolved once outside
+//!   the row loop;
+//! - **Chunked aggregates** — partial aggregation alone runs over fixed
+//!   1024-row chunks ([`crate::par`]) merged in chunk order, because its f64
+//!   partial sums depend on where the chunks fall; batches *and*
+//!   [`ExecutionReport`]s therefore depend on the row count alone.
 //!
-//! All cost charges are analytic functions of row counts, so the meter
-//! never observes timing.
+//! All cost charges are analytic functions of row counts and byte sizes, so
+//! the meter never observes timing.
 
 use crate::batch::{Column, RecordBatch};
 use crate::catalog::Catalog;
@@ -29,9 +33,10 @@ use crate::error::EngineError;
 use crate::keys::{self, KeyCol, KeyInterner};
 use crate::meter::{CostMeter, ExecutionReport, Pricing};
 use crate::par;
-use crate::sel::{apply_ord, CompiledPred, SelBatch};
+use crate::sel::{apply_ord, emit, CompiledPred, SelBatch};
 use av_plan::expr::ArithOp;
 use av_plan::{AggFunc, CmpOp, Expr, JoinType, PlanNode, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 
@@ -80,9 +85,11 @@ impl<'a> Executor<'a> {
         let mut meter = CostMeter::new();
         let sb = self.exec(plan, &mut meter)?;
         // The root is the last materialization point: a plan ending in a
-        // filter gathers its surviving rows exactly once, here.
-        let batch = sb.materialize();
-        let report = meter.report(&self.pricing, batch.byte_size(), batch.num_rows());
+        // filter gathers its surviving rows exactly once, here, and a plan
+        // that is a bare scan copies its borrowed table here.
+        let bytes = sb.bytes;
+        let batch = sb.into_batch();
+        let report = meter.report(&self.pricing, bytes, batch.num_rows());
         Ok(ExecResult { batch, report })
     }
 
@@ -91,15 +98,13 @@ impl<'a> Executor<'a> {
         Ok(self.run(plan)?.report.cost_dollars)
     }
 
-    fn exec(&self, plan: &PlanNode, meter: &mut CostMeter) -> Result<SelBatch, EngineError> {
+    fn exec(&self, plan: &PlanNode, meter: &mut CostMeter) -> Result<SelBatch<'a>, EngineError> {
         match plan {
-            PlanNode::TableScan { table, alias } => {
-                self.exec_scan(table, alias, meter).map(SelBatch::dense)
-            }
+            PlanNode::TableScan { table, alias } => self.exec_scan(table, alias, meter),
             PlanNode::Filter { input, predicate } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_filter_reference(sb.materialize(), predicate, meter).map(SelBatch::dense)
+                    exec_filter_reference(sb.into_batch(), predicate, meter)
                 } else {
                     exec_filter_sel(sb, predicate, meter)
                 }
@@ -107,7 +112,7 @@ impl<'a> Executor<'a> {
             PlanNode::Project { input, exprs } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_project_reference(sb.materialize(), exprs, meter).map(SelBatch::dense)
+                    exec_project_reference(sb.into_batch(), exprs, meter)
                 } else {
                     exec_project_sel(sb, exprs, meter)
                 }
@@ -118,11 +123,11 @@ impl<'a> Executor<'a> {
                 on,
                 join_type,
             } => {
-                // Joins gather both inputs: probe/build internals index
-                // dense batches.
-                let lb = self.exec(left, meter)?.materialize();
-                let rb = self.exec(right, meter)?.materialize();
-                exec_join(lb, rb, on, *join_type, meter).map(SelBatch::dense)
+                // Joins gather selected inputs: probe/build internals index
+                // dense columns. Dense inputs (a bare scan) stay borrowed.
+                let lb = self.exec(left, meter)?.dense();
+                let rb = self.exec(right, meter)?.dense();
+                exec_join(lb, rb, on, *join_type, meter)
             }
             PlanNode::Aggregate {
                 input,
@@ -131,23 +136,25 @@ impl<'a> Executor<'a> {
             } => {
                 let sb = self.exec(input, meter)?;
                 if self.reference_kernels {
-                    exec_aggregate_reference(sb.materialize(), group_by, aggs, meter)
-                        .map(SelBatch::dense)
+                    exec_aggregate_reference(sb.into_batch(), group_by, aggs, meter)
                 } else {
-                    exec_aggregate_sel(sb, group_by, aggs, meter).map(SelBatch::dense)
+                    exec_aggregate_sel(sb, group_by, aggs, meter)
                 }
             }
         }
     }
 
+    /// Scan a table by borrowing its columns from the catalog: no cell is
+    /// copied, and the byte charge is the size recorded in the table's
+    /// statistics rather than a fresh walk over its strings.
     fn exec_scan(
         &self,
         table: &str,
         alias: &str,
         meter: &mut CostMeter,
-    ) -> Result<RecordBatch, EngineError> {
-        let t = self
-            .catalog
+    ) -> Result<SelBatch<'a>, EngineError> {
+        let catalog: &'a Catalog = self.catalog;
+        let t = catalog
             .table(table)
             .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
         // Scanning charges one op per cell plus a per-row dispatch cost.
@@ -162,9 +169,11 @@ impl<'a> Executor<'a> {
                 .map(|c| format!("{alias}.{c}"))
                 .collect()
         };
-        Ok(RecordBatch {
+        Ok(SelBatch {
             names,
-            columns: t.data.columns.clone(),
+            columns: Cow::Borrowed(&t.data.columns),
+            sel: None,
+            bytes: t.byte_size(),
         })
     }
 }
@@ -193,50 +202,50 @@ pub(crate) enum BoundExpr {
 }
 
 impl BoundExpr {
-    pub(crate) fn bind(expr: &Expr, batch: &RecordBatch) -> Result<BoundExpr, EngineError> {
+    pub(crate) fn bind(expr: &Expr, names: &[String]) -> Result<BoundExpr, EngineError> {
         Ok(match expr {
-            Expr::Column(c) => BoundExpr::Col(require_column(batch, c)?),
+            Expr::Column(c) => BoundExpr::Col(require_column(names, c)?),
             Expr::Literal(v) => BoundExpr::Lit(v.clone()),
             Expr::Cmp { op, left, right } => BoundExpr::Cmp {
                 op: *op,
-                left: Box::new(BoundExpr::bind(left, batch)?),
-                right: Box::new(BoundExpr::bind(right, batch)?),
+                left: Box::new(BoundExpr::bind(left, names)?),
+                right: Box::new(BoundExpr::bind(right, names)?),
             },
             Expr::And(v) => BoundExpr::And(
                 v.iter()
-                    .map(|e| BoundExpr::bind(e, batch))
+                    .map(|e| BoundExpr::bind(e, names))
                     .collect::<Result<_, _>>()?,
             ),
             Expr::Or(v) => BoundExpr::Or(
                 v.iter()
-                    .map(|e| BoundExpr::bind(e, batch))
+                    .map(|e| BoundExpr::bind(e, names))
                     .collect::<Result<_, _>>()?,
             ),
-            Expr::Not(e) => BoundExpr::Not(Box::new(BoundExpr::bind(e, batch)?)),
+            Expr::Not(e) => BoundExpr::Not(Box::new(BoundExpr::bind(e, names)?)),
             Expr::Arith { op, left, right } => BoundExpr::Arith {
                 op: *op,
-                left: Box::new(BoundExpr::bind(left, batch)?),
-                right: Box::new(BoundExpr::bind(right, batch)?),
+                left: Box::new(BoundExpr::bind(left, names)?),
+                right: Box::new(BoundExpr::bind(right, names)?),
             },
         })
     }
 
     /// Evaluate against one row. Mirrors [`Expr::eval`] exactly.
-    fn eval(&self, batch: &RecordBatch, row: usize) -> Value {
+    fn eval(&self, cols: &[Column], row: usize) -> Value {
         match self {
-            BoundExpr::Col(i) => batch.columns[*i].get(row),
+            BoundExpr::Col(i) => cols[*i].get(row),
             BoundExpr::Lit(v) => v.clone(),
             BoundExpr::Cmp { op, left, right } => {
-                let l = left.eval(batch, row);
-                let r = right.eval(batch, row);
+                let l = left.eval(cols, row);
+                let r = right.eval(cols, row);
                 Value::Int(op.apply(&l, &r) as i64)
             }
-            BoundExpr::And(v) => Value::Int(v.iter().all(|e| e.eval_bool(batch, row)) as i64),
-            BoundExpr::Or(v) => Value::Int(v.iter().any(|e| e.eval_bool(batch, row)) as i64),
-            BoundExpr::Not(e) => Value::Int(!e.eval_bool(batch, row) as i64),
+            BoundExpr::And(v) => Value::Int(v.iter().all(|e| e.eval_bool(cols, row)) as i64),
+            BoundExpr::Or(v) => Value::Int(v.iter().any(|e| e.eval_bool(cols, row)) as i64),
+            BoundExpr::Not(e) => Value::Int(!e.eval_bool(cols, row) as i64),
             BoundExpr::Arith { op, left, right } => {
-                let l = left.eval(batch, row);
-                let r = right.eval(batch, row);
+                let l = left.eval(cols, row);
+                let r = right.eval(cols, row);
                 match (l.as_f64(), r.as_f64()) {
                     (Some(a), Some(b)) => {
                         let out = match op {
@@ -267,25 +276,25 @@ impl BoundExpr {
 
     /// Evaluate as a predicate. The common `column op literal` shape skips
     /// [`Value`] construction entirely (no string clone per row).
-    pub(crate) fn eval_bool(&self, batch: &RecordBatch, row: usize) -> bool {
+    pub(crate) fn eval_bool(&self, cols: &[Column], row: usize) -> bool {
         match self {
             BoundExpr::Cmp { op, left, right } => match (left.as_ref(), right.as_ref()) {
                 (BoundExpr::Col(i), BoundExpr::Lit(v)) => {
-                    cmp_col_lit(*op, &batch.columns[*i], row, v)
+                    cmp_col_lit(*op, &cols[*i], row, v)
                 }
                 (BoundExpr::Lit(v), BoundExpr::Col(i)) => {
-                    cmp_col_lit(op.flipped(), &batch.columns[*i], row, v)
+                    cmp_col_lit(op.flipped(), &cols[*i], row, v)
                 }
                 _ => {
-                    let l = left.eval(batch, row);
-                    let r = right.eval(batch, row);
+                    let l = left.eval(cols, row);
+                    let r = right.eval(cols, row);
                     op.apply(&l, &r)
                 }
             },
-            BoundExpr::And(v) => v.iter().all(|e| e.eval_bool(batch, row)),
-            BoundExpr::Or(v) => v.iter().any(|e| e.eval_bool(batch, row)),
-            BoundExpr::Not(e) => !e.eval_bool(batch, row),
-            other => match other.eval(batch, row) {
+            BoundExpr::And(v) => v.iter().all(|e| e.eval_bool(cols, row)),
+            BoundExpr::Or(v) => v.iter().any(|e| e.eval_bool(cols, row)),
+            BoundExpr::Not(e) => !e.eval_bool(cols, row),
+            other => match other.eval(cols, row) {
                 Value::Int(i) => i != 0,
                 Value::Float(f) => f != 0.0,
                 _ => false,
@@ -319,94 +328,84 @@ fn cmp_col_lit(op: CmpOp, col: &Column, row: usize, lit: &Value) -> bool {
     }
 }
 
-fn require_column(batch: &RecordBatch, name: &str) -> Result<usize, EngineError> {
-    batch
-        .column_index(name)
+fn require_column(names: &[String], name: &str) -> Result<usize, EngineError> {
+    names
+        .iter()
+        .position(|n| n == name)
         .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
 }
 
 /// Reference filter: per-row interpreted mask, materialized output. The
 /// optimized [`exec_filter_sel`] must keep row-for-row the rows this keeps
 /// and charge byte-for-byte what this charges.
-fn exec_filter_reference(
+fn exec_filter_reference<'a>(
     batch: RecordBatch,
     predicate: &Expr,
     meter: &mut CostMeter,
-) -> Result<RecordBatch, EngineError> {
-    let bound = BoundExpr::bind(predicate, &batch)?;
+) -> Result<SelBatch<'a>, EngineError> {
+    let bound = BoundExpr::bind(predicate, &batch.names)?;
     let rows = batch.num_rows();
     let pred_weight = predicate.referenced_columns().len().max(1) * 2;
     meter.charge_rows(rows, pred_weight);
 
-    let chunk_masks = par::map_chunks(rows, |_, range| {
-        range
-            .map(|i| bound.eval_bool(&batch, i))
-            .collect::<Vec<bool>>()
-    });
-    let mut mask = Vec::with_capacity(rows);
-    for m in chunk_masks {
-        mask.extend(m);
-    }
-
+    let mask: Vec<bool> = (0..rows)
+        .map(|i| bound.eval_bool(&batch.columns, i))
+        .collect();
     let in_bytes = batch.byte_size();
     let columns: Vec<Column> = batch.columns.iter().map(|c| c.filter(&mask)).collect();
     let out = RecordBatch {
         names: batch.names,
         columns,
     };
-    meter.alloc_bytes(out.byte_size());
-    meter.free_bytes(in_bytes);
-    Ok(out)
+    Ok(emit(out, in_bytes, meter))
 }
 
 /// Optimized filter: compile the predicate to typed kernels and build (or
-/// refine) a selection vector — no batch materialization, no boolean mask.
+/// refine) a selection vector in one pass over the live rows — no batch
+/// materialization, no boolean mask, and borrowed columns stay borrowed.
 /// All analytic cost charges replicate [`exec_filter_reference`] exactly:
-/// the filtered byte size is computed from the selection without gathering.
-fn exec_filter_sel(
-    sb: SelBatch,
+/// the filtered byte size is computed from the selection without gathering,
+/// and the input's byte size is the one its producer already charged.
+fn exec_filter_sel<'a>(
+    sb: SelBatch<'a>,
     predicate: &Expr,
     meter: &mut CostMeter,
-) -> Result<SelBatch, EngineError> {
-    let bound = BoundExpr::bind(predicate, &sb.batch)?;
+) -> Result<SelBatch<'a>, EngineError> {
+    let bound = BoundExpr::bind(predicate, &sb.names)?;
     let rows = sb.num_rows();
     let pred_weight = predicate.referenced_columns().len().max(1) * 2;
     meter.charge_rows(rows, pred_weight);
 
-    // Selection indices are u32: engine batches stay far below that bound.
-    assert!(
-        sb.batch.num_rows() <= u32::MAX as usize,
-        "batch too large for u32 selection vectors"
-    );
-    let pred = CompiledPred::compile(bound, &sb.batch);
-    // Chunk over *logical* rows — identical boundaries to the reference
-    // path chunking the materialized batch, so anything order-sensitive
-    // downstream (f64 partial sums) sees the same grouping.
-    let chunk_sels: Vec<Vec<u32>> = match &sb.sel {
-        None => par::map_chunks(rows, |_, range| pred.eval_dense(&sb.batch, range)),
-        Some(s) => par::map_chunks(rows, |_, range| pred.eval_sel(&sb.batch, &s[range])),
+    let pred = CompiledPred::compile(bound, &sb.columns);
+    let sel = match sb.sel {
+        None => {
+            // Selection indices are u32: engine batches stay far below that
+            // bound.
+            assert!(
+                rows <= u32::MAX as usize,
+                "batch too large for u32 selection vectors"
+            );
+            pred.eval_dense(&sb.columns, rows)
+        }
+        Some(cands) => pred.eval_sel(&sb.columns, cands),
     };
-    let mut sel = Vec::with_capacity(chunk_sels.iter().map(Vec::len).sum());
-    for c in chunk_sels {
-        sel.extend(c);
-    }
 
-    let in_bytes = sb.byte_size();
-    let out_bytes: usize = sb.batch.columns.iter().map(|c| c.byte_size_sel(&sel)).sum();
+    let out_bytes: usize = sb.columns.iter().map(|c| c.byte_size_sel(&sel)).sum();
     meter.alloc_bytes(out_bytes);
-    meter.free_bytes(in_bytes);
+    meter.free_bytes(sb.bytes);
     Ok(SelBatch {
-        batch: sb.batch,
         sel: Some(sel),
+        bytes: out_bytes,
+        ..sb
     })
 }
 
 /// Reference projection over a dense batch.
-fn exec_project_reference(
+fn exec_project_reference<'a>(
     batch: RecordBatch,
     exprs: &[av_plan::ProjExpr],
     meter: &mut CostMeter,
-) -> Result<RecordBatch, EngineError> {
+) -> Result<SelBatch<'a>, EngineError> {
     let rows = batch.num_rows();
     meter.charge_rows(rows, exprs.len().max(1));
 
@@ -417,59 +416,60 @@ fn exec_project_reference(
         match &p.expr {
             // Fast path: plain column forwarding.
             Expr::Column(c) => {
-                let idx = require_column(&batch, c)?;
+                let idx = require_column(&batch.names, c)?;
                 columns.push(batch.columns[idx].clone());
             }
             expr => {
-                let bound = BoundExpr::bind(expr, &batch)?;
                 // Computed column: evaluate per row; infer output type from
                 // the first row (empty input defaults to Float).
-                let chunk_vals = par::map_chunks(rows, |_, range| {
-                    range.map(|i| bound.eval(&batch, i)).collect::<Vec<Value>>()
-                });
-                let mut vals = Vec::with_capacity(rows);
-                for v in chunk_vals {
-                    vals.extend(v);
-                }
+                let bound = BoundExpr::bind(expr, &batch.names)?;
+                let vals: Vec<Value> = (0..rows).map(|i| bound.eval(&batch.columns, i)).collect();
                 columns.push(values_to_column(&vals));
             }
         }
     }
     let in_bytes = batch.byte_size();
-    let out = RecordBatch { names, columns };
-    meter.alloc_bytes(out.byte_size());
-    meter.free_bytes(in_bytes);
-    Ok(out)
+    Ok(emit(RecordBatch { names, columns }, in_bytes, meter))
 }
 
-/// Projection over a possibly-selected batch. A forwarding-only projection
-/// (every expression a plain column) gathers just the projected columns
-/// through the selection — dropped columns are never copied. Computed
-/// expressions materialize the input once and take the reference path.
-fn exec_project_sel(
-    sb: SelBatch,
+/// Projection over a possibly-selected batch, read in place: forwarded
+/// columns are gathered through the selection (or cloned when dense), and
+/// computed expressions are evaluated at the live rows, so columns the
+/// projection drops are never copied.
+fn exec_project_sel<'a>(
+    sb: SelBatch<'a>,
     exprs: &[av_plan::ProjExpr],
     meter: &mut CostMeter,
-) -> Result<SelBatch, EngineError> {
-    let forwarding = exprs.iter().all(|p| matches!(&p.expr, Expr::Column(_)));
-    if let (Some(sel), true) = (&sb.sel, forwarding) {
-        let rows = sb.num_rows();
-        meter.charge_rows(rows, exprs.len().max(1));
-        let mut names = Vec::with_capacity(exprs.len());
-        let mut columns = Vec::with_capacity(exprs.len());
-        for p in exprs {
-            names.push(p.alias.clone());
-            let Expr::Column(c) = &p.expr else { unreachable!("forwarding checked above") };
-            let idx = require_column(&sb.batch, c)?;
-            columns.push(sb.batch.columns[idx].take_sel(sel));
+) -> Result<SelBatch<'a>, EngineError> {
+    let rows = sb.num_rows();
+    meter.charge_rows(rows, exprs.len().max(1));
+    let sel = sb.sel.as_deref();
+    let mut names = Vec::with_capacity(exprs.len());
+    let mut columns = Vec::with_capacity(exprs.len());
+    for p in exprs {
+        names.push(p.alias.clone());
+        match &p.expr {
+            Expr::Column(c) => {
+                let col = &sb.columns[require_column(&sb.names, c)?];
+                columns.push(match sel {
+                    Some(s) => col.take_sel(s),
+                    None => col.clone(),
+                });
+            }
+            expr => {
+                let bound = BoundExpr::bind(expr, &sb.names)?;
+                let vals: Vec<Value> = match sel {
+                    Some(s) => s
+                        .iter()
+                        .map(|&i| bound.eval(&sb.columns, i as usize))
+                        .collect(),
+                    None => (0..rows).map(|i| bound.eval(&sb.columns, i)).collect(),
+                };
+                columns.push(values_to_column(&vals));
+            }
         }
-        let in_bytes = sb.byte_size();
-        let out = RecordBatch { names, columns };
-        meter.alloc_bytes(out.byte_size());
-        meter.free_bytes(in_bytes);
-        return Ok(SelBatch::dense(out));
     }
-    exec_project_reference(sb.materialize(), exprs, meter).map(SelBatch::dense)
+    Ok(emit(RecordBatch { names, columns }, sb.bytes, meter))
 }
 
 fn values_to_column(vals: &[Value]) -> Column {
@@ -496,18 +496,17 @@ fn values_to_column(vals: &[Value]) -> Column {
 /// pairing means some key pair is string-vs-number, which can never be
 /// equal: the join short-circuits to zero matches.
 fn join_key_cols<'b>(
-    own: &'b RecordBatch,
+    own: &'b [Column],
     own_keys: &[usize],
-    other: &RecordBatch,
+    other: &[Column],
     other_keys: &[usize],
 ) -> Option<Vec<KeyCol<'b>>> {
     own_keys
         .iter()
         .zip(other_keys)
         .map(|(&k, &ok)| {
-            let col = &own.columns[k];
-            let opposite = &other.columns[ok];
-            match (col, opposite) {
+            let col = &own[k];
+            match (col, &other[ok]) {
                 (Column::Str(_), Column::Str(_)) => Some(KeyCol::of(col, false)),
                 (Column::Str(_), _) | (_, Column::Str(_)) => None,
                 (Column::Int(_), Column::Float(_)) => Some(KeyCol::of(col, true)),
@@ -517,20 +516,80 @@ fn join_key_cols<'b>(
         .collect()
 }
 
-fn exec_join(
-    left: RecordBatch,
-    right: RecordBatch,
+/// Build-side hash table in chained layout: key code → (first, last) build
+/// row, plus forward links in `next`, so each code's build rows chain in
+/// ascending order without a heap allocation per distinct key.
+struct JoinTable {
+    heads: keys::CodeMap<u64, (usize, usize)>,
+    next: Vec<usize>,
+}
+
+impl JoinTable {
+    fn build(codes: &[u64]) -> JoinTable {
+        let mut heads: keys::CodeMap<u64, (usize, usize)> =
+            keys::CodeMap::with_capacity_and_hasher(codes.len(), Default::default());
+        let mut next = vec![usize::MAX; codes.len()];
+        for (i, &code) in codes.iter().enumerate() {
+            match heads.entry(code) {
+                Entry::Vacant(e) => {
+                    e.insert((i, i));
+                }
+                Entry::Occupied(mut e) => {
+                    let last = e.get().1;
+                    next[last] = i;
+                    e.get_mut().1 = i;
+                }
+            }
+        }
+        JoinTable { heads, next }
+    }
+
+    /// Probe rows `0..rows` in ascending order into (probe row, build row)
+    /// pairs, each row's build chain ascending; a left join records a miss
+    /// as build row `usize::MAX`. `code_of` is monomorphized per key shape,
+    /// so a single-`Int`-key probe carries no key-column dispatch.
+    fn probe(
+        &self,
+        rows: usize,
+        keep_misses: bool,
+        code_of: impl Fn(usize) -> Option<u64>,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (mut pidx, mut bidx) = (Vec::new(), Vec::new());
+        for i in 0..rows {
+            match code_of(i).and_then(|c| self.heads.get(&c)) {
+                Some(&(first, _)) => {
+                    let mut j = first;
+                    while j != usize::MAX {
+                        pidx.push(i);
+                        bidx.push(j);
+                        j = self.next[j];
+                    }
+                }
+                None if keep_misses => {
+                    pidx.push(i);
+                    bidx.push(usize::MAX);
+                }
+                None => {}
+            }
+        }
+        (pidx, bidx)
+    }
+}
+
+fn exec_join<'a>(
+    left: SelBatch<'_>,
+    right: SelBatch<'_>,
     on: &[(String, String)],
     join_type: JoinType,
     meter: &mut CostMeter,
-) -> Result<RecordBatch, EngineError> {
+) -> Result<SelBatch<'a>, EngineError> {
     let lkeys: Vec<usize> = on
         .iter()
-        .map(|(l, _)| require_column(&left, l))
+        .map(|(l, _)| require_column(&left.names, l))
         .collect::<Result<_, _>>()?;
     let rkeys: Vec<usize> = on
         .iter()
-        .map(|(_, r)| require_column(&right, r))
+        .map(|(_, r)| require_column(&right.names, r))
         .collect::<Result<_, _>>()?;
 
     // Build the hash table on the smaller side for inner joins (ties build
@@ -551,98 +610,55 @@ fn exec_join(
     meter.charge_rows(probe_rows, 4 * on.len().max(1)); // hash + probe
 
     // (probe row, build row) match pairs; usize::MAX marks a left-join miss.
+    let keep_misses = join_type == JoinType::Left;
     let (pidx, bidx, table_bytes) = match (
-        join_key_cols(build, bkeys, probe, pkeys),
-        join_key_cols(probe, pkeys, build, bkeys),
+        join_key_cols(&build.columns, bkeys, &probe.columns, pkeys),
+        join_key_cols(&probe.columns, pkeys, &build.columns, bkeys),
     ) {
         (Some(bcols), Some(pcols)) => {
             let mut interner = KeyInterner::new();
             let codes = keys::encode_rows(&bcols, build_rows, &mut interner);
-            // Chained layout: code → (first, last) build row plus forward
-            // links in `next` — same ascending match order as per-key row
-            // vectors, without a heap allocation per distinct key.
-            let mut table: keys::CodeMap<u64, (usize, usize)> =
-                keys::CodeMap::with_capacity_and_hasher(build_rows, Default::default());
-            let mut next: Vec<usize> = vec![usize::MAX; build_rows];
-            for (i, &code) in codes.iter().enumerate() {
-                match table.entry(code) {
-                    Entry::Vacant(e) => {
-                        e.insert((i, i));
-                    }
-                    Entry::Occupied(mut e) => {
-                        let last = e.get().1;
-                        next[last] = i;
-                        e.get_mut().1 = i;
-                    }
-                }
-            }
+            let table = JoinTable::build(&codes);
             // Real footprint: one bucket header per distinct key, one chain
             // link per build row, plus the interner's dictionaries.
-            let table_bytes =
-                table.len() * 48 + build_rows * 8 + codes.len() * 8 + interner.approx_bytes();
-
-            let chunk_pairs = par::map_chunks(probe_rows, |_, range| {
-                let mut pi: Vec<usize> = Vec::new();
-                let mut bi: Vec<usize> = Vec::new();
-                for i in range {
-                    match keys::probe_code(&pcols, i, &interner).and_then(|c| table.get(&c)) {
-                        Some(&(first, _)) => {
-                            let mut j = first;
-                            while j != usize::MAX {
-                                pi.push(i);
-                                bi.push(j);
-                                j = next[j];
-                            }
-                        }
-                        None => {
-                            if join_type == JoinType::Left {
-                                pi.push(i);
-                                bi.push(usize::MAX);
-                            }
-                        }
-                    }
-                }
-                (pi, bi)
-            });
-            let mut pidx = Vec::new();
-            let mut bidx = Vec::new();
-            for (pi, bi) in chunk_pairs {
-                pidx.extend(pi);
-                bidx.extend(bi);
-            }
+            let table_bytes = table.heads.len() * 48
+                + build_rows * 8
+                + codes.len() * 8
+                + interner.approx_bytes();
+            // A single `Int` key, the common shape, reads its slice
+            // directly; every other shape encodes through the interner.
+            let (rows, keep) = (probe_rows, keep_misses);
+            let (pidx, bidx) = match pcols[..] {
+                [KeyCol::Int(d)] => table.probe(rows, keep, |i| Some(d[i] as u64)),
+                _ => table.probe(rows, keep, |i| keys::probe_code(&pcols, i, &interner)),
+            };
             (pidx, bidx, table_bytes)
         }
         // A string key against a numeric key can never match: inner joins
         // produce nothing, left joins keep every probe row unmatched.
-        _ => {
-            let (pidx, bidx) = if join_type == JoinType::Left {
-                ((0..probe_rows).collect(), vec![usize::MAX; probe_rows])
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            (pidx, bidx, 0)
-        }
+        _ if keep_misses => ((0..probe_rows).collect(), vec![usize::MAX; probe_rows], 0),
+        _ => (Vec::new(), Vec::new(), 0),
     };
     meter.alloc_bytes(table_bytes);
-    meter.charge_rows(pidx.len(), left.num_columns() + right.num_columns());
+    meter.charge_rows(pidx.len(), left.columns.len() + right.columns.len());
 
     // Assemble output in left-columns-then-right-columns order regardless
     // of which side built the table.
-    let (lidx, ridx) = if build_right { (&pidx, &bidx) } else { (&bidx, &pidx) };
-    let mut names = left.names.clone();
-    names.extend(right.names.iter().cloned());
+    let (lidx, ridx) = if build_right {
+        (&pidx, &bidx)
+    } else {
+        (&bidx, &pidx)
+    };
+    let mut names = left.names;
+    names.extend(right.names);
     let mut columns: Vec<Column> = left
         .columns
         .iter()
         .map(|c| c.take_with_default(lidx))
         .collect();
     columns.extend(right.columns.iter().map(|c| c.take_with_default(ridx)));
-
-    let in_bytes = left.byte_size() + right.byte_size();
-    let out = RecordBatch { names, columns };
-    meter.alloc_bytes(out.byte_size());
-    meter.free_bytes(in_bytes + table_bytes);
-    Ok(out)
+    let freed = left.bytes + right.bytes + table_bytes;
+    Ok(emit(RecordBatch { names, columns }, freed, meter))
 }
 
 /// Running state of one aggregate within one group. Min/max track the row
@@ -722,20 +738,20 @@ struct ChunkAgg {
 
 /// Reference aggregation over a dense batch: per-row `AggState::update`
 /// with the column-type match re-dispatched every row.
-fn exec_aggregate_reference(
+fn exec_aggregate_reference<'a>(
     batch: RecordBatch,
     group_by: &[String],
     aggs: &[av_plan::AggExpr],
     meter: &mut CostMeter,
-) -> Result<RecordBatch, EngineError> {
+) -> Result<SelBatch<'a>, EngineError> {
     let gidx: Vec<usize> = group_by
         .iter()
-        .map(|g| require_column(&batch, g))
+        .map(|g| require_column(&batch.names, g))
         .collect::<Result<_, _>>()?;
     let ainput: Vec<Option<usize>> = aggs
         .iter()
         .map(|a| match &a.input {
-            Some(c) => require_column(&batch, c).map(Some),
+            Some(c) => require_column(&batch.names, c).map(Some),
             None => Ok(None),
         })
         .collect::<Result<_, _>>()?;
@@ -817,10 +833,7 @@ fn exec_aggregate_reference(
     }
 
     let in_bytes = batch.byte_size();
-    let out = RecordBatch { names, columns };
-    meter.alloc_bytes(out.byte_size());
-    meter.free_bytes(in_bytes);
-    Ok(out)
+    Ok(emit(RecordBatch { names, columns }, in_bytes, meter))
 }
 
 /// Optimized aggregation over a possibly-selected batch. Two changes over
@@ -837,25 +850,25 @@ fn exec_aggregate_reference(
 /// Chunk boundaries fall on logical rows, exactly where the reference path
 /// chunks the materialized batch, so per-group f64 partial sums add in the
 /// identical order and the outputs are bitwise equal.
-fn exec_aggregate_sel(
-    sb: SelBatch,
+fn exec_aggregate_sel<'a>(
+    sb: SelBatch<'_>,
     group_by: &[String],
     aggs: &[av_plan::AggExpr],
     meter: &mut CostMeter,
-) -> Result<RecordBatch, EngineError> {
-    let batch = &sb.batch;
+) -> Result<SelBatch<'a>, EngineError> {
+    let cols: &[Column] = &sb.columns;
     let gidx: Vec<usize> = group_by
         .iter()
-        .map(|g| require_column(batch, g))
+        .map(|g| require_column(&sb.names, g))
         .collect::<Result<_, _>>()?;
     let ainput: Vec<Option<usize>> = aggs
         .iter()
         .map(|a| match &a.input {
-            Some(c) => require_column(batch, c).map(Some),
+            Some(c) => require_column(&sb.names, c).map(Some),
             None => Ok(None),
         })
         .collect::<Result<_, _>>()?;
-    let acols: Vec<Option<&Column>> = ainput.iter().map(|ai| ai.map(|i| &batch.columns[i])).collect();
+    let acols: Vec<Option<&Column>> = ainput.iter().map(|ai| ai.map(|i| &cols[i])).collect();
 
     let rows = sb.num_rows();
     meter.charge_rows(rows, (group_by.len() + aggs.len()).max(1) * 2);
@@ -872,7 +885,7 @@ fn exec_aggregate_sel(
     // the materialized batch.
     let mut interner = KeyInterner::new();
     let gathered: Option<Vec<Column>> = match (sel, gidx.is_empty()) {
-        (Some(s), false) => Some(gidx.iter().map(|&k| batch.columns[k].take_sel(s)).collect()),
+        (Some(s), false) => Some(gidx.iter().map(|&k| cols[k].take_sel(s)).collect()),
         _ => None,
     };
     let codes: Vec<u64> = if gidx.is_empty() {
@@ -880,7 +893,7 @@ fn exec_aggregate_sel(
     } else {
         let kcols: Vec<KeyCol> = match &gathered {
             Some(g) => g.iter().map(|c| KeyCol::of(c, false)).collect(),
-            None => gidx.iter().map(|&k| KeyCol::of(&batch.columns[k], false)).collect(),
+            None => gidx.iter().map(|&k| KeyCol::of(&cols[k], false)).collect(),
         };
         keys::encode_rows(&kcols, rows, &mut interner)
     };
@@ -944,17 +957,12 @@ fn exec_aggregate_sel(
     // Group-key columns: `first_rows` holds *original* row indices, so the
     // keys gather straight from the unmaterialized input.
     for &src in &gidx {
-        columns.push(batch.columns[src].take(&first_rows));
+        columns.push(cols[src].take(&first_rows));
     }
     for (a, agg) in aggs.iter().enumerate() {
         columns.push(build_agg_column(agg.func, acols[a], &states, a));
     }
-
-    let in_bytes = sb.byte_size();
-    let out = RecordBatch { names, columns };
-    meter.alloc_bytes(out.byte_size());
-    meter.free_bytes(in_bytes);
-    Ok(out)
+    Ok(emit(RecordBatch { names, columns }, sb.bytes, meter))
 }
 
 /// One chunk's updates for a single aggregate with both the column-type

@@ -1,11 +1,13 @@
-//! Deterministic chunking over row ranges.
+//! Deterministic chunking for partial aggregation.
 //!
-//! Work is split into fixed-size chunks of [`CHUNK_ROWS`] rows and mapped in
-//! ascending chunk order on the calling thread. Operators that meter cost
-//! per chunk accumulate plain integer counters per chunk and sum them in
-//! chunk order, and f64 partial aggregates add within one chunk before they
-//! fold across chunks, so batches and [`crate::meter::ExecutionReport`]s
-//! depend only on the row count.
+//! Aggregation order is this module's only reason to exist. An aggregate
+//! folds its input in fixed-size chunks of [`CHUNK_ROWS`] rows, mapped in
+//! ascending chunk order on the calling thread: f64 sums add within one
+//! chunk before they fold across chunks, so where the chunk boundaries fall
+//! decides the result's bits, and fixing them makes batches and
+//! [`crate::meter::ExecutionReport`]s depend only on the row count. Every
+//! other operator (filter, join probe, projection) runs as one pass over
+//! its rows, because chunking would change nothing it computes.
 //!
 //! Chunks run on the calling thread: a fan-out over chunks won no end-to-end
 //! number on a 2-core host (DESIGN.md, "Executor scheduler").

@@ -1,77 +1,95 @@
-//! Selection-vector filters: compiled typed predicate kernels.
+//! Selection-vector filters over borrowed columns: compiled typed
+//! predicate kernels.
 //!
-//! A filter no longer materializes its output batch. It produces a sorted
-//! vector of surviving row indices (`u32`) over the untouched input batch,
-//! carried in a [`SelBatch`]. Downstream operators either consume the
-//! selection directly (stacked filters refine it, aggregates iterate it) or
-//! gather once at a materialization point (joins, projections, the plan
-//! root). A `Filter → Aggregate` pipeline therefore copies no row data at
-//! all between the scan and the aggregate's output.
+//! Operators exchange a [`SelBatch`]: column data plus an optional sorted
+//! vector of surviving row indices (`u32`). A scan's columns are *borrowed*
+//! from the catalog (`Cow::Borrowed`), so nothing copies a whole table; a
+//! filter leaves the columns untouched and only emits or refines the
+//! selection. Downstream operators either consume the selection directly
+//! (stacked filters refine it, aggregates iterate it) or gather once at a
+//! materialization point (joins, projections, the plan root). A
+//! `Scan → Filter → Aggregate` pipeline therefore copies no row data at all
+//! before the aggregate's output.
 //!
 //! Predicates are compiled once per operator: each top-level conjunct of
 //! the common `column <op> literal` shape becomes a [`Kernel`] that loops
 //! over the raw `i64`/`f64`/`String` column slice with the comparison
-//! operator hoisted *out* of the loop (see [`cmp_fill!`]/[`cmp_retain!`]),
-//! so the inner loop carries no per-row enum dispatch and builds no
-//! [`av_plan::Value`]. Every other expression shape falls back to the
-//! interpreted [`BoundExpr::eval_bool`] over exactly the same rows, so a
-//! compiled filter keeps row-for-row the rows the reference mask filter
-//! keeps — the equivalence the executor's property tests pin down.
+//! operator hoisted *out* of the loop (see [`cmp_run!`]), so the inner loop
+//! carries no per-row enum dispatch and builds no [`av_plan::Value`]. The
+//! loops are branch-free on the verdict: each row writes its index, then
+//! the write cursor advances by the verdict's 0/1.
+//! Every other expression shape falls back to the interpreted
+//! [`BoundExpr::eval_bool`] over exactly the same rows, so a compiled filter
+//! keeps row-for-row the rows the reference mask filter keeps — the
+//! equivalence the executor's property tests pin down.
 
 use crate::batch::{Column, RecordBatch};
 use crate::exec::BoundExpr;
+use crate::meter::CostMeter;
 use av_plan::{CmpOp, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::ops::Range;
 
-/// A record batch plus an optional selection: the unit of data flow between
-/// operators inside the executor. `sel: None` means "all rows" (a dense
+/// The unit of data flow between operators inside the executor: named
+/// columns, borrowed from the catalog or owned by the operator that built
+/// them, plus an optional selection. `sel: None` means "all rows" (a dense
 /// batch); `sel: Some(v)` means only the rows listed in `v` (ascending
 /// original row indices) are live — the column data is untouched input.
-#[derive(Debug, Clone)]
-pub(crate) struct SelBatch {
-    pub batch: RecordBatch,
+#[derive(Debug)]
+pub(crate) struct SelBatch<'a> {
+    pub names: Vec<String>,
+    pub columns: Cow<'a, [Column]>,
     pub sel: Option<Vec<u32>>,
+    /// Byte size the live rows occupy, or would occupy if gathered — the
+    /// number the cost meter charges for this batch. Every producer already
+    /// knows it (a scan from the table's statistics, every other operator
+    /// from its own output charge), so no consumer re-walks the strings.
+    pub bytes: usize,
 }
 
-impl SelBatch {
-    /// A batch with every row live.
-    pub fn dense(batch: RecordBatch) -> SelBatch {
-        SelBatch { batch, sel: None }
-    }
-
+impl<'a> SelBatch<'a> {
     /// Live (logical) row count.
     pub fn num_rows(&self) -> usize {
         match &self.sel {
             Some(s) => s.len(),
-            None => self.batch.num_rows(),
+            None => self.columns.first().map_or(0, Column::len),
         }
     }
 
-    /// Byte size the live rows *would* occupy if materialized — the number
-    /// the cost meter charges, identical to what the materializing
-    /// reference path charges for the same rows.
-    pub fn byte_size(&self) -> usize {
-        match &self.sel {
-            Some(s) => self.batch.columns.iter().map(|c| c.byte_size_sel(s)).sum(),
-            None => self.batch.byte_size(),
-        }
-    }
-
-    /// Gather the live rows into a dense batch (a no-op when already dense).
-    pub fn materialize(self) -> RecordBatch {
+    /// Gather the live rows into a dense batch: a no-op when already dense,
+    /// so borrowed scan columns stay borrowed.
+    pub fn dense(self) -> SelBatch<'a> {
         match self.sel {
-            None => self.batch,
-            Some(sel) => RecordBatch {
-                names: self.batch.names,
-                columns: self
-                    .batch
-                    .columns
-                    .iter()
-                    .map(|c| c.take_sel(&sel))
-                    .collect(),
+            None => self,
+            Some(sel) => SelBatch {
+                columns: Cow::Owned(self.columns.iter().map(|c| c.take_sel(&sel)).collect()),
+                sel: None,
+                ..self
             },
         }
+    }
+
+    /// The live rows as an owned batch (copies borrowed columns).
+    pub fn into_batch(self) -> RecordBatch {
+        let dense = self.dense();
+        RecordBatch {
+            names: dense.names,
+            columns: dense.columns.into_owned(),
+        }
+    }
+}
+
+/// Close an operator that built `out`: charge its bytes, release the
+/// `freed` input bytes, and hand `out` on with its size attached.
+pub(crate) fn emit<'a>(out: RecordBatch, freed: usize, meter: &mut CostMeter) -> SelBatch<'a> {
+    let bytes = out.byte_size();
+    meter.alloc_bytes(bytes);
+    meter.free_bytes(freed);
+    SelBatch {
+        names: out.names,
+        columns: Cow::Owned(out.columns),
+        sel: None,
+        bytes,
     }
 }
 
@@ -90,52 +108,58 @@ pub(crate) fn apply_ord(op: CmpOp, ord: Ordering, sql_equal: bool) -> bool {
     }
 }
 
-/// Append the rows of `range` that satisfy `keep`.
-#[inline]
-fn fill_where(out: &mut Vec<u32>, range: Range<usize>, keep: impl Fn(usize) -> bool) {
-    for i in range {
-        if keep(i) {
-            out.push(i as u32);
-        }
+/// Where a conjunct's row verdicts go: a fresh selection over `0..rows`
+/// (the first conjunct) or a refinement of the selection the previous
+/// conjuncts left. Both loops are branch-free on the verdict: every row
+/// writes its index at the cursor, and the cursor advances by the
+/// verdict's 0/1.
+enum Sink<'s> {
+    Fill(&'s mut Vec<u32>, usize),
+    Retain(&'s mut Vec<u32>),
+}
+
+impl Sink<'_> {
+    #[inline]
+    fn run(self, keep: impl Fn(usize) -> bool) {
+        let (sel, n) = match self {
+            Sink::Fill(sel, rows) => {
+                *sel = vec![0; rows];
+                let mut n = 0;
+                for i in 0..rows {
+                    sel[n] = i as u32;
+                    n += usize::from(keep(i));
+                }
+                (sel, n)
+            }
+            Sink::Retain(sel) => {
+                let mut n = 0;
+                for r in 0..sel.len() {
+                    let i = sel[r];
+                    sel[n] = i;
+                    n += usize::from(keep(i as usize));
+                }
+                (sel, n)
+            }
+        };
+        sel.truncate(n);
     }
 }
 
-/// Drop the candidates that fail `keep`, preserving order.
-#[inline]
-fn retain_where(cands: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
-    cands.retain(|&i| keep(i as usize));
-}
-
-/// Expand a comparison into one specialized `fill_where` loop per operator:
-/// the `CmpOp` match runs once, outside the loop, and each arm monomorphizes
-/// a branch-free-on-`op` row test from the `$ord`/`$eq` closures.
-macro_rules! cmp_fill {
-    ($out:expr, $range:expr, $op:expr, $ord:expr, $eq:expr) => {{
+/// Expand a comparison into one specialized [`Sink::run`] loop per
+/// operator: the `CmpOp` match runs once, outside the loop, and each arm
+/// monomorphizes a branch-free-on-`op` row test from the `$ord`/`$eq`
+/// closures.
+macro_rules! cmp_run {
+    ($sink:expr, $op:expr, $ord:expr, $eq:expr) => {{
         let ord = $ord;
         let eq = $eq;
         match $op {
-            CmpOp::Eq => fill_where($out, $range, |r| eq(r)),
-            CmpOp::Ne => fill_where($out, $range, |r| !eq(r)),
-            CmpOp::Lt => fill_where($out, $range, |r| ord(r) == Ordering::Less),
-            CmpOp::Le => fill_where($out, $range, |r| ord(r) != Ordering::Greater),
-            CmpOp::Gt => fill_where($out, $range, |r| ord(r) == Ordering::Greater),
-            CmpOp::Ge => fill_where($out, $range, |r| ord(r) != Ordering::Less),
-        }
-    }};
-}
-
-/// [`cmp_fill!`]'s refinement twin over an existing candidate vector.
-macro_rules! cmp_retain {
-    ($cands:expr, $op:expr, $ord:expr, $eq:expr) => {{
-        let ord = $ord;
-        let eq = $eq;
-        match $op {
-            CmpOp::Eq => retain_where($cands, |r| eq(r)),
-            CmpOp::Ne => retain_where($cands, |r| !eq(r)),
-            CmpOp::Lt => retain_where($cands, |r| ord(r) == Ordering::Less),
-            CmpOp::Le => retain_where($cands, |r| ord(r) != Ordering::Greater),
-            CmpOp::Gt => retain_where($cands, |r| ord(r) == Ordering::Greater),
-            CmpOp::Ge => retain_where($cands, |r| ord(r) != Ordering::Less),
+            CmpOp::Eq => $sink.run(|r| eq(r)),
+            CmpOp::Ne => $sink.run(|r| !eq(r)),
+            CmpOp::Lt => $sink.run(|r| ord(r) == Ordering::Less),
+            CmpOp::Le => $sink.run(|r| ord(r) != Ordering::Greater),
+            CmpOp::Gt => $sink.run(|r| ord(r) == Ordering::Greater),
+            CmpOp::Ge => $sink.run(|r| ord(r) != Ordering::Less),
         }
     }};
 }
@@ -191,9 +215,9 @@ impl Kernel {
 
     /// Resolve the column type the first time the kernel meets its batch:
     /// numeric promotions and string/number mismatches depend on it.
-    fn bind(self, batch: &RecordBatch) -> Kernel {
+    fn bind(self, cols: &[Column]) -> Kernel {
         match self {
-            Kernel::IntInt { col, op, lit } => match &batch.columns[col] {
+            Kernel::IntInt { col, op, lit } => match &cols[col] {
                 Column::Int(_) => Kernel::IntInt { col, op, lit },
                 Column::Float(_) => Kernel::Float {
                     col,
@@ -204,12 +228,12 @@ impl Kernel {
                 // after numbers (the reference's `cmp_col_lit` fallback).
                 Column::Str(_) => Kernel::Const(apply_ord(op, Ordering::Greater, false)),
             },
-            Kernel::IntFloat { col, op, lit } => match &batch.columns[col] {
+            Kernel::IntFloat { col, op, lit } => match &cols[col] {
                 Column::Int(_) => Kernel::IntFloat { col, op, lit },
                 Column::Float(_) => Kernel::Float { col, op, lit },
                 Column::Str(_) => Kernel::Const(apply_ord(op, Ordering::Greater, false)),
             },
-            Kernel::Str { col, op, lit } => match &batch.columns[col] {
+            Kernel::Str { col, op, lit } => match &cols[col] {
                 Column::Str(_) => Kernel::Str { col, op, lit },
                 // Number column vs string literal: numbers sort before.
                 _ => Kernel::Const(apply_ord(op, Ordering::Less, false)),
@@ -218,112 +242,55 @@ impl Kernel {
         }
     }
 
-    /// Append the rows of `range` this conjunct keeps.
-    fn fill(&self, batch: &RecordBatch, range: Range<usize>, out: &mut Vec<u32>) {
+    /// Feed this conjunct's verdict on every row of `sink` to it.
+    fn run(&self, cols: &[Column], sink: Sink) {
+        const BOUND: &str = "kernel bound to these columns";
         match self {
-            Kernel::Const(true) => out.extend(range.map(|i| i as u32)),
-            Kernel::Const(false) => {}
+            Kernel::Const(keep) => sink.run(|_| *keep),
             Kernel::IntInt { col, op, lit } => {
-                let Column::Int(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
+                let Column::Int(d) = &cols[*col] else {
+                    unreachable!("{BOUND}")
                 };
                 let lit = *lit;
-                cmp_fill!(out, range, *op, |r: usize| d[r].cmp(&lit), |r: usize| d[r]
-                    == lit);
+                cmp_run!(sink, *op, |r: usize| d[r].cmp(&lit), |r: usize| d[r] == lit)
             }
             Kernel::IntFloat { col, op, lit } => {
-                let Column::Int(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
+                let Column::Int(d) = &cols[*col] else {
+                    unreachable!("{BOUND}")
                 };
                 let lit = *lit;
-                cmp_fill!(
-                    out,
-                    range,
+                cmp_run!(
+                    sink,
                     *op,
                     |r: usize| (d[r] as f64).total_cmp(&lit),
                     |r: usize| d[r] as f64 == lit
-                );
+                )
             }
             Kernel::Float { col, op, lit } => {
-                let Column::Float(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
+                let Column::Float(d) = &cols[*col] else {
+                    unreachable!("{BOUND}")
                 };
                 let lit = *lit;
-                cmp_fill!(
-                    out,
-                    range,
+                cmp_run!(
+                    sink,
                     *op,
                     |r: usize| d[r].total_cmp(&lit),
                     |r: usize| d[r] == lit
-                );
+                )
             }
             Kernel::Str { col, op, lit } => {
-                let Column::Str(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
+                let Column::Str(d) = &cols[*col] else {
+                    unreachable!("{BOUND}")
                 };
                 let lit = lit.as_str();
-                cmp_fill!(
-                    out,
-                    range,
+                cmp_run!(
+                    sink,
                     *op,
                     |r: usize| d[r].as_str().cmp(lit),
                     |r: usize| d[r] == lit
-                );
+                )
             }
-            Kernel::General(e) => fill_where(out, range, |r| e.eval_bool(batch, r)),
-        }
-    }
-
-    /// Drop the candidates this conjunct rejects.
-    fn refine(&self, batch: &RecordBatch, cands: &mut Vec<u32>) {
-        match self {
-            Kernel::Const(true) => {}
-            Kernel::Const(false) => cands.clear(),
-            Kernel::IntInt { col, op, lit } => {
-                let Column::Int(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
-                };
-                let lit = *lit;
-                cmp_retain!(cands, *op, |r: usize| d[r].cmp(&lit), |r: usize| d[r]
-                    == lit);
-            }
-            Kernel::IntFloat { col, op, lit } => {
-                let Column::Int(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
-                };
-                let lit = *lit;
-                cmp_retain!(
-                    cands,
-                    *op,
-                    |r: usize| (d[r] as f64).total_cmp(&lit),
-                    |r: usize| d[r] as f64 == lit
-                );
-            }
-            Kernel::Float { col, op, lit } => {
-                let Column::Float(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
-                };
-                let lit = *lit;
-                cmp_retain!(
-                    cands,
-                    *op,
-                    |r: usize| d[r].total_cmp(&lit),
-                    |r: usize| d[r] == lit
-                );
-            }
-            Kernel::Str { col, op, lit } => {
-                let Column::Str(d) = &batch.columns[*col] else {
-                    unreachable!("kernel bound to this batch")
-                };
-                let lit = lit.as_str();
-                cmp_retain!(
-                    cands,
-                    *op,
-                    |r: usize| d[r].as_str().cmp(lit),
-                    |r: usize| d[r] == lit
-                );
-            }
-            Kernel::General(e) => retain_where(cands, |r| e.eval_bool(batch, r)),
+            Kernel::General(e) => sink.run(|r| e.eval_bool(cols, r)),
         }
     }
 }
@@ -338,56 +305,53 @@ pub(crate) struct CompiledPred {
 }
 
 impl CompiledPred {
-    /// Compile a bound predicate against the batch shape it was bound to.
+    /// Compile a bound predicate against the columns it was bound to.
     /// Top-level conjunctions are flattened; each conjunct becomes a typed
     /// kernel when it is a `column <op> literal`, an interpreted fallback
     /// otherwise.
-    pub fn compile(bound: BoundExpr, batch: &RecordBatch) -> CompiledPred {
-        fn flatten(e: BoundExpr, batch: &RecordBatch, out: &mut Vec<Kernel>) {
+    pub fn compile(bound: BoundExpr, cols: &[Column]) -> CompiledPred {
+        fn flatten(e: BoundExpr, cols: &[Column], out: &mut Vec<Kernel>) {
             match e {
                 BoundExpr::And(v) => {
                     for c in v {
-                        flatten(c, batch, out);
+                        flatten(c, cols, out);
                     }
                 }
-                other => out.push(Kernel::compile(other).bind(batch)),
+                other => out.push(Kernel::compile(other).bind(cols)),
             }
         }
         let mut kernels = Vec::new();
-        flatten(bound, batch, &mut kernels);
+        flatten(bound, cols, &mut kernels);
         CompiledPred { kernels }
     }
 
-    /// Rows of `range` kept by every conjunct, ascending.
-    pub fn eval_dense(&self, batch: &RecordBatch, range: Range<usize>) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Rows of `0..rows` kept by every conjunct, ascending.
+    pub fn eval_dense(&self, cols: &[Column], rows: usize) -> Vec<u32> {
         let Some((first, rest)) = self.kernels.split_first() else {
             // Empty conjunction (`And([])`) keeps everything, like the
             // reference's vacuous `all()`.
-            out.extend(range.map(|i| i as u32));
-            return out;
+            return (0..rows as u32).collect();
         };
-        first.fill(batch, range, &mut out);
-        for k in rest {
-            if out.is_empty() {
-                break;
-            }
-            k.refine(batch, &mut out);
-        }
-        out
+        let mut sel = Vec::new();
+        first.run(cols, Sink::Fill(&mut sel, rows));
+        refine(rest, cols, sel)
     }
 
     /// Candidates of `cands` kept by every conjunct, in order.
-    pub fn eval_sel(&self, batch: &RecordBatch, cands: &[u32]) -> Vec<u32> {
-        let mut out = cands.to_vec();
-        for k in &self.kernels {
-            if out.is_empty() {
-                break;
-            }
-            k.refine(batch, &mut out);
-        }
-        out
+    pub fn eval_sel(&self, cols: &[Column], cands: Vec<u32>) -> Vec<u32> {
+        refine(&self.kernels, cols, cands)
     }
+}
+
+/// Narrow `sel` by each of `kernels` in turn, stopping once it is empty.
+fn refine(kernels: &[Kernel], cols: &[Column], mut sel: Vec<u32>) -> Vec<u32> {
+    for k in kernels {
+        if sel.is_empty() {
+            break;
+        }
+        k.run(cols, Sink::Retain(&mut sel));
+    }
+    sel
 }
 
 #[cfg(test)]
@@ -414,15 +378,14 @@ mod tests {
     /// Compiled verdicts must match the interpreted reference row for row.
     fn assert_matches_reference(expr: &Expr) {
         let b = batch();
-        let bound = BoundExpr::bind(expr, &b).expect("binds");
+        let bound = BoundExpr::bind(expr, &b.names).expect("binds");
         let reference: Vec<u32> = (0..b.num_rows())
-            .filter(|&r| bound.eval_bool(&b, r))
+            .filter(|&r| bound.eval_bool(&b.columns, r))
             .map(|r| r as u32)
             .collect();
-        let bound = BoundExpr::bind(expr, &b).expect("binds");
-        let pred = CompiledPred::compile(bound, &b);
+        let pred = CompiledPred::compile(bound, &b.columns);
         assert_eq!(
-            pred.eval_dense(&b, 0..b.num_rows()),
+            pred.eval_dense(&b.columns, b.num_rows()),
             reference,
             "dense eval of {expr:?}"
         );
@@ -433,7 +396,11 @@ mod tests {
             .copied()
             .filter(|c| reference.contains(c))
             .collect();
-        assert_eq!(pred.eval_sel(&b, &cands), expect, "sel eval of {expr:?}");
+        assert_eq!(
+            pred.eval_sel(&b.columns, cands),
+            expect,
+            "sel eval of {expr:?}"
+        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Queries that run at once must each produce the batch and
 //! `ExecutionReport` a lone run produces, bit for bit. Every query runs on
-//! the thread that submits it, over fixed 1024-row chunks folded in
-//! ascending order, so nothing another query does can reach its result.
+//! the thread that submits it, with aggregates folded over fixed 1024-row
+//! chunks in ascending order, so nothing another query does can reach its
+//! result.
 
 use av_engine::exec::Executor;
 use av_engine::meter::Pricing;
 
 /// Eight concurrent query streams each run the JOB-like workload; every
-/// result must equal the precomputed baseline. Tables here exceed
-/// `CHUNK_ROWS`, so the chunked filter/join/aggregate paths engage.
+/// result must equal the precomputed baseline.
 #[test]
 fn concurrent_queries_stay_bitwise_serial() {
     let w = av_workload::job::job_workload(0.02, 11);

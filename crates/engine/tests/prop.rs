@@ -1,7 +1,7 @@
 //! Property tests for the executor: algebraic laws over random data.
 
-use av_engine::{Catalog, Column, Executor, Pricing, Table};
-use av_plan::{CmpOp, Expr, JoinType, PlanBuilder, PlanNode};
+use av_engine::{Catalog, Column, Executor, Pricing, RecordBatch, Table};
+use av_plan::{CmpOp, Expr, JoinType, PlanBuilder, PlanNode, Value};
 use proptest::prelude::*;
 
 fn catalog_from(a_keys: Vec<i64>, a_vals: Vec<i64>, b_keys: Vec<i64>) -> Catalog {
@@ -33,6 +33,158 @@ fn agg(func: av_plan::AggFunc, input: Option<&str>, output: &str) -> av_plan::Ag
         func,
         input: input.map(str::to_string),
         output: output.to_string(),
+    }
+}
+
+/// Join-key pools, one per column type. Equal pool indices give values
+/// that are equal across types where the engine's key equality
+/// (`Value::total_cmp == Equal`) says so — `Int(-1)` meets `Float(-1.0)`,
+/// `i64::MIN` meets `-2^63` — and `Float(-0.0)` meets only itself.
+const INT_KEYS: [i64; 8] = [i64::MIN, -2, -1, 0, 1, 2, 3, i64::MAX];
+const FLOAT_KEYS: [f64; 8] = [
+    i64::MIN as f64,
+    -2.5,
+    -1.0,
+    0.0,
+    -0.0,
+    2.0,
+    3.0,
+    i64::MAX as f64,
+];
+const STR_KEYS: [&str; 8] = ["", "a", "b", "ab", "-1", "0", "ba", "z"];
+
+/// A key column of type `ty` (0 = Int, 1 = Float, 2 = Str) over pool indices.
+fn key_column(ty: u8, picks: &[usize]) -> Column {
+    match ty {
+        0 => Column::Int(picks.iter().map(|&p| INT_KEYS[p]).collect()),
+        1 => Column::Float(picks.iter().map(|&p| FLOAT_KEYS[p]).collect()),
+        _ => Column::str(picks.iter().map(|&p| STR_KEYS[p].to_string()).collect()),
+    }
+}
+
+/// Two key columns plus a payload column holding each row's index, so the
+/// output order is visible in the payload.
+fn join_side(name: &str, types: (u8, u8), rows: &[(usize, usize)], payload: &str) -> Table {
+    let k0: Vec<usize> = rows.iter().map(|r| r.0).collect();
+    let k1: Vec<usize> = rows.iter().map(|r| r.1).collect();
+    Table::new(
+        name,
+        vec![
+            ("k0", key_column(types.0, &k0)),
+            ("k1", key_column(types.1, &k1)),
+            (payload, Column::Int((0..rows.len() as i64).collect())),
+        ],
+    )
+    .expect("rectangular")
+}
+
+/// The value a left join pads an unmatched build row with.
+fn pad_value(col: &Column) -> Value {
+    match col {
+        Column::Int(_) => Value::Int(0),
+        Column::Float(_) => Value::Float(0.0),
+        Column::Str(_) => Value::Str(String::new()),
+    }
+}
+
+/// Nested-loop equi-join in the executor's documented output order. Left
+/// joins, and inner joins whose right side is no larger, walk the left rows
+/// ascending and, for each, the matching right rows ascending; other inner
+/// joins walk the right rows outermost. Unmatched left rows of a left join
+/// carry the type default in every right column.
+fn nested_loop_join(
+    l: &RecordBatch,
+    r: &RecordBatch,
+    on: &[(usize, usize)],
+    join_type: JoinType,
+) -> RecordBatch {
+    let keys_equal = |i: usize, j: usize| {
+        on.iter()
+            .all(|&(lk, rk)| l.columns[lk].get(i) == r.columns[rk].get(j))
+    };
+    let mut pairs: Vec<(usize, Option<usize>)> = Vec::new();
+    if join_type == JoinType::Left || r.num_rows() <= l.num_rows() {
+        for i in 0..l.num_rows() {
+            let before = pairs.len();
+            pairs.extend(
+                (0..r.num_rows())
+                    .filter(|&j| keys_equal(i, j))
+                    .map(|j| (i, Some(j))),
+            );
+            if join_type == JoinType::Left && pairs.len() == before {
+                pairs.push((i, None));
+            }
+        }
+    } else {
+        for j in 0..r.num_rows() {
+            pairs.extend(
+                (0..l.num_rows())
+                    .filter(|&i| keys_equal(i, j))
+                    .map(|i| (i, Some(j))),
+            );
+        }
+    }
+    let mut names = l.names.clone();
+    names.extend(r.names.iter().cloned());
+    let mut columns: Vec<Column> = l.columns.iter().map(Column::empty_like).collect();
+    columns.extend(r.columns.iter().map(Column::empty_like));
+    for &(i, j) in &pairs {
+        let (left_out, right_out) = columns.split_at_mut(l.num_columns());
+        for (out, src) in left_out.iter_mut().zip(&l.columns) {
+            out.push_from(src, i);
+        }
+        for (out, src) in right_out.iter_mut().zip(&r.columns) {
+            match j {
+                Some(j) => out.push_from(src, j),
+                None => out.push_value(&pad_value(src)),
+            }
+        }
+    }
+    RecordBatch { names, columns }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `exec_join` returns exactly the rows of a nested-loop join, in the
+    /// same order and with the same bits, for inner and left joins on one
+    /// or two key columns of any type pairing — `Int`, `Float`, `Str`,
+    /// `Int` against `Float`, string against number — with duplicate keys
+    /// on both sides, empty sides and extreme integer keys.
+    #[test]
+    fn join_matches_nested_loop_oracle(
+        ltypes in (0u8..3, 0u8..3),
+        rtypes in (0u8..3, 0u8..3),
+        lrows in proptest::collection::vec((0usize..8, 0usize..8), 0..14),
+        rrows in proptest::collection::vec((0usize..8, 0usize..8), 0..14),
+        two_keys in proptest::any::<bool>(),
+        left in proptest::any::<bool>(),
+    ) {
+        let join_type = if left { JoinType::Left } else { JoinType::Inner };
+        let mut c = Catalog::new();
+        c.add_table(join_side("tl", ltypes, &lrows, "v")).expect("fresh");
+        c.add_table(join_side("tr", rtypes, &rrows, "w")).expect("fresh");
+        let on: &[(&str, &str)] = if two_keys {
+            &[("l.k0", "r.k0"), ("l.k1", "r.k1")]
+        } else {
+            &[("l.k1", "r.k0")]
+        };
+        let plan = PlanBuilder::scan("tl", "l")
+            .join_typed(PlanBuilder::scan("tr", "r"), on, join_type)
+            .build();
+        let got = exec(&c, &plan).batch;
+
+        let scan = |t: &str, alias: &str| exec(&c, &PlanBuilder::scan(t, alias).build()).batch;
+        let (lb, rb) = (scan("tl", "l"), scan("tr", "r"));
+        let on_idx: Vec<(usize, usize)> = on
+            .iter()
+            .map(|(lk, rk)| {
+                (lb.column_index(lk).expect("left key"), rb.column_index(rk).expect("right key"))
+            })
+            .collect();
+        let want = nested_loop_join(&lb, &rb, &on_idx, join_type);
+        // Debug strings compare floats by bits (`-0.0` differs from `0.0`).
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 }
 
@@ -299,9 +451,8 @@ proptest! {
 }
 
 /// End-to-end determinism on the JOB-like workload: the cache echoes every
-/// query's cold batch and cost report exactly. Tables at this scale exceed
-/// the 1024-row chunk size, so the chunked paths (filter mask, join probe,
-/// partial aggregates) really engage.
+/// query's cold batch and cost report exactly, and a second pass over the
+/// workload is served from the cache.
 #[test]
 fn job_workload_is_thread_count_invariant() {
     let w = av_workload::job::job_workload(0.02, 7);

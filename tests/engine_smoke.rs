@@ -1,7 +1,8 @@
 //! Tier-1 smoke over the executor: on two workloads, every plan gives the
 //! same batch and `ExecutionReport`, bit for bit, through each way the
 //! system runs it — the default kernels, the reference kernels, a cold cache
-//! miss and a warm cache hit.
+//! miss and a warm cache hit — and the default kernels reproduce a recorded
+//! digest of every result.
 
 use autoview::engine::{ExecCache, ExecResult, Executor, Pricing};
 use autoview::plan::Fingerprint;
@@ -45,4 +46,24 @@ fn assert_every_path_agrees(w: &Workload) {
 fn serial_reference_and_cached_execution_agree_bitwise() {
     assert_every_path_agrees(&mini(7));
     assert_every_path_agrees(&job_workload(0.02, 42));
+}
+
+/// FNV-1a over `bits(r)` of every plan of both workloads. The paths above
+/// share the scan and join code, so a changed meter charge or a reordered
+/// join output would pass that test; this digest was recorded before the
+/// borrowed-scan and single-pass filter/probe kernels landed, and pins the
+/// executor's output against that earlier implementation.
+#[test]
+fn default_kernels_reproduce_the_recorded_digest() {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in [mini(7), job_workload(0.02, 42)] {
+        let exec = Executor::new(&w.catalog, Pricing::paper_defaults());
+        for plan in w.plans() {
+            for byte in bits(&exec.run(&plan).expect("run")).bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(h, 0xca79_0ae6_0e4c_44c0, "executor digest");
 }
