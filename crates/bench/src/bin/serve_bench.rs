@@ -4,7 +4,9 @@
 //!
 //! Writes `BENCH_serve.json` (`{config, obs}`), the telemetry-on server's
 //! Prometheus exposition `METRICS_serve.prom` and its flight-recorder
-//! dumps `FLIGHT_serve.json` into the working directory.
+//! dumps `FLIGHT_serve.json` into the working directory. Only an SLO
+//! burn-rate alert stores a dump, so a healthy run reports `alerts: 0` and
+//! `dumps: 0`, and `FLIGHT_serve.json` holds just the on-demand capture.
 //!
 //! Gate: the per-query telemetry cost stays under a 300 ns absolute
 //! backstop, and the telemetry-on server's flight recorder and residual
@@ -87,8 +89,9 @@ struct ObsRecord {
     dumps: u64,
 }
 
-/// The flight-recorder artifact (`FLIGHT_serve.json`): the stored
-/// anomaly/alert-triggered dumps plus one on-demand capture at the end.
+/// The flight-recorder artifact (`FLIGHT_serve.json`): the dumps stored by
+/// SLO burn-rate alerts (none on a healthy run) plus one on-demand capture
+/// at the end.
 #[derive(Serialize)]
 struct FlightArtifact {
     stored: Vec<FlightDump>,

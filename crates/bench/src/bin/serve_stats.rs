@@ -112,9 +112,9 @@ fn main() {
                 t.tenant.clone(),
                 format!("{}", t.requests),
                 format!("{}", t.shed_or_failed),
-                format!("{}", t.p50_us),
-                format!("{}", t.p95_us),
-                format!("{}", t.p99_us),
+                format!("{:.1}", t.p50_us),
+                format!("{:.1}", t.p95_us),
+                format!("{:.1}", t.p99_us),
                 format!("{:.2}", t.latency_fast_burn),
                 format!("{:.2}", t.latency_slow_burn),
                 format!("{:.2}", t.availability_fast_burn),
@@ -188,12 +188,12 @@ fn main() {
 
     println!("\n-- flight recorder --");
     if stats.dumps.is_empty() {
-        println!("  no triggered dumps ({} suppressed)", stats.dumps_suppressed);
+        println!("  no alert-triggered dumps ({} suppressed)", stats.dumps_suppressed);
     } else {
         for d in &stats.dumps {
             println!("  {} at seq {} ({} records)", d.reason, d.seq_at, d.records);
         }
-        println!("  {} further triggers suppressed", stats.dumps_suppressed);
+        println!("  {} further alerts suppressed", stats.dumps_suppressed);
     }
 
     let cache = server.cache_stats();

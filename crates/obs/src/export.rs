@@ -95,8 +95,8 @@ pub fn slo_text(stats: &[TenantSloStats]) -> String {
     let series: [Series; 8] = [
         ("slo_requests", |s| s.requests.to_string()),
         ("slo_shed_or_failed", |s| s.shed_or_failed.to_string()),
-        ("slo_latency_p50_us", |s| s.p50_us.to_string()),
-        ("slo_latency_p99_us", |s| s.p99_us.to_string()),
+        ("slo_latency_p50_us", |s| fmt_f64(s.p50_us)),
+        ("slo_latency_p99_us", |s| fmt_f64(s.p99_us)),
         ("slo_latency_fast_burn", |s| fmt_f64(s.latency_fast_burn)),
         ("slo_latency_slow_burn", |s| fmt_f64(s.latency_slow_burn)),
         ("slo_availability_slow_burn", |s| {
@@ -210,9 +210,9 @@ mod tests {
             tenant: "acme\"corp".to_string(),
             requests: 10,
             shed_or_failed: 1,
-            p50_us: 100,
-            p95_us: 200,
-            p99_us: 300,
+            p50_us: 100.0,
+            p95_us: 200.0,
+            p99_us: 300.0,
             latency_fast_burn: 0.5,
             latency_slow_burn: 0.25,
             availability_fast_burn: 0.0,

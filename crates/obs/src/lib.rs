@@ -7,7 +7,7 @@
 //!   structured event records (tenant, plan fingerprint, deployment epoch,
 //!   route decision, cache shard and hit/miss, admission wait, exec time,
 //!   rows/bytes, cost estimate vs. measurement). Dump-on-demand and
-//!   dump-on-anomaly.
+//!   dump-on-alert.
 //! - [`SloState`]: per-tenant mergeable quantile sketches over sliding
 //!   windows plus multi-window error-budget burn-rate alerting.
 //! - [`ResidualStore`]: the estimator-residual aggregates — every routed
@@ -19,12 +19,10 @@
 //! The [`Obs`] façade ties them together: `av-serve` hands
 //! [`Obs::observe_query`] one [`QueryRecord`] per request — the request's
 //! only telemetry write, made under the crate's one lock, which covers the
-//! flight ring, SLO windows, anomaly detectors, residual aggregates,
-//! cumulative [`RequestTotals`], alert history and dump store — and
-//! deterministic anomaly detectors ([`AnomalyDetector`]) turn latency
-//! regressions, cache-hit collapses and admission saturation into stored
-//! flight-recorder dumps, captured inside the critical section that saw
-//! the trigger.
+//! flight ring, SLO windows, residual aggregates, cumulative
+//! [`RequestTotals`], alert history and dump store. An SLO burn-rate alert
+//! is the one trigger that stores a flight-recorder dump, captured inside
+//! the critical section that saw the alert fire.
 //!
 //! Everything here is fed time exclusively through values the caller read
 //! from its injected [`av_trace::Clock`] — this crate never touches the
@@ -32,13 +30,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod anomaly;
 pub mod export;
 pub mod recorder;
 pub mod residual;
 pub mod slo;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalyKind};
 pub use recorder::{FlightDump, FlightRecord, QueryRecord, RecordStatus, TenantTag};
 pub use residual::{ErrorAggregate, Residual, ResidualStore, ResidualSummary};
 pub use slo::{Objective, RequestOutcome, SloAlert, SloConfig, SloState, TenantSloStats};
@@ -58,16 +54,6 @@ pub struct ObsConfig {
     /// Flight-recorder ring capacity (records).
     pub recorder_capacity: usize,
     pub slo: SloConfig,
-    pub anomaly: AnomalyConfig,
-    /// Stored triggered dumps. First-capture semantics: the store keeps at
-    /// most one dump per distinct trigger reason and at most `max_dumps`
-    /// overall; further triggers are *suppressed* (counted, but the ring
-    /// copy is skipped entirely) until an operator drains the store with
-    /// [`Obs::take_dumps`]. The first capture of an incident is the
-    /// forensically interesting one, and a detector that keeps re-firing
-    /// through a sustained incident must not be allowed to tax every
-    /// serving thread with ring copies.
-    pub max_dumps: usize,
     /// SLO alert history bound.
     pub max_alerts: usize,
 }
@@ -78,8 +64,6 @@ impl Default for ObsConfig {
             enabled: true,
             recorder_capacity: 4096,
             slo: SloConfig::default(),
-            anomaly: AnomalyConfig::default(),
-            max_dumps: 8,
             max_alerts: 256,
         }
     }
@@ -105,11 +89,10 @@ pub struct ObsStats {
     pub slo: Vec<TenantSloStats>,
     pub residuals: ResidualSummary,
     pub alerts: Vec<SloAlert>,
-    /// Reasons and sizes of stored triggered dumps (newest last).
+    /// Reasons and sizes of stored triggered dumps (oldest first).
     pub dumps: Vec<DumpInfo>,
-    /// Triggers whose capture was skipped — the store was full, or it
-    /// already held a dump for the same reason (drain with `take_dumps`
-    /// to re-arm).
+    /// Alerts whose capture was skipped because their objective's slot
+    /// already held a dump (drain with `take_dumps` to re-arm).
     pub dumps_suppressed: u64,
 }
 
@@ -141,8 +124,6 @@ pub struct RequestTotals {
     pub query_cost: QuantileSketch,
     /// NaN costs the sketches refused.
     pub nan_rejected: u64,
-    pub alerts_fired: u64,
-    pub anomalies_fired: u64,
 }
 
 impl RequestTotals {
@@ -169,36 +150,48 @@ impl RequestTotals {
     }
 }
 
+/// Reason of the dump an alert on each [`Objective`] stores, indexed by
+/// `objective as usize`.
+const DUMP_REASONS: [&str; 2] = ["slo_latency_burn", "slo_availability_burn"];
+
+/// The filled dump slots with their reasons, oldest capture first.
+fn stored(slots: &[Option<RawDump>; 2]) -> Vec<(&'static str, &RawDump)> {
+    let mut out: Vec<_> = DUMP_REASONS
+        .into_iter()
+        .zip(slots)
+        .filter_map(|(reason, d)| Some((reason, d.as_ref()?)))
+        .collect();
+    out.sort_by_key(|(_, d)| d.seq_at);
+    out
+}
+
 /// Everything the telemetry layer holds, behind its one lock: a request
-/// pays a single acquisition, and a trigger captures the ring inside the
-/// critical section that saw it.
+/// pays a single acquisition, and an alert captures the ring inside the
+/// critical section that fired it.
 #[derive(Debug)]
 struct State {
     ring: FlightRecorder,
     slo: SloState,
-    anomaly: AnomalyDetector,
     residuals: ResidualStore,
     totals: RequestTotals,
     /// Alert history, oldest first, at most `max_alerts`.
     alerts: VecDeque<SloAlert>,
-    /// Stored triggered dumps, oldest first, decoded when read.
-    dumps: Vec<(&'static str, RawDump)>,
+    /// One stored dump slot per [`Objective`], decoded when read.
+    dumps: [Option<RawDump>; 2],
     dumps_suppressed: u64,
 }
 
 impl State {
-    /// First capture per distinct reason, first-K overall: the checks run
-    /// *before* the ring copy, so a detector that keeps re-firing through
-    /// one sustained incident costs a counter increment per suppressed fire
-    /// instead of a ring copy on the serving thread. Eight near-identical
-    /// snapshots of the same incident are forensically redundant; the first
-    /// one is the interesting one.
-    fn store_dump(&mut self, reason: &'static str, max_dumps: usize) {
-        if self.dumps.len() >= max_dumps || self.dumps.iter().any(|(r, _)| *r == reason) {
+    /// First capture per objective: the check runs *before* the ring copy,
+    /// so an alert that re-fires through one sustained incident costs a
+    /// counter increment instead of a ring copy on the serving thread. The
+    /// first snapshot of an incident is the forensically interesting one.
+    fn store_dump(&mut self, objective: Objective) {
+        let slot = &mut self.dumps[objective as usize];
+        if slot.is_some() {
             self.dumps_suppressed += 1;
         } else {
-            let raw = self.ring.capture();
-            self.dumps.push((reason, raw));
+            *slot = Some(self.ring.capture());
         }
     }
 }
@@ -218,11 +211,10 @@ impl Obs {
                 State {
                     ring: FlightRecorder::new(config.recorder_capacity),
                     slo: SloState::new(config.slo.clone()),
-                    anomaly: AnomalyDetector::new(config.anomaly.clone()),
                     residuals: ResidualStore::new(),
                     totals: RequestTotals::default(),
                     alerts: VecDeque::new(),
-                    dumps: Vec::new(),
+                    dumps: Default::default(),
                     dumps_suppressed: 0,
                 },
             ),
@@ -241,7 +233,7 @@ impl Obs {
     }
 
     /// Feed one finished (or shed/failed) request through every component:
-    /// flight recorder, SLO windows, residual stream, anomaly detectors.
+    /// flight recorder, cumulative totals, SLO windows, residual stream.
     /// `now_nanos` is the caller's injected-clock reading at completion;
     /// `root_op` is the plan's root operator name for residual aggregation.
     pub fn observe_query(&self, now_nanos: u64, rec: &QueryRecord, root_op: &'static str) {
@@ -258,13 +250,6 @@ impl Obs {
         let s = &mut *state;
         s.ring.record(rec);
         s.totals.fold(rec);
-        let alerts = s.slo.observe(rec.tenant, now_nanos, latency_nanos, outcome);
-        let anomalies = if outcome == RequestOutcome::Served {
-            s.anomaly
-                .observe(rec.exec_nanos, rec.admit_wait_nanos, rec.cache_hit)
-        } else {
-            Vec::new()
-        };
         if outcome == RequestOutcome::Served && rec.has_estimate() {
             s.residuals.record(Residual {
                 view_fp: rec.view_fp,
@@ -273,25 +258,16 @@ impl Obs {
                 measured: rec.meas_cost,
             });
         }
-        s.totals.alerts_fired += alerts.len() as u64;
-        s.totals.anomalies_fired += anomalies.len() as u64;
 
-        // Every trigger — burn-rate alert or anomaly — freezes the ring as
-        // a stored dump so the offending queries are preserved even after
-        // the ring wraps. The ring's newest record is this request's.
-        for a in alerts {
-            let reason = match a.objective {
-                Objective::LatencyP99 => "slo_latency_burn",
-                Objective::Availability => "slo_availability_burn",
-            };
-            s.store_dump(reason, self.config.max_dumps);
+        // Every burn-rate alert freezes the ring as a stored dump so the
+        // offending queries are preserved even after the ring wraps. The
+        // ring's newest record is this request's.
+        for a in s.slo.observe(rec.tenant, now_nanos, latency_nanos, outcome) {
+            s.store_dump(a.objective);
             if s.alerts.len() == self.config.max_alerts {
                 s.alerts.pop_front();
             }
             s.alerts.push_back(a);
-        }
-        for k in anomalies {
-            s.store_dump(k.as_str(), self.config.max_dumps);
         }
     }
 
@@ -301,17 +277,17 @@ impl Obs {
         raw.decode(reason)
     }
 
-    /// Stored (triggered) dumps, oldest first.
+    /// Stored (alert-triggered) dumps, oldest first.
     pub fn dumps(&self) -> Vec<FlightDump> {
-        let raw = self.state.lock().dumps.clone();
-        raw.iter().map(|(reason, d)| d.decode(reason)).collect()
+        let slots = self.state.lock().dumps.clone();
+        stored(&slots).into_iter().map(|(reason, d)| d.decode(reason)).collect()
     }
 
-    /// Drain the stored dumps (oldest first), re-arming dump-on-anomaly:
-    /// after a drain the next `max_dumps` triggers capture again.
+    /// Drain the stored dumps (oldest first), re-arming dump-on-alert: after
+    /// a drain the next alert on each objective captures again.
     pub fn take_dumps(&self) -> Vec<FlightDump> {
-        let raw = std::mem::take(&mut self.state.lock().dumps);
-        raw.iter().map(|(reason, d)| d.decode(reason)).collect()
+        let slots = std::mem::take(&mut self.state.lock().dumps);
+        stored(&slots).into_iter().map(|(reason, d)| d.decode(reason)).collect()
     }
 
     /// Alert history, oldest first.
@@ -327,9 +303,8 @@ impl Obs {
             slo: s.slo.stats(),
             residuals: s.residuals.summary(),
             alerts: s.alerts.iter().cloned().collect(),
-            dumps: s
-                .dumps
-                .iter()
+            dumps: stored(&s.dumps)
+                .into_iter()
                 .map(|(reason, d)| DumpInfo {
                     reason: reason.to_string(),
                     seq_at: d.seq_at,
@@ -429,74 +404,55 @@ mod tests {
     }
 
     #[test]
-    fn latency_regression_stores_a_dump() {
-        let mut config = ObsConfig::default();
-        config.anomaly.recent = 8;
-        config.anomaly.window = 32;
-        config.anomaly.min_samples = 8;
-        let obs = Obs::new(config);
-        for i in 0..100u64 {
-            obs.observe_query(i, &record("t", 1_000, RecordStatus::Ok), "Scan");
+    fn fast_requests_store_no_dump_however_their_latency_shifts() {
+        // A 50x step in exec time, every request still 200x under the 10 ms
+        // threshold: no objective burns, so nothing is paged or captured.
+        let obs = Obs::new(ObsConfig::default());
+        for i in 0..256u64 {
+            obs.observe_query(i * 1_000, &record("t", 1_000, RecordStatus::Ok), "Scan");
         }
-        for i in 0..40u64 {
-            obs.observe_query(100 + i, &record("t", 60_000, RecordStatus::Ok), "Scan");
+        for i in 256..320u64 {
+            obs.observe_query(i * 1_000, &record("t", 50_000, RecordStatus::Ok), "Scan");
         }
-        assert!(obs.totals().anomalies_fired > 0);
-        let dumps = obs.dumps();
-        assert!(!dumps.is_empty());
-        assert_eq!(dumps[0].reason, "latency_regression");
-        assert!(dumps[0].records.iter().any(|r| r.exec_nanos == 60_000));
-        let last = dumps[0].records.last().expect("non-empty dump");
-        assert_eq!(
-            last.seq,
-            dumps[0].seq_at - 1,
-            "captured by the triggering request"
-        );
-        let stats = obs.stats();
-        assert_eq!(stats.dumps.len(), dumps.len());
+        assert!(obs.alerts().is_empty());
+        assert!(obs.dumps().is_empty(), "a healthy shift stores no dump");
+        assert_eq!(obs.stats().dumps_suppressed, 0);
     }
 
     #[test]
-    fn stored_dumps_keep_the_first_k_and_drain_to_rearm() {
-        let config = ObsConfig {
-            max_dumps: 2,
-            ..ObsConfig::default()
-        };
-        let obs = Obs::new(config);
-        let store = |reason| obs.state.lock().store_dump(reason, obs.config.max_dumps);
+    fn stored_dumps_keep_the_first_per_objective_and_drain_to_rearm() {
+        let obs = Obs::new(ObsConfig::default());
+        let store = |objective| obs.state.lock().store_dump(objective);
         obs.observe_query(0, &record("t", 1, RecordStatus::Ok), "Scan");
-        for reason in ["a", "b", "c"] {
-            store(reason);
-        }
-        // First-K: the earliest captures of an incident survive; the
-        // overflow trigger is counted, not captured.
+        store(Objective::Availability);
+        obs.observe_query(1, &record("t", 1, RecordStatus::Ok), "Scan");
+        store(Objective::LatencyP99);
+        // A re-fire of an objective already captured is counted, not
+        // captured: one incident, one snapshot.
+        store(Objective::Availability);
         let dumps = obs.dumps();
-        assert_eq!(dumps.len(), 2);
-        assert_eq!(dumps[0].reason, "a");
-        assert_eq!(dumps[1].reason, "b");
+        let reasons: Vec<&str> = dumps.iter().map(|d| d.reason.as_str()).collect();
+        assert_eq!(reasons, ["slo_availability_burn", "slo_latency_burn"], "oldest first");
+        assert_eq!(dumps[0].seq_at, 1, "the first capture survives the re-fire");
         assert_eq!(obs.stats().dumps_suppressed, 1);
         // Draining re-arms capture.
-        let taken = obs.take_dumps();
-        assert_eq!(taken.len(), 2);
+        assert_eq!(obs.take_dumps().len(), 2);
         assert!(obs.dumps().is_empty());
-        store("d");
+        store(Objective::Availability);
         let dumps = obs.dumps();
         assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "d");
-        // A re-fire of an already-captured reason is suppressed even with
-        // capacity to spare: one incident, one snapshot.
-        store("d");
+        assert_eq!(dumps[0].seq_at, 2);
+        store(Objective::Availability);
         assert_eq!(obs.dumps().len(), 1);
         assert_eq!(obs.stats().dumps_suppressed, 2);
     }
 
     #[test]
-    fn shed_queries_skip_residuals_and_anomalies_but_hit_slo() {
+    fn shed_queries_skip_residuals_but_hit_slo() {
         let obs = Obs::new(ObsConfig::default());
         for i in 0..20u64 {
             obs.observe_query(i, &record("t", 0, RecordStatus::Shed), "Join");
         }
-        assert_eq!(obs.totals().anomalies_fired, 0);
         let stats = obs.stats();
         assert_eq!(stats.residuals.recorded, 0, "shed queries have no residual");
         assert_eq!(stats.slo[0].shed_or_failed, 20);

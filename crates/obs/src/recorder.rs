@@ -1,8 +1,8 @@
 //! Bounded flight recorder.
 //!
 //! A fixed-size ring of per-query event records, written once per served
-//! request and dumped on demand or when an anomaly detector fires. The ring
-//! is plain data: [`crate::Obs`] keeps it under the one lock that
+//! request and dumped on demand or when an SLO burn-rate alert fires. The
+//! ring is plain data: [`crate::Obs`] keeps it under the one lock that
 //! `observe_query` already holds, so recording is a [`QueryRecord`] copy
 //! into a slot, and a capture is a copy of the resident records. Records
 //! are decoded into the exported [`FlightRecord`] form (tenant string,
@@ -139,7 +139,7 @@ impl FlightRecord {
 /// sequence order (oldest surviving record first).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlightDump {
-    /// What triggered the dump (`"on-demand"`, an anomaly kind, …).
+    /// What triggered the dump (`"on-demand"`, `"slo_latency_burn"`, …).
     pub reason: String,
     /// Global sequence counter at capture time.
     pub seq_at: u64,

@@ -71,7 +71,8 @@ impl Default for SloConfig {
     }
 }
 
-/// Which objective an alert is about.
+/// Which objective an alert is about. The discriminant (`as usize`)
+/// indexes [`crate::Obs`]'s per-objective dump slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Objective {
     LatencyP99,
@@ -200,9 +201,9 @@ pub struct TenantSloStats {
     pub tenant: String,
     pub requests: u64,
     pub shed_or_failed: u64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
+    pub p50_us: f64,
+    pub p95_us: f64,
+    pub p99_us: f64,
     pub latency_fast_burn: f64,
     pub latency_slow_burn: f64,
     pub availability_fast_burn: f64,
@@ -218,8 +219,8 @@ pub struct TenantSloStats {
 /// that may recover).
 ///
 /// Not internally synchronized: the [`crate::Obs`] façade embeds it in its
-/// one lock, shared with the flight ring, the anomaly detector, the
-/// residual store and the cumulative request aggregates.
+/// one lock, shared with the flight ring, the residual store and the
+/// cumulative request aggregates.
 #[derive(Debug, Default)]
 pub struct SloState {
     config: SloConfig,
@@ -334,9 +335,9 @@ impl SloState {
                     tenant: tag.decode(),
                     requests: lt,
                     shed_or_failed: ab,
-                    p50_us: merged.quantile(0.50).unwrap_or(0.0) as u64,
-                    p95_us: merged.quantile(0.95).unwrap_or(0.0) as u64,
-                    p99_us: merged.quantile(0.99).unwrap_or(0.0) as u64,
+                    p50_us: merged.quantile(0.50).unwrap_or(0.0),
+                    p95_us: merged.quantile(0.95).unwrap_or(0.0),
+                    p99_us: merged.quantile(0.99).unwrap_or(0.0),
                     latency_fast_burn: burn_rate(ltf, lbf, cfg.latency_target),
                     latency_slow_burn: burn_rate(lt, lb, cfg.latency_target),
                     availability_fast_burn: burn_rate(atf, abf, cfg.availability_target),
@@ -380,6 +381,17 @@ mod tests {
     }
 
     #[test]
+    fn stats_report_sub_microsecond_quantiles() {
+        let mut m = SloState::new(cfg());
+        for i in 0..100u64 {
+            m.observe(TenantTag::new("t0"), i, 600, RequestOutcome::Served);
+        }
+        let p50 = m.stats()[0].p50_us;
+        let tolerance = 0.6 / av_trace::sketch::SUB_BUCKETS as f64;
+        assert!((p50 - 0.6).abs() <= tolerance, "0.6 µs requests report p50 {p50}");
+    }
+
+    #[test]
     fn healthy_traffic_never_alerts() {
         let mut m = SloState::new(cfg());
         for i in 0..1000u64 {
@@ -390,7 +402,7 @@ mod tests {
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].alerts_fired, 0);
         assert!(stats[0].latency_slow_burn < 1e-12);
-        assert!(stats[0].p99_us <= 50);
+        assert!(stats[0].p99_us <= 50.0);
     }
 
     #[test]

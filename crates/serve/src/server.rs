@@ -213,9 +213,9 @@ impl ViewServer {
     /// routing → (cached) execution. Never blocks on the re-optimizer.
     /// Every outcome — served, shed, failed — leaves exactly one
     /// [`QueryRecord`] with the telemetry layer ([`Obs::observe_query`]):
-    /// flight recorder, per-tenant SLO windows, estimator residuals,
-    /// anomaly detectors and the cumulative totals the `serve.*` series are
-    /// folded from. Nothing here touches the metrics registry.
+    /// flight recorder, per-tenant SLO windows, estimator residuals and the
+    /// cumulative totals the `serve.*` series are folded from. Nothing here
+    /// touches the metrics registry.
     pub fn execute(&self, tenant: &str, plan: &PlanRef) -> Result<ServeResponse, ServeError> {
         let t0 = self.tracer.now_nanos();
         let plan_fp = plan.fingerprint();
@@ -444,8 +444,8 @@ impl ViewServer {
     /// The registry itself only holds planner-rate events (`serve.swaps`,
     /// `serve.preflight.*`, `serve.reopt*`, the epoch gauges). Every
     /// per-request series is pulled here from its owner — the cache's
-    /// shard counters, the telemetry layer's request totals, the published
-    /// deployment's route memo — so serving a request
+    /// shard counters, the telemetry layer's request totals and SLO
+    /// windows, the published deployment's route memo — so serving a request
     /// never writes to a shared registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.tracer.metrics().snapshot();
@@ -464,8 +464,8 @@ impl ViewServer {
         counter("serve.rewrite_hits".into(), t.rewrite_hits);
         counter("serve.rejected".into(), t.shed);
         counter("serve.errors".into(), t.errors);
-        counter("serve.slo_alerts".into(), t.alerts_fired);
-        counter("serve.anomaly_dumps".into(), t.anomalies_fired);
+        let alerts = self.obs.slo_stats().iter().map(|s| s.alerts_fired).sum();
+        counter("serve.slo_alerts".into(), alerts);
         if t.nan_rejected > 0 {
             *snap.counters.entry(av_trace::NAN_REJECTED.into()).or_default() += t.nan_rejected;
         }

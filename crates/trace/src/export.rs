@@ -1,6 +1,6 @@
 //! Exporters for a [`TraceSnapshot`]: chrome://tracing JSON and a
-//! plain-text per-phase profile tree. (The third format — the raw JSON
-//! snapshot — is `TraceSnapshot::to_json` itself.)
+//! plain-text per-phase profile tree. The raw snapshot serializes with
+//! serde.
 
 use crate::span::{SpanRecord, TraceSnapshot};
 use serde::{write_json, Json};

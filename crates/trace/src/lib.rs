@@ -10,11 +10,11 @@
 //! - **Metrics** ([`Metrics`]): a thread-safe, name-addressed registry of
 //!   counters, gauges, histograms and phase timings.
 //! - **Quantiles** ([`QuantileSketch`]): the one mergeable log-bucket
-//!   sketch behind every histogram, SLO window, scheduler drain latency
-//!   and load-generator percentile in the workspace.
-//! - **Exporters**: [`TraceSnapshot::to_json`] (raw snapshot),
-//!   [`chrome_trace`] (chrome://tracing `traceEvents`), and
-//!   [`profile_tree`] (plain-text per-phase profile).
+//!   sketch behind every histogram, SLO window and load-generator
+//!   percentile in the workspace.
+//! - **Exporters**: [`chrome_trace`] (chrome://tracing `traceEvents`) and
+//!   [`profile_tree`] (plain-text per-phase profile); snapshots are serde
+//!   types, so the raw snapshot is one `serde_json` call away.
 //!
 //! Metric names follow `subsystem.noun_verb` (e.g. `engine.cache_hit`,
 //! `serve.swaps`); span names follow `subsystem.phase`

@@ -165,11 +165,6 @@ impl Metrics {
                 .collect(),
         })
     }
-
-    /// Pretty-printed JSON snapshot.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.snapshot()).expect("snapshot serializes")
-    }
 }
 
 /// Serializable form of the registry.
@@ -271,7 +266,7 @@ mod tests {
         m.inc("serve.swaps");
         m.observe("select.utility", 0.002);
         m.record_seconds("serve.reopt", 0.001);
-        let text = m.to_json();
+        let text = serde_json::to_string_pretty(&m.snapshot()).expect("snapshot serializes");
         let doc: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         let obj = doc.as_obj().expect("object");
         let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();

@@ -4,7 +4,7 @@
 //! Every power-of-two octave between `2^-20` and `2^40` is split into
 //! [`SUB_BUCKETS`] linear sub-buckets, so any reported quantile is within
 //! `1/32` (≈ 3.1 %) of the exact nearest-rank value — for dollar costs down
-//! to a micro-dollar, microsecond latencies and nanosecond drain times
+//! to a micro-dollar and latencies down to a fraction of a microsecond
 //! alike. Buckets are `(lower, upper]` — a value exactly on an edge belongs
 //! to the bucket it closes — which makes every integer up to 64 its own
 //! bucket edge (small integer latencies are exact) and lets Prometheus

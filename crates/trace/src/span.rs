@@ -23,8 +23,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One recorded span. Spans land here when their guard drops; instants
-/// have `end_nanos == start_nanos`.
+/// One recorded span. Spans land here when their guard drops.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Dense id in open order. Spans still open at snapshot time are
@@ -68,11 +67,6 @@ impl TraceSnapshot {
         names.sort();
         names.dedup();
         names
-    }
-
-    /// Pretty JSON for the whole snapshot.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
     }
 }
 
@@ -155,8 +149,7 @@ impl Tracer {
         Tracer::build(true, ClockSource::Injected(clock))
     }
 
-    /// A span-less tracer: [`Tracer::span`] and [`Tracer::instant`] record
-    /// nothing, so instrumented code can hold one unconditionally. The
+    /// A span-less tracer: [`Tracer::span`] records nothing, so instrumented code can hold one unconditionally. The
     /// clock is the real monotonic clock and the metrics registry is live,
     /// so [`Tracer::now_nanos`] and [`Tracer::time`] measure real durations
     /// in un-traced runs too.
@@ -220,26 +213,6 @@ impl Tracer {
             start_nanos,
             attrs: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Record a zero-duration marker event (e.g. `serve.swap`)
-    /// under the innermost open span.
-    pub fn instant(&self, name: &'static str) {
-        if !self.inner.enabled {
-            return;
-        }
-        let now = self.inner.clock.now_nanos();
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = self.inner.current.load(Ordering::Relaxed);
-        let mut log = self.inner.log.lock().expect("span log poisoned");
-        log.push(RawSpan {
-            id,
-            parent,
-            name,
-            start_nanos: now,
-            end_nanos: now,
-            attrs: Vec::new(),
-        });
     }
 
     /// Run `f` inside a span named `name`, and accumulate its duration —
@@ -401,23 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn instants_are_zero_duration_children() {
-        let (t, clock) = traced();
-        {
-            let _root = t.span("serve.reopt");
-            clock.advance(7);
-            t.instant("serve.swap");
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.spans.len(), 2);
-        let ev = &snap.spans[1];
-        assert_eq!(ev.name, "serve.swap");
-        assert_eq!(ev.parent, Some(0));
-        assert_eq!(ev.start_nanos, 7);
-        assert_eq!(ev.duration_nanos(), 0);
-    }
-
-    #[test]
     fn open_spans_are_absent_until_their_guard_drops() {
         let (t, clock) = traced();
         let root = t.span("pipeline.truth");
@@ -451,7 +407,6 @@ mod tests {
             let g = t.span("never");
             g.record_num("x", 1.0);
         }
-        t.instant("never");
         let out = t.time("phase", || 5);
         assert_eq!(out, 5);
         t.metrics().inc("engine.cache_hit");
@@ -471,7 +426,7 @@ mod tests {
         t.metrics().inc("select.flips");
         t.metrics().observe("select.reward", 0.125);
         let snap = t.snapshot();
-        let text = snap.to_json();
+        let text = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
         let back: TraceSnapshot = serde_json::from_str(&text).expect("round-trips");
         assert_eq!(back.spans, snap.spans);
         assert_eq!(back.metrics.counters, snap.metrics.counters);
