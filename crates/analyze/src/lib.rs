@@ -1,6 +1,6 @@
 //! `av-analyze` — static verification for the AutoView reproduction.
 //!
-//! Three parts, each usable as a library and wired into one binary:
+//! Two analyses, each usable as a library and wired into one binary:
 //!
 //! - **Plan verifier** ([`verify_plan`]): structural checks plus bottom-up
 //!   typed schema inference over the logical plan IR, mirroring
@@ -11,20 +11,16 @@
 //! - **Rewrite gate** ([`gate_rewrite`], which every rewrite site calls):
 //!   the semantic prover ([`prove_rewrite`]) decides, and only a `Proved`
 //!   rewrite is accepted — `Refuted` and `Unknown` are both refused.
-//! - **Determinism lint** ([`lint`]): a hand-rolled scanner over
-//!   `crates/*/src` flagging unordered hash-container iteration that feeds
-//!   order-sensitive consumers, wall-clock reads in library code, and a
-//!   per-file panic-site ratchet.
 //!
-//! Binary: `cargo run -p av-analyze` runs all passes plus full JOB
-//! workload verification; `cargo run -p av-analyze -- lint` runs the
-//! determinism lint alone (`-- lint --write-baseline` regenerates the
-//! panic-site ratchet).
+//! Binary: `cargo run -p av-analyze` verifies the full JOB workload, its
+//! candidates and every rewrite they induce. The determinism rules (no
+//! wall clock, no raw threads, no hash-order iteration, no unwrap, no
+//! unsafe) are compiler lints, set in `crates/clippy.toml` and the
+//! workspace's `[workspace.lints]`, not a pass of this crate.
 
 #![forbid(unsafe_code)]
 
 pub mod containment;
-pub mod lint;
 pub mod schema;
 pub mod verify;
 

@@ -1,81 +1,33 @@
-//! `cargo run -p av-analyze` — the full static-analysis gate.
+//! `cargo run -p av-analyze` — the plan-verification and rewrite-proving
+//! gate.
 //!
-//! With no arguments, runs every pass and exits non-zero if any finding
-//! survives:
-//!
-//! 1. the determinism lint over `crates/*/src` (plus the panic-site
-//!    ratchet against `crates/analyze/unwrap-baseline.txt`),
-//! 2. the plan verifier + semantic rewrite prover over the full JOB
-//!    workload (all 226 queries at `AV_JOB_SCALE`, default 0.05), every
-//!    candidate the equivalence analyzer emits, and every view rewrite
-//!    those candidates produce — every rewrite must be statically `Proved`
-//!    (an `Unknown` fails the pass just as a `Refuted` does).
-//!
-//! Subcommands run a single pass: `av-analyze lint [--write-baseline]`
-//! (pass 1; `--write-baseline` regenerates the ratchet file from the
-//! current counts instead of checking it — use after converting panic
-//! sites to typed errors, so the ratchet tightens) and `av-analyze prove`
-//! (pass 2).
+//! Runs one pass and exits non-zero if any finding survives: the plan
+//! verifier + semantic rewrite prover over the full JOB workload (all 226
+//! queries at `AV_JOB_SCALE`, default 0.05), every candidate the
+//! equivalence analyzer emits, and every view rewrite those candidates
+//! produce — every rewrite must be statically `Proved` (an `Unknown` fails
+//! the pass just as a `Refuted` does). The binary takes no arguments; a
+//! malformed `AV_JOB_SCALE` is an error, not the default.
 
-use av_analyze::lint::{format_baseline, lint_repo, parse_baseline, ratchet_findings};
 use av_analyze::{gate_rewrite, verify_plan, RewriteRefused};
 use av_engine::{rewrite_subtree_with_view, Catalog, Pricing, ViewStore};
 use av_plan::find_subtree;
-use std::path::Path;
 use std::process::ExitCode;
 
-fn repo_root() -> &'static Path {
-    // crates/analyze/ → repo root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crate lives two levels below the repo root")
-}
+const SCALE_KEY: &str = "AV_JOB_SCALE";
 
-fn run_lint_pass(failures: &mut usize, write_baseline: bool) {
-    let root = repo_root();
-    match lint_repo(root) {
-        Ok(report) => {
-            let baseline_path = root.join("crates/analyze/unwrap-baseline.txt");
-            if write_baseline {
-                match std::fs::write(&baseline_path, format_baseline(&report.unwrap_counts)) {
-                    Ok(()) => println!(
-                        "lint: baseline rewritten with {} file(s)",
-                        report.unwrap_counts.len()
-                    ),
-                    Err(e) => {
-                        eprintln!("lint: cannot write baseline: {e}");
-                        *failures += 1;
-                    }
-                }
-                return;
-            }
-            let baseline = std::fs::read_to_string(&baseline_path)
-                .map(|t| parse_baseline(&t))
-                .unwrap_or_default();
-            let mut findings = report.findings;
-            findings.extend(ratchet_findings(&report.unwrap_counts, &baseline));
-            for f in &findings {
-                eprintln!("lint: {f}");
-            }
-            *failures += findings.len();
-            println!(
-                "lint: {} finding(s) over crates/*/src",
-                findings.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("lint: cannot scan repo: {e}");
-            *failures += 1;
-        }
+/// The JOB scale from `AV_JOB_SCALE`'s raw value: 0.05 when unset, an
+/// error naming the key and the raw value when set but not a float.
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    match raw {
+        None => Ok(0.05),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("{SCALE_KEY}={raw:?} does not parse as f64")),
     }
 }
 
-fn run_plan_pass(failures: &mut usize) {
-    let scale: f64 = std::env::var("AV_JOB_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
+fn run_plan_pass(scale: f64) -> usize {
     let w = av_workload::job::job_workload(scale, 7);
     let mut catalog: Catalog = w.catalog.clone();
     let plans = w.plans();
@@ -154,39 +106,59 @@ fn run_plan_pass(failures: &mut usize) {
         plans.len(),
         analysis.candidates.len()
     );
-    *failures += bad;
+    bad
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut failures = 0usize;
-    match args.first().map(String::as_str) {
-        None => {
-            run_lint_pass(&mut failures, false);
-            run_plan_pass(&mut failures);
-        }
-        Some("prove") => run_plan_pass(&mut failures),
-        Some("lint") => match args.get(1).map(String::as_str) {
-            None => run_lint_pass(&mut failures, false),
-            Some("--write-baseline") => run_lint_pass(&mut failures, true),
-            Some(other) => {
-                eprintln!("av-analyze lint: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some(other) => {
-            eprintln!(
-                "av-analyze: unknown subcommand `{other}` \
-                 (expected `lint [--write-baseline]` or `prove`)"
-            );
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("av-analyze: unexpected argument `{arg}` (the binary takes none)");
+        return ExitCode::FAILURE;
+    }
+    let raw = match std::env::var(SCALE_KEY) {
+        Ok(raw) => Some(raw),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            eprintln!("av-analyze: {SCALE_KEY}={raw:?} is not valid UTF-8");
             return ExitCode::FAILURE;
         }
-    }
+    };
+    let scale = match parse_scale(raw.as_deref()) {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("av-analyze: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let failures = run_plan_pass(scale);
     if failures == 0 {
-        println!("av-analyze: all passes clean");
+        println!("av-analyze: clean");
         ExitCode::SUCCESS
     } else {
         eprintln!("av-analyze: {failures} failure(s)");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn an_unset_scale_is_the_default() {
+        assert_eq!(parse_scale(None), Ok(0.05));
+    }
+
+    #[test]
+    fn a_set_scale_parses_as_f64() {
+        assert_eq!(parse_scale(Some("0.02")), Ok(0.02));
+    }
+
+    #[test]
+    fn a_malformed_scale_names_the_key_and_the_raw_value() {
+        assert_eq!(
+            parse_scale(Some("0,05")),
+            Err("AV_JOB_SCALE=\"0,05\" does not parse as f64".to_string())
+        );
+        assert!(parse_scale(Some("")).is_err());
     }
 }

@@ -15,6 +15,11 @@
 //! (extra multiplier for the micro tables, default 20 — at the defaults the
 //! fact table lands at 12k rows), `AV_EXEC_REPS` (default 20), `AV_SEED`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times its runs on the wall clock"
+)]
+
 use av_bench::{knob, render_table, BenchConfig};
 use av_engine::{ExecCache, Executor, Pricing};
 use av_plan::{AggExpr, AggFunc, CmpOp, Expr, PlanBuilder, PlanRef};

@@ -15,6 +15,11 @@
 //! (`cost.epoch`, `cost.grad_reduce`, `cost.forward_batch`,
 //! `cost.encode_cache` spans) as chrome://tracing JSON.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times its runs on the wall clock"
+)]
+
 use av_bench::knob;
 use av_cost::widedeep::{WideDeep, WideDeepConfig};
 use av_cost::{FeatureInput, TableMeta};

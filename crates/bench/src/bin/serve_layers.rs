@@ -35,6 +35,11 @@
 //! no memo lookup finds another plan's entry.
 //! No knobs: the run is fixed by the constants below.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark binary times two calling threads on the wall clock"
+)]
+
 use av_core::{AutoViewConfig, AutoViewSystem, EstimatorKind, SelectorKind};
 use av_engine::{ExecCache, Executor, Pricing};
 use av_obs::{QueryRecord, RecordStatus, TenantTag};

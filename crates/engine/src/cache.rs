@@ -266,11 +266,13 @@ impl CacheShard {
                 keep
             });
             if state.map.len() >= max_entries {
-                shed_bytes += state
+                #[allow(clippy::disallowed_methods, reason = "a sum does not see hash order")]
+                let rest = state
                     .map
                     .values()
                     .map(|(_, v)| v.report.output_bytes as u64)
                     .sum::<u64>();
+                shed_bytes += rest;
                 state.map.clear();
             }
             state.stats.evictions += (before - state.map.len()) as u64;
@@ -281,6 +283,7 @@ impl CacheShard {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
 mod tests {
     use super::*;
     use crate::batch::Column;

@@ -207,6 +207,7 @@ impl Catalog {
     }
 
     /// Names of all registered tables, in sorted (deterministic) order.
+    #[allow(clippy::disallowed_methods, reason = "the names are sorted before they leave")]
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         let mut names: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
         names.sort_unstable();

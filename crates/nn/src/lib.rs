@@ -37,8 +37,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the simd module alone opts back in with a
-// scoped allow for its `core::arch` intrinsics, which av-analyze's
-// unsafe-scope lint pins to exactly that file.
+// scoped allow for its `core::arch` intrinsics, and CI pins the opt-out to
+// exactly that file.
 #![deny(unsafe_code)]
 
 pub mod adam;

@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD lane kernels for the hot tensor paths.
 //!
-//! This is the only module in the workspace allowed to contain `unsafe`
-//! code (enforced by av-analyze's `unsafe-scope` lint): the `core::arch`
-//! intrinsics below take raw pointers. Everything else stays
-//! `deny(unsafe_code)`.
+//! This is the only library module in the workspace allowed to contain
+//! `unsafe` code: the `core::arch` intrinsics below take raw pointers. The
+//! workspace denies the `unsafe_code` lint, every other library crate
+//! forbids it, and CI checks that this file is the one library opt-out.
 //!
 //! # The fixed-order reduction contract
 //!

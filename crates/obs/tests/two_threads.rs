@@ -3,6 +3,8 @@
 //! buckets, the residual aggregates' counts and the SLO request counts. The
 //! lock `observe_query` takes must serialize every count.
 
+#![allow(clippy::disallowed_methods, reason = "two threads observe one stream")]
+
 use av_obs::{Obs, ObsConfig, QueryRecord, RecordStatus, TenantTag};
 use std::sync::Barrier;
 use std::thread;

@@ -14,6 +14,7 @@
 //! loop that feeds it arrivals and asks it to re-optimize.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic))]
 
 pub mod drift;
 pub mod lifecycle;

@@ -162,6 +162,10 @@ pub fn route_through_views(
     // fingerprints, so its rewrite must be proved, and a refuted or unproved
     // one is a hard bug.
     #[cfg(debug_assertions)]
+    #[allow(
+        clippy::panic,
+        reason = "debug gate: a canonical-fingerprint route is always provable"
+    )]
     if hits > 0 {
         let resolve = |t: &str| index.by_table(t).map(|(_, v)| v.plan.clone());
         if let Err(refused) = av_analyze::gate_rewrite(catalog, plan, &routed, &resolve) {
@@ -277,6 +281,7 @@ impl ViewLifecycleManager {
             });
         }
         let id = self.store.materialize(catalog, plan, pricing)?;
+        #[allow(clippy::expect_used, reason = "`materialize` returned this id just above")]
         let bytes = self.store.view(id).expect("just materialized").byte_size;
         // An empty result still occupies a catalog slot; score it by a
         // 1-byte floor so the benefit ordering stays finite.
@@ -347,6 +352,10 @@ impl ViewLifecycleManager {
             }
         }
 
+        #[allow(
+            clippy::expect_used,
+            reason = "`materialize` returned this id and no branch since dropped it"
+        )]
         let view = self.store.view(id).expect("just materialized").clone();
         self.index.insert(canonical_fp, view);
         self.live.push(LiveView {

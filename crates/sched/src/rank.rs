@@ -267,6 +267,7 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "ranked locks are taken on a second thread")]
 mod tests {
     use super::*;
 

@@ -163,6 +163,7 @@ impl AdmissionController {
 }
 
 /// `tenant`'s entry, inserted (the one allocation) on its first request.
+#[allow(clippy::expect_used, reason = "the entry is inserted just above when missing")]
 fn tenant_entry<'m>(
     state: &'m mut BTreeMap<String, TenantState>,
     tenant: &str,
@@ -189,6 +190,7 @@ impl Drop for Permit<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -320,6 +320,7 @@ impl DeploymentCell {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
 mod tests {
     use super::*;
     use av_engine::{Column, Pricing, Table, ViewStore};

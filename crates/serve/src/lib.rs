@@ -39,6 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic))]
 
 pub mod admission;
 pub mod deployment;

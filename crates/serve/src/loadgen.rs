@@ -1,11 +1,12 @@
 //! Closed-loop workload replay against a [`ViewServer`].
 //!
-//! This module is the one sanctioned wall-clock site in library code (see
-//! `av-analyze`'s determinism lint): its entire purpose is measuring real
-//! request latency under concurrency, so an injected test clock would
-//! measure the mock instead of the system. Closed-loop throughput feeds
-//! `serve_bench`'s telemetry-overhead measurement and `serve_stats`'
-//! snapshot.
+//! This module is the one library module that allows clippy's
+//! `disallowed_methods` (the wall-clock and raw-thread rules of
+//! `crates/clippy.toml`): its entire purpose is measuring real request
+//! latency under concurrency, each client a thread of its own, so an
+//! injected test clock would measure the mock instead of the system.
+//! Closed-loop throughput feeds `serve_bench`'s telemetry-overhead
+//! measurement and `serve_stats`' snapshot.
 //!
 //! [`run_closed_loop`]: each simulated client issues a request, waits for
 //! the response, *thinks* for a fixed interval, and repeats — the classic
@@ -13,6 +14,11 @@
 //! times overlap) until service time saturates the machine; at zero think
 //! time, saturated qps is `1 / service`. Open-loop (paced-arrival) load
 //! lives in `pathbench`, which drives its own `serve_swap` workload.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a load generator times real requests from client threads of its own"
+)]
 
 use crate::server::{ServeError, ViewServer};
 use av_plan::PlanRef;
@@ -117,6 +123,10 @@ pub fn run_closed_loop(
         return LoadReport::default();
     }
     let started = Instant::now();
+    #[allow(
+        clippy::expect_used,
+        reason = "a client panics only if `execute` did; the join passes that panic on"
+    )]
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients)
             .map(|client| {

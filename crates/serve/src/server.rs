@@ -530,6 +530,7 @@ impl ViewServer {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
 mod tests {
     use super::*;
     use av_cost::OptimizerEstimator;

@@ -5,6 +5,8 @@
 //! cache) over a table of `ROWS` rows, many 1024-row chunks, so the filter
 //! and the aggregate each fold many chunks on the client's own thread.
 
+#![allow(clippy::disallowed_methods, reason = "two threads send misses at once")]
+
 use av_cost::OptimizerEstimator;
 use av_engine::{Catalog, Column, Executor, Pricing, Table};
 use av_plan::{CmpOp, Expr, PlanBuilder, PlanRef};

@@ -6,6 +6,8 @@
 //! allocates: the permit, the snapshot load, the route memo and the
 //! telemetry record add none.
 
+#![allow(unsafe_code, reason = "the counting global allocator forwards to System")]
+
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;
 use av_serve::{AdmissionConfig, AdmissionController, ServeConfig, ViewServer};

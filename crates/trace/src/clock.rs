@@ -1,11 +1,11 @@
 //! Injectable time source for the tracer.
 //!
-//! Library code must never read the wall clock directly — `av-analyze`'s
-//! determinism lint rejects `Instant::now` / `SystemTime::now` in `crates/*`
-//! library sources. All time flows through the [`Clock`] trait instead:
-//! production code installs a [`MonotonicClock`] (this module is the single
-//! lint-exempt call site), tests install a [`TestClock`] and advance it by
-//! hand, so span durations are exactly reproducible.
+//! Library code must never read the wall clock directly — `crates/clippy.toml`
+//! lists `Instant::now` / `SystemTime::now` as disallowed methods for every
+//! crate under `crates/`. All time flows through the [`Clock`] trait instead:
+//! production code installs a [`MonotonicClock`] (whose constructor is the
+//! one library site that allows the lint), tests install a [`TestClock`] and
+//! advance it by hand, so span durations are exactly reproducible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,9 +19,8 @@ pub trait Clock: Send + Sync {
 }
 
 /// Real wall-clock time, anchored at construction so readings start near
-/// zero. This is the **only** place in the workspace libraries that is
-/// allowed to call `Instant::now` (the determinism lint exempts exactly
-/// this file).
+/// zero. [`MonotonicClock::new`] is the **only** place in the workspace
+/// libraries that is allowed to call `Instant::now`.
 ///
 /// Readings go through `Instant` (vDSO `clock_gettime` on Linux, itself a
 /// timestamp-counter read where the kernel's clocksource is `tsc`). The
@@ -34,9 +33,13 @@ pub struct MonotonicClock {
 }
 
 impl MonotonicClock {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the Clock trait's one sanctioned wall-clock read"
+    )]
     pub fn new() -> MonotonicClock {
         MonotonicClock {
-            origin: std::time::Instant::now(), // det-lint: allow — the Clock trait's sanctioned wall-clock read
+            origin: std::time::Instant::now(),
         }
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! - **Spans** ([`Tracer`], [`SpanGuard`]): hierarchical enter/exit guards
 //!   with per-span wall time via an injectable [`Clock`], so library code
-//!   never reads the wall clock directly and `av-analyze`'s determinism
-//!   lint stays clean.
+//!   never reads the wall clock directly (clippy's `disallowed_methods`,
+//!   configured in `crates/clippy.toml`, refuses `Instant::now`).
 //! - **Metrics** ([`Metrics`]): a thread-safe, name-addressed registry of
 //!   counters, gauges, histograms and phase timings.
 //! - **Quantiles** ([`QuantileSketch`]): the one mergeable log-bucket

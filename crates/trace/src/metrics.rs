@@ -184,6 +184,7 @@ pub struct TimingSnapshot {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the registry is exercised from several threads")]
 mod tests {
     use super::*;
 
