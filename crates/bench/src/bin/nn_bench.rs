@@ -1,6 +1,7 @@
 //! NN compute-path benchmark: SIMD lane kernels vs the naive baseline,
-//! Wide-Deep epoch time on the arena trainer vs the seed-style reference
-//! trainer, and benefit-matrix construction cold vs memoized.
+//! Wide-Deep epoch time on the arena trainer vs the per-sample trainer
+//! (same fused ops and backward, no arena reuse), and benefit-matrix
+//! construction cold vs memoized.
 //!
 //! Writes `BENCH_nn.json` (machine-readable, consumed by CI) into the
 //! working directory and prints the same numbers as tables.
@@ -52,11 +53,12 @@ struct KernelResult {
 struct EpochResult {
     train_samples: usize,
     epochs: usize,
-    /// Seed-style path: fresh graph per sample, features re-derived per use.
-    reference_epoch_seconds: f64,
+    /// Per-sample trainer: fresh graph per sample, features re-derived per
+    /// use, no pinned or reused buffers.
+    per_sample_epoch_seconds: f64,
     /// One pinned arena graph + one-time sample preparation.
     arena_epoch_seconds: f64,
-    /// reference / arena.
+    /// per-sample / arena.
     speedup: f64,
 }
 
@@ -240,19 +242,22 @@ fn main() {
         ..WideDeepConfig::default()
     };
 
-    // ---- epoch time: seed-style reference vs arena -------------------------
+    // ---- epoch time: per-sample vs arena ------------------------------------
+    // Both trainers run the same fused ops and the same backward, so the
+    // ratio is what pinned params, one-time sample preparation and buffer
+    // reuse buy.
     // The two trainers are interleaved and each keeps its best-of-reps
     // (minimum) time: machine-load noise only ever slows a run down, so the
     // minimum is the most faithful estimate of each path's true cost, and
     // interleaving keeps slow phases from biasing one trainer.
     let epoch_reps = knob("AV_NN_EPOCH_REPS", 3usize).max(1);
-    let mut reference = f64::INFINITY;
+    let mut per_sample = f64::INFINITY;
     let mut arena = f64::INFINITY;
     let mut model = None;
     for _ in 0..epoch_reps {
         let start = Instant::now();
         let _ = WideDeep::fit_reference(&train, config.clone());
-        reference = reference.min(start.elapsed().as_secs_f64() / epochs as f64);
+        per_sample = per_sample.min(start.elapsed().as_secs_f64() / epochs as f64);
 
         let start = Instant::now();
         model = Some(WideDeep::fit(&train, config.clone()));
@@ -263,9 +268,9 @@ fn main() {
     let epoch = EpochResult {
         train_samples: train.len(),
         epochs,
-        reference_epoch_seconds: reference,
+        per_sample_epoch_seconds: per_sample,
         arena_epoch_seconds: arena,
-        speedup: reference / arena,
+        speedup: per_sample / arena,
     };
 
     // ---- benefit matrix: per-pair whole graphs vs memoized batch -----------
@@ -347,10 +352,10 @@ fn main() {
         av_bench::render_table(&["matmul", "naive GFLOP/s", "SIMD GFLOP/s", "speedup"], &rows)
     );
     println!(
-        "\nepoch ({} samples, {} epochs): reference {:.3}s, arena {:.3}s ({:.2}x)",
+        "\nepoch ({} samples, {} epochs): per-sample {:.3}s, arena {:.3}s ({:.2}x)",
         epoch.train_samples,
         epoch.epochs,
-        epoch.reference_epoch_seconds,
+        epoch.per_sample_epoch_seconds,
         epoch.arena_epoch_seconds,
         epoch.speedup,
     );
@@ -382,7 +387,7 @@ fn main() {
     }
     assert!(
         epoch.speedup > 1.0,
-        "arena trainer must beat the reference path"
+        "arena trainer must beat the per-sample trainer"
     );
     assert!(
         matrix.speedup > 1.0,

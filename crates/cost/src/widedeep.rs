@@ -207,15 +207,7 @@ pub struct WideDeep {
 impl WideDeep {
     /// Train on labelled `(input, A(q|v))` pairs (paper Algorithm 1).
     pub fn fit(samples: &[(FeatureInput, f64)], config: WideDeepConfig) -> WideDeep {
-        Self::fit_traced(samples, config).0
-    }
-
-    /// Train, also returning the per-epoch training loss trace.
-    pub fn fit_traced(
-        samples: &[(FeatureInput, f64)],
-        config: WideDeepConfig,
-    ) -> (WideDeep, Vec<f64>) {
-        Self::fit_with_tracer(samples, config, &av_trace::Tracer::disabled())
+        Self::fit_with_tracer(samples, config, &av_trace::Tracer::disabled()).0
     }
 
     /// Vocabulary + normalization bootstrap shared by all trainers.
@@ -342,13 +334,13 @@ impl WideDeep {
         (model, trace)
     }
 
-    /// The pre-overhaul trainer, kept as the measured baseline for
-    /// `nn_bench`: a freshly allocated graph per sample in
-    /// [`Graph::set_reference_mode`] (the seed's one-node-per-primitive
-    /// tape and its clone-and-transpose backward), features re-derived
-    /// (tokenized, vocab-indexed, normalized) at every use, and the
-    /// optimizer stepped on the raw gradient sum. Numerically it is the
-    /// seed behavior; use [`WideDeep::fit`] for real training.
+    /// The per-sample trainer, kept as `nn_bench`'s baseline: a freshly
+    /// allocated graph per sample, features re-derived (tokenized,
+    /// vocab-indexed, normalized) at every use, no pinned or reused
+    /// buffers, and the optimizer stepped on the raw gradient sum. It runs
+    /// the same fused ops and the same `backward` as [`WideDeep::fit`], so
+    /// the bench prices exactly what the arena machinery buys; use `fit`
+    /// for real training.
     pub fn fit_reference(
         samples: &[(FeatureInput, f64)],
         config: WideDeepConfig,
@@ -366,7 +358,6 @@ impl WideDeep {
                 for &i in chunk {
                     let (inp, y) = &samples[i];
                     let mut g = Graph::new();
-                    g.set_reference_mode(true);
                     let pred = model.forward(&mut g, inp);
                     let target = ((y - model.y_mean) / model.y_std) as f32;
                     let t = g.input(Tensor::from_vec(1, 1, vec![target]));
@@ -856,7 +847,11 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let samples = synth_samples(40);
-        let (_, trace) = WideDeep::fit_traced(&samples, quick_config(Ablation::None));
+        let (_, trace) = WideDeep::fit_with_tracer(
+            &samples,
+            quick_config(Ablation::None),
+            &av_trace::Tracer::disabled(),
+        );
         assert!(
             trace.last().expect("trace") < &trace[0],
             "loss should fall: {trace:?}"

@@ -6,6 +6,11 @@
 //! [`ParamStore`]) and their gradients are handed back to the store after
 //! `backward`, so the graph never borrows the store.
 //!
+//! There is one reverse sweep, [`Graph::backward`], and every tape runs
+//! through it: the fused ops the layers build ([`Graph::affine`],
+//! [`Graph::lstm_cell`]) and the primitive compositions the tests check
+//! them against alike.
+//!
 //! ## Buffer arena
 //!
 //! Every tensor a graph allocates — forward values, backward gradients,
@@ -26,7 +31,7 @@ use crate::tensor::{ParamId, ParamStore, Tensor};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Constant input — no gradient flows out.
     Input,
@@ -115,15 +120,6 @@ pub struct Graph {
     /// Tape nodes below this index are pinned parameter leaves that survive
     /// [`Graph::reset`] (see [`Graph::pin_params`]).
     pinned: usize,
-    /// When set, the graph reproduces the pre-overhaul execution path:
-    /// [`crate::layers::Lstm`] unrolls each step into primitive ops instead
-    /// of one fused [`Op::LstmCell`] node, [`Graph::affine`] falls back to
-    /// a `matmul` + `add_row` pair, and [`Graph::backward`] runs the
-    /// original clone-and-transpose reverse sweep. Forward values are
-    /// bitwise identical either way; this exists so benchmark baselines
-    /// measure the seed path rather than silently inheriting the new
-    /// kernels.
-    reference_mode: bool,
 }
 
 fn pooled_zeros(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Tensor {
@@ -186,20 +182,6 @@ impl Graph {
     /// Buffers currently parked in the free-list (telemetry / tests).
     pub fn pool_len(&self) -> usize {
         self.pool.len()
-    }
-
-    /// Toggle seed-faithful reference mode (off by default): the unfused
-    /// one-node-per-primitive tape plus the original allocation-heavy
-    /// backward. Forward values are bitwise identical in both modes, so
-    /// this is safe to flip for apples-to-apples measurements and for
-    /// fused-vs-unrolled equivalence tests.
-    pub fn set_reference_mode(&mut self, on: bool) {
-        self.reference_mode = on;
-    }
-
-    /// True iff the graph is in seed-faithful reference mode.
-    pub fn reference_mode(&self) -> bool {
-        self.reference_mode
     }
 
     /// Pin every currently-interned parameter leaf: [`Graph::reset`] keeps
@@ -322,10 +304,6 @@ impl Graph {
     /// added after the full inner-product sum, so the value is bitwise
     /// identical to `add_row(matmul(x, w), b)`.
     pub fn affine(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
-        if self.reference_mode {
-            let m = self.matmul(x, w);
-            return self.add_row(m, b);
-        }
         let (xr, wc) = (self.nodes[x.0].value.rows(), self.nodes[w.0].value.cols());
         let mut v = pooled_zeros(&mut self.pool, xr, wc);
         self.nodes[x.0].value.matmul_into(&self.nodes[w.0].value, &mut v);
@@ -706,9 +684,6 @@ impl Graph {
             (1, 1),
             "backward seed must be a scalar loss"
         );
-        if self.reference_mode {
-            return self.backward_reference(output);
-        }
         let mut seed = pooled_zeros(&mut self.pool, 1, 1);
         seed.set(0, 0, 1.0);
         self.nodes[output.0].grad = Some(seed);
@@ -1125,242 +1100,6 @@ impl Graph {
                 self.pool.push(g.into_data());
             }
             slot @ None => *slot = Some(g),
-        }
-    }
-
-    /// The pre-overhaul reverse sweep, used in [`Graph::set_reference_mode`]:
-    /// every node's op and gradient are cloned, matmul rules materialize
-    /// explicit transposes (`da = grad×bᵀ`, `db = aᵀ×grad`), and every
-    /// intermediate buffer is freshly allocated. Numerically equivalent to
-    /// the pooled sweep; kept so benchmark baselines pay the seed path's
-    /// real costs.
-    fn backward_reference(&mut self, output: NodeId) {
-        let mut seed = Tensor::zeros(1, 1);
-        seed.set(0, 0, 1.0);
-        self.nodes[output.0].grad = Some(seed);
-
-        for i in (0..=output.0).rev() {
-            let Some(grad) = self.nodes[i].grad.clone() else {
-                continue;
-            };
-            let op = self.nodes[i].op.clone();
-            match op {
-                Op::Input | Op::Param => {}
-                Op::Embed { table, indices } => {
-                    for (row, &ix) in indices.iter().enumerate() {
-                        self.embed_grads.push((table, ix, grad.row(row).to_vec()));
-                    }
-                }
-                Op::MatMul(a, b) => {
-                    let bt = self.nodes[b.0].value.transpose();
-                    let da = grad.matmul_naive(&bt);
-                    let at = self.nodes[a.0].value.transpose();
-                    let db = at.matmul_naive(&grad);
-                    self.add_grad(a, da);
-                    self.add_grad(b, db);
-                }
-                Op::Add(a, b) => {
-                    self.add_grad(a, grad.clone());
-                    self.add_grad(b, grad.clone());
-                }
-                Op::AddRow(a, row) => {
-                    let mut drow = Tensor::zeros(1, grad.cols());
-                    grad.col_sum_into(&mut drow);
-                    self.add_grad(a, grad.clone());
-                    self.add_grad(row, drow);
-                }
-                Op::Sub(a, b) => {
-                    self.add_grad(a, grad.clone());
-                    let mut db = grad.clone();
-                    db.scale_assign(-1.0);
-                    self.add_grad(b, db);
-                }
-                Op::Mul(a, b) => {
-                    let mut da = grad.clone();
-                    for (x, y) in da
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.nodes[b.0].value.as_slice())
-                    {
-                        *x *= y;
-                    }
-                    let mut db = grad.clone();
-                    for (x, y) in db
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.nodes[a.0].value.as_slice())
-                    {
-                        *x *= y;
-                    }
-                    self.add_grad(a, da);
-                    self.add_grad(b, db);
-                }
-                Op::Scale(a, s) => {
-                    let mut da = grad.clone();
-                    da.scale_assign(s);
-                    self.add_grad(a, da);
-                }
-                Op::Relu(a) => {
-                    let mut da = grad.clone();
-                    for (g, &x) in da
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.nodes[a.0].value.as_slice())
-                    {
-                        if x <= 0.0 {
-                            *g = 0.0;
-                        }
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::Sigmoid(a) => {
-                    let mut da = grad.clone();
-                    for (g, &y) in da
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.nodes[i].value.as_slice())
-                    {
-                        *g *= y * (1.0 - y);
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::Tanh(a) => {
-                    let mut da = grad.clone();
-                    for (g, &y) in da
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.nodes[i].value.as_slice())
-                    {
-                        *g *= 1.0 - y * y;
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::ConcatCols(parts) => {
-                    let mut at = 0;
-                    for &p in &parts {
-                        let cols = self.nodes[p.0].value.cols();
-                        let mut dp = Tensor::zeros(grad.rows(), cols);
-                        for r in 0..grad.rows() {
-                            dp.row_mut(r).copy_from_slice(&grad.row(r)[at..at + cols]);
-                        }
-                        self.add_grad(p, dp);
-                        at += cols;
-                    }
-                }
-                Op::ConcatRows(parts) => {
-                    let mut at = 0;
-                    for &p in &parts {
-                        let rows = self.nodes[p.0].value.rows();
-                        let mut dp = Tensor::zeros(rows, grad.cols());
-                        for r in 0..rows {
-                            dp.row_mut(r).copy_from_slice(grad.row(at + r));
-                        }
-                        self.add_grad(p, dp);
-                        at += rows;
-                    }
-                }
-                Op::SliceCols(a, start, len) => {
-                    let (rows, cols) = self.nodes[a.0].value.shape();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        da.row_mut(r)[start..start + len].copy_from_slice(grad.row(r));
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::MeanRows(a) => {
-                    let (rows, cols) = self.nodes[a.0].value.shape();
-                    let inv = 1.0 / rows.max(1) as f32;
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            da.set(r, c, grad.get(0, c) * inv);
-                        }
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::MeanAll(a) => {
-                    let (rows, cols) = self.nodes[a.0].value.shape();
-                    let inv = grad.get(0, 0) / (rows * cols).max(1) as f32;
-                    let mut da = Tensor::zeros(rows, cols);
-                    da.as_mut_slice().iter_mut().for_each(|v| *v = inv);
-                    self.add_grad(a, da);
-                }
-                Op::Conv3x1 { x, w, b } => {
-                    let (n, c) = self.nodes[x.0].value.shape();
-                    let mut dx = Tensor::zeros(n, c);
-                    let mut dw = Tensor::zeros(3, c);
-                    let mut db = Tensor::zeros(1, c);
-                    for i2 in 0..n {
-                        for ch in 0..c {
-                            let g = grad.get(i2, ch);
-                            if g == 0.0 {
-                                continue;
-                            }
-                            *db.get_mut(0, ch) += g;
-                            for k in 0..3usize {
-                                let j = i2 as isize + k as isize - 1;
-                                if j >= 0 && (j as usize) < n {
-                                    let j = j as usize;
-                                    *dw.get_mut(k, ch) +=
-                                        g * self.nodes[x.0].value.get(j, ch);
-                                    *dx.get_mut(j, ch) +=
-                                        g * self.nodes[w.0].value.get(k, ch);
-                                }
-                            }
-                        }
-                    }
-                    self.add_grad(x, dx);
-                    self.add_grad(w, dw);
-                    self.add_grad(b, db);
-                }
-                Op::NormRows { x, gamma, beta, eps } => {
-                    let (n, c) = self.nodes[x.0].value.shape();
-                    let nf = n.max(1) as f32;
-                    let mut dx = Tensor::zeros(n, c);
-                    let mut dg = Tensor::zeros(1, c);
-                    let mut db = Tensor::zeros(1, c);
-                    let mut dxhat = vec![0.0f32; n];
-                    {
-                        let xt = &self.nodes[x.0].value;
-                        let gt = &self.nodes[gamma.0].value;
-                        for ch in 0..c {
-                            let mean: f32 =
-                                (0..n).map(|r| xt.get(r, ch)).sum::<f32>() / nf;
-                            let var: f32 = (0..n)
-                                .map(|r| (xt.get(r, ch) - mean).powi(2))
-                                .sum::<f32>()
-                                / nf;
-                            let inv = 1.0 / (var + eps).sqrt();
-                            let mut sum_dxhat = 0.0;
-                            let mut sum_dxhat_xhat = 0.0;
-                            for (r, dxh) in dxhat.iter_mut().enumerate() {
-                                let xhat = (xt.get(r, ch) - mean) * inv;
-                                let dy = grad.get(r, ch);
-                                *db.get_mut(0, ch) += dy;
-                                *dg.get_mut(0, ch) += dy * xhat;
-                                *dxh = dy * gt.get(0, ch);
-                                sum_dxhat += *dxh;
-                                sum_dxhat_xhat += *dxh * xhat;
-                            }
-                            for (r, &dxh) in dxhat.iter().enumerate() {
-                                let xhat = (xt.get(r, ch) - mean) * inv;
-                                dx.set(
-                                    r,
-                                    ch,
-                                    inv / nf
-                                        * (nf * dxh - sum_dxhat - xhat * sum_dxhat_xhat),
-                                );
-                            }
-                        }
-                    }
-                    self.add_grad(x, dx);
-                    self.add_grad(gamma, dg);
-                    self.add_grad(beta, db);
-                }
-                Op::Affine { .. } | Op::LstmCell { .. } => {
-                    unreachable!("reference-mode tapes never contain fused ops")
-                }
-            }
         }
     }
 

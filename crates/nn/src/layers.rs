@@ -97,14 +97,10 @@ impl Lstm {
     /// Run over `steps` (each `1×input`), return the final hidden state.
     /// An empty sequence returns the zero initial state.
     ///
-    /// By default each timestep is one fused [`Graph::lstm_cell`] tape node;
-    /// [`Graph::set_reference_mode`] falls back to the unrolled primitive
-    /// composition. The hidden state is bitwise identical in both modes
-    /// (see `fused_cell_matches_unrolled_composition`).
+    /// Each timestep is one fused [`Graph::lstm_cell`] tape node. The hidden
+    /// state is bitwise identical to [`Lstm::forward_with_unfused`] (see
+    /// `fused_cell_matches_unrolled_composition`).
     pub fn forward_with(&self, g: &mut Graph, store: &ParamStore, steps: &[NodeId]) -> NodeId {
-        if g.reference_mode() {
-            return self.forward_with_unfused(g, store, steps);
-        }
         let wx = g.param(store, self.wx);
         let wh = g.param(store, self.wh);
         let b = g.param(store, self.b);
@@ -121,9 +117,8 @@ impl Lstm {
         }
     }
 
-    /// The original unrolled cell: ~16 primitive tape nodes per step. Kept
-    /// as the reference composition the fused op is checked against, and as
-    /// the tape shape for seed-faithful benchmark baselines.
+    /// The unrolled cell: ~16 primitive tape nodes per step. Kept as the
+    /// composition the fused op is checked against; no model calls it.
     pub fn forward_with_unfused(
         &self,
         g: &mut Graph,
@@ -158,33 +153,6 @@ impl Lstm {
         }
         h
     }
-
-    /// Run over a sequence packed as one `len×input` matrix node.
-    pub fn forward_matrix(&self, g: &mut Graph, store: &ParamStore, seq: NodeId) -> NodeId {
-        let rows = g.value(seq).rows();
-        let cols = g.value(seq).cols();
-        debug_assert_eq!(cols, self.input);
-        // Slice each row out as a timestep. Row extraction via transpose-free
-        // slicing: build per-row nodes with slice over a transposed layout is
-        // avoided by using concat_rows inverse — here we simply re-input each
-        // row is NOT allowed (would detach gradients), so we slice columns of
-        // the transposed matrix. Instead, keep it simple: treat the packed
-        // matrix as `rows` nodes via slice_rows emulation below.
-        let steps: Vec<NodeId> = (0..rows).map(|r| slice_row(g, seq, r)).collect();
-        self.forward_with(g, store, &steps)
-    }
-}
-
-/// Extract row `r` of a node as a `1×c` node, differentiable.
-///
-/// Implemented as a selector mat-mul `e_r × X` where `e_r` is a constant
-/// one-hot row, so gradients flow back into the source matrix.
-pub fn slice_row(g: &mut Graph, x: NodeId, r: usize) -> NodeId {
-    let rows = g.value(x).rows();
-    let mut sel = g.scratch(1, rows);
-    sel.set(0, r, 1.0);
-    let sel = g.input(sel);
-    g.matmul(sel, x)
 }
 
 /// Depthwise 3×1 convolution block: `Conv3x1 → BatchNorm → ReLU`, the
@@ -281,8 +249,9 @@ mod tests {
     fn fused_cell_matches_unrolled_composition() {
         // The fused LstmCell op must produce a bitwise-identical hidden
         // state to the primitive composition, and numerically matching
-        // parameter gradients (the reduction order inside backward differs,
-        // so grads are compared with a tolerance, not bitwise).
+        // parameter gradients. Both tapes run through the one `backward`,
+        // but the fused and primitive rules reduce in different orders, so
+        // grads are compared with a tolerance, not bitwise.
         let mut store = ParamStore::with_seed(11);
         let l = Lstm::new(&mut store, 3, 5);
         let rows: [&[f32]; 3] = [
@@ -292,12 +261,15 @@ mod tests {
         ];
         let run = |fused: bool, store: &ParamStore| {
             let mut g = Graph::new();
-            g.set_reference_mode(!fused);
             let steps: Vec<NodeId> = rows
                 .iter()
                 .map(|r| g.input(Tensor::from_rows(&[r])))
                 .collect();
-            let h = l.forward_with(&mut g, store, &steps);
+            let h = if fused {
+                l.forward_with(&mut g, store, &steps)
+            } else {
+                l.forward_with_unfused(&mut g, store, &steps)
+            };
             let value = g.value(h).clone();
             let loss = g.mean_all(h);
             g.backward(loss);
@@ -342,19 +314,6 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .sum();
         assert!(diff > 1e-6, "LSTM must distinguish sequence order");
-    }
-
-    #[test]
-    fn slice_row_is_differentiable() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let r1 = slice_row(&mut g, x, 1);
-        assert_eq!(g.value(r1), &Tensor::from_rows(&[&[3.0, 4.0]]));
-        let l = g.mean_all(r1);
-        g.backward(l);
-        let gx = g.grad(x);
-        assert_eq!(gx.get(0, 0), 0.0);
-        assert!((gx.get(1, 0) - 0.5).abs() < 1e-6);
     }
 
     #[test]

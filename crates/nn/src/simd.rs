@@ -9,9 +9,8 @@
 //!
 //! Every kernel here commits to a *semantic* definition of each output
 //! element that is independent of vector width, strip size, or backend,
-//! so results are bitwise identical between the AVX2 path, the portable
-//! fallback, and the scalar reference functions used by the property
-//! tests:
+//! so the AVX2 kernels are bitwise identical to the scalar reference
+//! functions ([`matmul_rows_ref`], [`dot_bt_ref`], [`scatter_at_ref`]):
 //!
 //! - **axpy family** ([`matmul_rows`], [`scatter_at`]): each output
 //!   element is a chain of fused multiply-adds over the shared dimension
@@ -31,11 +30,13 @@
 //!   accumulator implements exactly this, so the SIMD dot is bitwise
 //!   identical to [`dot_lanes_ref`].
 //!
-//! Both backends use fused multiply-add semantics (`f32::mul_add` in the
-//! portable path compiles to the hardware FMA wherever one exists), so a
-//! given process produces the same bytes regardless of which backend the
-//! dispatcher picks. `AV_NN_SIMD=portable` forces the fallback, which the
-//! property tests use to cross-check the two paths on AVX2 hosts.
+//! There are two backends, and the portable one *is* the scalar
+//! references: off x86_64, on CPUs without AVX2+FMA, or under
+//! `AV_NN_SIMD=portable`, each kernel runs its `*_ref` function. The
+//! references use `f32::mul_add`, which compiles to the hardware FMA
+//! wherever one exists, so a given process produces the same bytes
+//! whichever backend the dispatcher picks. The property tests pin the AVX2
+//! kernels to the references on AVX2 hosts.
 
 #![allow(unsafe_code)]
 
@@ -46,18 +47,24 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// `core::arch::x86_64` AVX2 + FMA intrinsics (runtime-detected).
     Avx2Fma,
-    /// Portable `f32::mul_add` loops with the same reduction order.
+    /// The scalar references ([`matmul_rows_ref`], [`dot_bt_ref`],
+    /// [`scatter_at_ref`]).
     Portable,
 }
 
 /// The backend every kernel in this module dispatches to, decided once
 /// per process: AVX2+FMA when the CPU has it, unless `AV_NN_SIMD=portable`
-/// pins the fallback (the property tests use that to compare both paths).
+/// pins the scalar references.
+///
+/// # Panics
+/// Panics, naming the key and the value, if `AV_NN_SIMD` is set to
+/// anything but `portable`.
 pub fn backend() -> Backend {
     static CHOICE: OnceLock<Backend> = OnceLock::new();
     *CHOICE.get_or_init(|| {
-        if std::env::var("AV_NN_SIMD").as_deref() == Ok("portable") {
-            return Backend::Portable;
+        let raw = std::env::var_os("AV_NN_SIMD").map(|v| v.to_string_lossy().into_owned());
+        if let Some(pinned) = backend_override(raw.as_deref()).unwrap_or_else(|e| panic!("{e}")) {
+            return pinned;
         }
         #[cfg(target_arch = "x86_64")]
         {
@@ -69,6 +76,20 @@ pub fn backend() -> Backend {
         }
         Backend::Portable
     })
+}
+
+/// The backend an `AV_NN_SIMD` value pins: unset (`None`) leaves the
+/// choice to CPU detection, `portable` pins [`Backend::Portable`], and any
+/// other value is an error naming the key and the value, so a misspelling
+/// never runs the AVX2 kernels unnoticed.
+pub(crate) fn backend_override(raw: Option<&str>) -> Result<Option<Backend>, String> {
+    match raw {
+        None => Ok(None),
+        Some("portable") => Ok(Some(Backend::Portable)),
+        Some(other) => Err(format!(
+            "AV_NN_SIMD={other:?} is not a backend (unset it to detect the CPU, or set \"portable\")"
+        )),
+    }
 }
 
 /// `out += A × B` over row-major slices (`A` is `m×k`, `B` is `k×n`,
@@ -83,7 +104,7 @@ pub fn matmul_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
         Backend::Avx2Fma => unsafe { avx2::matmul_rows(a, m, k, b, n, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2Fma => unreachable!("Avx2Fma backend selected off x86_64"),
-        Backend::Portable => portable::matmul_rows(a, m, k, b, n, out),
+        Backend::Portable => matmul_rows_ref(a, m, k, b, n, out),
     }
 }
 
@@ -106,7 +127,7 @@ pub fn dot_bt(a: &[f32], m: usize, k: usize, b: &[f32], p: usize, out: &mut [f32
         Backend::Avx2Fma => unsafe { avx2::dot_bt(a, m, k, b, p, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2Fma => unreachable!("Avx2Fma backend selected off x86_64"),
-        Backend::Portable => portable::dot_bt(a, m, k, b, p, out),
+        Backend::Portable => dot_bt_ref(a, m, k, b, p, out),
     }
 }
 
@@ -122,14 +143,15 @@ pub fn scatter_at(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut 
         Backend::Avx2Fma => unsafe { avx2::scatter_at(a, m, k, b, n, out) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2Fma => unreachable!("Avx2Fma backend selected off x86_64"),
-        Backend::Portable => portable::scatter_at(a, m, k, b, n, out),
+        Backend::Portable => scatter_at_ref(a, m, k, b, n, out),
     }
 }
 
 // ---------------------------------------------------------------------------
 // Scalar references — the semantic ground truth the property tests pin the
-// SIMD kernels against. Deliberately the simplest possible expression of the
-// fixed-order contract; no unsafe, no unrolling.
+// SIMD kernels against, and the portable backend itself. Deliberately the
+// simplest possible expression of the fixed-order contract; no unsafe, no
+// unrolling.
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for the axpy family: `out += A × B` with per-element
@@ -190,112 +212,6 @@ pub fn scatter_at_ref(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
             let orow = &mut out[kk * n..(kk + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Portable backend: same loops as the references, with the row kernel
-// unrolled into fixed-width strips so autovectorizers have something to
-// chew on even without the intrinsics path.
-// ---------------------------------------------------------------------------
-
-mod portable {
-    /// Strip width of the portable unrolled row kernel. Matches one AVX2
-    /// register so both backends tile the same way (the contract makes
-    /// tiling invisible to results either way).
-    const LANES: usize = 8;
-
-    pub fn matmul_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            axpy_row(arow, b, n, orow);
-        }
-    }
-
-    /// `orow += arow × B`, unrolled into [`LANES`]-wide strips.
-    fn axpy_row(arow: &[f32], b: &[f32], n: usize, orow: &mut [f32]) {
-        let strips = n / LANES * LANES;
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n..(kk + 1) * n];
-            let mut j = 0;
-            while j < strips {
-                let o = &mut orow[j..j + LANES];
-                let bv = &brow[j..j + LANES];
-                for l in 0..LANES {
-                    o[l] = av.mul_add(bv[l], o[l]);
-                }
-                j += LANES;
-            }
-            while j < n {
-                orow[j] = av.mul_add(brow[j], orow[j]);
-                j += 1;
-            }
-        }
-    }
-
-    pub fn dot_bt(a: &[f32], m: usize, k: usize, b: &[f32], p: usize, out: &mut [f32]) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..p {
-                let brow = &b[j * k..(j + 1) * k];
-                out[i * p + j] = dot_lanes(arow, brow);
-            }
-        }
-    }
-
-    /// The 8-lane dot with the loop structured as whole [`LANES`]-wide
-    /// chunks plus a tail, which is the same association as
-    /// [`super::dot_lanes_ref`]'s `t mod 8` assignment.
-    fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
-        let mut lane = [0.0f32; LANES];
-        let chunks = x.len() / LANES * LANES;
-        let mut t = 0;
-        while t < chunks {
-            for l in 0..LANES {
-                lane[l] = x[t + l].mul_add(y[t + l], lane[l]);
-            }
-            t += LANES;
-        }
-        while t < x.len() {
-            lane[t % LANES] = x[t].mul_add(y[t], lane[t % LANES]);
-            t += 1;
-        }
-        let mut acc = lane[0];
-        for &l in &lane[1..] {
-            acc += l;
-        }
-        acc
-    }
-
-    pub fn scatter_at(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let brow = &b[i * n..(i + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[kk * n..(kk + 1) * n];
-                let strips = n / LANES * LANES;
-                let mut j = 0;
-                while j < strips {
-                    let o = &mut orow[j..j + LANES];
-                    let bv = &brow[j..j + LANES];
-                    for l in 0..LANES {
-                        o[l] = av.mul_add(bv[l], o[l]);
-                    }
-                    j += LANES;
-                }
-                while j < n {
-                    orow[j] = av.mul_add(brow[j], orow[j]);
-                    j += 1;
-                }
             }
         }
     }
@@ -786,6 +702,25 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn an_unset_override_leaves_the_choice_to_detection() {
+        assert_eq!(backend_override(None), Ok(None));
+    }
+
+    #[test]
+    fn portable_pins_the_scalar_references() {
+        assert_eq!(backend_override(Some("portable")), Ok(Some(Backend::Portable)));
+    }
+
+    #[test]
+    fn any_other_override_is_an_error_naming_key_and_value() {
+        for raw in ["Portable", "portable ", "avx2", ""] {
+            let err = backend_override(Some(raw)).expect_err(raw);
+            assert!(err.contains("AV_NN_SIMD"), "{err}");
+            assert!(err.contains(&format!("{raw:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -144,10 +144,10 @@ impl Tensor {
     /// -owned (arena-recycled) output tensor.
     ///
     /// Dispatches to [`crate::simd::matmul_rows`]: register-tiled AVX2+FMA
-    /// strips where the CPU has them, an unrolled portable `mul_add` loop
-    /// otherwise. Per output cell the value is defined as an ascending-`k`
-    /// fused multiply-add chain with exact-zero terms skipped, so the
-    /// result is bitwise identical to the scalar reference
+    /// strips where the CPU has them, the scalar reference loop otherwise.
+    /// Per output cell the value is defined as an ascending-`k` fused
+    /// multiply-add chain with exact-zero terms skipped, so the result is
+    /// bitwise identical to the scalar reference
     /// ([`Tensor::matmul_reference`]) on every backend and independent of
     /// strip width. (It is *not* bitwise identical to the non-fused seed
     /// kernel [`Tensor::matmul_naive`], which rounds after every multiply;
@@ -311,15 +311,6 @@ impl Tensor {
         self.data
     }
 
-    /// Copy `src` into this tensor, reshaping it (the backing buffer is
-    /// reused; it only reallocates when capacity is insufficient).
-    pub fn copy_from(&mut self, src: &Tensor) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Seed `i·k·j` matmul — separate multiply and add per term, no fma —
     /// kept as the honest speed baseline for `nn_bench`. NOT bitwise
     /// comparable to [`Tensor::matmul_into`] (which rounds once per fused
@@ -343,17 +334,6 @@ impl Tensor {
                 for (o, &b) in out_row.iter_mut().zip(orow) {
                     *o += a * b;
                 }
-            }
-        }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
             }
         }
         out
@@ -534,13 +514,6 @@ mod tests {
         let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Tensor::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! intrinsics path fails loudly even when the values agree to many ulps.
 //!
 //! On AVX2+FMA hardware the dispatched backend is the intrinsics path, so
-//! this pins SIMD == scalar; elsewhere it pins the portable unrolled path,
-//! which `AV_NN_SIMD=portable` also forces on SIMD hardware (CI runs both).
+//! this pins SIMD == scalar. The portable backend *is* the scalar
+//! references; `AV_NN_SIMD=portable` forces it on SIMD hardware, and CI
+//! runs the suite both ways, so that run checks the override itself and
+//! the dispatch layer above the references.
 
 use proptest::prelude::*;
 
@@ -175,5 +177,15 @@ fn tensor_matmul_matches_reference_bitwise() {
         let fast = a.matmul(&b);
         let slow = a.matmul_reference(&b);
         assert_bits_eq(fast.as_slice(), slow.as_slice(), "Tensor::matmul");
+    }
+}
+
+/// `AV_NN_SIMD=portable` really pins the scalar references, so the
+/// portable run of this suite compares them with themselves rather than
+/// silently re-testing the AVX2 kernels. Unset, this checks nothing.
+#[test]
+fn portable_override_reaches_the_dispatcher() {
+    if std::env::var("AV_NN_SIMD").as_deref() == Ok("portable") {
+        assert_eq!(av_nn::simd::backend(), av_nn::simd::Backend::Portable);
     }
 }
