@@ -298,9 +298,7 @@ impl BlockBuilder {
                 }
                 Ok(env)
             }
-            PlanNode::Aggregate {
-                group_by, aggs, ..
-            } => {
+            PlanNode::Aggregate { group_by, aggs, .. } => {
                 // A nested aggregate becomes a derived source: its own block,
                 // referenced positionally.
                 let inner = normalize_plan(catalog, plan)?;
@@ -646,10 +644,7 @@ impl Domain {
 
     fn render(&self) -> String {
         let d = self.sorted();
-        format!(
-            "eq{:?} ne{:?} lo{:?} hi{:?}",
-            d.eqs, d.nes, d.lo, d.hi
-        )
+        format!("eq{:?} ne{:?} lo{:?} hi{:?}", d.eqs, d.nes, d.lo, d.hi)
     }
 }
 
@@ -665,8 +660,8 @@ fn witness_candidates(a: &Domain, b: &Domain, ty: Option<ColumnType>) -> Vec<Val
         }
     };
     let consts: Vec<Value> = a.constants().into_iter().chain(b.constants()).collect();
-    let float_ok = ty == Some(ColumnType::Float)
-        || consts.iter().any(|v| matches!(v, Value::Float(_)));
+    let float_ok =
+        ty == Some(ColumnType::Float) || consts.iter().any(|v| matches!(v, Value::Float(_)));
     for c in &consts {
         push(c.clone());
         match c {
@@ -708,11 +703,7 @@ fn witness_candidates(a: &Domain, b: &Domain, ty: Option<ColumnType>) -> Vec<Val
 /// Compare two domains on one class: `Ok(true)` equal, `Ok(false)` with a
 /// witness impossible to find (undecided), `Err(witness)` provably
 /// different.
-fn compare_domains(
-    a: &Domain,
-    b: &Domain,
-    ty: Option<ColumnType>,
-) -> Result<bool, String> {
+fn compare_domains(a: &Domain, b: &Domain, ty: Option<ColumnType>) -> Result<bool, String> {
     if a.structurally_eq(b) {
         return Ok(true);
     }
@@ -775,7 +766,9 @@ impl UnionFind {
         let p = match self.parent.get(x) {
             Some(p) if p != x => p.clone(),
             _ => {
-                self.parent.entry(x.to_string()).or_insert_with(|| x.to_string());
+                self.parent
+                    .entry(x.to_string())
+                    .or_insert_with(|| x.to_string());
                 return x.to_string();
             }
         };
@@ -1005,11 +998,7 @@ fn render_block(catalog: &Catalog, b: &Block, perm: &[usize]) -> Result<Rendered
         }
         mapped
     };
-    let opaque_mapped: Vec<Expr> = b
-        .opaques
-        .iter()
-        .map(|e| collect_cols(e, &mut uf))
-        .collect();
+    let opaque_mapped: Vec<Expr> = b.opaques.iter().map(|e| collect_cols(e, &mut uf)).collect();
     let outputs_mapped: Vec<(String, Expr)> = b
         .outputs
         .iter()
@@ -1024,19 +1013,16 @@ fn render_block(catalog: &Catalog, b: &Block, perm: &[usize]) -> Result<Rendered
         let aggs: Vec<(AggFunc, Option<Expr>, String)> = sig
             .aggs
             .iter()
-            .map(|(f, i, o)| {
-                (
-                    *f,
-                    i.as_ref().map(|e| collect_cols(e, &mut uf)),
-                    o.clone(),
-                )
-            })
+            .map(|(f, i, o)| (*f, i.as_ref().map(|e| collect_cols(e, &mut uf)), o.clone()))
             .collect();
         (gb, aggs)
     });
 
     // Domains per class, with integer-closure when the class is provably Int.
-    type DomainMaps = (BTreeMap<String, Domain>, BTreeMap<String, Option<ColumnType>>);
+    type DomainMaps = (
+        BTreeMap<String, Domain>,
+        BTreeMap<String, Option<ColumnType>>,
+    );
     let build_domains = |uf: &mut UnionFind| -> Result<DomainMaps, String> {
         let mut types: BTreeMap<String, Option<ColumnType>> = BTreeMap::new();
         for (root, members) in uf.classes() {
@@ -1497,7 +1483,10 @@ mod tests {
                 vec![
                     ("id", Column::Int((0..20).collect())),
                     ("score", Column::Float((0..20).map(|i| i as f64).collect())),
-                    ("name", Column::str((0..20).map(|i| format!("u{i}")).collect())),
+                    (
+                        "name",
+                        Column::str((0..20).map(|i| format!("u{i}")).collect()),
+                    ),
                 ],
             )
             .expect("valid"),
@@ -1508,7 +1497,10 @@ mod tests {
                 "acts",
                 vec![
                     ("uid", Column::Int((0..30).map(|i| i % 20).collect())),
-                    ("kind", Column::str((0..30).map(|i| format!("k{}", i % 3)).collect())),
+                    (
+                        "kind",
+                        Column::str((0..30).map(|i| format!("k{}", i % 3)).collect()),
+                    ),
                     ("n", Column::Int((0..30).collect())),
                 ],
             )
@@ -1724,8 +1716,8 @@ mod tests {
         let query = PlanBuilder::from_plan(sub.clone())
             .count_star(&["a.kind"], "cnt")
             .build();
-        let (rewritten, n) = av_engine::rewrite_subtree_with_view(&cat, &query, &sub, view)
-            .expect("view applies");
+        let (rewritten, n) =
+            av_engine::rewrite_subtree_with_view(&cat, &query, &sub, view).expect("view applies");
         assert_eq!(n, 1);
         let defs = |t: &str| {
             store
@@ -1777,8 +1769,8 @@ mod tests {
                 }],
             )
             .build();
-        let (rewritten, n) = av_engine::rewrite_subtree_with_view(&cat, &query, &query, view)
-            .expect("view applies");
+        let (rewritten, n) =
+            av_engine::rewrite_subtree_with_view(&cat, &query, &query, view).expect("view applies");
         assert_eq!(n, 1);
         let defs = |t: &str| {
             store

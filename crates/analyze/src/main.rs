@@ -55,7 +55,8 @@ fn run_plan_pass(scale: f64) -> usize {
     // Materialize every candidate and verify every rewrite it induces.
     let mut views = ViewStore::new();
     for cand in &analysis.candidates {
-        if let Err(e) = views.materialize(&mut catalog, cand.plan.clone(), Pricing::paper_defaults())
+        if let Err(e) =
+            views.materialize(&mut catalog, cand.plan.clone(), Pricing::paper_defaults())
         {
             eprintln!("plans: candidate {} failed to materialize: {e}", cand.id);
             bad += 1;

@@ -25,9 +25,11 @@ pub type ExprType = Option<ColumnType>;
 pub fn infer_schema(catalog: &Catalog, plan: &PlanNode) -> Result<Schema, PlanError> {
     match plan {
         PlanNode::TableScan { table, alias } => {
-            let t = catalog.table(table).ok_or_else(|| PlanError::UnknownTable {
-                table: table.clone(),
-            })?;
+            let t = catalog
+                .table(table)
+                .ok_or_else(|| PlanError::UnknownTable {
+                    table: table.clone(),
+                })?;
             Ok(t.column_names
                 .iter()
                 .zip(&t.column_types)
@@ -119,23 +121,24 @@ pub fn infer_schema(catalog: &Catalog, plan: &PlanNode) -> Result<Schema, PlanEr
             }
             for a in aggs {
                 let in_ty = match &a.input {
-                    Some(c) => Some(lookup(&schema, c).ok_or_else(|| PlanError::UnboundColumn {
-                        column: c.clone(),
-                        operator: "Aggregate",
-                        available: names(&schema),
-                    })?),
+                    Some(c) => {
+                        Some(lookup(&schema, c).ok_or_else(|| PlanError::UnboundColumn {
+                            column: c.clone(),
+                            operator: "Aggregate",
+                            available: names(&schema),
+                        })?)
+                    }
                     None => None,
                 };
-                let out_ty = agg_output_type(a.func, in_ty).ok_or_else(|| {
-                    PlanError::BadAggregate {
+                let out_ty =
+                    agg_output_type(a.func, in_ty).ok_or_else(|| PlanError::BadAggregate {
                         agg: a.to_string(),
                         reason: format!(
                             "{} cannot consume a {} column",
                             a.func.keyword(),
                             in_ty.map_or("?", |t| t.keyword())
                         ),
-                    }
-                })?;
+                    })?;
                 out.push((a.output.clone(), out_ty));
             }
             Ok(out)

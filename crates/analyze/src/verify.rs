@@ -54,7 +54,9 @@ pub fn gate_rewrite(
 
 /// Adapter with the engine's [`av_engine::PreflightFn`] signature.
 fn preflight(catalog: &Catalog, plan: &PlanNode) -> Result<(), String> {
-    verify_plan(catalog, plan).map(|_| ()).map_err(|e| e.to_string())
+    verify_plan(catalog, plan)
+        .map(|_| ())
+        .map_err(|e| e.to_string())
 }
 
 /// Install the verifier as the engine's pre-dispatch gate (see
@@ -79,7 +81,10 @@ mod tests {
                 vec![
                     ("id", Column::Int((0..20).collect())),
                     ("score", Column::Float((0..20).map(|i| i as f64).collect())),
-                    ("name", Column::str((0..20).map(|i| format!("u{i}")).collect())),
+                    (
+                        "name",
+                        Column::str((0..20).map(|i| format!("u{i}")).collect()),
+                    ),
                 ],
             )
             .expect("valid"),
@@ -90,7 +95,10 @@ mod tests {
                 "acts",
                 vec![
                     ("uid", Column::Int((0..30).map(|i| i % 20).collect())),
-                    ("kind", Column::str((0..30).map(|i| format!("k{}", i % 3)).collect())),
+                    (
+                        "kind",
+                        Column::str((0..30).map(|i| format!("k{}", i % 3)).collect()),
+                    ),
                 ],
             )
             .expect("valid"),
@@ -100,8 +108,7 @@ mod tests {
     }
 
     fn joined() -> PlanBuilder {
-        PlanBuilder::scan("users", "u")
-            .join(PlanBuilder::scan("acts", "a"), &[("u.id", "a.uid")])
+        PlanBuilder::scan("users", "u").join(PlanBuilder::scan("acts", "a"), &[("u.id", "a.uid")])
     }
 
     #[test]
@@ -199,7 +206,9 @@ mod tests {
         let exec = Executor::new(&cat, Pricing::paper_defaults());
         let plans = vec![
             joined().build(),
-            joined().project(&[("u.name", "n"), ("a.kind", "k")]).build(),
+            joined()
+                .project(&[("u.name", "n"), ("a.kind", "k")])
+                .build(),
             joined()
                 .filter(Expr::col("u.score").cmp(av_plan::CmpOp::Gt, Expr::int(5)))
                 .count_star(&["a.kind"], "c")

@@ -216,7 +216,11 @@ fn mutate_agg(plan: &PlanRef) -> Option<PlanRef> {
             mut aggs,
         } if !hit.get() && !aggs.is_empty() => {
             hit.set(true);
-            let AggExpr { func, input: ai, output } = aggs[0].clone();
+            let AggExpr {
+                func,
+                input: ai,
+                output,
+            } = aggs[0].clone();
             let swapped = match func {
                 AggFunc::Min => AggFunc::Max,
                 AggFunc::Max => AggFunc::Min,

@@ -25,7 +25,10 @@ fn catalog() -> Catalog {
             vec![
                 ("k", Column::Int((0..24).map(|i| i % 6).collect())),
                 ("v", Column::Int((0..24).map(|i| i * 3 - 7).collect())),
-                ("s", Column::str((0..24).map(|i| format!("s{}", i % 4)).collect())),
+                (
+                    "s",
+                    Column::str((0..24).map(|i| format!("s{}", i % 4)).collect()),
+                ),
             ],
         )
         .expect("rectangular"),
@@ -36,7 +39,10 @@ fn catalog() -> Catalog {
             "tb",
             vec![
                 ("k", Column::Int((0..18).map(|i| i % 6).collect())),
-                ("w", Column::Float((0..18).map(|i| i as f64 / 2.0).collect())),
+                (
+                    "w",
+                    Column::Float((0..18).map(|i| i as f64 / 2.0).collect()),
+                ),
             ],
         )
         .expect("rectangular"),
@@ -221,8 +227,7 @@ fn job_workload_and_rewrites_verify_clean() {
             let Some(subtree) = find_subtree(&plans[i], m.subtree_fp) else {
                 continue;
             };
-            let Some((rewritten, _)) =
-                rewrite_subtree_with_view(&cat, &plans[i], &subtree, view)
+            let Some((rewritten, _)) = rewrite_subtree_with_view(&cat, &plans[i], &subtree, view)
             else {
                 continue;
             };
@@ -235,5 +240,8 @@ fn job_workload_and_rewrites_verify_clean() {
             rewrites += 1;
         }
     }
-    assert!(rewrites > 0, "JOB workload must produce verifiable rewrites");
+    assert!(
+        rewrites > 0,
+        "JOB workload must produce verifiable rewrites"
+    );
 }

@@ -47,10 +47,13 @@ fn main() {
     let mut rows = Vec::new();
     for (name, rl_cfg) in variants {
         let r = RlView::run(&exp.actual, rl_cfg);
-        let tail = &r.trajectory[r.trajectory.len().saturating_sub(r.trajectory.len() / 4).min(r.trajectory.len() - 1)..];
+        let tail = &r.trajectory[r
+            .trajectory
+            .len()
+            .saturating_sub(r.trajectory.len() / 4)
+            .min(r.trajectory.len() - 1)..];
         let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        let sd = (tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / tail.len() as f64)
-            .sqrt();
+        let sd = (tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / tail.len() as f64).sqrt();
         rows.push(vec![
             name.to_string(),
             format!("{:.4}", r.utility),
@@ -63,7 +66,13 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["variant", "best utility ($)", "tail mean ($)", "tail sd", "steps"],
+            &[
+                "variant",
+                "best utility ($)",
+                "tail mean ($)",
+                "tail sd",
+                "steps"
+            ],
             &rows
         )
     );

@@ -221,7 +221,13 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["op", "rows", "reference rows/s", "optimized rows/s", "speedup"],
+            &[
+                "op",
+                "rows",
+                "reference rows/s",
+                "optimized rows/s",
+                "speedup"
+            ],
             &rows,
         )
     );

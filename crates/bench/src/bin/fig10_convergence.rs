@@ -55,8 +55,7 @@ fn main() {
         let tail = |t: &[f64]| {
             let tail = &t[t.len().saturating_sub(t.len() / 4).min(t.len() - 1)..];
             let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-            let var =
-                tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / tail.len() as f64;
+            let var = tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / tail.len() as f64;
             (mean, var.sqrt())
         };
         let (im, isd) = tail(&iter.trajectory);

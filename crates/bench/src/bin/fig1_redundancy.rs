@@ -39,5 +39,8 @@ fn main() {
         .step_by(4)
         .map(|(k, pct)| vec![format!("{} projects", k + 1), format!("{pct:.1}%")])
         .collect();
-    println!("{}", render_table(&["after", "cumulative redundant"], &rows));
+    println!(
+        "{}",
+        render_table(&["after", "cumulative redundant"], &rows)
+    );
 }

@@ -33,10 +33,7 @@ fn main() {
         }
         println!(
             "{}",
-            render_table(
-                &["k", "TopkFreq", "TopkOver", "TopkBen", "TopkNorm"],
-                &rows
-            )
+            render_table(&["k", "TopkFreq", "TopkOver", "TopkBen", "TopkNorm"], &rows)
         );
         for (rank, sweep) in &sweeps {
             let peak = sweep

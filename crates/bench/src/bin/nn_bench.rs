@@ -324,7 +324,10 @@ fn main() {
         let _ = traced.predict_batch(&inputs[..inputs.len().min(64)]);
         let snap = tracer.snapshot();
         std::fs::write(path, av_trace::chrome_trace(&snap)).expect("trace written");
-        println!("wrote {path} ({} spans) — open in chrome://tracing", snap.spans.len());
+        println!(
+            "wrote {path} ({} spans) — open in chrome://tracing",
+            snap.spans.len()
+        );
     }
 
     let report = NnBenchReport {
@@ -349,7 +352,10 @@ fn main() {
         .collect();
     println!(
         "{}",
-        av_bench::render_table(&["matmul", "naive GFLOP/s", "SIMD GFLOP/s", "speedup"], &rows)
+        av_bench::render_table(
+            &["matmul", "naive GFLOP/s", "SIMD GFLOP/s", "speedup"],
+            &rows
+        )
     );
     println!(
         "\nepoch ({} samples, {} epochs): per-sample {:.3}s, arena {:.3}s ({:.2}x)",

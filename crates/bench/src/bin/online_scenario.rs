@@ -128,8 +128,16 @@ fn main() {
         "{}",
         render_table(
             &[
-                "engine", "raw $", "paid $", "views $", "net saved $", "admit", "evict", "hits",
-                "drifts", "reopts",
+                "engine",
+                "raw $",
+                "paid $",
+                "views $",
+                "net saved $",
+                "admit",
+                "evict",
+                "hits",
+                "drifts",
+                "reopts",
             ],
             &rows,
         )

@@ -66,7 +66,9 @@ fn main() {
     };
     let cold = run_closed_loop(&server, &plans, &cfg);
     expect_clean(&cold, "cold");
-    let reopt = server.reoptimize(&plans, Some("tenant0")).expect("reoptimize");
+    let reopt = server
+        .reoptimize(&plans, Some("tenant0"))
+        .expect("reoptimize");
     assert!(reopt.admitted > 0, "re-optimization admits views");
     let warm = run_closed_loop(&server, &plans, &cfg);
     expect_clean(&warm, "warm");
@@ -78,7 +80,10 @@ fn main() {
 
     match mode.as_str() {
         "--json" => {
-            println!("{}", serde_json::to_string_pretty(&stats).expect("stats to json"));
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&stats).expect("stats to json")
+            );
             return;
         }
         "--prom" => {
@@ -87,7 +92,10 @@ fn main() {
         }
         "--dump" => {
             let dump = server.obs().dump_now("serve-stats");
-            println!("{}", serde_json::to_string_pretty(&dump).expect("dump to json"));
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&dump).expect("dump to json")
+            );
             return;
         }
         "" => {}
@@ -127,8 +135,17 @@ fn main() {
         "{}",
         render_table(
             &[
-                "tenant", "reqs", "shed", "p50us", "p95us", "p99us", "lat-fast", "lat-slow",
-                "avail-fast", "avail-slow", "alerts",
+                "tenant",
+                "reqs",
+                "shed",
+                "p50us",
+                "p95us",
+                "p99us",
+                "lat-fast",
+                "lat-slow",
+                "avail-fast",
+                "avail-slow",
+                "alerts",
             ],
             &rows,
         )
@@ -188,7 +205,10 @@ fn main() {
 
     println!("\n-- flight recorder --");
     if stats.dumps.is_empty() {
-        println!("  no alert-triggered dumps ({} suppressed)", stats.dumps_suppressed);
+        println!(
+            "  no alert-triggered dumps ({} suppressed)",
+            stats.dumps_suppressed
+        );
     } else {
         for d in &stats.dumps {
             println!("  {} at seq {} ({} records)", d.reason, d.seq_at, d.records);

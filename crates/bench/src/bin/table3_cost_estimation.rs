@@ -8,8 +8,8 @@
 use av_bench::{render_table, setup_experiment, BenchConfig};
 use av_core::{table2_defaults, WorkloadKind};
 use av_cost::{
-    mae, metrics::mape_floored, Ablation, CostEstimator, DeepLearnEstimator, FeatureInput,
-    Gbm, GbmConfig, LinearRegression, OptimizerEstimator, PairSample, WideDeep,
+    mae, metrics::mape_floored, Ablation, CostEstimator, DeepLearnEstimator, FeatureInput, Gbm,
+    GbmConfig, LinearRegression, OptimizerEstimator, PairSample, WideDeep,
 };
 
 fn main() {
@@ -35,10 +35,8 @@ fn main() {
             av_cost::metrics::split_7_1_2(samples.len(), cfg.seed);
         let train: Vec<PairSample> = train_idx.iter().map(|&i| samples[i].clone()).collect();
         let test: Vec<PairSample> = test_idx.iter().map(|&i| samples[i].clone()).collect();
-        let train_pairs: Vec<(FeatureInput, f64)> = train
-            .iter()
-            .map(|s| (s.input.clone(), s.cost_qv))
-            .collect();
+        let train_pairs: Vec<(FeatureInput, f64)> =
+            train.iter().map(|s| (s.input.clone(), s.cost_qv)).collect();
         let truth: Vec<f64> = test.iter().map(|s| s.cost_qv).collect();
         // Percentage errors are meaningless against near-zero costs (a
         // rewrite can collapse a query to an empty view scan); floor at 5%

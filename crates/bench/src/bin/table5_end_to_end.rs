@@ -8,8 +8,8 @@
 
 use av_bench::{build_workload, render_table, BenchConfig};
 use av_core::{
-    collect_pair_truth, preprocess_and_measure, table2_defaults, AutoViewConfig,
-    AutoViewSystem, EstimatorKind, SelectorKind, WorkloadKind,
+    collect_pair_truth, preprocess_and_measure, table2_defaults, AutoViewConfig, AutoViewSystem,
+    EstimatorKind, SelectorKind, WorkloadKind,
 };
 use av_cost::{CostEstimator, FeatureInput, OptimizerEstimator, WideDeep};
 use av_engine::Pricing;
@@ -39,8 +39,8 @@ fn main() {
         // Shared measurement across the four combos.
         let mut catalog = workload.catalog.clone();
         let pre = preprocess_and_measure(&mut catalog, &plans, pricing).expect("preprocess");
-        let pairs = collect_pair_truth(&catalog, &pre, &plans, cfg.train_pairs, cfg.seed)
-            .expect("pairs");
+        let pairs =
+            collect_pair_truth(&catalog, &pre, &plans, cfg.train_pairs, cfg.seed).expect("pairs");
         eprintln!(
             "{label}: {} queries, {} candidates, {} training pairs",
             plans.len(),
@@ -126,8 +126,15 @@ fn main() {
         "{}",
         render_table(
             &[
-                "data", "method", "#(q|v)", "b_qv ($)", "latency(s)", "#m", "o_m ($)",
-                "r_c (%)", "est.util ($)",
+                "data",
+                "method",
+                "#(q|v)",
+                "b_qv ($)",
+                "latency(s)",
+                "#m",
+                "o_m ($)",
+                "r_c (%)",
+                "est.util ($)",
             ],
             &rows
         )

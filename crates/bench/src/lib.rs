@@ -119,8 +119,8 @@ pub fn setup_experiment(which: &str, cfg: &BenchConfig, pair_limit: usize) -> Ex
     let pricing = Pricing::paper_defaults();
     let mut catalog = workload.catalog.clone();
     let plans = workload.plans();
-    let pre = preprocess_and_measure(&mut catalog, &plans, pricing)
-        .expect("generated workloads execute");
+    let pre =
+        preprocess_and_measure(&mut catalog, &plans, pricing).expect("generated workloads execute");
     let pairs = collect_pair_truth(&catalog, &pre, &plans, pair_limit, cfg.seed)
         .expect("pair truth collection");
     let actual = actual_instance(&pre, &pairs, plans.len());
@@ -137,11 +137,7 @@ pub fn setup_experiment(which: &str, cfg: &BenchConfig, pair_limit: usize) -> Ex
 }
 
 /// Assemble the MVS instance whose benefits are the *measured* ones.
-pub fn actual_instance(
-    pre: &Preprocessed,
-    pairs: &[PairTruth],
-    num_queries: usize,
-) -> MvsInstance {
+pub fn actual_instance(pre: &Preprocessed, pairs: &[PairTruth], num_queries: usize) -> MvsInstance {
     let nc = pre.analysis.candidates.len();
     let mut benefits = vec![vec![0.0; nc]; num_queries];
     for p in pairs {

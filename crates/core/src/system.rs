@@ -5,9 +5,7 @@ use crate::truth::{
     collect_pair_truth, preprocess_and_measure, preprocess_and_measure_traced, rewrite_pair,
     Preprocessed,
 };
-use av_cost::{
-    CostEstimator, FeatureInput, OptimizerEstimator, WideDeep, WideDeepConfig,
-};
+use av_cost::{CostEstimator, FeatureInput, OptimizerEstimator, WideDeep, WideDeepConfig};
 use av_engine::{Catalog, EngineError, ExecCache, Pricing, RecordBatch};
 use av_ilp::MvsInstance;
 use av_online::{
@@ -177,8 +175,8 @@ impl AutoViewSystem {
         self.metadata.pair_index = pairs.iter().map(|p| (p.query, p.candidate)).collect();
         self.metadata.pair_samples = pairs.iter().map(|p| p.sample.clone()).collect();
 
-        let estimator: Box<dyn CostEstimator> = tracer.time("pipeline.train", || {
-            match &self.config.estimator {
+        let estimator: Box<dyn CostEstimator> =
+            tracer.time("pipeline.train", || match &self.config.estimator {
                 EstimatorKind::Optimizer => {
                     Box::new(OptimizerEstimator::default()) as Box<dyn CostEstimator>
                 }
@@ -192,8 +190,7 @@ impl AutoViewSystem {
                         .with_tracer(tracer.clone());
                     Box::new(model)
                 }
-            }
-        });
+            });
 
         // ---- online: benefit matrix + selection --------------------------
         let (instance, selection) = tracer.time("pipeline.select", || {
@@ -204,18 +201,16 @@ impl AutoViewSystem {
         self.selected = selected_candidates(&pre.analysis, &instance, &selection);
 
         // ---- deploy & execute ---------------------------------------------
-        let report = tracer.time("pipeline.deploy", || self.execute_selection(&pre, &selection))?;
+        let report = tracer.time("pipeline.deploy", || {
+            self.execute_selection(&pre, &selection)
+        })?;
         Ok(report)
     }
 
     /// Estimate the benefit matrix with a trained estimator and assemble
     /// the MVS instance. Benefits are kept signed: a view the estimator
     /// predicts to slow a query down must count against selecting it.
-    pub fn build_instance(
-        &self,
-        pre: &Preprocessed,
-        estimator: &dyn CostEstimator,
-    ) -> MvsInstance {
+    pub fn build_instance(&self, pre: &Preprocessed, estimator: &dyn CostEstimator) -> MvsInstance {
         let benefits = benefit_matrix(
             &self.catalog,
             &pre.analysis,
@@ -668,7 +663,12 @@ mod tests {
     }
 
     fn counter(sys: &OnlineSystem, name: &str) -> u64 {
-        sys.server().metrics().counters.get(name).copied().unwrap_or(0)
+        sys.server()
+            .metrics()
+            .counters
+            .get(name)
+            .copied()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -719,7 +719,11 @@ mod tests {
         let w = mini(52);
         let mut sys = online_for(&w, 4);
         stream(&mut sys, &w.plans(), 3);
-        assert_eq!(sys.report().drift_triggers, 0, "replaying the same workload is not drift");
+        assert_eq!(
+            sys.report().drift_triggers,
+            0,
+            "replaying the same workload is not drift"
+        );
         assert_eq!(counter(&sys, "serve.reopt_runs"), 1, "bootstrap only");
         assert_eq!(counter(&sys, "serve.swaps"), sys.report().reopts);
     }
@@ -785,12 +789,22 @@ mod tests {
             "bootstrap re-optimization span"
         );
         assert!(
-            server.tracer().metrics().timing("core.drift_check").is_some(),
+            server
+                .tracer()
+                .metrics()
+                .timing("core.drift_check")
+                .is_some(),
             "drift checks are timed"
         );
         // One flight record per arrival, each timed by the server.
-        assert_eq!(server.obs().dump_now("unit-test").records.len(), 2 * plans.len());
-        assert_eq!(server.metrics().timings["serve.request"].count, 2 * plans.len() as u64);
+        assert_eq!(
+            server.obs().dump_now("unit-test").records.len(),
+            2 * plans.len()
+        );
+        assert_eq!(
+            server.metrics().timings["serve.request"].count,
+            2 * plans.len() as u64
+        );
         // Every arrival goes through the server's result cache exactly once.
         let cache = server.cache_stats();
         assert!(cache.misses > 0, "first arrivals execute");
@@ -908,7 +922,10 @@ mod tests {
         let (server, summary) = sys.publish(serve_cfg, Some("tenant0")).expect("publishes");
         assert_eq!(summary.epoch, 1, "publication swaps epoch 0 -> 1");
         assert_eq!(server.epoch(), 1);
-        assert_eq!(summary.admitted, positive, "positive-benefit views admitted");
+        assert_eq!(
+            summary.admitted, positive,
+            "positive-benefit views admitted"
+        );
         assert_eq!(
             summary.admitted + summary.rejected,
             report.num_views,
@@ -1035,9 +1052,7 @@ mod tests {
         // Greedy picked its best k on estimated utility; the measured ratio
         // is whatever it is, but the accounting identity must hold.
         assert!(
-            (r.saved_ratio_percent
-                - 100.0 * (r.benefit - r.view_overhead) / r.raw_cost)
-                .abs()
+            (r.saved_ratio_percent - 100.0 * (r.benefit - r.view_overhead) / r.raw_cost).abs()
                 < 1e-9
         );
     }

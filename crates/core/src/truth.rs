@@ -2,9 +2,7 @@
 //! execute rewritten queries (paper Fig. 3 offline-training data path).
 
 use av_cost::{tables_meta, FeatureInput, PairSample};
-use av_engine::{
-    rewrite_subtree_with_view, Catalog, EngineError, ExecCache, Pricing, ViewStore,
-};
+use av_engine::{rewrite_subtree_with_view, Catalog, EngineError, ExecCache, Pricing, ViewStore};
 use av_equiv::{Analyzer, WorkloadAnalysis};
 use av_plan::{find_subtree, PlanRef};
 use rand::seq::SliceRandom;
@@ -236,8 +234,7 @@ mod tests {
         let plans = w.plans();
         let pre = preprocess_and_measure(&mut catalog, &plans, Pricing::paper_defaults())
             .expect("preprocess");
-        let pairs = collect_pair_truth(&catalog, &pre, &plans, 50, 1)
-            .expect("pairs");
+        let pairs = collect_pair_truth(&catalog, &pre, &plans, 50, 1).expect("pairs");
         assert!(!pairs.is_empty(), "mini workload must have usable pairs");
         for p in &pairs {
             // A rewrite can reduce a query to a bare scan of an empty view,
@@ -284,8 +281,7 @@ mod tests {
         let plans = w.plans();
         let pre = preprocess_and_measure(&mut catalog, &plans, Pricing::paper_defaults())
             .expect("preprocess");
-        let pairs = collect_pair_truth(&catalog, &pre, &plans, 3, 1)
-            .expect("pairs");
+        let pairs = collect_pair_truth(&catalog, &pre, &plans, 3, 1).expect("pairs");
         assert!(pairs.len() <= 3);
     }
 }

@@ -70,7 +70,9 @@ impl OptimizerEstimator {
                 let (rows, ops) = self.card_and_ops(input, tables);
                 (rows, ops + rows * exprs.len().max(1) as f64)
             }
-            PlanNode::Join { left, right, on, .. } => {
+            PlanNode::Join {
+                left, right, on, ..
+            } => {
                 let (lr, lops) = self.card_and_ops(left, tables);
                 let (rr, rops) = self.card_and_ops(right, tables);
                 // Foreign-key-ish guess: |L⋈R| ≈ |L|·|R| / max(|L|,|R|).
@@ -95,19 +97,19 @@ impl OptimizerEstimator {
 
     /// Analytical `A_{β,γ}` estimate of a single plan, in dollars.
     pub fn plan_cost(&self, plan: &PlanRef, metas: &[TableMeta]) -> f64 {
-        let map: HashMap<&str, &TableMeta> =
-            metas.iter().map(|t| (t.name.as_str(), t)).collect();
+        let map: HashMap<&str, &TableMeta> = metas.iter().map(|t| (t.name.as_str(), t)).collect();
         let (_, ops) = self.card_and_ops(plan, &map);
         ops * self.dollars_per_op
     }
 
     /// Analytical cost of scanning the materialized result of `view`.
     pub fn view_scan_cost(&self, view: &PlanRef, metas: &[TableMeta]) -> f64 {
-        let map: HashMap<&str, &TableMeta> =
-            metas.iter().map(|t| (t.name.as_str(), t)).collect();
+        let map: HashMap<&str, &TableMeta> = metas.iter().map(|t| (t.name.as_str(), t)).collect();
         let (card, _) = self.card_and_ops(view, &map);
         let width = view.output_columns(&|t| {
-            map.get(t).map(|m| m.column_names.clone()).unwrap_or_default()
+            map.get(t)
+                .map(|m| m.column_names.clone())
+                .unwrap_or_default()
         });
         card * (width.len().max(1) as f64 + 1.0) * self.dollars_per_op
     }
@@ -196,10 +198,7 @@ impl DeepLearnEstimator {
             if xs.is_empty() {
                 break;
             }
-            let rows: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| normalize(x, &x_mean, &x_std))
-                .collect();
+            let rows: Vec<Vec<f32>> = xs.iter().map(|x| normalize(x, &x_mean, &x_std)).collect();
             let row_refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
             let targets: Vec<f32> = ys.iter().map(|&y| ((y - y_mean) / y_std) as f32).collect();
             let mut g = Graph::new();
@@ -226,8 +225,7 @@ impl DeepLearnEstimator {
             })
             .collect();
         let scan_y: Vec<f64> = samples.iter().map(|s| s.cost_vscan).collect();
-        let scan_model =
-            ridge_fit(&scan_rows, &scan_y, 1e-6).unwrap_or_else(|| vec![0.0; dim + 1]);
+        let scan_model = ridge_fit(&scan_rows, &scan_y, 1e-6).unwrap_or_else(|| vec![0.0; dim + 1]);
 
         DeepLearnEstimator {
             store,

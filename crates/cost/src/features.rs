@@ -116,8 +116,16 @@ pub fn numerical_features(input: &FeatureInput) -> [f64; NUM_FEATURES] {
     // and the wide model is linear.
     let log1p = |x: f64| (1.0 + x).ln();
     [
-        qs[0], qs[1], qs[2], qs[3], qs[4],
-        vs[0], vs[1], vs[2], vs[3], vs[4],
+        qs[0],
+        qs[1],
+        qs[2],
+        qs[3],
+        qs[4],
+        vs[0],
+        vs[1],
+        vs[2],
+        vs[3],
+        vs[4],
         input.query.node_count() as f64,
         input.view.node_count() as f64,
         n_tables,

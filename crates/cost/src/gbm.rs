@@ -83,7 +83,13 @@ impl Gbm {
         let indices: Vec<usize> = (0..rows.len()).collect();
         for _ in 0..config.n_trees {
             let residuals: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
-            let tree = build_tree(rows, &residuals, &indices, config.max_depth, config.min_leaf);
+            let tree = build_tree(
+                rows,
+                &residuals,
+                &indices,
+                config.max_depth,
+                config.min_leaf,
+            );
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += config.learning_rate * tree.predict(&rows[i]);
             }

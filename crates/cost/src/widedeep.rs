@@ -38,12 +38,12 @@
 //!   retraining (a new model) invalidates it by construction.
 
 use crate::baselines::{normalization_stats, normalize, scalar_stats};
-use crate::features::{numerical_features, plan_tokens, schema_keywords, FeatureInput, NUM_FEATURES};
+use crate::features::{
+    numerical_features, plan_tokens, schema_keywords, FeatureInput, NUM_FEATURES,
+};
 use crate::vocab::Vocab;
 use crate::CostEstimator;
-use av_nn::{
-    Adam, BatchNorm, Conv3x1, Embedding, Graph, Linear, Lstm, NodeId, ParamStore, Tensor,
-};
+use av_nn::{Adam, BatchNorm, Conv3x1, Embedding, Graph, Linear, Lstm, NodeId, ParamStore, Tensor};
 use av_plan::{plan_feature_rows, Fingerprint, Token};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -523,9 +523,7 @@ impl WideDeep {
                 }
                 PreparedSchema::Histogram(h)
             }
-            _ => PreparedSchema::Indices(
-                keywords.iter().map(|k| self.vocab.index(k)).collect(),
-            ),
+            _ => PreparedSchema::Indices(keywords.iter().map(|k| self.vocab.index(k)).collect()),
         }
     }
 
@@ -907,7 +905,10 @@ mod tests {
         let bypassed: [(Ablation, &[&str]); 4] = [
             (Ablation::None, &[]),
             (Ablation::NKw, &["kw_embed"]),
-            (Ablation::NStr, &["char_embed", "conv1", "bn1", "conv2", "bn2"]),
+            (
+                Ablation::NStr,
+                &["char_embed", "conv1", "bn1", "conv2", "bn2"],
+            ),
             (Ablation::NExp, &["lstm1", "lstm2"]),
         ];
         for (ab, expected) in bypassed {

@@ -111,7 +111,10 @@ fn encoder_cache_hits_after_cold_pass_and_preserves_results() {
     let warm = model.predict_batch(&inputs);
     let (hits, misses) = model.encode_cache_stats();
     assert_eq!(misses, misses_after_cold, "warm pass must not re-encode");
-    assert!(hits >= inputs.len() as u64, "warm pass must be cache-served");
+    assert!(
+        hits >= inputs.len() as u64,
+        "warm pass must be cache-served"
+    );
     let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
     let warm_bits: Vec<u64> = warm.iter().map(|v| v.to_bits()).collect();
     assert_eq!(cold_bits, warm_bits);

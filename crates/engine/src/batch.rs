@@ -149,7 +149,9 @@ impl Column {
         match self {
             Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
             Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(Arc::new(indices.iter().map(|&i| v[i].clone()).collect())),
+            Column::Str(v) => {
+                Column::Str(Arc::new(indices.iter().map(|&i| v[i].clone()).collect()))
+            }
         }
     }
 

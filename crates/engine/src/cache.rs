@@ -283,7 +283,10 @@ impl CacheShard {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test drives the type from several threads"
+)]
 mod tests {
     use super::*;
     use crate::batch::Column;

@@ -207,7 +207,10 @@ impl Catalog {
     }
 
     /// Names of all registered tables, in sorted (deterministic) order.
-    #[allow(clippy::disallowed_methods, reason = "the names are sorted before they leave")]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the names are sorted before they leave"
+    )]
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         let mut names: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
         names.sort_unstable();
@@ -258,13 +261,15 @@ mod tests {
     fn ragged_columns_rejected() {
         let err = Table::new(
             "bad",
-            vec![
-                ("a", Column::Int(vec![1])),
-                ("b", Column::Int(vec![1, 2])),
-            ],
+            vec![("a", Column::Int(vec![1])), ("b", Column::Int(vec![1, 2]))],
         )
         .expect_err("ragged");
-        assert_eq!(err, EngineError::RaggedColumns { table: "bad".into() });
+        assert_eq!(
+            err,
+            EngineError::RaggedColumns {
+                table: "bad".into()
+            }
+        );
     }
 
     #[test]

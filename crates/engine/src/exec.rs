@@ -279,9 +279,7 @@ impl BoundExpr {
     pub(crate) fn eval_bool(&self, cols: &[Column], row: usize) -> bool {
         match self {
             BoundExpr::Cmp { op, left, right } => match (left.as_ref(), right.as_ref()) {
-                (BoundExpr::Col(i), BoundExpr::Lit(v)) => {
-                    cmp_col_lit(*op, &cols[*i], row, v)
-                }
+                (BoundExpr::Col(i), BoundExpr::Lit(v)) => cmp_col_lit(*op, &cols[*i], row, v),
                 (BoundExpr::Lit(v), BoundExpr::Col(i)) => {
                     cmp_col_lit(op.flipped(), &cols[*i], row, v)
                 }
@@ -621,10 +619,8 @@ fn exec_join<'a>(
             let table = JoinTable::build(&codes);
             // Real footprint: one bucket header per distinct key, one chain
             // link per build row, plus the interner's dictionaries.
-            let table_bytes = table.heads.len() * 48
-                + build_rows * 8
-                + codes.len() * 8
-                + interner.approx_bytes();
+            let table_bytes =
+                table.heads.len() * 48 + build_rows * 8 + codes.len() * 8 + interner.approx_bytes();
             // A single `Int` key, the common shape, reads its slice
             // directly; every other shape encodes through the interner.
             let (rows, keep) = (probe_rows, keep_misses);
@@ -755,7 +751,10 @@ fn exec_aggregate_reference<'a>(
             None => Ok(None),
         })
         .collect::<Result<_, _>>()?;
-    let acols: Vec<Option<&Column>> = ainput.iter().map(|ai| ai.map(|i| &batch.columns[i])).collect();
+    let acols: Vec<Option<&Column>> = ainput
+        .iter()
+        .map(|ai| ai.map(|i| &batch.columns[i]))
+        .collect();
 
     let rows = batch.num_rows();
     meter.charge_rows(rows, (group_by.len() + aggs.len()).max(1) * 2);
@@ -919,7 +918,15 @@ fn exec_aggregate_sel<'a>(
             slots.push(slot as u32);
         }
         for (a, col) in acols.iter().enumerate() {
-            update_chunk_hoisted(*col, aggs[a].func, &mut agg.states, &slots, range.start, &rowof, a);
+            update_chunk_hoisted(
+                *col,
+                aggs[a].func,
+                &mut agg.states,
+                &slots,
+                range.start,
+                &rowof,
+                a,
+            );
         }
         agg
     });
@@ -1025,12 +1032,20 @@ fn update_chunk_hoisted(
             st.sum += d[row];
         }),
         (Some(Column::Float(d)), AggFunc::Min) => pass!(|row, st| {
-            if st.min_row.map(|m| d[row].total_cmp(&d[m]).is_lt()).unwrap_or(true) {
+            if st
+                .min_row
+                .map(|m| d[row].total_cmp(&d[m]).is_lt())
+                .unwrap_or(true)
+            {
                 st.min_row = Some(row);
             }
         }),
         (Some(Column::Float(d)), AggFunc::Max) => pass!(|row, st| {
-            if st.max_row.map(|m| d[m].total_cmp(&d[row]).is_lt()).unwrap_or(true) {
+            if st
+                .max_row
+                .map(|m| d[m].total_cmp(&d[row]).is_lt())
+                .unwrap_or(true)
+            {
                 st.max_row = Some(row);
             }
         }),
@@ -1131,7 +1146,11 @@ mod tests {
                     ("id", Column::Int((0..10).collect())),
                     (
                         "tier",
-                        Column::str((0..10).map(|i| if i < 3 { "gold" } else { "basic" }.into()).collect()),
+                        Column::str(
+                            (0..10)
+                                .map(|i| if i < 3 { "gold" } else { "basic" }.into())
+                                .collect(),
+                        ),
                     ),
                 ],
             )
@@ -1227,10 +1246,8 @@ mod tests {
     #[test]
     fn left_join_keeps_unmatched_probe_rows() {
         let mut c = Catalog::new();
-        c.add_table(
-            Table::new("l", vec![("k", Column::Int(vec![1, 2, 3]))]).expect("ok"),
-        )
-        .expect("ok");
+        c.add_table(Table::new("l", vec![("k", Column::Int(vec![1, 2, 3]))]).expect("ok"))
+            .expect("ok");
         c.add_table(Table::new("r", vec![("k", Column::Int(vec![2]))]).expect("ok"))
             .expect("ok");
         let plan = PlanBuilder::scan("l", "l")
@@ -1320,7 +1337,11 @@ mod tests {
                 JoinType::Left,
             )
             .build();
-        assert_eq!(run(&c, &left).batch.num_rows(), 2, "left join keeps probe rows");
+        assert_eq!(
+            run(&c, &left).batch.num_rows(),
+            2,
+            "left join keeps probe rows"
+        );
     }
 
     #[test]
@@ -1328,14 +1349,16 @@ mod tests {
         let mut c = Catalog::new();
         c.add_table(Table::new("l", vec![("k", Column::Int(vec![1, 2, 3]))]).expect("ok"))
             .expect("ok");
-        c.add_table(
-            Table::new("r", vec![("k", Column::Float(vec![2.0, 3.5]))]).expect("ok"),
-        )
-        .expect("ok");
+        c.add_table(Table::new("r", vec![("k", Column::Float(vec![2.0, 3.5]))]).expect("ok"))
+            .expect("ok");
         let plan = PlanBuilder::scan("l", "l")
             .join(PlanBuilder::scan("r", "r"), &[("l.k", "r.k")])
             .build();
-        assert_eq!(run(&c, &plan).batch.num_rows(), 1, "only Int(2) ↔ Float(2.0)");
+        assert_eq!(
+            run(&c, &plan).batch.num_rows(),
+            1,
+            "only Int(2) ↔ Float(2.0)"
+        );
     }
 
     #[test]
@@ -1407,8 +1430,14 @@ mod tests {
             .build();
         let r = run(&c, &plan);
         assert_eq!(r.batch.num_rows(), 1);
-        assert_eq!(r.batch.column("lo").expect("col").get(0), Value::Str("".into()));
-        assert_eq!(r.batch.column("hi").expect("col").get(0), Value::Str("".into()));
+        assert_eq!(
+            r.batch.column("lo").expect("col").get(0),
+            Value::Str("".into())
+        );
+        assert_eq!(
+            r.batch.column("hi").expect("col").get(0),
+            Value::Str("".into())
+        );
     }
 
     #[test]
@@ -1488,7 +1517,10 @@ mod tests {
         );
         let r = run(&c, &plan.build());
         assert_eq!(r.batch.column("lo").expect("col").get(0), Value::Float(0.0));
-        assert_eq!(r.batch.column("hi").expect("col").get(0), Value::Float(99.0));
+        assert_eq!(
+            r.batch.column("hi").expect("col").get(0),
+            Value::Float(99.0)
+        );
         assert_eq!(
             r.batch.column("mean").expect("col").get(0),
             Value::Float(49.5)

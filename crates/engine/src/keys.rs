@@ -230,7 +230,11 @@ mod tests {
         assert_eq!(bcodes[0], bcodes[2], "repeated strings share one id");
         let pcols = [KeyCol::of(&probe, false)];
         assert_eq!(probe_code(&pcols, 0, &it), Some(bcodes[1]));
-        assert_eq!(probe_code(&pcols, 1, &it), None, "unseen string cannot match");
+        assert_eq!(
+            probe_code(&pcols, 1, &it),
+            None,
+            "unseen string cannot match"
+        );
     }
 
     #[test]

@@ -131,7 +131,12 @@ impl CostMeter {
     }
 
     /// Finish metering and price the run.
-    pub fn report(&self, pricing: &Pricing, output_bytes: usize, output_rows: usize) -> ExecutionReport {
+    pub fn report(
+        &self,
+        pricing: &Pricing,
+        output_bytes: usize,
+        output_rows: usize,
+    ) -> ExecutionReport {
         let usage = self.usage();
         ExecutionReport {
             usage,

@@ -68,7 +68,10 @@ mod tests {
     #[test]
     fn installed_gate_runs_before_dispatch() {
         assert!(install_preflight(reject_sentinel));
-        assert!(!install_preflight(reject_sentinel), "second install is a no-op");
+        assert!(
+            !install_preflight(reject_sentinel),
+            "second install is a no-op"
+        );
         assert!(preflight_installed());
 
         let mut cat = Catalog::new();
@@ -86,6 +89,8 @@ mod tests {
         cat.add_table(Table::new("t", vec![("x", Column::Int(vec![1]))]).expect("valid"))
             .expect("ok");
         let ok = PlanBuilder::scan("t", "a").build();
-        assert!(Executor::new(&cat, Pricing::paper_defaults()).run(&ok).is_ok());
+        assert!(Executor::new(&cat, Pricing::paper_defaults())
+            .run(&ok)
+            .is_ok());
     }
 }

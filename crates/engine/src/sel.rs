@@ -172,13 +172,29 @@ macro_rules! cmp_run {
 enum Kernel {
     Const(bool),
     /// `Int column <op> Int literal`.
-    IntInt { col: usize, op: CmpOp, lit: i64 },
+    IntInt {
+        col: usize,
+        op: CmpOp,
+        lit: i64,
+    },
     /// `Int column <op> Float literal`: the cell promotes to `f64`.
-    IntFloat { col: usize, op: CmpOp, lit: f64 },
+    IntFloat {
+        col: usize,
+        op: CmpOp,
+        lit: f64,
+    },
     /// `Float column <op> numeric literal` (int literals pre-promoted).
-    Float { col: usize, op: CmpOp, lit: f64 },
+    Float {
+        col: usize,
+        op: CmpOp,
+        lit: f64,
+    },
     /// `Str column <op> Str literal`.
-    Str { col: usize, op: CmpOp, lit: String },
+    Str {
+        col: usize,
+        op: CmpOp,
+        lit: String,
+    },
     /// Anything else: interpreted per row, same verdicts as the reference.
     General(BoundExpr),
 }
@@ -271,24 +287,17 @@ impl Kernel {
                     unreachable!("{BOUND}")
                 };
                 let lit = *lit;
-                cmp_run!(
-                    sink,
-                    *op,
-                    |r: usize| d[r].total_cmp(&lit),
-                    |r: usize| d[r] == lit
-                )
+                cmp_run!(sink, *op, |r: usize| d[r].total_cmp(&lit), |r: usize| d[r]
+                    == lit)
             }
             Kernel::Str { col, op, lit } => {
                 let Column::Str(d) = &cols[*col] else {
                     unreachable!("{BOUND}")
                 };
                 let lit = lit.as_str();
-                cmp_run!(
-                    sink,
-                    *op,
-                    |r: usize| d[r].as_str().cmp(lit),
-                    |r: usize| d[r] == lit
-                )
+                cmp_run!(sink, *op, |r: usize| d[r].as_str().cmp(lit), |r: usize| d
+                    [r]
+                    == lit)
             }
             Kernel::General(e) => sink.run(|r| e.eval_bool(cols, r)),
         }
@@ -446,8 +455,12 @@ mod tests {
     fn float_total_order_and_sql_equality_both_respected() {
         // -0.0: SQL-equal to 0.0, but total_cmp orders it below.
         assert_matches_reference(&Expr::col("t.f").eq(Expr::Literal(Value::Float(0.0))));
-        assert_matches_reference(&Expr::col("t.f").cmp(CmpOp::Lt, Expr::Literal(Value::Float(0.0))));
+        assert_matches_reference(
+            &Expr::col("t.f").cmp(CmpOp::Lt, Expr::Literal(Value::Float(0.0))),
+        );
         // NaN cells: never SQL-equal, ordered above everything by total_cmp.
-        assert_matches_reference(&Expr::col("t.f").cmp(CmpOp::Gt, Expr::Literal(Value::Float(1e300))));
+        assert_matches_reference(
+            &Expr::col("t.f").cmp(CmpOp::Gt, Expr::Literal(Value::Float(1e300))),
+        );
     }
 }

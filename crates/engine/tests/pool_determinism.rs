@@ -4,7 +4,10 @@
 //! chunks in ascending order, so nothing another query does can reach its
 //! result.
 
-#![allow(clippy::disallowed_methods, reason = "two threads run the same queries at once")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "two threads run the same queries at once"
+)]
 
 use av_engine::exec::Executor;
 use av_engine::meter::Pricing;

@@ -9,10 +9,7 @@ fn catalog_from(a_keys: Vec<i64>, a_vals: Vec<i64>, b_keys: Vec<i64>) -> Catalog
     c.add_table(
         Table::new(
             "ta",
-            vec![
-                ("k", Column::Int(a_keys)),
-                ("v", Column::Int(a_vals)),
-            ],
+            vec![("k", Column::Int(a_keys)), ("v", Column::Int(a_vals))],
         )
         .expect("rectangular"),
     )

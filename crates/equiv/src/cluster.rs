@@ -139,8 +139,7 @@ impl<'a> Analyzer<'a> {
         for members in &cluster_list {
             let n = members.len();
             equivalent_pairs += n * (n - 1) / 2;
-            let queries_in: HashSet<usize> =
-                members.iter().map(|&m| instances[m].query).collect();
+            let queries_in: HashSet<usize> = members.iter().map(|&m| instances[m].query).collect();
             if queries_in.len() < self.min_query_frequency {
                 continue;
             }

@@ -20,9 +20,8 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
             };
             Expr::col(format!("x.c{c}")).cmp(op, Expr::int(v))
         }),
-        ((0..3usize), "[a-c]{1,3}").prop_map(|(c, s)| {
-            Expr::col(format!("x.c{c}")).eq(Expr::str(s))
-        }),
+        ((0..3usize), "[a-c]{1,3}")
+            .prop_map(|(c, s)| { Expr::col(format!("x.c{c}")).eq(Expr::str(s)) }),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![

@@ -48,7 +48,11 @@ enum Op {
     MatMul(NodeId, NodeId),
     /// Fused affine transform `x × w + b` (`b` broadcast over rows): one
     /// node and one output pass instead of a MatMul + AddRow pair.
-    Affine { x: NodeId, w: NodeId, b: NodeId },
+    Affine {
+        x: NodeId,
+        w: NodeId,
+        b: NodeId,
+    },
     /// Elementwise sum of equal shapes.
     Add(NodeId, NodeId),
     /// `(n×c) + (1×c)` broadcast of a row vector.
@@ -74,7 +78,11 @@ enum Op {
     MeanAll(NodeId),
     /// Depthwise 3×1 convolution along rows with zero padding:
     /// `out[i,c] = b[c] + Σ_k w[k,c]·x[i+k−1,c]`.
-    Conv3x1 { x: NodeId, w: NodeId, b: NodeId },
+    Conv3x1 {
+        x: NodeId,
+        w: NodeId,
+        b: NodeId,
+    },
     /// One fused LSTM step: gates, cell update and output in a single tape
     /// node instead of ~16 (two matmuls, slices, activations, Hadamards).
     /// The node's value is the packed state `[h | c | tanh(c)]`
@@ -295,7 +303,9 @@ impl Graph {
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (ar, bc) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
         let mut v = pooled_zeros(&mut self.pool, ar, bc);
-        self.nodes[a.0].value.matmul_into(&self.nodes[b.0].value, &mut v);
+        self.nodes[a.0]
+            .value
+            .matmul_into(&self.nodes[b.0].value, &mut v);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -306,7 +316,9 @@ impl Graph {
     pub fn affine(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
         let (xr, wc) = (self.nodes[x.0].value.rows(), self.nodes[w.0].value.cols());
         let mut v = pooled_zeros(&mut self.pool, xr, wc);
-        self.nodes[x.0].value.matmul_into(&self.nodes[w.0].value, &mut v);
+        self.nodes[x.0]
+            .value
+            .matmul_into(&self.nodes[w.0].value, &mut v);
         v.add_row_assign(&self.nodes[b.0].value);
         self.push(v, Op::Affine { x, w, b })
     }
@@ -412,10 +424,7 @@ impl Graph {
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
         let rows = self.nodes[parts[0].0].value.rows();
-        let total: usize = parts
-            .iter()
-            .map(|&p| self.nodes[p.0].value.cols())
-            .sum();
+        let total: usize = parts.iter().map(|&p| self.nodes[p.0].value.cols()).sum();
         let mut v = pooled_zeros(&mut self.pool, rows, total);
         let mut at = 0;
         for &p in parts {
@@ -434,10 +443,7 @@ impl Graph {
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty(), "concat_rows needs at least one part");
         let cols = self.nodes[parts[0].0].value.cols();
-        let total: usize = parts
-            .iter()
-            .map(|&p| self.nodes[p.0].value.rows())
-            .sum();
+        let total: usize = parts.iter().map(|&p| self.nodes[p.0].value.rows()).sum();
         let mut v = pooled_zeros(&mut self.pool, total, cols);
         let mut at = 0;
         for &p in parts {
@@ -536,10 +542,8 @@ impl Graph {
             let bt = &self.nodes[beta.0].value;
             for ch in 0..c {
                 let mean: f32 = (0..n).map(|r| xt.get(r, ch)).sum::<f32>() / n.max(1) as f32;
-                let var: f32 = (0..n)
-                    .map(|r| (xt.get(r, ch) - mean).powi(2))
-                    .sum::<f32>()
-                    / n.max(1) as f32;
+                let var: f32 =
+                    (0..n).map(|r| (xt.get(r, ch) - mean).powi(2)).sum::<f32>() / n.max(1) as f32;
                 let inv = 1.0 / (var + EPS).sqrt();
                 for r in 0..n {
                     let xhat = (xt.get(r, ch) - mean) * inv;
@@ -578,7 +582,11 @@ impl Graph {
     ) -> NodeId {
         let hh = hidden;
         let in_dim = self.nodes[x.0].value.cols();
-        assert_eq!(self.nodes[x.0].value.rows(), 1, "lstm_cell step must be 1×input");
+        assert_eq!(
+            self.nodes[x.0].value.rows(),
+            1,
+            "lstm_cell step must be 1×input"
+        );
         assert_eq!(
             self.nodes[wx.0].value.shape(),
             (in_dim, 4 * hh),
@@ -604,7 +612,9 @@ impl Graph {
 
         // act = x·Wx, then += h_prev·Wh, += b, then gate nonlinearities.
         let mut act = pooled_zeros(&mut self.pool, 1, 4 * hh);
-        self.nodes[x.0].value.matmul_into(&self.nodes[wx.0].value, &mut act);
+        self.nodes[x.0]
+            .value
+            .matmul_into(&self.nodes[wx.0].value, &mut act);
         let mut hg = pooled_zeros(&mut self.pool, 1, 4 * hh);
         if let Some(p) = prev {
             let h_prev = &self.nodes[p.0].value.as_slice()[..hh];
@@ -707,27 +717,18 @@ impl Graph {
                 }
                 Op::MatMul(a, b) => {
                     // da = grad × bᵀ, db = aᵀ × grad — both transpose-free.
-                    let mut da = pooled_zeros(
-                        &mut self.pool,
-                        grad.rows(),
-                        self.nodes[b.0].value.rows(),
-                    );
+                    let mut da =
+                        pooled_zeros(&mut self.pool, grad.rows(), self.nodes[b.0].value.rows());
                     grad.matmul_bt_into(&self.nodes[b.0].value, &mut da);
-                    let mut db = pooled_zeros(
-                        &mut self.pool,
-                        self.nodes[a.0].value.cols(),
-                        grad.cols(),
-                    );
+                    let mut db =
+                        pooled_zeros(&mut self.pool, self.nodes[a.0].value.cols(), grad.cols());
                     self.nodes[a.0].value.at_matmul_into(&grad, &mut db);
                     self.add_grad(*a, da);
                     self.add_grad(*b, db);
                 }
                 Op::Affine { x, w, b } => {
-                    let mut dx = pooled_zeros(
-                        &mut self.pool,
-                        grad.rows(),
-                        self.nodes[w.0].value.rows(),
-                    );
+                    let mut dx =
+                        pooled_zeros(&mut self.pool, grad.rows(), self.nodes[w.0].value.rows());
                     grad.matmul_bt_into(&self.nodes[w.0].value, &mut dx);
                     // dW += xᵀ·grad and db += Σrows(grad) accumulate in
                     // place on the param node's grad (take/put-back), which
@@ -914,10 +915,8 @@ impl Graph {
                                 let j = i2 as isize + k as isize - 1;
                                 if j >= 0 && (j as usize) < n {
                                     let j = j as usize;
-                                    *dw.get_mut(k, ch) +=
-                                        g * self.nodes[x.0].value.get(j, ch);
-                                    *dx.get_mut(j, ch) +=
-                                        g * self.nodes[w.0].value.get(k, ch);
+                                    *dw.get_mut(k, ch) += g * self.nodes[x.0].value.get(j, ch);
+                                    *dx.get_mut(j, ch) += g * self.nodes[w.0].value.get(k, ch);
                                 }
                             }
                         }
@@ -951,15 +950,12 @@ impl Graph {
                         // third block of the packed state.
                         let tc_s = &self.nodes[i].value.as_slice()[2 * hh..3 * hh];
                         let gs = grad.as_slice();
-                        let cp_s =
-                            prev.map(|p| &self.nodes[p.0].value.as_slice()[hh..2 * hh]);
+                        let cp_s = prev.map(|p| &self.nodes[p.0].value.as_slice()[hh..2 * hh]);
                         let dp = dpre.as_mut_slice();
                         let (di_s, rest) = dp.split_at_mut(hh);
                         let (df_s, rest) = rest.split_at_mut(hh);
                         let (dg_s, do_s) = rest.split_at_mut(hh);
-                        let mut dc_prev = dprev
-                            .as_mut()
-                            .map(|d| &mut d.as_mut_slice()[hh..2 * hh]);
+                        let mut dc_prev = dprev.as_mut().map(|d| &mut d.as_mut_slice()[hh..2 * hh]);
                         for j in 0..hh {
                             let iv = iv_s[j];
                             let fv = fv_s[j];
@@ -978,7 +974,7 @@ impl Graph {
                             }
                         }
                     }
-    // dx = dpre·Wxᵀ ; dWx += xᵀ·dpre ; dWh += h_prevᵀ·dpre ;
+                    // dx = dpre·Wxᵀ ; dWx += xᵀ·dpre ; dWh += h_prevᵀ·dpre ;
                     // dh_prev = dpre·Whᵀ ; db += dpre.
                     //
                     // Weight gradients accumulate straight into the shared
@@ -987,11 +983,7 @@ impl Graph {
                     // and merging. Each cell contributes exactly one product
                     // per element in the same cell order, so the sums are
                     // bitwise identical to the materialize-then-merge form.
-                    let mut dx = pooled_zeros(
-                        &mut self.pool,
-                        1,
-                        self.nodes[x.0].value.cols(),
-                    );
+                    let mut dx = pooled_zeros(&mut self.pool, 1, self.nodes[x.0].value.cols());
                     dpre.matmul_bt_into(&self.nodes[wx.0].value, &mut dx);
                     let in_dim = self.nodes[x.0].value.cols();
                     let mut gwx = match self.nodes[wx.0].grad.take() {
@@ -1040,7 +1032,12 @@ impl Graph {
                         self.add_grad(*p, d);
                     }
                 }
-                Op::NormRows { x, gamma, beta, eps } => {
+                Op::NormRows {
+                    x,
+                    gamma,
+                    beta,
+                    eps,
+                } => {
                     let (n, c) = self.nodes[x.0].value.shape();
                     let nf = n.max(1) as f32;
                     let mut dx = pooled_zeros(&mut self.pool, n, c);
@@ -1053,12 +1050,9 @@ impl Graph {
                         let xt = &self.nodes[x.0].value;
                         let gt = &self.nodes[gamma.0].value;
                         for ch in 0..c {
-                            let mean: f32 =
-                                (0..n).map(|r| xt.get(r, ch)).sum::<f32>() / nf;
-                            let var: f32 = (0..n)
-                                .map(|r| (xt.get(r, ch) - mean).powi(2))
-                                .sum::<f32>()
-                                / nf;
+                            let mean: f32 = (0..n).map(|r| xt.get(r, ch)).sum::<f32>() / nf;
+                            let var: f32 =
+                                (0..n).map(|r| (xt.get(r, ch) - mean).powi(2)).sum::<f32>() / nf;
                             let inv = 1.0 / (var + eps).sqrt();
                             let mut sum_dxhat = 0.0;
                             let mut sum_dxhat_xhat = 0.0;
@@ -1076,8 +1070,7 @@ impl Graph {
                                 dx.set(
                                     r,
                                     ch,
-                                    inv / nf
-                                        * (nf * dxh - sum_dxhat - xhat * sum_dxhat_xhat),
+                                    inv / nf * (nf * dxh - sum_dxhat - xhat * sum_dxhat_xhat),
                                 );
                             }
                         }
@@ -1297,11 +1290,7 @@ mod tests {
     #[test]
     fn embed_gathers_rows_and_scatters_grads() {
         let mut store = ParamStore::with_seed(0);
-        let table = store.add(Tensor::from_rows(&[
-            &[1.0, 0.0],
-            &[0.0, 1.0],
-            &[2.0, 2.0],
-        ]));
+        let table = store.add(Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 2.0]]));
         let mut g = Graph::new();
         let e = g.embed(&store, table, &[2, 0, 2]);
         assert_eq!(

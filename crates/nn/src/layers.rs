@@ -254,11 +254,7 @@ mod tests {
         // grads are compared with a tolerance, not bitwise.
         let mut store = ParamStore::with_seed(11);
         let l = Lstm::new(&mut store, 3, 5);
-        let rows: [&[f32]; 3] = [
-            &[0.3, -1.2, 0.7],
-            &[-0.5, 0.0, 2.1],
-            &[1.0, 0.25, -0.75],
-        ];
+        let rows: [&[f32]; 3] = [&[0.3, -1.2, 0.7], &[-0.5, 0.0, 2.1], &[1.0, 0.25, -0.75]];
         let run = |fused: bool, store: &ParamStore| {
             let mut g = Graph::new();
             let steps: Vec<NodeId> = rows
@@ -286,13 +282,18 @@ mod tests {
         };
         let (h_fused, g_fused) = run(true, &store);
         let (h_ref, g_ref) = run(false, &store);
-        let bits = |t: &Tensor| -> Vec<u32> {
-            t.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(bits(&h_fused), bits(&h_ref), "fused hidden state must be bitwise equal");
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(
+            bits(&h_fused),
+            bits(&h_ref),
+            "fused hidden state must be bitwise equal"
+        );
         for (gf, gr) in g_fused.iter().zip(&g_ref) {
             for (a, b) in gf.as_slice().iter().zip(gr.as_slice()) {
-                assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "grad mismatch: {a} vs {b}");
+                assert!(
+                    (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
+                    "grad mismatch: {a} vs {b}"
+                );
             }
         }
     }

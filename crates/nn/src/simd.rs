@@ -227,8 +227,8 @@ pub fn scatter_at_ref(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
 mod avx2 {
     use core::arch::x86_64::{
         __m256, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_i32gather_ps,
-        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _CMP_EQ_OQ,
+        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm256_storeu_ps, _CMP_EQ_OQ,
     };
 
     /// Shared-dimension panel height: a 64-column strip of a `KC`-row B
@@ -338,7 +338,10 @@ mod avx2 {
             let kc = (k - k0).min(KC);
             let mut j = 0;
             while j + 8 <= n {
-                let w = [64, 32, 16, 8].into_iter().find(|&w| j + w <= n).unwrap_or(8);
+                let w = [64, 32, 16, 8]
+                    .into_iter()
+                    .find(|&w| j + w <= n)
+                    .unwrap_or(8);
                 // The B tile for columns `j..j + w` of this panel, packed
                 // when `pack` is allocated.
                 let (bt, bstride) = if pack.is_empty() {
@@ -374,11 +377,27 @@ mod avx2 {
                 let bcol = b.as_ptr().add(k0 * n + j);
                 let mut i = 0;
                 while i + 16 <= m {
-                    col_rows::<2>(a.as_ptr().add(i * k + k0), k, kc, bcol, n, out.as_mut_ptr().add(i * n + j), n);
+                    col_rows::<2>(
+                        a.as_ptr().add(i * k + k0),
+                        k,
+                        kc,
+                        bcol,
+                        n,
+                        out.as_mut_ptr().add(i * n + j),
+                        n,
+                    );
                     i += 16;
                 }
                 if i + 8 <= m {
-                    col_rows::<1>(a.as_ptr().add(i * k + k0), k, kc, bcol, n, out.as_mut_ptr().add(i * n + j), n);
+                    col_rows::<1>(
+                        a.as_ptr().add(i * k + k0),
+                        k,
+                        kc,
+                        bcol,
+                        n,
+                        out.as_mut_ptr().add(i * n + j),
+                        n,
+                    );
                     i += 8;
                 }
                 while i < m {
@@ -536,7 +555,10 @@ mod avx2 {
         p0: *mut f32,
         n: usize,
     ) {
-        assert!(8 * B * lda.max(n) <= i32::MAX as usize, "offsets fit a gather index");
+        assert!(
+            8 * B * lda.max(n) <= i32::MAX as usize,
+            "offsets fit a gather index"
+        );
         let strided = |step: usize| {
             let s = step as i32;
             _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s)
@@ -628,7 +650,13 @@ mod avx2 {
 
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::many_single_char_names)]
-    unsafe fn dot4(x: &[f32], y0: &[f32], y1: &[f32], y2: &[f32], y3: &[f32]) -> (f32, f32, f32, f32) {
+    unsafe fn dot4(
+        x: &[f32],
+        y0: &[f32],
+        y1: &[f32],
+        y2: &[f32],
+        y3: &[f32],
+    ) -> (f32, f32, f32, f32) {
         let chunks = x.len() / 8 * 8;
         let mut a0 = _mm256_setzero_ps();
         let mut a1 = _mm256_setzero_ps();
@@ -672,7 +700,10 @@ mod avx2 {
                 let mut j = 0;
                 while j < strips {
                     let o = _mm256_loadu_ps(op.add(j));
-                    _mm256_storeu_ps(op.add(j), _mm256_fmadd_ps(a8, _mm256_loadu_ps(bp.add(j)), o));
+                    _mm256_storeu_ps(
+                        op.add(j),
+                        _mm256_fmadd_ps(a8, _mm256_loadu_ps(bp.add(j)), o),
+                    );
                     j += 8;
                 }
                 while j < n {
@@ -711,7 +742,10 @@ mod tests {
 
     #[test]
     fn portable_pins_the_scalar_references() {
-        assert_eq!(backend_override(Some("portable")), Ok(Some(Backend::Portable)));
+        assert_eq!(
+            backend_override(Some("portable")),
+            Ok(Some(Backend::Portable))
+        );
     }
 
     #[test]
@@ -757,14 +791,25 @@ mod tests {
                 let mut slow = fast.clone();
                 matmul_rows(&a, m, k, &b, n, &mut fast);
                 matmul_rows_ref(&a, m, k, &b, n, &mut slow);
-                assert_eq!(bits(&fast), bits(&slow), "matmul_rows diverged at {m}x{k}x{n}");
+                assert_eq!(
+                    bits(&fast),
+                    bits(&slow),
+                    "matmul_rows diverged at {m}x{k}x{n}"
+                );
             }
         }
     }
 
     #[test]
     fn dot_bt_matches_reference_on_awkward_shapes() {
-        for &(m, k, p) in &[(1, 1, 1), (2, 5, 3), (3, 16, 4), (2, 23, 7), (4, 40, 6), (1, 9, 13)] {
+        for &(m, k, p) in &[
+            (1, 1, 1),
+            (2, 5, 3),
+            (3, 16, 4),
+            (2, 23, 7),
+            (4, 40, 6),
+            (1, 9, 13),
+        ] {
             let a = pattern(m * k, 0.2);
             let b = pattern(p * k, 0.8);
             let mut fast = vec![0.0; m * p];
@@ -832,8 +877,14 @@ mod tests {
             matmul_rows(&a, m, k, &b, n, &mut fast);
             matmul_rows_ref(&a, m, k, &b, n, &mut slow);
             let (finite, taken) = fast.split_at(6 * n);
-            assert!(finite.iter().all(|v| v.is_finite()), "n = {n}: a zero term was issued");
-            assert!(taken.iter().all(|&v| v == f32::INFINITY), "n = {n}: an inf term was skipped");
+            assert!(
+                finite.iter().all(|v| v.is_finite()),
+                "n = {n}: a zero term was issued"
+            );
+            assert!(
+                taken.iter().all(|&v| v == f32::INFINITY),
+                "n = {n}: an inf term was skipped"
+            );
             assert_eq!(bits(&fast), bits(&slow), "n = {n}");
         }
     }

@@ -157,7 +157,8 @@ impl Tensor {
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
-            self.cols, other.rows,
+            self.cols,
+            other.rows,
             "matmul shape mismatch: {:?} × {:?}",
             self.shape(),
             other.shape()
@@ -183,7 +184,8 @@ impl Tensor {
     /// bitwise gates pin the SIMD kernels against this.
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
         assert_eq!(
-            self.cols, other.rows,
+            self.cols,
+            other.rows,
             "matmul shape mismatch: {:?} × {:?}",
             self.shape(),
             other.shape()
@@ -220,7 +222,8 @@ impl Tensor {
     /// bitwise identical across SIMD backends and output tilings.
     pub fn matmul_bt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
-            self.cols, other.cols,
+            self.cols,
+            other.cols,
             "matmul_bt shape mismatch: {:?} × {:?}ᵀ",
             self.shape(),
             other.shape()
@@ -247,7 +250,8 @@ impl Tensor {
     /// identical across SIMD backends.
     pub fn at_matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
-            self.rows, other.rows,
+            self.rows,
+            other.rows,
             "at_matmul shape mismatch: {:?}ᵀ × {:?}",
             self.shape(),
             other.shape()
@@ -317,7 +321,8 @@ impl Tensor {
     /// term); use [`Tensor::matmul_reference`] for bitwise checks.
     pub fn matmul_naive(&self, other: &Tensor) -> Tensor {
         assert_eq!(
-            self.cols, other.rows,
+            self.cols,
+            other.rows,
             "matmul shape mismatch: {:?} × {:?}",
             self.shape(),
             other.shape()

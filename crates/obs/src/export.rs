@@ -40,7 +40,9 @@ fn fmt_f64(v: f64) -> String {
 
 /// Escape a label value per the exposition format.
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Render a metrics snapshot as Prometheus exposition text.
@@ -200,7 +202,10 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
         assert!(!counts.is_empty());
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "monotone: {counts:?}");
+        assert!(
+            counts.windows(2).all(|w| w[0] <= w[1]),
+            "monotone: {counts:?}"
+        );
         assert_eq!(*counts.last().unwrap(), 3);
     }
 

@@ -280,14 +280,20 @@ impl Obs {
     /// Stored (alert-triggered) dumps, oldest first.
     pub fn dumps(&self) -> Vec<FlightDump> {
         let slots = self.state.lock().dumps.clone();
-        stored(&slots).into_iter().map(|(reason, d)| d.decode(reason)).collect()
+        stored(&slots)
+            .into_iter()
+            .map(|(reason, d)| d.decode(reason))
+            .collect()
     }
 
     /// Drain the stored dumps (oldest first), re-arming dump-on-alert: after
     /// a drain the next alert on each objective captures again.
     pub fn take_dumps(&self) -> Vec<FlightDump> {
         let slots = std::mem::take(&mut self.state.lock().dumps);
-        stored(&slots).into_iter().map(|(reason, d)| d.decode(reason)).collect()
+        stored(&slots)
+            .into_iter()
+            .map(|(reason, d)| d.decode(reason))
+            .collect()
     }
 
     /// Alert history, oldest first.
@@ -432,7 +438,11 @@ mod tests {
         store(Objective::Availability);
         let dumps = obs.dumps();
         let reasons: Vec<&str> = dumps.iter().map(|d| d.reason.as_str()).collect();
-        assert_eq!(reasons, ["slo_availability_burn", "slo_latency_burn"], "oldest first");
+        assert_eq!(
+            reasons,
+            ["slo_availability_burn", "slo_latency_burn"],
+            "oldest first"
+        );
         assert_eq!(dumps[0].seq_at, 1, "the first capture survives the re-fire");
         assert_eq!(obs.stats().dumps_suppressed, 1);
         // Draining re-arms capture.

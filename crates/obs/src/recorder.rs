@@ -34,7 +34,11 @@ impl TenantTag {
     /// The stored prefix, decoded (invalid UTF-8 from a truncated
     /// multi-byte character is dropped).
     pub fn decode(&self) -> String {
-        let end = self.0.iter().position(|&b| b == 0).unwrap_or(TENANT_TAG_BYTES);
+        let end = self
+            .0
+            .iter()
+            .position(|&b| b == 0)
+            .unwrap_or(TENANT_TAG_BYTES);
         String::from_utf8_lossy(&self.0[..end])
             .trim_end_matches('\u{FFFD}')
             .to_string()

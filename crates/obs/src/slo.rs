@@ -289,8 +289,10 @@ impl SloState {
         }
 
         let mut alerts = Vec::new();
-        for (slot, (objective, lat)) in [(0, (Objective::LatencyP99, true)), (1, (Objective::Availability, false))]
-        {
+        for (slot, (objective, lat)) in [
+            (0, (Objective::LatencyP99, true)),
+            (1, (Objective::Availability, false)),
+        ] {
             let target = if lat {
                 cfg.latency_target
             } else {
@@ -388,7 +390,10 @@ mod tests {
         }
         let p50 = m.stats()[0].p50_us;
         let tolerance = 0.6 / av_trace::sketch::SUB_BUCKETS as f64;
-        assert!((p50 - 0.6).abs() <= tolerance, "0.6 µs requests report p50 {p50}");
+        assert!(
+            (p50 - 0.6).abs() <= tolerance,
+            "0.6 µs requests report p50 {p50}"
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! internally consistent (all fields derive from one `(thread, iteration)`
 //! pair by fixed formulas, so a torn mix of two writes is detectable).
 
-#![allow(clippy::disallowed_methods, reason = "writer and reader threads hammer the one lock")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "writer and reader threads hammer the one lock"
+)]
 
 use av_obs::{
     FlightDump, FlightRecord, Obs, ObsConfig, QueryRecord, RecordStatus, SloConfig, TenantTag,

@@ -67,11 +67,7 @@ impl DriftDetector {
     /// threshold and the cooldown has elapsed; the reference is then rebased
     /// to the drifted distribution, so a completed phase shift triggers
     /// exactly once.
-    pub fn observe(
-        &mut self,
-        seq: u64,
-        mass: &BTreeMap<Fingerprint, f64>,
-    ) -> Option<DriftReport> {
+    pub fn observe(&mut self, seq: u64, mass: &BTreeMap<Fingerprint, f64>) -> Option<DriftReport> {
         let Some(reference) = &self.reference else {
             self.reference = Some(mass.clone());
             return None;
@@ -106,10 +102,7 @@ impl DriftDetector {
 /// normalization: `0.5 * Σ |p(k) − q(k)|` over the key union. Ranges over
 /// `[0, 1]`; an empty map is treated as the zero distribution (distance 1
 /// from any non-empty one, 0 from another empty one).
-pub fn total_variation(
-    a: &BTreeMap<Fingerprint, f64>,
-    b: &BTreeMap<Fingerprint, f64>,
-) -> f64 {
+pub fn total_variation(a: &BTreeMap<Fingerprint, f64>, b: &BTreeMap<Fingerprint, f64>) -> f64 {
     let ta: f64 = a.values().sum();
     let tb: f64 = b.values().sum();
     match (ta > 0.0, tb > 0.0) {
@@ -151,7 +144,10 @@ mod tests {
         let p = mass(&[(fp("a"), 1.0), (fp("b"), 1.0)]);
         let q = mass(&[(fp("c"), 5.0)]);
         assert_eq!(total_variation(&p, &p), 0.0);
-        assert!((total_variation(&p, &q) - 1.0).abs() < 1e-12, "disjoint supports");
+        assert!(
+            (total_variation(&p, &q) - 1.0).abs() < 1e-12,
+            "disjoint supports"
+        );
         let empty = BTreeMap::new();
         assert_eq!(total_variation(&empty, &empty), 0.0);
         assert_eq!(total_variation(&p, &empty), 1.0);
@@ -178,7 +174,10 @@ mod tests {
                 .iter()
                 .map(|(&k, &v)| (k, v * (1.0 + (seq % 3) as f64)))
                 .collect();
-            assert!(d.observe(seq, &scaled).is_none(), "seq {seq} must not trigger");
+            assert!(
+                d.observe(seq, &scaled).is_none(),
+                "seq {seq} must not trigger"
+            );
         }
     }
 

@@ -138,9 +138,8 @@ pub fn build_window_instance(
     let mut overheads = Vec::with_capacity(analysis.candidates.len());
     for cand in &analysis.candidates {
         let result = cache.run(catalog, &cand.plan)?;
-        overheads.push(
-            result.report.cost_dollars + pricing.storage_dollars(result.report.output_bytes),
-        );
+        overheads
+            .push(result.report.cost_dollars + pricing.storage_dollars(result.report.output_bytes));
     }
 
     let mut benefits = benefit_matrix(catalog, analysis, window, estimator);
@@ -237,7 +236,14 @@ mod tests {
         ExecCache::new(Pricing::paper_defaults(), 1)
     }
 
-    fn analyzed(seed: u64) -> (av_workload::Workload, WorkloadAnalysis, Vec<PlanRef>, Vec<f64>) {
+    fn analyzed(
+        seed: u64,
+    ) -> (
+        av_workload::Workload,
+        WorkloadAnalysis,
+        Vec<PlanRef>,
+        Vec<f64>,
+    ) {
         let w = mini(seed);
         let plans = w.plans();
         let mut analyzer = Analyzer::new();
@@ -356,9 +362,7 @@ mod tests {
         let (w, analysis, plans, costs) = analyzed(34);
         let est = OptimizerEstimator::default();
         // A fingerprint no candidate has: must land in `drop`.
-        let ghost = Fingerprint::of(
-            &av_plan::PlanBuilder::scan("__nonexistent__", "g").build(),
-        );
+        let ghost = Fingerprint::of(&av_plan::PlanBuilder::scan("__nonexistent__", "g").build());
         let plan = reoptimize(
             &w.catalog,
             &analysis,

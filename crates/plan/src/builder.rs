@@ -62,10 +62,7 @@ impl PlanBuilder {
         PlanBuilder {
             plan: PlanNode::Project {
                 input: self.plan,
-                exprs: cols
-                    .iter()
-                    .map(|(c, a)| ProjExpr::column(*c, *a))
-                    .collect(),
+                exprs: cols.iter().map(|(c, a)| ProjExpr::column(*c, *a)).collect(),
             }
             .into_ref(),
         }
@@ -192,7 +189,9 @@ mod tests {
 
     #[test]
     fn count_star_emits_count_aggregate() {
-        let p = PlanBuilder::scan("t", "a").count_star(&["a.k"], "cnt").build();
+        let p = PlanBuilder::scan("t", "a")
+            .count_star(&["a.k"], "cnt")
+            .build();
         match p.node() {
             PlanNode::Aggregate { group_by, aggs, .. } => {
                 assert_eq!(group_by, &["a.k".to_string()]);

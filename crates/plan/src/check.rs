@@ -112,15 +112,9 @@ mod tests {
     fn duplicate_project_alias_rejected() {
         let p = PlanNode::Project {
             input: PlanBuilder::scan("t", "a").build(),
-            exprs: vec![
-                ProjExpr::column("a.x", "x"),
-                ProjExpr::column("a.y", "x"),
-            ],
+            exprs: vec![ProjExpr::column("a.x", "x"), ProjExpr::column("a.y", "x")],
         };
-        assert_eq!(
-            check_structure(&p).unwrap_err().code(),
-            "duplicate-column"
-        );
+        assert_eq!(check_structure(&p).unwrap_err().code(), "duplicate-column");
     }
 
     #[test]
@@ -134,10 +128,7 @@ mod tests {
                 output: "a.k".into(),
             }],
         };
-        assert_eq!(
-            check_structure(&p).unwrap_err().code(),
-            "duplicate-column"
-        );
+        assert_eq!(check_structure(&p).unwrap_err().code(), "duplicate-column");
     }
 
     #[test]

@@ -116,7 +116,9 @@ mod tests {
                 left: "Int".into(),
                 right: "String".into(),
             },
-            PlanError::NonBooleanPredicate { context: "x".into() },
+            PlanError::NonBooleanPredicate {
+                context: "x".into(),
+            },
             PlanError::BadAggregate {
                 agg: "SUM".into(),
                 reason: "r".into(),

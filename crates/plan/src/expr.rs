@@ -324,7 +324,14 @@ mod tests {
 
     #[test]
     fn cmp_flip_is_involutive_on_ordering_ops() {
-        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
+        for op in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
             assert_eq!(op.flipped().flipped(), op);
         }
     }
@@ -375,10 +382,7 @@ mod tests {
         let e = Expr::col("dt")
             .eq(Expr::str("1010"))
             .and(Expr::col("memo_type").eq(Expr::str("pen")));
-        assert_eq!(
-            e.to_string(),
-            "AND(EQ(dt, '1010'), EQ(memo_type, 'pen'))"
-        );
+        assert_eq!(e.to_string(), "AND(EQ(dt, '1010'), EQ(memo_type, 'pen'))");
     }
 
     #[test]
@@ -386,7 +390,10 @@ mod tests {
         let e = Expr::col("b")
             .eq(Expr::col("a"))
             .and(Expr::col("b").cmp(CmpOp::Lt, Expr::int(4)));
-        assert_eq!(e.referenced_columns(), vec!["b".to_string(), "a".to_string()]);
+        assert_eq!(
+            e.referenced_columns(),
+            vec!["b".to_string(), "a".to_string()]
+        );
     }
 
     #[test]

@@ -150,7 +150,16 @@ mod tests {
         // Pre-order: Filter first, then Scan.
         assert_eq!(
             texts(&rows[0]),
-            vec!["Filter", "AND", "EQ", "dt", "1010", "EQ", "memo_type", "pen"]
+            vec![
+                "Filter",
+                "AND",
+                "EQ",
+                "dt",
+                "1010",
+                "EQ",
+                "memo_type",
+                "pen"
+            ]
         );
         assert_eq!(texts(&rows[1]), vec!["Scan", "user_memo"]);
     }
@@ -176,12 +185,11 @@ mod tests {
 
     #[test]
     fn aggregate_row_contains_func_keyword() {
-        let p = PlanBuilder::scan("a", "a").count_star(&["a.k"], "cnt").build();
+        let p = PlanBuilder::scan("a", "a")
+            .count_star(&["a.k"], "cnt")
+            .build();
         let rows = plan_feature_rows(&p);
-        assert_eq!(
-            texts(&rows[0]),
-            vec!["Aggregate", "a.k", "COUNT", "cnt"]
-        );
+        assert_eq!(texts(&rows[0]), vec!["Aggregate", "a.k", "COUNT", "cnt"]);
     }
 
     #[test]

@@ -133,7 +133,10 @@ pub enum PlanNode {
     /// Row filter.
     Filter { input: PlanRef, predicate: Expr },
     /// Column projection / renaming / computed columns.
-    Project { input: PlanRef, exprs: Vec<ProjExpr> },
+    Project {
+        input: PlanRef,
+        exprs: Vec<ProjExpr>,
+    },
     /// Equi-join on column pairs.
     Join {
         left: PlanRef,
@@ -204,9 +207,7 @@ impl PlanNode {
                 }
             }
             PlanNode::Filter { input, .. } => input.output_columns(table_columns),
-            PlanNode::Project { exprs, .. } => {
-                exprs.iter().map(|p| p.alias.clone()).collect()
-            }
+            PlanNode::Project { exprs, .. } => exprs.iter().map(|p| p.alias.clone()).collect(),
             PlanNode::Join { left, right, .. } => {
                 let mut cols = left.output_columns(table_columns);
                 cols.extend(right.output_columns(table_columns));

@@ -124,15 +124,24 @@ fn lex(sql: &str) -> Result<Vec<Lexed>, ParseError> {
             });
             i = j + 1;
         } else if c == '<' && i + 1 < b.len() && b[i + 1] == b'=' {
-            out.push(Lexed { tok: Tok::Le, offset: start });
+            out.push(Lexed {
+                tok: Tok::Le,
+                offset: start,
+            });
             i += 2;
         } else if c == '>' && i + 1 < b.len() && b[i + 1] == b'=' {
-            out.push(Lexed { tok: Tok::Ge, offset: start });
+            out.push(Lexed {
+                tok: Tok::Ge,
+                offset: start,
+            });
             i += 2;
         } else if (c == '<' && i + 1 < b.len() && b[i + 1] == b'>')
             || (c == '!' && i + 1 < b.len() && b[i + 1] == b'=')
         {
-            out.push(Lexed { tok: Tok::Ne, offset: start });
+            out.push(Lexed {
+                tok: Tok::Ne,
+                offset: start,
+            });
             i += 2;
         } else if "(),*=<>+-/".contains(c) {
             out.push(Lexed {
@@ -297,7 +306,9 @@ impl Parser {
             let table = self.ident()?;
             let alias = match self.peek() {
                 Some(Tok::Ident(s)) if !is_reserved(s) => self.ident()?,
-                _ => default_alias.map(|s| s.to_string()).unwrap_or_else(|| table.clone()),
+                _ => default_alias
+                    .map(|s| s.to_string())
+                    .unwrap_or_else(|| table.clone()),
             };
             Ok(FromItem {
                 plan: PlanNode::TableScan {
@@ -561,9 +572,7 @@ impl Parser {
         }
 
         // Select list → Aggregate or Project.
-        let has_agg = items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg(..)));
+        let has_agg = items.iter().any(|i| matches!(i, SelectItem::Agg(..)));
         if has_agg || group_by.is_some() {
             let group_by = group_by.unwrap_or_default();
             let mut aggs = Vec::new();
@@ -581,17 +590,14 @@ impl Parser {
                     }
                     SelectItem::Expr(Expr::Column(c), _) => {
                         if !group_by.contains(c) {
-                            return self.err(format!(
-                                "non-aggregated column {c} must appear in GROUP BY"
-                            ));
+                            return self
+                                .err(format!("non-aggregated column {c} must appear in GROUP BY"));
                         }
                     }
                     SelectItem::Expr(..) => {
                         return self.err("computed select items not allowed with GROUP BY")
                     }
-                    SelectItem::Star => {
-                        return self.err("SELECT * not allowed with aggregation")
-                    }
+                    SelectItem::Star => return self.err("SELECT * not allowed with aggregation"),
                 }
             }
             plan = PlanNode::Aggregate {
@@ -713,10 +719,8 @@ mod tests {
 
     #[test]
     fn cross_table_predicate_stays_above_join() {
-        let plan = parse_query(
-            "select a.x from t1 a join t2 b on a.id = b.id where a.x > b.y",
-        )
-        .expect("parses");
+        let plan = parse_query("select a.x from t1 a join t2 b on a.id = b.id where a.x > b.y")
+            .expect("parses");
         if let PlanNode::Project { input, .. } = plan.node() {
             assert!(matches!(input.node(), PlanNode::Filter { .. }));
         } else {
@@ -784,8 +788,7 @@ mod tests {
             ("!=", "NE"),
         ] {
             let plan =
-                parse_query(&format!("select a.x from t a where a.x {op_text} 3"))
-                    .expect("parses");
+                parse_query(&format!("select a.x from t a where a.x {op_text} 3")).expect("parses");
             assert!(
                 plan.display_indent().contains(kw),
                 "{op_text} should render as {kw}"
@@ -795,10 +798,8 @@ mod tests {
 
     #[test]
     fn parses_or_and_not_predicates() {
-        let plan = parse_query(
-            "select a.x from t a where not (a.x = 1 or a.y = 2) and a.z = 3",
-        )
-        .expect("parses");
+        let plan = parse_query("select a.x from t a where not (a.x = 1 or a.y = 2) and a.z = 3")
+            .expect("parses");
         let s = plan.display_indent();
         assert!(s.contains("NOT(OR("));
         assert!(s.contains("EQ(a.z, 3)"));
@@ -806,8 +807,9 @@ mod tests {
 
     #[test]
     fn parses_arithmetic_in_predicates() {
-        let plan = parse_query("select a.x from t a where a.x + 1 > a.y * 2")
-            .expect("parses");
-        assert!(plan.display_indent().contains("GT(ADD(a.x, 1), MUL(a.y, 2))"));
+        let plan = parse_query("select a.x from t a where a.x + 1 > a.y * 2").expect("parses");
+        assert!(plan
+            .display_indent()
+            .contains("GT(ADD(a.x, 1), MUL(a.y, 2))"));
     }
 }

@@ -110,9 +110,7 @@ pub fn contains_subtree(plan: &PlanNode, sub_fp: Fingerprint) -> bool {
     if Fingerprint::of(plan) == sub_fp {
         return true;
     }
-    plan.children()
-        .iter()
-        .any(|c| contains_subtree(c, sub_fp))
+    plan.children().iter().any(|c| contains_subtree(c, sub_fp))
 }
 
 /// The first subtree of `plan` (pre-order) whose fingerprint is `sub_fp`.
@@ -213,7 +211,9 @@ mod tests {
         for s in &subs {
             assert!(contains_subtree(&q, s.fingerprint));
         }
-        let unrelated = PlanBuilder::scan("zzz", "z").project(&[("z.a", "a")]).build();
+        let unrelated = PlanBuilder::scan("zzz", "z")
+            .project(&[("z.a", "a")])
+            .build();
         assert!(!contains_subtree(&q, Fingerprint::of(&unrelated)));
     }
 

@@ -35,27 +35,24 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 
 /// Strategy: a random small plan over one or two tables.
 fn arb_plan() -> impl Strategy<Value = PlanRef> {
-    (arb_expr(), arb_expr(), any::<bool>(), any::<bool>()).prop_map(
-        |(p1, p2, join, agg)| {
-            let left = PlanBuilder::scan("t1", "a").filter(p1).project(&[
-                ("a.c0", "a.c0"),
-                ("a.c1", "a.c1"),
-            ]);
-            let b = if join {
-                let right = PlanBuilder::scan("t2", "b")
-                    .filter(p2)
-                    .project(&[("b.c0", "b.c0")]);
-                left.join(right, &[("a.c0", "b.c0")])
-            } else {
-                left
-            };
-            if agg {
-                b.count_star(&["a.c1"], "n").build()
-            } else {
-                b.build()
-            }
-        },
-    )
+    (arb_expr(), arb_expr(), any::<bool>(), any::<bool>()).prop_map(|(p1, p2, join, agg)| {
+        let left = PlanBuilder::scan("t1", "a")
+            .filter(p1)
+            .project(&[("a.c0", "a.c0"), ("a.c1", "a.c1")]);
+        let b = if join {
+            let right = PlanBuilder::scan("t2", "b")
+                .filter(p2)
+                .project(&[("b.c0", "b.c0")]);
+            left.join(right, &[("a.c0", "b.c0")])
+        } else {
+            left
+        };
+        if agg {
+            b.count_star(&["a.c1"], "n").build()
+        } else {
+            b.build()
+        }
+    })
 }
 
 proptest! {

@@ -267,7 +267,10 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "ranked locks are taken on a second thread")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "ranked locks are taken on a second thread"
+)]
 mod tests {
     use super::*;
 

@@ -41,11 +41,9 @@ impl GreedyRank {
         let nc = instance.num_candidates();
         let score: Vec<f64> = (0..nc)
             .map(|j| match self {
-                GreedyRank::TopkFreq => instance
-                    .benefits
-                    .iter()
-                    .filter(|row| row[j] > 0.0)
-                    .count() as f64,
+                GreedyRank::TopkFreq => {
+                    instance.benefits.iter().filter(|row| row[j] > 0.0).count() as f64
+                }
                 GreedyRank::TopkOver => -instance.overheads[j],
                 GreedyRank::TopkBen => instance.max_benefit(j),
                 GreedyRank::TopkNorm => {
@@ -153,9 +151,12 @@ mod tests {
         // A few great candidates, many lousy ones: the utility curve must
         // peak strictly inside (0, |Z|) — the paper's Fig. 9 shape.
         let nc = 10;
-        let benefits = vec![(0..nc)
-            .map(|j| if j < 3 { 50.0 } else { 0.1 })
-            .collect::<Vec<f64>>(); 4];
+        let benefits = vec![
+            (0..nc)
+                .map(|j| if j < 3 { 50.0 } else { 0.1 })
+                .collect::<Vec<f64>>();
+            4
+        ];
         let overheads = (0..nc).map(|j| if j < 3 { 1.0 } else { 30.0 }).collect();
         let m = MvsInstance {
             benefits,

@@ -224,11 +224,7 @@ impl<'a> IterView<'a> {
         let mut best: Option<BestState> = None;
         for iter in 0..self.config.iterations {
             let tau: f64 = self.rng.gen_range(0.0..1.0);
-            let frozen = self
-                .config
-                .freeze_after
-                .map(|f| iter >= f)
-                .unwrap_or(false);
+            let frozen = self.config.freeze_after.map(|f| iter >= f).unwrap_or(false);
             self.z_opt(tau, frozen);
             self.y_opt();
             let u = self.utility();
@@ -369,7 +365,11 @@ mod tests {
             .windows(2)
             .filter(|w| w[1] < w[0] - 1e-9)
             .count();
-        assert!(drops > 0, "expected oscillation, trajectory {:?}", r.trajectory);
+        assert!(
+            drops > 0,
+            "expected oscillation, trajectory {:?}",
+            r.trajectory
+        );
     }
 
     #[test]

@@ -131,7 +131,9 @@ impl QNet {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_rows(&rows));
         let q = self.forward(&mut g, x);
-        (0..phis.len()).map(|i| g.value(q).get(i, 0) as f64).collect()
+        (0..phis.len())
+            .map(|i| g.value(q).get(i, 0) as f64)
+            .collect()
     }
 
     /// One minibatch Q-learning update (paper Function DQN): predictions
@@ -249,13 +251,7 @@ impl RlView {
         );
 
         let freq: Vec<f64> = (0..nc)
-            .map(|j| {
-                instance
-                    .benefits
-                    .iter()
-                    .filter(|row| row[j] > 0.0)
-                    .count() as f64
-            })
+            .map(|j| instance.benefits.iter().filter(|row| row[j] > 0.0).count() as f64)
             .collect();
         let degree = overlap_degrees(instance);
 
@@ -306,8 +302,7 @@ impl RlView {
                 }
 
                 // Fine-tune once the memory is warm (Algorithm 2 line 16).
-                if memory.len() >= config.memory_size
-                    && t.is_multiple_of(config.train_every.max(1))
+                if memory.len() >= config.memory_size && t.is_multiple_of(config.train_every.max(1))
                 {
                     let bs = config.batch_size.min(memory.len());
                     let picks: Vec<&Transition> = (0..bs)

@@ -163,7 +163,10 @@ impl AdmissionController {
 }
 
 /// `tenant`'s entry, inserted (the one allocation) on its first request.
-#[allow(clippy::expect_used, reason = "the entry is inserted just above when missing")]
+#[allow(
+    clippy::expect_used,
+    reason = "the entry is inserted just above when missing"
+)]
 fn tenant_entry<'m>(
     state: &'m mut BTreeMap<String, TenantState>,
     tenant: &str,
@@ -190,7 +193,10 @@ impl Drop for Permit<'_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test drives the type from several threads"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,9 +213,7 @@ mod tests {
         // Cap reached, zero queue: reject.
         assert_eq!(
             ctl.acquire("t").expect_err("third"),
-            Rejection::QueueFull {
-                tenant: "t".into()
-            }
+            Rejection::QueueFull { tenant: "t".into() }
         );
         drop(a);
         assert_eq!(ctl.load_of("t").inflight, 1);

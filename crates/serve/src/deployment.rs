@@ -179,7 +179,11 @@ impl Deployment {
     /// counts only if the entry was stored for `plan` (the same `Arc`,
     /// else a structurally equal tree): under a colliding fingerprint,
     /// `plan` is routed afresh, and the entry already there keeps its key.
-    pub fn route_memo(&self, plan_fp: Fingerprint, plan: &PlanRef) -> (PlanRef, usize, Fingerprint) {
+    pub fn route_memo(
+        &self,
+        plan_fp: Fingerprint,
+        plan: &PlanRef,
+    ) -> (PlanRef, usize, Fingerprint) {
         let shard = &self.route_memo[(plan_fp.0 % ROUTE_MEMO_SHARDS as u64) as usize];
         {
             let mut guard = shard.lock();
@@ -242,9 +246,16 @@ impl Deployment {
                 )
             })?;
             av_analyze::verify_plan(&self.catalog, &view.plan).map_err(|e| {
-                format!("view {:?} (fp {fp:?}): defining plan fails verification: {e}", view.id)
+                format!(
+                    "view {:?} (fp {fp:?}): defining plan fails verification: {e}",
+                    view.id
+                )
             })?;
-            if table.column_names.len() != view.plan.output_columns(&|t| self.catalog.table_columns(t)).len()
+            if table.column_names.len()
+                != view
+                    .plan
+                    .output_columns(&|t| self.catalog.table_columns(t))
+                    .len()
             {
                 return Err(format!(
                     "view {:?} (fp {fp:?}): stored table `{}` arity differs from defining plan",
@@ -320,7 +331,10 @@ impl DeploymentCell {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test drives the type from several threads"
+)]
 mod tests {
     use super::*;
     use av_engine::{Column, Pricing, Table, ViewStore};
@@ -441,7 +455,11 @@ mod tests {
             assert_eq!(routed_fp, Fingerprint::of(&direct));
             assert_eq!(Fingerprint::of(&routed), routed_fp);
         }
-        assert_eq!(dep.route_memo_stats(), (1, 1), "the poisoned shard still memoizes");
+        assert_eq!(
+            dep.route_memo_stats(),
+            (1, 1),
+            "the poisoned shard still memoizes"
+        );
         assert_eq!(cell.load().epoch(), 1);
         let old = cell.swap(Arc::new(Deployment::new(2, cat, views)));
         assert_eq!(old.epoch(), 1);

@@ -49,9 +49,7 @@ pub mod server;
 pub use admission::{AdmissionConfig, AdmissionController, Permit, Rejection, TenantLoad};
 pub use deployment::{Deployment, DeploymentCell, PreflightStats};
 pub use loadgen::{run_closed_loop, ClosedLoopConfig, LoadReport};
-pub use server::{
-    PoolStats, ReoptSummary, ServeConfig, ServeError, ServeResponse, ViewServer,
-};
+pub use server::{PoolStats, ReoptSummary, ServeConfig, ServeError, ServeResponse, ViewServer};
 
 // Telemetry types consumers need to configure the server or consume its
 // snapshots without depending on `av-obs` directly.

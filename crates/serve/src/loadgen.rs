@@ -138,9 +138,7 @@ pub fn run_closed_loop(
                         let t0 = Instant::now();
                         match server.execute(&tenant, plan) {
                             Ok(resp) => {
-                                tally
-                                    .latencies_us
-                                    .observe(t0.elapsed().as_secs_f64() * 1e6);
+                                tally.latencies_us.observe(t0.elapsed().as_secs_f64() * 1e6);
                                 tally.rewrite_hits += resp.rewrite_hits as u64;
                             }
                             Err(ServeError::Rejected(_)) => tally.rejected += 1,

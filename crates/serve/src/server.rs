@@ -456,7 +456,10 @@ impl ViewServer {
             counter(format!("engine.cache.shard{i}.hit"), s.hits);
             counter(format!("engine.cache.shard{i}.miss"), s.misses);
             counter(format!("engine.cache.shard{i}.evict"), s.evictions);
-            counter(format!("engine.cache.shard{i}.evict_bytes"), s.evicted_bytes);
+            counter(
+                format!("engine.cache.shard{i}.evict_bytes"),
+                s.evicted_bytes,
+            );
         }
         let t = self.obs.totals();
         counter("serve.requests".into(), t.served);
@@ -467,7 +470,10 @@ impl ViewServer {
         let alerts = self.obs.slo_stats().iter().map(|s| s.alerts_fired).sum();
         counter("serve.slo_alerts".into(), alerts);
         if t.nan_rejected > 0 {
-            *snap.counters.entry(av_trace::NAN_REJECTED.into()).or_default() += t.nan_rejected;
+            *snap
+                .counters
+                .entry(av_trace::NAN_REJECTED.into())
+                .or_default() += t.nan_rejected;
         }
         for (name, sketch) in [
             ("serve.latency_us", &t.latency_us),
@@ -479,7 +485,8 @@ impl ViewServer {
             count: t.served + t.errors,
             total_seconds: t.exec_nanos as f64 / 1e9,
         };
-        snap.timings.insert("serve.request".into(), request.snapshot());
+        snap.timings
+            .insert("serve.request".into(), request.snapshot());
         let (memo_hits, memo_misses) = self.cell.load().route_memo_stats();
         for (name, v) in [
             ("serve.route_memo_hits", memo_hits as f64),
@@ -530,7 +537,10 @@ impl ViewServer {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "the test drives the type from several threads")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test drives the type from several threads"
+)]
 mod tests {
     use super::*;
     use av_cost::OptimizerEstimator;
@@ -648,7 +658,9 @@ mod tests {
         let w = mini(73);
         let plans = w.plans();
         let server = server_for(&w);
-        let summary = server.reoptimize(&plans, Some("acme")).expect("reoptimizes");
+        let summary = server
+            .reoptimize(&plans, Some("acme"))
+            .expect("reoptimizes");
         assert!(summary.admitted > 0);
         let planner = server.planner.lock();
         assert!(
@@ -666,7 +678,10 @@ mod tests {
 
     impl CostEstimator for PanicsOnce {
         fn estimate(&self, input: &av_cost::FeatureInput) -> f64 {
-            if !self.panicked.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            if !self
+                .panicked
+                .swap(true, std::sync::atomic::Ordering::SeqCst)
+            {
                 panic!("injected estimator fault");
             }
             self.inner.estimate(input)
@@ -690,10 +705,15 @@ mod tests {
             server_for(&w).config().clone(),
         );
         let died = std::thread::scope(|s| s.spawn(|| server.reoptimize(&plans, None)).join());
-        assert!(died.is_err(), "the first reoptimize dies holding the planner");
+        assert!(
+            died.is_err(),
+            "the first reoptimize dies holding the planner"
+        );
         assert_eq!(server.epoch(), 0, "nothing was published");
 
-        let summary = server.reoptimize(&plans, None).expect("the planner is recovered");
+        let summary = server
+            .reoptimize(&plans, None)
+            .expect("the planner is recovered");
         assert!(summary.admitted > 0);
         let published: Vec<Fingerprint> =
             server.current().views().iter().map(|(fp, _)| *fp).collect();

@@ -12,7 +12,10 @@
 //! loom crate the same sources become exhaustive interleaving checks.
 
 #![cfg(loom)]
-#![allow(clippy::disallowed_methods, reason = "each model runs its protocol on threads")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "each model runs its protocol on threads"
+)]
 
 use av_engine::Catalog;
 use av_serve::{AdmissionConfig, AdmissionController, Deployment, DeploymentCell};

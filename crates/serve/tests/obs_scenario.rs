@@ -178,7 +178,13 @@ fn phase_shift_fires_burn_alert_and_dumps_offending_queries() {
     let per_tenant: f64 = text
         .lines()
         .filter_map(|l| l.strip_prefix("slo_alerts_fired_total{"))
-        .map(|l| l.rsplit(' ').next().expect("value").parse::<f64>().expect("number"))
+        .map(|l| {
+            l.rsplit(' ')
+                .next()
+                .expect("value")
+                .parse::<f64>()
+                .expect("number")
+        })
         .sum();
     assert!(per_tenant > 0.0);
     assert_eq!(sample(&text, "serve_slo_alerts"), per_tenant);

@@ -2,7 +2,10 @@
 //! snapshot return byte-identical batches to serial, view-free execution —
 //! including while an epoch swap lands mid-load.
 
-#![allow(clippy::disallowed_methods, reason = "concurrent clients race an epoch swap")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "concurrent clients race an epoch swap"
+)]
 
 use av_cost::OptimizerEstimator;
 use av_engine::{Executor, Pricing, RecordBatch};

@@ -6,7 +6,10 @@
 //! allocates: the permit, the snapshot load, the route memo and the
 //! telemetry record add none.
 
-#![allow(unsafe_code, reason = "the counting global allocator forwards to System")]
+#![allow(
+    unsafe_code,
+    reason = "the counting global allocator forwards to System"
+)]
 
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;

@@ -184,7 +184,10 @@ pub struct TimingSnapshot {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "the registry is exercised from several threads")]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the registry is exercised from several threads"
+)]
 mod tests {
     use super::*;
 

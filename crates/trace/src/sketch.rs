@@ -329,7 +329,11 @@ mod tests {
         assert_eq!(count_at(&s, f64::INFINITY), 0);
         s.observe(f64::from_bits(1024f64.to_bits() + 1));
         assert_eq!(count_at(&s, 1024.0), 1);
-        assert_eq!(count_at(&s, 1024.0 + 32.0), 1, "one ulp above 1024 rolls over");
+        assert_eq!(
+            count_at(&s, 1024.0 + 32.0),
+            1,
+            "one ulp above 1024 rolls over"
+        );
         s.observe(pow2(MAX_EXP) * 1.0001);
         assert_eq!(count_at(&s, f64::INFINITY), 1);
         // Zero and negatives share the underflow bucket; sub-µs values get
@@ -379,7 +383,12 @@ mod tests {
         let mut lats: Vec<f64> = (0..5000)
             .map(|_| {
                 let r = next();
-                ((r % 2000) + if r.is_multiple_of(50) { (r >> 20) % 5_000_000 } else { 0 }) as f64
+                ((r % 2000)
+                    + if r.is_multiple_of(50) {
+                        (r >> 20) % 5_000_000
+                    } else {
+                        0
+                    }) as f64
             })
             .collect();
         for data in [&mut costs, &mut lats] {

@@ -44,7 +44,10 @@ impl SpanRecord {
     }
 
     pub fn num_attr(&self, key: &str) -> Option<f64> {
-        self.num_attrs.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+        self.num_attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| *v)
     }
 }
 

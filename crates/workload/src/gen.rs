@@ -141,7 +141,9 @@ pub fn generate(config: &GeneratorConfig) -> Workload {
             ],
         )
         .expect("generated columns are rectangular");
-        catalog.add_table(table).expect("generated names are unique");
+        catalog
+            .add_table(table)
+            .expect("generated names are unique");
         table_names.push(name);
         table_project.push(project);
         table_rows.push(rows);
@@ -192,12 +194,13 @@ pub fn generate(config: &GeneratorConfig) -> Workload {
         let n_tables = rng.gen_range(jlo..=jhi.max(jlo)).min(local.len());
         // Walk a chain of tables within the project.
         let start = rng.gen_range(0..local.len());
-        let chain: Vec<usize> = (0..n_tables).map(|k| local[(start + k) % local.len()]).collect();
+        let chain: Vec<usize> = (0..n_tables)
+            .map(|k| local[(start + k) % local.len()])
+            .collect();
         // Join template: pin the first two accesses to fixed pool entries so
         // the two-table join subplan recurs verbatim across queries sharing
         // this `start`.
-        let use_template =
-            chain.len() >= 2 && rng.gen_bool(config.join_template_probability);
+        let use_template = chain.len() >= 2 && rng.gen_bool(config.join_template_probability);
 
         let mut builders: Vec<(PlanBuilder, String)> = Vec::with_capacity(chain.len());
         for (pos, &t) in chain.iter().enumerate() {
@@ -284,9 +287,10 @@ fn random_predicate(rng: &mut ChaCha8Rng, alias: &str) -> Expr {
         // ~1/30 of rows: kind = x AND dt = d.
         0 => Expr::col(format!("{alias}.kind"))
             .eq(Expr::int(rng.gen_range(0..KIND_CARD)))
-            .and(Expr::col(format!("{alias}.dt")).eq(Expr::str(
-                DT_VALUES[rng.gen_range(0..DT_VALUES.len())],
-            ))),
+            .and(
+                Expr::col(format!("{alias}.dt"))
+                    .eq(Expr::str(DT_VALUES[rng.gen_range(0..DT_VALUES.len())])),
+            ),
         // ~1/6: kind = x.
         1 => Expr::col(format!("{alias}.kind")).eq(Expr::int(rng.gen_range(0..KIND_CARD))),
         // ~1/2 .. ~5/6: kind <= x.

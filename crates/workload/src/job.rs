@@ -164,11 +164,7 @@ pub fn job_workload(scale: f64, seed: u64) -> Workload {
     }
 }
 
-fn build_template(
-    template: usize,
-    shared_filters: &[(i64, i64)],
-    rng: &mut ChaCha8Rng,
-) -> PlanRef {
+fn build_template(template: usize, shared_filters: &[(i64, i64)], rng: &mut ChaCha8Rng) -> PlanRef {
     // Choose a fact edge and a shared child filter from a small pool: the
     // (edge, filter) combo is the reusable subquery, so the pool size caps
     // the candidate count near the paper's |Z| = 28.
@@ -219,10 +215,7 @@ fn build_template(
                 .cmp(av_plan::CmpOp::Gt, Expr::int(parent_lit)),
         )
         .project(&[
-            (
-                &format!("{parent_alias}.id"),
-                &format!("{parent_alias}.id"),
-            ),
+            (&format!("{parent_alias}.id"), &format!("{parent_alias}.id")),
             (
                 &format!("{parent_alias}.kind_id"),
                 &format!("{parent_alias}.kind_id"),

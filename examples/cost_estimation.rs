@@ -23,8 +23,7 @@ fn main() {
     let plans = workload.plans();
 
     let pre = preprocess_and_measure(&mut catalog, &plans, pricing).expect("preprocess");
-    let pairs =
-        collect_pair_truth(&catalog, &pre, &plans, 200, 1).expect("ground truth");
+    let pairs = collect_pair_truth(&catalog, &pre, &plans, 200, 1).expect("ground truth");
     println!(
         "collected {} labelled (query, view) pairs from {} candidates",
         pairs.len(),
@@ -36,8 +35,7 @@ fn main() {
         .map(|p| (p.sample.input.clone(), p.sample.cost_qv))
         .collect();
     let (train_idx, _, test_idx) = split_7_1_2(samples.len(), 9);
-    let train: Vec<(FeatureInput, f64)> =
-        train_idx.iter().map(|&i| samples[i].clone()).collect();
+    let train: Vec<(FeatureInput, f64)> = train_idx.iter().map(|&i| samples[i].clone()).collect();
     let test: Vec<&(FeatureInput, f64)> = test_idx.iter().map(|&i| &samples[i]).collect();
     let truth: Vec<f64> = test.iter().map(|(_, y)| *y).collect();
 

@@ -49,7 +49,10 @@ fn main() {
             Table::new(
                 "user_action",
                 vec![
-                    ("user_id", Column::Int((0..n).map(|i| (i * 7) % 97).collect())),
+                    (
+                        "user_id",
+                        Column::Int((0..n).map(|i| (i * 7) % 97).collect()),
+                    ),
                     ("type", Column::Int((0..n).map(|i| i % 4).collect())),
                     (
                         "dt",

@@ -10,8 +10,7 @@ use autoview::core::{collect_pair_truth, preprocess_and_measure};
 use autoview::engine::Pricing;
 use autoview::ilp::MvsInstance;
 use autoview::select::{
-    greedy_best, BigSub, BigSubConfig, GreedyRank, IterView, IterViewConfig, RlView,
-    RlViewConfig,
+    greedy_best, BigSub, BigSubConfig, GreedyRank, IterView, IterViewConfig, RlView, RlViewConfig,
 };
 use autoview::workload::cloud::mini;
 
@@ -22,8 +21,7 @@ fn main() {
     let mut catalog = workload.catalog.clone();
     let plans = workload.plans();
     let pre = preprocess_and_measure(&mut catalog, &plans, pricing).expect("preprocess");
-    let pairs =
-        collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 3).expect("pairs");
+    let pairs = collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 3).expect("pairs");
 
     let nc = pre.analysis.candidates.len();
     let mut benefits = vec![vec![0.0; nc]; plans.len()];
@@ -44,7 +42,12 @@ fn main() {
 
     for rank in GreedyRank::ALL {
         let (k, r) = greedy_best(&instance, rank);
-        println!("{:<10} best k = {:<3} utility = ${:.4}", rank.name(), k, r.utility);
+        println!(
+            "{:<10} best k = {:<3} utility = ${:.4}",
+            rank.name(),
+            k,
+            r.utility
+        );
     }
 
     let iter = IterView::new(
@@ -92,6 +95,10 @@ fn main() {
         "{:<10} utility = ${:.4}{}",
         "OPT",
         opt.utility,
-        if proven { " (proven optimal)" } else { " (budget)" }
+        if proven {
+            " (proven optimal)"
+        } else {
+            " (budget)"
+        }
     );
 }

@@ -29,9 +29,7 @@ pub mod sync {
     pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
     pub mod atomic {
-        pub use std::sync::atomic::{
-            AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-        };
+        pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
     }
 }
 

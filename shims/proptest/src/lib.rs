@@ -170,7 +170,10 @@ pub struct Union<T> {
 
 impl<T> Union<T> {
     pub fn new(branches: Vec<BoxedStrategy<T>>) -> Union<T> {
-        assert!(!branches.is_empty(), "prop_oneof! needs at least one branch");
+        assert!(
+            !branches.is_empty(),
+            "prop_oneof! needs at least one branch"
+        );
         Union { branches }
     }
 }
@@ -287,7 +290,11 @@ fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
         i = next;
         let (lo, hi, next) = parse_repeat(&chars, i).unwrap_or((1, 1, i));
         i = next;
-        let count = if lo == hi { lo } else { rng.gen_usize(lo..hi + 1) };
+        let count = if lo == hi {
+            lo
+        } else {
+            rng.gen_usize(lo..hi + 1)
+        };
         for _ in 0..count {
             out.push(alphabet[rng.gen_usize(0..alphabet.len())]);
         }
@@ -378,7 +385,10 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
@@ -521,7 +531,10 @@ mod tests {
         for _ in 0..200 {
             let s = crate::Strategy::generate(&"[a-c]{1,3}", &mut rng);
             assert!((1..=3).contains(&s.len()), "bad len: {s:?}");
-            assert!(s.chars().all(|c| ('a'..='c').contains(&c)), "bad chars: {s:?}");
+            assert!(
+                s.chars().all(|c| ('a'..='c').contains(&c)),
+                "bad chars: {s:?}"
+            );
         }
     }
 

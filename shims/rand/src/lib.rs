@@ -73,8 +73,12 @@ pub trait SampleRange<T> {
 
 /// Types that support uniform sampling from `[lo, hi)` / `[lo, hi]`.
 pub trait SampleUniform: Copy + PartialOrd {
-    fn sample_uniform<R: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut R)
-        -> Self;
+    fn sample_uniform<R: RngCore + ?Sized>(
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+        rng: &mut R,
+    ) -> Self;
 }
 
 impl<T: SampleUniform> SampleRange<T> for core::ops::Range<T> {
@@ -204,7 +208,10 @@ mod tests {
     struct Counter(u64);
     impl RngCore for Counter {
         fn next_u32(&mut self) -> u32 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (self.0 >> 32) as u32
         }
     }

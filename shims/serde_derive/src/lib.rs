@@ -270,7 +270,9 @@ fn parse_input(stream: TokenStream) -> Result<Input, String> {
     let kw = c.expect_ident()?;
     let name = c.expect_ident()?;
     if matches!(c.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!("serde shim derive: generics on `{name}` are unsupported"));
+        return Err(format!(
+            "serde shim derive: generics on `{name}` are unsupported"
+        ));
     }
     match kw.as_str() {
         "struct" => match c.next() {
@@ -348,8 +350,7 @@ fn gen_serialize(input: &Input) -> String {
                         ));
                     }
                     VariantBody::Struct(fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
+                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
                         let elems: Vec<String> = fields
                             .iter()
                             .map(|f| {

@@ -15,7 +15,11 @@ fn wide_deep_fits_and_predicts_bitwise_reproducibly() {
     let pre = preprocess_and_measure(&mut catalog, &queries, Pricing::paper_defaults())
         .expect("preprocesses");
     let pairs = collect_pair_truth(&catalog, &pre, &queries, 24, 42).expect("measures pairs");
-    assert!(pairs.len() >= 8, "mini has rewritable pairs: {}", pairs.len());
+    assert!(
+        pairs.len() >= 8,
+        "mini has rewritable pairs: {}",
+        pairs.len()
+    );
     let train: Vec<(FeatureInput, f64)> = pairs
         .iter()
         .map(|p| (p.sample.input.clone(), p.sample.cost_qv))

@@ -2,8 +2,8 @@
 //! accounting identities behind the Table V metrics, and failure injection.
 
 use autoview::core::{
-    collect_pair_truth, preprocess_and_measure, AutoViewConfig, AutoViewSystem,
-    EstimatorKind, SelectorKind,
+    collect_pair_truth, preprocess_and_measure, AutoViewConfig, AutoViewSystem, EstimatorKind,
+    SelectorKind,
 };
 use autoview::cost::{CostEstimator, FeatureInput, WideDeepConfig};
 use autoview::engine::{Executor, Pricing};
@@ -85,8 +85,7 @@ fn selection_utility_accounting_is_consistent_across_selectors() {
     let mut catalog = w.catalog.clone();
     let plans = w.plans();
     let pre = preprocess_and_measure(&mut catalog, &plans, pricing).expect("preprocess");
-    let pairs =
-        collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 7).expect("pairs");
+    let pairs = collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 7).expect("pairs");
 
     let nc = pre.analysis.candidates.len();
     let mut benefits = vec![vec![0.0; nc]; plans.len()];
@@ -182,8 +181,7 @@ fn degenerate_workloads_produce_sane_selections() {
     let mut catalog = w.catalog.clone();
     let plans = w.plans();
     let pre = preprocess_and_measure(&mut catalog, &plans, pricing).expect("preprocess");
-    let pairs =
-        collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 2).expect("pairs");
+    let pairs = collect_pair_truth(&catalog, &pre, &plans, usize::MAX, 2).expect("pairs");
     let nc = pre.analysis.candidates.len();
     let mut benefits = vec![vec![0.0; nc]; plans.len()];
     for p in &pairs {
