@@ -66,8 +66,9 @@ fn main() {
         push("RLView", rl.best_iteration.to_string(), rl.utility);
 
         if which == "job" {
-            // Warm-start the branch and bound with the best heuristic so a
-            // budget-capped OPT still upper-bounds every method.
+            // Warm-start the branch and bound with the best heuristic, so
+            // `OPT(budget)` is never below it. It is not an upper bound:
+            // unless `proven`, the budget cut the search short.
             let warm = best_z.as_ref().map(|(_, z)| z.as_slice());
             let (opt, proven) = exp.actual.solve_exact_from(2_000_000, warm);
             push(

@@ -1,28 +1,25 @@
-//! # av-ilp — 0-1 integer linear programming
+//! # av-ilp — the Materialized View Selection ILP
 //!
 //! The paper casts Materialized View Selection as an ILP (Section V-A) and
 //! calls an off-the-shelf solver (PuLP/Gurobi) for the per-query `Y-Opt`
-//! subproblems and for the exact `OPT` reference on JOB. This crate plays
-//! that role: a small binary-ILP model with an exact depth-first
-//! branch-and-bound solver, plus the MVS-specific problem builder.
+//! subproblems. This crate holds the MVS instance ([`MvsInstance`]) and two
+//! dedicated depth-first branch-and-bound searches in place of that solver:
+//! [`max_weight_independent_set`], the exact `Y-Opt` kernel (the views one
+//! query uses, no two overlapping), and [`MvsInstance::solve_exact`], a
+//! node-budgeted search over `z` that reports whether it finished.
 //!
 //! ```
-//! use av_ilp::IlpProblem;
+//! use av_ilp::max_weight_independent_set;
 //!
-//! // maximize 3a + 2b + 2c  s.t.  a + b ≤ 1, b + c ≤ 1
-//! let mut p = IlpProblem::new(3);
-//! p.set_objective(vec![3.0, 2.0, 2.0]);
-//! p.add_le_constraint(vec![(0, 1.0), (1, 1.0)], 1.0);
-//! p.add_le_constraint(vec![(1, 1.0), (2, 1.0)], 1.0);
-//! let sol = p.solve();
-//! assert_eq!(sol.assignment, vec![true, false, true]);
-//! assert!((sol.objective - 5.0).abs() < 1e-9);
+//! // maximize 3a + 2b + 2c  s.t.  a, b overlap and b, c overlap
+//! let picks = max_weight_independent_set(&[3.0, 2.0, 2.0], &[(0, 1), (1, 2)]);
+//! assert_eq!(picks, vec![true, false, true]);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod model;
-pub mod mvs;
+mod mvs;
+mod mwis;
 
-pub use model::{IlpProblem, IlpSolution};
 pub use mvs::{MvsInstance, MvsSolution};
+pub use mwis::max_weight_independent_set;

@@ -1,61 +1,65 @@
-//! Property tests: the branch-and-bound solver is exact on random binary
-//! ILPs, verified against brute-force enumeration.
+//! Property tests: the maximum-weight independent set search is exact,
+//! verified against brute-force enumeration.
 
-use av_ilp::IlpProblem;
+use av_ilp::max_weight_independent_set;
 use proptest::prelude::*;
 
-fn brute_force(p: &IlpProblem) -> Option<f64> {
-    let n = p.num_vars();
-    let mut best: Option<f64> = None;
+/// Whether `picks` takes no conflicting pair and no self-paired item.
+fn independent(picks: &[bool], conflicts: &[(usize, usize)]) -> bool {
+    conflicts.iter().all(|&(a, b)| !(picks[a] && picks[b]))
+}
+
+fn weight_of(picks: &[bool], weights: &[f64]) -> f64 {
+    picks
+        .iter()
+        .zip(weights)
+        .map(|(&p, &w)| if p { w } else { 0.0 })
+        .sum()
+}
+
+/// The best total weight over every independent set of positive-weight items.
+fn brute_force(weights: &[f64], conflicts: &[(usize, usize)]) -> f64 {
+    let n = weights.len();
+    let mut best = 0.0f64;
     for mask in 0..(1usize << n) {
-        let x: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-        if p.is_feasible(&x) {
-            let obj = p.objective_of(&x);
-            if best.map(|b| obj > b).unwrap_or(true) {
-                best = Some(obj);
-            }
+        let picks: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+        let positive = picks.iter().zip(weights).all(|(&p, &w)| !p || w > 0.0);
+        if positive && independent(&picks, conflicts) {
+            best = best.max(weight_of(&picks, weights));
         }
     }
     best
 }
 
+/// Weights with many exact ties, zeros and negatives, or arbitrary floats.
+fn weight() -> impl Strategy<Value = f64> {
+    prop_oneof![(-2i32..4).prop_map(f64::from), Just(-0.0), -3.0f64..6.0,]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn bnb_matches_brute_force(
-        n in 1..7usize,
-        objective in proptest::collection::vec(-5.0f64..5.0, 7),
-        constraints in proptest::collection::vec(
-            (proptest::collection::vec((0..7usize, -2.0f64..2.0), 1..4), -1.0f64..4.0),
-            0..5,
-        ),
+    fn mwis_matches_brute_force(
+        weights in proptest::collection::vec(weight(), 0..11),
+        edges in proptest::collection::vec((0..10usize, 0..10usize, 0..8u32), 0..16),
     ) {
-        let mut p = IlpProblem::new(n);
-        p.set_objective(objective[..n].to_vec());
-        for (terms, bound) in constraints {
-            let terms: Vec<(usize, f64)> = terms
-                .into_iter()
-                .filter(|&(v, _)| v < n)
-                .collect();
-            if !terms.is_empty() {
-                p.add_le_constraint(terms, bound);
-            }
+        let n = weights.len();
+        // One edge in eight is a self pair; duplicates come from the draw.
+        let conflicts: Vec<(usize, usize)> = edges
+            .into_iter()
+            .filter(|&(a, b, _)| a < n && b < n)
+            .map(|(a, b, kind)| if kind == 0 { (a, a) } else { (a, b) })
+            .collect();
+        let picks = max_weight_independent_set(&weights, &conflicts);
+        prop_assert_eq!(picks.len(), n);
+        prop_assert!(independent(&picks, &conflicts), "conflicting picks {picks:?}");
+        for (i, &p) in picks.iter().enumerate() {
+            prop_assert!(!p || weights[i] > 0.0, "non-positive weight {i} picked");
         }
-        let solution = p.solve();
-        match brute_force(&p) {
-            Some(best) => {
-                prop_assert!(solution.optimal);
-                prop_assert!(p.is_feasible(&solution.assignment));
-                prop_assert!(
-                    (solution.objective - best).abs() < 1e-9,
-                    "B&B {} != brute force {}", solution.objective, best
-                );
-            }
-            None => {
-                prop_assert!(solution.objective.is_nan(), "must report infeasibility");
-            }
-        }
+        let best = brute_force(&weights, &conflicts);
+        let got = weight_of(&picks, &weights);
+        prop_assert!((got - best).abs() < 1e-9, "MWIS {got} != brute force {best}");
     }
 
     #[test]
@@ -68,7 +72,7 @@ proptest! {
             .into_iter()
             .filter(|&(a, b)| a < n && b < n && a != b)
             .collect();
-        let picks = av_ilp::model::max_weight_independent_set(&weights, &conflicts);
+        let picks = max_weight_independent_set(&weights, &conflicts);
         for &(a, b) in &conflicts {
             prop_assert!(!(picks[a] && picks[b]), "conflict ({a},{b}) both picked");
         }
