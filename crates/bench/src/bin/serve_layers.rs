@@ -1,12 +1,15 @@
-//! Per-layer cost of a warm served request with two threads calling at once.
+//! Per-layer cost of a warm served request, alone and with two threads
+//! calling at once.
 //!
 //! Stands up the `serve_hot` server — JOB at data scale 4, Optimizer +
 //! IterView, a 512-entry result cache, every plan already answered once —
 //! and times each layer `ViewServer::execute` walks on a cache hit, each in
-//! isolation, with two threads calling it together:
+//! isolation, once with one thread calling it and once with two threads
+//! calling it together:
 //!
 //! - `admission`: `AdmissionController::acquire` + permit drop;
-//! - `cell_load`: `DeploymentCell::load` (the server's own cell);
+//! - `cell_load`: `ViewServer::with_current`, the thread-cached snapshot
+//!   read `execute` makes (the server's own cell);
 //! - `route_memo`: `Deployment::route_memo` on the published deployment,
 //!   keyed by the plan's memoized fingerprint, as `execute` calls it;
 //! - `route_fresh`: the same for a plan decoded from its serde form just
@@ -20,16 +23,17 @@
 //!   the clone of the cached batch a hit returns;
 //! - `observe_query`: `Obs::observe_query` (the server's own telemetry);
 //!
-//! then the whole `execute`. pathbench's traced `serve_hot` run already
-//! times these layers on one thread; this table is the shared-state cost
-//! that run cannot see. Admission and the cache are private to the server,
-//! so those two rows time instances built from the server's own
-//! configuration: the same types, locks and shard counts. Alone in a loop,
-//! the two threads contend on a layer's lock on every call, which they do
-//! only part of the time inside `execute`, so the rows rank the shared
-//! layers rather than add up to `execute`.
+//! then the whole `execute`. The gap between a row's two columns is what
+//! the layer's shared writes cost when a second client calls it too.
+//! Admission and the cache are private to the server, so those two rows
+//! time instances built from the server's own configuration: the same
+//! types, locks and shard counts. Alone in a loop, the two threads contend
+//! on a layer's shared state on every call, which they do only part of the
+//! time inside `execute`, so the two-thread rows rank the shared layers
+//! rather than add up to `execute`.
 //!
-//! Writes `BENCH_layers.json` (`{config, layers, failed}`) into the working
+//! Writes `BENCH_layers.json` (`{config, layers, failed}`; each layer has a
+//! `one_thread_ns` and a `two_threads_ns` column) into the working
 //! directory. Gate: zero failed requests — every response matches direct
 //! execution on the base catalog, no timed `execute` returns an error, and
 //! no memo lookup finds another plan's entry.
@@ -37,7 +41,7 @@
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "a benchmark binary times two calling threads on the wall clock"
+    reason = "a benchmark binary times its calling threads on the wall clock"
 )]
 
 use av_core::{AutoViewConfig, AutoViewSystem, EstimatorKind, SelectorKind};
@@ -60,8 +64,9 @@ const JOB_SCALE: f64 = 4.0;
 /// Result-cache entries, as in `serve_hot`: the 226-plan hot set fits.
 const CACHE_CAPACITY: usize = 512;
 const TENANT: &str = "bench";
-/// Threads calling each layer at once: `serve_hot`'s two clients.
-const THREADS: usize = 2;
+/// Threads calling each layer at once: one alone, then `serve_hot`'s two
+/// clients.
+const THREADS: [usize; 2] = [1, 2];
 /// Timed passes per layer; the median pass is reported.
 const PASSES: usize = 31;
 /// Calls each thread makes in one pass.
@@ -73,17 +78,19 @@ struct Config {
     job_scale: f64,
     plans: usize,
     live_views: usize,
-    threads: usize,
+    threads: Vec<usize>,
     passes: usize,
     calls_per_pass: usize,
     cores: usize,
 }
 
-/// One row: median nanoseconds per call on each of the two threads.
+/// One row: median nanoseconds per call with one thread calling, and on
+/// each of two threads calling at once.
 #[derive(Serialize)]
 struct Layer {
     layer: &'static str,
-    ns: f64,
+    one_thread_ns: f64,
+    two_threads_ns: f64,
 }
 
 #[derive(Serialize)]
@@ -93,20 +100,33 @@ struct Report {
     failed: u64,
 }
 
-/// Median over [`PASSES`] of the mean per-call nanoseconds that
-/// [`THREADS`] threads report from `calls`, run together, each over its own
-/// interleaved share of `items`, released by one barrier. Prints and
+/// One row: [`median_ns`] at each thread count of [`THREADS`]. Prints and
 /// returns the row.
 fn row<T: Sync>(layer: &'static str, items: &[T], calls: impl Fn(&[&T]) -> f64 + Sync) -> Layer {
+    let [one_thread_ns, two_threads_ns] = THREADS.map(|threads| median_ns(threads, items, &calls));
+    println!("{layer:>14}  {one_thread_ns:>8.1} ns  {two_threads_ns:>8.1} ns");
+    Layer {
+        layer,
+        one_thread_ns,
+        two_threads_ns,
+    }
+}
+
+/// Median over [`PASSES`] of the mean per-call nanoseconds that `threads`
+/// threads report from `calls`, run together, each over its own
+/// interleaved share of `items`, released by one barrier. Each pass starts
+/// fresh threads, so each thread's first snapshot read and tenant lookup
+/// take their slow path once.
+fn median_ns<T: Sync>(threads: usize, items: &[T], calls: &(impl Fn(&[&T]) -> f64 + Sync)) -> f64 {
     let mut passes: Vec<f64> = (0..PASSES)
         .map(|_| {
-            let barrier = Barrier::new(THREADS);
+            let barrier = Barrier::new(threads);
             let per_thread: Vec<f64> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..THREADS)
+                let handles: Vec<_> = (0..threads)
                     .map(|lane| {
-                        let (barrier, calls) = (&barrier, &calls);
+                        let barrier = &barrier;
                         s.spawn(move || {
-                            let mine: Vec<&T> = items.iter().skip(lane).step_by(THREADS).collect();
+                            let mine: Vec<&T> = items.iter().skip(lane).step_by(threads).collect();
                             barrier.wait();
                             calls(&mine)
                         })
@@ -117,13 +137,11 @@ fn row<T: Sync>(layer: &'static str, items: &[T], calls: impl Fn(&[&T]) -> f64 +
                     .map(|h| h.join().expect("layer thread panicked"))
                     .collect()
             });
-            per_thread.iter().sum::<f64>() / THREADS as f64
+            per_thread.iter().sum::<f64>() / threads as f64
         })
         .collect();
     passes.sort_by(f64::total_cmp);
-    let ns = passes[PASSES / 2];
-    println!("{layer:>14}  {ns:>8.1} ns");
-    Layer { layer, ns }
+    passes[PASSES / 2]
 }
 
 /// [`CALLS_PER_PASS`] calls of `step`, cycling over `mine`, timed as one
@@ -232,7 +250,7 @@ fn main() {
     let clock = server.tracer();
     let obs = server.obs();
     let encoded: Vec<serde::Json> = warm.iter().map(|w| w.plan.to_json()).collect();
-    println!("{:>14}  {:>11}", "layer", "2 threads");
+    println!("{:>14}  {:>11}  {:>11}", "layer", "1 thread", "2 threads");
     let layers = vec![
         row(
             "admission",
@@ -242,7 +260,11 @@ fn main() {
         row(
             "cell_load",
             &warm,
-            looped(|_| drop(black_box(server.current()))),
+            looped(|_| {
+                server.with_current(|d| {
+                    black_box(d);
+                })
+            }),
         ),
         row(
             "route_memo",
@@ -296,7 +318,7 @@ fn main() {
             job_scale: JOB_SCALE,
             plans: plans.len(),
             live_views: summary.live_views,
-            threads: THREADS,
+            threads: THREADS.to_vec(),
             passes: PASSES,
             calls_per_pass: CALLS_PER_PASS,
             cores: std::thread::available_parallelism()

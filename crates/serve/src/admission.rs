@@ -9,14 +9,36 @@
 //!
 //! [`AdmissionController::acquire`] returns an RAII [`Permit`] that borrows
 //! the caller's tenant name; dropping it releases the slot and, when that
-//! tenant has queued waiters, wakes them. A tenant keeps its entry once
-//! seen, so an already-seen tenant's acquire + release allocates nothing,
-//! and a release with no one queued makes no wake syscall.
+//! tenant has queued waiters, wakes them.
+//!
+//! Each tenant's counters are one shared `TenantSlot` of two atomics,
+//! `inflight` and `queued`, kept once seen. A thread caches the last slot
+//! it used (with its controller's id), so below the cap a seen tenant's
+//! acquire is one compare-and-swap on `inflight` and its release one
+//! `fetch_sub` plus one load of `queued`: no lock, no allocation, no wake.
+//! A cache miss for a seen tenant takes the state mutex to find the slot
+//! and clones its `Arc`, which allocates nothing either. The mutex and
+//! condvar are used only at the cap, or by a release that sees `queued > 0`.
+//!
+//! **No lost wakeup.** A waiter bumps `queued` under the state mutex and
+//! then re-checks `inflight`, still under the mutex, before it waits (which
+//! releases the mutex atomically). A releaser decrements `inflight`, then
+//! loads `queued`. All four operations are `SeqCst`, so they fall in one
+//! total order. If the releaser's load comes before the waiter's bump, its
+//! decrement comes before the waiter's re-check too, and the waiter sees
+//! the freed slot (or a request that took it, whose own release is then
+//! the one that must wake the waiter, by the same argument). Otherwise the
+//! releaser sees `queued > 0` and takes the mutex to notify; it can only
+//! get the mutex once the waiter has either taken a slot or started
+//! waiting, so the notify cannot fall between the waiter's check and its
+//! wait.
 
 use av_sched::{Mutex, Rank};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Condvar;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar};
 
 /// Per-tenant concurrency policy.
 #[derive(Debug, Clone, Copy)]
@@ -54,10 +76,25 @@ impl fmt::Display for Rejection {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct TenantState {
-    inflight: usize,
-    queued: usize,
+/// One tenant's counters, shared by every thread serving it.
+#[derive(Debug)]
+struct TenantSlot {
+    tenant: String,
+    /// Permits held. Changed by CAS below the cap, never past it.
+    inflight: AtomicUsize,
+    /// Requests waiting for a permit. Changed only under the state mutex.
+    queued: AtomicUsize,
+}
+
+impl TenantSlot {
+    /// Take a permit if the tenant is below `cap`.
+    fn try_take(&self, cap: usize) -> bool {
+        self.inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok()
+    }
 }
 
 /// Snapshot of one tenant's admission counters.
@@ -67,14 +104,26 @@ pub struct TenantLoad {
     pub queued: usize,
 }
 
+/// Source of controller ids, unique for the life of the process, so a
+/// thread's cached slot is never taken for another controller's.
+static NEXT_CONTROLLER_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The last tenant slot this thread used, with its controller's id. An
+    /// idle thread keeps one slot (a few dozen bytes) alive.
+    static SLOT: RefCell<Option<(u64, Arc<TenantSlot>)>> = const { RefCell::new(None) };
+}
+
 /// The controller. Thread-safe; share by reference.
 #[derive(Debug)]
 pub struct AdmissionController {
+    id: u64,
     config: AdmissionConfig,
-    /// One entry per tenant ever seen, idle ones included: only a tenant's
-    /// first request allocates its key. Bounded by the number of distinct
-    /// tenants, as `av-obs` keeps one SLO window per tenant.
-    state: Mutex<BTreeMap<String, TenantState>>,
+    /// One slot per tenant ever seen, idle ones included: only a tenant's
+    /// first request allocates. Bounded by the number of distinct tenants,
+    /// as `av-obs` keeps one SLO window per tenant. Also the mutex waiters
+    /// and notifying releasers synchronize on.
+    state: Mutex<BTreeMap<String, Arc<TenantSlot>>>,
     /// Shared by every tenant's waiters; each re-checks its own cap.
     freed: Condvar,
 }
@@ -82,6 +131,7 @@ pub struct AdmissionController {
 impl AdmissionController {
     pub fn new(config: AdmissionConfig) -> AdmissionController {
         AdmissionController {
+            id: NEXT_CONTROLLER_ID.fetch_add(1, Ordering::Relaxed),
             config,
             state: Mutex::new(Rank::AdmissionState, BTreeMap::new()),
             freed: Condvar::new(),
@@ -98,85 +148,102 @@ impl AdmissionController {
     /// exhausted. A zero cap grants nothing, so every arrival is shed
     /// rather than queued behind a release that can never come.
     pub fn acquire<'a>(&'a self, tenant: &'a str) -> Result<Permit<'a>, Rejection> {
-        let shed = || Rejection::QueueFull {
-            tenant: tenant.to_string(),
-        };
         let cap = self.config.max_inflight_per_tenant;
-        if cap == 0 {
-            return Err(shed());
+        let admitted = cap > 0 && self.with_slot(tenant, |slot| self.admit(slot, cap));
+        if !admitted {
+            return Err(Rejection::QueueFull {
+                tenant: tenant.to_string(),
+            });
+        }
+        Ok(Permit {
+            controller: self,
+            tenant,
+        })
+    }
+
+    /// Take a permit on `slot`: the CAS below the cap, else wait in the
+    /// queue under the state mutex (see the module doc for why no release
+    /// is missed). False when the queue is full.
+    fn admit(&self, slot: &TenantSlot, cap: usize) -> bool {
+        if slot.try_take(cap) {
+            return true;
         }
         let mut state = self.state.lock();
-        let entry = tenant_entry(&mut state, tenant);
-        if entry.inflight < cap {
-            entry.inflight += 1;
-            return Ok(self.permit(tenant));
+        if slot.try_take(cap) {
+            return true;
         }
-        if entry.queued >= self.config.max_queued_per_tenant {
-            return Err(shed());
+        if slot.queued.load(Ordering::SeqCst) >= self.config.max_queued_per_tenant {
+            return false;
         }
-        entry.queued += 1;
-        loop {
+        slot.queued.fetch_add(1, Ordering::SeqCst);
+        while !slot.try_take(cap) {
             state = state.wait(&self.freed);
-            let entry = tenant_entry(&mut state, tenant);
-            if entry.inflight < cap {
-                entry.queued -= 1;
-                entry.inflight += 1;
-                return Ok(self.permit(tenant));
-            }
         }
+        slot.queued.fetch_sub(1, Ordering::SeqCst);
+        true
     }
 
     /// Current counters for a tenant.
     pub fn load_of(&self, tenant: &str) -> TenantLoad {
-        let s = self.state.lock().get(tenant).copied().unwrap_or_default();
-        TenantLoad {
-            inflight: s.inflight,
-            queued: s.queued,
+        self.state.lock().get(tenant).map_or(
+            TenantLoad {
+                inflight: 0,
+                queued: 0,
+            },
+            |s| TenantLoad {
+                inflight: s.inflight.load(Ordering::SeqCst),
+                queued: s.queued.load(Ordering::SeqCst),
+            },
+        )
+    }
+
+    /// Run `op` on `tenant`'s slot: this thread's cached one if it is
+    /// `tenant`'s on this controller, else the one in the map (inserted on
+    /// the tenant's first request), which then becomes the cached one.
+    fn with_slot<R>(&self, tenant: &str, op: impl Fn(&TenantSlot) -> R) -> R {
+        let cached = SLOT.try_with(|cache| {
+            let mut cache = cache.try_borrow_mut().ok()?;
+            match &*cache {
+                Some((id, slot)) if *id == self.id && slot.tenant == tenant => {}
+                _ => *cache = Some((self.id, self.slot(tenant))),
+            }
+            cache.as_ref().map(|(_, slot)| op(slot))
+        });
+        match cached {
+            Ok(Some(out)) => out,
+            _ => op(&self.slot(tenant)),
         }
     }
 
-    /// Called at both grant sites (fast path, wait loop), after
-    /// the tenant's `inflight` count was bumped under the state lock.
-    fn permit<'a>(&'a self, tenant: &'a str) -> Permit<'a> {
-        Permit {
-            controller: self,
-            tenant,
+    /// `tenant`'s slot from the map, inserted (the one allocation) on its
+    /// first request.
+    fn slot(&self, tenant: &str) -> Arc<TenantSlot> {
+        let mut state = self.state.lock();
+        if let Some(slot) = state.get(tenant) {
+            return slot.clone();
         }
+        let slot = Arc::new(TenantSlot {
+            tenant: tenant.to_string(),
+            inflight: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+        });
+        state.insert(tenant.to_string(), slot.clone());
+        slot
     }
 
     fn release(&self, tenant: &str) {
-        let mut state = self.state.lock();
-        let Some(entry) = state.get_mut(tenant) else {
-            return;
-        };
-        entry.inflight = entry.inflight.saturating_sub(1);
-        let waiters = entry.queued > 0;
-        drop(state);
-        // Only this tenant's waiters can use the freed slot, and each
-        // incremented `queued` under the lock before waiting, so a release
-        // that sees none has no one to wake. Skipping the notify skips the
-        // FUTEX_WAKE std's condvar would issue even with no waiter.
+        let waiters = self.with_slot(tenant, |slot| {
+            slot.inflight.fetch_sub(1, Ordering::SeqCst);
+            slot.queued.load(Ordering::SeqCst) > 0
+        });
+        // Only this tenant's waiters can use the freed slot, so a release
+        // that sees none queued has no one to wake and skips the mutex and
+        // the FUTEX_WAKE std's condvar would issue even with no waiter.
         if waiters {
+            let _state = self.state.lock();
             self.freed.notify_all();
         }
     }
-}
-
-/// `tenant`'s entry, inserted (the one allocation) on its first request.
-#[allow(
-    clippy::expect_used,
-    reason = "the entry is inserted just above when missing"
-)]
-fn tenant_entry<'m>(
-    state: &'m mut BTreeMap<String, TenantState>,
-    tenant: &str,
-) -> &'m mut TenantState {
-    if !state.contains_key(tenant) {
-        state.insert(tenant.to_string(), TenantState::default());
-    }
-    state
-        .get_mut(tenant)
-        .expect("the tenant's entry was just ensured")
 }
 
 /// An admitted request's slot; releases on drop.

@@ -8,11 +8,14 @@
 //! - [`Deployment`] / [`DeploymentCell`]: immutable copy-on-write
 //!   snapshots (an `Arc<Catalog>` sharing table data plus a frozen live
 //!   view set) published through an epoch-swapped cell. Readers never
-//!   block on re-optimization; a swap replaces one pointer and in-flight
-//!   requests finish on the epoch they started with.
+//!   block on re-optimization, and while the epoch holds a request reads
+//!   its thread's cached handle without a shared write; a swap replaces
+//!   one pointer and in-flight requests finish on the epoch they started
+//!   with.
 //! - [`AdmissionController`]: per-tenant inflight caps with a bounded wait
 //!   queue — backpressure first, load shedding second, so one hot tenant
-//!   cannot monopolize the server.
+//!   cannot monopolize the server. Below the cap a permit is one CAS on the
+//!   tenant's atomic counter; the lock and condvar serve only the queue.
 //! - [`ViewServer`]: the façade. `execute` is the lock-light read path
 //!   (admission → snapshot → route → sharded cache); `reoptimize` is the
 //!   serialized write path (selection → tenant-accounted admission → a

@@ -1,7 +1,8 @@
 //! A warm request allocates only its result.
 //!
 //! A counting global allocator tallies the allocations each thread makes.
-//! Admission for a tenant it has seen before allocates nothing, and a warm
+//! Admission for a tenant it has seen before allocates nothing, also on a
+//! thread that alternates between two such tenants, and a warm
 //! cache-hit `execute` allocates exactly what cloning the returned batch
 //! allocates: the permit, the snapshot load, the route memo and the
 //! telemetry record add none.
@@ -74,6 +75,22 @@ fn admission_of_a_seen_tenant_allocates_nothing() {
     for _ in 0..3 {
         let ((), n) = counted(|| drop(ctl.acquire("t").expect("admitted")));
         assert_eq!(n, 0, "acquire + release of a seen tenant allocated");
+    }
+}
+
+/// A thread caches one tenant's slot; switching tenants swaps the cached
+/// slot for the seen tenant's own, which must not allocate either.
+#[test]
+fn a_thread_alternating_two_seen_tenants_allocates_nothing() {
+    let ctl = AdmissionController::new(AdmissionConfig::default());
+    for tenant in ["a", "tenant-b"] {
+        drop(ctl.acquire(tenant).expect("first request admitted"));
+    }
+    for _ in 0..3 {
+        for tenant in ["a", "tenant-b"] {
+            let ((), n) = counted(|| drop(ctl.acquire(tenant).expect("admitted")));
+            assert_eq!(n, 0, "acquire + release of seen tenant {tenant} allocated");
+        }
     }
 }
 
