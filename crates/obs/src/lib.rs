@@ -24,6 +24,12 @@
 //! is the one trigger that stores a flight-recorder dump, captured inside
 //! the critical section that saw the alert fire.
 //!
+//! Every client shares that lock, so what it guards is laid out to be
+//! written in few cache lines: a ring slot is two whole lines, the totals a
+//! served request bumps share one line, and so do an SLO interval's. The
+//! cumulative served-latency sketch is folded from the SLO windows when
+//! [`Obs::totals`] reads it, not written a second time per request.
+//!
 //! Everything here is fed time exclusively through values the caller read
 //! from its injected [`av_trace::Clock`] — this crate never touches the
 //! wall clock, so replayed workloads reproduce alerts and dumps exactly.
@@ -107,24 +113,33 @@ pub struct DumpInfo {
 /// Cumulative per-request aggregates since startup — what the serving
 /// layer's `serve.*` exposition series are folded from at snapshot time,
 /// so the request path never touches the metrics registry.
+///
+/// `repr(C)` and line-aligned so that what every served request writes
+/// here (`query_cost`'s 48 bytes, `served`, `exec_nanos`) is one cache
+/// line.
 #[derive(Debug, Clone, Default)]
+#[repr(C, align(64))]
 pub struct RequestTotals {
+    /// Measured dollar cost of served requests.
+    pub query_cost: QuantileSketch,
     pub served: u64,
+    /// Σ route + execute time over admitted (served or failed) requests.
+    pub exec_nanos: u64,
     pub shed: u64,
     pub errors: u64,
     /// Served requests that view routing rewrote.
     pub rewritten: u64,
     /// Σ subtree replacements over served requests.
     pub rewrite_hits: u64,
-    /// Σ route + execute time over admitted (served or failed) requests.
-    pub exec_nanos: u64,
-    /// Total latency (admission wait + exec) of served requests, µs.
-    pub latency_us: QuantileSketch,
-    /// Measured dollar cost of served requests.
-    pub query_cost: QuantileSketch,
     /// NaN costs the sketches refused.
     pub nan_rejected: u64,
+    /// Total latency (admission wait + exec) of served requests, µs.
+    /// Folded from the SLO windows when read
+    /// ([`SloState::served_latency_us`]), never written per request.
+    pub latency_us: QuantileSketch,
 }
+
+const _: () = assert!(std::mem::offset_of!(RequestTotals, exec_nanos) < 64);
 
 impl RequestTotals {
     fn fold(&mut self, rec: &QueryRecord) {
@@ -142,8 +157,6 @@ impl RequestTotals {
             self.rewritten += 1;
             self.rewrite_hits += rec.route_hits as u64;
         }
-        self.latency_us
-            .observe((rec.admit_wait_nanos + rec.exec_nanos) as f64 / 1e3);
         if !self.query_cost.observe(rec.meas_cost) {
             self.nan_rejected += 1;
         }
@@ -229,7 +242,11 @@ impl Obs {
 
     /// Copy of the cumulative per-request aggregates.
     pub fn totals(&self) -> RequestTotals {
-        self.state.lock().totals.clone()
+        let s = self.state.lock();
+        RequestTotals {
+            latency_us: s.slo.served_latency_us(),
+            ..s.totals.clone()
+        }
     }
 
     /// Feed one finished (or shed/failed) request through every component:
@@ -392,6 +409,36 @@ mod tests {
         let dump = obs.dump_now("manual");
         assert_eq!(dump.records.len(), 10);
         assert!(obs.dumps().is_empty(), "on-demand dumps are not stored");
+    }
+
+    #[test]
+    fn served_latency_survives_the_windows_rotating_out() {
+        // 40 one-second intervals against a 12-interval window: most
+        // samples live only in the retired sketch by the end.
+        let obs = Obs::new(ObsConfig::default());
+        let mut want = QuantileSketch::new();
+        for i in 0..400u64 {
+            let exec_nanos = 1_000 + i * 37;
+            let status = if i % 9 == 0 {
+                RecordStatus::Shed
+            } else {
+                want.observe(exec_nanos as f64 / 1e3);
+                RecordStatus::Ok
+            };
+            obs.observe_query(i * 100_000_000, &record("t", exec_nanos, status), "Scan");
+        }
+        let got = obs.totals().latency_us;
+        assert!(obs.slo_stats()[0].requests < 400, "the window forgot");
+        assert_eq!(got.count(), want.count());
+        let buckets = |s: &QuantileSketch| {
+            let snap = s.snapshot();
+            snap.buckets
+                .iter()
+                .map(|b| (b.upper, b.count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(buckets(&got), buckets(&want));
+        assert_eq!(got.quantile(1.0), want.quantile(1.0));
     }
 
     #[test]

@@ -172,12 +172,23 @@ impl RawDump {
     }
 }
 
+/// One ring slot: a record padded to whole cache lines (a 112-byte
+/// [`QueryRecord`] takes two), so neighbouring records share no line.
+/// Successive requests are often recorded from different cores, and a
+/// line shared by two records would pass between them on every write.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Slot(QueryRecord);
+
 /// The ring of the newest `capacity` records. Not internally synchronized:
 /// [`crate::Obs`] owns the locking.
 #[derive(Debug)]
 pub(crate) struct FlightRecorder {
-    slots: Vec<QueryRecord>,
+    slots: Vec<Slot>,
     capacity: usize,
+    /// The slot the next record goes to: `next % capacity`, kept so a
+    /// record pays no division.
+    cursor: usize,
     next: u64,
 }
 
@@ -188,6 +199,7 @@ impl FlightRecorder {
         FlightRecorder {
             slots: Vec::with_capacity(capacity),
             capacity,
+            cursor: 0,
             next: 0,
         }
     }
@@ -199,10 +211,15 @@ impl FlightRecorder {
 
     /// Record one query as sequence number [`FlightRecorder::sequence`].
     pub(crate) fn record(&mut self, rec: &QueryRecord) {
+        let slot = Slot(*rec);
         if self.slots.len() < self.capacity {
-            self.slots.push(*rec);
+            self.slots.push(slot);
         } else {
-            self.slots[(self.next % self.capacity as u64) as usize] = *rec;
+            self.slots[self.cursor] = slot;
+        }
+        self.cursor += 1;
+        if self.cursor == self.capacity {
+            self.cursor = 0;
         }
         self.next += 1;
     }
@@ -211,10 +228,8 @@ impl FlightRecorder {
     /// next slot to be written. Until the ring first wraps, that is one
     /// past the end, and the copy is the ring as stored.
     pub(crate) fn capture(&self) -> RawDump {
-        let split = (self.next % self.capacity as u64) as usize;
-        let mut records = Vec::with_capacity(self.slots.len());
-        records.extend_from_slice(&self.slots[split..]);
-        records.extend_from_slice(&self.slots[..split]);
+        let (newer, older) = self.slots.split_at(self.cursor);
+        let records = older.iter().chain(newer).map(|slot| slot.0).collect();
         RawDump {
             seq_at: self.next,
             records,

@@ -100,27 +100,36 @@ pub enum RequestOutcome {
     Failed,
 }
 
+/// One window interval's counts, in one cache line: the whole interval is
+/// what a request writes here. Its request count is derived (every served
+/// request is a latency sample, every other one is availability-bad)
+/// rather than stored.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 struct Interval {
     sketch: QuantileSketch,
-    total: u64,
     lat_bad: u64,
     avail_bad: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Interval>() == 64);
 
 impl Interval {
     fn new() -> Interval {
         Interval {
             sketch: QuantileSketch::new(),
-            total: 0,
             lat_bad: 0,
             avail_bad: 0,
         }
     }
 
+    /// Requests observed in the interval: served plus shed or failed.
+    fn requests(&self) -> u64 {
+        self.sketch.count() + self.avail_bad
+    }
+
     fn clear(&mut self) {
         self.sketch.clear();
-        self.total = 0;
         self.lat_bad = 0;
         self.avail_bad = 0;
     }
@@ -148,15 +157,21 @@ impl TenantWindow {
         }
     }
 
-    fn rotate_to(&mut self, abs: u64) {
+    /// Advance the head to interval `abs`, clearing the intervals it
+    /// reuses. A cleared interval's latencies fold into `retired` first,
+    /// so the served-latency sketch since startup is never lost.
+    fn rotate_to(&mut self, abs: u64, retired: &mut QuantileSketch) {
         if abs <= self.head {
             return; // same interval (clocks are monotone; never rotate back)
         }
         let n = self.intervals.len() as u64;
         let steps = (abs - self.head).min(n);
         for s in 1..=steps {
-            let idx = ((self.head + s) % n) as usize;
-            self.intervals[idx].clear();
+            let iv = &mut self.intervals[((self.head + s) % n) as usize];
+            if iv.sketch.count() > 0 {
+                retired.merge(&iv.sketch);
+            }
+            iv.clear();
         }
         self.head = abs;
     }
@@ -172,7 +187,7 @@ impl TenantWindow {
                 break;
             }
             let iv = &self.intervals[((self.head - back) % n) as usize];
-            total += iv.total;
+            total += iv.requests();
             bad += if lat { iv.lat_bad } else { iv.avail_bad };
         }
         (total, bad)
@@ -225,6 +240,9 @@ pub struct TenantSloStats {
 pub struct SloState {
     config: SloConfig,
     tenants: BTreeMap<TenantTag, TenantWindow>,
+    /// Served latencies (µs) of every interval the windows have rotated
+    /// out, all tenants together.
+    retired: QuantileSketch,
 }
 
 impl SloState {
@@ -232,7 +250,22 @@ impl SloState {
         SloState {
             config,
             tenants: BTreeMap::new(),
+            retired: QuantileSketch::new(),
         }
+    }
+
+    /// Every served latency (µs) observed since startup, all tenants: the
+    /// rotated-out intervals plus every live one. The windows hold these
+    /// samples anyway, so the cumulative sketch is folded here when read
+    /// instead of being written a second time per request.
+    pub fn served_latency_us(&self) -> QuantileSketch {
+        let mut out = self.retired.clone();
+        for win in self.tenants.values() {
+            for iv in &win.intervals {
+                out.merge(&iv.sketch);
+            }
+        }
+        out
     }
 
     pub fn config(&self) -> &SloConfig {
@@ -256,12 +289,11 @@ impl SloState {
             .tenants
             .entry(tenant)
             .or_insert_with(|| TenantWindow::new(cfg.intervals));
-        win.rotate_to(now_nanos / cfg.interval_nanos.max(1));
+        win.rotate_to(now_nanos / cfg.interval_nanos.max(1), &mut self.retired);
 
         let n = win.intervals.len() as u64;
         let head = (win.head % n) as usize;
         let iv = &mut win.intervals[head];
-        iv.total += 1;
         let mut bad = false;
         match outcome {
             RequestOutcome::Served => {

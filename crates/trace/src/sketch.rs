@@ -63,7 +63,9 @@ fn bucket_upper(index: usize) -> f64 {
 /// (integer microseconds and nanoseconds are observed as `f64`).
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    counts: Vec<u64>,
+    /// A boxed slice, not a `Vec`: the sketch is 48 bytes, so it shares one
+    /// cache line with the counters its owner bumps next to it.
+    counts: Box<[u64]>,
     count: u64,
     sum: f64,
     min: f64,
@@ -79,7 +81,7 @@ impl Default for QuantileSketch {
 impl QuantileSketch {
     pub fn new() -> QuantileSketch {
         QuantileSketch {
-            counts: vec![0; BUCKETS],
+            counts: vec![0; BUCKETS].into_boxed_slice(),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -149,7 +151,7 @@ impl QuantileSketch {
     /// Fold `other` in: counter addition, so merge order is irrelevant and
     /// the result equals a sketch of the concatenated observations.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
         self.count += other.count;
