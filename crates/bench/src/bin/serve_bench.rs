@@ -78,6 +78,9 @@ struct ObsRecord {
     /// throughput is the reciprocal of service time. May be negative
     /// within noise.
     overhead_ns: f64,
+    /// Each rep's paired delta, in rep order: the spread `overhead_ns` is
+    /// the median of, so a reader can tell a clear pass from a lucky one.
+    rep_deltas_ns: Vec<f64>,
     /// `(qps_off / qps_on - 1)` in percent of the saturated warm-hit
     /// service time — the most adversarial denominator the bench has.
     overhead_pct: f64,
@@ -182,6 +185,7 @@ fn measure_obs_overhead(
         // cost far better than any cross-rep comparison.
         deltas_ns.push((1.0 / rep_qps[1] - 1.0 / rep_qps[0]) * 1e9);
     }
+    let rep_deltas_ns = deltas_ns.clone();
     // Median of the paired deltas: robust to a rep that caught a noisy
     // neighbour or an unlucky preemption in either mode.
     deltas_ns.sort_by(f64::total_cmp);
@@ -207,6 +211,7 @@ fn measure_obs_overhead(
         mean_us_off: best_mean[0],
         mean_us_on: best_mean[1],
         overhead_ns,
+        rep_deltas_ns,
         overhead_pct: overhead_ns / (1e9 / best_qps[0]) * 100.0,
         recorded: stats.recorded,
         residuals_recorded: stats.residuals.recorded,

@@ -20,7 +20,7 @@
 //!   timed: each call is timed on its own, so the row also carries two
 //!   clock reads;
 //! - `cache_hit`: `ExecCache::run_keyed_hit_dop` on a warm entry, including
-//!   the clone of the cached batch a hit returns;
+//!   the refcount bump that shares the cached batch with the caller;
 //! - `observe_query`: `Obs::observe_query` (the server's own telemetry);
 //!
 //! then the whole `execute`. The gap between a row's two columns is what

@@ -17,6 +17,7 @@ pub use av_select::SelectorKind;
 use av_select::{RlViewConfig, SelectionResult};
 use av_serve::{ReoptSummary, ServeConfig, ServeError, ViewServer};
 use av_trace::Tracer;
+use std::sync::Arc;
 
 /// Which cost estimator drives the benefit matrix.
 #[derive(Debug, Clone)]
@@ -257,10 +258,10 @@ impl AutoViewSystem {
             if used_any {
                 // Training-pair collection likely already executed this
                 // rewritten shape; the shared cache makes deployment free.
-                let r = pre.cache.run(&self.catalog, &plan)?;
+                let report = pre.cache.report(&self.catalog, &plan)?;
                 num_rewritten += 1;
-                benefit += pre.query_costs[i] - r.report.cost_dollars;
-                rewritten_latency += r.report.usage.latency_seconds;
+                benefit += pre.query_costs[i] - report.cost_dollars;
+                rewritten_latency += report.usage.latency_seconds;
             } else {
                 rewritten_latency += pre.query_latencies[i];
             }
@@ -364,8 +365,8 @@ impl Default for OnlineSystemConfig {
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub seq: u64,
-    /// The served result.
-    pub batch: RecordBatch,
+    /// The served result, shared with the server's result cache.
+    pub batch: Arc<RecordBatch>,
     /// Cost of the query as submitted (no views).
     pub baseline_cost: f64,
     /// Cost actually paid (after routing through live views).

@@ -63,9 +63,9 @@ pub fn preprocess_and_measure_traced(
         let span = tracer.span("core.measure_queries");
         span.record_num("queries", queries.len() as f64);
         for q in queries {
-            let r = cache.run(catalog, q)?;
-            query_costs.push(r.report.cost_dollars);
-            query_latencies.push(r.report.usage.latency_seconds);
+            let report = cache.report(catalog, q)?;
+            query_costs.push(report.cost_dollars);
+            query_latencies.push(report.usage.latency_seconds);
         }
     }
 

@@ -12,6 +12,12 @@
 //! a hit counts only for that plan (the same `Arc`, else a structurally
 //! equal tree); a colliding plan misses and runs itself.
 //!
+//! Each result is stored once: an entry holds the `Arc<RecordBatch>` the
+//! miss produced, and a hit hands out that same allocation (a refcount bump
+//! under the shard lock, no column copy). [`ExecCache::report`] and
+//! [`ExecCache::cost`] read the entry's report and take no reference to its
+//! batch.
+//!
 //! The cache is interior-mutable (`&self` everywhere) and thread-safe, so
 //! one instance can serve a whole preprocessing pipeline. A miss executes on
 //! the thread that asked; concurrent misses on one key compute the identical
@@ -20,7 +26,7 @@
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecResult, Executor};
-use crate::meter::Pricing;
+use crate::meter::{ExecutionReport, Pricing};
 use av_plan::{Fingerprint, Plan, PlanRef};
 use av_sched::{Mutex, Rank};
 use std::collections::HashMap;
@@ -60,10 +66,13 @@ impl CacheStats {
     }
 }
 
+/// `(plan fingerprint, catalog epoch)`.
+type CacheKey = (Fingerprint, u64);
+
 #[derive(Debug, Default)]
 struct CacheState {
     /// Each result beside the plan it was computed for.
-    map: HashMap<(Fingerprint, u64), (PlanRef, ExecResult)>,
+    map: HashMap<CacheKey, (PlanRef, ExecResult)>,
     stats: CacheStats,
     /// Lookups whose key held another plan's result (each also a miss).
     mismatches: u64,
@@ -79,7 +88,8 @@ struct CacheShard {
 }
 
 /// A caching wrapper around [`Executor`]: same results, same reports, but a
-/// repeated `(plan, catalog epoch)` pair returns a clone of the first run.
+/// repeated `(plan, catalog epoch)` pair returns the first run's result,
+/// sharing its batch allocation.
 ///
 /// The cache is split into `N` fingerprint-selected shards, each behind its
 /// own lock, so concurrent serving sessions stop serializing on one mutex;
@@ -168,22 +178,49 @@ impl ExecCache {
         plan: &PlanRef,
         _dop: Option<usize>,
     ) -> Result<(ExecResult, bool), EngineError> {
-        let shard = self.shard_of(fingerprint);
-        let key = (fingerprint, catalog.epoch());
-        if let Some(hit) = self.shards[shard].lookup(&key, plan) {
-            return Ok((hit, true));
-        }
+        self.run_reading(fingerprint, catalog, plan, ExecResult::clone)
+    }
 
-        // Execute outside the lock; concurrent misses on the same key just
-        // compute the identical result twice.
-        let result = Executor::new(catalog, self.pricing).run(plan)?;
-        self.shards[shard].insert(key, plan, result.clone(), self.shard_entries);
-        Ok((result, false))
+    /// Execute and return only the execution report, cached. Reads the
+    /// entry's report under the shard lock and takes no reference to its
+    /// batch.
+    pub fn report(
+        &self,
+        catalog: &Catalog,
+        plan: &PlanRef,
+    ) -> Result<ExecutionReport, EngineError> {
+        self.run_reading(plan.fingerprint(), catalog, plan, |r| r.report)
+            .map(|(report, _)| report)
     }
 
     /// Execute and return only the cost in dollars (`A_{β,γ}`), cached.
     pub fn cost(&self, catalog: &Catalog, plan: &PlanRef) -> Result<f64, EngineError> {
-        Ok(self.run(catalog, plan)?.report.cost_dollars)
+        Ok(self.report(catalog, plan)?.cost_dollars)
+    }
+
+    /// The cache protocol behind every entry point: `read` sees the cached
+    /// result (under the shard lock on a hit, before the insert on a miss),
+    /// and its output is returned with whether the result was a hit.
+    fn run_reading<T>(
+        &self,
+        fingerprint: Fingerprint,
+        catalog: &Catalog,
+        plan: &PlanRef,
+        read: impl FnOnce(&ExecResult) -> T,
+    ) -> Result<(T, bool), EngineError> {
+        let shard = &self.shards[self.shard_of(fingerprint)];
+        let key = (fingerprint, catalog.epoch());
+        let read = match shard.lookup(&key, plan, read) {
+            Ok(hit) => return Ok((hit, true)),
+            Err(read) => read,
+        };
+
+        // Execute outside the lock; concurrent misses on the same key just
+        // compute the identical result twice.
+        let result = Executor::new(catalog, self.pricing).run(plan)?;
+        let out = read(&result);
+        shard.insert(key, plan, result, self.shard_entries);
+        Ok((out, false))
     }
 
     /// Lookups whose key held a result computed for another plan: a 64-bit
@@ -217,23 +254,29 @@ impl ExecCache {
 }
 
 impl CacheShard {
-    /// A clone of the result cached under `key` for `plan`, counting the
-    /// hit or miss. An entry under `key` computed for another plan is a
-    /// miss, and counted as a mismatch.
-    fn lookup(&self, key: &(Fingerprint, u64), plan: &PlanRef) -> Option<ExecResult> {
+    /// `read` applied to the result cached under `key` for `plan`, counting
+    /// the hit or miss; on a miss `read` comes back unused. An entry under
+    /// `key` computed for another plan is a miss, and counted as a
+    /// mismatch.
+    fn lookup<T, F: FnOnce(&ExecResult) -> T>(
+        &self,
+        key: &CacheKey,
+        plan: &PlanRef,
+        read: F,
+    ) -> Result<T, F> {
         let mut guard = self.state.lock();
         let state = &mut *guard;
         let hit = match state.map.get(key) {
-            Some((stored, result)) if Plan::same(stored, plan) => Some(result.clone()),
+            Some((stored, result)) if Plan::same(stored, plan) => Ok(read(result)),
             Some(_) => {
                 state.mismatches += 1;
-                None
+                Err(read)
             }
-            None => None,
+            None => Err(read),
         };
         match hit {
-            Some(_) => state.stats.hits += 1,
-            None => state.stats.misses += 1,
+            Ok(_) => state.stats.hits += 1,
+            Err(_) => state.stats.misses += 1,
         }
         hit
     }
@@ -241,44 +284,52 @@ impl CacheShard {
     /// Store `result` for `plan` under `key` unless the key already holds
     /// an entry (a concurrent miss's identical result, or another plan's,
     /// which keeps its slot). Room is made first when the shard holds
-    /// `max_entries`: entries from earlier catalog epochs are unreachable
-    /// and go first; if the key's own epoch alone fills the cap, the shard
-    /// starts over.
-    fn insert(
-        &self,
-        key: (Fingerprint, u64),
-        plan: &PlanRef,
-        result: ExecResult,
-        max_entries: usize,
-    ) {
-        let mut state = self.state.lock();
-        if state.map.contains_key(&key) {
-            return;
-        }
-        let mut shed_bytes = 0u64;
-        if state.map.len() >= max_entries {
-            let before = state.map.len();
-            state.map.retain(|(_, e), (_, v)| {
-                let keep = *e == key.1;
-                if !keep {
-                    shed_bytes += v.report.output_bytes as u64;
-                }
-                keep
-            });
-            if state.map.len() >= max_entries {
-                #[allow(clippy::disallowed_methods, reason = "a sum does not see hash order")]
-                let rest = state
-                    .map
-                    .values()
-                    .map(|(_, v)| v.report.output_bytes as u64)
-                    .sum::<u64>();
-                shed_bytes += rest;
-                state.map.clear();
+    /// `max_entries` ([`CacheState::shed`]); the shed entries are freed
+    /// after the lock is released, so hits on this shard do not wait on
+    /// their deallocation.
+    fn insert(&self, key: CacheKey, plan: &PlanRef, result: ExecResult, max_entries: usize) {
+        let shed = {
+            let mut state = self.state.lock();
+            if state.map.contains_key(&key) {
+                return;
             }
-            state.stats.evictions += (before - state.map.len()) as u64;
-            state.stats.evicted_bytes += shed_bytes;
+            let shed = if state.map.len() >= max_entries {
+                state.shed(key.1, max_entries)
+            } else {
+                Vec::new()
+            };
+            state.map.insert(key, (plan.clone(), result));
+            shed
+        };
+        drop(shed);
+    }
+}
+
+impl CacheState {
+    /// Move entries out of the map, counting them as evictions: entries
+    /// from catalog epochs other than `epoch` are unreachable and go first;
+    /// if `epoch`'s own entries alone still fill `max_entries`, the shard
+    /// starts over.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the shed entries are only counted, summed and freed"
+    )]
+    fn shed(&mut self, epoch: u64, max_entries: usize) -> Vec<(PlanRef, ExecResult)> {
+        let mut shed = Vec::with_capacity(self.map.len());
+        shed.extend(
+            self.map
+                .extract_if(|&(_, e), _| e != epoch)
+                .map(|(_, entry)| entry),
+        );
+        if self.map.len() >= max_entries {
+            shed.extend(self.map.drain().map(|(_, entry)| entry));
         }
-        state.map.insert(key, (plan.clone(), result));
+        self.stats.evictions += shed.len() as u64;
+        self.stats.evicted_bytes += shed
+            .iter()
+            .map(|(_, r)| r.report.output_bytes as u64)
+            .sum::<u64>();
+        shed
     }
 }
 
@@ -292,6 +343,7 @@ mod tests {
     use crate::batch::Column;
     use crate::catalog::Table;
     use av_plan::{Expr, PlanBuilder};
+    use std::sync::Arc;
 
     /// Every behaviour below holds for the unsharded and the sharded cache.
     const SHARD_COUNTS: [usize; 2] = [1, 16];
@@ -379,6 +431,62 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn a_hit_shares_the_batch_the_miss_stored() {
+        let c = catalog();
+        let p = plan();
+        for shards in SHARD_COUNTS {
+            let cache = ExecCache::new(Pricing::paper_defaults(), shards);
+            let (cold, hit) = cache
+                .run_keyed_hit_dop(p.fingerprint(), &c, &p, None)
+                .expect("cold run");
+            assert!(!hit);
+            // The miss returned the allocation it inserted: the entry and
+            // `cold` are its only owners.
+            assert_eq!(Arc::strong_count(&cold.batch), 2);
+            let warm = cache.run(&c, &p).expect("warm run");
+            assert!(
+                Arc::ptr_eq(&cold.batch, &warm.batch),
+                "a hit copies no batch"
+            );
+            assert_eq!(Arc::strong_count(&cold.batch), 3);
+            drop(warm);
+            // The report-only readers leave the entry's count as it was.
+            assert_eq!(cache.cost(&c, &p).expect("cost"), cold.report.cost_dollars);
+            assert_eq!(cache.report(&c, &p).expect("report"), cold.report);
+            assert_eq!(Arc::strong_count(&cold.batch), 2);
+            assert_eq!((cache.stats().hits, cache.stats().misses), (3, 1));
+        }
+    }
+
+    #[test]
+    fn a_cost_miss_inserts_the_result_for_later_hits() {
+        let c = catalog();
+        let p = plan();
+        let cache = ExecCache::new(Pricing::paper_defaults(), 1);
+        let cost = cache.cost(&c, &p).expect("cold cost");
+        assert_eq!(cache.len(), 1);
+        let (warm, hit) = cache
+            .run_keyed_hit_dop(p.fingerprint(), &c, &p, None)
+            .expect("warm run");
+        assert!(hit, "the cost miss stored its result");
+        assert_eq!(warm.report.cost_dollars, cost);
+        assert_eq!(Arc::strong_count(&warm.batch), 2, "entry and `warm` alone");
+    }
+
+    #[test]
+    fn a_batch_shed_from_the_cache_stays_valid_for_its_holder() {
+        let c = catalog();
+        let cache = ExecCache::new(Pricing::paper_defaults(), 1).with_capacity(1);
+        let plans = distinct_plans(2);
+        let first = cache.run(&c, &plans[0]).expect("fills");
+        let want = (*first.batch).clone();
+        cache.run(&c, &plans[1]).expect("sheds the first entry");
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(Arc::strong_count(&first.batch), 1, "the shard let go of it");
+        assert_eq!(*first.batch, want);
     }
 
     #[test]

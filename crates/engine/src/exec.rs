@@ -39,11 +39,16 @@ use av_plan::{AggFunc, CmpOp, Expr, JoinType, PlanNode, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Result of executing a plan: the data plus the priced execution report.
+///
+/// The batch is shared: [`crate::ExecCache`] stores the allocation a miss
+/// produced and hands the same `Arc` to every later hit, so a clone of an
+/// `ExecResult` copies no column data.
 #[derive(Debug, Clone)]
 pub struct ExecResult {
-    pub batch: RecordBatch,
+    pub batch: Arc<RecordBatch>,
     pub report: ExecutionReport,
 }
 
@@ -90,7 +95,10 @@ impl<'a> Executor<'a> {
         let bytes = sb.bytes;
         let batch = sb.into_batch();
         let report = meter.report(&self.pricing, bytes, batch.num_rows());
-        Ok(ExecResult { batch, report })
+        Ok(ExecResult {
+            batch: Arc::new(batch),
+            report,
+        })
     }
 
     /// Execute and return only the cost in dollars (`A_{β,γ}`).

@@ -6,6 +6,7 @@ use crate::exec::Executor;
 use crate::meter::Pricing;
 use av_plan::{Fingerprint, PlanRef};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a materialized view within a [`ViewStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -43,7 +44,8 @@ impl MaterializedView {
     ) -> Result<MaterializedView, EngineError> {
         let result = Executor::new(catalog, pricing).run(&plan)?;
         let table_name = format!("__view_{}", id.0);
-        let table = Table::from_batch(table_name.clone(), result.batch);
+        // The executor's `Arc` is unique here, so this moves the batch.
+        let table = Table::from_batch(table_name.clone(), Arc::unwrap_or_clone(result.batch));
         let byte_size = table.byte_size();
         let row_count = table.row_count();
         catalog.add_table(table)?;

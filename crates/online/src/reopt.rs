@@ -137,9 +137,8 @@ pub fn build_window_instance(
     let pricing = cache.pricing();
     let mut overheads = Vec::with_capacity(analysis.candidates.len());
     for cand in &analysis.candidates {
-        let result = cache.run(catalog, &cand.plan)?;
-        overheads
-            .push(result.report.cost_dollars + pricing.storage_dollars(result.report.output_bytes));
+        let report = cache.report(catalog, &cand.plan)?;
+        overheads.push(report.cost_dollars + pricing.storage_dollars(report.output_bytes));
     }
 
     let mut benefits = benefit_matrix(catalog, analysis, window, estimator);

@@ -13,7 +13,8 @@
 //!   holds the snapshot read is one atomic load with no refcount traffic
 //!   ([`DeploymentCell::with_current`]). So up to routing, a warm request
 //!   writes no shared memory but its tenant's inflight counter, and a warm
-//!   cache hit allocates only the clone of its result batch. The plan's
+//!   cache hit allocates nothing: its response shares the cache entry's
+//!   batch. The plan's
 //!   fingerprint is memoized in its `Arc`, so a client that resubmits its
 //!   `Arc` pays one atomic load for it, and a route-memo or result-cache
 //!   hit is taken only for the plan its entry was stored for. A newly built
@@ -110,7 +111,9 @@ impl From<EngineError> for ServeError {
 /// One served query's result.
 #[derive(Debug, Clone)]
 pub struct ServeResponse {
-    pub batch: RecordBatch,
+    /// The result, shared with the result cache's entry: a warm hit hands
+    /// out the allocation the miss stored.
+    pub batch: Arc<RecordBatch>,
     /// `A_{β,γ}` actually paid (0-cost on a cache hit is still reported as
     /// the original execution's cost — the cached result's price).
     pub cost_dollars: f64,
@@ -603,7 +606,7 @@ mod tests {
         assert_eq!(server.epoch(), 0);
 
         // Epoch 0 serves with no views.
-        let baseline: Vec<RecordBatch> = plans
+        let baseline: Vec<Arc<RecordBatch>> = plans
             .iter()
             .map(|p| server.execute("t0", p).expect("serves").batch)
             .collect();

@@ -14,6 +14,7 @@ use av_serve::{ServeConfig, ViewServer};
 use av_workload::cloud::mini;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn server_for(w: &av_workload::Workload) -> ViewServer {
     ViewServer::new(
@@ -50,7 +51,7 @@ proptest! {
         let exec = Executor::new(&w.catalog, Pricing::paper_defaults());
         let expected: Vec<RecordBatch> = plans
             .iter()
-            .map(|p| exec.run(p).expect("serial run").batch)
+            .map(|p| Arc::unwrap_or_clone(exec.run(p).expect("serial run").batch))
             .collect();
 
         let server = server_for(&w);
@@ -77,7 +78,7 @@ proptest! {
                             match server.execute(&tenant, &plans[i]) {
                                 Ok(resp) => {
                                     served.fetch_add(1, Ordering::Relaxed);
-                                    if resp.batch != expected[i] {
+                                    if *resp.batch != expected[i] {
                                         mismatches.fetch_add(1, Ordering::Relaxed);
                                     }
                                 }
@@ -106,7 +107,7 @@ proptest! {
         // After the dust settles the new epoch still serves identical rows.
         for (i, p) in plans.iter().enumerate() {
             let resp = server.execute("tenant1", p).expect("post-swap serve");
-            prop_assert_eq!(&resp.batch, &expected[i]);
+            prop_assert_eq!(&*resp.batch, &expected[i]);
             prop_assert_eq!(resp.epoch, 1);
         }
     }

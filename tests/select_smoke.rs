@@ -11,6 +11,7 @@ use autoview::select::{IterViewConfig, RlViewConfig};
 use autoview::workload::cloud::mini;
 use av_online::LifecycleConfig;
 use av_serve::ServeConfig;
+use std::sync::Arc;
 
 fn run(selector: SelectorKind) -> (AutoViewSystem, EndToEndReport) {
     let w = mini(42);
@@ -56,7 +57,7 @@ fn assert_serves_oracle(sys: &AutoViewSystem, report: &EndToEndReport, oracle: &
     for (plan, expected) in sys.queries.iter().zip(oracle) {
         let resp = server.execute("t0", plan).expect("serves");
         assert_eq!(
-            &resp.batch, expected,
+            *resp.batch, *expected,
             "{}: served == direct execution",
             report.method
         );
@@ -77,7 +78,7 @@ fn selection_is_reproducible_and_serves_the_oracle() {
     let oracle: Vec<RecordBatch> = w
         .plans()
         .iter()
-        .map(|p: &PlanRef| exec.run(p).expect("direct run").batch)
+        .map(|p: &PlanRef| Arc::unwrap_or_clone(exec.run(p).expect("direct run").batch))
         .collect();
 
     let small_rl = RlViewConfig {

@@ -9,6 +9,7 @@ use autoview::select::IterViewConfig;
 use autoview::workload::cloud::mini;
 use av_online::LifecycleConfig;
 use av_serve::{ServeConfig, ViewServer};
+use std::sync::Arc;
 
 fn assert_serves_oracle(
     server: &ViewServer,
@@ -19,7 +20,7 @@ fn assert_serves_oracle(
     for (plan, expected) in plans.iter().zip(oracle) {
         let resp = server.execute("tenant0", plan).expect("serves");
         assert_eq!(resp.epoch, server.epoch());
-        assert_eq!(&resp.batch, expected, "served == direct execution");
+        assert_eq!(*resp.batch, *expected, "served == direct execution");
         hits += resp.rewrite_hits;
     }
     assert!(
@@ -36,7 +37,7 @@ fn run_publish_execute_reoptimize_execute_matches_direct_execution() {
     let exec = Executor::new(&w.catalog, Pricing::paper_defaults());
     let oracle: Vec<RecordBatch> = plans
         .iter()
-        .map(|p| exec.run(p).expect("direct run").batch)
+        .map(|p| Arc::unwrap_or_clone(exec.run(p).expect("direct run").batch))
         .collect();
 
     let mut sys = AutoViewSystem::new(
