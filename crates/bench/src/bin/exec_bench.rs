@@ -1,10 +1,12 @@
 //! Executor micro-benchmark, two gated sections:
 //!
-//! - **micro** — rows/sec for filter / aggregate micro-ops over JOB-scale
-//!   tables, interpreted reference kernels vs the default selection-vector +
-//!   typed-kernel path. Each micro asserts the two paths produce
-//!   bitwise-identical batches and execution reports, and the bench fails if
-//!   any optimized micro is slower than its reference.
+//! - **micro** — rows/sec for filter / aggregate / join micro-ops over
+//!   JOB-scale tables, interpreted reference kernels vs the default
+//!   selection-vector + typed-kernel path (whose joins on a short-span
+//!   `Int` key index an array where the reference hashes). Each micro
+//!   asserts the two paths produce bitwise-identical batches and execution
+//!   reports, and the bench fails if any optimized micro is slower than its
+//!   reference.
 //! - **cache** — the plan-result cache's hit-rate and speedup on a cold then
 //!   warm replay of the full JOB workload.
 //!
@@ -30,11 +32,13 @@ use std::time::Instant;
 #[derive(Debug, Clone, Serialize)]
 struct MicroResult {
     op: String,
-    /// Input rows driven through the operator per iteration.
+    /// Input rows driven through the operator per iteration (both scanned
+    /// tables for a join).
     rows: usize,
     /// Interpreted per-row kernels + mask materialization.
     reference_rows_per_sec: f64,
-    /// Selection vectors + typed comparison / hoisted aggregate kernels.
+    /// Selection vectors + typed comparison / hoisted aggregate kernels +
+    /// direct-indexed join tables.
     optimized_rows_per_sec: f64,
     /// optimized / reference (>1 means the typed path wins).
     speedup: f64,
@@ -95,11 +99,15 @@ fn main() {
     // Micro tables: the JOB schema scaled up so every batch dwarfs the
     // 1024-row chunk size and per-operator throughput is measurable.
     let micro_w = job_workload(cfg.job_scale * exec_scale, cfg.seed);
-    let cast_rows = micro_w
-        .catalog
-        .table("cast_info")
-        .expect("JOB schema")
-        .row_count();
+    let rows_of = |table: &str| {
+        micro_w
+            .catalog
+            .table(table)
+            .expect("JOB schema")
+            .row_count()
+    };
+    let cast_rows = rows_of("cast_info");
+    let join_rows = cast_rows + rows_of("title");
 
     let aggs = || {
         vec![
@@ -144,11 +152,39 @@ fn main() {
         .aggregate(&["c.kind_id"], aggs())
         .build();
 
+    // Joins: `title` builds (it is the smaller side) on its dense `id`, a
+    // key span the default path indexes directly. The `join` micro narrows
+    // both sides to two `Int` columns first, so that copying output string
+    // cells, the same work on both paths, does not drown the build and
+    // probe it measures.
+    let join = PlanBuilder::scan("cast_info", "c")
+        .project(&[
+            ("c.movie_id", "c.movie_id"),
+            ("c.production_year", "c.production_year"),
+        ])
+        .join(
+            PlanBuilder::scan("title", "t")
+                .project(&[("t.id", "t.id"), ("t.kind_id", "t.kind_id")]),
+            &[("c.movie_id", "t.id")],
+        )
+        .build();
+    let filter_join_agg = PlanBuilder::scan("cast_info", "c")
+        .filter(Expr::col("c.production_year").cmp(CmpOp::Gt, Expr::int(1990)))
+        .join(
+            PlanBuilder::scan("title", "t")
+                .filter(Expr::col("t.kind_id").cmp(CmpOp::Lt, Expr::int(5))),
+            &[("c.movie_id", "t.id")],
+        )
+        .aggregate(&["t.kind_id"], aggs())
+        .build();
+
     let micros: Vec<(&str, usize, PlanRef)> = vec![
         ("filter", cast_rows, filter),
         ("filter_and", cast_rows, filter_and),
         ("aggregate", cast_rows, aggregate),
         ("filter_agg", cast_rows, filter_agg),
+        ("join", join_rows, join),
+        ("filter_join_agg", join_rows, filter_join_agg),
     ];
 
     let reference = Executor::new(&micro_w.catalog, pricing).with_reference_kernels(true);

@@ -23,7 +23,10 @@
 //!   the refcount bump that shares the cached batch with the caller;
 //! - `observe_query`: `Obs::observe_query` (the server's own telemetry);
 //!
-//! then the whole `execute`. The gap between a row's two columns is what
+//! then the whole `execute`, and `exec_miss`: one `Executor::run` of a
+//! routed plan on the deployment's catalog, the executor run a cache miss
+//! makes. Each `exec_miss` pass runs every plan once, split between the
+//! threads, instead of [`CALLS_PER_PASS`] calls. The gap between a row's two columns is what
 //! the layer's shared writes cost when a second client calls it too.
 //! Admission and the cache are private to the server, so those two rows
 //! time instances built from the server's own configuration: the same
@@ -33,8 +36,9 @@
 //! rather than add up to `execute`.
 //!
 //! Writes `BENCH_layers.json` (`{config, layers, failed}`; each layer has a
-//! `one_thread_ns` and a `two_threads_ns` column) into the working
-//! directory. Gate: zero failed requests — every response matches direct
+//! `one_thread_ns` and a `two_threads_ns` column, the median pass, each
+//! beside its passes' first and third quartiles, `*_q1_ns` and `*_q3_ns`)
+//! into the working directory. Gate: zero failed requests — every response matches direct
 //! execution on the base catalog, no timed `execute` returns an error, and
 //! no memo lookup finds another plan's entry.
 //! No knobs: the run is fixed by the constants below.
@@ -67,7 +71,7 @@ const TENANT: &str = "bench";
 /// Threads calling each layer at once: one alone, then `serve_hot`'s two
 /// clients.
 const THREADS: [usize; 2] = [1, 2];
-/// Timed passes per layer; the median pass is reported.
+/// Timed passes per layer; the median pass and the quartiles are reported.
 const PASSES: usize = 31;
 /// Calls each thread makes in one pass.
 const CALLS_PER_PASS: usize = 8192;
@@ -85,12 +89,17 @@ struct Config {
 }
 
 /// One row: median nanoseconds per call with one thread calling, and on
-/// each of two threads calling at once.
+/// each of two threads calling at once, each beside the first and third
+/// quartile of its passes.
 #[derive(Serialize)]
 struct Layer {
     layer: &'static str,
     one_thread_ns: f64,
+    one_thread_q1_ns: f64,
+    one_thread_q3_ns: f64,
     two_threads_ns: f64,
+    two_threads_q1_ns: f64,
+    two_threads_q3_ns: f64,
 }
 
 #[derive(Serialize)]
@@ -100,24 +109,37 @@ struct Report {
     failed: u64,
 }
 
-/// One row: [`median_ns`] at each thread count of [`THREADS`]. Prints and
-/// returns the row.
+/// One row: [`pass_quartiles_ns`] at each thread count of [`THREADS`].
+/// Prints and returns the row.
 fn row<T: Sync>(layer: &'static str, items: &[T], calls: impl Fn(&[&T]) -> f64 + Sync) -> Layer {
-    let [one_thread_ns, two_threads_ns] = THREADS.map(|threads| median_ns(threads, items, &calls));
-    println!("{layer:>14}  {one_thread_ns:>8.1} ns  {two_threads_ns:>8.1} ns");
+    let [[q1, one_thread_ns, q3], [r1, two_threads_ns, r3]] =
+        THREADS.map(|threads| pass_quartiles_ns(threads, items, &calls));
+    println!(
+        "{layer:>14}  {one_thread_ns:>9.1} [{q1:>9.1}, {q3:>9.1}] ns  \
+         {two_threads_ns:>9.1} [{r1:>9.1}, {r3:>9.1}] ns"
+    );
     Layer {
         layer,
         one_thread_ns,
+        one_thread_q1_ns: q1,
+        one_thread_q3_ns: q3,
         two_threads_ns,
+        two_threads_q1_ns: r1,
+        two_threads_q3_ns: r3,
     }
 }
 
-/// Median over [`PASSES`] of the mean per-call nanoseconds that `threads`
+/// First quartile, median and third quartile over [`PASSES`] of the mean
+/// per-call nanoseconds that `threads`
 /// threads report from `calls`, run together, each over its own
 /// interleaved share of `items`, released by one barrier. Each pass starts
 /// fresh threads, so each thread's first snapshot read and tenant lookup
 /// take their slow path once.
-fn median_ns<T: Sync>(threads: usize, items: &[T], calls: &(impl Fn(&[&T]) -> f64 + Sync)) -> f64 {
+fn pass_quartiles_ns<T: Sync>(
+    threads: usize,
+    items: &[T],
+    calls: &(impl Fn(&[&T]) -> f64 + Sync),
+) -> [f64; 3] {
     let mut passes: Vec<f64> = (0..PASSES)
         .map(|_| {
             let barrier = Barrier::new(threads);
@@ -141,7 +163,7 @@ fn median_ns<T: Sync>(threads: usize, items: &[T], calls: &(impl Fn(&[&T]) -> f6
         })
         .collect();
     passes.sort_by(f64::total_cmp);
-    passes[PASSES / 2]
+    [PASSES / 4, PASSES / 2, 3 * PASSES / 4].map(|i| passes[i])
 }
 
 /// [`CALLS_PER_PASS`] calls of `step`, cycling over `mine`, timed as one
@@ -250,7 +272,11 @@ fn main() {
     let clock = server.tracer();
     let obs = server.obs();
     let encoded: Vec<serde::Json> = warm.iter().map(|w| w.plan.to_json()).collect();
-    println!("{:>14}  {:>11}  {:>11}", "layer", "1 thread", "2 threads");
+    let executor = Executor::new(deployment.catalog(), server.config().pricing);
+    println!(
+        "{:>14}  {:>31}  {:>31}",
+        "layer", "1 thread median [q1, q3]", "2 threads median [q1, q3]"
+    );
     let layers = vec![
         row(
             "admission",
@@ -308,6 +334,18 @@ fn main() {
                 }
             }),
         ),
+        row("exec_miss", &warm, |mine| {
+            let t0 = Instant::now();
+            for w in mine {
+                match executor.run(&w.routed) {
+                    Ok(result) => drop(black_box(result)),
+                    Err(_) => {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            t0.elapsed().as_nanos() as f64 / mine.len() as f64
+        }),
     ];
     // A decoded plan must hit the entry its twin stored, never displace it.
     failed += errors.load(Ordering::Relaxed) + deployment.route_memo_mismatches();

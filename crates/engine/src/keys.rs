@@ -161,8 +161,17 @@ impl<'a> KeyCol<'a> {
 /// Encode every row of the owning side (hash-table build side, or the whole
 /// batch for aggregation), inserting fresh values into the interner. An
 /// empty column list encodes every row to the same key (cross join / global
-/// group).
+/// group). A lone numeric column encodes in one typed pass, with the codes
+/// [`KeyCol::code_insert`] gives per row.
 pub fn encode_rows(cols: &[KeyCol<'_>], rows: usize, interner: &mut KeyInterner) -> Vec<u64> {
+    match cols {
+        [KeyCol::Int(d)] => return d[..rows].iter().map(|&v| v as u64).collect(),
+        [KeyCol::Float(d)] => return d[..rows].iter().map(|v| v.to_bits()).collect(),
+        [KeyCol::IntAsFloat(d)] => {
+            return d[..rows].iter().map(|&v| (v as f64).to_bits()).collect()
+        }
+        _ => {}
+    }
     let mut out = Vec::with_capacity(rows);
     for row in 0..rows {
         out.push(match cols.split_first() {
@@ -207,6 +216,23 @@ mod tests {
         let codes = encode_rows(&[KeyCol::of(&col, false)], 5, &mut it);
         let distinct: std::collections::HashSet<u64> = codes.iter().copied().collect();
         assert_eq!(distinct.len(), 5);
+    }
+
+    #[test]
+    fn single_numeric_column_codes_match_the_per_row_codes() {
+        let ints = Column::Int(vec![i64::MIN, -3, 0, 7, i64::MAX, 7]);
+        let floats = Column::Float(vec![-0.0, 0.0, 1.5, f64::NAN, f64::NEG_INFINITY, 1.5]);
+        let cols = [
+            KeyCol::of(&ints, false),
+            KeyCol::of(&ints, true),
+            KeyCol::of(&floats, false),
+        ];
+        for col in cols {
+            let mut it = KeyInterner::new();
+            let per_row: Vec<u64> = (0..6).map(|r| col.code_insert(r, &mut it)).collect();
+            assert_eq!(encode_rows(&[col], 6, &mut it), per_row, "{col:?}");
+            assert_eq!(it.approx_bytes(), 0, "numeric codes intern nothing");
+        }
     }
 
     #[test]

@@ -185,6 +185,117 @@ proptest! {
     }
 }
 
+/// Build-side span shapes for [`direct_join_matches_hashed_reference`].
+#[derive(Debug, Clone, Copy)]
+enum Span {
+    /// Keys `base + 0..12`: far inside the direct-index cap.
+    Short,
+    /// The build side reaches `base + cap − 1`: the last span indexed
+    /// directly.
+    AtCap,
+    /// The build side reaches `base + cap`: the first span hashed.
+    OverCap,
+    /// The build side holds `i64::MIN` and `i64::MAX`.
+    Extreme,
+}
+
+/// The direct-index cap on a build side of `rows` rows.
+fn direct_cap(rows: usize) -> i64 {
+    32 * rows as i64 + 1024
+}
+
+/// One single-`Int`-key join side: `payload` holds each row's index.
+fn int_key_side(name: &str, keys: Vec<i64>, payload: &str) -> Table {
+    let n = keys.len() as i64;
+    Table::new(
+        name,
+        vec![
+            ("k", Column::Int(keys)),
+            (payload, Column::Int((0..n).collect())),
+        ],
+    )
+    .expect("rectangular")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A join on one `Int` key returns the same batch and the same
+    /// `ExecutionReport` with the default kernels — which index short key
+    /// spans directly — as with the reference kernels, which always hash,
+    /// and both equal a nested-loop join. Keys repeat on both sides, may be
+    /// negative or sit at either end of `i64`, and the build side's span
+    /// lands far inside the cap, exactly at it, one past it or across all
+    /// of `i64`; either side may be empty. Probe keys include one below the
+    /// build minimum, one above the maximum and two that a truncated slot
+    /// offset would alias onto a build key, so a bounds check that lets a
+    /// wrapped or truncated offset through shows up as a spurious match.
+    #[test]
+    fn direct_join_matches_hashed_reference(
+        base in prop_oneof![Just(i64::MIN), Just(-700i64), Just(-3), Just(0), Just(i64::MAX - 4096)],
+        span in prop_oneof![Just(Span::Short), Just(Span::AtCap), Just(Span::OverCap), Just(Span::Extreme)],
+        lpicks in proptest::collection::vec(0usize..18, 0..40),
+        rpicks in proptest::collection::vec(0usize..18, 0..40),
+        left in proptest::any::<bool>(),
+    ) {
+        let join_type = if left { JoinType::Left } else { JoinType::Inner };
+        // The executor's build side: the right for left joins and for
+        // inner joins whose right side is no larger.
+        let build_right = left || rpicks.len() <= lpicks.len();
+        let build_rows = if build_right { rpicks.len() } else { lpicks.len() };
+        let hi = match span {
+            Span::Short => base.wrapping_add(11),
+            Span::AtCap => base.wrapping_add(direct_cap(build_rows) - 1),
+            Span::OverCap => base.wrapping_add(direct_cap(build_rows)),
+            Span::Extreme => i64::MAX,
+        };
+        let lo = if matches!(span, Span::Extreme) { i64::MIN } else { base };
+        // Picks 0..12 are short-span keys, 12 and 13 the build side's two
+        // ends, 14 and 15 one step outside them and 16 and 17 a whole
+        // `u32` range away from a build key (wrapping at the ends of
+        // `i64`), which only the probe side draws.
+        let key = |p: usize| match p {
+            0..=11 => base.wrapping_add(p as i64),
+            12 => lo,
+            13 => hi,
+            14 => lo.wrapping_sub(1),
+            15 => hi.wrapping_add(1),
+            16 => lo.wrapping_add(1 << 32),
+            _ => hi.wrapping_sub(1 << 32),
+        };
+        let side = |picks: &[usize], is_build: bool| -> Vec<i64> {
+            let mut keys: Vec<i64> = picks
+                .iter()
+                .map(|&p| if is_build && p >= 14 { key(p % 12) } else { key(p) })
+                .collect();
+            // The build side spans exactly `lo..=hi`.
+            if is_build && keys.len() >= 2 {
+                keys[0] = lo;
+                let last = keys.len() - 1;
+                keys[last] = hi;
+            }
+            keys
+        };
+        let mut c = Catalog::new();
+        c.add_table(int_key_side("tl", side(&lpicks, !build_right), "v")).expect("fresh");
+        c.add_table(int_key_side("tr", side(&rpicks, build_right), "w")).expect("fresh");
+        let plan = PlanBuilder::scan("tl", "l")
+            .join_typed(PlanBuilder::scan("tr", "r"), &[("l.k", "r.k")], join_type)
+            .build();
+        let optimized = exec(&c, &plan);
+        let reference = Executor::new(&c, Pricing::paper_defaults())
+            .with_reference_kernels(true)
+            .run(&plan)
+            .expect("reference");
+        prop_assert_eq!(&optimized.batch, &reference.batch);
+        prop_assert_eq!(optimized.report, reference.report);
+
+        let scan = |t: &str, alias: &str| exec(&c, &PlanBuilder::scan(t, alias).build()).batch;
+        let want = nested_loop_join(&scan("tl", "l"), &scan("tr", "r"), &[(0, 0)], join_type);
+        prop_assert_eq!(&*optimized.batch, &want);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
