@@ -55,10 +55,6 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    pub fn is_proved(&self) -> bool {
-        matches!(self, Verdict::Proved)
-    }
-
     pub fn is_refuted(&self) -> bool {
         matches!(self, Verdict::Refuted { .. })
     }

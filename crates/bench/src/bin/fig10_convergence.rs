@@ -26,7 +26,6 @@ fn main() {
             IterViewConfig {
                 iterations: rl.trajectory.len(),
                 seed: cfg.seed,
-                freeze_after: None,
             },
         )
         .run();

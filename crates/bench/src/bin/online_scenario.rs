@@ -35,7 +35,6 @@ fn system(catalog: &av_engine::Catalog, window: usize, seed: u64, adaptive: bool
     serve.selector = SelectorKind::IterView(IterViewConfig {
         iterations: 60,
         seed,
-        freeze_after: None,
     });
     OnlineSystem::with_tracer(
         catalog.clone(),

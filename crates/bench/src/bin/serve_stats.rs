@@ -9,11 +9,9 @@
 //!   --prom   print the Prometheus text exposition
 //!   --dump   capture an on-demand flight-recorder dump and print it as JSON
 //!
-//! Knobs: `AV_SERVE_SEED` (default 70), `AV_SERVE_TENANTS` (default 4),
-//! `AV_SERVE_STATS_CLIENTS` (default 8), `AV_SERVE_STATS_REQUESTS`
-//! (default 64 per client).
+//! No knobs: the run is fixed by the constants below.
 
-use av_bench::{knob, render_table};
+use av_bench::render_table;
 use av_cost::OptimizerEstimator;
 use av_online::LifecycleConfig;
 use av_serve::{
@@ -23,6 +21,13 @@ use av_serve::{
 use av_workload::cloud::mini;
 use std::time::Duration;
 
+/// Seed of the `mini` workload served.
+const SEED: u64 = 70;
+/// Tenants the closed-loop clients spread their requests over.
+const TENANTS: usize = 4;
+const CLIENTS: usize = 8;
+const REQUESTS_PER_CLIENT: usize = 64;
+
 fn expect_clean(report: &LoadReport, label: &str) {
     assert_eq!(report.failed, 0, "{label} pass: failed queries");
     assert_eq!(report.rejected, 0, "{label} pass: shed load");
@@ -30,12 +35,7 @@ fn expect_clean(report: &LoadReport, label: &str) {
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
-    let seed = knob("AV_SERVE_SEED", 70u64);
-    let tenants = knob("AV_SERVE_TENANTS", 4usize);
-    let clients = knob("AV_SERVE_STATS_CLIENTS", 8usize);
-    let requests = knob("AV_SERVE_STATS_REQUESTS", 64usize);
-
-    let w = mini(seed);
+    let w = mini(SEED);
     let plans = w.plans();
     let server = ViewServer::new(
         w.catalog.clone(),
@@ -59,10 +59,10 @@ fn main() {
     // epoch: after this the SLO windows, residual store (post-swap
     // queries carry estimates) and flight ring all have real traffic.
     let cfg = ClosedLoopConfig {
-        clients,
-        requests_per_client: requests,
+        clients: CLIENTS,
+        requests_per_client: REQUESTS_PER_CLIENT,
         think: Duration::from_micros(500),
-        tenants,
+        tenants: TENANTS,
     };
     let cold = run_closed_loop(&server, &plans, &cfg);
     expect_clean(&cold, "cold");
@@ -105,7 +105,7 @@ fn main() {
         }
     }
 
-    println!("== serve stats (seed {seed}, {clients} clients x {requests} requests, {tenants} tenants) ==");
+    println!("== serve stats (seed {SEED}, {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, {TENANTS} tenants) ==");
     println!(
         "epoch {}  live views {}  cold {:.0} qps / warm {:.0} qps  recorded {}",
         reopt.epoch, reopt.live_views, cold.qps, warm.qps, stats.recorded

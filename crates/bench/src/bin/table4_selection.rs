@@ -48,7 +48,6 @@ fn main() {
             BigSubConfig {
                 iterations: defaults.n1 + scaled(defaults.n2, cfg.epoch_scale),
                 seed: cfg.seed,
-                ..BigSubConfig::default()
             },
         );
         note_best(bigsub.utility, &bigsub.z);

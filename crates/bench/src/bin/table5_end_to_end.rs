@@ -68,7 +68,6 @@ fn main() {
         let bigsub_cfg = BigSubConfig {
             iterations: rl_cfg.n1 + rl_cfg.n2,
             seed: cfg.seed,
-            ..BigSubConfig::default()
         };
 
         let raw_cost: f64 = pre.query_costs.iter().sum();

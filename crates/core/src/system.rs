@@ -330,9 +330,9 @@ impl AutoViewSystem {
 /// Configuration for the streaming (online) system.
 #[derive(Debug, Clone)]
 pub struct OnlineSystemConfig {
-    /// The server every arrival is executed by. Its `pricing`, `lifecycle`,
-    /// `selector` and `min_query_frequency` are the only copies of those
-    /// settings: selection and the drift analysis both read them from here.
+    /// The server every arrival is executed by. Its `pricing`, `lifecycle`
+    /// and `selector` are the only copies of those settings: selection and
+    /// the drift analysis both read them from here.
     pub serve: ServeConfig,
     /// Sliding-window length (queries).
     pub window_size: usize,
@@ -461,7 +461,7 @@ impl OnlineSystem {
         }
         let estimator = Self::build_estimator(&catalog, warmup_queries, &config)?;
         Ok(OnlineSystem {
-            stream: WorkloadStream::new(config.window_size, config.serve.min_query_frequency),
+            stream: WorkloadStream::new(config.window_size),
             drift: DriftDetector::new(config.drift),
             check_every: config.check_every.max(1),
             baseline: ExecCache::new(config.serve.pricing, 1),
@@ -634,7 +634,6 @@ mod tests {
         serve.selector = SelectorKind::IterView(av_select::IterViewConfig {
             iterations: 30,
             seed: 5,
-            freeze_after: None,
         });
         OnlineSystem::with_tracer(
             w.catalog.clone(),

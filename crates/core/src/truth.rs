@@ -3,7 +3,7 @@
 
 use av_cost::{tables_meta, FeatureInput, PairSample};
 use av_engine::{rewrite_subtree_with_view, Catalog, EngineError, ExecCache, Pricing, ViewStore};
-use av_equiv::{Analyzer, WorkloadAnalysis};
+use av_equiv::{Analyzer, WorkloadAnalysis, MIN_SHARED_QUERIES};
 use av_plan::{find_subtree, PlanRef};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -52,7 +52,7 @@ pub fn preprocess_and_measure_traced(
 ) -> Result<Preprocessed, EngineError> {
     let analysis = tracer.time("core.analyze", || {
         let mut analyzer = Analyzer::new();
-        analyzer.min_query_frequency = 2;
+        analyzer.min_query_frequency = MIN_SHARED_QUERIES;
         analyzer.analyze(queries)
     });
 

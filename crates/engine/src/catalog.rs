@@ -201,11 +201,6 @@ impl Catalog {
         self.tables.get(name).map(|t| t.as_ref())
     }
 
-    /// Look up a table's shared handle (kept alive across snapshot clones).
-    pub fn table_arc(&self, name: &str) -> Option<Arc<Table>> {
-        self.tables.get(name).cloned()
-    }
-
     /// Names of all registered tables, in sorted (deterministic) order.
     #[allow(
         clippy::disallowed_methods,

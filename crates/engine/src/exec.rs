@@ -258,32 +258,7 @@ impl BoundExpr {
             BoundExpr::Or(v) => Value::Int(v.iter().any(|e| e.eval_bool(cols, row)) as i64),
             BoundExpr::Not(e) => Value::Int(!e.eval_bool(cols, row) as i64),
             BoundExpr::Arith { op, left, right } => {
-                let l = left.eval(cols, row);
-                let r = right.eval(cols, row);
-                match (l.as_f64(), r.as_f64()) {
-                    (Some(a), Some(b)) => {
-                        let out = match op {
-                            ArithOp::Add => a + b,
-                            ArithOp::Sub => a - b,
-                            ArithOp::Mul => a * b,
-                            ArithOp::Div => {
-                                if b == 0.0 {
-                                    return Value::Null;
-                                }
-                                a / b
-                            }
-                        };
-                        if matches!((&l, &r), (Value::Int(_), Value::Int(_)))
-                            && out.fract() == 0.0
-                            && !matches!(op, ArithOp::Div)
-                        {
-                            Value::Int(out as i64)
-                        } else {
-                            Value::Float(out)
-                        }
-                    }
-                    _ => Value::Null,
-                }
+                op.apply(&left.eval(cols, row), &right.eval(cols, row))
             }
         }
     }

@@ -65,31 +65,27 @@ impl WorkloadAnalysis {
     }
 }
 
-/// Workload analyzer. `overhead_of` ranks cluster members when choosing the
-/// representative (the paper picks the least-overhead member); the default
-/// uses plan size as a proxy.
-pub struct Analyzer<'a> {
-    overhead_of: Box<dyn Fn(&PlanRef) -> f64 + 'a>,
+/// The [`Analyzer::min_query_frequency`] of the end-to-end system: a
+/// candidate's cluster must span at least this many distinct queries,
+/// because a view is only worth materializing when it is shared or reused.
+/// Ground-truth measurement, Table I, serving's re-optimization and the
+/// online drift analysis all analyze with it.
+pub const MIN_SHARED_QUERIES: usize = 2;
+
+/// Workload analyzer. A cluster's representative is its member with the
+/// least overhead (the paper's rule), with plan size as the overhead proxy;
+/// ties go to the first member.
+pub struct Analyzer {
     /// Keep only candidates whose cluster spans at least this many distinct
-    /// queries. The default of 1 keeps everything; the end-to-end system
-    /// uses 2 (views are only interesting when shared or reused).
+    /// queries. The default of 1 keeps everything (Fig. 1 counts every
+    /// subquery); the end-to-end system uses [`MIN_SHARED_QUERIES`].
     pub min_query_frequency: usize,
 }
 
-impl<'a> Analyzer<'a> {
-    /// Analyzer with the default (plan-size) overhead proxy.
-    pub fn new() -> Analyzer<'a> {
+impl Analyzer {
+    /// Analyzer that keeps every cluster.
+    pub fn new() -> Analyzer {
         Analyzer {
-            overhead_of: Box::new(|p| p.node_count() as f64),
-            min_query_frequency: 1,
-        }
-    }
-
-    /// Analyzer with a caller-supplied overhead estimate (e.g. real
-    /// materialization cost from the engine).
-    pub fn with_overhead(f: impl Fn(&PlanRef) -> f64 + 'a) -> Analyzer<'a> {
-        Analyzer {
-            overhead_of: Box::new(f),
             min_query_frequency: 1,
         }
     }
@@ -146,10 +142,7 @@ impl<'a> Analyzer<'a> {
             let rep = members
                 .iter()
                 .copied()
-                .min_by(|&a, &b| {
-                    (self.overhead_of)(&instances[a].plan)
-                        .total_cmp(&(self.overhead_of)(&instances[b].plan))
-                })
+                .min_by_key(|&m| instances[m].plan.node_count())
                 .expect("cluster non-empty");
             let id = candidates.len();
             for &m in members {
@@ -210,7 +203,7 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-impl Default for Analyzer<'_> {
+impl Default for Analyzer {
     fn default() -> Self {
         Analyzer::new()
     }
@@ -342,32 +335,6 @@ mod tests {
         let a = an.analyze(&[q1, q2, q3]);
         assert_eq!(a.candidates.len(), 1);
         assert_eq!(a.associated_queries(), 2);
-    }
-
-    #[test]
-    fn representative_minimizes_overhead() {
-        // Two equivalent plans; bias the overhead function toward the second.
-        let q1 = q("select t1.uid from memo t1 where t1.k = 1");
-        let q2 = q("select t2.uid from memo t2 where t2.k = 1");
-        let plans = [q1.clone(), q2.clone()];
-        let an = Analyzer::with_overhead(move |p| {
-            // Prefer (lower overhead for) the q2 variant.
-            if av_plan::Fingerprint::of(p) == av_plan::Fingerprint::of(&q2) {
-                1.0
-            } else {
-                2.0
-            }
-        });
-        let a = an.analyze(&plans);
-        let shared = a
-            .candidates
-            .iter()
-            .find(|c| c.query_frequency == 2)
-            .expect("shared");
-        assert_eq!(
-            av_plan::Fingerprint::of(&shared.plan),
-            av_plan::Fingerprint::of(&plans[1])
-        );
     }
 
     #[test]

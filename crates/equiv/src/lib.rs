@@ -31,4 +31,6 @@ pub mod canon;
 pub mod cluster;
 
 pub use canon::{canonical_fingerprint, canonicalize};
-pub use cluster::{analyze_workload, Analyzer, Candidate, QueryMatch, WorkloadAnalysis};
+pub use cluster::{
+    analyze_workload, Analyzer, Candidate, QueryMatch, WorkloadAnalysis, MIN_SHARED_QUERIES,
+};

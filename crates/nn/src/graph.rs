@@ -61,8 +61,6 @@ enum Op {
     Sub(NodeId, NodeId),
     /// Elementwise (Hadamard) product.
     Mul(NodeId, NodeId),
-    /// Multiply by a constant.
-    Scale(NodeId, f32),
     Relu(NodeId),
     Sigmoid(NodeId),
     Tanh(NodeId),
@@ -386,13 +384,6 @@ impl Graph {
             *x *= y;
         }
         self.push(v, Op::Mul(a, b))
-    }
-
-    /// Multiply by a scalar constant.
-    pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let mut v = pooled_copy(&mut self.pool, &self.nodes[a.0].value);
-        v.scale_assign(s);
-        self.push(v, Op::Scale(a, s))
     }
 
     /// ReLU activation.
@@ -808,11 +799,6 @@ impl Graph {
                     }
                     self.add_grad(*a, da);
                     self.add_grad(*b, db);
-                }
-                Op::Scale(a, s) => {
-                    let mut da = pooled_copy(&mut self.pool, &grad);
-                    da.scale_assign(*s);
-                    self.add_grad(*a, da);
                 }
                 Op::Relu(a) => {
                     let mut da = pooled_copy(&mut self.pool, &grad);

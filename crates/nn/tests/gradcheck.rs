@@ -189,15 +189,6 @@ proptest! {
             g.mean_all(y)
         });
     }
-
-    #[test]
-    fn scale_grad(x0 in small_tensor(2, 2)) {
-        gradcheck(x0, &|g, x| {
-            let y = g.scale(x, -2.5);
-            let t = g.tanh(y);
-            g.mean_all(t)
-        });
-    }
 }
 
 #[test]

@@ -159,7 +159,7 @@ mod tests {
     use super::*;
     use crate::recorder::TenantTag;
     use crate::residual::{Residual, ResidualStore};
-    use crate::slo::{RequestOutcome, SloConfig, SloState};
+    use crate::slo::{RequestOutcome, SloState, INTERVAL_NANOS, LATENCY_THRESHOLD_US};
     use av_trace::Metrics;
 
     #[test]
@@ -250,20 +250,16 @@ mod tests {
 
     #[test]
     fn slo_counters_never_fall_when_the_window_rotates() {
-        let mut slo = SloState::new(SloConfig {
-            interval_nanos: 1_000,
-            intervals: 4,
-            min_events: 10,
-            latency_threshold_us: 100,
-            ..SloConfig::default()
-        });
+        let mut slo = SloState::new();
         let tenant = TenantTag::new("t0");
+        // 100 requests each 50x past the threshold: enough to fire an alert.
+        let slow_nanos = LATENCY_THRESHOLD_US * 50_000;
         for i in 0..100u64 {
-            slo.observe(tenant, i, 5_000_000, RequestOutcome::Served);
+            slo.observe(tenant, i, slow_nanos, RequestOutcome::Served);
         }
         let before = slo_text(&slo.stats());
         // Jump far ahead: every interval rotates out of the window.
-        slo.observe(tenant, 1_000_000, 10_000, RequestOutcome::Served);
+        slo.observe(tenant, 100 * INTERVAL_NANOS, 10_000, RequestOutcome::Served);
         let after = slo_text(&slo.stats());
         assert!(
             before.contains("slo_requests{tenant=\"t0\"} 100\n"),

@@ -43,7 +43,7 @@ pub mod slo;
 
 pub use recorder::{FlightDump, FlightRecord, QueryRecord, RecordStatus, TenantTag};
 pub use residual::{ErrorAggregate, Residual, ResidualStore, ResidualSummary};
-pub use slo::{Objective, RequestOutcome, SloAlert, SloConfig, SloState, TenantSloStats};
+pub use slo::{Objective, RequestOutcome, SloAlert, SloState, TenantSloStats};
 
 use av_sched::{Mutex, Rank};
 use av_trace::QuantileSketch;
@@ -51,37 +51,31 @@ use recorder::{FlightRecorder, RawDump};
 use serde::Serialize;
 use std::collections::VecDeque;
 
-/// Configuration for the whole telemetry layer.
+/// Flight-recorder ring capacity: a dump holds at most this many records.
+pub const RECORDER_CAPACITY: usize = 4096;
+
+/// Alert history bound: the oldest alert is dropped past this many.
+const MAX_ALERTS: usize = 256;
+
+/// Configuration for the whole telemetry layer. The ring size, alert bound
+/// and SLO objectives are constants ([`RECORDER_CAPACITY`], [`slo`]).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Master switch. When off, [`Obs::observe_query`] is a no-op — the
     /// baseline the recorder-overhead benchmark compares against.
     pub enabled: bool,
-    /// Flight-recorder ring capacity (records).
-    pub recorder_capacity: usize,
-    pub slo: SloConfig,
-    /// SLO alert history bound.
-    pub max_alerts: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            recorder_capacity: 4096,
-            slo: SloConfig::default(),
-            max_alerts: 256,
-        }
+        ObsConfig { enabled: true }
     }
 }
 
 impl ObsConfig {
     /// A configuration with telemetry fully off (benchmark baseline).
     pub fn disabled() -> ObsConfig {
-        ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        }
+        ObsConfig { enabled: false }
     }
 }
 
@@ -187,7 +181,7 @@ struct State {
     slo: SloState,
     residuals: ResidualStore,
     totals: RequestTotals,
-    /// Alert history, oldest first, at most `max_alerts`.
+    /// Alert history, oldest first, at most [`MAX_ALERTS`].
     alerts: VecDeque<SloAlert>,
     /// One stored dump slot per [`Objective`], decoded when read.
     dumps: [Option<RawDump>; 2],
@@ -212,7 +206,7 @@ impl State {
 /// The telemetry façade owned by a server.
 #[derive(Debug)]
 pub struct Obs {
-    config: ObsConfig,
+    enabled: bool,
     state: Mutex<State>,
 }
 
@@ -222,8 +216,8 @@ impl Obs {
             state: Mutex::new(
                 Rank::Obs,
                 State {
-                    ring: FlightRecorder::new(config.recorder_capacity),
-                    slo: SloState::new(config.slo.clone()),
+                    ring: FlightRecorder::new(RECORDER_CAPACITY),
+                    slo: SloState::new(),
                     residuals: ResidualStore::new(),
                     totals: RequestTotals::default(),
                     alerts: VecDeque::new(),
@@ -231,7 +225,7 @@ impl Obs {
                     dumps_suppressed: 0,
                 },
             ),
-            config,
+            enabled: config.enabled,
         }
     }
 
@@ -254,7 +248,7 @@ impl Obs {
     /// `now_nanos` is the caller's injected-clock reading at completion;
     /// `root_op` is the plan's root operator name for residual aggregation.
     pub fn observe_query(&self, now_nanos: u64, rec: &QueryRecord, root_op: &'static str) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
         let outcome = match rec.status {
@@ -281,7 +275,7 @@ impl Obs {
         // ring's newest record is this request's.
         for a in s.slo.observe(rec.tenant, now_nanos, latency_nanos, outcome) {
             s.store_dump(a.objective);
-            if s.alerts.len() == self.config.max_alerts {
+            if s.alerts.len() == MAX_ALERTS {
                 s.alerts.pop_front();
             }
             s.alerts.push_back(a);
@@ -321,7 +315,7 @@ impl Obs {
     pub fn stats(&self) -> ObsStats {
         let s = self.state.lock();
         ObsStats {
-            enabled: self.config.enabled,
+            enabled: self.enabled,
             recorded: s.ring.sequence(),
             slo: s.slo.stats(),
             residuals: s.residuals.summary(),
@@ -444,7 +438,7 @@ mod tests {
     #[test]
     fn slo_latency_counts_the_nanoseconds_past_the_threshold() {
         let obs = Obs::new(ObsConfig::default());
-        let threshold_ns = SloConfig::default().latency_threshold_us * 1_000;
+        let threshold_ns = slo::LATENCY_THRESHOLD_US * 1_000;
         let served = |nanos| record("t", nanos, RecordStatus::Ok);
         obs.observe_query(0, &served(threshold_ns), "Join");
         let burn = obs.slo_stats()[0].latency_slow_burn;

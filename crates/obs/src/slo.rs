@@ -4,11 +4,10 @@
 //! Two objectives per tenant, in the classic SRE formulation:
 //!
 //! - **Latency**: a request is *bad* when its latency exceeds
-//!   [`SloConfig::latency_threshold_us`]. The target
-//!   ([`SloConfig::latency_target`], e.g. 0.99 for "p99 under threshold")
-//!   leaves an error budget of `1 - target`.
+//!   [`LATENCY_THRESHOLD_US`]. The target ([`LATENCY_TARGET`], 0.99 for
+//!   "p99 under threshold") leaves an error budget of `1 - target`.
 //! - **Availability**: a request is *bad* when it was shed by admission
-//!   control or failed ([`SloConfig::availability_target`]).
+//!   control or failed ([`AVAILABILITY_TARGET`]).
 //!
 //! The *burn rate* of a window is `bad_fraction / (1 - target)` — 1.0 means
 //! the error budget is being spent exactly as provisioned; `N` means `N`×
@@ -28,48 +27,34 @@ use std::collections::BTreeMap;
 use crate::recorder::TenantTag;
 use av_trace::QuantileSketch;
 
-/// SLO objectives and alerting thresholds.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// A request slower than this (total latency, µs) is a latency-budget
-    /// violation.
-    pub latency_threshold_us: u64,
-    /// Fraction of requests that must meet the latency threshold (0.99 =
-    /// "p99 under threshold").
-    pub latency_target: f64,
-    /// Fraction of requests that must not be shed or fail.
-    pub availability_target: f64,
-    /// Width of one window interval, in clock nanoseconds.
-    pub interval_nanos: u64,
-    /// Intervals in the (long) sliding window.
-    pub intervals: usize,
-    /// Intervals in the short window (must be ≤ `intervals`).
-    pub fast_intervals: usize,
-    /// Short-window burn rate that, together with `slow_burn`, fires an
-    /// alert. The defaults follow the SRE-workbook "page" tuning.
-    pub fast_burn: f64,
-    /// Long-window burn rate required to fire.
-    pub slow_burn: f64,
-    /// Minimum events in the long window before alerting (an empty window
-    /// never pages).
-    pub min_events: u64,
-}
+// The objectives and alerting thresholds. The window and burn-rate values
+// follow the SRE-workbook "page" tuning: a 2-interval short window burning
+// at 6x and a 12-interval long window burning at 3x must agree.
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            latency_threshold_us: 10_000,
-            latency_target: 0.99,
-            availability_target: 0.999,
-            interval_nanos: 1_000_000_000,
-            intervals: 12,
-            fast_intervals: 2,
-            fast_burn: 6.0,
-            slow_burn: 3.0,
-            min_events: 64,
-        }
-    }
-}
+/// A served request slower than this (total latency, µs) is a
+/// latency-budget violation.
+pub const LATENCY_THRESHOLD_US: u64 = 10_000;
+/// Fraction of requests that must meet the latency threshold (0.99 = "p99
+/// under threshold").
+pub const LATENCY_TARGET: f64 = 0.99;
+/// Fraction of requests that must not be shed or fail.
+pub const AVAILABILITY_TARGET: f64 = 0.999;
+/// Width of one window interval, in clock nanoseconds (1 s).
+pub const INTERVAL_NANOS: u64 = 1_000_000_000;
+/// Intervals in the (long) sliding window.
+pub const INTERVALS: usize = 12;
+/// Intervals in the short window.
+pub const FAST_INTERVALS: usize = 2;
+/// Short-window burn rate that, together with [`SLOW_BURN`], fires an
+/// alert.
+pub const FAST_BURN: f64 = 6.0;
+/// Long-window burn rate required to fire.
+pub const SLOW_BURN: f64 = 3.0;
+/// Minimum events in the long window before alerting (an empty window
+/// never pages).
+pub const MIN_EVENTS: u64 = 64;
+
+const _: () = assert!(FAST_INTERVALS <= INTERVALS);
 
 /// Which objective an alert is about. The discriminant (`as usize`)
 /// indexes [`crate::Obs`]'s per-objective dump slots.
@@ -148,9 +133,9 @@ struct TenantWindow {
 }
 
 impl TenantWindow {
-    fn new(n: usize) -> TenantWindow {
+    fn new() -> TenantWindow {
         TenantWindow {
-            intervals: (0..n.max(1)).map(|_| Interval::new()).collect(),
+            intervals: (0..INTERVALS).map(|_| Interval::new()).collect(),
             head: 0,
             breached: [false; 2],
             alerts_fired: 0,
@@ -226,7 +211,7 @@ pub struct TenantSloStats {
     pub alerts_fired: u64,
 }
 
-/// Unsynchronized SLO state: per-tenant sliding windows plus the config.
+/// Unsynchronized SLO state: per-tenant sliding windows.
 /// Observation is O(1) (a sketch increment plus counter bumps) and
 /// allocation-free — windows are keyed by the fixed-width [`TenantTag`],
 /// and burn rates are only evaluated when an observation can change the
@@ -238,7 +223,6 @@ pub struct TenantSloStats {
 /// cumulative request aggregates.
 #[derive(Debug, Default)]
 pub struct SloState {
-    config: SloConfig,
     tenants: BTreeMap<TenantTag, TenantWindow>,
     /// Served latencies (µs) of every interval the windows have rotated
     /// out, all tenants together.
@@ -246,9 +230,8 @@ pub struct SloState {
 }
 
 impl SloState {
-    pub fn new(config: SloConfig) -> SloState {
+    pub fn new() -> SloState {
         SloState {
-            config,
             tenants: BTreeMap::new(),
             retired: QuantileSketch::new(),
         }
@@ -268,10 +251,6 @@ impl SloState {
         out
     }
 
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
     /// Feed one request. `now_nanos` comes from the caller's injected
     /// clock; `latency_nanos` is the total latency charged to the tenant
     /// (admission wait included), compared with the threshold in
@@ -284,12 +263,8 @@ impl SloState {
         latency_nanos: u64,
         outcome: RequestOutcome,
     ) -> Vec<SloAlert> {
-        let cfg = &self.config;
-        let win = self
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantWindow::new(cfg.intervals));
-        win.rotate_to(now_nanos / cfg.interval_nanos.max(1), &mut self.retired);
+        let win = self.tenants.entry(tenant).or_insert_with(TenantWindow::new);
+        win.rotate_to(now_nanos / INTERVAL_NANOS, &mut self.retired);
 
         let n = win.intervals.len() as u64;
         let head = (win.head % n) as usize;
@@ -298,7 +273,7 @@ impl SloState {
         match outcome {
             RequestOutcome::Served => {
                 iv.sketch.observe(latency_nanos as f64 / 1e3);
-                if latency_nanos > cfg.latency_threshold_us.saturating_mul(1_000) {
+                if latency_nanos > LATENCY_THRESHOLD_US * 1_000 {
                     iv.lat_bad += 1;
                     bad = true;
                 }
@@ -326,16 +301,15 @@ impl SloState {
             (1, (Objective::Availability, false)),
         ] {
             let target = if lat {
-                cfg.latency_target
+                LATENCY_TARGET
             } else {
-                cfg.availability_target
+                AVAILABILITY_TARGET
             };
-            let (slow_total, slow_bad) = win.window_counts(cfg.intervals, lat);
-            let (fast_total, fast_bad) = win.window_counts(cfg.fast_intervals, lat);
+            let (slow_total, slow_bad) = win.window_counts(INTERVALS, lat);
+            let (fast_total, fast_bad) = win.window_counts(FAST_INTERVALS, lat);
             let slow = burn_rate(slow_total, slow_bad, target);
             let fast = burn_rate(fast_total, fast_bad, target);
-            let firing =
-                slow_total >= cfg.min_events && fast >= cfg.fast_burn && slow >= cfg.slow_burn;
+            let firing = slow_total >= MIN_EVENTS && fast >= FAST_BURN && slow >= SLOW_BURN;
             if firing && !win.breached[slot] {
                 win.breached[slot] = true;
                 win.alerts_fired += 1;
@@ -356,15 +330,14 @@ impl SloState {
 
     /// Snapshot of every tenant's window.
     pub fn stats(&self) -> Vec<TenantSloStats> {
-        let cfg = &self.config;
         self.tenants
             .iter()
             .map(|(tag, win)| {
                 let merged = win.merged_sketch();
-                let (lt, lb) = win.window_counts(cfg.intervals, true);
-                let (ltf, lbf) = win.window_counts(cfg.fast_intervals, true);
-                let (at, ab) = win.window_counts(cfg.intervals, false);
-                let (atf, abf) = win.window_counts(cfg.fast_intervals, false);
+                let (lt, lb) = win.window_counts(INTERVALS, true);
+                let (ltf, lbf) = win.window_counts(FAST_INTERVALS, true);
+                let (at, ab) = win.window_counts(INTERVALS, false);
+                let (atf, abf) = win.window_counts(FAST_INTERVALS, false);
                 TenantSloStats {
                     tenant: tag.decode(),
                     requests: lt,
@@ -372,10 +345,10 @@ impl SloState {
                     p50_us: merged.quantile(0.50).unwrap_or(0.0),
                     p95_us: merged.quantile(0.95).unwrap_or(0.0),
                     p99_us: merged.quantile(0.99).unwrap_or(0.0),
-                    latency_fast_burn: burn_rate(ltf, lbf, cfg.latency_target),
-                    latency_slow_burn: burn_rate(lt, lb, cfg.latency_target),
-                    availability_fast_burn: burn_rate(atf, abf, cfg.availability_target),
-                    availability_slow_burn: burn_rate(at, ab, cfg.availability_target),
+                    latency_fast_burn: burn_rate(ltf, lbf, LATENCY_TARGET),
+                    latency_slow_burn: burn_rate(lt, lb, LATENCY_TARGET),
+                    availability_fast_burn: burn_rate(atf, abf, AVAILABILITY_TARGET),
+                    availability_slow_burn: burn_rate(at, ab, AVAILABILITY_TARGET),
                     alerts_fired: win.alerts_fired,
                 }
             })
@@ -387,27 +360,22 @@ impl SloState {
 mod tests {
     use super::*;
 
-    fn cfg() -> SloConfig {
-        SloConfig {
-            latency_threshold_us: 100,
-            latency_target: 0.99,
-            availability_target: 0.99,
-            interval_nanos: 1_000,
-            intervals: 4,
-            fast_intervals: 1,
-            fast_burn: 6.0,
-            slow_burn: 3.0,
-            min_events: 10,
-        }
-    }
-
     fn us(v: u64) -> u64 {
         v * 1_000
     }
 
+    /// Clock reading at the start of window interval `s` (one second each).
+    fn secs(s: u64) -> u64 {
+        s * INTERVAL_NANOS
+    }
+
+    /// A served latency well inside the threshold, and one past it.
+    const FAST: u64 = LATENCY_THRESHOLD_US / 10;
+    const SLOW: u64 = LATENCY_THRESHOLD_US * 5;
+
     #[test]
     fn sub_microsecond_latencies_keep_their_fraction() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         let t0 = TenantTag::new("t0");
         m.observe(t0, 0, 500, RequestOutcome::Served);
         let win = &m.tenants[&t0];
@@ -416,7 +384,7 @@ mod tests {
 
     #[test]
     fn stats_report_sub_microsecond_quantiles() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         for i in 0..100u64 {
             m.observe(TenantTag::new("t0"), i, 600, RequestOutcome::Served);
         }
@@ -430,47 +398,53 @@ mod tests {
 
     #[test]
     fn healthy_traffic_never_alerts() {
-        let mut m = SloState::new(cfg());
+        // 1000 requests over 20 intervals: the windows rotate under them.
+        let mut m = SloState::new();
+        let half = LATENCY_THRESHOLD_US / 2;
         for i in 0..1000u64 {
-            let alerts = m.observe(TenantTag::new("t0"), i * 10, us(50), RequestOutcome::Served);
+            let at = i * secs(1) / 50;
+            let alerts = m.observe(TenantTag::new("t0"), at, us(half), RequestOutcome::Served);
             assert!(alerts.is_empty(), "healthy request {i} alerted");
         }
         let stats = m.stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].alerts_fired, 0);
         assert!(stats[0].latency_slow_burn < 1e-12);
-        assert!(stats[0].p99_us <= 50.0);
+        assert!(stats[0].p99_us <= half as f64);
     }
 
     #[test]
     fn sustained_breach_fires_once_until_recovery() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         let t0 = TenantTag::new("t0");
-        // Healthy base load in interval 0.
+        // Healthy base load at the start of interval 0.
         for i in 0..50u64 {
-            m.observe(t0, i, us(10), RequestOutcome::Served);
+            m.observe(t0, i, us(FAST), RequestOutcome::Served);
         }
-        // Regression: every request blows the threshold.
+        // Regression later in the same interval: every request blows the
+        // threshold.
         let mut fired = 0;
         for i in 0..200u64 {
             fired += m
-                .observe(t0, 500 + i, us(5_000), RequestOutcome::Served)
+                .observe(t0, secs(1) / 2 + i, us(SLOW), RequestOutcome::Served)
                 .len();
         }
         assert_eq!(fired, 1, "breach fires exactly once while it persists");
         let stats = m.stats();
         assert_eq!(stats[0].alerts_fired, 1);
-        assert!(stats[0].latency_fast_burn >= 6.0);
+        assert!(stats[0].latency_fast_burn >= FAST_BURN);
 
-        // Recovery: healthy traffic long enough to clear every window (the
-        // rotation clears old intervals), then a second breach re-fires.
+        // Recovery: healthy traffic over 20 intervals, long enough to
+        // clear the whole long window (the rotation clears old intervals),
+        // then a second breach re-fires.
         for i in 0..400u64 {
-            m.observe(t0, 10_000 + i * 20, us(10), RequestOutcome::Served);
+            let at = secs(10) + i * secs(1) / 20;
+            m.observe(t0, at, us(FAST), RequestOutcome::Served);
         }
         let mut refired = 0;
         for i in 0..200u64 {
             refired += m
-                .observe(t0, 30_000 + i, us(5_000), RequestOutcome::Served)
+                .observe(t0, secs(40) + i, us(SLOW), RequestOutcome::Served)
                 .len();
         }
         assert_eq!(refired, 1, "a fresh breach after recovery re-fires");
@@ -478,10 +452,10 @@ mod tests {
 
     #[test]
     fn shed_requests_burn_the_availability_budget() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         let mut objectives = Vec::new();
-        for i in 0..100u64 {
-            for a in m.observe(TenantTag::new("t0"), i, us(10), RequestOutcome::Shed) {
+        for i in 0..2 * MIN_EVENTS {
+            for a in m.observe(TenantTag::new("t0"), i, us(FAST), RequestOutcome::Shed) {
                 objectives.push(a.objective);
             }
         }
@@ -493,10 +467,10 @@ mod tests {
 
     #[test]
     fn tenants_are_isolated() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         for i in 0..200u64 {
-            m.observe(TenantTag::new("bad"), i, us(5_000), RequestOutcome::Served);
-            let alerts = m.observe(TenantTag::new("good"), i, us(10), RequestOutcome::Served);
+            m.observe(TenantTag::new("bad"), i, us(SLOW), RequestOutcome::Served);
+            let alerts = m.observe(TenantTag::new("good"), i, us(FAST), RequestOutcome::Served);
             assert!(alerts.is_empty(), "healthy tenant paged by a noisy one");
         }
         let stats = m.stats();
@@ -508,13 +482,13 @@ mod tests {
 
     #[test]
     fn window_rotation_forgets_old_intervals() {
-        let mut m = SloState::new(cfg());
+        let mut m = SloState::new();
         for i in 0..100u64 {
-            m.observe(TenantTag::new("t0"), i, us(5_000), RequestOutcome::Served);
+            m.observe(TenantTag::new("t0"), i, us(SLOW), RequestOutcome::Served);
         }
-        // Jump far ahead: all four intervals rotate out.
+        // Jump far ahead: every interval rotates out.
         let t0 = TenantTag::new("t0");
-        m.observe(t0, 1_000_000, us(10), RequestOutcome::Served);
+        m.observe(t0, secs(100), us(FAST), RequestOutcome::Served);
         let stats = m.stats();
         assert_eq!(stats[0].requests, 1, "old intervals cleared");
         assert!(stats[0].latency_slow_burn < 1e-12);

@@ -10,16 +10,17 @@
     reason = "writer and reader threads hammer the one lock"
 )]
 
+use av_obs::slo::MIN_EVENTS;
 use av_obs::{
-    FlightDump, FlightRecord, Obs, ObsConfig, QueryRecord, RecordStatus, SloConfig, TenantTag,
+    FlightDump, FlightRecord, Obs, ObsConfig, QueryRecord, RecordStatus, TenantTag,
+    RECORDER_CAPACITY,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 const THREADS: u64 = 8;
-const PER_THREAD: u64 = 1_000;
-const CAPACITY: usize = 128;
-// 8 * 1000 / 128 = 62.5 ring wraps.
+// THREADS * PER_THREAD / RECORDER_CAPACITY = 62.5 ring wraps.
+const PER_THREAD: u64 = RECORDER_CAPACITY as u64 * 125 / 16;
 
 /// Every field is a fixed function of the `(tid, i)` pair, so a reader can
 /// recompute the whole record from `plan_fp` alone.
@@ -79,7 +80,7 @@ fn check_consistency(rec: &FlightRecord) {
 /// A dump is at most one ring of records with dense, increasing sequence
 /// numbers whose newest is the last record before the capture point.
 fn check_dump(dump: &FlightDump) {
-    assert!(dump.records.len() <= CAPACITY);
+    assert!(dump.records.len() <= RECORDER_CAPACITY);
     let first = dump.seq_at - dump.records.len() as u64;
     for (seq, rec) in (first..).zip(&dump.records) {
         assert_eq!(rec.seq, seq, "dump sequence not dense and increasing");
@@ -89,10 +90,7 @@ fn check_dump(dump: &FlightDump) {
 
 #[test]
 fn hammer_dumps_are_dense_and_untorn_across_ring_wraps() {
-    let obs = Obs::new(ObsConfig {
-        recorder_capacity: CAPACITY,
-        ..ObsConfig::default()
-    });
+    let obs = Obs::new(ObsConfig::default());
     let done = AtomicBool::new(false);
     let (dumps, records_seen) = thread::scope(|s| {
         let reader = s.spawn(|| {
@@ -136,25 +134,22 @@ fn hammer_dumps_are_dense_and_untorn_across_ring_wraps() {
     let last = obs.dump_now("final");
     check_dump(&last);
     assert_eq!(last.seq_at, total);
-    assert_eq!(last.records.len(), CAPACITY, "exactly the newest ring");
+    assert_eq!(
+        last.records.len(),
+        RECORDER_CAPACITY,
+        "exactly the newest ring"
+    );
 }
 
 #[test]
 fn a_triggered_dump_ends_with_the_request_that_triggered_it() {
-    // One SLO interval spans the whole run, so the window never rotates and
-    // `now_nanos` is free to name the request: a good observation cannot
-    // fire an alert, so only the shedding writer's records can trigger.
-    let config = ObsConfig {
-        slo: SloConfig {
-            interval_nanos: u64::MAX,
-            min_events: 8,
-            ..SloConfig::default()
-        },
-        ..ObsConfig::default()
-    };
+    // Each tenant's timestamps stay inside one one-second SLO interval, so
+    // no window rotates and `now_nanos` is free to name the request: a good
+    // observation cannot fire an alert, so only the shedding writer's
+    // records can trigger, once its window holds `MIN_EVENTS` of them.
     let shed_fp = |i: u64| (1 << 40) | i;
     for _ in 0..50 {
-        let obs = Obs::new(config.clone());
+        let obs = Obs::new(ObsConfig::default());
         let done = AtomicBool::new(false);
         thread::scope(|s| {
             s.spawn(|| {
@@ -167,7 +162,7 @@ fn a_triggered_dump_ends_with_the_request_that_triggered_it() {
                 }
             });
             s.spawn(|| {
-                for i in 0..16 {
+                for i in 0..2 * MIN_EVENTS {
                     let mut rec = make_record(1, i);
                     rec.plan_fp = shed_fp(i);
                     rec.status = RecordStatus::Shed;

@@ -572,7 +572,7 @@ mod tests {
     fn all_candidates_live(seed: u64) -> (Workload, Catalog, ViewLifecycleManager) {
         let w = mini(seed);
         let mut analyzer = av_equiv::Analyzer::new();
-        analyzer.min_query_frequency = 2;
+        analyzer.min_query_frequency = av_equiv::MIN_SHARED_QUERIES;
         let analysis = analyzer.analyze(&w.plans());
         let mut catalog = w.catalog.clone();
         let mut mgr = ViewLifecycleManager::new(LifecycleConfig {
@@ -713,7 +713,7 @@ mod tests {
         let w = mini(21);
         let plans = w.plans();
         let mut analyzer = av_equiv::Analyzer::new();
-        analyzer.min_query_frequency = 2;
+        analyzer.min_query_frequency = av_equiv::MIN_SHARED_QUERIES;
         let analysis = analyzer.analyze(&plans);
         let cand = analysis.candidates.first().expect("mini has candidates");
         let fp = Fingerprint::of(&cand.canonical);

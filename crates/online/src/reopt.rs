@@ -246,7 +246,7 @@ mod tests {
         let w = mini(seed);
         let plans = w.plans();
         let mut analyzer = Analyzer::new();
-        analyzer.min_query_frequency = 2;
+        analyzer.min_query_frequency = av_equiv::MIN_SHARED_QUERIES;
         let analysis = analyzer.analyze(&plans);
         let exec = av_engine::Executor::new(&w.catalog, Pricing::paper_defaults());
         let costs: Vec<f64> = plans.iter().map(|p| exec.cost(p).expect("costs")).collect();
@@ -294,7 +294,6 @@ mod tests {
             &SelectorKind::IterView(IterViewConfig {
                 iterations: 40,
                 seed: 7,
-                freeze_after: None,
             }),
             &[],
             &cache(),
@@ -320,7 +319,6 @@ mod tests {
         let selector = SelectorKind::IterView(IterViewConfig {
             iterations: 40,
             seed: 7,
-            freeze_after: None,
         });
         let shared = cache();
         let first = reoptimize(
@@ -370,7 +368,6 @@ mod tests {
             &SelectorKind::IterView(IterViewConfig {
                 iterations: 20,
                 seed: 7,
-                freeze_after: None,
             }),
             &[ghost],
             &cache(),

@@ -5,7 +5,7 @@
 //! mass* distribution that [`crate::drift::DriftDetector`] compares window
 //! over window.
 
-use av_equiv::{Analyzer, WorkloadAnalysis};
+use av_equiv::{Analyzer, WorkloadAnalysis, MIN_SHARED_QUERIES};
 use av_plan::{Fingerprint, PlanRef};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -26,20 +26,15 @@ pub struct WorkloadStream {
     window: VecDeque<ArrivedQuery>,
     window_size: usize,
     total_seen: u64,
-    /// Clusters must span at least this many distinct queries to count as
-    /// candidates. Fixed at construction from the setting selection uses,
-    /// so the drift analysis and the selection analysis cannot disagree.
-    min_query_frequency: usize,
 }
 
 impl WorkloadStream {
-    pub fn new(window_size: usize, min_query_frequency: usize) -> WorkloadStream {
+    pub fn new(window_size: usize) -> WorkloadStream {
         assert!(window_size > 0, "window_size must be positive");
         WorkloadStream {
             window: VecDeque::with_capacity(window_size),
             window_size,
             total_seen: 0,
-            min_query_frequency,
         }
     }
 
@@ -73,10 +68,11 @@ impl WorkloadStream {
         self.window.iter().map(|a| a.cost).collect()
     }
 
-    /// Run the equivalence analysis over the current window.
+    /// Run the equivalence analysis over the current window, keeping the
+    /// candidates that selection would ([`MIN_SHARED_QUERIES`]).
     fn analyze(&self) -> WorkloadAnalysis {
         let mut analyzer = Analyzer::new();
-        analyzer.min_query_frequency = self.min_query_frequency;
+        analyzer.min_query_frequency = MIN_SHARED_QUERIES;
         analyzer.analyze(&self.plans())
     }
 
@@ -108,7 +104,7 @@ mod tests {
     fn window_slides_and_counts() {
         let w = mini(7);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(4, 2);
+        let mut s = WorkloadStream::new(4);
         for (i, p) in plans.iter().take(6).enumerate() {
             let seq = s.ingest(p.clone(), 1.0 + i as f64);
             assert_eq!(seq, i as u64);
@@ -122,13 +118,13 @@ mod tests {
     fn analysis_matches_batch_pipeline_on_same_queries() {
         let w = mini(8);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(plans.len(), 2);
+        let mut s = WorkloadStream::new(plans.len());
         for p in &plans {
             s.ingest(p.clone(), 1.0);
         }
         let stream_analysis = s.analyze();
         let mut analyzer = Analyzer::new();
-        analyzer.min_query_frequency = 2;
+        analyzer.min_query_frequency = MIN_SHARED_QUERIES;
         let batch_analysis = analyzer.analyze(&plans);
         assert_eq!(
             stream_analysis.candidates.len(),
@@ -144,7 +140,7 @@ mod tests {
     fn candidate_mass_weights_by_cost() {
         let w = mini(9);
         let plans = w.plans();
-        let mut s = WorkloadStream::new(plans.len(), 2);
+        let mut s = WorkloadStream::new(plans.len());
         for p in &plans {
             s.ingest(p.clone(), 2.0);
         }

@@ -77,6 +77,36 @@ impl ArithOp {
             ArithOp::Div => "DIV",
         }
     }
+
+    /// Apply the operator to two values: NULL when either is not numeric
+    /// or on division by zero; an integer when both inputs are integers,
+    /// the operator is not `Div` and the result is whole; a float
+    /// otherwise.
+    #[inline]
+    pub fn apply(self, l: &Value, r: &Value) -> Value {
+        let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+            return Value::Null;
+        };
+        let out = match self {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div => {
+                if b == 0.0 {
+                    return Value::Null;
+                }
+                a / b
+            }
+        };
+        if matches!((l, r), (Value::Int(_), Value::Int(_)))
+            && out.fract() == 0.0
+            && self != ArithOp::Div
+        {
+            Value::Int(out as i64)
+        } else {
+            Value::Float(out)
+        }
+    }
 }
 
 /// A scalar expression over named columns.
@@ -173,8 +203,11 @@ impl Expr {
     }
 
     /// Evaluate the expression against a row, where `resolve` maps a column
-    /// name to its value. Used by the engine's interpreter and by the
-    /// randomized semantic checks in `av-equiv`.
+    /// name to its value. The engine's executor evaluates bound column
+    /// indices instead, through the same [`CmpOp::apply`] and
+    /// [`ArithOp::apply`]; this by-name form serves the property tests
+    /// (`av-equiv` checks that canonicalization keeps every predicate's
+    /// value).
     pub fn eval(&self, resolve: &dyn Fn(&str) -> Value) -> Value {
         match self {
             Expr::Column(c) => resolve(c),
@@ -187,36 +220,7 @@ impl Expr {
             Expr::And(v) => Value::Int(v.iter().all(|e| e.eval_bool(resolve)) as i64),
             Expr::Or(v) => Value::Int(v.iter().any(|e| e.eval_bool(resolve)) as i64),
             Expr::Not(e) => Value::Int(!e.eval_bool(resolve) as i64),
-            Expr::Arith { op, left, right } => {
-                let l = left.eval(resolve);
-                let r = right.eval(resolve);
-                match (l.as_f64(), r.as_f64()) {
-                    (Some(a), Some(b)) => {
-                        let out = match op {
-                            ArithOp::Add => a + b,
-                            ArithOp::Sub => a - b,
-                            ArithOp::Mul => a * b,
-                            ArithOp::Div => {
-                                if b == 0.0 {
-                                    return Value::Null;
-                                }
-                                a / b
-                            }
-                        };
-                        // Preserve integer-ness when both inputs were ints
-                        // and the result is exact.
-                        if matches!((&l, &r), (Value::Int(_), Value::Int(_)))
-                            && out.fract() == 0.0
-                            && !matches!(op, ArithOp::Div)
-                        {
-                            Value::Int(out as i64)
-                        } else {
-                            Value::Float(out)
-                        }
-                    }
-                    _ => Value::Null,
-                }
-            }
+            Expr::Arith { op, left, right } => op.apply(&left.eval(resolve), &right.eval(resolve)),
         }
     }
 

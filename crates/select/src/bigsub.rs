@@ -14,11 +14,9 @@ use av_ilp::MvsInstance;
 /// Configuration for [`BigSub`].
 #[derive(Debug, Clone)]
 pub struct BigSubConfig {
-    /// Total iterations.
+    /// Total iterations. 1→0 flips are forbidden after the first third of
+    /// them, BigSub's early freeze.
     pub iterations: usize,
-    /// Iteration after which 1→0 flips are forbidden. Defaults to a third
-    /// of the run, mirroring BigSub's early-freeze behaviour.
-    pub freeze_after: Option<usize>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -27,7 +25,6 @@ impl Default for BigSubConfig {
     fn default() -> Self {
         BigSubConfig {
             iterations: 100,
-            freeze_after: None,
             seed: 42,
         }
     }
@@ -39,15 +36,14 @@ pub struct BigSub;
 impl BigSub {
     /// Run BigSub on an instance.
     pub fn run(instance: &MvsInstance, config: BigSubConfig) -> SelectionResult {
-        let freeze = config.freeze_after.unwrap_or(config.iterations / 3);
         IterView::new(
             instance,
             IterViewConfig {
                 iterations: config.iterations,
                 seed: config.seed,
-                freeze_after: Some(freeze),
             },
         )
+        .freeze_from(config.iterations / 3)
         .run()
     }
 }
@@ -72,14 +68,14 @@ mod tests {
         // distinct utilities in the frozen tail should be small relative to
         // the pre-freeze churn on a contended instance.
         let m = random_instance(21, 16, 20);
+        // 60 iterations freeze after the first 20.
         let cfg = BigSubConfig {
-            iterations: 80,
-            freeze_after: Some(20),
+            iterations: 60,
             seed: 3,
         };
         let r = BigSub::run(&m, cfg);
-        assert_eq!(r.trajectory.len(), 80);
-        let tail = &r.trajectory[60..];
+        assert_eq!(r.trajectory.len(), 60);
+        let tail = &r.trajectory[40..];
         let tail_range = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             - tail.iter().copied().fold(f64::INFINITY, f64::min);
         let head = &r.trajectory[..20];

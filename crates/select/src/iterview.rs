@@ -18,9 +18,6 @@ pub struct IterViewConfig {
     pub iterations: usize,
     /// RNG seed for the random initialization and flip thresholds.
     pub seed: u64,
-    /// BigSub-style freeze: after this iteration, 1→0 flips are forbidden.
-    /// `None` (the default) is pure IterView.
-    pub freeze_after: Option<usize>,
 }
 
 impl Default for IterViewConfig {
@@ -28,7 +25,6 @@ impl Default for IterViewConfig {
         IterViewConfig {
             iterations: 100,
             seed: 42,
-            freeze_after: None,
         }
     }
 }
@@ -52,6 +48,9 @@ pub struct IterView<'a> {
     /// Queries each candidate can benefit (`B_ij > 0`), for incremental
     /// Y-Opt: flipping `z_j` only perturbs these rows of `Y`.
     affected: Vec<Vec<usize>>,
+    /// BigSub's freeze: from this iteration on, 1→0 flips are forbidden.
+    /// `None` is pure IterView.
+    frozen_from: Option<usize>,
 }
 
 impl<'a> IterView<'a> {
@@ -106,7 +105,14 @@ impl<'a> IterView<'a> {
             o_cur,
             o_max,
             affected,
+            frozen_from: None,
         }
+    }
+
+    /// Forbid 1→0 flips from iteration `iter` on (the BigSub rule).
+    pub(crate) fn freeze_from(mut self, iter: usize) -> IterView<'a> {
+        self.frozen_from = Some(iter);
+        self
     }
 
     /// Current utility `Σ y·B − Σ z·O`.
@@ -224,7 +230,7 @@ impl<'a> IterView<'a> {
         let mut best: Option<BestState> = None;
         for iter in 0..self.config.iterations {
             let tau: f64 = self.rng.gen_range(0.0..1.0);
-            let frozen = self.config.freeze_after.map(|f| iter >= f).unwrap_or(false);
+            let frozen = self.frozen_from.is_some_and(|f| iter >= f);
             self.z_opt(tau, frozen);
             self.y_opt();
             let u = self.utility();
@@ -377,7 +383,6 @@ mod tests {
         let m = random_instance(15, 10, 12);
         let cfg = IterViewConfig {
             iterations: 40,
-            freeze_after: Some(0),
             seed: 7,
         };
         let mut iv = IterView::new(&m, cfg);

@@ -229,7 +229,6 @@ impl RlView {
             IterViewConfig {
                 iterations: config.n1,
                 seed: config.seed,
-                freeze_after: None,
             },
         );
         let mut trajectory = Vec::new();
@@ -506,7 +505,6 @@ mod tests {
             crate::iterview::IterViewConfig {
                 iterations: rl.trajectory.len(),
                 seed: 6,
-                freeze_after: None,
             },
         )
         .run();

@@ -53,11 +53,8 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     pub lifecycle: LifecycleConfig,
     pub selector: SelectorKind,
-    /// Minimum times a subquery must repeat in the reopt window before it
-    /// becomes a view candidate.
-    pub min_query_frequency: usize,
-    /// Telemetry layer configuration (flight recorder, SLO monitoring,
-    /// estimator residuals). `ObsConfig::disabled()` is the zero-overhead
+    /// Telemetry layer switch (flight recorder, SLO monitoring, estimator
+    /// residuals). `ObsConfig::disabled()` is the zero-overhead
     /// baseline `serve_bench` compares against.
     pub obs: ObsConfig,
 }
@@ -70,7 +67,6 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             lifecycle: LifecycleConfig::default(),
             selector: SelectorKind::default(),
-            min_query_frequency: 2,
             obs: ObsConfig::default(),
         }
     }
@@ -340,7 +336,7 @@ impl ViewServer {
         let planner = &mut *guard;
         tracer.time("serve.reopt", || -> Result<ReoptSummary, ServeError> {
             let mut analyzer = av_equiv::Analyzer::new();
-            analyzer.min_query_frequency = self.config.min_query_frequency;
+            analyzer.min_query_frequency = av_equiv::MIN_SHARED_QUERIES;
             let analysis = analyzer.analyze(window);
 
             let mut costs = Vec::with_capacity(window.len());

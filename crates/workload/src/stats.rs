@@ -1,7 +1,7 @@
 //! Workload statistics — the rows of the paper's Table I.
 
 use crate::gen::Workload;
-use av_equiv::Analyzer;
+use av_equiv::{Analyzer, MIN_SHARED_QUERIES};
 use serde::{Deserialize, Serialize};
 
 /// The Table I row for one workload.
@@ -24,7 +24,7 @@ pub struct WorkloadStats {
 /// pipeline (subquery extraction → equivalence clustering → overlap).
 pub fn workload_stats(workload: &Workload) -> WorkloadStats {
     let mut analyzer = Analyzer::new();
-    analyzer.min_query_frequency = 2;
+    analyzer.min_query_frequency = MIN_SHARED_QUERIES;
     let analysis = analyzer.analyze(&workload.plans());
     WorkloadStats {
         name: workload.name.clone(),
