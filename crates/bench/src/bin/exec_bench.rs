@@ -3,7 +3,11 @@
 //! - **micro** — rows/sec for filter / aggregate / join micro-ops over
 //!   JOB-scale tables, interpreted reference kernels vs the default
 //!   selection-vector + typed-kernel path (whose joins on a short-span
-//!   `Int` key index an array where the reference hashes). Each micro
+//!   `Int` key index an array where the reference hashes, and whose
+//!   projections forward columns without copying them). `view_join` has
+//!   the shape of a query the server answers from a view: a materialized
+//!   two-column `Int` view joined to a projected, filtered `title`, with an
+//!   aggregate on top. Each micro
 //!   asserts the two paths produce bitwise-identical batches and execution
 //!   reports, and the bench fails if any optimized micro is slower than its
 //!   reference.
@@ -23,7 +27,7 @@
 )]
 
 use av_bench::{knob, render_table, BenchConfig};
-use av_engine::{ExecCache, Executor, Pricing};
+use av_engine::{ExecCache, Executor, Pricing, Table};
 use av_plan::{AggExpr, AggFunc, CmpOp, Expr, PlanBuilder, PlanRef};
 use av_workload::job::job_workload;
 use serde::Serialize;
@@ -98,7 +102,36 @@ fn main() {
 
     // Micro tables: the JOB schema scaled up so every batch dwarfs the
     // 1024-row chunk size and per-operator throughput is measurable.
-    let micro_w = job_workload(cfg.job_scale * exec_scale, cfg.seed);
+    let mut micro_w = job_workload(cfg.job_scale * exec_scale, cfg.seed);
+    // A materialized view as the server stores one: the rows of a filtered
+    // projection of `cast_info`, under already-qualified column names.
+    let view = Executor::new(&micro_w.catalog, pricing)
+        .run(
+            &PlanBuilder::scan("cast_info", "c")
+                .filter(
+                    Expr::col("c.kind_id")
+                        .eq(Expr::int(2))
+                        .and(Expr::col("c.production_year").cmp(CmpOp::Gt, Expr::int(1980))),
+                )
+                .project(&[("c.movie_id", "c.movie_id"), ("c.kind_id", "c.kind_id")])
+                .build(),
+        )
+        .expect("view plan executes")
+        .batch;
+    micro_w
+        .catalog
+        .add_table(
+            Table::new(
+                "cast_view",
+                view.names
+                    .iter()
+                    .map(String::as_str)
+                    .zip(view.columns.iter().cloned())
+                    .collect(),
+            )
+            .expect("rectangular"),
+        )
+        .expect("fresh table name");
     let rows_of = |table: &str| {
         micro_w
             .catalog
@@ -108,6 +141,7 @@ fn main() {
     };
     let cast_rows = rows_of("cast_info");
     let join_rows = cast_rows + rows_of("title");
+    let view_join_rows = rows_of("cast_view") + rows_of("title");
 
     let aggs = || {
         vec![
@@ -178,6 +212,33 @@ fn main() {
         .aggregate(&["t.kind_id"], aggs())
         .build();
 
+    // The view scan (alias-free: its names are stored qualified) against
+    // `π(σ(title))`: the projection forwards `title`'s columns through the
+    // filter's selection, and the join reads them through it.
+    let view_join = PlanBuilder::scan("cast_view", "")
+        .join(
+            PlanBuilder::scan("title", "t")
+                .filter(Expr::col("t.production_year").cmp(CmpOp::Gt, Expr::int(1990)))
+                .project(&[("t.id", "t.id"), ("t.kind_id", "t.kind_id")]),
+            &[("c.movie_id", "t.id")],
+        )
+        .aggregate(
+            &["t.kind_id"],
+            vec![
+                AggExpr {
+                    func: AggFunc::Count,
+                    input: None,
+                    output: "n".into(),
+                },
+                AggExpr {
+                    func: AggFunc::Max,
+                    input: Some("c.kind_id".into()),
+                    output: "hi".into(),
+                },
+            ],
+        )
+        .build();
+
     let micros: Vec<(&str, usize, PlanRef)> = vec![
         ("filter", cast_rows, filter),
         ("filter_and", cast_rows, filter_and),
@@ -185,6 +246,7 @@ fn main() {
         ("filter_agg", cast_rows, filter_agg),
         ("join", join_rows, join),
         ("filter_join_agg", join_rows, filter_join_agg),
+        ("view_join", view_join_rows, view_join),
     ];
 
     let reference = Executor::new(&micro_w.catalog, pricing).with_reference_kernels(true);

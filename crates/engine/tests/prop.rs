@@ -201,7 +201,7 @@ enum Span {
 
 /// The direct-index cap on a build side of `rows` rows.
 fn direct_cap(rows: usize) -> i64 {
-    32 * rows as i64 + 1024
+    32 * rows as i64 + 16_384
 }
 
 /// One single-`Int`-key join side: `payload` holds each row's index.
@@ -293,6 +293,225 @@ proptest! {
         let scan = |t: &str, alias: &str| exec(&c, &PlanBuilder::scan(t, alias).build()).batch;
         let want = nested_loop_join(&scan("tl", "l"), &scan("tr", "r"), &[(0, 0)], join_type);
         prop_assert_eq!(&*optimized.batch, &want);
+    }
+}
+
+/// How one join side is computed from its table: `v` holds each row's
+/// index, so the rows a side's filters keep are known up front.
+#[derive(Debug, Clone, Copy)]
+enum SideShape {
+    Scan,
+    /// `σ(v ≥ a)`.
+    Filter,
+    /// `σ(v ≤ b)(σ(v ≥ a))`: the second filter refines the selection.
+    Stacked,
+    /// `π(k, s, v, v)(σ(v ≥ a))`: plain columns over a selection, `v`
+    /// forwarded twice.
+    ProjectSel,
+    /// `π(k, v × 2, s)(σ(v ≥ a))`: a computed column over a selection.
+    Computed,
+    /// `π(k, v, f)` over the dense scan.
+    ProjectDense,
+    /// `σ(v ≤ b)(π(k, v, s)(σ(v ≥ a)))`: a filter over forwarded columns.
+    FilterOverProject,
+}
+
+impl SideShape {
+    /// The table rows this side keeps, ascending.
+    fn live(self, rows: usize, a: usize, b: usize) -> Vec<usize> {
+        (0..rows)
+            .filter(|&i| match self {
+                SideShape::Scan | SideShape::ProjectDense => true,
+                SideShape::Filter | SideShape::ProjectSel | SideShape::Computed => i >= a,
+                SideShape::Stacked | SideShape::FilterOverProject => i >= a && i <= b,
+            })
+            .collect()
+    }
+
+    fn plan(self, table: &str, alias: &str, a: usize, b: usize) -> PlanBuilder {
+        let col = |c: &str| format!("{alias}.{c}");
+        let (k, v, f, s) = (col("k"), col("v"), col("f"), col("s"));
+        let v2 = col("v2");
+        let ge = Expr::col(&v).cmp(CmpOp::Ge, Expr::int(a as i64));
+        let le = Expr::col(&v).cmp(CmpOp::Le, Expr::int(b as i64));
+        let scan = PlanBuilder::scan(table, alias);
+        match self {
+            SideShape::Scan => scan,
+            SideShape::Filter => scan.filter(ge),
+            SideShape::Stacked => scan.filter(ge).filter(le),
+            SideShape::ProjectSel => scan.filter(ge).project(&[
+                (k.as_str(), k.as_str()),
+                (s.as_str(), s.as_str()),
+                (v.as_str(), v.as_str()),
+                (v.as_str(), v2.as_str()),
+            ]),
+            SideShape::Computed => scan.filter(ge).project_exprs(vec![
+                av_plan::ProjExpr::column(k.as_str(), k.as_str()),
+                av_plan::ProjExpr {
+                    expr: Expr::Arith {
+                        op: av_plan::expr::ArithOp::Mul,
+                        left: Box::new(Expr::col(&v)),
+                        right: Box::new(Expr::int(2)),
+                    },
+                    alias: v.clone(),
+                },
+                av_plan::ProjExpr::column(s.as_str(), s.as_str()),
+            ]),
+            SideShape::ProjectDense => scan.project(&[
+                (k.as_str(), k.as_str()),
+                (v.as_str(), v.as_str()),
+                (f.as_str(), f.as_str()),
+            ]),
+            SideShape::FilterOverProject => scan
+                .filter(ge)
+                .project(&[
+                    (k.as_str(), k.as_str()),
+                    (v.as_str(), v.as_str()),
+                    (s.as_str(), s.as_str()),
+                ])
+                .filter(le),
+        }
+    }
+}
+
+const SIDE_SHAPES: [SideShape; 7] = [
+    SideShape::Scan,
+    SideShape::Filter,
+    SideShape::Stacked,
+    SideShape::ProjectSel,
+    SideShape::Computed,
+    SideShape::ProjectDense,
+    SideShape::FilterOverProject,
+];
+
+/// One join side's table: key `k` of type `ty` (0 = Int, 1 = Float,
+/// 2 = Str) and payloads `v` (the row index), `f` and `s`.
+fn shaped_side(name: &str, k: Column) -> Table {
+    let n = k.len();
+    Table::new(
+        name,
+        vec![
+            ("k", k),
+            ("v", Column::Int((0..n as i64).collect())),
+            ("f", Column::Float((0..n).map(|i| i as f64 / 2.0).collect())),
+            ("s", Column::str((0..n).map(|i| format!("s{i}")).collect())),
+        ],
+    )
+    .expect("rectangular")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A join over projected and filtered inputs returns the same batch and
+    /// the same `ExecutionReport` under the default kernels — where
+    /// projections forward columns without copying them, selections reach
+    /// the join, and the join reads its keys and gathers its output through
+    /// them — as under the reference kernels, which materialize every
+    /// operator's output. Each side is a scan, a filter, stacked filters, a
+    /// plain or computed projection over a selection, a projection over the
+    /// dense scan, or a filter over forwarded columns; joins are inner or
+    /// left on `Int`, `Float` or `Str` keys with duplicates; either side may
+    /// be empty or filtered to nothing. When both keys are `Int`, the build
+    /// side's live keys span far inside the direct-index cap, exactly to
+    /// it, one past it, or across all of `i64`, while its filtered-out rows
+    /// hold `i64::MIN` and `i64::MAX`, so a span read without the selection
+    /// would always hash. The root is the join itself, a projection over it
+    /// (one column forwarded twice), a filter and projection, or a grouped
+    /// aggregate.
+    #[test]
+    fn late_projection_join_matches_reference(
+        types in (0u8..3, 0u8..3),
+        shapes in (0usize..7, 0usize..7),
+        cuts in ((0usize..6, 4usize..30), (0usize..6, 4usize..30)),
+        base in prop_oneof![Just(i64::MIN), Just(-700i64), Just(-3), Just(0), Just(i64::MAX - 20_000)],
+        span in prop_oneof![Just(Span::Short), Just(Span::AtCap), Just(Span::OverCap), Just(Span::Extreme)],
+        lpicks in proptest::collection::vec(0usize..18, 0..30),
+        rpicks in proptest::collection::vec(0usize..18, 0..30),
+        left in proptest::any::<bool>(),
+        top in 0u8..4,
+    ) {
+        let join_type = if left { JoinType::Left } else { JoinType::Inner };
+        let (lshape, rshape) = (SIDE_SHAPES[shapes.0], SIDE_SHAPES[shapes.1]);
+        let (lcut, rcut) = cuts;
+        let llive = lshape.live(lpicks.len(), lcut.0, lcut.1);
+        let rlive = rshape.live(rpicks.len(), rcut.0, rcut.1);
+        // The executor's build side, chosen on live rows.
+        let build_right = left || rlive.len() <= llive.len();
+        let build_live = if build_right { rlive.len() } else { llive.len() };
+        let hi = match span {
+            Span::Short => base.wrapping_add(11),
+            Span::AtCap => base.wrapping_add(direct_cap(build_live) - 1),
+            Span::OverCap => base.wrapping_add(direct_cap(build_live)),
+            Span::Extreme => i64::MAX,
+        };
+        let lo = if matches!(span, Span::Extreme) { i64::MIN } else { base };
+        let int_key = |p: usize| match p {
+            0..=11 => base.wrapping_add(p as i64),
+            12 => lo,
+            13 => hi,
+            14 => lo.wrapping_sub(1),
+            15 => hi.wrapping_add(1),
+            16 => lo.wrapping_add(1 << 32),
+            _ => hi.wrapping_sub(1 << 32),
+        };
+        let int_keys = |picks: &[usize], live: &[usize], is_build: bool| -> Vec<i64> {
+            let mut keys: Vec<i64> = picks
+                .iter()
+                .map(|&p| if is_build && p >= 14 { int_key(p % 12) } else { int_key(p) })
+                .collect();
+            if is_build {
+                // Live build keys span exactly `lo..=hi`; dead ones sit at
+                // the ends of `i64`.
+                for (i, key) in keys.iter_mut().enumerate() {
+                    if live.binary_search(&i).is_err() {
+                        *key = if i % 2 == 0 { i64::MIN } else { i64::MAX };
+                    }
+                }
+                if let [first, .., last] = live {
+                    keys[*first] = lo;
+                    keys[*last] = hi;
+                }
+            }
+            keys
+        };
+        let key_col = |ty: u8, picks: &[usize], live: &[usize], is_build: bool| match ty {
+            0 => Column::Int(int_keys(picks, live, is_build)),
+            _ => key_column(ty, &picks.iter().map(|p| p % 8).collect::<Vec<_>>()),
+        };
+        let mut c = Catalog::new();
+        c.add_table(shaped_side("tl", key_col(types.0, &lpicks, &llive, !build_right)))
+            .expect("fresh");
+        c.add_table(shaped_side("tr", key_col(types.1, &rpicks, &rlive, build_right)))
+            .expect("fresh");
+
+        let joined = lshape
+            .plan("tl", "l", lcut.0, lcut.1)
+            .join_typed(rshape.plan("tr", "r", rcut.0, rcut.1), &[("l.k", "r.k")], join_type);
+        let plan = match top {
+            0 => joined,
+            1 => joined.project(&[("r.v", "rv"), ("l.k", "lk"), ("r.v", "rv2"), ("l.v", "lv")]),
+            2 => joined
+                .filter(Expr::col("r.v").cmp(CmpOp::Ne, Expr::int(1)))
+                .project(&[("l.v", "lv"), ("r.k", "rk")]),
+            _ => joined.aggregate(
+                &["l.k"],
+                vec![
+                    agg(av_plan::AggFunc::Count, None, "n"),
+                    agg(av_plan::AggFunc::Sum, Some("r.v"), "s"),
+                    agg(av_plan::AggFunc::Max, Some("l.v"), "hi"),
+                ],
+            ),
+        }
+        .build();
+        let optimized = exec(&c, &plan);
+        let reference = Executor::new(&c, Pricing::paper_defaults())
+            .with_reference_kernels(true)
+            .run(&plan)
+            .expect("reference");
+        // Debug strings compare floats by bits (`-0.0` differs from `0.0`).
+        prop_assert_eq!(format!("{:?}", optimized.batch), format!("{:?}", reference.batch));
+        prop_assert_eq!(optimized.report, reference.report);
     }
 }
 
